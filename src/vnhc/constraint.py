@@ -143,29 +143,15 @@ def transversality_check(
 ) -> TransversalityReport:
     """Invertibility of P(q) with entries mu^b(Y^a); certifies A and the
     input distribution are transversal (given the rank hypothesis)."""
-    from .control import PIVOT_RTOL, p_scale
+    from .control import _p_system
 
     check_compatible(model, con)
-    S = con.mu_at(q)
-    Y = model.input_fields_at(q)
-    m = con.m
-    P = [[linalg.dot(S[b], Y[a]) for a in range(m)] for b in range(m)]
-    det = float(np.linalg.det(np.array(P)))
-    scale = p_scale(S, Y)
-    try:
-        lu, piv = linalg.lu_factor(P)
-        cond = linalg.cond1_from_lu(P, lu, piv)
-        min_pivot = min(abs(lu[i][i]) for i in range(m))
-        if min_pivot <= PIVOT_RTOL * scale:
-            cond = float("inf")
-    except linalg.SingularMatrixError:
-        cond = float("inf")
-    ok = cond <= linalg.CONDITION_CAP
+    ps = _p_system(model, con, q)
     return TransversalityReport(
-        ok=ok,
-        p=tuple(v for row in P for v in row),
-        det=det,
-        cond_estimate=cond,
+        ok=ps.cond <= linalg.CONDITION_CAP,
+        p=tuple(v for row in ps.P for v in row),
+        det=0.0 if ps.lu is None else linalg.det_from_lu(ps.lu, ps.piv),
+        cond_estimate=ps.cond,
         q=tuple(float(v) for v in q),
     )
 

@@ -5,12 +5,18 @@ P has entries mu^b(Y^a) and depends on q only; b collects the derivative
 of phi along the drift.  The law is defined wherever P is invertible, on
 or off the constraint set; off the set it conserves phi at its initial
 value instead of nulling it.
+
+Every entry point is a view over one assembly: `_p_system` factors G and
+P once at q; `_assemble` adds drift, b, tau and the acceleration.  The
+integrator still re-solves the control at every RK4 stage, and the tau
+it samples is the next step's stage-1 solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .constraint import AffineConstraint, check_compatible
@@ -46,59 +52,100 @@ def p_scale(S, Y) -> float:
     return ns * ny
 
 
-def _p_rows(model: MechanicalModel, con: AffineConstraint, q):
+class _PSystem(NamedTuple):
+    """P(q) with its one LU factorization and the transversality verdict."""
+
+    L: list  # Cholesky factor of the metric
+    S: list  # constraint rows mu^b
+    Y: list  # input fields Y^a
+    P: list
+    lu: list | None  # None when P is exactly singular
+    piv: list | None
+    min_pivot: float
+    cond: float  # inf when P is singular or its smallest pivot is negligible
+    error: str | None  # why no control exists at q; None when P is admissible
+
+
+class _Assembly(NamedTuple):
+    p: _PSystem
+    b: list
+    tau: list
+    acc: list  # drift plus tau_a Y^a
+
+
+def _p_system(model: MechanicalModel, con: AffineConstraint, q) -> _PSystem:
+    """The q-only half of the assembly; reports a bad P instead of raising."""
+    L = model._factor(q)
+    Y = [linalg.cho_solve(L, row) for row in model.coframe_at(q)]
     S = con.mu_at(q)
-    Y = model.input_fields_at(q)
     m = con.m
     P = [[linalg.dot(S[b], Y[a]) for a in range(m)] for b in range(m)]
-    return P, S, Y, p_scale(S, Y)
-
-
-def _factor_p(P, q, scale, state=None):
     try:
         lu, piv = linalg.lu_factor(P)
-        cond = linalg.cond1_from_lu(P, lu, piv)
-        min_pivot = min(abs(lu[i][i]) for i in range(len(lu)))
     except linalg.SingularMatrixError:
-        raise TransversalityError(
-            f"singular P matrix at q={tuple(q)}", q=tuple(q), state=state,
-            cond=float("inf"),
-        ) from None
+        return _PSystem(L, S, Y, P, None, None, 0.0, math.inf,
+                        f"singular P matrix at q={tuple(q)}")
+    cond = linalg.cond1_from_lu(P, lu, piv)
+    min_pivot = min(abs(lu[i][i]) for i in range(m))
+    scale = p_scale(S, Y)
+    error = None
     if min_pivot <= PIVOT_RTOL * scale:
-        raise TransversalityError(
+        cond = math.inf
+        error = (
             f"numerically singular P matrix at q={tuple(q)} "
-            f"(pivot {min_pivot:.3e} vs scale {scale:.3e})",
-            q=tuple(q), state=state, cond=float("inf"),
+            f"(pivot {min_pivot:.3e} vs scale {scale:.3e})"
         )
-    if cond > linalg.CONDITION_CAP:
-        raise TransversalityError(
+    elif cond > linalg.CONDITION_CAP:
+        error = (
             f"P condition estimate {cond:.3e} exceeds {linalg.CONDITION_CAP:.0e} "
-            f"at q={tuple(q)}", q=tuple(q), state=state, cond=cond,
+            f"at q={tuple(q)}"
         )
-    return lu, piv, cond
+    return _PSystem(L, S, Y, P, lu, piv, min_pivot, cond, error)
+
+
+def _admissible(ps: _PSystem, q, state=None) -> _PSystem:
+    if ps.error is not None:
+        raise TransversalityError(ps.error, q=tuple(q), state=state, cond=ps.cond)
+    return ps
+
+
+def _assemble(model: MechanicalModel, con: AffineConstraint, q, qd, state=None) -> _Assembly:
+    """Solve P tau = b at (q, qd); raises TransversalityError where P is not
+    admissible.  Inputs are trusted: callers validate at the API boundary."""
+    ps = _admissible(_p_system(model, con, q), q, state)
+    drift = model._drift(q, qd, ps.L)
+    b = _b_from_drift(con, q, qd, drift, ps.S)
+    tau = linalg.lu_solve(ps.lu, ps.piv, b)
+    n = model.n
+    acc = drift
+    for idx in range(model.m):
+        t = tau[idx]
+        if t != 0.0:
+            ya = ps.Y[idx]
+            for k in range(n):
+                acc[k] += t * ya[k]
+    return _Assembly(ps, b, tau, acc)
 
 
 def p_matrix(model: MechanicalModel, con: AffineConstraint, q) -> list[list[float]]:
     """System matrix with entries mu^b(q)(Y^a); velocity-independent."""
     check_compatible(model, con)
-    P, _, _, scale = _p_rows(model, con, q)
-    _factor_p(P, q, scale)
-    return P
+    return _admissible(_p_system(model, con, q), q).P
 
 
 def b_vector(model: MechanicalModel, con: AffineConstraint, state: State) -> list[float]:
-    """Right-hand side: minus the derivative of phi along the drift field."""
+    """Right-hand side: minus the derivative of phi along the drift field;
+    needs no invertible P."""
     check_compatible(model, con)
     model._check_state(state)
     q, qd = state.q, state.qdot
     L = model._factor(q)
     a = model._drift(q, qd, L)
-    return _b_from_drift(con, q, qd, a)
+    return _b_from_drift(con, q, qd, a, con.mu_at(q))
 
 
-def _b_from_drift(con: AffineConstraint, q, qd, drift) -> list[float]:
+def _b_from_drift(con: AffineConstraint, q, qd, drift, S) -> list[float]:
     n, m = con.n, con.m
-    S = con.mu_at(q)
     dmu = con._dmu_fn(*q)  # index (b*n + i)*n + j
     dz = con._dZ_fn(*q)  # index b*n + j
     b = [0.0] * m
@@ -117,70 +164,32 @@ def _b_from_drift(con: AffineConstraint, q, qd, drift) -> list[float]:
     return b
 
 
+def _checked(model: MechanicalModel, con: AffineConstraint, state: State) -> _Assembly:
+    check_compatible(model, con)
+    model._check_state(state)
+    return _assemble(model, con, state.q, state.qdot, state)
+
+
 def solve_control(
     model: MechanicalModel, con: AffineConstraint, state: State
 ) -> ControlSolve:
     """Assemble and solve P tau = b at one state."""
-    check_compatible(model, con)
-    model._check_state(state)
-    q, qd = state.q, state.qdot
-    L = model._factor(q)
-    drift = model._drift(q, qd, L)
-    P, S, Y, scale = _p_rows(model, con, q)
-    lu, piv, cond = _factor_p(P, q, scale, state)
-    b = _b_from_drift(con, q, qd, drift)
-    tau = linalg.lu_solve(lu, piv, b)
+    a = _checked(model, con, state)
     return ControlSolve(
-        P=tuple(tuple(row) for row in P),
-        b=tuple(b),
-        tau=tuple(tau),
-        cond_estimate=cond,
+        P=tuple(tuple(row) for row in a.p.P),
+        b=tuple(a.b),
+        tau=tuple(a.tau),
+        cond_estimate=a.p.cond,
     )
 
 
 def tau_star(model: MechanicalModel, con: AffineConstraint, state: State) -> list[float]:
     """The unique control keeping phi constant along the closed loop."""
-    return list(solve_control(model, con, state).tau)
+    return _checked(model, con, state).tau
 
 
 def closed_loop_acceleration(
     model: MechanicalModel, con: AffineConstraint, state: State
 ) -> list[float]:
     """Drift acceleration plus tau*_a Y^a: the controlled second-order field."""
-    check_compatible(model, con)
-    model._check_state(state)
-    q, qd = state.q, state.qdot
-    L = model._factor(q)
-    drift = model._drift(q, qd, L)
-    P, S, Y, scale = _p_rows(model, con, q)
-    lu, piv, cond = _factor_p(P, q, scale, state)
-    b = _b_from_drift(con, q, qd, drift)
-    tau = linalg.lu_solve(lu, piv, b)
-    n = model.n
-    a = list(drift)
-    for idx in range(model.m):
-        t = tau[idx]
-        if t != 0.0:
-            ya = Y[idx]
-            for k in range(n):
-                a[k] += t * ya[k]
-    return a
-
-
-def _closed_loop_with_tau(model, con, state):
-    """Acceleration and tau together; used by the integrator."""
-    q, qd = state.q, state.qdot
-    L = model._factor(q)
-    drift = model._drift(q, qd, L)
-    P, S, Y, scale = _p_rows(model, con, q)
-    lu, piv, cond = _factor_p(P, q, scale, state)
-    b = _b_from_drift(con, q, qd, drift)
-    tau = linalg.lu_solve(lu, piv, b)
-    a = list(drift)
-    for idx in range(model.m):
-        t = tau[idx]
-        if t != 0.0:
-            ya = Y[idx]
-            for k in range(model.n):
-                a[k] += t * ya[k]
-    return a, tau
+    return _checked(model, con, state).acc

@@ -111,14 +111,17 @@ def cond1_from_lu(a, lu, piv) -> float:
     return norm1(a) * norm1(inv)
 
 
-def cho_inverse(L: list[list[float]]) -> list[list[float]]:
-    n = len(L)
-    cols = []
-    for j in range(n):
-        e = [0.0] * n
-        e[j] = 1.0
-        cols.append(cho_solve(L, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+def det_from_lu(lu: list[list[float]], piv: list[int]) -> float:
+    """Determinant: the product of U's diagonal times the sign of the row
+    permutation."""
+    det = math.prod(lu[i][i] for i in range(len(lu)))
+    perm = list(piv)
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            det = -det
+    return det
 
 
 def matvec(a: list[list[float]], x: list[float]) -> list[float]:

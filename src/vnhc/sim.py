@@ -4,6 +4,10 @@ diagnostics.
 The control is re-solved at every RK4 stage; freezing it per step costs
 an order of accuracy in the phi-drift certificate.  No adaptivity: the
 diagnostics want uniform, reproducible sampling.
+
+Inputs are validated once at the API boundary; the steps carry plain
+q/qdot tuples.  Each step ends with the next step's stage-1 solve, whose
+tau is the one sampled at that state.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .constraint import AffineConstraint, check_compatible
-from .control import TransversalityError, _closed_loop_with_tau, solve_control
+from .control import TransversalityError, _assemble
 from .geometry import MechanicalModel, State
 
 
@@ -31,9 +35,19 @@ class Trajectory:
     drift_report: tuple  # per constraint row: max_t |phi_b(t) - phi_b(0)|
 
 
-def _stage(model, con, q, qd):
-    a, _tau = _closed_loop_with_tau(model, con, State(q=tuple(q), qdot=tuple(qd)))
-    return list(qd), a
+def _rk4(model, con, q0, v0, k1v, h):
+    """One RK4 step from (q0, v0), given the stage-1 acceleration k1v."""
+    n = model.n
+    k1q = v0
+    k2q = [v0[i] + 0.5 * h * k1v[i] for i in range(n)]
+    k2v = _assemble(model, con, [q0[i] + 0.5 * h * k1q[i] for i in range(n)], k2q).acc
+    k3q = [v0[i] + 0.5 * h * k2v[i] for i in range(n)]
+    k3v = _assemble(model, con, [q0[i] + 0.5 * h * k2q[i] for i in range(n)], k3q).acc
+    k4q = [v0[i] + h * k3v[i] for i in range(n)]
+    k4v = _assemble(model, con, [q0[i] + h * k3q[i] for i in range(n)], k4q).acc
+    q1 = tuple([q0[i] + h / 6.0 * (k1q[i] + 2.0 * k2q[i] + 2.0 * k3q[i] + k4q[i]) for i in range(n)])
+    v1 = tuple([v0[i] + h / 6.0 * (k1v[i] + 2.0 * k2v[i] + 2.0 * k3v[i] + k4v[i]) for i in range(n)])
+    return q1, v1
 
 
 def rk4_step(model: MechanicalModel, con: AffineConstraint, state: State, h: float) -> State:
@@ -42,28 +56,9 @@ def rk4_step(model: MechanicalModel, con: AffineConstraint, state: State, h: flo
         raise ValueError("step size must be positive")
     check_compatible(model, con)
     model._check_state(state)
-    n = model.n
-    q0, v0 = list(state.q), list(state.qdot)
-
-    k1q, k1v = _stage(model, con, q0, v0)
-    k2q, k2v = _stage(
-        model, con,
-        [q0[i] + 0.5 * h * k1q[i] for i in range(n)],
-        [v0[i] + 0.5 * h * k1v[i] for i in range(n)],
-    )
-    k3q, k3v = _stage(
-        model, con,
-        [q0[i] + 0.5 * h * k2q[i] for i in range(n)],
-        [v0[i] + 0.5 * h * k2v[i] for i in range(n)],
-    )
-    k4q, k4v = _stage(
-        model, con,
-        [q0[i] + h * k3q[i] for i in range(n)],
-        [v0[i] + h * k3v[i] for i in range(n)],
-    )
-    q1 = [q0[i] + h / 6.0 * (k1q[i] + 2.0 * k2q[i] + 2.0 * k3q[i] + k4q[i]) for i in range(n)]
-    v1 = [v0[i] + h / 6.0 * (k1v[i] + 2.0 * k2v[i] + 2.0 * k3v[i] + k4v[i]) for i in range(n)]
-    return State(q=tuple(q1), qdot=tuple(v1))
+    k1v = _assemble(model, con, state.q, state.qdot, state).acc
+    q1, v1 = _rk4(model, con, state.q, state.qdot, k1v, h)
+    return State(q=q1, qdot=v1)
 
 
 def integrate(
@@ -85,27 +80,30 @@ def integrate(
     model._check_state(state0)
 
     n_steps = max(1, int(round(t_end / h)))
+    q, qd = state0.q, state0.qdot
+    here = _assemble(model, con, q, qd, state0)
     times = [0.0]
     states = [state0]
-    controls = [tuple(solve_control(model, con, state0).tau)]
+    controls = [tuple(here.tau)]
     phis = [tuple(con.phi(state0))]
 
-    state = state0
     for step in range(1, n_steps + 1):
         try:
-            state = rk4_step(model, con, state, h)
+            q, qd = _rk4(model, con, q, qd, here.acc, h)
+            if not all(math.isfinite(v) for v in q + qd):
+                raise IntegrationError(
+                    f"non-finite state at step {step}", last_good_index=len(times) - 1
+                )
+            here = _assemble(model, con, q, qd)
         except TransversalityError as err:
             raise IntegrationError(
                 f"aborted at step {step}: {err}", last_good_index=len(times) - 1
             ) from err
-        if not all(math.isfinite(v) for v in state.q + state.qdot):
-            raise IntegrationError(
-                f"non-finite state at step {step}", last_good_index=len(times) - 1
-            )
         if step % sample_every == 0 or step == n_steps:
+            state = State(q=q, qdot=qd)
             times.append(step * h)
             states.append(state)
-            controls.append(tuple(solve_control(model, con, state).tau))
+            controls.append(tuple(here.tau))
             phis.append(tuple(con.phi(state)))
 
     phi0 = phis[0]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import vnhc
 from vnhc import (
     State,
     build_boat,
@@ -136,6 +137,22 @@ class TestSimulate:
         # wrapping is presentation-only: velocity column unaffected
         assert all(float(r[6]) == 1.0 for r in rows)
 
+    def test_blow_up_exit_1(self, tmp_path, capsys):
+        data = {
+            "coordinates": ["x", "y"],
+            "metric": [["1", "0"], ["0", "1"]],
+            "external_force": ["xd*xd*xd", "0"],
+            "inputs": [["0", "1"]],
+            "constraint": {"mu": [["0", "1"]], "Z": ["0"]},
+        }
+        path = write_json(tmp_path, "blowup.json", data)
+        code = main([
+            "simulate", path, "--q0", "0,0", "--qdot0", "10,0",
+            "--t-end", "1.0", "--dt", "0.1", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        assert "step 2" in capsys.readouterr().err
+
 
 class TestControlAt:
     def test_boat_value(self, boat_file, capsys):
@@ -211,3 +228,32 @@ class TestFixtureRoundTrip:
         }
         path = write_json(tmp_path, "both.json", data)
         assert main(["check", path]) == 2
+
+
+class TestPublicSurface:
+    def test_all_is_stable(self):
+        assert sorted(vnhc.__all__) == [
+            "AffineConstraint", "ControlSolve", "EvalError", "Expr", "ExprError",
+            "FIXTURE_CURRENTS", "IntegrationError", "MechanicalModel", "ModelError",
+            "ModelFileError", "ParseError", "RankDefectError", "RankReport",
+            "SPDError", "State", "Trajectory", "TransversalityError",
+            "TransversalityReport", "as_expr", "b_vector", "build_boat",
+            "build_linear_fixture", "closed_loop_acceleration", "diff", "evaluate",
+            "free_symbols", "integrate", "load_model", "model_to_dict", "p_matrix",
+            "parse", "project_onto_A", "rk4_step", "save_model", "solve_control",
+            "tau_star", "to_string", "transversality_check",
+        ]
+
+    def test_control_at_keys(self, boat_file, capsys):
+        assert main(["control-at", boat_file, "--q", "0,0,0", "--qdot", "1,0,1"]) == 0
+        assert sorted(json.loads(capsys.readouterr().out)) == ["P", "b", "cond_estimate", "tau"]
+
+    def test_simulate_summary_keys(self, boat_file, tmp_path, capsys):
+        code = main([
+            "simulate", boat_file, "--q0", "0,0,0", "--qdot0", "1,0,1",
+            "--t-end", "0.01", "--dt", "1e-3", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 0
+        assert sorted(json.loads(capsys.readouterr().out)) == [
+            "drift_report", "dt", "out", "phi0", "runtime_s", "samples", "t_end",
+        ]

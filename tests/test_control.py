@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import vnhc
 from vnhc import (
+    FIXTURE_CURRENTS,
     AffineConstraint,
     MechanicalModel,
     State,
@@ -11,9 +13,11 @@ from vnhc import (
     b_vector,
     build_boat,
     closed_loop_acceleration,
+    integrate,
     p_matrix,
     solve_control,
     tau_star,
+    transversality_check,
 )
 
 CURRENT_FNS = {
@@ -249,3 +253,79 @@ class TestClosedLoop:
                 dphi = (con.phi(fwd)[0] - con.phi(bwd)[0]) / (2 * eps)
                 speed2 = sum(v * v for v in s.qdot)
                 assert abs(dphi) <= 1e-9 * (1 + speed2), name
+
+
+def build_gen4():
+    """n=4, m=2 system with a q-dependent metric (diagonally dominant, so SPD
+    everywhere), velocity-dependent force, a potential, and input coframe
+    equal to the constraint rows, so P = S G^-1 S^T is SPD."""
+    coords = ("q1", "q2", "q3", "q4")
+    metric = [
+        ["2 + cos(q2)", "0.3*sin(q3)", "0", "0.1"],
+        ["0.3*sin(q3)", "2 + 0.5*sin(q1)", "0.2*cos(q4)", "0"],
+        ["0", "0.2*cos(q4)", "1.5", "0.2*sin(q1)"],
+        ["0.1", "0", "0.2*sin(q1)", "1 + 0.5*cos(q3)*cos(q3)"],
+    ]
+    mu = [["1", "0.2*sin(q4)", "0", "0.1"], ["0", "1", "0.3*cos(q1)", "0"]]
+    model = MechanicalModel(
+        coords, metric,
+        potential="0.5*q1*q1 + cos(q2)",
+        external_force=["-0.1*q1d", "0.2*q3d*q4d", "0", "sin(q1)"],
+        input_coframe=mu,
+    )
+    con = AffineConstraint(coords, mu, Z=["0.1*sin(q2)", "0.2"])
+    return model, con
+
+
+def assembly_systems():
+    out = [(name, *build_boat(*FIXTURE_CURRENTS[name])) for name in FIXTURE_CURRENTS]
+    out.append(("gen4", *build_gen4()))
+    return out
+
+
+class TestSingleAssembly:
+    def test_views_bit_equal(self, rng):
+        for name, model, con in assembly_systems():
+            n = model.n
+            for _ in range(40):
+                s = State(q=tuple(rng.uniform(-2, 2, n)), qdot=tuple(rng.uniform(-2, 2, n)))
+                solve = solve_control(model, con, s)
+                assert solve.tau == tuple(tau_star(model, con, s)), name
+                assert p_matrix(model, con, s.q) == [list(r) for r in solve.P], name
+                report = transversality_check(con, model, s.q)
+                assert report.ok, name
+                assert report.p == tuple(v for row in solve.P for v in row), name
+                assert report.cond_estimate == solve.cond_estimate, name
+                Y = model.input_fields_at(s.q)
+                acc = model.drift_acceleration(s)
+                for a, t in enumerate(solve.tau):
+                    acc = [acc[k] + t * Y[a][k] for k in range(n)]
+                assert closed_loop_acceleration(model, con, s) == acc, name
+
+    def test_sampled_controls_are_tau_star(self):
+        for name, model, con in assembly_systems():
+            n = model.n
+            s0 = State(q=tuple([0.1] * n), qdot=tuple([0.2] * (n - 1) + [-0.3]))
+            traj = integrate(model, con, s0, t_end=0.2, h=1e-2, sample_every=3)
+            assert len(traj.controls) == 8
+            for k, state in enumerate(traj.states):
+                assert traj.controls[k] == tuple(tau_star(model, con, state)), (name, k)
+
+    @pytest.mark.parametrize("view", [closed_loop_acceleration, solve_control, tau_star])
+    def test_one_factorization_per_evaluation(self, monkeypatch, view):
+        calls = {}
+
+        def counting(name):
+            fn = getattr(vnhc.linalg, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+
+            monkeypatch.setattr(vnhc.linalg, name, wrapper)
+
+        for name in ("cholesky", "lu_factor", "cond1_from_lu"):
+            counting(name)
+        model, con = build_gen4()
+        view(model, con, State(q=(0.3, -0.1, 0.7, 1.2), qdot=(0.5, -0.4, 0.2, 0.9)))
+        assert calls == {"cholesky": 1, "lu_factor": 1, "cond1_from_lu": 1}

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import vnhc
 from vnhc import (
+    AffineConstraint,
+    IntegrationError,
+    MechanicalModel,
     State,
     build_boat,
     build_linear_fixture,
@@ -18,6 +22,16 @@ def stable_offset_state(con, phi_target=0.7):
     stays bounded (negative spin, forward velocity)."""
     z = con.z_at((0.0, 0.0, 0.0))[0]
     return State(q=(0.0, 0.0, 0.0), qdot=(0.3, z - phi_target, -0.2))
+
+
+def blow_up_system():
+    """xdd = xd^3: from xd = 10 the velocity is infinite at t = 0.005."""
+    model = MechanicalModel(
+        ("x", "y"), [[1, 0], [0, 1]],
+        external_force=["xd*xd*xd", "0"], input_coframe=[["0", "1"]],
+    )
+    con = AffineConstraint(("x", "y"), [["0", "1"]], Z=["0"])
+    return model, con
 
 
 class TestRK4Step:
@@ -118,3 +132,27 @@ class TestIntegrate:
             integrate(model, con, s, t_end=1.0, h=-1e-3)
         with pytest.raises(ValueError):
             integrate(model, con, s, t_end=1.0, h=1e-3, sample_every=0)
+
+    def test_blow_up_is_integration_error(self):
+        model, con = blow_up_system()
+        s0 = State(q=(0.0, 0.0), qdot=(10.0, 0.0))
+        with pytest.raises(IntegrationError, match="non-finite state at step 2") as info:
+            integrate(model, con, s0, t_end=1.0, h=0.1)
+        assert info.value.last_good_index == 1
+
+    def test_one_factorization_per_stage(self, monkeypatch):
+        # 4 stages per step plus the stage 1 at the start; the samples reuse
+        # the next step's stage-1 solve instead of solving again.
+        calls = []
+        cholesky = vnhc.linalg.cholesky
+
+        def counting(a):
+            calls.append(1)
+            return cholesky(a)
+
+        monkeypatch.setattr(vnhc.linalg, "cholesky", counting)
+        model, con = build_boat("sin(y)", "cos(x)")
+        s0 = State(q=(0.1, -0.2, 0.5), qdot=(0.4, 0.3, 0.8))
+        traj = integrate(model, con, s0, t_end=0.1, h=1e-2, sample_every=1)
+        assert len(traj.times) == 11
+        assert len(calls) == 4 * 10 + 1
