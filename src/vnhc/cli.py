@@ -6,7 +6,8 @@ Commands:
   control-at  evaluate P, b, tau* at one state
   fixture     write a bundled fixture as a model file
 
-Exit codes: 0 ok, 1 mathematical failure (violation/abort), 2 usage or
+Exit codes: 0 ok, 1 mathematical failure (violation/abort, or a math
+error such as a division by zero while evaluating the model), 2 usage or
 parse error.
 """
 
@@ -22,6 +23,7 @@ import time
 from . import model_io, models
 from .constraint import RankDefectError, transversality_check
 from .control import TransversalityError, solve_control
+from .expr import EvalError
 from .geometry import SPDError, State
 from .model_io import ModelFileError
 from .sim import IntegrationError, integrate
@@ -252,12 +254,13 @@ def main(argv=None) -> int:
         if args.command == "control-at":
             return cmd_control_at(args)
         return cmd_fixture(args, parser)
+    except (TransversalityError, IntegrationError, SPDError, RankDefectError,
+            EvalError) as err:  # before ValueError: EvalError is one
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_FAILURE
     except (ModelFileError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (TransversalityError, IntegrationError, SPDError, RankDefectError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

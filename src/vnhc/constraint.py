@@ -1,8 +1,11 @@
 """Affine velocity constraints: phi(q, qdot) = S(q) qdot + Z(q).
 
 The constraint is declared through its one-form rows mu^b (the rows of S)
-and the affine part Z; both depend on q only.  Hypothesis checks return
-report objects rather than raising, so callers can batch them over grids.
+and the affine part Z; both depend on q only.  One kernel of (q, qdot)
+returns S, Z and c = dZ qdot + qdot^T dS qdot, the part of dphi/dt that
+does not involve the acceleration, so dphi/dt = S qddot + c.  Hypothesis
+checks return report objects rather than raising, so callers can batch
+them over grids.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from . import linalg
-from .geometry import MechanicalModel, ModelError, State, quadratic_terms
+from .geometry import MechanicalModel, ModelError, State, contract, velocity_name
 
 RANK_RTOL = 1e-9
 
@@ -58,7 +61,7 @@ class AffineConstraint:
         if len(self.Z) != self.m:
             raise ModelError("Z must have one entry per constraint row")
 
-        velocities = {c + "d" for c in self.coordinates}
+        velocities = tuple(map(velocity_name, self.coordinates))
         allowed = set(self.coordinates) | set(self.parameters)
         for b, row in enumerate(self.mu):
             for i, e in enumerate(row):
@@ -66,7 +69,7 @@ class AffineConstraint:
                 if extra:
                     raise ModelError(
                         f"mu[{b}][{i}] must be velocity-free and fully bound; "
-                        f"offending symbols {sorted(extra & velocities) or sorted(extra)}"
+                        f"offending symbols {sorted(extra & set(velocities)) or sorted(extra)}"
                     )
         for b, e in enumerate(self.Z):
             extra = ex.free_symbols(e) - allowed
@@ -76,45 +79,32 @@ class AffineConstraint:
                     f"offending symbols {sorted(extra)}"
                 )
 
-        # One kernel of q: (mu rows, Z, dZ rows, per row the values of the
-        # nonzero terms of the quadratic form qd^i qd^j d_j mu^b_i).
+        # One kernel of (q, qdot): (S rows, Z, c), where
+        # c_b = sum_i (d_i mu^b(qdot) + d_i Z_b) qdot^i is dphi_b/dt less S_b qddot.
         coords = self.coordinates
-        dmu = [quadratic_terms(lambda i, j: ex.diff(row[i], coords[j]), self.n)
-               for row in self.mu]
-        self._dmu = [[(i, j) for i, j, _ in terms] for terms in dmu]
-        self._q_fn = ex.compile_exprs(
-            [self.mu, self.Z, [[ex.diff(z, c) for c in coords] for z in self.Z],
-             [[e for *_, e in terms] for terms in dmu]],
-            coords, self.parameters,
+        v = [ex.Symbol(s) for s in velocities]
+        c = [contract([contract([ex.diff(e, x) for e in row], v) + ex.diff(z, x)
+                       for x in coords], v)
+             for row, z in zip(self.mu, self.Z)]
+        self._rest = (0.0,) * self.n
+        self._kernel = ex.compile_exprs(
+            [self.mu, self.Z, c], coords + velocities, self.parameters
         )
 
     # -- evaluation ---------------------------------------------------------
 
     def mu_at(self, q: Sequence[float]) -> list[list[float]]:
-        return [list(row) for row in self._q_fn(*q)[0]]
+        return [list(row) for row in self._kernel(*q, *self._rest)[0]]
 
     def z_at(self, q: Sequence[float]) -> list[float]:
-        return list(self._q_fn(*q)[1])
+        return list(self._kernel(*q, *self._rest)[1])
 
     def phi(self, state: State) -> list[float]:
         """Constraint values S(q) qdot + Z(q); zero exactly on the affine set."""
         if len(state.q) != self.n:
             raise ValueError("state dimension does not match constraint")
-        S, Z, _, _ = self._q_fn(*state.q)
+        S, Z, _ = self._kernel(*state.q, *self._rest)
         return [linalg.dot(row, state.qdot) + z for row, z in zip(S, Z)]
-
-    def _dphi(self, qd, acc, k) -> list[float]:
-        """d/dt of phi along a motion through q with velocity qd and
-        acceleration acc: S acc + (dZ + qd^T dS) qd, the last contraction
-        over the nonzero slots only; k is `_q_fn(*q)`."""
-        S, _, dZ, dmu = k
-        out = []
-        for row, dz, slots, vals in zip(S, dZ, self._dmu, dmu):
-            v = linalg.dot(row, acc) + linalg.dot(dz, qd)
-            for (i, j), c in zip(slots, vals):
-                v += c * qd[i] * qd[j]
-            out.append(v)
-        return out
 
     # -- hypothesis checks --------------------------------------------------
 
@@ -151,7 +141,7 @@ def transversality_check(
     from .control import _p_system
 
     check_compatible(model, con)
-    ps = _p_system(model, con, q)
+    ps = _p_system(model, con, q, model._rest)
     return TransversalityReport(
         ok=ps.cond <= linalg.CONDITION_CAP,
         p=tuple(v for row in ps.P for v in row),

@@ -7,11 +7,12 @@ or off the constraint set; off the set it conserves phi at its initial
 value instead of nulling it.
 
 Every entry point is a view over one assembly: `_p_system` calls the
-model's and the constraint's q-kernels once each and factors G and P once
-at q; `_assemble` adds drift, b, tau and the acceleration, contracting the
-velocity with the nonzero derivative slots only.  The integrator still
-re-solves the control at every RK4 stage, and the tau it samples is the
-next step's stage-1 solve.
+model's and the constraint's kernels once each and factors G and P once
+at q; `_assemble` adds the drift G^-1 (F - dV - w), b = -(S drift + c),
+tau and the acceleration.  The velocity-quadratic forms w and c come out
+of the kernels; no contraction happens here.  The q-only views call the
+kernels at qdot = 0.  The integrator still re-solves the control at every
+RK4 stage, and the tau it samples is the next step's stage-1 solve.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ def p_scale(S, Y) -> float:
 class _PSystem(NamedTuple):
     """P(q) with its one LU factorization and the transversality verdict."""
 
-    k: tuple  # model._q_fn(*q)
-    c: tuple  # con._q_fn(*q)
+    k: tuple  # model._kernel(*q, *qd)
+    c: tuple  # con._kernel(*q, *qd)
     L: list  # Cholesky factor of the metric
     Y: list  # input fields Y^a
     P: list
@@ -76,12 +77,13 @@ class _Assembly(NamedTuple):
     acc: list  # drift plus tau_a Y^a
 
 
-def _p_system(model: MechanicalModel, con: AffineConstraint, q) -> _PSystem:
-    """The q-only half of the assembly; reports a bad P instead of raising."""
-    k = model._q_fn(*q)
+def _p_system(model: MechanicalModel, con: AffineConstraint, q, qd) -> _PSystem:
+    """The kernels at (q, qd) and the q-only half of the assembly; reports a
+    bad P instead of raising."""
+    k = model._kernel(*q, *qd)
     L = model._factor(q, k[0])
     Y = list(map(linalg.cho_solve, repeat(L), k[1]))
-    c = con._q_fn(*q)
+    c = con._kernel(*q, *qd)
     S = c[0]
     P = [list(map(linalg.dot, repeat(Sb), Y)) for Sb in S]
     try:
@@ -116,9 +118,9 @@ def _admissible(ps: _PSystem, q, state=None) -> _PSystem:
 def _assemble(model: MechanicalModel, con: AffineConstraint, q, qd, state=None) -> _Assembly:
     """Solve P tau = b at (q, qd); raises TransversalityError where P is not
     admissible.  Inputs are trusted: callers validate at the API boundary."""
-    ps = _admissible(_p_system(model, con, q), q, state)
+    ps = _admissible(_p_system(model, con, q, qd), q, state)
     drift = model._drift(q, qd, ps.L, ps.k)
-    b = _b_from_drift(con, qd, drift, ps.c)
+    b = _b(ps.c, drift)
     tau = linalg.lu_solve(ps.lu, ps.piv, b)
     acc = drift
     for t, ya in zip(tau, ps.Y):
@@ -130,7 +132,7 @@ def _assemble(model: MechanicalModel, con: AffineConstraint, q, qd, state=None) 
 def p_matrix(model: MechanicalModel, con: AffineConstraint, q) -> list[list[float]]:
     """System matrix with entries mu^b(q)(Y^a); velocity-independent."""
     check_compatible(model, con)
-    return _admissible(_p_system(model, con, q), q).P
+    return _admissible(_p_system(model, con, q, model._rest), q).P
 
 
 def b_vector(model: MechanicalModel, con: AffineConstraint, state: State) -> list[float]:
@@ -139,14 +141,15 @@ def b_vector(model: MechanicalModel, con: AffineConstraint, state: State) -> lis
     check_compatible(model, con)
     model._check_state(state)
     q, qd = state.q, state.qdot
-    k = model._q_fn(*q)
-    a = model._drift(q, qd, model._factor(q, k[0]), k)
-    return _b_from_drift(con, qd, a, con._q_fn(*q))
+    k = model._kernel(*q, *qd)
+    drift = model._drift(q, qd, model._factor(q, k[0]), k)
+    return _b(con._kernel(*q, *qd), drift)
 
 
-def _b_from_drift(con: AffineConstraint, qd, drift, c) -> list[float]:
-    """b = -dphi/dt along the drift; c is `con._q_fn(*q)`."""
-    return list(map(operator.neg, con._dphi(qd, drift, c)))
+def _b(k, drift) -> list[float]:
+    """b = -dphi/dt along the drift, -(S drift + c); k is `con._kernel(*q, *qd)`."""
+    S, _, c = k
+    return [-(linalg.dot(row, drift) + cb) for row, cb in zip(S, c)]
 
 
 def _checked(model: MechanicalModel, con: AffineConstraint, state: State) -> _Assembly:

@@ -3,10 +3,13 @@
 Everything is coordinate-based on an open subset of n-space.  The model
 holds the kinetic-energy metric, potential, external force covector and
 the control coframe rows; symbolic derivatives of all of these are taken
-once at construction and compiled to two kernels: one of q (metric,
-coframe, potential gradient and the nonzero geodesic coefficients) and
-one of (q, qdot) (the external force).  The drift contracts the velocity
-with the nonzero geodesic coefficients only.
+once at construction and compiled to two kernels of (q, qdot): one for
+the metric, coframe, potential gradient and the geodesic form
+w = Gamma(qdot, qdot) lowered by the metric, and one for the external
+force alone.  Views that depend on q only call the first at qdot = 0,
+where w vanishes; the force stays out of them because it may be singular
+there (Coulomb friction).  `christoffel_at` compiles its own kernel on
+first use.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,22 +58,14 @@ def velocity_name(coordinate: str) -> str:
     return coordinate + "d"
 
 
-def quadratic_terms(coeff, n: int) -> list[tuple]:
-    """Nonzero terms (i, j, c) with i <= j of the quadratic form
-    sum_ij coeff(i, j) v^i v^j, its coefficients symmetrized symbolically:
-    c = coeff(i, i) on the diagonal, coeff(i, j) + coeff(j, i) off it."""
-    terms = []
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                c = coeff(i, i)
-            else:
-                c, d = coeff(i, j), coeff(j, i)
-                if d is not ex.ZERO:  # c + ZERO is c; skip building it
-                    c = c + d
-            if c != ex.ZERO:
-                terms.append((i, j, c))
-    return terms
+def contract(row: Sequence, vector: Sequence) -> ex.Expr:
+    """The expression sum_i row_i vector_i, skipping the ZERO entries of row
+    (what diff returns for a vanishing derivative) without building them."""
+    total = ex.ZERO
+    for a, b in zip(row, vector):
+        if a is not ex.ZERO:
+            total = total + a * b
+    return total
 
 
 class MechanicalModel:
@@ -144,54 +140,60 @@ class MechanicalModel:
                 check(f, f"input_coframe[{a}][{i}]", allowed_q)
 
     def _compile(self):
-        """One kernel of q for metric, coframe, dV and the geodesic
-        coefficients, and one of (q, qdot) for the external force.
+        """One kernel of (q, qdot) for the metric, coframe, dV and the
+        geodesic form w_l = qd^i qd^j (d_i g_jl - 1/2 d_l g_ij), and one for
+        the external force.
 
-        Only the geodesic slots whose coefficient is not symbolically zero
-        are emitted; a constant metric has none."""
-        n, coords, params = self.n, self.coordinates, self.parameters
-        g = self.metric
-
-        dg = [[None] * n for _ in range(n)]  # dg[i][j][k] = d_k g_ij
-        for i in range(n):
-            for j in range(i, n):
-                dg[i][j] = dg[j][i] = [ex.diff(g[i][j], c) for c in coords]
-
+        With D[l][i] = d_i (G qd)_l, w_l = sum_i D[l][i] qd^i - 1/2 sum_m
+        D[m][l] qd^m: the velocity-quadratic part of the Euler-Lagrange
+        operator.  w is ZERO for a constant metric."""
+        coords, params, r = self.coordinates, self.parameters, range(self.n)
+        args = coords + self.velocities
+        v = [ex.Symbol(s) for s in self.velocities]
+        dg = {}  # dg[i, j][k] = d_k g_ij, each symmetric pair differentiated once
+        for i in r:
+            for j in range(i, self.n):
+                dg[i, j] = dg[j, i] = [ex.diff(self.metric[i][j], c) for c in coords]
+        D = [[contract([dg[l, j][i] for j in r], v) for i in r] for l in r]
         half = ex.Constant(0.5)
-
-        def geodesic(l, i, j):  # d_i g_jl - 1/2 d_l g_ij
-            a, b = dg[j][l][i], dg[i][j][l]
-            return a if b is ex.ZERO else a - half * b  # constant metrics: all ZERO
-
-        slots = [(l, i, j, e) for l in range(n) for i, j, e in quadratic_terms(
-            lambda i, j: geodesic(l, i, j), n)]
-        self._geodesic = [(l, i, j) for l, i, j, _ in slots]
-        self._q_fn = ex.compile_exprs(
-            [g, self.input_coframe, [ex.diff(self.potential, c) for c in coords],
-             [e for *_, e in slots]],
-            coords, params,
+        w = [contract(D[l], v) - half * contract([row[l] for row in D], v) for l in r]
+        self._rest = (0.0,) * self.n
+        self._kernel = ex.compile_exprs(
+            [self.metric, self.input_coframe, [ex.diff(self.potential, c) for c in coords], w],
+            args, params,
         )
-        self._force_fn = ex.compile_exprs(
-            self.external_force, coords + self.velocities, params
+        self._force_fn = ex.compile_exprs(self.external_force, args, params)
+
+    @cached_property
+    def _first_kind(self):
+        """Kernel of q for the Christoffel symbols of the first kind,
+        [i][j][l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij); compiled on first use."""
+        coords, g, r = self.coordinates, self.metric, range(self.n)
+        dg = [[[ex.diff(e, c) for c in coords] for e in row] for row in g]  # d_k g_ij
+        half = ex.Constant(0.5)
+        return ex.compile_exprs(
+            [[[half * (dg[j][l][i] + dg[i][l][j] - dg[i][j][l]) for l in r] for j in r]
+             for i in r],
+            coords, self.parameters,
         )
 
     # -- evaluation ---------------------------------------------------------
     #
-    # Every view below unpacks one `_q_fn(*q)` call, (metric rows, coframe
-    # rows, dV, geodesic slot values); `_p_system` in control.py makes that
-    # call once per closed-loop evaluation and hands it to `_factor` and
-    # `_drift`.
+    # Every view below unpacks one `_kernel(*q, *qd)` call, (metric rows,
+    # coframe rows, dV, w); the views of q alone pass qd = `_rest`.
+    # `_p_system` in control.py makes that call once per closed-loop
+    # evaluation and hands it to `_factor` and `_drift`.
 
     def metric_at(self, q: Sequence[float]) -> list[list[float]]:
         """Metric matrix at q; raises SPDError if not positive definite."""
-        g = self._q_fn(*q)[0]
+        g = self._kernel(*q, *self._rest)[0]
         self._factor(q, g)  # SPD + conditioning gate
         return [list(row) for row in g]
 
     def _factor(self, q, g=None) -> list[list[float]]:
         """Cholesky factor of the metric; rejects non-SPD or cond > 1e12."""
         if g is None:
-            g = self._q_fn(*q)[0]
+            g = self._kernel(*q, *self._rest)[0]
         try:
             L = linalg.cholesky(g)
         except linalg.SingularMatrixError:
@@ -214,21 +216,10 @@ class MechanicalModel:
 
     def christoffel_at(self, q: Sequence[float]) -> list[list[list[float]]]:
         """Levi-Civita symbols G^k_ij: G^-1 applied to the symbols of the
-        first kind, which are the geodesic slots (halved off the diagonal)."""
-        n = self.n
-        g, _, _, geo = self._q_fn(*q)
-        L = self._factor(q, g)
-        first = [[[0.0] * n for _ in range(n)] for _ in range(n)]  # [i][j][l]
-        for (l, i, j), v in zip(self._geodesic, geo):
-            first[i][j][l] = first[j][i][l] = v if i == j else 0.5 * v
-        gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1):
-                col = linalg.cho_solve(L, first[i][j])
-                for c in range(n):
-                    gamma[c][i][j] = col[c]
-                    gamma[c][j][i] = col[c]
-        return gamma
+        first kind from their own kernel, which the drift does not use."""
+        L = self._factor(q)
+        cols = [[linalg.cho_solve(L, row) for row in rows] for rows in self._first_kind(*q)]
+        return [[[col[k] for col in rows] for rows in cols] for k in range(self.n)]
 
     def sharp(self, q: Sequence[float], covector: Sequence[float]) -> list[float]:
         L = self._factor(q)
@@ -239,32 +230,29 @@ class MechanicalModel:
         return linalg.matvec(g, list(vector))
 
     def grad_potential(self, q: Sequence[float]) -> list[float]:
-        g, _, dv, _ = self._q_fn(*q)
+        g, _, dv, _ = self._kernel(*q, *self._rest)
         return linalg.cho_solve(self._factor(q, g), dv)
 
     def coframe_at(self, q: Sequence[float]) -> list[list[float]]:
-        return [list(row) for row in self._q_fn(*q)[1]]
+        return [list(row) for row in self._kernel(*q, *self._rest)[1]]
 
     def input_fields_at(self, q: Sequence[float]) -> list[list[float]]:
         """Control force vector fields: sharp of each coframe row."""
-        g, coframe, _, _ = self._q_fn(*q)
+        g, coframe, _, _ = self._kernel(*q, *self._rest)
         L = self._factor(q, g)
         return [linalg.cho_solve(L, row) for row in coframe]
 
     def drift_acceleration(self, state: State) -> list[float]:
         """Acceleration of the unactuated forced system (the drift field)."""
         self._check_state(state)
-        k = self._q_fn(*state.q)
+        k = self._kernel(*state.q, *state.qdot)
         return self._drift(state.q, state.qdot, self._factor(state.q, k[0]), k)
 
     def _drift(self, q, qd, L, k) -> list[float]:
-        """G^-1 (F - dV - w), with w_l = qd^i qd^j (d_i g_jl - 1/2 d_l g_ij)
-        summed over the nonzero geodesic slots only; k is `_q_fn(*q)`."""
-        _, _, dv, geo = k
-        rhs = list(map(operator.sub, self._force_fn(*q, *qd), dv))
-        for (l, i, j), v in zip(self._geodesic, geo):
-            rhs[l] -= v * qd[i] * qd[j]
-        return linalg.cho_solve(L, rhs)
+        """G^-1 (F - dV - w); k is `_kernel(*q, *qd)`, L the factor of its G."""
+        _, _, dv, w = k
+        rhs = map(operator.sub, map(operator.sub, self._force_fn(*q, *qd), dv), w)
+        return linalg.cho_solve(L, list(rhs))
 
     def _check_state(self, state: State):
         if len(state.q) != self.n:

@@ -41,7 +41,7 @@ def _parse_field(text, where: str) -> ex.Expr:
         raise ModelFileError(f"{where}: expected a DSL string, got {type(text).__name__}")
     try:
         return ex.as_expr(text)
-    except ex.ParseError as err:
+    except ex.ExprError as err:
         raise ModelFileError(f"{where}: {err}") from err
 
 
@@ -117,7 +117,7 @@ def load_model_dict(data: dict) -> tuple[MechanicalModel, AffineConstraint]:
             model_coordinates=coords, mu=mu, Z=Z, parameters=params
         )
         check_compatible(model, con)
-    except ModelError as err:
+    except (ModelError, ex.EvalError) as err:  # EvalError: a non-finite number
         raise ModelFileError(str(err)) from err
     return model, con
 

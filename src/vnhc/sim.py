@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .constraint import AffineConstraint, check_compatible
 from .control import TransversalityError, _assemble
+from .expr import EvalError
 from .geometry import MechanicalModel, State
 
 
@@ -96,7 +97,7 @@ def integrate(
                     f"non-finite state at step {step}", last_good_index=len(times) - 1
                 )
             here = _assemble(model, con, q, qd)
-        except TransversalityError as err:
+        except (TransversalityError, EvalError) as err:
             raise IntegrationError(
                 f"aborted at step {step}: {err}", last_good_index=len(times) - 1
             ) from err

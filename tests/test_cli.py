@@ -175,6 +175,69 @@ class TestControlAt:
         assert "singular" in capsys.readouterr().err
 
 
+
+def boat_with(tmp_path, name, force=("0", "0", "0"), metric00="1", parameters=None):
+    """The unit-metric boat with the given external force, as a model file."""
+    data = {
+        "coordinates": ["x", "y", "theta"],
+        "metric": [[metric00, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "external_force": list(force),
+        "inputs": [["sin(theta)", "-cos(theta)", "1"]],
+        "constraint": {"mu": [["sin(theta)", "-cos(theta)", "0"]], "Z": ["0"]},
+    }
+    if parameters is not None:
+        data["parameters"] = parameters
+    return write_json(tmp_path, name, data)
+
+
+class TestRuntimeMathErrors:
+    """A math error inside a compiled kernel is an EvalError naming the
+    expression (exit 1), never a traceback."""
+
+    def test_division_by_zero(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "inv.json", force=("1/x", "0", "0"))
+        assert main(["control-at", path, "--q", "0,0,0.3", "--qdot", "0,0,0"]) == 1
+        assert "division by zero in 1 / x" in capsys.readouterr().err
+
+    def test_pow_overflow_aborts_simulate(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "sq.json", force=("xd^2", "0", "0"))
+        code = main([
+            "simulate", path, "--q0", "0,0,0", "--qdot0", "1,0,0",
+            "--t-end", "3", "--dt", "0.01", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        assert "overflow in xd^2" in capsys.readouterr().err
+
+    def test_log_domain(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "log.json", force=("log(x)", "0", "0"))
+        assert main(["control-at", path, "--q=-1,0,0.3", "--qdot", "0,0,0"]) == 1
+        assert "domain error in log(x)" in capsys.readouterr().err
+
+
+class TestNonFiniteNumbers:
+    def test_literal_out_of_range(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "inf.json", metric00="1 + 1e999")
+        assert main(["check", path]) == 2
+        assert "metric[0][0]: number '1e999' is out of range (byte offset 4)" in (
+            capsys.readouterr().err
+        )
+
+    def test_nan_parameter(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "nan.json", metric00="m", parameters={"m": math.nan})
+        assert main(["check", path]) == 2
+        assert "parameter 'm' is not finite (nan)" in capsys.readouterr().err
+
+    def test_folded_overflow(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "fold.json", metric00="1e200*1e200")
+        assert main(["check", path]) == 2
+        assert "not finite (inf)" in capsys.readouterr().err
+
+    def test_constant_domain_error_names_field(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "logc.json", metric00="log(-1)")
+        assert main(["check", path]) == 2
+        assert "metric[0][0]: domain error in log(-1)" in capsys.readouterr().err
+
+
 class TestFixtureRoundTrip:
     def test_fixture_command(self, tmp_path, capsys):
         out = str(tmp_path / "boat.json")

@@ -304,6 +304,37 @@ def assembly_systems():
     return out
 
 
+class TestCoulombForce:
+    """Views of q alone never evaluate the external force, which may be
+    singular at qdot = 0 (Coulomb friction)."""
+
+    def build(self):
+        coulomb = "-0.2*{0}/sqrt(xd^2 + yd^2)"
+        return MechanicalModel(
+            ("x", "y", "theta"), [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            external_force=[coulomb.format("xd"), coulomb.format("yd"), "0"],
+            input_coframe=[["sin(theta)", "-cos(theta)", "1"]],
+        ), AffineConstraint(("x", "y", "theta"), [["sin(theta)", "-cos(theta)", "0"]], Z=["0"])
+
+    def test_q_only_views(self, rng):
+        model, con = self.build()
+        for _ in range(20):
+            q = tuple(rng.uniform(-2, 2, 3))
+            assert transversality_check(con, model, q).ok
+            assert p_matrix(model, con, q)[0][0] == pytest.approx(1.0, abs=1e-15)
+            assert model.metric_at(q) == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+            assert model.input_fields_at(q) == [[math.sin(q[2]), -math.cos(q[2]), 1.0]]
+
+    def test_check_command(self, tmp_path, capsys):
+        from vnhc import save_model
+        from vnhc.cli import main
+
+        path = str(tmp_path / "coulomb.json")
+        save_model(path, *self.build())
+        assert main(["check", path, "--grid", "theta=0:3:4"]) == 0
+        assert capsys.readouterr().out.count("transversality=ok") == 4
+
+
 class TestSingleAssembly:
     def test_views_bit_equal(self, rng):
         for name, model, con in assembly_systems():

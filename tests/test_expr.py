@@ -79,6 +79,12 @@ class TestParse:
             parse("x y")
 
 
+    def test_non_finite_literal(self):
+        with pytest.raises(ParseError, match="'1e999' is out of range") as err:
+            parse("x + 1e999")
+        assert err.value.offset == 4
+
+
 class TestEval:
     def test_sin(self):
         assert evaluate(parse("sin(theta)"), {"theta": 0}) == 0
@@ -104,6 +110,12 @@ class TestEval:
     def test_log_domain(self):
         with pytest.raises(EvalError, match="domain"):
             evaluate(parse("log(x)"), {"x": -1})
+
+    def test_exp_overflow(self):
+        with pytest.raises(EvalError, match=r"overflow in exp\(x\)"):
+            evaluate(parse("exp(x)"), {"x": 1000})
+        with pytest.raises(EvalError, match=r"overflow in exp\(1000\)"):
+            parse("exp(1000)")
 
     def test_deterministic(self):
         e = parse("sin(x)*exp(y) - x^3/7")
@@ -224,6 +236,26 @@ class TestCompile:
         assert nested(3.0) == ((3.0, 6.0), (), -3.0)
         with pytest.raises(EvalError, match="unbound symbol 'k'"):
             ex.compile_exprs([parse("k*x")], ["x"])
+
+    def test_non_finite_constants_rejected(self):
+        inf = parse("1e200*1e200")  # folds to an infinite constant
+        with pytest.raises(EvalError, match=r"constant is not finite \(inf\)"):
+            ex.compile_exprs([inf * parse("x")], ["x"])
+        with pytest.raises(EvalError, match=r"parameter 'm' is not finite \(nan\)"):
+            ex.compile_exprs([parse("m*x")], ["x"], {"m": math.nan})
+
+    @pytest.mark.parametrize("text, x, message", [
+        ("1/x", 0.0, "division by zero in 1 / x"),
+        ("log(x)", -1.0, r"domain error in log\(x\)"),
+        ("x^2", 1e200, r"overflow in x\^2"),
+        ("exp(x)", 1e3, r"overflow in exp\(x\)"),
+    ])
+    def test_runtime_errors_match_evaluate(self, text, x, message):
+        kernel = ex.compile_exprs([[parse("x + 1")], parse(text)], ["x"])
+        with pytest.raises(EvalError, match=message):
+            kernel(x)
+        with pytest.raises(EvalError, match=message):
+            evaluate(parse(text), {"x": x})
 
 
 _leaf = st.one_of(

@@ -79,6 +79,21 @@ class TestMetric:
             )
 
 
+class TestCompileCount:
+    def test_boat_compiles_three_kernels(self, monkeypatch):
+        import vnhc.expr
+
+        calls = []
+        real = vnhc.expr.compile_exprs
+        monkeypatch.setattr(vnhc.expr, "compile_exprs",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        model, _ = build_boat("sin(y)", "cos(x)")
+        assert len(calls) == 3
+        model.christoffel_at((0.1, 0.2, 0.3))  # compiles its kernel on first call
+        model.christoffel_at((0.4, 0.5, 0.6))
+        assert len(calls) == 4
+
+
 class TestChristoffel:
     def test_constant_metric_vanishes(self):
         model, _ = build_boat("0", "0", m=2.0, I=3.0)
@@ -234,8 +249,9 @@ class TestDrift:
 class TestDriftNonConstantMetric:
     def test_equals_christoffel_form(self, rng):
         # drift = -G^k_ij qd^i qd^j + sharp(F) - grad V, with the full
-        # n^3 array G from christoffel_at and F evaluated by the tree
-        # walker; the drift itself contracts only the nonzero slots.
+        # n^3 array G from christoffel_at's own first-kind kernel and F
+        # evaluated by the tree walker; the drift takes the geodesic form
+        # w from the model kernel instead.
         from test_control import build_gen4
 
         from vnhc.expr import evaluate
