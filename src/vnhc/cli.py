@@ -86,8 +86,14 @@ def cmd_check(args) -> int:
     points = _points(args, model.coordinates)
     all_ok = True
     for q in points:
-        rr = con.rank_check(q)
-        line = f"q=({', '.join(f'{v:g}' for v in q)}) rank={'ok' if rr.ok else 'DEFECT'}({rr.rank}/{rr.expected_rank})"
+        line = f"q=({', '.join(f'{v:g}' for v in q)})"
+        try:
+            rr = con.rank_check(q)
+        except EvalError as err:
+            print(f"{line} rank=ERROR ({err})")
+            all_ok = False
+            continue
+        line += f" rank={'ok' if rr.ok else 'DEFECT'}({rr.rank}/{rr.expected_rank})"
         if rr.ok:
             try:
                 tr = transversality_check(con, model, q)
@@ -96,6 +102,9 @@ def cmd_check(args) -> int:
                 all_ok &= tr.ok
             except SPDError as err:
                 line += f" metric=SPD-FAILURE ({err})"
+                all_ok = False
+            except EvalError as err:
+                line += f" transversality=ERROR ({err})"
                 all_ok = False
         else:
             line += f" singular_values={[f'{s:.3e}' for s in rr.singular_values]}"
@@ -136,7 +145,7 @@ def cmd_simulate(args, parser) -> int:
     header = (
         ["t"]
         + list(model.coordinates)
-        + [c + "d" for c in model.coordinates]
+        + list(model.velocities)
         + [f"tau_{a + 1}" for a in range(model.m)]
         + [f"phi_{b + 1}" for b in range(con.m)]
     )

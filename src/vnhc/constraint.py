@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from . import linalg
-from .geometry import MechanicalModel, ModelError, State, contract, velocity_name
+from .geometry import MechanicalModel, ModelError, State, _Chart, contract
 
 RANK_RTOL = 1e-9
 
@@ -44,13 +44,11 @@ class TransversalityReport:
     q: tuple
 
 
-class AffineConstraint:
-    """m constraint one-forms and the affine term, with compiled kernels."""
+class AffineConstraint(_Chart):
+    """m constraint one-forms and the affine term, with one compiled kernel."""
 
     def __init__(self, model_coordinates: Sequence[str], mu, Z, parameters=None):
-        self.coordinates = tuple(model_coordinates)
-        self.n = len(self.coordinates)
-        self.parameters = dict(parameters or {})
+        super().__init__(model_coordinates, parameters)
         self.mu = ex.grid(mu)
         self.Z = [ex.as_expr(z) for z in Z]
         self.m = len(self.mu)
@@ -61,35 +59,13 @@ class AffineConstraint:
         if len(self.Z) != self.m:
             raise ModelError("Z must have one entry per constraint row")
 
-        velocities = tuple(map(velocity_name, self.coordinates))
-        allowed = set(self.coordinates) | set(self.parameters)
-        for b, row in enumerate(self.mu):
-            for i, e in enumerate(row):
-                extra = ex.free_symbols(e) - allowed
-                if extra:
-                    raise ModelError(
-                        f"mu[{b}][{i}] must be velocity-free and fully bound; "
-                        f"offending symbols {sorted(extra & set(velocities)) or sorted(extra)}"
-                    )
-        for b, e in enumerate(self.Z):
-            extra = ex.free_symbols(e) - allowed
-            if extra:
-                raise ModelError(
-                    f"Z[{b}] must be velocity-free and fully bound; "
-                    f"offending symbols {sorted(extra)}"
-                )
-
         # One kernel of (q, qdot): (S rows, Z, c), where
         # c_b = sum_i (d_i mu^b(qdot) + d_i Z_b) qdot^i is dphi_b/dt less S_b qddot.
-        coords = self.coordinates
-        v = [ex.Symbol(s) for s in velocities]
+        v = [ex.Symbol(s) for s in self.velocities]
         c = [contract([contract([ex.diff(e, x) for e in row], v) + ex.diff(z, x)
-                       for x in coords], v)
+                       for x in self.coordinates], v)
              for row, z in zip(self.mu, self.Z)]
-        self._rest = (0.0,) * self.n
-        self._kernel = ex.compile_exprs(
-            [self.mu, self.Z, c], coords + velocities, self.parameters
-        )
+        self._kernel = self._compile_qv([self.mu, self.Z, c], {"mu": self.mu, "Z": self.Z})
 
     # -- evaluation ---------------------------------------------------------
 
@@ -101,8 +77,7 @@ class AffineConstraint:
 
     def phi(self, state: State) -> list[float]:
         """Constraint values S(q) qdot + Z(q); zero exactly on the affine set."""
-        if len(state.q) != self.n:
-            raise ValueError("state dimension does not match constraint")
+        self._check_state(state)
         S, Z, _ = self._kernel(*state.q, *self._rest)
         return [linalg.dot(row, state.qdot) + z for row, z in zip(S, Z)]
 
@@ -124,8 +99,10 @@ class AffineConstraint:
 
 
 def check_compatible(model: MechanicalModel, con: AffineConstraint):
-    if con.n != model.n:
-        raise ModelError("constraint and model chart dimensions differ")
+    """Raise ModelError unless con is declared on model's chart, the same
+    names in the same order, and has one row per control input."""
+    if con.coordinates != model.coordinates:
+        raise ModelError(f"constraint chart {con.coordinates} is not the model's")
     if con.m != model.m:
         raise ModelError(
             f"number of constraint rows ({con.m}) must equal number of "

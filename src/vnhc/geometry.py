@@ -54,10 +54,6 @@ class State:
             raise ValueError("non-finite state entry")
 
 
-def velocity_name(coordinate: str) -> str:
-    return coordinate + "d"
-
-
 def contract(row: Sequence, vector: Sequence) -> ex.Expr:
     """The expression sum_i row_i vector_i, skipping the ZERO entries of row
     (what diff returns for a vanishing derivative) without building them."""
@@ -68,7 +64,70 @@ def contract(row: Sequence, vector: Sequence) -> ex.Expr:
     return total
 
 
-class MechanicalModel:
+class _Chart:
+    """The chart a model and its constraint share: coordinates q^i, velocity
+    names q^i + "d", all 2n distinct, and parameters, finite real numbers
+    that shadow none of them.  Kernels take q positionally, so a model and
+    a constraint fit together only on equal `coordinates` tuples."""
+
+    def __init__(self, coordinates: Sequence[str], parameters: Mapping[str, float] | None):
+        self.coordinates = tuple(coordinates)
+        self.n = len(self.coordinates)
+        if self.n == 0:
+            raise ModelError("empty coordinate list")
+        self.velocities = tuple(c + "d" for c in self.coordinates)
+        names = self.coordinates + self.velocities
+        if len(set(names)) != 2 * self.n:
+            twice = sorted({c for c in names if names.count(c) > 1})
+            raise ModelError(f"duplicate coordinate or velocity names {twice}")
+        self.parameters = dict(parameters or {})
+        bad = set(self.parameters) & set(names)
+        if bad:
+            raise ModelError(f"parameter names shadow coordinates: {sorted(bad)}")
+        for name, value in self.parameters.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ModelError(f"parameter {name!r} is not a real number ({value!r})")
+            if not math.isfinite(value):
+                raise ModelError(f"parameter {name!r} is not finite ({float(value)!r})")
+        self._rest = (0.0,) * self.n
+
+    def _compile_qv(self, exprs, fields: Mapping[str, object], with_velocities=False):
+        """compile_exprs over (q, qdot) with the parameters inlined, after
+        checking that the source fields (name -> an expression or a nested
+        list of them) use only coordinates and parameters, plus velocities if
+        with_velocities.  Only if compiling fails, on a non-finite number such
+        as a folded 1e200*1e200, are the fields compiled alone to name it."""
+        args, v = self.coordinates + self.velocities, set(self.velocities)
+        allowed = set(self.parameters) | set(args if with_velocities else self.coordinates)
+        entries = [x for name, field in fields.items() for x in _entries(name, field)]
+        for where, e in entries:
+            extra = ex.free_symbols(e) - allowed
+            if extra:
+                kind = "must be velocity-free; offending" if extra & v else "uses unknown"
+                raise ModelError(f"{where} {kind} symbols {sorted(extra & v or extra)}")
+        try:
+            return ex.compile_exprs(exprs, args, self.parameters)
+        except ex.EvalError as err:
+            for where, e in entries:
+                try:
+                    ex.compile_exprs([e], args, self.parameters)
+                except ex.EvalError as located:
+                    raise ModelError(f"{where}: {located}") from err
+            raise
+
+    def _check_state(self, state: State):
+        if len(state.q) != self.n:
+            raise ValueError(f"state dimension {len(state.q)} does not match n={self.n}")
+
+
+def _entries(where: str, field) -> list:
+    """(label, expression) for one expression or each of a nested list."""
+    if isinstance(field, ex.Expr):
+        return [(where, field)]
+    return [x for i, f in enumerate(field) for x in _entries(f"{where}[{i}]", f)]
+
+
+class MechanicalModel(_Chart):
     """Metric, potential, external force and control coframe on one chart.
 
     Immutable after construction; all evaluation methods are pure.
@@ -83,18 +142,7 @@ class MechanicalModel:
         input_coframe: Sequence | None = None,
         parameters: Mapping[str, float] | None = None,
     ):
-        self.coordinates = tuple(coordinates)
-        self.n = len(self.coordinates)
-        if self.n == 0:
-            raise ModelError("empty coordinate list")
-        self.velocities = tuple(velocity_name(c) for c in self.coordinates)
-        if set(self.coordinates) & set(self.velocities):
-            raise ModelError("coordinate name collides with a velocity name")
-        self.parameters = dict(parameters or {})
-        bad = set(self.parameters) & (set(self.coordinates) | set(self.velocities))
-        if bad:
-            raise ModelError(f"parameter names shadow coordinates: {sorted(bad)}")
-
+        super().__init__(coordinates, parameters)
         self.metric = ex.grid(metric)
         if len(self.metric) != self.n or any(len(r) != self.n for r in self.metric):
             raise ModelError("metric grid is not n x n")
@@ -117,27 +165,7 @@ class MechanicalModel:
         if self.m >= self.n:
             raise ModelError(f"need fewer inputs than coordinates (m={self.m}, n={self.n})")
 
-        self._check_symbols()
         self._compile()
-
-    def _check_symbols(self):
-        allowed_q = set(self.coordinates) | set(self.parameters)
-        allowed_qv = allowed_q | set(self.velocities)
-
-        def check(e, where, allowed):
-            extra = ex.free_symbols(e) - allowed
-            if extra:
-                raise ModelError(f"{where} uses unknown symbols {sorted(extra)}")
-
-        for i, row in enumerate(self.metric):
-            for j, g in enumerate(row):
-                check(g, f"metric[{i}][{j}]", allowed_q)
-        check(self.potential, "potential", allowed_q)
-        for i, f in enumerate(self.external_force):
-            check(f, f"external_force[{i}]", allowed_qv)
-        for a, row in enumerate(self.input_coframe):
-            for i, f in enumerate(row):
-                check(f, f"input_coframe[{a}][{i}]", allowed_q)
 
     def _compile(self):
         """One kernel of (q, qdot) for the metric, coframe, dV and the
@@ -147,8 +175,7 @@ class MechanicalModel:
         With D[l][i] = d_i (G qd)_l, w_l = sum_i D[l][i] qd^i - 1/2 sum_m
         D[m][l] qd^m: the velocity-quadratic part of the Euler-Lagrange
         operator.  w is ZERO for a constant metric."""
-        coords, params, r = self.coordinates, self.parameters, range(self.n)
-        args = coords + self.velocities
+        coords, r = self.coordinates, range(self.n)
         v = [ex.Symbol(s) for s in self.velocities]
         dg = {}  # dg[i, j][k] = d_k g_ij, each symmetric pair differentiated once
         for i in r:
@@ -157,12 +184,14 @@ class MechanicalModel:
         D = [[contract([dg[l, j][i] for j in r], v) for i in r] for l in r]
         half = ex.Constant(0.5)
         w = [contract(D[l], v) - half * contract([row[l] for row in D], v) for l in r]
-        self._rest = (0.0,) * self.n
-        self._kernel = ex.compile_exprs(
+        self._kernel = self._compile_qv(
             [self.metric, self.input_coframe, [ex.diff(self.potential, c) for c in coords], w],
-            args, params,
+            {"metric": self.metric, "potential": self.potential,
+             "input_coframe": self.input_coframe},
         )
-        self._force_fn = ex.compile_exprs(self.external_force, args, params)
+        self._force_fn = self._compile_qv(
+            self.external_force, {"external_force": self.external_force}, with_velocities=True
+        )
 
     @cached_property
     def _first_kind(self):
@@ -253,9 +282,3 @@ class MechanicalModel:
         _, _, dv, w = k
         rhs = map(operator.sub, map(operator.sub, self._force_fn(*q, *qd), dv), w)
         return linalg.cho_solve(L, list(rhs))
-
-    def _check_state(self, state: State):
-        if len(state.q) != self.n:
-            raise ValueError(
-                f"state dimension {len(state.q)} does not match model n={self.n}"
-            )

@@ -77,6 +77,54 @@ class TestCheck:
         assert "q=(2, 0, 1)" in capsys.readouterr().out
 
 
+class TestCheckLines:
+    """The per-point line of `check` for each way a point can fail; every
+    point gets its line and the exit code is 1."""
+
+    def plane(self, tmp_path, metric00="1", mu0="1"):
+        return write_json(tmp_path, "plane.json", {
+            "coordinates": ["x", "y"],
+            "metric": [[metric00, "0"], ["0", "1"]],
+            "inputs": [["1", "0"]],
+            "constraint": {"mu": [[mu0, "0"]], "Z": ["0"]},
+        })
+
+    def test_rank_defect_line(self, tmp_path, capsys):
+        assert main(["check", self.plane(tmp_path, mu0="x"), "--point", "x=0"]) == 1
+        assert capsys.readouterr().out == (
+            "q=(0, 0) rank=DEFECT(0/1) singular_values=['0.000e+00']\n"
+        )
+
+    def test_spd_failure_line(self, tmp_path, capsys):
+        assert main(["check", self.plane(tmp_path, metric00="x"), "--point", "x=-1"]) == 1
+        assert capsys.readouterr().out == (
+            "q=(-1, 0) rank=ok(1/1) metric=SPD-FAILURE (metric not positive definite "
+            "at q=(-1.0, 0.0); eigenvalues [-1.0, 1.0])\n"
+        )
+
+    def test_rank_error_line(self, tmp_path, capsys):
+        path = self.plane(tmp_path, mu0="1/x")
+        assert main(["check", path, "--point", "x=0", "--point", "x=1"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "q=(0, 0) rank=ERROR (division by zero in 1 / x)",
+            "q=(1, 0) rank=ok(1/1) transversality=ok cond=1 det=1",
+        ]
+
+    def test_eval_error_does_not_abort_grid(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "inv.json", metric00="1/x")
+        code = main(["check", path, "--grid", "x=-1:1:3", "--grid", "theta=0:1:2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert len(lines) == 6
+        assert lines[1].startswith("q=(-1, 0, 1) rank=ok(1/1) metric=SPD-FAILURE (")
+        assert lines[2:] == [
+            "q=(0, 0, 0) rank=ok(1/1) transversality=ERROR (division by zero in 1 / x)",
+            "q=(0, 0, 1) rank=ok(1/1) transversality=ERROR (division by zero in 1 / x)",
+            "q=(1, 0, 0) rank=ok(1/1) transversality=ok cond=1 det=1",
+            "q=(1, 0, 1) rank=ok(1/1) transversality=ok cond=1 det=1",
+        ]
+
+
 class TestSimulate:
     def test_projected_run(self, boat_file, tmp_path, capsys):
         out_csv = str(tmp_path / "traj.csv")
@@ -236,6 +284,39 @@ class TestNonFiniteNumbers:
         path = boat_with(tmp_path, "logc.json", metric00="log(-1)")
         assert main(["check", path]) == 2
         assert "metric[0][0]: domain error in log(-1)" in capsys.readouterr().err
+
+
+    def test_folded_overflow_names_field(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "fold.json", metric00="1e200*1e200")
+        assert main(["check", path]) == 2
+        assert "metric[0][0]: constant is not finite (inf)" in capsys.readouterr().err
+
+
+class TestChartRules:
+    """A model file that breaks a rule of its chart exits 2 and names the
+    culprit, whether or not an expression uses it."""
+
+    def test_duplicate_coordinates(self, tmp_path, capsys):
+        data = model_to_dict(*build_boat())
+        data["coordinates"] = ["x", "x", "theta"]
+        assert main(["check", write_json(tmp_path, "dup.json", data)]) == 2
+        assert "duplicate coordinate or velocity names ['x', 'xd']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[1], None, "abc", True])
+    def test_parameter_not_a_number(self, tmp_path, capsys, value):
+        path = boat_with(tmp_path, "p.json", metric00="m", parameters={"m": value})
+        assert main(["check", path]) == 2
+        assert f"parameter 'm' is not a real number ({value!r})" in capsys.readouterr().err
+
+    def test_unused_nan_parameter(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "nan.json", parameters={"k": math.nan})
+        assert main(["check", path]) == 2
+        assert "parameter 'k' is not finite (nan)" in capsys.readouterr().err
+
+    def test_parameter_shadowing_velocity(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "shadow.json", parameters={"thetad": 1.0})
+        assert main(["check", path]) == 2
+        assert "parameter names shadow coordinates: ['thetad']" in capsys.readouterr().err
 
 
 class TestFixtureRoundTrip:

@@ -11,6 +11,7 @@ from vnhc import (
     State,
     build_boat,
     project_onto_A,
+    tau_star,
     transversality_check,
 )
 
@@ -211,3 +212,49 @@ class TestValidation:
         )
         with pytest.raises(ModelError, match="equal"):
             transversality_check(con, model, (0, 0, 0))
+
+
+class TestChart:
+    """The constraint lives on the model's chart and keeps the model's chart rules."""
+
+    def test_reordered_chart_rejected(self):
+        model, con = build_boat("sin(y)", "cos(x)")
+        (mu_x, mu_y, mu_theta), = con.mu
+        reordered = AffineConstraint(
+            ("theta", "y", "x"), [[mu_theta, mu_y, mu_x]], con.Z, model.parameters
+        )
+        state = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
+        with pytest.raises(ModelError, match="is not the model's"):
+            tau_star(model, reordered, state)
+        with pytest.raises(ModelError, match="is not the model's"):
+            transversality_check(reordered, model, state.q)
+
+    def test_coordinate_named_like_a_velocity_rejected(self):
+        with pytest.raises(ModelError, match=r"duplicate coordinate or velocity names \['xd'\]"):
+            AffineConstraint(("x", "xd"), [["1", "0"]], Z=["0"])
+
+    def test_duplicate_coordinates_rejected(self):
+        with pytest.raises(ModelError, match=r"names \['x', 'xd'\]"):
+            AffineConstraint(("x", "x"), [["1", "0"]], Z=["0"])
+
+    def test_parameter_shadowing_coordinate_rejected(self):
+        with pytest.raises(ModelError, match=r"shadow coordinates: \['x'\]"):
+            AffineConstraint(("x", "y"), [["x", "1"]], Z=["0"], parameters={"x": 2.0})
+
+    def test_empty_chart_rejected(self):
+        with pytest.raises(ModelError, match="empty coordinate list"):
+            AffineConstraint((), [[]], Z=["0"])
+
+    def test_unknown_symbol_named(self):
+        with pytest.raises(ModelError, match=r"Z\[0\] uses unknown symbols \['k'\]"):
+            AffineConstraint(("x", "y"), [["1", "0"]], Z=["k*x"])
+
+    @pytest.mark.parametrize("value", [[1], None, "abc", True, math.nan, math.inf])
+    def test_parameter_must_be_finite_real(self, value):
+        with pytest.raises(ModelError, match="parameter 'k' is not"):
+            AffineConstraint(("x", "y"), [["1", "0"]], Z=["0"], parameters={"k": value})
+
+    def test_state_dimension_checked(self):
+        con = AffineConstraint(("x", "y"), [["1", "0"]], Z=["0"])
+        with pytest.raises(ValueError, match="state dimension 3 does not match n=2"):
+            con.phi(State(q=(0, 0, 0), qdot=(0, 0, 0)))

@@ -304,6 +304,28 @@ def assembly_systems():
     return out
 
 
+class TestPConditionCap:
+    """P = [[1, 1e5], [0, 1e-5]]: invertible, pivots above the pivot gate,
+    but cond_1(P) = 1e15 is beyond the 1e12 cap."""
+
+    def build(self):
+        model = MechanicalModel(
+            ("x", "y", "z"), np.eye(3).tolist(), input_coframe=[[1, 0, 0], [0, 1, 0]]
+        )
+        return model, AffineConstraint(("x", "y", "z"), [[1, 1e5, 0], [0, 1e-5, 0]], Z=[0, 0])
+
+    def test_transversality_report(self):
+        model, con = self.build()
+        report = transversality_check(con, model, (0.0, 0.0, 0.0))
+        assert not report.ok
+        assert f"{report.cond_estimate:.3e}" == "1.000e+15"
+
+    def test_tau_star_raises(self):
+        model, con = self.build()
+        with pytest.raises(TransversalityError, match=r"P condition estimate 1\.000e\+15 exceeds"):
+            tau_star(model, con, State(q=(0.0, 0.0, 0.0), qdot=(1.0, 0.0, 0.0)))
+
+
 class TestCoulombForce:
     """Views of q alone never evaluate the external force, which may be
     singular at qdot = 0 (Coulomb friction)."""

@@ -63,6 +63,11 @@ class TestMetric:
         assert err.value.eigenvalues is not None
         assert min(err.value.eigenvalues) < 0
 
+    def test_condition_cap(self):
+        m = MechanicalModel(("x", "y", "z"), [[1, 0, 0], [0, 1, 0], [0, 0, 1e-13]])
+        with pytest.raises(SPDError, match=r"metric condition estimate 1\.000e\+13 exceeds 1e\+12"):
+            m.metric_at((0.0, 0.0, 0.0))
+
     def test_velocity_in_metric_rejected(self):
         with pytest.raises(ModelError):
             MechanicalModel(("x",), [["xd"]])

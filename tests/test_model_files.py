@@ -1,0 +1,84 @@
+"""Property test: the vortex-boat model file with one injected defect is a
+usage error (exit 2) whose message names the field or parameter at fault."""
+
+import json
+import math
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from vnhc import build_boat, model_to_dict
+from vnhc.cli import main
+
+VORTEX = model_to_dict(*build_boat("sin(y)", "cos(x)", m=1.5, I=0.5))
+
+# (path in the file, the name the error gives the field, may use velocities)
+FIELDS = [
+    (("metric", 0, 0), "metric[0][0]", False),
+    (("metric", 2, 2), "metric[2][2]", False),
+    (("potential",), "potential", False),
+    (("external_force", 0), "external_force[0]", True),
+    (("external_force", 1), "external_force[1]", True),
+    (("inputs", 0, 1), "input_coframe[0][1]", False),
+    (("constraint", "mu", 0, 0), "mu[0][0]", False),
+    (("constraint", "mu", 0, 2), "mu[0][2]", False),
+    (("constraint", "Z", 0), "Z[0]", False),
+]
+BAD_VALUES = [[1], None, "abc", True, False, {"v": 1}, math.nan, math.inf, -math.inf]
+
+
+def edit(data, path, change):
+    *head, last = path
+    for key in head:
+        data = data[key]
+    data[last] = change(data[last])
+
+
+@st.composite
+def defective_files(draw):
+    """(model dict with one defect, substrings the error must contain)."""
+    data = json.loads(json.dumps(VORTEX))
+    kind = draw(st.sampled_from(
+        ["duplicate", "velocity_named", "parameter", "shadow", "foreign", "velocity", "overflow"]
+    ))
+    coords = data["coordinates"]
+    if kind == "duplicate":
+        i, j = draw(st.permutations(range(3)))[:2]
+        coords[j] = coords[i]
+        return data, ["duplicate", repr(coords[i])]
+    if kind == "velocity_named":
+        i, j = draw(st.permutations(range(3)))[:2]
+        coords[j] = coords[i] + "d"
+        return data, ["duplicate", repr(coords[j])]
+    if kind == "parameter":
+        name = draw(st.sampled_from(["m", "I", "k"]))
+        data["parameters"][name] = draw(st.sampled_from(BAD_VALUES))
+        return data, [f"parameter {name!r}"]
+    if kind == "shadow":
+        name = draw(st.sampled_from(coords + [c + "d" for c in coords]))
+        data["parameters"][name] = 1.0
+        return data, ["shadow", repr(name)]
+    if kind == "velocity":
+        path, label, _ = draw(st.sampled_from([f for f in FIELDS if not f[2]]))
+        velocity = draw(st.sampled_from([c + "d" for c in coords]))
+        edit(data, path, lambda text: f"({text}) + {velocity}")
+        return data, [label, "velocity-free", repr(velocity)]
+    path, label, _ = draw(st.sampled_from(FIELDS))
+    if kind == "foreign":
+        edit(data, path, lambda text: f"({text}) + zz")
+        return data, [label, "'zz'"]
+    edit(data, path, lambda text: f"({text}) + 1e200*1e200*x")
+    return data, [label, "not finite (inf)"]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(defective_files())
+def test_defect_is_usage_error_naming_field(tmp_path, capsys, case):
+    data, expected = case
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    for text in expected:
+        assert text in err
