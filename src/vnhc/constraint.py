@@ -10,6 +10,7 @@ them over grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,11 +85,16 @@ class AffineConstraint(_Chart):
     # -- hypothesis checks --------------------------------------------------
 
     def rank_check(self, q: Sequence[float]) -> RankReport:
-        """Row rank of S(q) by singular values, relative tolerance 1e-9."""
-        S = np.array(self.mu_at(q), dtype=float)
+        """Row rank of S(q) by singular values, relative tolerance 1e-9;
+        raises EvalError naming a non-finite entry of S, such as an overflow."""
+        S = self.mu_at(q)
+        for b, (row, exprs) in enumerate(zip(S, self.mu)):
+            for i, (v, e) in enumerate(zip(row, exprs)):
+                if not math.isfinite(v):
+                    raise ex.EvalError(f"mu[{b}][{i}] = {ex.to_string(e)} is not finite ({v!r})")
+        S = np.array(S, dtype=float)
         sv = np.linalg.svd(S, compute_uv=False)
-        smax = sv[0] if len(sv) else 0.0
-        rank = int(np.sum(sv > RANK_RTOL * smax)) if smax > 0.0 else 0
+        rank = int(np.sum(sv > RANK_RTOL * sv[0]))  # 0 when S = 0; S has m >= 1 rows
         return RankReport(
             ok=(rank == self.m),
             rank=rank,

@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat, starmap
+from itertools import chain, repeat, starmap
 from typing import NamedTuple
 
 from . import linalg
 from .constraint import AffineConstraint, check_compatible
+from .expr import EvalError
 from .geometry import MechanicalModel, State
 
 
@@ -88,14 +89,18 @@ def _p_system(model: MechanicalModel, con: AffineConstraint, q, qd) -> _PSystem:
     P = [list(map(linalg.dot, repeat(Sb), Y)) for Sb in S]
     try:
         lu, piv = linalg.lu_factor(P)
+        cond = linalg.cond1_from_lu(P, lu, piv)
+        min_pivot = min(map(abs, map(operator.getitem, lu, range(con.m))))
     except linalg.SingularMatrixError:
-        return _PSystem(k, c, L, Y, P, None, None, 0.0, math.inf,
-                        f"singular P matrix at q={tuple(q)}")
-    cond = linalg.cond1_from_lu(P, lu, piv)
-    min_pivot = min(map(abs, map(operator.getitem, lu, range(con.m))))
+        lu, piv, cond, min_pivot = None, None, math.inf, 0.0
+    # A non-finite entry makes P singular or cond non-finite: only then is P checked.
+    if not math.isfinite(cond) and not all(map(math.isfinite, chain.from_iterable(P))):
+        raise EvalError(f"P matrix {P} is not finite at q={tuple(q)}")
     scale = p_scale(S, Y)
     error = None
-    if min_pivot <= PIVOT_RTOL * scale:
+    if lu is None:
+        error = f"singular P matrix at q={tuple(q)}"
+    elif min_pivot <= PIVOT_RTOL * scale:
         cond = math.inf
         error = (
             f"numerically singular P matrix at q={tuple(q)} "
@@ -143,7 +148,7 @@ def b_vector(model: MechanicalModel, con: AffineConstraint, state: State) -> lis
     q, qd = state.q, state.qdot
     k = model._kernel(*q, *qd)
     drift = model._drift(q, qd, model._factor(q, k[0]), k)
-    return _b(con._kernel(*q, *qd), drift)
+    return _finite_b(_b(con._kernel(*q, *qd), drift), state)
 
 
 def _b(k, drift) -> list[float]:
@@ -152,10 +157,19 @@ def _b(k, drift) -> list[float]:
     return [-(linalg.dot(row, drift) + cb) for row, cb in zip(S, c)]
 
 
+def _finite_b(b, state: State):
+    """b, checked finite for the single-state views (integrate checks states)."""
+    if not all(map(math.isfinite, b)):
+        raise EvalError(f"b {tuple(b)} is not finite at q={state.q}, qdot={state.qdot}")
+    return b
+
+
 def _checked(model: MechanicalModel, con: AffineConstraint, state: State) -> _Assembly:
     check_compatible(model, con)
     model._check_state(state)
-    return _assemble(model, con, state.q, state.qdot, state)
+    a = _assemble(model, con, state.q, state.qdot, state)
+    _finite_b(a.b, state)
+    return a
 
 
 def solve_control(

@@ -11,19 +11,13 @@ Grammar (precedence low to high): ``+ -`` < ``* /`` < unary ``-`` < ``^``
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
-_MATH_FN = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-}
+_MATH_FN = {name: getattr(math, name) for name in FUNCTIONS}  # compiled as math.<name>
 
 
 class ExprError(ValueError):
@@ -108,7 +102,7 @@ def as_expr(value) -> Expr:
     """Coerce a number, string (parsed as DSL) or Expr to an Expr."""
     if isinstance(value, Expr):
         return value
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return Constant(float(value))
     if isinstance(value, str):
         return parse(value)
@@ -203,141 +197,91 @@ def _math(f, node: Expr, *args: float) -> float:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_NUM_START = set("0123456789.")
+# One token: a number, which starts with 0-9 or "." ("2e" is the number 2
+# and then the symbol e); a word of letters, digits and "_"; or any other
+# single character.  Whitespace between tokens is skipped.
+_TOKEN = re.compile(r"(?=[0-9.])\d*(?:\.\d*)?(?:[eE][+-]?\d+)?|\w+|\S")
+_BINARY = {"+": add, "-": sub, "*": mul, "/": div}
 
 
 class _Parser:
+    """Recursive descent over the tokens of text, then "" at its end."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.tokens = _TOKEN.findall(text) + [""]
+        self.i = 0
 
-    def byte_offset(self, pos: int | None = None) -> int:
-        p = self.pos if pos is None else pos
-        return len(self.text[:p].encode("utf-8"))
-
-    def error(self, message: str, pos: int | None = None):
-        raise ParseError(message, self.byte_offset(pos))
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def error(self, message: str):
+        """Raise ParseError at the current token, the end being len(text)."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        raise ParseError(message, len(self.text[:starts[self.i]].encode("utf-8")))
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        if self.peek():
-            self.error(f"unexpected {self.text[self.pos]!r}")
-        return e
+        return self.tokens[self.i]
 
     def expr(self) -> Expr:
         e = self.term()
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
-                e = add(e, self.term())
-            elif c == "-":
-                self.pos += 1
-                e = sub(e, self.term())
-            else:
-                return e
+        while (op := self.peek()) in ("+", "-"):
+            self.i += 1
+            e = _BINARY[op](e, self.term())
+        return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while True:
-            c = self.peek()
-            if c == "*":
-                self.pos += 1
-                e = mul(e, self.factor())
-            elif c == "/":
-                self.pos += 1
-                e = div(e, self.factor())
-            else:
-                return e
+        while (op := self.peek()) in ("*", "/"):
+            self.i += 1
+            e = _BINARY[op](e, self.factor())
+        return e
 
     def factor(self) -> Expr:
         if self.peek() == "-":
-            self.pos += 1
+            self.i += 1
             return neg(self.factor())
-        return self.power()
-
-    def power(self) -> Expr:
         base = self.atom()
         if self.peek() == "^":
-            self.pos += 1
+            self.i += 1
             return pow_(base, self.factor())
         return base
 
     def atom(self) -> Expr:
-        c = self.peek()
-        if not c:
+        tok = self.peek()
+        if not tok:
             self.error("unexpected end of input")
-        if c == "(":
-            self.pos += 1
+        if tok == "(":
+            self.i += 1
             e = self.expr()
-            self.expect(")")
+            if self.peek() != ")":
+                self.error("expected ')'")
+            self.i += 1
             return e
-        if c in _NUM_START:
-            return self.number()
-        if c.isalpha() or c == "_":
-            return self.ident()
-        self.error(f"unexpected {c!r}")
-
-    def number(self) -> Expr:
-        start = self.pos
-        t = self.text
-        while self.pos < len(t) and t[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(t) and t[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(t) and t[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < len(t) and t[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(t) and t[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(t) and t[self.pos].isdigit():
-                while self.pos < len(t) and t[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # "2e" is the number 2 followed by symbol e
-        lexeme = t[start:self.pos]
-        try:
-            value = float(lexeme)
-        except ValueError:
-            self.error(f"malformed number {lexeme!r}", start)
-        if not math.isfinite(value):
-            self.error(f"number {lexeme!r} is out of range", start)
-        return Constant(value)
-
-    def ident(self) -> Expr:
-        start = self.pos
-        t = self.text
-        while self.pos < len(t) and (t[self.pos].isalnum() or t[self.pos] == "_"):
-            self.pos += 1
-        name = t[start:self.pos]
-        if self.peek() == "(":
-            if name not in FUNCTIONS:
-                self.error(f"unknown function {name!r}", start)
-            self.pos += 1
-            arg = self.expr()
-            self.expect(")")
-            return fn(name, arg)
-        return Symbol(name)
+        if tok[0] in "0123456789.":
+            try:
+                value = float(tok)
+            except ValueError:
+                self.error(f"malformed number {tok!r}")
+            if not math.isfinite(value):
+                self.error(f"number {tok!r} is out of range")
+            self.i += 1
+            return Constant(value)
+        if not (tok[0].isalpha() or tok[0] == "_"):
+            self.error(f"unexpected {tok[0]!r}")
+        if self.tokens[self.i + 1] != "(":
+            self.i += 1
+            return Symbol(tok)
+        if tok not in FUNCTIONS:
+            self.error(f"unknown function {tok!r}")
+        self.i += 1
+        return fn(tok, self.atom())  # folds only once the ")" is found
 
 
 def parse(text: str) -> Expr:
     """Parse DSL text into an Expr. Raises ParseError with a byte offset."""
-    return _Parser(text).parse()
+    p = _Parser(text)
+    e = p.expr()
+    if p.peek():
+        p.error(f"unexpected {p.peek()[0]!r}")
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +318,23 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
 
 
 def free_symbols(e: Expr) -> set[str]:
-    if isinstance(e, Constant):
-        return set()
-    if isinstance(e, Symbol):
-        return {e.name}
-    if isinstance(e, Unary):
-        return free_symbols(e.child)
-    return free_symbols(e.left) | free_symbols(e.right)
+    return _leaves(e)[0]
+
+
+def _leaves(e: Expr) -> tuple[set[str], list[float]]:
+    """The names of e's symbols, and its non-finite constants left to right."""
+    symbols, bad, stack = set(), [], [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Binary):
+            stack += e.right, e.left
+        elif isinstance(e, Unary):
+            stack.append(e.child)
+        elif isinstance(e, Symbol):
+            symbols.add(e.name)
+        elif not math.isfinite(e.value):
+            bad.append(e.value)
+    return symbols, bad
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +393,8 @@ _SIGN = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 def _prec(e: Expr) -> int:
     if isinstance(e, Binary):
         return _PREC[e.op]
-    if isinstance(e, Unary) and e.op == "neg":
-        return _PREC["neg"]
+    if (isinstance(e, Unary) and e.op == "neg") or (isinstance(e, Constant) and e.value < 0):
+        return _PREC["neg"]  # so a negative base prints as (-2)^x
     return 5  # constants, symbols, function calls
 
 
@@ -474,9 +428,6 @@ def _wrap(e: Expr, min_prec: int) -> str:
 
 # ---------------------------------------------------------------------------
 # Compilation to fast callables
-
-_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-
 
 def compile_exprs(
     exprs: Sequence,
@@ -569,7 +520,7 @@ def compile_exprs(
         op, a = key[0], emit(key[1])
         if len(key) == 3:
             b = emit(key[2])
-            text = f"math.pow({a}, {b})" if op == "pow" else f"({a} {_INFIX[op]} {b})"
+            text = f"math.pow({a}, {b})" if op == "pow" else f"({a} {_SIGN[op]} {b})"
         else:
             text = f"(-{a})" if op == "neg" else f"math.{op}({a})"
         if uses[num] > 1:

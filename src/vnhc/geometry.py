@@ -95,25 +95,22 @@ class _Chart:
         """compile_exprs over (q, qdot) with the parameters inlined, after
         checking that the source fields (name -> an expression or a nested
         list of them) use only coordinates and parameters, plus velocities if
-        with_velocities.  Only if compiling fails, on a non-finite number such
-        as a folded 1e200*1e200, are the fields compiled alone to name it."""
+        with_velocities, and hold no non-finite constant, such as a folded
+        1e200*1e200; a symbol error in any field is reported first."""
         args, v = self.coordinates + self.velocities, set(self.velocities)
         allowed = set(self.parameters) | set(args if with_velocities else self.coordinates)
-        entries = [x for name, field in fields.items() for x in _entries(name, field)]
-        for where, e in entries:
-            extra = ex.free_symbols(e) - allowed
-            if extra:
-                kind = "must be velocity-free; offending" if extra & v else "uses unknown"
-                raise ModelError(f"{where} {kind} symbols {sorted(extra & v or extra)}")
-        try:
-            return ex.compile_exprs(exprs, args, self.parameters)
-        except ex.EvalError as err:
-            for where, e in entries:
-                try:
-                    ex.compile_exprs([e], args, self.parameters)
-                except ex.EvalError as located:
-                    raise ModelError(f"{where}: {located}") from err
-            raise
+        bad = []
+        for name, field in fields.items():
+            for where, e in _entries(name, field):
+                symbols, constants = ex._leaves(e)
+                extra = symbols - allowed
+                if extra:
+                    kind = "must be velocity-free; offending" if extra & v else "uses unknown"
+                    raise ModelError(f"{where} {kind} symbols {sorted(extra & v or extra)}")
+                bad += [f"{where}: constant is not finite ({c!r})" for c in constants]
+        if bad:
+            raise ModelError(bad[0])
+        return ex.compile_exprs(exprs, args, self.parameters)
 
     def _check_state(self, state: State):
         if len(state.q) != self.n:

@@ -36,12 +36,16 @@ class ModelFileError(ValueError):
     """Malformed model file (syntax, schema, or expression errors)."""
 
 
-def _parse_field(text, where: str) -> ex.Expr:
-    if not isinstance(text, (str, int, float)):
-        raise ModelFileError(f"{where}: expected a DSL string, got {type(text).__name__}")
+def _parse_field(value, where: str, depth: int = 0):
+    """An expression from a DSL string or a number; for depth > 0, a list of
+    fields of depth - 1 (a grid such as the metric has depth 2)."""
+    if depth:
+        if not isinstance(value, list):
+            raise ModelFileError(f"{where} must be a list{' of rows' if depth > 1 else ''}")
+        return [_parse_field(v, f"{where}[{i}]", depth - 1) for i, v in enumerate(value)]
     try:
-        return ex.as_expr(text)
-    except ex.ExprError as err:
+        return ex.as_expr(value)
+    except (ex.ExprError, TypeError) as err:  # TypeError: not a number or string
         raise ModelFileError(f"{where}: {err}") from err
 
 
@@ -62,23 +66,11 @@ def load_model_dict(data: dict) -> tuple[MechanicalModel, AffineConstraint]:
     if not isinstance(params, dict):
         raise ModelFileError("parameters must be a name -> number map")
 
-    def parse_grid(rows, where):
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise ModelFileError(f"{where} must be a list of rows")
-        return [
-            [_parse_field(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)]
-            for i, row in enumerate(rows)
-        ]
-
-    metric = parse_grid(data["metric"], "metric")
-    inputs = parse_grid(data["inputs"], "inputs")
+    metric = _parse_field(data["metric"], "metric", 2)
+    inputs = _parse_field(data["inputs"], "inputs", 2)
     potential = _parse_field(data.get("potential", "0"), "potential")
-    force_raw = data.get("external_force")
-    force = (
-        [_parse_field(e, f"external_force[{i}]") for i, e in enumerate(force_raw)]
-        if force_raw is not None
-        else None
-    )
+    force = data.get("external_force")
+    force = None if force is None else _parse_field(force, "external_force", 1)
 
     cdata = data["constraint"]
     if not isinstance(cdata, dict):
@@ -88,21 +80,19 @@ def load_model_dict(data: dict) -> tuple[MechanicalModel, AffineConstraint]:
         raise ModelFileError(f"constraint: unknown keys {sorted(unknown)}")
     if "mu" not in cdata:
         raise ModelFileError("constraint: missing key 'mu'")
-    mu = parse_grid(cdata["mu"], "constraint.mu")
+    mu = _parse_field(cdata["mu"], "constraint.mu", 2)
     if ("Z" in cdata) == ("X" in cdata):
         raise ModelFileError("constraint: give exactly one of 'Z' or 'X'")
     if "Z" in cdata:
-        Z = [_parse_field(e, f"constraint.Z[{b}]") for b, e in enumerate(cdata["Z"])]
+        Z = _parse_field(cdata["Z"], "constraint.Z", 1)
     else:
-        X = [_parse_field(e, f"constraint.X[{i}]") for i, e in enumerate(cdata["X"])]
+        X = _parse_field(cdata["X"], "constraint.X", 1)
         if len(X) != len(coords):
             raise ModelFileError("constraint.X must have one entry per coordinate")
-        Z = []
-        for row in mu:
-            z = ex.ZERO
+        Z = [ex.ZERO] * len(mu)
+        for b, row in enumerate(mu):
             for mu_i, x_i in zip(row, X):
-                z = z - mu_i * x_i
-            Z.append(z)
+                Z[b] = Z[b] - mu_i * x_i
 
     try:
         model = MechanicalModel(

@@ -6,12 +6,20 @@ import pytest
 
 import vnhc
 from vnhc import (
+    EvalError,
+    MechanicalModel,
+    ModelError,
     State,
+    b_vector,
     build_boat,
+    build_linear_fixture,
+    closed_loop_acceleration,
     load_model,
     model_to_dict,
     save_model,
     solve_control,
+    tau_star,
+    transversality_check,
 )
 from vnhc.cli import main
 
@@ -292,6 +300,170 @@ class TestNonFiniteNumbers:
         assert "metric[0][0]: constant is not finite (inf)" in capsys.readouterr().err
 
 
+class TestNonFiniteResults:
+    """An overflow to inf or NaN without a raising operation is an
+    EvalError (exit 1), not a NaN in the output or a rank or pivot verdict."""
+
+    def plane(self, tmp_path, mu=("1e300*x", "0"), inputs=("1", "0")):
+        return write_json(tmp_path, "plane.json", {
+            "coordinates": ["x", "y"],
+            "metric": [["1", "0"], ["0", "1"]],
+            "inputs": [list(inputs)],
+            "constraint": {"mu": [list(mu)], "Z": ["0"]},
+        })
+
+    def test_b_overflow(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "big.json", force=("1e300*x*x", "0", "0"))
+        assert main(["control-at", path, "--q", "1e10,0,0.3", "--qdot", "0,0,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: b (nan,) is not finite at q=(10000000000.0, 0.0, 0.3), qdot=(0.0, 0.0, 0.0)\n"
+        )
+        model, con = load_model(path)
+        state = State(q=(1e10, 0.0, 0.3), qdot=(0.0, 0.0, 0.0))
+        for view in (solve_control, tau_star, closed_loop_acceleration, b_vector):
+            with pytest.raises(EvalError, match=r"^b \(nan,\) is not finite"):
+                view(model, con, state)
+
+    def test_s_overflow_is_a_rank_error(self, tmp_path, capsys):
+        path = self.plane(tmp_path)
+        assert main(["check", path, "--point", "x=1e10", "--point", "x=1"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "q=(1e+10, 0) rank=ERROR (mu[0][0] = 1e+300 * x is not finite (inf))",
+            "q=(1, 0) rank=ok(1/1) transversality=ok cond=1 det=1e+300",
+        ]
+
+    def test_p_overflow_is_not_a_pivot_verdict(self, tmp_path, capsys):
+        path = self.plane(tmp_path)
+        assert main(["control-at", path, "--q", "1e10,0", "--qdot", "0,0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: P matrix [[inf]] is not finite at q=(10000000000.0, 0.0)\n"
+        )
+        model, con = load_model(path)
+        with pytest.raises(EvalError, match=r"P matrix \[\[inf\]\] is not finite"):
+            transversality_check(con, model, (1e10, 0.0))
+
+    def test_p_nan_is_not_admissible(self, tmp_path, capsys):
+        # S = (inf, inf) against Y = (1, -1): P = inf - inf
+        path = self.plane(tmp_path, mu=("1e300*x", "1e300*x"), inputs=("1", "-1"))
+        assert main(["control-at", path, "--q", "1e10,0", "--qdot", "0,0"]) == 1
+        assert "error: P matrix [[nan]] is not finite" in capsys.readouterr().err
+
+
+class TestFieldChecks:
+    """Every source field is checked for symbols, then for non-finite
+    constants, before anything compiles; a file that loads also loads after
+    it is saved."""
+
+    def test_boolean_field(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "bool.json", metric00=True)
+        assert main(["check", path]) == 2
+        assert "metric[0][0]: cannot interpret True as an expression" in capsys.readouterr().err
+
+    def test_non_finite_potential(self, tmp_path, capsys):
+        data = model_to_dict(*build_boat())
+        data["potential"] = "1e200*1e200"
+        assert main(["check", write_json(tmp_path, "pot.json", data)]) == 2
+        assert "potential: constant is not finite (inf)" in capsys.readouterr().err
+        with pytest.raises(ModelError, match=r"^potential: constant is not finite \(inf\)$"):
+            MechanicalModel(["x", "y"], [["1", "0"], ["0", "1"]], potential="1e200*1e200")
+
+    def test_symbol_error_first(self, tmp_path, capsys):
+        data = model_to_dict(*build_boat())
+        data["metric"][0][0] = "1e200*1e200"
+        data["potential"] = "zz"
+        assert main(["check", write_json(tmp_path, "both.json", data)]) == 2
+        assert "error: potential uses unknown symbols ['zz']\n" == capsys.readouterr().err
+
+    def test_negative_base_survives_a_save(self, tmp_path):
+        path = boat_with(tmp_path, "neg.json", force=("0", "0", "(-2)^x"))
+        model, con = load_model(path)
+        save_model(tmp_path / "again.json", model, con)
+        again, _ = load_model(tmp_path / "again.json")
+        assert again.external_force == model.external_force
+
+
+def _code(argv):
+    try:
+        return main(argv)
+    except SystemExit as err:  # argparse's parser.error
+        return err.code
+
+
+DROP = object()
+
+
+def _boat_with(*path, value):
+    """The boat's model dict with the entry at path set to value, or
+    deleted if value is DROP."""
+    data = model_to_dict(*build_boat())
+    *head, last = path
+    entry = data
+    for key in head:
+        entry = entry[key]
+    if value is DROP:
+        del entry[last]
+    else:
+        entry[last] = value
+    return data
+
+
+FILE_CASES = [  # (model file data or raw text, message)
+    ("[1, 2]", "model file must contain a JSON object"),
+    ("{", "invalid JSON"),
+    (_boat_with("metric", value=DROP), "missing required key 'metric'"),
+    (_boat_with("coordinates", value=[1, 2, 3]), "coordinates must be a list of names"),
+    (_boat_with("parameters", value=[1]), "parameters must be a name -> number map"),
+    (_boat_with("metric", value="1"), "metric must be a list of rows"),
+    (_boat_with("metric", 1, value="1"), "metric[1] must be a list"),
+    (_boat_with("constraint", value=[]), "constraint must be an object"),
+    (_boat_with("constraint", "W", value=1), "constraint: unknown keys ['W']"),
+    (_boat_with("constraint", "mu", value=DROP), "constraint: missing key 'mu'"),
+    (_boat_with("constraint", "Z", value=5), "constraint.Z must be a list"),
+    (_boat_with("constraint", value={"mu": [["1", "0", "0"]], "X": ["0", "0"]}),
+     "constraint.X must have one entry per coordinate"),
+    (_boat_with("metric", 0, 0, value=[1]), "metric[0][0]: cannot interpret [1] as an expression"),
+    (_boat_with("metric", -1, value=DROP), "metric grid is not n x n"),
+    (_boat_with("external_force", -1, value=DROP), "external force must have n components"),
+    (_boat_with("inputs", 0, -1, value=DROP), "input coframe rows must have n components"),
+    (_boat_with("constraint", "mu", 0, -1, value=DROP), "mu rows must have n components"),
+    (_boat_with("constraint", "Z", value=["0", "0"]), "Z must have one entry per constraint row"),
+]
+SIM = "simulate {} --q0 0,0,0 --qdot0 0,0,0 --dt 0.1 --out {out}"
+ARG_CASES = [  # (command line, "{}" standing for a boat file; message)
+    ("check {} --point x", "expected name=value, got 'x'"),
+    ("check {} --point z=1", "unknown coordinates ['z'] in --point"),
+    ("check {} --grid z=0:1:2", "unknown coordinate 'z' in --grid"),
+    ("check {} --grid x=0:1:0", "--grid count must be at least 1"),
+    ("control-at {} --q 0,0 --qdot 0,0,0", "--q needs 3 comma-separated values, got 2"),
+    (SIM + " --t-end 1 --wrap z", "--wrap: unknown coordinate 'z'"),
+    (SIM + " --t-end 0", "--t-end must be positive"),
+    (SIM + " --t-end 1 --sample-every 0", "--sample-every must be at least 1"),
+    (SIM.replace("--q0 0", "--q0 nan") + " --t-end 1", "non-finite state entry"),
+    ("fixture boat --current tide --out {out}",
+     "--current must be one of ['shear', 'still', 'vortex']"),
+]
+
+
+class TestInputChecks:
+    """Each malformed model file, model shape or command line is a usage
+    error (exit 2) that says what is wrong, never a traceback."""
+
+    @pytest.mark.parametrize("data, message", FILE_CASES)
+    def test_model_file(self, tmp_path, capsys, data, message):
+        path = tmp_path / "model.json"
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+        assert _code(["check", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", ARG_CASES)
+    def test_command_line(self, boat_file, tmp_path, capsys, argv, message):
+        argv = [a.format(boat_file, out=tmp_path / "out") for a in argv.split()]
+        assert _code(argv) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestChartRules:
     """A model file that breaks a rule of its chart exits 2 and names the
     culprit, whether or not an expression uses it."""
@@ -326,6 +498,14 @@ class TestFixtureRoundTrip:
         assert code == 0
         model, con = load_model(out)
         assert model.coordinates == ("x", "y", "theta")
+
+    def test_linear_fixture_round_trip(self, tmp_path, capsys):
+        out = tmp_path / "linear.json"
+        assert main(["fixture", "linear", "--m", "2", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"out": str(out), "fixture": "linear"}
+        expected = model_to_dict(*build_linear_fixture(m=2.0))
+        assert model_to_dict(*load_model(out)) == expected
+        assert json.loads(out.read_text()) == expected
 
     def test_round_trip_identical_solves(self, tmp_path, rng):
         model, con = build_boat("sin(y)", "cos(x)", m=1.7, I=0.4)

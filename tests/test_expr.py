@@ -85,6 +85,71 @@ class TestParse:
         assert err.value.offset == 4
 
 
+S = Symbol
+PARSE_TREES = [
+    ("1.", Constant(1.0)),
+    (".5e1", Constant(5.0)),
+    ("2e3", Constant(2000.0)),
+    ("x²", S("x²")),
+    ("θ + _a1", Binary("add", S("θ"), S("_a1"))),
+    ("\u00a0x\t", S("x")),
+    ("sin (x)", Unary("sin", S("x"))),
+    ("-x^2", Unary("neg", Binary("pow", S("x"), Constant(2.0)))),
+    ("2^-x", Binary("pow", Constant(2.0), Unary("neg", S("x")))),
+    ("2^3^2", Constant(512.0)),
+    ("(-2)^x", Binary("pow", Constant(-2.0), S("x"))),
+    ("a - b - c", Binary("sub", Binary("sub", S("a"), S("b")), S("c"))),
+    ("a/b*c", Binary("mul", Binary("div", S("a"), S("b")), S("c"))),
+]
+
+PARSE_ERRORS = [  # text, message, byte offset
+    ("2e", "unexpected 'e'", 1),
+    ("2e+x", "unexpected 'e'", 1),
+    (".", "malformed number '.'", 0),
+    (".e5", "malformed number '.e5'", 0),
+    ("1.5.2", "unexpected '.'", 3),
+    ("x y", "unexpected 'y'", 2),
+    ("(x", "expected ')'", 2),
+    ("sin(", "unexpected end of input", 4),
+    ("sqrt(-1", "expected ')'", 7),
+    ("sinh(x)", "unknown function 'sinh'", 0),
+    ("x(1)", "unknown function 'x'", 0),
+    ("x + 1e999", "number '1e999' is out of range", 4),
+    ("θ + * y", "unexpected '*'", 5),
+    ("١", "unexpected '١'", 0),
+    ("x @ y", "unexpected '@'", 2),
+    ("", "unexpected end of input", 0),
+    ("x + ", "unexpected end of input", 4),
+    (")", "unexpected ')'", 0),
+]
+
+
+class TestParseTable:
+    """Pins the parser's rules: a tree for each accepted text, and the
+    message and byte offset of each rejected one."""
+
+    @pytest.mark.parametrize("text, tree", PARSE_TREES)
+    def test_tree(self, text, tree):
+        assert parse(text) == tree
+
+    @pytest.mark.parametrize("text, message, offset", PARSE_ERRORS)
+    def test_error(self, text, message, offset):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (byte offset {offset})"
+        assert err.value.offset == offset
+
+    def test_folding_error_is_not_a_parse_error(self):
+        with pytest.raises(EvalError, match=r"^overflow in exp\(1000\)$"):
+            parse("exp(1000)")
+
+    def test_booleans_are_not_expressions(self):
+        for value in (True, False):
+            with pytest.raises(TypeError, match=f"cannot interpret {value} as an expression"):
+                ex.as_expr(value)
+        assert ex.as_expr(2) == Constant(2.0)
+
+
 class TestEval:
     def test_sin(self):
         assert evaluate(parse("sin(theta)"), {"theta": 0}) == 0
@@ -193,6 +258,11 @@ class TestPrinter:
         e = Constant(-1.5)
         assert parse(to_string(e)) == e
 
+    def test_negative_base_keeps_its_parentheses(self):
+        e = parse("(-2)^x")
+        assert to_string(e) == "(-2)^x"
+        assert evaluate(parse(to_string(e)), {"x": 2.0}) == 4.0
+
     def test_nested_structure_preserved(self):
         for text in ["a - (b + c)", "a/(b*c)", "(a + b)*c", "(x^y)^z", "-(a*b)"]:
             e = parse(text)
@@ -279,7 +349,40 @@ def _combine(children):
 _exprs = st.recursive(_leaf, _combine, max_leaves=12)
 
 
-@given(_exprs)
+def _folded(build, *children):
+    """build(*children), or None where folding raises or gives a non-finite
+    constant, which no text spells."""
+    if None in children:
+        return None
+    try:
+        e = build(*children)
+    except EvalError:
+        return None
+    return None if isinstance(e, Constant) and not math.isfinite(e.value) else e
+
+
+_BUILD = {"add": ex.add, "sub": ex.sub, "mul": ex.mul, "div": ex.div, "pow": ex.pow_}
+
+
+def _combine_all(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(sorted(_BUILD)), children, children).map(
+            lambda t: _folded(_BUILD[t[0]], t[1], t[2])
+        ),
+        st.tuples(st.sampled_from(ex.FUNCTIONS), children).map(
+            lambda t: _folded(lambda c: ex.fn(t[0], c), t[1])
+        ),
+        children.map(lambda c: _folded(ex.neg, c)),
+    )
+
+
+_all_exprs = st.recursive(
+    st.one_of(_leaf, st.floats(-1e3, -1e-3).map(lambda v: Constant(float(v)))),
+    _combine_all, max_leaves=12,
+).filter(lambda e: e is not None)
+
+
+@given(_all_exprs)
 def test_print_parse_round_trip_random(e):
     assert parse(to_string(e)) == e
 
