@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import expr as ex
 from . import linalg
 from .geometry import MechanicalModel, ModelError, State, _Chart, contract
@@ -92,14 +90,13 @@ class AffineConstraint(_Chart):
             for i, (v, e) in enumerate(zip(row, exprs)):
                 if not math.isfinite(v):
                     raise ex.EvalError(f"mu[{b}][{i}] = {ex.to_string(e)} is not finite ({v!r})")
-        S = np.array(S, dtype=float)
-        sv = np.linalg.svd(S, compute_uv=False)
-        rank = int(np.sum(sv > RANK_RTOL * sv[0]))  # 0 when S = 0; S has m >= 1 rows
+        sv = linalg.singular_values(S)
+        rank = sum(s > RANK_RTOL * sv[0] for s in sv)  # 0 when S = 0; S has m >= 1 rows
         return RankReport(
             ok=(rank == self.m),
             rank=rank,
             expected_rank=self.m,
-            singular_values=tuple(sv.tolist()),
+            singular_values=tuple(sv),
             q=tuple(float(v) for v in q),
         )
 

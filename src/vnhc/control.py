@@ -148,7 +148,9 @@ def b_vector(model: MechanicalModel, con: AffineConstraint, state: State) -> lis
     q, qd = state.q, state.qdot
     k = model._kernel(*q, *qd)
     drift = model._drift(q, qd, model._factor(q, k[0]), k)
-    return _finite_b(_b(con._kernel(*q, *qd), drift), state)
+    b = _b(con._kernel(*q, *qd), drift)
+    _finite(state, b=b)
+    return b
 
 
 def _b(k, drift) -> list[float]:
@@ -157,18 +159,22 @@ def _b(k, drift) -> list[float]:
     return [-(linalg.dot(row, drift) + cb) for row, cb in zip(S, c)]
 
 
-def _finite_b(b, state: State):
-    """b, checked finite for the single-state views (integrate checks states)."""
-    if not all(map(math.isfinite, b)):
-        raise EvalError(f"b {tuple(b)} is not finite at q={state.q}, qdot={state.qdot}")
-    return b
+def _finite(state: State, **vectors):
+    """The single-state views' check that each named vector is finite, in
+    order; integrate checks its states instead, so RK4 stages skip this."""
+    for name, v in vectors.items():
+        if not all(map(math.isfinite, v)):
+            raise EvalError(f"{name} {tuple(v)} is not finite at q={state.q}, qdot={state.qdot}")
 
 
 def _checked(model: MechanicalModel, con: AffineConstraint, state: State) -> _Assembly:
     check_compatible(model, con)
     model._check_state(state)
     a = _assemble(model, con, state.q, state.qdot, state)
-    _finite_b(a.b, state)
+    # A non-finite b or tau always reaches acc (0 * inf is NaN): one sum
+    # screens all three, and _finite names the first bad one.
+    if not math.isfinite(sum(a.acc)):
+        _finite(state, b=a.b, tau=a.tau, acceleration=a.acc)
     return a
 
 

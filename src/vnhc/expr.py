@@ -278,7 +278,10 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse DSL text into an Expr. Raises ParseError with a byte offset."""
     p = _Parser(text)
-    e = p.expr()
+    try:
+        e = p.expr()
+    except RecursionError:
+        p.error("expression is nested too deeply")
     if p.peek():
         p.error(f"unexpected {p.peek()[0]!r}")
     return e
@@ -512,6 +515,7 @@ def compile_exprs(
 
     lines: list[str] = []
     code = [key if isinstance(key, str) else None for key in dag]
+    depth = [0] * len(dag)  # parentheses the text of a node nests
 
     def emit(num: int) -> str:
         if code[num] is not None:
@@ -523,11 +527,13 @@ def compile_exprs(
             text = f"math.pow({a}, {b})" if op == "pow" else f"({a} {_SIGN[op]} {b})"
         else:
             text = f"(-{a})" if op == "neg" else f"math.{op}({a})"
-        if uses[num] > 1:
+        nest = 1 + max(depth[key[1]], depth[key[-1]])
+        if uses[num] > 1 or nest > 100:  # CPython parses up to 200 nested parentheses
+            nest = 0
             name = f"_t{len(lines)}"
             lines.append(f"    {name} = {text}\n")
             text = name
-        code[num] = text
+        code[num], depth[num] = text, nest
         return text
 
     def emit_tree(tree) -> str:

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import expr as ex
 from . import linalg
 
@@ -223,22 +221,19 @@ class MechanicalModel(_Chart):
         try:
             L = linalg.cholesky(g)
         except linalg.SingularMatrixError:
-            eigs = np.linalg.eigvalsh(np.array(g))
-            raise SPDError(
-                f"metric not positive definite at q={tuple(q)}; "
-                f"eigenvalues {eigs.tolist()}",
-                eigenvalues=eigs.tolist(),
-            ) from None
-        diag = list(map(operator.getitem, L, range(self.n)))
-        cond_est = (max(diag) / min(diag)) ** 2
-        if cond_est > linalg.CONDITION_CAP:
-            eigs = np.linalg.eigvalsh(np.array(g))
-            raise SPDError(
-                f"metric condition estimate {cond_est:.3e} exceeds "
-                f"{linalg.CONDITION_CAP:.0e} at q={tuple(q)}",
-                eigenvalues=eigs.tolist(),
-            )
-        return L
+            L = None
+        else:
+            diag = list(map(operator.getitem, L, range(self.n)))
+            cond_est = (max(diag) / min(diag)) ** 2
+            if not cond_est > linalg.CONDITION_CAP:
+                return L
+        eigs = linalg.eigvalsh(g)
+        raise SPDError(
+            f"metric not positive definite at q={tuple(q)}; eigenvalues {eigs}" if L is None
+            else f"metric condition estimate {cond_est:.3e} exceeds "
+            f"{linalg.CONDITION_CAP:.0e} at q={tuple(q)}",
+            eigenvalues=eigs,
+        )
 
     def christoffel_at(self, q: Sequence[float]) -> list[list[list[float]]]:
         """Levi-Civita symbols G^k_ij: G^-1 applied to the symbols of the
@@ -252,8 +247,7 @@ class MechanicalModel(_Chart):
         return linalg.cho_solve(L, covector)
 
     def flat(self, q: Sequence[float], vector: Sequence[float]) -> list[float]:
-        g = self.metric_at(q)
-        return linalg.matvec(g, list(vector))
+        return [linalg.dot(row, vector) for row in self.metric_at(q)]
 
     def grad_potential(self, q: Sequence[float]) -> list[float]:
         g, _, dv, _ = self._kernel(*q, *self._rest)

@@ -4,16 +4,21 @@ All matrices here are tiny (n of a few), so list-of-lists beats array
 overhead in the integration hot path.  Factorizations: Cholesky for SPD
 metric solves, LU with partial pivoting for the control solve.  Both
 factorizations and their triangular solves run as straight-line code
-generated once per size.
+generated once per size.  Spectra, for the checks and error messages
+only: `singular_values` by one-sided (Hestenes) Jacobi on the rows, which
+keeps small singular values accurate relative to the large ones (Demmel
+and Veselic, 1992), and `eigvalsh` by cyclic Jacobi.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 
 CONDITION_CAP = 1e12
+_EPS = 2.0 ** -52
 
 
 class SingularMatrixError(RuntimeError):
@@ -166,20 +171,58 @@ def _unit_vectors(n: int) -> tuple:
 
 def det_from_lu(lu: list[list[float]], piv: list[int]) -> float:
     """Determinant: the product of U's diagonal times the sign of the row
-    permutation."""
+    permutation, the parity of its inversions."""
     det = math.prod(lu[i][i] for i in range(len(lu)))
-    perm = list(piv)
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            det = -det
-    return det
-
-
-def matvec(a: list[list[float]], x: list[float]) -> list[float]:
-    return [sum(r[i] * x[i] for i in range(len(x))) for r in a]
+    inversions = sum(i > j for i, j in itertools.combinations(piv, 2))
+    return -det if inversions % 2 else det
 
 
 def dot(x: list[float], y: list[float]) -> float:
     return sum(map(operator.mul, x, y))
+
+
+def _jacobi(a: list, one_sided: bool) -> list:
+    """Cyclic Jacobi on the rows of a, in place.  A row pair (p, q) whose
+    2 x 2 [[app, apq], [apq, aqq]] has |apq| > eps sqrt(|app aqq|) is turned
+    to zero apq: with one_sided, that is the Gram matrix of the two rows and
+    only they turn; otherwise a is symmetric, the block its own entries, and
+    columns p, q turn too.  Stops after a sweep without rotations; the
+    convergence is quadratic, and the bound of 30 sweeps only stops inf and
+    NaN entries."""
+    for _ in range(30):
+        rotated = False
+        for p, q in itertools.combinations(range(len(a)), 2):
+            app, aqq, apq = ((dot(a[p], a[p]), dot(a[q], a[q]), dot(a[p], a[q])) if one_sided
+                             else (a[p][p], a[q][q], a[p][q]))
+            if abs(apq) > _EPS * math.sqrt(abs(app)) * math.sqrt(abs(aqq)):
+                zeta = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c, s = 1.0 / math.hypot(1.0, t), t / math.hypot(1.0, t)
+                a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],
+                              [s * x + c * y for x, y in zip(a[p], a[q])])
+                if not one_sided:
+                    for row in a:
+                        row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+                    a[p][p], a[q][q], a[p][q], a[q][p] = app - t * apq, aqq + t * apq, 0.0, 0.0
+                rotated = True
+        if not rotated:
+            break
+    return a
+
+
+def singular_values(a: list[list[float]]) -> list[float]:
+    """Singular values of the m x n matrix a with m <= n, descending: the
+    norms of its rows once one-sided Jacobi has made them orthogonal.
+    S S^T is never formed, and one row needs no rotation."""
+    if len(a) == 1:
+        return [math.hypot(*a[0])]
+    _, e = math.frexp(max(abs(x) for row in a for x in row))  # exact power-of-2 scaling
+    rows = _jacobi([[math.ldexp(x, -e) for x in row] for row in a], one_sided=True)
+    return sorted((math.ldexp(math.hypot(*row), e) for row in rows), reverse=True)
+
+
+def eigvalsh(a: list[list[float]]) -> list[float]:
+    """Eigenvalues of the symmetric matrix a, ascending, by two-sided
+    Jacobi; a diagonal a is returned exactly, sorted."""
+    a = _jacobi([list(row) for row in a], one_sided=False)
+    return sorted(a[i][i] for i in range(len(a)))

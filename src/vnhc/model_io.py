@@ -109,6 +109,8 @@ def load_model_dict(data: dict) -> tuple[MechanicalModel, AffineConstraint]:
         check_compatible(model, con)
     except (ModelError, ex.EvalError) as err:  # EvalError: a non-finite number
         raise ModelFileError(str(err)) from err
+    except RecursionError:
+        raise ModelFileError("an expression is nested too deeply to differentiate") from None
     return model, con
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from vnhc import (
     transversality_check,
 )
 from vnhc.cli import main
+
+SRC = os.path.dirname(os.path.dirname(vnhc.__file__))
 
 DEGENERATE = {
     "coordinates": ["x", "y"],
@@ -349,6 +354,80 @@ class TestNonFiniteResults:
         path = self.plane(tmp_path, mu=("1e300*x", "1e300*x"), inputs=("1", "-1"))
         assert main(["control-at", path, "--q", "1e10,0", "--qdot", "0,0"]) == 1
         assert "error: P matrix [[nan]] is not finite" in capsys.readouterr().err
+
+    def big_force_plane(self, tmp_path, metric, inputs):
+        return write_json(tmp_path, "solve.json", {
+            "coordinates": ["x", "y"],
+            "metric": [[metric, "0"], ["0", metric]],
+            "external_force": ["1e300*x", "0"],
+            "inputs": [list(inputs)],
+            "constraint": {"mu": [["1", "0"]], "Z": ["0"]},
+        })
+
+    def test_tau_overflow_in_the_solve(self, tmp_path, capsys):
+        # P = 1e-40 passes the pivot and condition gates; b = -1e290 is finite.
+        path = self.big_force_plane(tmp_path, "1e10", ("1e-30", "0"))
+        assert main(["control-at", path, "--q", "1,0", "--qdot", "0,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: tau (-inf,) is not finite at q=(1.0, 0.0), qdot=(0.0, 0.0)\n"
+        )
+        model, con = load_model(path)
+        state = State(q=(1.0, 0.0), qdot=(0.0, 0.0))
+        for view in (solve_control, tau_star, closed_loop_acceleration):
+            with pytest.raises(EvalError, match=r"^tau \(-inf,\) is not finite"):
+                view(model, con, state)
+        assert b_vector(model, con, state) == [-1e290]
+
+    def test_acceleration_overflow_with_finite_tau(self, tmp_path, capsys):
+        # Y = (1, 1e11) against S = (1, 0): tau = -1e300, tau * Y_y = -inf.
+        path = self.big_force_plane(tmp_path, "1", ("1", "1e11"))
+        model, con = load_model(path)
+        state = State(q=(1.0, 0.0), qdot=(0.0, 0.0))
+        for view in (solve_control, tau_star, closed_loop_acceleration):
+            with pytest.raises(EvalError, match=r"^acceleration \(0\.0, -inf\) is not finite"):
+                view(model, con, state)
+        assert main(["control-at", path, "--q", "1,0", "--qdot", "0,0"]) == 1
+        assert "error: acceleration (0.0, -inf) is not finite" in capsys.readouterr().err
+
+
+class TestDeepNesting:
+    """An expression nested or summed too deeply for Python's recursion or
+    parser limits is a one-line usage error (exit 2) from the command."""
+
+    def run(self, tmp_path, **fields):
+        data = {
+            "coordinates": ["x", "y"],
+            "metric": [["1", "0"], ["0", "1"]],
+            "inputs": [["1", "0"]],
+            "constraint": {"mu": [["1", "0"]], "Z": ["0"]},
+            **fields,
+        }
+        path = write_json(tmp_path, "deep.json", data)
+        env = {**os.environ, "PYTHONPATH": SRC}
+        return subprocess.run([sys.executable, "-m", "vnhc.cli", "check", path],
+                              capture_output=True, text=True, env=env)
+
+    def test_nested_parentheses(self, tmp_path):
+        done = self.run(tmp_path, metric=[["(" * 400 + "1" + ")" * 400, "0"], ["0", "1"]])
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: metric[0][0]: expression is nested too deeply")
+        assert done.stderr.count("\n") == 1
+
+    def test_long_sum(self, tmp_path):
+        done = self.run(tmp_path, potential=" + ".join(["x"] * 3000))
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr == "error: an expression is nested too deeply to differentiate\n"
+
+    def test_deep_kernel_compiles(self, tmp_path):
+        # 300 nested products in the compiled force exceed CPython's 200
+        # nested parentheses unless the kernel binds them to locals.
+        done = self.run(tmp_path, external_force=[" + ".join(["x"] * 300), "0"])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "transversality=ok" in done.stdout
 
 
 class TestFieldChecks:

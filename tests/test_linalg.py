@@ -1,12 +1,15 @@
 """The straight-line linear algebra kernels: bit-equal to the textbook
-loops they unroll, and right against numpy."""
+loops they unroll, and right against numpy; the Jacobi spectra against
+numpy's LAPACK."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from vnhc import linalg
+from vnhc import AffineConstraint, linalg
+from vnhc.constraint import RANK_RTOL
 
 
 def loop_cholesky(a):
@@ -109,3 +112,80 @@ class TestStraightLine:
         P[n - 1] = [0.0] * n
         with pytest.raises(linalg.SingularMatrixError):
             linalg.lu_factor(P)
+
+
+# -- spectra: singular values and symmetric eigenvalues against numpy --------
+
+SPECTRUM = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def row_matrices(draw):
+    """m x n with m <= 3, n <= 5: plain random entries, or U diag(s) V^T
+    with singular values graded down to 1e-12 of the largest."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 5))
+    if draw(st.booleans()):
+        entry = st.floats(-10.0, 10.0, allow_nan=False)
+        return [[draw(entry) for _ in range(n)] for _ in range(m)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    s = 10.0 ** np.array(draw(st.lists(st.floats(-12.0, 0.0), min_size=m, max_size=m)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return (scale * (U @ np.diag(s) @ V[:m])).tolist()
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 6))
+    a = [[draw(st.floats(-10.0, 10.0, allow_nan=False)) for _ in range(n)] for _ in range(n)]
+    return [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+
+
+class TestSpectra:
+    @SPECTRUM
+    @given(row_matrices())
+    def test_singular_values_match_numpy(self, S):
+        sv = linalg.singular_values(S)
+        ref = np.linalg.svd(np.array(S), compute_uv=False)
+        assert len(sv) == len(S)
+        assert sv == sorted(sv, reverse=True)
+        assert np.max(np.abs(np.array(sv) - ref)) <= 1e-13 * ref[0]
+
+    @SPECTRUM
+    @given(row_matrices())
+    def test_rank_verdict_matches_numpy(self, S):
+        ref = np.linalg.svd(np.array(S), compute_uv=False)
+        ratios = ref / ref[0] if ref[0] > 0 else np.zeros_like(ref)
+        assume(np.all(np.abs(ratios / RANK_RTOL - 1.0) > 1e-3))
+        names = [f"q{i}" for i in range(len(S[0]))]
+        report = AffineConstraint(names, S, [0.0] * len(S)).rank_check([0.0] * len(names))
+        assert report.rank == int(np.sum(ref > RANK_RTOL * ref[0]))
+
+    @SPECTRUM
+    @given(symmetric_matrices())
+    def test_eigenvalues_match_numpy(self, a):
+        eigs = linalg.eigvalsh(a)
+        ref = np.linalg.eigvalsh(np.array(a))
+        assert eigs == sorted(eigs)
+        assert np.max(np.abs(np.array(eigs) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_signed_eigenvalues(self):
+        assert linalg.eigvalsh([[0.0, 1.0], [1.0, 0.0]]) == [-1.0, 1.0]
+
+    @SPECTRUM
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6))
+    def test_diagonal_is_exact(self, d):
+        n = len(d)
+        a = [[d[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
+        assert linalg.eigvalsh(a) == sorted(d)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 2)])
+    def test_non_finite_entries_terminate(self, bad, where):
+        a = [[2.0, 0.5, -1.0], [0.5, 1.0, 0.3], [-1.0, 0.3, 3.0]]
+        a[where[0]][where[1]] = a[where[1]][where[0]] = bad
+        assert len(linalg.eigvalsh(a)) == 3
+        assert len(linalg.singular_values(a[:2])) == 2
+        assert len(linalg.singular_values(a[:1])) == 1
