@@ -60,11 +60,16 @@ class AffineConstraint(_Chart):
 
         # One kernel of (q, qdot): (S rows, Z, c), where
         # c_b = sum_i (d_i mu^b(qdot) + d_i Z_b) qdot^i is dphi_b/dt less S_b qddot.
+        mu, Z = self._fold({"mu": self.mu, "Z": self.Z})
         v = [ex.Symbol(s) for s in self.velocities]
         c = [contract([contract([ex.diff(e, x) for e in row], v) + ex.diff(z, x)
                        for x in self.coordinates], v)
-             for row, z in zip(self.mu, self.Z)]
-        self._kernel = self._compile_qv([self.mu, self.Z, c], {"mu": self.mu, "Z": self.Z})
+             for row, z in zip(mu, Z)]
+        self._exprs = [mu, Z, c]
+        self._kernel = self._compile_qv(self._exprs)
+        # The closed-loop kernel of (model, self): (model, function), built
+        # by `control` on the first closed-loop evaluation with that model.
+        self._closed_loop = (None, None)
 
     # -- evaluation ---------------------------------------------------------
 

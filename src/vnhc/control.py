@@ -6,13 +6,28 @@ of phi along the drift.  The law is defined wherever P is invertible, on
 or off the constraint set; off the set it conserves phi at its initial
 value instead of nulling it.
 
-Every entry point is a view over one assembly: `_p_system` calls the
-model's and the constraint's kernels once each and factors G and P once
-at q; `_assemble` adds the drift G^-1 (F - dV - w), b = -(S drift + c),
-tau and the acceleration.  The velocity-quadratic forms w and c come out
-of the kernels; no contraction happens here.  The q-only views call the
-kernels at qdot = 0.  The integrator still re-solves the control at every
-RK4 stage, and the tau it samples is the next step's stage-1 solve.
+The closed-loop views (`solve_control`, `tau_star`,
+`closed_loop_acceleration`, and `sim`'s RK4 stages) make one call of a
+kernel generated per (model, constraint) pair: straight-line code with
+the model's, force's and constraint's expressions (common subexpressions
+computed once across all three), the metric's Cholesky factor, the input
+fields Y = G^-1 coframe, P = S Y, its pivoted LU and cond_1, the drift
+G^-1 (F - dV - w), b = -(S drift + c), tau and the acceleration, all
+inline.  It is compiled on the first closed-loop call with a model and
+kept on the constraint, so loading a model does not pay for it.
+
+Every gate (metric SPD and condition, exactly singular P, pivot, P
+condition, a non-finite cond) is a branch in that kernel.  Where one
+fails, or a math error is raised, the generic assembly runs instead:
+`_p_system` calls the model's and the constraint's kernels once each and
+factors G and P once at q, and `_assemble` adds the drift, b, tau and the
+acceleration, raising the typed error with its message.  Both compute the
+same operations in the same order, so their results are bit-identical.
+The q-only views (`p_matrix`, `transversality_check`, `vnhc check`) use
+`_p_system` at qdot = 0 and never evaluate the external force, which may
+be singular there (Coulomb friction).  The integrator re-solves the
+control at every RK4 stage, and the tau it samples is the next step's
+stage-1 solve.
 """
 
 from __future__ import annotations
@@ -23,6 +38,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat, starmap
 from typing import NamedTuple
 
+from . import expr as ex
 from . import linalg
 from .constraint import AffineConstraint, check_compatible
 from .expr import EvalError
@@ -50,12 +66,6 @@ class ControlSolve:
 PIVOT_RTOL = 1e-12
 
 
-def p_scale(S, Y) -> float:
-    """Natural magnitude of P entries before cancellation: the largest
-    constraint-row norm times the largest input-field norm."""
-    return max(starmap(math.hypot, S)) * max(starmap(math.hypot, Y))
-
-
 class _PSystem(NamedTuple):
     """P(q) with its one LU factorization and the transversality verdict."""
 
@@ -69,13 +79,6 @@ class _PSystem(NamedTuple):
     min_pivot: float
     cond: float  # inf when P is singular or its smallest pivot is negligible
     error: str | None  # why no control exists at q; None when P is admissible
-
-
-class _Assembly(NamedTuple):
-    p: _PSystem
-    b: list
-    tau: list
-    acc: list  # drift plus tau_a Y^a
 
 
 def _p_system(model: MechanicalModel, con: AffineConstraint, q, qd) -> _PSystem:
@@ -96,7 +99,9 @@ def _p_system(model: MechanicalModel, con: AffineConstraint, q, qd) -> _PSystem:
     # A non-finite entry makes P singular or cond non-finite: only then is P checked.
     if not math.isfinite(cond) and not all(map(math.isfinite, chain.from_iterable(P))):
         raise EvalError(f"P matrix {P} is not finite at q={tuple(q)}")
-    scale = p_scale(S, Y)
+    # The magnitude of P's entries before cancellation: the largest
+    # constraint-row norm times the largest input-field norm.
+    scale = max(starmap(math.hypot, S)) * max(starmap(math.hypot, Y))
     error = None
     if lu is None:
         error = f"singular P matrix at q={tuple(q)}"
@@ -120,9 +125,10 @@ def _admissible(ps: _PSystem, q, state=None) -> _PSystem:
     return ps
 
 
-def _assemble(model: MechanicalModel, con: AffineConstraint, q, qd, state=None) -> _Assembly:
-    """Solve P tau = b at (q, qd); raises TransversalityError where P is not
-    admissible.  Inputs are trusted: callers validate at the API boundary."""
+def _assemble(model: MechanicalModel, con: AffineConstraint, q, qd, state=None) -> tuple:
+    """(acc, tau, b, P, cond) at (q, qd) by the generic assembly; raises
+    TransversalityError where P is not admissible.  Inputs are trusted:
+    callers validate at the API boundary."""
     ps = _admissible(_p_system(model, con, q, qd), q, state)
     drift = model._drift(q, qd, ps.L, ps.k)
     b = _b(ps.c, drift)
@@ -131,7 +137,103 @@ def _assemble(model: MechanicalModel, con: AffineConstraint, q, qd, state=None) 
     for t, ya in zip(tau, ps.Y):
         if t != 0.0:
             acc = list(map(operator.add, acc, map(operator.mul, repeat(t), ya)))
-    return _Assembly(ps, b, tau, acc)
+    return acc, tau, b, ps.P, ps.cond
+
+
+def _closed_loop_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
+    """Source of kernel(q, qd) -> (acc, tau, b, P, cond), or None where a
+    gate of `_assemble` fails: the model's, force's and constraint's
+    expressions with common subexpressions computed once, then the
+    operations of `_assemble` in its order, from the generators of
+    `linalg`, so the results are bit-identical to it."""
+    n, m = model.n, con.m
+    r, rm = range(n), range(m)
+    mu, _, dphi = con._exprs  # Z is not needed
+    lines, ((G, coframe, dV, w), F, S, c), _ = ex._emit(
+        [model._exprs, model._force, mu, dphi], model.coordinates + model.velocities)
+    body = [f"{linalg._vector('_a', n)}, = q",
+            ", ".join(f"_a{n + i}" for i in r) + ", = qd", *lines]
+    body += [f"g{i}_{j} = {G[i][j]}" for i in r for j in range(i + 1)]
+    body += [f"y{a}_{i} = {coframe[a][i]}" for a in rm for i in r]
+    body += [f"S{b}_{i} = {S[b][i]}" for b in rm for i in r]
+    body += [f"d{i} = ({F[i]} - {dV[i]}) - {w[i]}" for i in r]  # drift: G^-1 (F - dV - w)
+    # The metric: SPD and condition gates, then the input fields Y^a = G^-1 coframe^a.
+    body += linalg._cholesky_lines(n, "g", "l", "return None")
+    diag = [f"l{i}_{i}" for i in r]
+    body += [f"if ({linalg._max(diag)} / {linalg._min(diag)}) ** 2 > {linalg.CONDITION_CAP!r}:",
+             "    return None"]
+    for a in rm:
+        body += linalg._cho_solve_lines(n, "l", f"y{a}_")
+    # P = S Y, factored, with its singular, condition and pivot gates.
+
+    def dot(x: str, y: str) -> str:  # {x} . {y}, added up as sum() does, from 0
+        return "0.0" + "".join(f" + {x}{i} * {y}{i}" for i in r)
+
+    body += [f"P{b}_{a} = {dot(f'S{b}_', f'y{a}_')}" for b in rm for a in rm]
+    body += [f"u{b}_{a} = P{b}_{a}" for b in rm for a in rm]
+    body += linalg._lu_factor_lines(m, "u", "p", "return None")
+    body += linalg._cond1_lines(m, "P", "u", "p", "cond")
+
+    def longest(x: str) -> str:  # the largest row norm of {x}: the pivot scale's factors
+        return linalg._max([f"hypot({linalg._vector(f'{x}{a}_', n)})" for a in rm])
+
+    min_pivot = linalg._min([f"abs(u{a}_{a})" for a in rm])
+    body += [f"if not cond <= {linalg.CONDITION_CAP!r} or "
+             f"{min_pivot} <= {PIVOT_RTOL!r} * ({longest('S')} * {longest('y')}):",
+             "    return None"]
+    # The drift, b = -(S drift + c), tau and acc = drift + tau_a Y^a.
+    body += linalg._cho_solve_lines(n, "l", "d")
+    body += [f"b{b} = -({dot(f'S{b}_', 'd')} + {c[b]})" for b in rm]
+    body += linalg._lu_solve_lines(m, "u", "p", f"({linalg._vector('b', m)},)", "t")
+    for a in rm:
+        body += [f"if t{a} != 0.0:", *(f"    d{i} = d{i} + t{a} * y{a}_{i}" for i in r)]
+    return linalg._kernel_source(
+        "q, qd", body,
+        f"[{linalg._vector('d', n)}], [{linalg._vector('t', m)}], [{linalg._vector('b', m)}], "
+        f"{linalg._matrix('P', m)}, cond")
+
+
+def _compile_closed_loop(model: MechanicalModel, con: AffineConstraint):
+    namespace = {"math": math, "sqrt": math.sqrt, "hypot": math.hypot}
+    exec("\n".join(_closed_loop_source(model, con)), namespace)
+    return namespace["kernel"]
+
+
+def _closed_loop(model: MechanicalModel, con: AffineConstraint):
+    """field(q, qd, state=None) -> (acc, tau, b, P, cond) for this pair,
+    compiled on the first call with this model and kept on con.  A pair
+    whose expressions are too deep to compile here, a few stack frames
+    short of the limit that loading met, runs the generic assembly."""
+    owner, field = con._closed_loop
+    if owner is not model:
+        try:
+            kernel = _compile_closed_loop(model, con)
+        except RecursionError:
+            kernel = _declined
+        field = _with_fallback(model, con, kernel)
+        con._closed_loop = (model, field)
+    return field
+
+
+def _declined(q, qd):
+    """A kernel that declines every state, so the generic assembly runs."""
+    return None
+
+
+def _with_fallback(model: MechanicalModel, con: AffineConstraint, kernel):
+    """field(q, qd, state=None) running kernel(q, qd); where that declines
+    (returns None: a gate failed) or meets a math error, `_assemble` runs
+    instead, and raises the typed error with its message, or returns what
+    it computes (where cond is NaN, say)."""
+
+    def field(q, qd, state=None):
+        try:
+            out = kernel(q, qd)
+        except (ArithmeticError, ValueError):
+            out = None
+        return _assemble(model, con, q, qd, state) if out is None else out
+
+    return field
 
 
 def p_matrix(model: MechanicalModel, con: AffineConstraint, q) -> list[list[float]]:
@@ -167,37 +269,38 @@ def _finite(state: State, **vectors):
             raise EvalError(f"{name} {tuple(v)} is not finite at q={state.q}, qdot={state.qdot}")
 
 
-def _checked(model: MechanicalModel, con: AffineConstraint, state: State) -> _Assembly:
+def _checked(model: MechanicalModel, con: AffineConstraint, state: State) -> tuple:
     check_compatible(model, con)
     model._check_state(state)
-    a = _assemble(model, con, state.q, state.qdot, state)
+    out = _closed_loop(model, con)(state.q, state.qdot, state)
+    acc, tau, b = out[:3]
     # A non-finite b or tau always reaches acc (0 * inf is NaN): one sum
     # screens all three, and _finite names the first bad one.
-    if not math.isfinite(sum(a.acc)):
-        _finite(state, b=a.b, tau=a.tau, acceleration=a.acc)
-    return a
+    if not math.isfinite(sum(acc)):
+        _finite(state, b=b, tau=tau, acceleration=acc)
+    return out
 
 
 def solve_control(
     model: MechanicalModel, con: AffineConstraint, state: State
 ) -> ControlSolve:
     """Assemble and solve P tau = b at one state."""
-    a = _checked(model, con, state)
+    _, tau, b, P, cond = _checked(model, con, state)
     return ControlSolve(
-        P=tuple(tuple(row) for row in a.p.P),
-        b=tuple(a.b),
-        tau=tuple(a.tau),
-        cond_estimate=a.p.cond,
+        P=tuple(tuple(row) for row in P),
+        b=tuple(b),
+        tau=tuple(tau),
+        cond_estimate=cond,
     )
 
 
 def tau_star(model: MechanicalModel, con: AffineConstraint, state: State) -> list[float]:
     """The unique control keeping phi constant along the closed loop."""
-    return _checked(model, con, state).tau
+    return _checked(model, con, state)[1]
 
 
 def closed_loop_acceleration(
     model: MechanicalModel, con: AffineConstraint, state: State
 ) -> list[float]:
     """Drift acceleration plus tau*_a Y^a: the controlled second-order field."""
-    return _checked(model, con, state).acc
+    return _checked(model, con, state)[0]

@@ -10,6 +10,7 @@ Grammar (precedence low to high): ``+ -`` < ``* /`` < unary ``-`` < ``^``
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -340,6 +341,58 @@ def _leaves(e: Expr) -> tuple[set[str], list[float]]:
     return symbols, bad
 
 
+def substitute(e: Expr, values: Mapping[str, float]) -> tuple[Expr, set[str], list[float]]:
+    """e with each symbol named in values replaced by its value as a
+    Constant, rebuilt by the smart constructors, so that identities such as
+    1.0 * x and constant subtrees fold; with, from the same walk, the names
+    of e's symbols and its non-finite constants, left to right.
+
+    A fold that raises, or gives a non-finite number, is left unfolded, so
+    that the error still happens where the expression is evaluated, as it
+    would with the symbol.  Recursive, as `diff` is, which runs next on the
+    result; a subtree shared within e is walked once."""
+    symbols: set[str] = set()
+    bad: list[float] = []
+    memo: dict = {}  # id of a compound node of e -> its result
+
+    def walk(node: Expr) -> Expr:
+        kind = type(node)
+        if kind is Symbol:
+            symbols.add(node.name)
+            return Constant(float(values[node.name])) if node.name in values else node
+        if kind is Constant:
+            if not math.isfinite(node.value):
+                bad.append(node.value)
+            return node
+        new = memo.get(id(node))
+        if new is None:
+            if kind is Binary:
+                l, r = walk(node.left), walk(node.right)
+                new = node if l is node.left and r is node.right else _refold(node, l, r)
+            else:
+                c = walk(node.child)
+                new = node if c is node.child else _refold(node, c)
+            memo[id(node)] = new
+        return new
+
+    return walk(e), symbols, bad
+
+
+def _refold(node: Expr, *children: Expr) -> Expr:
+    """node's op over the new children by its smart constructor, or, where
+    that raises or gives a non-finite constant, the plain node."""
+    try:
+        folded = _BUILD.get(node.op, functools.partial(fn, node.op))(*children)
+    except EvalError:
+        folded = None
+    if folded is None or isinstance(folded, Constant) and not math.isfinite(folded.value):
+        return type(node)(node.op, *children)
+    return folded
+
+
+_BUILD = {"add": add, "sub": sub, "mul": mul, "div": div, "pow": pow_, "neg": neg}
+
+
 # ---------------------------------------------------------------------------
 # Differentiation
 
@@ -402,58 +455,66 @@ def _prec(e: Expr) -> int:
 
 
 def to_string(e: Expr) -> str:
-    """Render so that parse(to_string(e)) reproduces e node for node."""
-    if isinstance(e, Constant):
-        v = e.value
-        if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-            return str(int(v))
-        return repr(v)
-    if isinstance(e, Symbol):
-        return e.name
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return "-" + _wrap(e.child, 4)
-        return f"{e.op}({to_string(e.child)})"
-    assert isinstance(e, Binary)
-    p = _PREC[e.op]
-    if e.op == "pow":
-        # right-assoc; exponent position admits unary minus and pow
-        return _wrap(e.left, 5) + "^" + _wrap(e.right, 3)
-    left = _wrap(e.left, p)
-    right = _wrap(e.right, p + 1)
-    return f"{left} {_SIGN[e.op]} {right}"
+    """Render so that parse(to_string(e)) reproduces e node for node.
+    Children are printed before their parents from an explicit stack, not
+    by recursion, so every tree that parses also prints."""
+    text: dict[int, str] = {}  # id of a node of e -> its text
 
+    def wrap(child: Expr, min_prec: int) -> str:
+        s = text[id(child)]
+        return f"({s})" if _prec(child) < min_prec else s
 
-def _wrap(e: Expr, min_prec: int) -> str:
-    s = to_string(e)
-    return f"({s})" if _prec(e) < min_prec else s
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in text:  # a shared node, already printed
+            stack.pop()
+            continue
+        children = ((node.left, node.right) if isinstance(node, Binary)
+                    else (node.child,) if isinstance(node, Unary) else ())
+        todo = [c for c in children if id(c) not in text]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        if isinstance(node, Constant):
+            v = node.value
+            if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+                text[id(node)] = str(int(v))
+            else:
+                text[id(node)] = repr(v)
+        elif isinstance(node, Symbol):
+            text[id(node)] = node.name
+        elif isinstance(node, Unary):
+            text[id(node)] = ("-" + wrap(node.child, 4) if node.op == "neg"
+                              else f"{node.op}({text[id(node.child)]})")
+        elif node.op == "pow":
+            # right-assoc; exponent position admits unary minus and pow
+            text[id(node)] = wrap(node.left, 5) + "^" + wrap(node.right, 3)
+        else:
+            p = _PREC[node.op]
+            text[id(node)] = f"{wrap(node.left, p)} {_SIGN[node.op]} {wrap(node.right, p + 1)}"
+    return text[id(e)]
 
 
 # ---------------------------------------------------------------------------
 # Compilation to fast callables
 
-def compile_exprs(
-    exprs: Sequence,
-    variables: Sequence[str],
-    constants: Mapping[str, float] | None = None,
-) -> Callable[..., tuple]:
-    """Compile expressions to one function of the given positional variables.
+def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, float] | None = None):
+    """Straight-line source of exprs over the locals _a0, _a1, ... that
+    hold the variables, with common subexpressions computed once.
 
-    The function returns a tuple with one value per item of exprs; an item
-    that is itself a sequence of expressions gives a nested tuple, so
-    callers get matrix rows without slicing.  Constants (model parameters)
-    are inlined.  A free symbol that is neither a variable nor a constant,
-    or a non-finite number or constant, raises EvalError at compile time.
+    Returns (lines, roots, outputs): the statements binding subexpressions
+    to the locals _t0, _t1, ..., in order; exprs with each expression
+    replaced by the source of its value, a local, a literal or an inline
+    expression, nested alike; and the expressions, left to right.  Raises
+    EvalError for a free symbol that is neither a variable nor a constant,
+    or a non-finite number or constant.
 
-    A math error at call time (division by zero, a domain error, an
-    overflow) raises the EvalError of `evaluate` on the same inputs, which
-    names the failing subexpression.
-
-    Common subexpressions are computed once.  Each node is numbered by
-    its structure (hash-consing: the key of a compound node is its op and
-    its children's numbers, so no tree is hashed twice), and a compound
-    node used more than once, within one expression or across several, is
-    bound to a local on first use.
+    Each node is numbered by its structure (hash-consing: the key of a
+    compound node is its op and its children's numbers, so no tree is
+    hashed twice), and a compound node used more than once, within one
+    expression or across several, is bound to a local on first use.
     """
     constants = constants or {}
     argnames = {name: f"_a{i}" for i, name in enumerate(variables)}
@@ -531,19 +592,46 @@ def compile_exprs(
         if uses[num] > 1 or nest > 100:  # CPython parses up to 200 nested parentheses
             nest = 0
             name = f"_t{len(lines)}"
-            lines.append(f"    {name} = {text}\n")
+            lines.append(f"{name} = {text}")
             text = name
         code[num], depth[num] = text, nest
         return text
 
-    def emit_tree(tree) -> str:
-        if isinstance(tree, int):
-            return emit(tree)
-        return "(" + "".join(emit_tree(t) + ", " for t in tree) + ")"
+    def emit_tree(tree):
+        return emit(tree) if isinstance(tree, int) else [emit_tree(t) for t in tree]
 
-    body = emit_tree(roots)
-    args = ", ".join(argnames.values())
-    src = f"def _kernel({args}):\n{''.join(lines)}    return {body}\n"
+    return lines, emit_tree(roots), outputs
+
+
+def compile_exprs(
+    exprs: Sequence,
+    variables: Sequence[str],
+    constants: Mapping[str, float] | None = None,
+) -> Callable[..., tuple]:
+    """Compile expressions to one function of the given positional variables.
+
+    The function returns a tuple with one value per item of exprs; an item
+    that is itself a sequence of expressions gives a nested tuple, so
+    callers get matrix rows without slicing.  Constants (model parameters)
+    are inlined.  A free symbol that is neither a variable nor a constant,
+    or a non-finite number or constant, raises EvalError at compile time.
+    Common subexpressions are computed once (see `_emit`).
+
+    A math error at call time (division by zero, a domain error, an
+    overflow) raises the EvalError of `evaluate` on the same inputs, which
+    names the failing subexpression.
+    """
+    constants = constants or {}
+    lines, roots, outputs = _emit(exprs, variables, constants)
+
+    def tuple_source(tree) -> str:
+        if isinstance(tree, str):
+            return tree
+        return "(" + "".join(tuple_source(t) + ", " for t in tree) + ")"
+
+    args = ", ".join(f"_a{i}" for i in range(len(variables)))
+    body = "".join(f"    {line}\n" for line in lines)
+    src = f"def _kernel({args}):\n{body}    return {tuple_source(roots)}\n"
     namespace: dict = {"math": math}
     exec(src, namespace)
     raw = namespace["_kernel"]

@@ -2,14 +2,15 @@
 
 Everything is coordinate-based on an open subset of n-space.  The model
 holds the kinetic-energy metric, potential, external force covector and
-the control coframe rows; symbolic derivatives of all of these are taken
-once at construction and compiled to two kernels of (q, qdot): one for
-the metric, coframe, potential gradient and the geodesic form
-w = Gamma(qdot, qdot) lowered by the metric, and one for the external
-force alone.  Views that depend on q only call the first at qdot = 0,
-where w vanishes; the force stays out of them because it may be singular
-there (Coulomb friction).  `christoffel_at` compiles its own kernel on
-first use.
+the control coframe rows; at construction the parameters' values are
+folded into them, their symbolic derivatives are taken once, and they are
+compiled to a kernel of (q, qdot) for the metric, coframe, potential
+gradient and the geodesic form w = Gamma(qdot, qdot) lowered by the
+metric.  The stored fields stay symbolic.  Views that depend on q only
+call it at qdot = 0, where w vanishes; the external force stays out of
+them because it may be singular there (Coulomb friction), and has a
+kernel of its own.  That kernel and the one `christoffel_at` uses are
+compiled on first use.
 """
 
 from __future__ import annotations
@@ -89,37 +90,41 @@ class _Chart:
                 raise ModelError(f"parameter {name!r} is not finite ({float(value)!r})")
         self._rest = (0.0,) * self.n
 
-    def _compile_qv(self, exprs, fields: Mapping[str, object], with_velocities=False):
-        """compile_exprs over (q, qdot) with the parameters inlined, after
-        checking that the source fields (name -> an expression or a nested
-        list of them) use only coordinates and parameters, plus velocities if
-        with_velocities, and hold no non-finite constant, such as a folded
-        1e200*1e200; a symbol error in any field is reported first."""
-        args, v = self.coordinates + self.velocities, set(self.velocities)
-        allowed = set(self.parameters) | set(args if with_velocities else self.coordinates)
+    def _fold(self, fields: Mapping[str, object], with_velocities=False) -> list:
+        """The source fields (name -> an expression or a nested list of
+        them) with the parameters' values substituted, so that identities and
+        constant subtrees fold before anything is differentiated or compiled
+        (see `expr.substitute`), after checking that they use only coordinates
+        and parameters, plus velocities if with_velocities, and hold no
+        non-finite constant, such as a folded 1e200*1e200; a symbol error in
+        any field is reported first.  The source fields stay symbolic."""
+        v = set(self.velocities)
+        allowed = set(self.parameters) | set(self.coordinates) | (v if with_velocities else set())
         bad = []
-        for name, field in fields.items():
-            for where, e in _entries(name, field):
-                symbols, constants = ex._leaves(e)
-                extra = symbols - allowed
-                if extra:
-                    kind = "must be velocity-free; offending" if extra & v else "uses unknown"
-                    raise ModelError(f"{where} {kind} symbols {sorted(extra & v or extra)}")
-                bad += [f"{where}: constant is not finite ({c!r})" for c in constants]
+
+        def fold(where: str, field):
+            if not isinstance(field, ex.Expr):
+                return [fold(f"{where}[{i}]", f) for i, f in enumerate(field)]
+            e, symbols, constants = ex.substitute(field, self.parameters)
+            extra = symbols - allowed
+            if extra:
+                kind = "must be velocity-free; offending" if extra & v else "uses unknown"
+                raise ModelError(f"{where} {kind} symbols {sorted(extra & v or extra)}")
+            bad.extend(f"{where}: constant is not finite ({c!r})" for c in constants)
+            return e
+
+        folded = [fold(name, field) for name, field in fields.items()]
         if bad:
             raise ModelError(bad[0])
-        return ex.compile_exprs(exprs, args, self.parameters)
+        return folded
+
+    def _compile_qv(self, exprs):
+        """compile_exprs of exprs over (q, qdot)."""
+        return ex.compile_exprs(exprs, self.coordinates + self.velocities)
 
     def _check_state(self, state: State):
         if len(state.q) != self.n:
             raise ValueError(f"state dimension {len(state.q)} does not match n={self.n}")
-
-
-def _entries(where: str, field) -> list:
-    """(label, expression) for one expression or each of a nested list."""
-    if isinstance(field, ex.Expr):
-        return [(where, field)]
-    return [x for i, f in enumerate(field) for x in _entries(f"{where}[{i}]", f)]
 
 
 class MechanicalModel(_Chart):
@@ -164,49 +169,60 @@ class MechanicalModel(_Chart):
 
     def _compile(self):
         """One kernel of (q, qdot) for the metric, coframe, dV and the
-        geodesic form w_l = qd^i qd^j (d_i g_jl - 1/2 d_l g_ij), and one for
-        the external force.
+        geodesic form w_l = qd^i qd^j (d_i g_jl - 1/2 d_l g_ij), from the
+        parameter-folded fields, and the folded external force for
+        `_force_fn`.  The expressions stay in `_exprs` and `_force` for the
+        closed-loop kernel of `control`.
 
         With D[l][i] = d_i (G qd)_l, w_l = sum_i D[l][i] qd^i - 1/2 sum_m
         D[m][l] qd^m: the velocity-quadratic part of the Euler-Lagrange
         operator.  w is ZERO for a constant metric."""
         coords, r = self.coordinates, range(self.n)
+        g, potential, coframe = self._fold(
+            {"metric": self.metric, "potential": self.potential,
+             "input_coframe": self.input_coframe})
         v = [ex.Symbol(s) for s in self.velocities]
         dg = {}  # dg[i, j][k] = d_k g_ij, each symmetric pair differentiated once
         for i in r:
             for j in range(i, self.n):
-                dg[i, j] = dg[j, i] = [ex.diff(self.metric[i][j], c) for c in coords]
+                dg[i, j] = dg[j, i] = [ex.diff(g[i][j], c) for c in coords]
         D = [[contract([dg[l, j][i] for j in r], v) for i in r] for l in r]
         half = ex.Constant(0.5)
         w = [contract(D[l], v) - half * contract([row[l] for row in D], v) for l in r]
-        self._kernel = self._compile_qv(
-            [self.metric, self.input_coframe, [ex.diff(self.potential, c) for c in coords], w],
-            {"metric": self.metric, "potential": self.potential,
-             "input_coframe": self.input_coframe},
-        )
-        self._force_fn = self._compile_qv(
-            self.external_force, {"external_force": self.external_force}, with_velocities=True
-        )
+        self._exprs = [g, coframe, [ex.diff(potential, c) for c in coords], w]
+        self._kernel = self._compile_qv(self._exprs)
+        (self._force,) = self._fold({"external_force": self.external_force}, with_velocities=True)
+
+    @cached_property
+    def _force_fn(self):
+        """Kernel of (q, qdot) for the external force, compiled on first use:
+        the closed-loop kernel of `control` evaluates the force itself, so
+        only the generic assembly, `drift_acceleration` and `b_vector` call
+        this."""
+        try:
+            return self._compile_qv(self._force)
+        except RecursionError:  # a tree that loaded, a few frames short of the limit
+            raise ex.EvalError("external force is nested too deeply to compile") from None
 
     @cached_property
     def _first_kind(self):
         """Kernel of q for the Christoffel symbols of the first kind,
         [i][j][l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij); compiled on first use."""
-        coords, g, r = self.coordinates, self.metric, range(self.n)
+        coords, g, r = self.coordinates, self._exprs[0], range(self.n)
         dg = [[[ex.diff(e, c) for c in coords] for e in row] for row in g]  # d_k g_ij
         half = ex.Constant(0.5)
         return ex.compile_exprs(
             [[[half * (dg[j][l][i] + dg[i][l][j] - dg[i][j][l]) for l in r] for j in r]
              for i in r],
-            coords, self.parameters,
+            coords,
         )
 
     # -- evaluation ---------------------------------------------------------
     #
     # Every view below unpacks one `_kernel(*q, *qd)` call, (metric rows,
     # coframe rows, dV, w); the views of q alone pass qd = `_rest`.
-    # `_p_system` in control.py makes that call once per closed-loop
-    # evaluation and hands it to `_factor` and `_drift`.
+    # `_p_system` in control.py makes that call once per evaluation of the
+    # generic assembly and hands it to `_factor` and `_drift`.
 
     def metric_at(self, q: Sequence[float]) -> list[list[float]]:
         """Metric matrix at q; raises SPDError if not positive definite."""

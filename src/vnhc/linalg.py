@@ -12,7 +12,6 @@ and Veselic, 1992), and `eigvalsh` by cyclic Jacobi.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -38,64 +37,125 @@ def _vector(name: str, n: int) -> str:
     return ", ".join(f"{name}{i}" for i in range(n))
 
 
-def _cholesky_source(n: int) -> list[str]:
-    lines = ["def kernel(a):", f"    {_matrix('a', n, lower=True)} = a"]
+# Statement generators.  Each spells out one algorithm over the locals
+# named by its prefixes (matrix entries {a}i_j, vector entries {x}i), so the
+# per-size kernels below and the closed-loop kernel of `control` run the
+# same operations in the same order.  Scratch locals: s, r, big.
+
+def _cholesky_lines(n: int, a: str, l: str, fail: str) -> list[str]:
+    """Factor the lower triangle of {a} into {l}; fail is the statement run
+    where the matrix is not positive definite."""
+    lines = []
     for i in range(n):
         for j in range(i):
-            s = f"a{i}_{j}" + "".join(f" - l{i}_{k} * l{j}_{k}" for k in range(j))
-            lines.append(f"    l{i}_{j} = ({s}) / l{j}_{j}")
-        s = f"a{i}_{i}" + "".join(f" - l{i}_{k} * l{i}_{k}" for k in range(i))
-        lines += [
-            f"    s = {s}",
-            "    if s <= 0.0:",
-            "        raise SingularMatrixError('matrix not positive definite')",
-            f"    l{i}_{i} = sqrt(s)",
-        ]
-    return lines + [f"    return {_matrix('l', n, lower=True, upper='0.0')}"]
+            s = f"{a}{i}_{j}" + "".join(f" - {l}{i}_{k} * {l}{j}_{k}" for k in range(j))
+            lines.append(f"{l}{i}_{j} = ({s}) / {l}{j}_{j}")
+        s = f"{a}{i}_{i}" + "".join(f" - {l}{i}_{k} * {l}{i}_{k}" for k in range(i))
+        lines += [f"s = {s}", "if s <= 0.0:", f"    {fail}", f"{l}{i}_{i} = sqrt(s)"]
+    return lines
+
+
+def _cho_solve_lines(n: int, l: str, x: str) -> list[str]:
+    """Overwrite {x} with the solution of {l} {l}^T x = {x}."""
+    lines = []
+    for i in range(n):  # L y = b
+        s = f"{x}{i}" + "".join(f" - {l}{i}_{k} * {x}{k}" for k in range(i))
+        lines.append(f"{x}{i} = ({s}) / {l}{i}_{i}")
+    for i in reversed(range(n)):  # L^T x = y
+        s = f"{x}{i}" + "".join(f" - {l}{k}_{i} * {x}{k}" for k in range(i + 1, n))
+        lines.append(f"{x}{i} = ({s}) / {l}{i}_{i}")
+    return lines
+
+
+def _lu_factor_lines(n: int, u: str, p: str, fail: str) -> list[str]:
+    """Factor {u} in place with partial pivoting, the row permutation in
+    {p}; fail is the statement run where a pivot column is zero."""
+    def row(i):  # the locals of row i, its permutation entry last
+        return ", ".join(f"{u}{i}_{j}" for j in range(n)) + f", {p}{i}"
+
+    lines = [f"{_vector(p, n)} = {', '.join(map(str, range(n)))}"]
+    for k in range(n):
+        lines.append(f"r, big = {k}, abs({u}{k}_{k})")  # first row of largest magnitude
+        for i in range(k + 1, n):
+            lines += [f"if abs({u}{i}_{k}) > big:", f"    r, big = {i}, abs({u}{i}_{k})"]
+        lines += ["if big == 0.0:", f"    {fail}"]
+        for i in range(k + 1, n):
+            lines += [f"{'if' if i == k + 1 else 'elif'} r == {i}:",
+                      f"    {row(k)}, {row(i)} = {row(i)}, {row(k)}"]
+        for i in range(k + 1, n):
+            lines.append(f"{u}{i}_{k} = {u}{i}_{k} / {u}{k}_{k}")
+            lines += [f"{u}{i}_{j} = {u}{i}_{j} - {u}{i}_{k} * {u}{k}_{j}" for j in range(k + 1, n)]
+    return lines
+
+
+def _lu_solve_lines(n: int, u: str, p: str, b: str, x: str) -> list[str]:
+    """Solve with the factors {u}, {p} into {x}; b is the source of the
+    right-hand side, indexed by the permutation."""
+    lines = [f"{_vector(x, n)}, = " + ", ".join(f"{b}[{p}{i}]" for i in range(n)) + ","]
+    for i in range(1, n):  # unit lower triangle
+        lines.append(f"{x}{i} = {x}{i}" + "".join(f" - {u}{i}_{k} * {x}{k}" for k in range(i)))
+    for i in reversed(range(n)):  # upper triangle
+        s = f"{x}{i}" + "".join(f" - {u}{i}_{k} * {x}{k}" for k in range(i + 1, n))
+        lines.append(f"{x}{i} = ({s}) / {u}{i}_{i}")
+    return lines
+
+
+def _cond1_lines(n: int, a: str, u: str, p: str, out: str) -> list[str]:
+    """{out} = cond_1 of {a}, exact at this size: its largest column sum
+    of absolute values times that of the inverse, whose columns come from
+    one solve per unit vector with the factors {u}, {p}."""
+    lines = []
+    for j in range(n):
+        unit = "(" + "".join("1.0, " if i == j else "0.0, " for i in range(n)) + ")"
+        lines += _lu_solve_lines(n, u, p, unit, f"{out}_x")
+        lines.append(f"{out}_c{j} = " + " + ".join(f"abs({out}_x{i})" for i in range(n)))
+    norm = [" + ".join(f"abs({a}{i}_{j})" for i in range(n)) for j in range(n)]
+    return lines + [f"{out} = {_max(norm)} * {_max([f'{out}_c{j}' for j in range(n)])}"]
+
+
+def _max(items: list[str]) -> str:
+    """Source of the largest of the sources items, left to right as max()."""
+    return items[0] if len(items) == 1 else f"max({', '.join(items)})"
+
+
+def _min(items: list[str]) -> str:
+    return items[0] if len(items) == 1 else f"min({', '.join(items)})"
+
+
+def _kernel_source(args: str, body: list[str], result: str) -> list[str]:
+    return [f"def kernel({args}):", *(f"    {line}" for line in body), f"    return {result}"]
+
+
+def _cholesky_source(n: int) -> list[str]:
+    fail = "raise SingularMatrixError('matrix not positive definite')"
+    return _kernel_source(
+        "a", [f"{_matrix('a', n, lower=True)} = a", *_cholesky_lines(n, "a", "l", fail)],
+        _matrix("l", n, lower=True, upper="0.0"))
 
 
 def _cho_solve_source(n: int) -> list[str]:
-    lines = ["def kernel(L, b):", f"    {_matrix('l', n, lower=True)} = L",
-             f"    [{_vector('x', n)}] = b"]
-    for i in range(n):  # L y = b, y overwriting x
-        s = f"x{i}" + "".join(f" - l{i}_{k} * x{k}" for k in range(i))
-        lines.append(f"    x{i} = ({s}) / l{i}_{i}")
-    for i in reversed(range(n)):  # L^T x = y
-        s = f"x{i}" + "".join(f" - l{k}_{i} * x{k}" for k in range(i + 1, n))
-        lines.append(f"    x{i} = ({s}) / l{i}_{i}")
-    return lines + [f"    return [{_vector('x', n)}]"]
+    return _kernel_source("L, b", [f"{_matrix('l', n, lower=True)} = L", f"[{_vector('x', n)}] = b",
+                                   *_cho_solve_lines(n, "l", "x")], f"[{_vector('x', n)}]")
 
 
 def _lu_factor_source(n: int) -> list[str]:
-    def row(i):  # the locals of row i, its permutation entry last
-        return ", ".join(f"u{i}_{j}" for j in range(n)) + f", p{i}"
-
-    lines = ["def kernel(a):", f"    {_matrix('u', n)} = a",
-             f"    {_vector('p', n)} = {', '.join(map(str, range(n)))}"]
-    for k in range(n):
-        lines.append(f"    r, big = {k}, abs(u{k}_{k})")  # first row of largest magnitude
-        for i in range(k + 1, n):
-            lines += [f"    if abs(u{i}_{k}) > big:", f"        r, big = {i}, abs(u{i}_{k})"]
-        lines += ["    if big == 0.0:", "        raise SingularMatrixError('singular matrix')"]
-        for i in range(k + 1, n):
-            lines += [f"    {'if' if i == k + 1 else 'elif'} r == {i}:",
-                      f"        {row(k)}, {row(i)} = {row(i)}, {row(k)}"]
-        for i in range(k + 1, n):
-            lines.append(f"    u{i}_{k} = u{i}_{k} / u{k}_{k}")
-            lines += [f"    u{i}_{j} = u{i}_{j} - u{i}_{k} * u{k}_{j}" for j in range(k + 1, n)]
-    return lines + [f"    return {_matrix('u', n)}, [{_vector('p', n)}]"]
+    return _kernel_source(
+        "a", [f"{_matrix('u', n)} = a",
+              *_lu_factor_lines(n, "u", "p", "raise SingularMatrixError('singular matrix')")],
+        f"{_matrix('u', n)}, [{_vector('p', n)}]")
 
 
 def _lu_solve_source(n: int) -> list[str]:
-    lines = ["def kernel(lu, piv, b):", f"    {_matrix('u', n)} = lu",
-             f"    [{_vector('p', n)}] = piv",
-             f"    {_vector('x', n)}, = " + ", ".join(f"b[p{i}]" for i in range(n)) + ","]
-    for i in range(1, n):  # unit lower triangle
-        lines.append(f"    x{i} = x{i}" + "".join(f" - u{i}_{k} * x{k}" for k in range(i)))
-    for i in reversed(range(n)):  # upper triangle
-        s = f"x{i}" + "".join(f" - u{i}_{k} * x{k}" for k in range(i + 1, n))
-        lines.append(f"    x{i} = ({s}) / u{i}_{i}")
-    return lines + [f"    return [{_vector('x', n)}]"]
+    return _kernel_source("lu, piv, b", [f"{_matrix('u', n)} = lu", f"[{_vector('p', n)}] = piv",
+                                         *_lu_solve_lines(n, "u", "p", "b", "x")],
+                          f"[{_vector('x', n)}]")
+
+
+def _cond1_source(n: int) -> list[str]:
+    return _kernel_source(
+        "a, lu, piv", [f"{_matrix('a', n)} = a", f"{_matrix('u', n)} = lu",
+                       f"[{_vector('p', n)}] = piv", *_cond1_lines(n, "a", "u", "p", "cond")],
+        "cond")
 
 
 class _Kernels(dict):
@@ -121,6 +181,7 @@ _CHOLESKY = _Kernels(_cholesky_source)
 _CHO_SOLVE = _Kernels(_cho_solve_source)
 _LU_FACTOR = _Kernels(_lu_factor_source)
 _LU_SOLVE = _Kernels(_lu_solve_source)
+_COND1 = _Kernels(_cond1_source)
 
 
 def cholesky(a: list[list[float]]) -> list[list[float]]:
@@ -148,25 +209,10 @@ def solve(a: list[list[float]], b: list[float]) -> list[float]:
     return lu_solve(lu, piv, b)
 
 
-def norm1(a: list[list[float]]) -> float:
-    """Largest column sum of absolute values."""
-    cols = list(map(abs, a[0]))
-    for row in a[1:]:
-        cols = list(map(operator.add, cols, map(abs, row)))
-    return max(cols)
-
-
 def cond1_from_lu(a, lu, piv) -> float:
     """1-norm condition number, exact at this size: the inverse's column
     1-norms come straight from one lu_solve per unit vector."""
-    solve = _LU_SOLVE[len(lu)]
-    col_norms = [sum(map(abs, solve(lu, piv, e))) for e in _unit_vectors(len(lu))]
-    return norm1(a) * max(col_norms)
-
-
-@functools.lru_cache(maxsize=None)
-def _unit_vectors(n: int) -> tuple:
-    return tuple(tuple(float(i == j) for i in range(n)) for j in range(n))
+    return _COND1[len(lu)](a, lu, piv)
 
 
 def det_from_lu(lu: list[list[float]], piv: list[int]) -> float:

@@ -385,8 +385,8 @@ class TestSingleAssembly:
             for k, state in enumerate(traj.states):
                 assert traj.controls[k] == tuple(tau_star(model, con, state)), (name, k)
 
-    @pytest.mark.parametrize("view", [closed_loop_acceleration, solve_control, tau_star])
-    def test_one_factorization_per_evaluation(self, monkeypatch, view):
+    @staticmethod
+    def count_linalg(monkeypatch) -> dict:
         calls = {}
 
         def counting(name):
@@ -400,6 +400,33 @@ class TestSingleAssembly:
 
         for name in ("cholesky", "lu_factor", "cond1_from_lu"):
             counting(name)
+        return calls
+
+    @pytest.mark.parametrize("view", [closed_loop_acceleration, solve_control, tau_star])
+    def test_one_factorization_per_evaluation(self, monkeypatch, view):
+        # One call of the generated closed-loop kernel, which factors G and
+        # P inline: no linalg routine runs.
         model, con = build_gen4()
+        field = vnhc.control._closed_loop(model, con)
+        fused = []
+
+        def counting(*args):
+            fused.append(args)
+            return field(*args)
+
+        con._closed_loop = (model, counting)
+        calls = self.count_linalg(monkeypatch)
         view(model, con, State(q=(0.3, -0.1, 0.7, 1.2), qdot=(0.5, -0.4, 0.2, 0.9)))
+        assert (len(fused), calls) == (1, {})
+
+    @pytest.mark.parametrize("view", [closed_loop_acceleration, solve_control, tau_star])
+    def test_one_factorization_per_fallback(self, monkeypatch, view):
+        # Where the kernel declines, the generic assembly factors G and P once.
+        model, con = build_gen4()
+        s = State(q=(0.3, -0.1, 0.7, 1.2), qdot=(0.5, -0.4, 0.2, 0.9))
+        expected = view(model, con, s)
+        control = vnhc.control
+        con._closed_loop = (model, control._with_fallback(model, con, control._declined))
+        calls = self.count_linalg(monkeypatch)
+        assert view(model, con, s) == expected
         assert calls == {"cholesky": 1, "lu_factor": 1, "cond1_from_lu": 1}

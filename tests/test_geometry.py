@@ -92,7 +92,13 @@ class TestCompileCount:
         real = vnhc.expr.compile_exprs
         monkeypatch.setattr(vnhc.expr, "compile_exprs",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
-        model, _ = build_boat("sin(y)", "cos(x)")
+        model, con = build_boat("sin(y)", "cos(x)")
+        assert len(calls) == 2  # the model's and the constraint's
+        s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
+        vnhc.tau_star(model, con, s)  # the closed-loop kernel is emitted, not compiled here
+        assert len(calls) == 2
+        model.drift_acceleration(s)  # the force's kernel, on first use
+        model.drift_acceleration(s)
         assert len(calls) == 3
         model.christoffel_at((0.1, 0.2, 0.3))  # compiles its kernel on first call
         model.christoffel_at((0.4, 0.5, 0.6))

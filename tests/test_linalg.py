@@ -58,6 +58,14 @@ def loop_lu_factor(a):
     return lu, piv
 
 
+def loop_norm1(a):
+    """Largest column sum of absolute values, row by row."""
+    cols = [abs(v) for v in a[0]]
+    for row in a[1:]:
+        cols = [c + abs(v) for c, v in zip(cols, row)]
+    return max(cols)
+
+
 def loop_lu_solve(lu, piv, b):
     n = len(lu)
     x = [b[p] for p in piv]
@@ -98,8 +106,11 @@ class TestStraightLine:
             assert x == loop_lu_solve(lu, piv, b)
             assert np.allclose(np.array(P) @ x, b, rtol=1e-8, atol=1e-8)
             cond = linalg.cond1_from_lu(P, lu, piv)
+            units = np.eye(n).tolist()
+            assert cond == loop_norm1(P) * max(sum(map(abs, loop_lu_solve(lu, piv, e)))
+                                                 for e in units)
             assert cond == pytest.approx(np.linalg.cond(np.array(P), 1), rel=1e-8)
-            assert linalg.norm1(P) == pytest.approx(np.linalg.norm(np.array(P), 1), rel=1e-14)
+            assert loop_norm1(P) == pytest.approx(np.linalg.norm(np.array(P), 1), rel=1e-14)
 
     def test_not_positive_definite_raises(self, n):
         g = np.eye(n).tolist()

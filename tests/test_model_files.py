@@ -82,3 +82,18 @@ def test_defect_is_usage_error_naming_field(tmp_path, capsys, case):
     err = capsys.readouterr().err
     for text in expected:
         assert text in err
+
+
+def test_deep_model_round_trips(tmp_path):
+    # A 700-term sum loads (the parser is iterative); printing it must not
+    # recurse per tree level either, or save_model raises RecursionError.
+    from vnhc import load_model, save_model
+
+    data = dict(VORTEX, potential=" + ".join(["x"] * 700))
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(data))
+    model, con = load_model(path)
+    save_model(tmp_path / "saved.json", model, con)
+    again = load_model(tmp_path / "saved.json")
+    assert model_to_dict(*again) == model_to_dict(model, con)
+    assert model_to_dict(model, con)["potential"] == data["potential"]

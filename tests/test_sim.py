@@ -141,8 +141,30 @@ class TestIntegrate:
         assert info.value.last_good_index == 1
 
     def test_one_factorization_per_stage(self, monkeypatch):
-        # 4 stages per step plus the stage 1 at the start; the samples reuse
-        # the next step's stage-1 solve instead of solving again.
+        # 4 stages per step plus the stage 1 at the start, each one call of
+        # the generated closed-loop kernel; the samples reuse the next
+        # step's stage-1 solve instead of solving again.
+        model, con = build_boat("sin(y)", "cos(x)")
+        field = vnhc.control._closed_loop(model, con)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return field(*args)
+
+        con._closed_loop = (model, counting)
+        s0 = State(q=(0.1, -0.2, 0.5), qdot=(0.4, 0.3, 0.8))
+        traj = integrate(model, con, s0, t_end=0.1, h=1e-2, sample_every=1)
+        assert len(traj.times) == 11
+        assert len(calls) == 4 * 10 + 1
+
+    def test_one_factorization_per_stage_in_the_fallback(self, monkeypatch):
+        # Where the kernel declines, each stage factors the metric once.
+        model, con = build_boat("sin(y)", "cos(x)")
+        s0 = State(q=(0.1, -0.2, 0.5), qdot=(0.4, 0.3, 0.8))
+        expected = integrate(model, con, s0, t_end=0.1, h=1e-2, sample_every=1)
+        control = vnhc.control
+        con._closed_loop = (model, control._with_fallback(model, con, control._declined))
         calls = []
         cholesky = vnhc.linalg.cholesky
 
@@ -151,8 +173,5 @@ class TestIntegrate:
             return cholesky(a)
 
         monkeypatch.setattr(vnhc.linalg, "cholesky", counting)
-        model, con = build_boat("sin(y)", "cos(x)")
-        s0 = State(q=(0.1, -0.2, 0.5), qdot=(0.4, 0.3, 0.8))
-        traj = integrate(model, con, s0, t_end=0.1, h=1e-2, sample_every=1)
-        assert len(traj.times) == 11
+        assert integrate(model, con, s0, t_end=0.1, h=1e-2, sample_every=1) == expected
         assert len(calls) == 4 * 10 + 1
