@@ -60,16 +60,17 @@ class AffineConstraint(_Chart):
 
         # One kernel of (q, qdot): (S rows, Z, c), where
         # c_b = sum_i (d_i mu^b(qdot) + d_i Z_b) qdot^i is dphi_b/dt less S_b qddot.
-        mu, Z = self._fold({"mu": self.mu, "Z": self.Z})
+        mu, Z = self._fold({"constraint.mu": self.mu, "constraint.Z": self.Z})
         v = [ex.Symbol(s) for s in self.velocities]
-        c = [contract([contract([ex.diff(e, x) for e in row], v) + ex.diff(z, x)
-                       for x in self.coordinates], v)
-             for row, z in zip(mu, Z)]
+        dmu = [[[ex.diff(e, x) for e in row] for x in self.coordinates] for row in mu]
+        dZ = [[ex.diff(z, x) for x in self.coordinates] for z in Z]
+        c = [contract([contract(d, v) + dz for d, dz in zip(dmu_b, dZ_b)], v)
+             for dmu_b, dZ_b in zip(dmu, dZ)]
         self._exprs = [mu, Z, c]
-        self._kernel = self._compile_qv(self._exprs)
-        # The closed-loop kernel of (model, self): (model, function), built
-        # by `control` on the first closed-loop evaluation with that model.
-        self._closed_loop = (None, None)
+        self._kernel = self._compile_qv(self._exprs, {"constraint.mu": dmu, "constraint.Z": dZ})
+        # model -> the closed-loop field of (model, self), built by `control`
+        # on the first closed-loop evaluation with that model.
+        self._closed_loop = {}
 
     # -- evaluation ---------------------------------------------------------
 
@@ -94,7 +95,8 @@ class AffineConstraint(_Chart):
         for b, (row, exprs) in enumerate(zip(S, self.mu)):
             for i, (v, e) in enumerate(zip(row, exprs)):
                 if not math.isfinite(v):
-                    raise ex.EvalError(f"mu[{b}][{i}] = {ex.to_string(e)} is not finite ({v!r})")
+                    raise ex.EvalError(
+                        f"constraint.mu[{b}][{i}] = {ex.to_string(e)} is not finite ({v!r})")
         sv = linalg.singular_values(S)
         rank = sum(s > RANK_RTOL * sv[0] for s in sv)  # 0 when S = 0; S has m >= 1 rows
         return RankReport(

@@ -14,18 +14,20 @@ computed once across all three), the metric's Cholesky factor, the input
 fields Y = G^-1 coframe, P = S Y, its pivoted LU and cond_1, the drift
 G^-1 (F - dV - w), b = -(S drift + c), tau and the acceleration, all
 inline.  It is compiled on the first closed-loop call with a model and
-kept on the constraint, so loading a model does not pay for it.
+kept on the constraint, so loading a model does not pay for it.  No
+other code computes a closed-loop result.
 
 Every gate (metric SPD and condition, exactly singular P, pivot, P
 condition, a non-finite cond) is a branch in that kernel.  Where one
-fails, or a math error is raised, the generic assembly runs instead:
-`_p_system` calls the model's and the constraint's kernels once each and
-factors G and P once at q, and `_assemble` adds the drift, b, tau and the
-acceleration, raising the typed error with its message.  Both compute the
-same operations in the same order, so their results are bit-identical.
-The q-only views (`p_matrix`, `transversality_check`, `vnhc check`) use
-`_p_system` at qdot = 0 and never evaluate the external force, which may
-be singular there (Coulomb friction).  The integrator re-solves the
+fails, or a math error is raised, the q-only path runs at the same state
+and raises the typed error with its message: `_p_system` calls the
+model's and the constraint's kernels once each, factors G and P once and
+tests the same gates on the same numbers, and the force's own kernel
+names a math error in F.  The q-only views (`p_matrix`,
+`transversality_check`, `vnhc check`) use `_p_system` at qdot = 0 and
+never evaluate the external force, which may be singular there (Coulomb
+friction).  `b_vector` needs no invertible P: it contracts the model's
+drift with the constraint's kernel.  The integrator re-solves the
 control at every RK4 stage, and the tau it samples is the next step's
 stage-1 solve.
 """
@@ -69,26 +71,20 @@ PIVOT_RTOL = 1e-12
 class _PSystem(NamedTuple):
     """P(q) with its one LU factorization and the transversality verdict."""
 
-    k: tuple  # model._kernel(*q, *qd)
-    c: tuple  # con._kernel(*q, *qd)
-    L: list  # Cholesky factor of the metric
-    Y: list  # input fields Y^a
     P: list
     lu: list | None  # None when P is exactly singular
     piv: list | None
-    min_pivot: float
     cond: float  # inf when P is singular or its smallest pivot is negligible
     error: str | None  # why no control exists at q; None when P is admissible
 
 
 def _p_system(model: MechanicalModel, con: AffineConstraint, q, qd) -> _PSystem:
-    """The kernels at (q, qd) and the q-only half of the assembly; reports a
-    bad P instead of raising."""
-    k = model._kernel(*q, *qd)
-    L = model._factor(q, k[0])
-    Y = list(map(linalg.cho_solve, repeat(L), k[1]))
-    c = con._kernel(*q, *qd)
-    S = c[0]
+    """P at q from the model's and the constraint's kernels at (q, qd),
+    factored, with its verdict; reports a bad P instead of raising."""
+    g, coframe, _, _ = model._kernel(*q, *qd)
+    L = model._factor(q, g)
+    Y = list(map(linalg.cho_solve, repeat(L), coframe))
+    S = con._kernel(*q, *qd)[0]
     P = [list(map(linalg.dot, repeat(Sb), Y)) for Sb in S]
     try:
         lu, piv = linalg.lu_factor(P)
@@ -111,12 +107,12 @@ def _p_system(model: MechanicalModel, con: AffineConstraint, q, qd) -> _PSystem:
             f"numerically singular P matrix at q={tuple(q)} "
             f"(pivot {min_pivot:.3e} vs scale {scale:.3e})"
         )
-    elif cond > linalg.CONDITION_CAP:
+    elif not cond <= linalg.CONDITION_CAP:  # NaN too, as the kernel's gate
         error = (
             f"P condition estimate {cond:.3e} exceeds {linalg.CONDITION_CAP:.0e} "
             f"at q={tuple(q)}"
         )
-    return _PSystem(k, c, L, Y, P, lu, piv, min_pivot, cond, error)
+    return _PSystem(P, lu, piv, cond, error)
 
 
 def _admissible(ps: _PSystem, q, state=None) -> _PSystem:
@@ -125,27 +121,13 @@ def _admissible(ps: _PSystem, q, state=None) -> _PSystem:
     return ps
 
 
-def _assemble(model: MechanicalModel, con: AffineConstraint, q, qd, state=None) -> tuple:
-    """(acc, tau, b, P, cond) at (q, qd) by the generic assembly; raises
-    TransversalityError where P is not admissible.  Inputs are trusted:
-    callers validate at the API boundary."""
-    ps = _admissible(_p_system(model, con, q, qd), q, state)
-    drift = model._drift(q, qd, ps.L, ps.k)
-    b = _b(ps.c, drift)
-    tau = linalg.lu_solve(ps.lu, ps.piv, b)
-    acc = drift
-    for t, ya in zip(tau, ps.Y):
-        if t != 0.0:
-            acc = list(map(operator.add, acc, map(operator.mul, repeat(t), ya)))
-    return acc, tau, b, ps.P, ps.cond
-
-
 def _closed_loop_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
     """Source of kernel(q, qd) -> (acc, tau, b, P, cond), or None where a
-    gate of `_assemble` fails: the model's, force's and constraint's
-    expressions with common subexpressions computed once, then the
-    operations of `_assemble` in its order, from the generators of
-    `linalg`, so the results are bit-identical to it."""
+    gate fails: the model's, force's and constraint's expressions with
+    common subexpressions computed once, then the factorizations and
+    solves, from the generators of `linalg`.  Its gates are those of
+    `model._factor` and `_p_system`, tested on the same numbers, so it
+    declines exactly where they raise."""
     n, m = model.n, con.m
     r, rm = range(n), range(m)
     mu, _, dphi = con._exprs  # Z is not needed
@@ -160,8 +142,8 @@ def _closed_loop_source(model: MechanicalModel, con: AffineConstraint) -> list[s
     # The metric: SPD and condition gates, then the input fields Y^a = G^-1 coframe^a.
     body += linalg._cholesky_lines(n, "g", "l", "return None")
     diag = [f"l{i}_{i}" for i in r]
-    body += [f"if ({linalg._max(diag)} / {linalg._min(diag)}) ** 2 > {linalg.CONDITION_CAP!r}:",
-             "    return None"]
+    body += [f"ratio = {linalg._max(diag)} / {linalg._min(diag)}",
+             f"if ratio * ratio > {linalg.CONDITION_CAP!r}:", "    return None"]
     for a in rm:
         body += linalg._cho_solve_lines(n, "l", f"y{a}_")
     # P = S Y, factored, with its singular, condition and pivot gates.
@@ -201,38 +183,33 @@ def _compile_closed_loop(model: MechanicalModel, con: AffineConstraint):
 
 def _closed_loop(model: MechanicalModel, con: AffineConstraint):
     """field(q, qd, state=None) -> (acc, tau, b, P, cond) for this pair,
-    compiled on the first call with this model and kept on con.  A pair
-    whose expressions are too deep to compile here, a few stack frames
-    short of the limit that loading met, runs the generic assembly."""
-    owner, field = con._closed_loop
-    if owner is not model:
+    compiled on the first call with this model and kept on con, one per
+    model.  Where the kernel declines (returns None: a gate failed) or
+    meets a math error, the q-only path of `p_matrix` and then the force's
+    own kernel run at (q, qd) and raise the typed error with its message:
+    the kernel's gates and expressions are theirs.  A pair whose
+    expressions are too deep to compile here, a few stack frames short of
+    the limit that loading met, is an EvalError."""
+    field = con._closed_loop.get(model)
+    if field is None:
         try:
             kernel = _compile_closed_loop(model, con)
         except RecursionError:
-            kernel = _declined
-        field = _with_fallback(model, con, kernel)
-        con._closed_loop = (model, field)
-    return field
+            raise EvalError("closed-loop kernel is nested too deeply to compile") from None
 
+        def field(q, qd, state=None):
+            try:
+                out = kernel(q, qd)
+            except (ArithmeticError, ValueError):
+                out = None
+            if out is None:
+                _admissible(_p_system(model, con, q, qd), q, state)
+                model._force_fn(*q, *qd)
+                raise AssertionError(f"closed-loop kernel declined q={q}, qdot={qd}, "
+                                     "where every gate holds")
+            return out
 
-def _declined(q, qd):
-    """A kernel that declines every state, so the generic assembly runs."""
-    return None
-
-
-def _with_fallback(model: MechanicalModel, con: AffineConstraint, kernel):
-    """field(q, qd, state=None) running kernel(q, qd); where that declines
-    (returns None: a gate failed) or meets a math error, `_assemble` runs
-    instead, and raises the typed error with its message, or returns what
-    it computes (where cond is NaN, say)."""
-
-    def field(q, qd, state=None):
-        try:
-            out = kernel(q, qd)
-        except (ArithmeticError, ValueError):
-            out = None
-        return _assemble(model, con, q, qd, state) if out is None else out
-
+        con._closed_loop[model] = field
     return field
 
 
@@ -243,22 +220,14 @@ def p_matrix(model: MechanicalModel, con: AffineConstraint, q) -> list[list[floa
 
 
 def b_vector(model: MechanicalModel, con: AffineConstraint, state: State) -> list[float]:
-    """Right-hand side: minus the derivative of phi along the drift field;
-    needs no invertible P."""
+    """Right-hand side b = -(S drift + c): minus the derivative of phi along
+    the drift field; needs no invertible P."""
     check_compatible(model, con)
-    model._check_state(state)
-    q, qd = state.q, state.qdot
-    k = model._kernel(*q, *qd)
-    drift = model._drift(q, qd, model._factor(q, k[0]), k)
-    b = _b(con._kernel(*q, *qd), drift)
+    drift = model.drift_acceleration(state)
+    S, _, c = con._kernel(*state.q, *state.qdot)
+    b = [-(linalg.dot(row, drift) + cb) for row, cb in zip(S, c)]
     _finite(state, b=b)
     return b
-
-
-def _b(k, drift) -> list[float]:
-    """b = -dphi/dt along the drift, -(S drift + c); k is `con._kernel(*q, *qd)`."""
-    S, _, c = k
-    return [-(linalg.dot(row, drift) + cb) for row, cb in zip(S, c)]
 
 
 def _finite(state: State, **vectors):

@@ -325,8 +325,9 @@ def free_symbols(e: Expr) -> set[str]:
     return _leaves(e)[0]
 
 
-def _leaves(e: Expr) -> tuple[set[str], list[float]]:
-    """The names of e's symbols, and its non-finite constants left to right."""
+def _leaves(e) -> tuple[set[str], list[float]]:
+    """The names of the symbols of e, an expression or a nested list of
+    them, and its non-finite constants left to right."""
     symbols, bad, stack = set(), [], [e]
     while stack:
         e = stack.pop()
@@ -336,6 +337,8 @@ def _leaves(e: Expr) -> tuple[set[str], list[float]]:
             stack.append(e.child)
         elif isinstance(e, Symbol):
             symbols.add(e.name)
+        elif isinstance(e, list):
+            stack += reversed(e)
         elif not math.isfinite(e.value):
             bad.append(e.value)
     return symbols, bad

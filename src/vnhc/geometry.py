@@ -118,9 +118,19 @@ class _Chart:
             raise ModelError(bad[0])
         return folded
 
-    def _compile_qv(self, exprs):
-        """compile_exprs of exprs over (q, qdot)."""
-        return ex.compile_exprs(exprs, self.coordinates + self.velocities)
+    def _compile_qv(self, exprs, derived: Mapping[str, list] | None = None):
+        """compile_exprs of exprs over (q, qdot).  derived maps a source
+        field's name to its derivatives among exprs: a non-finite constant
+        that differentiation folded there, such as d/dx (1e200*x*1e200), is
+        a ModelError naming that field."""
+        try:
+            return ex.compile_exprs(exprs, self.coordinates + self.velocities)
+        except ex.EvalError:
+            for name, tree in (derived or {}).items():
+                bad = ex._leaves(tree)[1]
+                if bad:
+                    raise ModelError(f"{name}: constant is not finite ({bad[0]!r})") from None
+            raise
 
     def _check_state(self, state: State):
         if len(state.q) != self.n:
@@ -179,8 +189,7 @@ class MechanicalModel(_Chart):
         operator.  w is ZERO for a constant metric."""
         coords, r = self.coordinates, range(self.n)
         g, potential, coframe = self._fold(
-            {"metric": self.metric, "potential": self.potential,
-             "input_coframe": self.input_coframe})
+            {"metric": self.metric, "potential": self.potential, "inputs": self.input_coframe})
         v = [ex.Symbol(s) for s in self.velocities]
         dg = {}  # dg[i, j][k] = d_k g_ij, each symmetric pair differentiated once
         for i in r:
@@ -189,16 +198,17 @@ class MechanicalModel(_Chart):
         D = [[contract([dg[l, j][i] for j in r], v) for i in r] for l in r]
         half = ex.Constant(0.5)
         w = [contract(D[l], v) - half * contract([row[l] for row in D], v) for l in r]
-        self._exprs = [g, coframe, [ex.diff(potential, c) for c in coords], w]
-        self._kernel = self._compile_qv(self._exprs)
+        dV = [ex.diff(potential, c) for c in coords]
+        self._exprs = [g, coframe, dV, w]
+        self._kernel = self._compile_qv(self._exprs, {"potential": dV, "metric": w})
         (self._force,) = self._fold({"external_force": self.external_force}, with_velocities=True)
 
     @cached_property
     def _force_fn(self):
         """Kernel of (q, qdot) for the external force, compiled on first use:
         the closed-loop kernel of `control` evaluates the force itself, so
-        only the generic assembly, `drift_acceleration` and `b_vector` call
-        this."""
+        only `drift_acceleration` (and `b_vector` through it) and the
+        closed loop's error path call this."""
         try:
             return self._compile_qv(self._force)
         except RecursionError:  # a tree that loaded, a few frames short of the limit
@@ -221,8 +231,6 @@ class MechanicalModel(_Chart):
     #
     # Every view below unpacks one `_kernel(*q, *qd)` call, (metric rows,
     # coframe rows, dV, w); the views of q alone pass qd = `_rest`.
-    # `_p_system` in control.py makes that call once per evaluation of the
-    # generic assembly and hands it to `_factor` and `_drift`.
 
     def metric_at(self, q: Sequence[float]) -> list[list[float]]:
         """Metric matrix at q; raises SPDError if not positive definite."""
@@ -240,7 +248,8 @@ class MechanicalModel(_Chart):
             L = None
         else:
             diag = list(map(operator.getitem, L, range(self.n)))
-            cond_est = (max(diag) / min(diag)) ** 2
+            ratio = max(diag) / min(diag)
+            cond_est = ratio * ratio  # inf, not OverflowError, past 1.3e154
             if not cond_est > linalg.CONDITION_CAP:
                 return L
         eigs = linalg.eigvalsh(g)
@@ -281,11 +290,8 @@ class MechanicalModel(_Chart):
     def drift_acceleration(self, state: State) -> list[float]:
         """Acceleration of the unactuated forced system (the drift field)."""
         self._check_state(state)
-        k = self._kernel(*state.q, *state.qdot)
-        return self._drift(state.q, state.qdot, self._factor(state.q, k[0]), k)
-
-    def _drift(self, q, qd, L, k) -> list[float]:
-        """G^-1 (F - dV - w); k is `_kernel(*q, *qd)`, L the factor of its G."""
-        _, _, dv, w = k
+        q, qd = state.q, state.qdot
+        g, _, dv, w = self._kernel(*q, *qd)
+        L = self._factor(q, g)
         rhs = map(operator.sub, map(operator.sub, self._force_fn(*q, *qd), dv), w)
-        return linalg.cho_solve(L, list(rhs))
+        return linalg.cho_solve(L, list(rhs))  # G^-1 (F - dV - w)

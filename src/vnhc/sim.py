@@ -7,10 +7,11 @@ diagnostics want uniform, reproducible sampling.
 
 Inputs are validated once at the API boundary; the steps carry plain
 q/qdot tuples.  A step is four calls of the pair's closed-loop field
-(`control._closed_loop`: one generated kernel, which falls back to the
-generic assembly where a gate fails) and straight-line stage arithmetic
-generated once per n.  Each step ends with the next step's stage-1 solve,
-whose tau is the one sampled at that state.
+(`control._closed_loop`: one generated kernel; where one of its gates
+fails, the q-only path of `control` raises the typed error) and
+straight-line stage arithmetic generated once per n.  Each step ends
+with the next step's stage-1 solve, whose tau is the one sampled at that
+state.
 """
 
 from __future__ import annotations

@@ -317,6 +317,23 @@ class TestNonFiniteResults:
             "constraint": {"mu": [list(mu)], "Z": ["0"]},
         })
 
+    def test_metric_ratio_overflow(self, tmp_path, capsys):
+        # cond(G) = 1e309 overflows a float square: still the metric's SPDError.
+        path = write_json(tmp_path, "thin.json", {
+            "coordinates": ["x", "y"],
+            "metric": [["1", "0"], ["0", "1e-309"]],
+            "inputs": [["1", "0"]],
+            "constraint": {"mu": [["1", "0"]], "Z": ["0"]},
+        })
+        message = "metric condition estimate inf exceeds 1e+12 at q=(0.0, 0.0)"
+        assert main(["check", path]) == 1
+        assert capsys.readouterr().out == f"q=(0, 0) rank=ok(1/1) metric=SPD-FAILURE ({message})\n"
+        for argv in (["control-at", path, "--q", "0,0", "--qdot", "0,0"],
+                     ["simulate", path, "--q0", "0,0", "--qdot0", "0,0", "--t-end", "0.01",
+                      "--dt", "1e-3", "--out", str(tmp_path / "traj.csv")]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_b_overflow(self, tmp_path, capsys):
         path = boat_with(tmp_path, "big.json", force=("1e300*x*x", "0", "0"))
         assert main(["control-at", path, "--q", "1e10,0,0.3", "--qdot", "0,0,0"]) == 1
@@ -335,7 +352,7 @@ class TestNonFiniteResults:
         path = self.plane(tmp_path)
         assert main(["check", path, "--point", "x=1e10", "--point", "x=1"]) == 1
         assert capsys.readouterr().out.splitlines() == [
-            "q=(1e+10, 0) rank=ERROR (mu[0][0] = 1e+300 * x is not finite (inf))",
+            "q=(1e+10, 0) rank=ERROR (constraint.mu[0][0] = 1e+300 * x is not finite (inf))",
             "q=(1, 0) rank=ok(1/1) transversality=ok cond=1 det=1e+300",
         ]
 

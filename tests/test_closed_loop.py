@@ -1,16 +1,17 @@
-"""The generated closed-loop kernel against the generic assembly.
+"""The generated closed-loop kernel against the other paths.
 
 `control._closed_loop` runs one generated kernel per (model, constraint)
-pair and falls back to `control._assemble` where a gate fails or a math
-error is raised.  The two must never drift apart: the kernel's results
-are bit-identical to the assembly's, and every fallback raises the typed
-error and message the assembly raises.
+pair, the only code that computes a closed-loop result.  Where one of its
+gates fails or a math error is raised, the q-only path (`_p_system`, as
+`p_matrix` uses it) and the force's kernel raise the typed error.  The
+kernel's results are bit-identical to an assembly of the other paths'
+pieces, and every decline raises the error and message of the q-only path.
 """
 
 import random
 
 import pytest
-from test_control import build_gen4
+from test_control import build_gen4, build_gen5
 
 import vnhc
 from vnhc import (
@@ -18,6 +19,7 @@ from vnhc import (
     AffineConstraint,
     MechanicalModel,
     State,
+    b_vector,
     build_boat,
     closed_loop_acceleration,
     integrate,
@@ -25,39 +27,8 @@ from vnhc import (
     solve_control,
     tau_star,
 )
-from vnhc import control
+from vnhc import control, linalg
 from vnhc import expr as ex
-
-
-def build_gen5(seed=5):
-    """n=5, m=2 in the style of the benchmark's gen5: metric A^T A + 0.5 I
-    with trig entries in A (SPD everywhere), a velocity-dependent force, a
-    trig potential, constraint rows with a unit leading 2x2 block whose
-    off-diagonal entries are at most 0.4, and the coframe equal to them."""
-    rng = random.Random(seed)
-    names = [f"q{i + 1}" for i in range(5)]
-
-    def trig(bound):
-        fn = rng.choice(("sin", "cos"))
-        return f"({rng.uniform(-bound, bound):.3f}*{fn}({rng.choice(names)}))"
-
-    A = [["0"] * 5 for _ in range(5)]
-    for k in range(5):
-        A[k][k], A[k][(k + 1) % 5], A[k][(k + 3) % 5] = "1", trig(0.6), trig(0.6)
-    G = [[" + ".join([f"{A[k][i]}*{A[k][j]}" for k in range(5)] + ["0.5"] * (i == j))
-          for j in range(5)] for i in range(5)]
-    for i in range(5):
-        for j in range(i):
-            G[i][j] = G[j][i]
-    S = [["1" if i == b else trig(0.4 if i < 2 else 0.8) for i in range(5)] for b in range(2)]
-    model = MechanicalModel(
-        names, G,
-        potential=" + ".join([trig(0.5) for _ in range(3)] + ["0.1*q2^2"]),
-        external_force=[f"-0.1*{x}d + 0.05*{names[(i + 1) % 5]}d*{trig(1.0)}"
-                        for i, x in enumerate(names)],
-        input_coframe=S,
-    )
-    return model, AffineConstraint(names, S, Z=[f"{trig(0.5)} + {trig(0.3)}", trig(0.5)])
 
 
 SYSTEMS = {name: (lambda c=c: build_boat(*c)) for name, c in FIXTURE_CURRENTS.items()}
@@ -66,6 +37,9 @@ SYSTEMS.update(gen4=build_gen4, gen5=build_gen5)
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_kernel_equals_assembly(name):
+    # The assembly is made here from the other paths: P, its LU and cond
+    # from the q-only path at (q, qd), b from b_vector, tau by lu_solve,
+    # and acc = drift + tau_a Y^a from drift_acceleration and input_fields_at.
     model, con = SYSTEMS[name]()
     kernel = control._compile_closed_loop(model, con)
     rng = random.Random(name)
@@ -74,41 +48,67 @@ def test_kernel_equals_assembly(name):
         q = tuple(rng.uniform(-bound, bound) for _ in range(model.n))
         qd = tuple(rng.uniform(-bound, bound) for _ in range(model.n))
         fused = kernel(q, qd)
-        assert fused is not None, (name, q, qd)  # admissible: no fallback
-        slow = control._assemble(model, con, q, qd)
+        assert fused is not None, (name, q, qd)  # admissible: no decline
+        s = State(q=q, qdot=qd)
+        ps = control._p_system(model, con, q, qd)
+        b = b_vector(model, con, s)
+        tau = linalg.lu_solve(ps.lu, ps.piv, b)
+        acc = model.drift_acceleration(s)
+        for t, ya in zip(tau, model.input_fields_at(q)):
+            if t != 0.0:
+                acc = [a + t * y for a, y in zip(acc, ya)]
+        slow = (acc, tau, b, ps.P, ps.cond)
         assert fused == slow, (name, q, qd)
         assert repr(fused) == repr(slow), (name, q, qd)  # signed zeros too
 
 
 def test_built_once_per_model():
     model, con = build_boat("sin(y)", "cos(x)")
-    assert con._closed_loop == (None, None)  # nothing compiled at construction
+    assert con._closed_loop == {}  # nothing compiled at construction
     field = control._closed_loop(model, con)
     tau_star(model, con, State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6)))
     assert control._closed_loop(model, con) is field
     other, _ = build_boat("sin(y)", "cos(x)")
-    assert control._closed_loop(other, con) is not field
-    assert con._closed_loop[0] is other
+    other_field = control._closed_loop(other, con)
+    assert other_field is not field
+    assert con._closed_loop == {model: field, other: other_field}
+
+
+def test_one_kernel_per_model_on_a_shared_constraint(monkeypatch):
+    # Two models on one constraint, called in turn: one compile each.
+    (m1, con), (m2, _) = build_boat("sin(y)", "cos(x)"), build_boat("sin(y)", "cos(x)")
+    compiled = []
+    compile_closed_loop = control._compile_closed_loop
+
+    def counting(model, c):
+        compiled.append(model)
+        return compile_closed_loop(model, c)
+
+    monkeypatch.setattr(control, "_compile_closed_loop", counting)
+    s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
+    taus = [tau_star(model, con, s) for model in (m1, m2) * 5]
+    assert compiled == [m1, m2]
+    assert taus == [taus[0]] * 10
 
 
 def test_too_deep_to_compile_lazily(monkeypatch):
     # A tree that loaded can be a few stack frames short of the limit when a
-    # kernel is first compiled: the closed loop then runs the generic
-    # assembly, and the force's kernel is a typed error, never a traceback.
+    # kernel is first compiled: the pair's kernel and the force's kernel are
+    # then typed errors, never a traceback.
     model, con = build_boat("sin(y)", "cos(x)")
     s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
-    expected = solve_control(model, con, s)
 
     def too_deep(*args):
         raise RecursionError
 
     monkeypatch.setattr(control, "_compile_closed_loop", too_deep)
-    con._closed_loop = (None, None)
-    assert solve_control(model, con, s) == expected  # by the generic assembly
+    for view in (solve_control, lambda m, c, s: integrate(m, c, s, t_end=1e-2, h=1e-3)):
+        with pytest.raises(vnhc.EvalError,
+                           match="^closed-loop kernel is nested too deeply to compile$"):
+            view(model, con, s)
     monkeypatch.setattr(model, "_compile_qv", too_deep)
-    del model._force_fn  # the force's kernel, compiled by that assembly
     with pytest.raises(vnhc.EvalError, match="^external force is nested too deeply to compile$"):
-        solve_control(model, con, s)
+        model.drift_acceleration(s)
 
 
 def test_parameters_fold_before_compiling():
@@ -157,7 +157,7 @@ def p_condition_cap():
 
 # name -> (system, q, qdot, the error every closed-loop view raises there,
 # and whether the kernel itself declines; the messages are those of the
-# generic assembly before the kernel existed)
+# assembly that computed every result before the kernel existed)
 FALLBACKS = {
     "non_spd_metric": (lambda: plane(metric=("1", "x")), (-1.0, 0.0), (0.5, 0.0),
                        "SPDError: metric not positive definite at q=(-1.0, 0.0); "
@@ -190,6 +190,9 @@ FALLBACKS = {
                          (1.0, 0.0), (0.0, 0.0),
                          "EvalError: acceleration (0.0, -inf) is not finite at q=(1.0, 0.0), "
                          "qdot=(0.0, 0.0)", False),
+    "metric_ratio_overflow": (lambda: plane(metric=("1", "1e-309")), (0.0, 0.0), (0.5, 0.0),
+                              "SPDError: metric condition estimate inf exceeds 1e+12 "
+                              "at q=(0.0, 0.0)", True),
 }
 
 

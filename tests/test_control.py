@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -298,9 +299,40 @@ def build_gen4():
     return model, con
 
 
+def build_gen5(seed=5):
+    """n=5, m=2 in the style of the benchmark's gen5: metric A^T A + 0.5 I
+    with trig entries in A (SPD everywhere), a velocity-dependent force, a
+    trig potential, constraint rows with a unit leading 2x2 block whose
+    off-diagonal entries are at most 0.4, and the coframe equal to them."""
+    rng = random.Random(seed)
+    names = [f"q{i + 1}" for i in range(5)]
+
+    def trig(bound):
+        fn = rng.choice(("sin", "cos"))
+        return f"({rng.uniform(-bound, bound):.3f}*{fn}({rng.choice(names)}))"
+
+    A = [["0"] * 5 for _ in range(5)]
+    for k in range(5):
+        A[k][k], A[k][(k + 1) % 5], A[k][(k + 3) % 5] = "1", trig(0.6), trig(0.6)
+    G = [[" + ".join([f"{A[k][i]}*{A[k][j]}" for k in range(5)] + ["0.5"] * (i == j))
+          for j in range(5)] for i in range(5)]
+    for i in range(5):
+        for j in range(i):
+            G[i][j] = G[j][i]
+    S = [["1" if i == b else trig(0.4 if i < 2 else 0.8) for i in range(5)] for b in range(2)]
+    model = MechanicalModel(
+        names, G,
+        potential=" + ".join([trig(0.5) for _ in range(3)] + ["0.1*q2^2"]),
+        external_force=[f"-0.1*{x}d + 0.05*{names[(i + 1) % 5]}d*{trig(1.0)}"
+                        for i, x in enumerate(names)],
+        input_coframe=S,
+    )
+    return model, AffineConstraint(names, S, Z=[f"{trig(0.5)} + {trig(0.3)}", trig(0.5)])
+
+
 def assembly_systems():
     out = [(name, *build_boat(*FIXTURE_CURRENTS[name])) for name in FIXTURE_CURRENTS]
-    out.append(("gen4", *build_gen4()))
+    out += [("gen4", *build_gen4()), ("gen5", *build_gen5())]
     return out
 
 
@@ -370,6 +402,7 @@ class TestSingleAssembly:
                 assert report.ok, name
                 assert report.p == tuple(v for row in solve.P for v in row), name
                 assert report.cond_estimate == solve.cond_estimate, name
+                assert solve.b == tuple(b_vector(model, con, s)), name
                 Y = model.input_fields_at(s.q)
                 acc = model.drift_acceleration(s)
                 for a, t in enumerate(solve.tau):
@@ -398,7 +431,7 @@ class TestSingleAssembly:
 
             monkeypatch.setattr(vnhc.linalg, name, wrapper)
 
-        for name in ("cholesky", "lu_factor", "cond1_from_lu"):
+        for name in ("cholesky", "lu_factor", "cond1_from_lu", "lu_solve"):
             counting(name)
         return calls
 
@@ -414,19 +447,17 @@ class TestSingleAssembly:
             fused.append(args)
             return field(*args)
 
-        con._closed_loop = (model, counting)
+        con._closed_loop[model] = counting
         calls = self.count_linalg(monkeypatch)
         view(model, con, State(q=(0.3, -0.1, 0.7, 1.2), qdot=(0.5, -0.4, 0.2, 0.9)))
         assert (len(fused), calls) == (1, {})
 
     @pytest.mark.parametrize("view", [closed_loop_acceleration, solve_control, tau_star])
     def test_one_factorization_per_fallback(self, monkeypatch, view):
-        # Where the kernel declines, the generic assembly factors G and P once.
-        model, con = build_gen4()
-        s = State(q=(0.3, -0.1, 0.7, 1.2), qdot=(0.5, -0.4, 0.2, 0.9))
-        expected = view(model, con, s)
-        control = vnhc.control
-        con._closed_loop = (model, control._with_fallback(model, con, control._declined))
+        # Where the kernel declines (cond(P) = 1e15), the q-only path factors
+        # G and P once and raises; no tau is solved for.
+        model, con = TestPConditionCap().build()
         calls = self.count_linalg(monkeypatch)
-        assert view(model, con, s) == expected
+        with pytest.raises(TransversalityError, match=r"^P condition estimate 1\.000e\+15"):
+            view(model, con, State(q=(0.0, 0.0, 0.0), qdot=(1.0, 0.0, 0.0)))
         assert calls == {"cholesky": 1, "lu_factor": 1, "cond1_from_lu": 1}

@@ -18,11 +18,12 @@ FIELDS = [
     (("potential",), "potential", False),
     (("external_force", 0), "external_force[0]", True),
     (("external_force", 1), "external_force[1]", True),
-    (("inputs", 0, 1), "input_coframe[0][1]", False),
-    (("constraint", "mu", 0, 0), "mu[0][0]", False),
-    (("constraint", "mu", 0, 2), "mu[0][2]", False),
-    (("constraint", "Z", 0), "Z[0]", False),
+    (("inputs", 0, 1), "inputs[0][1]", False),
+    (("constraint", "mu", 0, 0), "constraint.mu[0][0]", False),
+    (("constraint", "mu", 0, 2), "constraint.mu[0][2]", False),
+    (("constraint", "Z", 0), "constraint.Z[0]", False),
 ]
+DIFFERENTIATED = ("metric", "potential", "constraint.mu", "constraint.Z")
 BAD_VALUES = [[1], None, "abc", True, False, {"v": 1}, math.nan, math.inf, -math.inf]
 
 
@@ -38,7 +39,8 @@ def defective_files(draw):
     """(model dict with one defect, substrings the error must contain)."""
     data = json.loads(json.dumps(VORTEX))
     kind = draw(st.sampled_from(
-        ["duplicate", "velocity_named", "parameter", "shadow", "foreign", "velocity", "overflow"]
+        ["duplicate", "velocity_named", "parameter", "shadow", "foreign", "velocity", "overflow",
+         "derivative_overflow"]
     ))
     coords = data["coordinates"]
     if kind == "duplicate":
@@ -62,6 +64,11 @@ def defective_files(draw):
         velocity = draw(st.sampled_from([c + "d" for c in coords]))
         edit(data, path, lambda text: f"({text}) + {velocity}")
         return data, [label, "velocity-free", repr(velocity)]
+    if kind == "derivative_overflow":  # finite, but d/dx folds to 1e200*1e200
+        path, label, _ = draw(st.sampled_from(
+            [f for f in FIELDS if f[1].startswith(DIFFERENTIATED)]))
+        edit(data, path, lambda text: f"({text}) + 1e200*x*1e200")
+        return data, [f"{label.split('[')[0]}: constant is not finite (inf)"]
     path, label, _ = draw(st.sampled_from(FIELDS))
     if kind == "foreign":
         edit(data, path, lambda text: f"({text}) + zz")

@@ -8,6 +8,7 @@ from vnhc import (
     AffineConstraint,
     IntegrationError,
     MechanicalModel,
+    SPDError,
     State,
     build_boat,
     build_linear_fixture,
@@ -152,19 +153,19 @@ class TestIntegrate:
             calls.append(1)
             return field(*args)
 
-        con._closed_loop = (model, counting)
+        con._closed_loop[model] = counting
         s0 = State(q=(0.1, -0.2, 0.5), qdot=(0.4, 0.3, 0.8))
         traj = integrate(model, con, s0, t_end=0.1, h=1e-2, sample_every=1)
         assert len(traj.times) == 11
         assert len(calls) == 4 * 10 + 1
 
     def test_one_factorization_per_stage_in_the_fallback(self, monkeypatch):
-        # Where the kernel declines, each stage factors the metric once.
-        model, con = build_boat("sin(y)", "cos(x)")
-        s0 = State(q=(0.1, -0.2, 0.5), qdot=(0.4, 0.3, 0.8))
-        expected = integrate(model, con, s0, t_end=0.1, h=1e-2, sample_every=1)
-        control = vnhc.control
-        con._closed_loop = (model, control._with_fallback(model, con, control._declined))
+        # Metric diag(1, x) and phi = xd: x runs down to 0 in 10 steps, where
+        # the metric's condition passes the cap.  Every stage before runs in
+        # the kernel; the one it declines factors the metric once, and raises.
+        model = MechanicalModel(("x", "y"), [["1", "0"], ["0", "x"]],
+                                input_coframe=[["1", "0"]])
+        con = AffineConstraint(("x", "y"), [["1", "0"]], Z=["0"])
         calls = []
         cholesky = vnhc.linalg.cholesky
 
@@ -173,5 +174,6 @@ class TestIntegrate:
             return cholesky(a)
 
         monkeypatch.setattr(vnhc.linalg, "cholesky", counting)
-        assert integrate(model, con, s0, t_end=0.1, h=1e-2, sample_every=1) == expected
-        assert len(calls) == 4 * 10 + 1
+        with pytest.raises(SPDError, match=r"^metric condition estimate 7\.206e\+15 "):
+            integrate(model, con, State(q=(1.0, 0.0), qdot=(-10.0, 0.0)), t_end=0.2, h=1e-2)
+        assert len(calls) == 1
