@@ -14,6 +14,7 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -203,7 +204,10 @@ def cmd_fixture(args, parser) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    call in the process: parsing a command line leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="vnhc",
         description="Synthesize and certify feedback laws that keep an "

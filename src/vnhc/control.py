@@ -13,9 +13,11 @@ the model's, force's and constraint's expressions (common subexpressions
 computed once across all three), the metric's Cholesky factor, the input
 fields Y = G^-1 coframe, P = S Y, its pivoted LU and cond_1, the drift
 G^-1 (F - dV - w), b = -(S drift + c), tau and the acceleration, all
-inline.  It is compiled on the first closed-loop call with a model and
-kept on the constraint, so loading a model does not pay for it.  No
-other code computes a closed-loop result.
+inline.  Its field is built on the first closed-loop call with a model
+and kept on the constraint, so loading a model does not pay for it; the
+source is compiled by `linalg._define`, once per distinct source per
+process, so a pair built again from the same model text reuses the
+compiled kernel.  No other code computes a closed-loop result.
 
 Every gate (metric SPD and condition, exactly singular P, pivot, P
 condition, a non-finite cond) is a branch in that kernel.  Where one
@@ -176,14 +178,12 @@ def _closed_loop_source(model: MechanicalModel, con: AffineConstraint) -> list[s
 
 
 def _compile_closed_loop(model: MechanicalModel, con: AffineConstraint):
-    namespace = {"math": math, "sqrt": math.sqrt, "hypot": math.hypot}
-    exec("\n".join(_closed_loop_source(model, con)), namespace)
-    return namespace["kernel"]
+    return linalg._define("\n".join(_closed_loop_source(model, con)))
 
 
 def _closed_loop(model: MechanicalModel, con: AffineConstraint):
     """field(q, qd, state=None) -> (acc, tau, b, P, cond) for this pair,
-    compiled on the first call with this model and kept on con, one per
+    built on the first call with this model and kept on con, one per
     model.  Where the kernel declines (returns None: a gate failed) or
     meets a math error, the q-only path of `p_matrix` and then the force's
     own kernel run at (q, qd) and raise the typed error with its message:

@@ -16,6 +16,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import linalg
+
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
 _MATH_FN = {name: getattr(math, name) for name in FUNCTIONS}  # compiled as math.<name>
@@ -618,7 +620,8 @@ def compile_exprs(
     callers get matrix rows without slicing.  Constants (model parameters)
     are inlined.  A free symbol that is neither a variable nor a constant,
     or a non-finite number or constant, raises EvalError at compile time.
-    Common subexpressions are computed once (see `_emit`).
+    Common subexpressions are computed once (see `_emit`), and the source
+    is compiled by `linalg._define`, once per distinct source per process.
 
     A math error at call time (division by zero, a domain error, an
     overflow) raises the EvalError of `evaluate` on the same inputs, which
@@ -634,10 +637,7 @@ def compile_exprs(
 
     args = ", ".join(f"_a{i}" for i in range(len(variables)))
     body = "".join(f"    {line}\n" for line in lines)
-    src = f"def _kernel({args}):\n{body}    return {tuple_source(roots)}\n"
-    namespace: dict = {"math": math}
-    exec(src, namespace)
-    raw = namespace["_kernel"]
+    raw = linalg._define(f"def kernel({args}):\n{body}    return {tuple_source(roots)}\n")
 
     # The try lives here, not in the generated source: there it made each
     # kernel 15-27% slower to compile (CPython 3.11), a cost model

@@ -8,20 +8,43 @@ generated once per size.  Spectra, for the checks and error messages
 only: `singular_values` by one-sided (Hestenes) Jacobi on the rows, which
 keeps small singular values accurate relative to the large ones (Demmel
 and Veselic, 1992), and `eigvalsh` by cyclic Jacobi.
+
+Every generated source in the package, these and the kernels of `expr`,
+`control` and `sim`, is compiled by `_define`: once per distinct source
+per process, in one fixed namespace, with at most `DEFINE_CACHE_SIZE`
+compiled functions kept.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 
 CONDITION_CAP = 1e12
+DEFINE_CACHE_SIZE = 256
 _EPS = 2.0 ** -52
 
 
 class SingularMatrixError(RuntimeError):
     pass
+
+
+_NAMESPACE = {"math": math, "sqrt": math.sqrt, "hypot": math.hypot,
+              "SingularMatrixError": SingularMatrixError}
+
+
+@functools.lru_cache(maxsize=DEFINE_CACHE_SIZE)
+def _define(source: str):
+    """The function named kernel that source defines over the names of
+    _NAMESPACE, compiled once per distinct source: a model loaded again or
+    a pair built again gets back the function already compiled from the
+    same text, hence the same code and the same results.  Each source runs
+    in a copy of the namespace, so kernels never see one another."""
+    namespace = dict(_NAMESPACE)
+    exec(source, namespace)
+    return namespace["kernel"]
 
 
 def _matrix(name: str, n: int, lower: bool = False, upper: str = "_") -> str:
@@ -160,7 +183,7 @@ def _cond1_source(n: int) -> list[str]:
 
 class _Kernels(dict):
     """Size n -> the routine whose source lines source(n) spells out,
-    compiled on first use.
+    defined on first use.
 
     The loops of the textbook algorithm run at build time, so a call makes
     only the arithmetic: the same operations in the same order as the
@@ -171,9 +194,7 @@ class _Kernels(dict):
         self.source = source
 
     def __missing__(self, n: int):
-        namespace = {"sqrt": math.sqrt, "SingularMatrixError": SingularMatrixError}
-        exec("\n".join(self.source(n)), namespace)
-        fn = self[n] = namespace["kernel"]
+        fn = self[n] = _define("\n".join(self.source(n)))
         return fn
 
 

@@ -23,7 +23,7 @@ from . import linalg
 from .constraint import AffineConstraint, check_compatible
 from .control import TransversalityError, _closed_loop
 from .expr import EvalError
-from .geometry import MechanicalModel, State
+from .geometry import MechanicalModel, SPDError, State
 
 
 class IntegrationError(RuntimeError):
@@ -114,7 +114,7 @@ def integrate(
                     f"non-finite state at step {step}", last_good_index=len(times) - 1
                 )
             here = field(q, qd)
-        except (TransversalityError, EvalError) as err:
+        except (TransversalityError, SPDError, EvalError) as err:
             raise IntegrationError(
                 f"aborted at step {step}: {err}", last_good_index=len(times) - 1
             ) from err

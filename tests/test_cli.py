@@ -214,6 +214,22 @@ class TestSimulate:
         assert code == 1
         assert "step 2" in capsys.readouterr().err
 
+    def test_metric_failure_mid_run_exit_1(self, tmp_path, capsys):
+        # Metric diag(1, x): x reaches 0 at step 10, where the metric's
+        # condition passes the cap; the SPDError is reported with its step.
+        path = write_json(tmp_path, "thinning.json", {
+            "coordinates": ["x", "y"],
+            "metric": [["1", "0"], ["0", "x"]],
+            "inputs": [["1", "0"]],
+            "constraint": {"mu": [["1", "0"]], "Z": ["0"]},
+        })
+        code = main(["simulate", path, "--q0", "1,0", "--qdot0=-10,0", "--t-end", "0.2",
+                     "--dt", "1e-2", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr() == ("", (
+            "error: aborted at step 10: metric condition estimate 7.206e+15 exceeds 1e+12 "
+            "at q=(1.3877787807814457e-16, 0.0)\n"))
+
 
 class TestControlAt:
     def test_boat_value(self, boat_file, capsys):

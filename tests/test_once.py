@@ -1,0 +1,152 @@
+"""One-time work is done once per process.
+
+Every generated source is compiled by `linalg._define`, cached by its text
+with a fixed bound, so a model loaded again or a pair built again reuses
+the compiled functions; and `cli.build_parser` builds the parser once.
+Reuse must change no result and leak no state between calls.
+"""
+
+import contextlib
+import io
+import math
+import os
+import random
+import re
+import subprocess
+import sys
+
+import pytest
+from test_control import build_gen5
+
+import vnhc
+from vnhc import (
+    FIXTURE_CURRENTS,
+    State,
+    build_boat,
+    integrate,
+    load_model,
+    save_model,
+    solve_control,
+    tau_star,
+)
+from vnhc import cli, linalg
+
+SRC = os.path.dirname(os.path.dirname(vnhc.__file__))
+
+
+def model_file(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    save_model(path, *(build_gen5() if name == "gen5" else build_boat(*FIXTURE_CURRENTS[name])))
+    return path
+
+
+def use(model, con):
+    """Every kernel the command line compiles: the model's, the constraint's,
+    the pair's closed loop, the force's and RK4's."""
+    s = State(q=(0.1,) * model.n, qdot=(0.2,) * model.n)
+    integrate(model, con, s, t_end=2e-3, h=1e-3)
+    model.drift_acceleration(s)
+
+
+def test_second_load_compiles_nothing(tmp_path):
+    path = model_file(tmp_path, "vortex")
+    use(*load_model(path))
+    misses = linalg._define.cache_info().misses
+    use(*load_model(path))
+    assert linalg._define.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_CURRENTS, "gen5"])
+def test_repeated_load_is_bit_identical(tmp_path, name):
+    path = model_file(tmp_path, name)
+    linalg._define.cache_clear()  # the first load compiles every source
+
+    def reprs():
+        model, con = load_model(path)
+        rng = random.Random(name)
+        out = []
+        for _ in range(200):
+            q = tuple(rng.uniform(-1.0, 1.0) for _ in range(model.n))
+            qd = tuple(rng.uniform(-1.0, 1.0) for _ in range(model.n))
+            out.append(repr(solve_control(model, con, State(q=q, qdot=qd))))
+        out.append(repr(integrate(model, con, State(q=q, qdot=qd), t_end=0.5, h=1e-3,
+                                  sample_every=10)))
+        return out
+
+    first = reprs()
+    hits = linalg._define.cache_info().hits
+    assert reprs() == first
+    assert linalg._define.cache_info().hits > hits
+
+
+def test_cache_is_bounded():
+    # Each mass is another literal in the model's kernel: a distinct source.
+    # The first model's kernels leave the cache and stay with the model.
+    s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
+    first = build_boat("sin(y)", "cos(x)", m=1.0)
+    for k in range(linalg.DEFINE_CACHE_SIZE + 44):
+        build_boat("sin(y)", "cos(x)", m=2.0 + k)
+    assert linalg._define.cache_info().currsize <= linalg.DEFINE_CACHE_SIZE
+    fresh = build_boat("sin(y)", "cos(x)", m=1.5)
+    (_, _, th), (xd, yd, thd) = s.q, s.qdot
+    for (model, con), m in ((first, 1.0), (fresh, 1.5)):
+        law = -m * thd * (math.cos(th) * xd + math.sin(th) * yd)
+        assert tau_star(model, con, s)[0] == pytest.approx(law, rel=1e-12, abs=1e-15)
+
+
+# A usage error first, then every command, each flag given once and then
+# left out: a value the shared parser kept would change a later output.
+BOAT = ["boat.json"]
+START = ["--q0", "0.1,-0.2,3.13", "--qdot0", "0.4,0.3,0.8", "--t-end", "0.05", "--dt", "1e-3"]
+COMMANDS = [
+    ["simulate", *BOAT, *START[:-1], "0", "--out", "traj.csv"],  # --dt 0: exit 2
+    ["simulate", *BOAT, *START, "--sample-every", "10", "--project", "--wrap", "theta",
+     "--out", "traj.csv"],
+    ["simulate", *BOAT, *START, "--out", "traj.csv"],
+    ["check", *BOAT, "--grid", "x=-1:1:3", "--grid", "theta=0:6.28:4"],
+    ["check", *BOAT, "--point", "x=0.5"],
+    ["control-at", *BOAT, "--q", "0.1,-0.2,0.5", "--qdot", "0.4,0.3,0.8"],
+]
+
+
+def outputs(run, cwd):
+    """(exit code, stdout, stderr, CSV) of each command by run(argv), in
+    cwd, with simulate's runtime_s left out."""
+    save_model(cwd / "boat.json", *build_boat(*FIXTURE_CURRENTS["vortex"]))
+    out = []
+    for argv in COMMANDS:
+        code, stdout, stderr = run(argv)
+        csv = cwd / "traj.csv"
+        out.append((code, re.sub(r'"runtime_s": [^,]*, ', "", stdout), stderr,
+                    csv.read_bytes() if csv.exists() else None))
+        csv.unlink(missing_ok=True)
+    return out
+
+
+def test_reused_parser_leaks_nothing(tmp_path, monkeypatch):
+    alone, reused = tmp_path / "alone", tmp_path / "reused"
+    alone.mkdir()
+    reused.mkdir()
+
+    def subprocess_run(argv):
+        done = subprocess.run([sys.executable, "-m", "vnhc.cli", *argv], cwd=alone,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        return done.returncode, done.stdout, done.stderr
+
+    def in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+        return code, out.getvalue(), err.getvalue()
+
+    expected = outputs(subprocess_run, alone)
+    assert [code for code, *_ in expected] == [2, 0, 0, 0, 0, 0]
+    thetas = [float(row.split(b",")[3]) for row in expected[2][3].splitlines()[1:]]
+    assert max(thetas) > math.pi  # a --wrap kept from the run before would show
+    monkeypatch.chdir(reused)
+    assert outputs(in_process, reused) == expected
+    assert cli.build_parser() is cli.build_parser()

@@ -162,7 +162,8 @@ class TestIntegrate:
     def test_one_factorization_per_stage_in_the_fallback(self, monkeypatch):
         # Metric diag(1, x) and phi = xd: x runs down to 0 in 10 steps, where
         # the metric's condition passes the cap.  Every stage before runs in
-        # the kernel; the one it declines factors the metric once, and raises.
+        # the kernel; the one it declines factors the metric once, and integrate
+        # reports its SPDError with the step.
         model = MechanicalModel(("x", "y"), [["1", "0"], ["0", "x"]],
                                 input_coframe=[["1", "0"]])
         con = AffineConstraint(("x", "y"), [["1", "0"]], Z=["0"])
@@ -174,6 +175,9 @@ class TestIntegrate:
             return cholesky(a)
 
         monkeypatch.setattr(vnhc.linalg, "cholesky", counting)
-        with pytest.raises(SPDError, match=r"^metric condition estimate 7\.206e\+15 "):
+        message = r"^aborted at step 10: metric condition estimate 7\.206e\+15 "
+        with pytest.raises(IntegrationError, match=message) as info:
             integrate(model, con, State(q=(1.0, 0.0), qdot=(-10.0, 0.0)), t_end=0.2, h=1e-2)
+        assert info.value.last_good_index == 9  # steps 0-9 sampled
+        assert isinstance(info.value.__cause__, SPDError)
         assert len(calls) == 1
