@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import model_io, models
-from .constraint import RankDefectError, transversality_check
+from .constraint import RankDefectError, _p_system, _q_only, _QOnly, _verdict
 from .control import TransversalityError, solve_control
 from .expr import EvalError
 from .geometry import SPDError, State
@@ -55,6 +55,8 @@ def _parse_vector(text: str, n: int, flag: str) -> list[float]:
 
 
 def _points(args, coordinates) -> list[tuple]:
+    """The points of --point and of the product of the --grid axes; a
+    usage error for a malformed or repeated axis or a non-finite coordinate."""
     pts = []
     for text in args.point or []:
         values = _parse_assignments(text)
@@ -62,21 +64,28 @@ def _points(args, coordinates) -> list[tuple]:
         if unknown:
             raise ValueError(f"unknown coordinates {sorted(unknown)} in --point")
         pts.append(tuple(values.get(c, 0.0) for c in coordinates))
-    if args.grid:
-        axes = {}
-        for text in args.grid:
-            name, _, spec = text.partition("=")
-            if name not in coordinates:
-                raise ValueError(f"unknown coordinate {name!r} in --grid")
+        if not all(map(math.isfinite, pts[-1])):
+            raise ValueError(f"non-finite coordinate in --point {text!r}")
+    axes = {}
+    for text in args.grid or []:
+        name, _, spec = text.partition("=")
+        if name not in coordinates:
+            raise ValueError(f"unknown coordinate {name!r} in --grid")
+        if name in axes:
+            raise ValueError(f"--grid axis {name!r} is given twice")
+        try:
             lo, hi, count = spec.split(":")
-            count = int(count)
-            if count < 1:
-                raise ValueError("--grid count must be at least 1")
-            lo, hi = float(lo), float(hi)
-            step = (hi - lo) / (count - 1) if count > 1 else 0.0
-            axes[name] = [lo + i * step for i in range(count)]
-        ranges = [axes.get(c, [0.0]) for c in coordinates]
-        pts.extend(itertools.product(*ranges))
+            lo, hi, count = float(lo), float(hi), int(count)
+        except ValueError:
+            raise ValueError(f"--grid expects NAME=LO:HI:COUNT, got {text!r}") from None
+        if count < 1:
+            raise ValueError("--grid count must be at least 1")
+        step = (hi - lo) / (count - 1) if count > 1 else 0.0
+        axes[name] = [lo + i * step for i in range(count)]
+        if not all(map(math.isfinite, axes[name])):
+            raise ValueError(f"non-finite coordinate in --grid {text!r}")
+    if axes:
+        pts.extend(itertools.product(*(axes.get(c, [0.0]) for c in coordinates)))
     if not pts:
         pts.append(tuple(0.0 for _ in coordinates))
     return pts
@@ -85,22 +94,28 @@ def _points(args, coordinates) -> list[tuple]:
 def cmd_check(args) -> int:
     model, con = model_io.load_model(args.model)
     points = _points(args, model.coordinates)
+    kernel = _q_only(model, con)
     all_ok = True
     for q in points:
         line = f"q=({', '.join(f'{v:g}' for v in q)})"
         try:
-            rr = con.rank_check(q)
+            k = _QOnly(*kernel(q))
+        except (ArithmeticError, ValueError):
+            k = None  # the constraint's and then the model's kernels name the math error
+        try:
+            rank, sv = con._rank(con.mu_at(q) if k is None else k.S)
         except EvalError as err:
             print(f"{line} rank=ERROR ({err})")
             all_ok = False
             continue
-        line += f" rank={'ok' if rr.ok else 'DEFECT'}({rr.rank}/{rr.expected_rank})"
-        if rr.ok:
+        line += f" rank={'ok' if rank == con.m else 'DEFECT'}({rank}/{con.m})"
+        if rank == con.m:
             try:
-                tr = transversality_check(con, model, q)
-                verdict = "ok" if tr.ok else "VIOLATION"
-                line += f" transversality={verdict} cond={tr.cond_estimate:.6g} det={tr.det:.6g}"
-                all_ok &= tr.ok
+                k = _p_system(model, con, q, k)
+                error, cond = _verdict(k, q)
+                line += (f" transversality={'ok' if error is None else 'VIOLATION'} "
+                         f"cond={cond:.6g} det={k.det:.6g}")
+                all_ok &= error is None
             except SPDError as err:
                 line += f" metric=SPD-FAILURE ({err})"
                 all_ok = False
@@ -108,7 +123,7 @@ def cmd_check(args) -> int:
                 line += f" transversality=ERROR ({err})"
                 all_ok = False
         else:
-            line += f" singular_values={[f'{s:.3e}' for s in rr.singular_values]}"
+            line += f" singular_values={[f'{s:.3e}' for s in sv]}"
             all_ok = False
         print(line)
     return EXIT_OK if all_ok else EXIT_FAILURE

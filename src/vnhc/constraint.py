@@ -1,4 +1,5 @@
-"""Affine velocity constraints: phi(q, qdot) = S(q) qdot + Z(q).
+"""Affine velocity constraints: phi(q, qdot) = S(q) qdot + Z(q), and the
+checks of the theorem's hypotheses.
 
 The constraint is declared through its one-form rows mu^b (the rows of S)
 and the affine part Z; both depend on q only.  One kernel of (q, qdot)
@@ -6,19 +7,41 @@ returns S, Z and c = dZ qdot + qdot^T dS qdot, the part of dphi/dt that
 does not involve the acceleration, so dphi/dt = S qddot + c.  Hypothesis
 checks return report objects rather than raising, so callers can batch
 them over grids.
+
+`rank_check` reads the constraint's kernel.  Transversality, the
+invertibility of P(q) = [mu^b(Y^a)], is decided by a second kernel
+generated per (model, constraint) pair and evaluated at q alone: every
+expression the model's and the constraint's kernels evaluate at (q, 0),
+then the metric's Cholesky factor with its SPD and condition gates,
+P = S G^-1 coframe, its pivoted LU factor, cond_1 and determinant, and
+the singular, pivot and condition gates, from the statement generator
+that the closed-loop kernel of `control` shares.  It returns its verdict
+as data: a failing gate returns what was computed before it, with the
+gate's name, and `_p_system` and `_verdict` build the typed errors and
+their messages from those numbers.  `transversality_check`,
+`control.p_matrix`, the closed-loop field's errors and `vnhc check` (one
+call per point, the rank from the returned S) read that one call.  Where
+the kernel meets a math error, the model's and the constraint's own
+kernels run again to name the expression.  The kernel is built on the
+first q-only call with a model and kept on the constraint, so loading a
+model does not pay for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, combinations
+from typing import NamedTuple, Sequence
 
 from . import expr as ex
 from . import linalg
-from .geometry import MechanicalModel, ModelError, State, _Chart, contract
+from .expr import EvalError
+from .geometry import MechanicalModel, ModelError, State, _Chart, _spd_error, contract
 
 RANK_RTOL = 1e-9
+PIVOT_RTOL = 1e-12
 
 
 class RankDefectError(RuntimeError):
@@ -68,9 +91,10 @@ class AffineConstraint(_Chart):
              for dmu_b, dZ_b in zip(dmu, dZ)]
         self._exprs = [mu, Z, c]
         self._kernel = self._compile_qv(self._exprs, {"constraint.mu": dmu, "constraint.Z": dZ})
-        # model -> the closed-loop field of (model, self), built by `control`
-        # on the first closed-loop evaluation with that model.
+        # model -> the closed-loop field (built by `control`) and the q-only
+        # kernel of (model, self), each built on its first use with that model.
         self._closed_loop = {}
+        self._q_only = {}
 
     # -- evaluation ---------------------------------------------------------
 
@@ -91,26 +115,33 @@ class AffineConstraint(_Chart):
     def rank_check(self, q: Sequence[float]) -> RankReport:
         """Row rank of S(q) by singular values, relative tolerance 1e-9;
         raises EvalError naming a non-finite entry of S, such as an overflow."""
-        S = self.mu_at(q)
-        for b, (row, exprs) in enumerate(zip(S, self.mu)):
-            for i, (v, e) in enumerate(zip(row, exprs)):
-                if not math.isfinite(v):
-                    raise ex.EvalError(
-                        f"constraint.mu[{b}][{i}] = {ex.to_string(e)} is not finite ({v!r})")
+        rank, sv = self._rank(self._kernel(*q, *self._rest)[0])
+        return RankReport(ok=rank == self.m, rank=rank, expected_rank=self.m,
+                          singular_values=tuple(sv), q=tuple(map(float, q)))
+
+    def _rank(self, S) -> tuple[int, list[float]]:
+        """The rank and the singular values of S, the rows of S(q)."""
+        if not all(map(math.isfinite, chain.from_iterable(S))):
+            for b, (row, exprs) in enumerate(zip(S, self.mu)):
+                for i, (v, e) in enumerate(zip(row, exprs)):
+                    if not math.isfinite(v):
+                        raise EvalError(
+                            f"constraint.mu[{b}][{i}] = {ex.to_string(e)} is not finite ({v!r})")
         sv = linalg.singular_values(S)
-        rank = sum(s > RANK_RTOL * sv[0] for s in sv)  # 0 when S = 0; S has m >= 1 rows
-        return RankReport(
-            ok=(rank == self.m),
-            rank=rank,
-            expected_rank=self.m,
-            singular_values=tuple(sv),
-            q=tuple(float(v) for v in q),
-        )
+        return sum(s > RANK_RTOL * sv[0] for s in sv), sv  # 0 when S = 0; S has m >= 1 rows
 
 
-def check_compatible(model: MechanicalModel, con: AffineConstraint):
-    """Raise ModelError unless con is declared on model's chart, the same
-    names in the same order, and has one row per control input."""
+def check_compatible(model: MechanicalModel, con: AffineConstraint, con_first: bool = False):
+    """Raise TypeError unless model is a MechanicalModel and con an
+    AffineConstraint, naming the order the caller takes them in (con
+    first with con_first); and ModelError unless con is declared on
+    model's chart, the same names in the same order, and has one row per
+    control input."""
+    if not isinstance(model, MechanicalModel) or not isinstance(con, AffineConstraint):
+        got = {"model": type(model).__name__, "con": type(con).__name__}
+        order = ("con", "model") if con_first else ("model", "con")
+        raise TypeError(f"expected ({', '.join(order)}, ...) with model a MechanicalModel and "
+                        f"con an AffineConstraint; got {', '.join(f'{x}={got[x]}' for x in order)}")
     if con.coordinates != model.coordinates:
         raise ModelError(f"constraint chart {con.coordinates} is not the model's")
     if con.m != model.m:
@@ -120,22 +151,166 @@ def check_compatible(model: MechanicalModel, con: AffineConstraint):
         )
 
 
+# -- the q-only kernel of a (model, constraint) pair ------------------------
+
+class _QOnly(NamedTuple):
+    """One call of a pair's q-only kernel at q.  A failing gate returns what
+    was computed before it; the fields after that keep their defaults."""
+
+    failed: str | None  # the gate that failed: metric, singular, pivot or cond
+    S: list  # rows of S(q)
+    g: list | None  # the metric where it fails a gate, for the SPDError's eigenvalues
+    ratio: float | None = None  # of the metric's Cholesky diagonal; None if G is not SPD
+    P: list | None = None
+    cond: float = math.inf  # cond_1(P); inf where P is exactly singular
+    lu: list | None = None
+    piv: list | None = None
+    min_pivot: float | None = None
+    scale: float | None = None  # P's entries before cancellation: max |S_b| times max |Y^a|
+    det: float = 0.0  # from the LU factors: U's diagonal and the parity of the row swaps
+
+
+def _dot(x: str, y: str, n: int) -> str:
+    """Source of {x} . {y}, added up as sum() does, from 0."""
+    return "0.0" + "".join(f" + {x}{i} * {y}{i}" for i in range(n))
+
+
+def _pivot_sources(n: int, m: int) -> tuple[str, str]:
+    """Source of P's smallest pivot magnitude and of its scale, the
+    largest constraint-row norm times the largest input-field norm."""
+    def longest(x: str) -> str:
+        return linalg._max([f"hypot({linalg._vector(f'{x}{a}_', n)})" for a in range(m)])
+
+    return linalg._min([f"abs(u{a}_{a})" for a in range(m)]), f"{longest('S')} * {longest('y')}"
+
+
+def _gate_lines(n: int, m: int, fail) -> list[str]:
+    """The metric and P blocks of both kernels of a pair, over the locals
+    g{i}_{j} (the metric's lower triangle), y{a}_{i} (the coframe rows)
+    and S{b}_{i}.  fail(gate) is the statement a failing gate runs; the
+    gates, in order: spd and ratio (the metric's), singular and P (the
+    pivot and P condition gates, tested together)."""
+    rm = range(m)
+    # The metric: SPD and condition gates, then the input fields Y^a = G^-1 coframe^a.
+    body = linalg._cholesky_lines(n, "g", "l", fail("spd"))
+    diag = [f"l{i}_{i}" for i in range(n)]
+    body += [f"ratio = {linalg._max(diag)} / {linalg._min(diag)}",
+             f"if ratio * ratio > {linalg.CONDITION_CAP!r}:", f"    {fail('ratio')}"]
+    for a in rm:
+        body += linalg._cho_solve_lines(n, "l", f"y{a}_")
+    # P = S Y, factored, with its singular, condition and pivot gates.
+    body += [f"P{b}_{a} = {_dot(f'S{b}_', f'y{a}_', n)}" for b in rm for a in rm]
+    body += [f"u{b}_{a} = P{b}_{a}" for b in rm for a in rm]
+    body += linalg._lu_factor_lines(m, "u", "p", fail("singular"))
+    body += linalg._cond1_lines(m, "P", "u", "p", "cond")
+    min_pivot, scale = _pivot_sources(n, m)
+    return body + [f"if not cond <= {linalg.CONDITION_CAP!r} or "
+                   f"{min_pivot} <= {PIVOT_RTOL!r} * ({scale}):", f"    {fail('P')}"]
+
+
+def _bind(G, coframe, S) -> list[str]:
+    """Statements binding the metric's lower triangle, the coframe rows and
+    S to the locals that `_gate_lines` reads."""
+    r, rm = range(len(G)), range(len(S))
+    return ([f"g{i}_{j} = {G[i][j]}" for i in r for j in range(i + 1)]
+            + [f"y{a}_{i} = {coframe[a][i]}" for a in rm for i in r]
+            + [f"S{b}_{i} = {S[b][i]}" for b in rm for i in r])
+
+
+def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
+    """Source of kernel(q) -> the fields of `_QOnly`: every expression the
+    model's and the constraint's kernels evaluate at (q, 0), with common
+    subexpressions computed once, then the gates of the closed-loop kernel.
+    dV, w, Z and c are evaluated for their math errors only."""
+    n = model.n
+    lines, ((G, coframe, dV, w), (S, Z, c)), _ = ex._emit(
+        [model._exprs, con._exprs], model.coordinates + model.velocities)
+    body = [f"{linalg._vector('_a', n)}, = q",
+            " = ".join(f"_a{n + i}" for i in range(n)) + " = 0.0", *lines]
+    body += [root for root in chain(dV, w, Z, c) if "(" in root]  # not a local or a literal
+    gates, result = _q_only_gates(n, con.m)
+    return linalg._kernel_source("q", [*body, *_bind(G, coframe, S), *gates], result)
+
+
+@functools.cache
+def _q_only_gates(n: int, m: int) -> tuple[tuple[str, ...], str]:
+    """The q-only kernel's gates and its result, which depend on the size
+    only: a failing gate returns the fields computed before it."""
+    r, rm = range(n), range(m)
+    rows = "[" + ", ".join(f"[{linalg._vector(f'S{b}_', n)}]" for b in rm) + "]"
+    metric = "[" + ", ".join("[" + ", ".join(f"g{max(i, j)}_{min(i, j)}" for j in r) + "]"
+                             for i in r) + "]"
+    P = linalg._matrix("P", m)
+    min_pivot, scale = _pivot_sources(n, m)
+    det = " * ".join(f"u{a}_{a}" for a in rm)
+    swaps = " + ".join(f"(p{a} > p{b})" for a, b in combinations(rm, 2))
+    rest = (f"{rows}, None, ratio, {P}, cond, {linalg._matrix('u', m)}, "
+            f"[{linalg._vector('p', m)}], {min_pivot}, {scale}, "
+            + (f"-({det}) if ({swaps}) % 2 else {det}" if m > 1 else det))
+    returns = {"spd": f"'metric', {rows}, {metric}", "ratio": f"'metric', {rows}, {metric}, ratio",
+               "singular": f"'singular', {rows}, None, ratio, {P}",
+               "P": f"'pivot' if {min_pivot} <= {PIVOT_RTOL!r} * ({scale}) else 'cond', {rest}"}
+    return tuple(_gate_lines(n, m, lambda gate: f"return {returns[gate]}")), f"None, {rest}"
+
+
+def _q_only(model: MechanicalModel, con: AffineConstraint):
+    """The pair's compiled q-only kernel, built on the first q-only call
+    with this model and kept on con, one per model."""
+    kernel = con._q_only.get(model)
+    if kernel is None:
+        try:
+            kernel = linalg._define("\n".join(_q_only_source(model, con)))
+        except RecursionError:
+            raise EvalError("q-only kernel is nested too deeply to compile") from None
+        con._q_only[model] = kernel
+    return kernel
+
+
+def _p_system(model: MechanicalModel, con: AffineConstraint, q, k: _QOnly | None = None) -> _QOnly:
+    """The pair's q-only kernel at q, or its result k there if the caller
+    has it.  Raises the metric's SPDError, an EvalError naming a math error
+    or a non-finite P; a failed P gate is left in `failed`.  Where the
+    kernel meets a math error, the model's kernel, the metric's gates and
+    the constraint's kernel run in turn at (q, 0) to name it."""
+    if k is None:
+        try:
+            k = _QOnly(*_q_only(model, con)(q))
+        except (ArithmeticError, ValueError):
+            model._factor(q, model._kernel(*q, *model._rest)[0])
+            con._kernel(*q, *con._rest)
+            raise
+    if k.failed == "metric":
+        raise _spd_error(q, k.g, k.ratio)
+    # A non-finite entry makes P singular or cond non-finite: only then is P checked.
+    if not math.isfinite(k.cond) and not all(map(math.isfinite, chain.from_iterable(k.P))):
+        raise EvalError(f"P matrix {k.P} is not finite at q={tuple(q)}")
+    return k
+
+
+def _verdict(k: _QOnly, q) -> tuple[str | None, float]:
+    """Why no control exists at q, None where P is admissible, and the
+    condition estimate to report: inf where P is singular, or numerically so."""
+    if k.failed == "singular":
+        return f"singular P matrix at q={tuple(q)}", math.inf
+    if k.failed == "pivot":
+        return (f"numerically singular P matrix at q={tuple(q)} "
+                f"(pivot {k.min_pivot:.3e} vs scale {k.scale:.3e})"), math.inf
+    if k.failed == "cond":
+        return (f"P condition estimate {k.cond:.3e} exceeds {linalg.CONDITION_CAP:.0e} "
+                f"at q={tuple(q)}"), k.cond
+    return None, k.cond
+
+
 def transversality_check(
     con: AffineConstraint, model: MechanicalModel, q: Sequence[float]
 ) -> TransversalityReport:
     """Invertibility of P(q) with entries mu^b(Y^a); certifies A and the
     input distribution are transversal (given the rank hypothesis)."""
-    from .control import _p_system
-
-    check_compatible(model, con)
-    ps = _p_system(model, con, q, model._rest)
-    return TransversalityReport(
-        ok=ps.cond <= linalg.CONDITION_CAP,
-        p=tuple(v for row in ps.P for v in row),
-        det=0.0 if ps.lu is None else linalg.det_from_lu(ps.lu, ps.piv),
-        cond_estimate=ps.cond,
-        q=tuple(float(v) for v in q),
-    )
+    check_compatible(model, con, con_first=True)
+    k = _p_system(model, con, q)
+    error, cond = _verdict(k, q)
+    return TransversalityReport(ok=error is None, p=tuple(chain.from_iterable(k.P)), det=k.det,
+                                cond_estimate=cond, q=tuple(map(float, q)))
 
 
 def project_onto_A(
@@ -143,14 +318,12 @@ def project_onto_A(
 ) -> State:
     """Metric-orthogonal (kinetic-energy-minimal) projection of the velocity
     onto the affine constraint set at the same base point."""
-    check_compatible(model, con)
-    report = con.rank_check(state.q)
-    if not report.ok:
-        raise RankDefectError(
-            f"constraint rank defect at q={report.q}: rank {report.rank} < {report.expected_rank}"
-        )
-    phi = con.phi(state)
+    check_compatible(model, con, con_first=True)
     S = con.mu_at(state.q)
+    rank = con._rank(S)[0]
+    if rank < con.m:
+        raise RankDefectError(f"constraint rank defect at q={state.q}: rank {rank} < {con.m}")
+    phi = con.phi(state)
     L = model._factor(state.q)
     # qdot' = qdot - G^-1 S^T (S G^-1 S^T)^-1 phi
     GiST = [linalg.cho_solve(L, list(row)) for row in S]  # rows: G^-1 mu^b

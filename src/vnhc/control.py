@@ -19,32 +19,30 @@ source is compiled by `linalg._define`, once per distinct source per
 process, so a pair built again from the same model text reuses the
 compiled kernel.  No other code computes a closed-loop result.
 
-Every gate (metric SPD and condition, exactly singular P, pivot, P
-condition, a non-finite cond) is a branch in that kernel.  Where one
-fails, or a math error is raised, the q-only path runs at the same state
-and raises the typed error with its message: `_p_system` calls the
-model's and the constraint's kernels once each, factors G and P once and
-tests the same gates on the same numbers, and the force's own kernel
-names a math error in F.  The q-only views (`p_matrix`,
-`transversality_check`, `vnhc check`) use `_p_system` at qdot = 0 and
-never evaluate the external force, which may be singular there (Coulomb
-friction).  `b_vector` needs no invertible P: it contracts the model's
-drift with the constraint's kernel.  The integrator re-solves the
-control at every RK4 stage, and the tau it samples is the next step's
-stage-1 solve.
+The kernel's metric and P blocks, with every gate (metric SPD and
+condition, exactly singular P, pivot, P condition, a non-finite cond),
+come from one statement generator, `constraint._gate_lines`, which the
+pair's q-only kernel shares.  Where a gate fails the closed-loop kernel
+returns None.  There, and where a math error is raised, the field calls
+the q-only kernel at q, which reports the failed gate on the same
+numbers, and `_admissible` raises the typed error with its message; the
+force's own kernel names a math error in F.  The q-only views
+(`p_matrix`, `transversality_check`, `vnhc check`) never evaluate the
+external force, which may be singular at rest (Coulomb friction).
+`b_vector` needs no invertible P: it contracts the model's drift with the
+constraint's kernel.  The integrator re-solves the control at every RK4
+stage, and the tau it samples is the next step's stage-1 solve.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
-from typing import NamedTuple
 
 from . import expr as ex
 from . import linalg
-from .constraint import AffineConstraint, check_compatible
+from .constraint import (AffineConstraint, _bind, _dot, _gate_lines, _p_system, _QOnly, _verdict,
+                         check_compatible)
 from .expr import EvalError
 from .geometry import MechanicalModel, State
 
@@ -67,107 +65,32 @@ class ControlSolve:
     cond_estimate: float
 
 
-PIVOT_RTOL = 1e-12
-
-
-class _PSystem(NamedTuple):
-    """P(q) with its one LU factorization and the transversality verdict."""
-
-    P: list
-    lu: list | None  # None when P is exactly singular
-    piv: list | None
-    cond: float  # inf when P is singular or its smallest pivot is negligible
-    error: str | None  # why no control exists at q; None when P is admissible
-
-
-def _p_system(model: MechanicalModel, con: AffineConstraint, q, qd) -> _PSystem:
-    """P at q from the model's and the constraint's kernels at (q, qd),
-    factored, with its verdict; reports a bad P instead of raising."""
-    g, coframe, _, _ = model._kernel(*q, *qd)
-    L = model._factor(q, g)
-    Y = list(map(linalg.cho_solve, repeat(L), coframe))
-    S = con._kernel(*q, *qd)[0]
-    P = [list(map(linalg.dot, repeat(Sb), Y)) for Sb in S]
-    try:
-        lu, piv = linalg.lu_factor(P)
-        cond = linalg.cond1_from_lu(P, lu, piv)
-        min_pivot = min(map(abs, map(operator.getitem, lu, range(con.m))))
-    except linalg.SingularMatrixError:
-        lu, piv, cond, min_pivot = None, None, math.inf, 0.0
-    # A non-finite entry makes P singular or cond non-finite: only then is P checked.
-    if not math.isfinite(cond) and not all(map(math.isfinite, chain.from_iterable(P))):
-        raise EvalError(f"P matrix {P} is not finite at q={tuple(q)}")
-    # The magnitude of P's entries before cancellation: the largest
-    # constraint-row norm times the largest input-field norm.
-    scale = max(starmap(math.hypot, S)) * max(starmap(math.hypot, Y))
-    error = None
-    if lu is None:
-        error = f"singular P matrix at q={tuple(q)}"
-    elif min_pivot <= PIVOT_RTOL * scale:
-        cond = math.inf
-        error = (
-            f"numerically singular P matrix at q={tuple(q)} "
-            f"(pivot {min_pivot:.3e} vs scale {scale:.3e})"
-        )
-    elif not cond <= linalg.CONDITION_CAP:  # NaN too, as the kernel's gate
-        error = (
-            f"P condition estimate {cond:.3e} exceeds {linalg.CONDITION_CAP:.0e} "
-            f"at q={tuple(q)}"
-        )
-    return _PSystem(P, lu, piv, cond, error)
-
-
-def _admissible(ps: _PSystem, q, state=None) -> _PSystem:
-    if ps.error is not None:
-        raise TransversalityError(ps.error, q=tuple(q), state=state, cond=ps.cond)
-    return ps
+def _admissible(k: _QOnly, q, state=None) -> _QOnly:
+    error, cond = _verdict(k, q)
+    if error is not None:
+        raise TransversalityError(error, q=tuple(q), state=state, cond=cond)
+    return k
 
 
 def _closed_loop_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
     """Source of kernel(q, qd) -> (acc, tau, b, P, cond), or None where a
     gate fails: the model's, force's and constraint's expressions with
     common subexpressions computed once, then the factorizations and
-    solves, from the generators of `linalg`.  Its gates are those of
-    `model._factor` and `_p_system`, tested on the same numbers, so it
-    declines exactly where they raise."""
+    solves, from the generators of `linalg`.  Its gates are those of the
+    q-only kernel, on the same numbers, so it declines exactly where that
+    kernel reports a failed gate."""
     n, m = model.n, con.m
     r, rm = range(n), range(m)
     mu, _, dphi = con._exprs  # Z is not needed
     lines, ((G, coframe, dV, w), F, S, c), _ = ex._emit(
         [model._exprs, model._force, mu, dphi], model.coordinates + model.velocities)
     body = [f"{linalg._vector('_a', n)}, = q",
-            ", ".join(f"_a{n + i}" for i in r) + ", = qd", *lines]
-    body += [f"g{i}_{j} = {G[i][j]}" for i in r for j in range(i + 1)]
-    body += [f"y{a}_{i} = {coframe[a][i]}" for a in rm for i in r]
-    body += [f"S{b}_{i} = {S[b][i]}" for b in rm for i in r]
+            ", ".join(f"_a{n + i}" for i in r) + ", = qd", *lines, *_bind(G, coframe, S)]
     body += [f"d{i} = ({F[i]} - {dV[i]}) - {w[i]}" for i in r]  # drift: G^-1 (F - dV - w)
-    # The metric: SPD and condition gates, then the input fields Y^a = G^-1 coframe^a.
-    body += linalg._cholesky_lines(n, "g", "l", "return None")
-    diag = [f"l{i}_{i}" for i in r]
-    body += [f"ratio = {linalg._max(diag)} / {linalg._min(diag)}",
-             f"if ratio * ratio > {linalg.CONDITION_CAP!r}:", "    return None"]
-    for a in rm:
-        body += linalg._cho_solve_lines(n, "l", f"y{a}_")
-    # P = S Y, factored, with its singular, condition and pivot gates.
-
-    def dot(x: str, y: str) -> str:  # {x} . {y}, added up as sum() does, from 0
-        return "0.0" + "".join(f" + {x}{i} * {y}{i}" for i in r)
-
-    body += [f"P{b}_{a} = {dot(f'S{b}_', f'y{a}_')}" for b in rm for a in rm]
-    body += [f"u{b}_{a} = P{b}_{a}" for b in rm for a in rm]
-    body += linalg._lu_factor_lines(m, "u", "p", "return None")
-    body += linalg._cond1_lines(m, "P", "u", "p", "cond")
-
-    def longest(x: str) -> str:  # the largest row norm of {x}: the pivot scale's factors
-        return linalg._max([f"hypot({linalg._vector(f'{x}{a}_', n)})" for a in rm])
-
-    min_pivot = linalg._min([f"abs(u{a}_{a})" for a in rm])
-    body += [f"if not cond <= {linalg.CONDITION_CAP!r} or "
-             f"{min_pivot} <= {PIVOT_RTOL!r} * ({longest('S')} * {longest('y')}):",
-             "    return None"]
+    body += _gate_lines(n, m, lambda gate: "return None")
     # The drift, b = -(S drift + c), tau and acc = drift + tau_a Y^a.
     body += linalg._cho_solve_lines(n, "l", "d")
-    body += [f"b{b} = -({dot(f'S{b}_', 'd')} + {c[b]})" for b in rm]
+    body += [f"b{b} = -({_dot(f'S{b}_', 'd', n)} + {c[b]})" for b in rm]
     body += linalg._lu_solve_lines(m, "u", "p", f"({linalg._vector('b', m)},)", "t")
     for a in rm:
         body += [f"if t{a} != 0.0:", *(f"    d{i} = d{i} + t{a} * y{a}_{i}" for i in r)]
@@ -185,9 +108,10 @@ def _closed_loop(model: MechanicalModel, con: AffineConstraint):
     """field(q, qd, state=None) -> (acc, tau, b, P, cond) for this pair,
     built on the first call with this model and kept on con, one per
     model.  Where the kernel declines (returns None: a gate failed) or
-    meets a math error, the q-only path of `p_matrix` and then the force's
-    own kernel run at (q, qd) and raise the typed error with its message:
-    the kernel's gates and expressions are theirs.  A pair whose
+    meets a math error, the q-only kernel at q and then the force's own
+    kernel at (q, qd) raise the typed error with its message: the closed
+    loop's gates are the q-only kernel's, and a math error in w or c at qd
+    is one at rest, since their velocities only multiply.  A pair whose
     expressions are too deep to compile here, a few stack frames short of
     the limit that loading met, is an EvalError."""
     field = con._closed_loop.get(model)
@@ -203,7 +127,7 @@ def _closed_loop(model: MechanicalModel, con: AffineConstraint):
             except (ArithmeticError, ValueError):
                 out = None
             if out is None:
-                _admissible(_p_system(model, con, q, qd), q, state)
+                _admissible(_p_system(model, con, q), q, state)
                 model._force_fn(*q, *qd)
                 raise AssertionError(f"closed-loop kernel declined q={q}, qdot={qd}, "
                                      "where every gate holds")
@@ -216,7 +140,7 @@ def _closed_loop(model: MechanicalModel, con: AffineConstraint):
 def p_matrix(model: MechanicalModel, con: AffineConstraint, q) -> list[list[float]]:
     """System matrix with entries mu^b(q)(Y^a); velocity-independent."""
     check_compatible(model, con)
-    return _admissible(_p_system(model, con, q, model._rest), q).P
+    return _admissible(_p_system(model, con, q), q).P
 
 
 def b_vector(model: MechanicalModel, con: AffineConstraint, state: State) -> list[float]:

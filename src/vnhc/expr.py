@@ -380,7 +380,9 @@ def substitute(e: Expr, values: Mapping[str, float]) -> tuple[Expr, set[str], li
             memo[id(node)] = new
         return new
 
-    return walk(e), symbols, bad
+    e = walk(e)
+    del walk  # a recursive closure: see _emit
+    return e, symbols, bad
 
 
 def _refold(node: Expr, *children: Expr) -> Expr:
@@ -605,7 +607,12 @@ def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, flo
     def emit_tree(tree):
         return emit(tree) if isinstance(tree, int) else [emit_tree(t) for t in tree]
 
-    return lines, emit_tree(roots), outputs
+    roots = emit_tree(roots)
+    # Each recursive closure holds itself through its cell, a reference
+    # cycle: deleting them frees the tables now, not at the collector's
+    # next pass, which would otherwise fall inside a later call.
+    del canon, canon_tree, emit, emit_tree
+    return lines, roots, outputs
 
 
 def compile_exprs(
@@ -638,6 +645,7 @@ def compile_exprs(
     args = ", ".join(f"_a{i}" for i in range(len(variables)))
     body = "".join(f"    {line}\n" for line in lines)
     raw = linalg._define(f"def kernel({args}):\n{body}    return {tuple_source(roots)}\n")
+    del tuple_source  # a recursive closure: see _emit
 
     # The try lives here, not in the generated source: there it made each
     # kernel 15-27% slower to compile (CPython 3.11), a cost model

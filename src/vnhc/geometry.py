@@ -37,6 +37,18 @@ class SPDError(RuntimeError):
         self.eigenvalues = eigenvalues
 
 
+def _spd_error(q, g, ratio=None) -> SPDError:
+    """The SPDError of the metric g at q: not positive definite where ratio,
+    the max / min of its Cholesky diagonal, is None, else too ill-conditioned."""
+    eigs = linalg.eigvalsh(g)
+    return SPDError(
+        f"metric not positive definite at q={tuple(q)}; eigenvalues {eigs}" if ratio is None
+        else f"metric condition estimate {ratio * ratio:.3e} exceeds "
+        f"{linalg.CONDITION_CAP:.0e} at q={tuple(q)}",
+        eigenvalues=eigs,
+    )
+
+
 @dataclass(frozen=True)
 class State:
     q: tuple
@@ -114,6 +126,7 @@ class _Chart:
             return e
 
         folded = [fold(name, field) for name, field in fields.items()]
+        del fold  # a recursive closure: see expr._emit
         if bad:
             raise ModelError(bad[0])
         return folded
@@ -245,20 +258,12 @@ class MechanicalModel(_Chart):
         try:
             L = linalg.cholesky(g)
         except linalg.SingularMatrixError:
-            L = None
-        else:
-            diag = list(map(operator.getitem, L, range(self.n)))
-            ratio = max(diag) / min(diag)
-            cond_est = ratio * ratio  # inf, not OverflowError, past 1.3e154
-            if not cond_est > linalg.CONDITION_CAP:
-                return L
-        eigs = linalg.eigvalsh(g)
-        raise SPDError(
-            f"metric not positive definite at q={tuple(q)}; eigenvalues {eigs}" if L is None
-            else f"metric condition estimate {cond_est:.3e} exceeds "
-            f"{linalg.CONDITION_CAP:.0e} at q={tuple(q)}",
-            eigenvalues=eigs,
-        )
+            raise _spd_error(q, g) from None
+        diag = list(map(operator.getitem, L, range(self.n)))
+        ratio = max(diag) / min(diag)
+        if ratio * ratio > linalg.CONDITION_CAP:  # inf, not OverflowError, past 1.3e154
+            raise _spd_error(q, g, ratio)
+        return L
 
     def christoffel_at(self, q: Sequence[float]) -> list[list[list[float]]]:
         """Levi-Civita symbols G^k_ij: G^-1 applied to the symbols of the

@@ -10,9 +10,9 @@ keeps small singular values accurate relative to the large ones (Demmel
 and Veselic, 1992), and `eigvalsh` by cyclic Jacobi.
 
 Every generated source in the package, these and the kernels of `expr`,
-`control` and `sim`, is compiled by `_define`: once per distinct source
-per process, in one fixed namespace, with at most `DEFINE_CACHE_SIZE`
-compiled functions kept.
+`constraint`, `control` and `sim`, is compiled by `_define`: once per
+distinct source per process, in one fixed namespace, with at most
+`DEFINE_CACHE_SIZE` compiled functions kept.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def _vector(name: str, n: int) -> str:
 
 # Statement generators.  Each spells out one algorithm over the locals
 # named by its prefixes (matrix entries {a}i_j, vector entries {x}i), so the
-# per-size kernels below and the closed-loop kernel of `control` run the
-# same operations in the same order.  Scratch locals: s, r, big.
+# per-size kernels below and the kernels of a (model, constraint) pair run
+# the same operations in the same order.  Scratch locals: s, r, big.
 
 def _cholesky_lines(n: int, a: str, l: str, fail: str) -> list[str]:
     """Factor the lower triangle of {a} into {l}; fail is the statement run
@@ -234,14 +234,6 @@ def cond1_from_lu(a, lu, piv) -> float:
     """1-norm condition number, exact at this size: the inverse's column
     1-norms come straight from one lu_solve per unit vector."""
     return _COND1[len(lu)](a, lu, piv)
-
-
-def det_from_lu(lu: list[list[float]], piv: list[int]) -> float:
-    """Determinant: the product of U's diagonal times the sign of the row
-    permutation, the parity of its inversions."""
-    det = math.prod(lu[i][i] for i in range(len(lu)))
-    inversions = sum(i > j for i, j in itertools.combinations(piv, 2))
-    return -det if inversions % 2 else det
 
 
 def dot(x: list[float], y: list[float]) -> float:

@@ -124,6 +124,7 @@ def load_model(path) -> tuple[MechanicalModel, AffineConstraint]:
 
 
 def model_to_dict(model: MechanicalModel, con: AffineConstraint) -> dict:
+    check_compatible(model, con)
     return {
         "coordinates": list(model.coordinates),
         "parameters": dict(model.parameters),

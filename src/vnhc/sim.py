@@ -8,7 +8,7 @@ diagnostics want uniform, reproducible sampling.
 Inputs are validated once at the API boundary; the steps carry plain
 q/qdot tuples.  A step is four calls of the pair's closed-loop field
 (`control._closed_loop`: one generated kernel; where one of its gates
-fails, the q-only path of `control` raises the typed error) and
+fails, the pair's q-only kernel names it and the typed error is raised) and
 straight-line stage arithmetic generated once per n.  Each step ends
 with the next step's stage-1 solve, whose tau is the one sampled at that
 state.

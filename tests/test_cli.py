@@ -548,6 +548,12 @@ ARG_CASES = [  # (command line, "{}" standing for a boat file; message)
     ("check {} --point z=1", "unknown coordinates ['z'] in --point"),
     ("check {} --grid z=0:1:2", "unknown coordinate 'z' in --grid"),
     ("check {} --grid x=0:1:0", "--grid count must be at least 1"),
+    ("check {} --grid x=1:2", "--grid expects NAME=LO:HI:COUNT, got 'x=1:2'"),
+    ("check {} --grid x=0:1:2.5", "--grid expects NAME=LO:HI:COUNT, got 'x=0:1:2.5'"),
+    ("check {} --grid x=0:1:2 --grid x=0:2:3", "--grid axis 'x' is given twice"),
+    ("check {} --grid x=nan:1:2", "non-finite coordinate in --grid 'x=nan:1:2'"),
+    ("check {} --grid x=-1e308:1e308:3", "non-finite coordinate in --grid 'x=-1e308:1e308:3'"),
+    ("check {} --point x=0,theta=inf", "non-finite coordinate in --point 'x=0,theta=inf'"),
     ("control-at {} --q 0,0 --qdot 0,0,0", "--q needs 3 comma-separated values, got 2"),
     (SIM + " --t-end 1 --wrap z", "--wrap: unknown coordinate 'z'"),
     (SIM + " --t-end 0", "--t-end must be positive"),

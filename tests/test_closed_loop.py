@@ -2,8 +2,9 @@
 
 `control._closed_loop` runs one generated kernel per (model, constraint)
 pair, the only code that computes a closed-loop result.  Where one of its
-gates fails or a math error is raised, the q-only path (`_p_system`, as
-`p_matrix` uses it) and the force's kernel raise the typed error.  The
+gates fails or a math error is raised, the pair's q-only kernel (through
+`_p_system`, as `p_matrix` uses it) and the force's kernel raise the
+typed error.  The
 kernel's results are bit-identical to an assembly of the other paths'
 pieces, and every decline raises the error and message of the q-only path.
 """
@@ -38,7 +39,7 @@ SYSTEMS.update(gen4=build_gen4, gen5=build_gen5)
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_kernel_equals_assembly(name):
     # The assembly is made here from the other paths: P, its LU and cond
-    # from the q-only path at (q, qd), b from b_vector, tau by lu_solve,
+    # from the q-only kernel at q, b from b_vector, tau by lu_solve,
     # and acc = drift + tau_a Y^a from drift_acceleration and input_fields_at.
     model, con = SYSTEMS[name]()
     kernel = control._compile_closed_loop(model, con)
@@ -50,7 +51,7 @@ def test_kernel_equals_assembly(name):
         fused = kernel(q, qd)
         assert fused is not None, (name, q, qd)  # admissible: no decline
         s = State(q=q, qdot=qd)
-        ps = control._p_system(model, con, q, qd)
+        ps = control._p_system(model, con, q)
         b = b_vector(model, con, s)
         tau = linalg.lu_solve(ps.lu, ps.piv, b)
         acc = model.drift_acceleration(s)

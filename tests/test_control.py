@@ -454,10 +454,52 @@ class TestSingleAssembly:
 
     @pytest.mark.parametrize("view", [closed_loop_acceleration, solve_control, tau_star])
     def test_one_factorization_per_fallback(self, monkeypatch, view):
-        # Where the kernel declines (cond(P) = 1e15), the q-only path factors
-        # G and P once and raises; no tau is solved for.
+        # Where the kernel declines (cond(P) = 1e15), one call of the pair's
+        # q-only kernel, which factors G and P inline, raises; no linalg
+        # routine runs and no tau is solved for.
         model, con = TestPConditionCap().build()
+        kernel = vnhc.constraint._q_only(model, con)
+        q_only = []
+
+        def counting(q):
+            q_only.append(q)
+            return kernel(q)
+
+        con._q_only[model] = counting
         calls = self.count_linalg(monkeypatch)
         with pytest.raises(TransversalityError, match=r"^P condition estimate 1\.000e\+15"):
             view(model, con, State(q=(0.0, 0.0, 0.0), qdot=(1.0, 0.0, 0.0)))
-        assert calls == {"cholesky": 1, "lu_factor": 1, "cond1_from_lu": 1}
+        assert (q_only, calls) == ([(0.0, 0.0, 0.0)], {})
+
+
+# Each public entry point that takes a model and its constraint, called
+# with the two swapped: (name, the order it takes them in, the call).
+S0 = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
+SWAPPED = [
+    ("p_matrix", "model, con", lambda a, b: p_matrix(a, b, S0.q)),
+    ("b_vector", "model, con", lambda a, b: b_vector(a, b, S0)),
+    ("solve_control", "model, con", lambda a, b: solve_control(a, b, S0)),
+    ("tau_star", "model, con", lambda a, b: tau_star(a, b, S0)),
+    ("closed_loop_acceleration", "model, con", lambda a, b: closed_loop_acceleration(a, b, S0)),
+    ("rk4_step", "model, con", lambda a, b: vnhc.rk4_step(a, b, S0, 1e-3)),
+    ("integrate", "model, con", lambda a, b: integrate(a, b, S0, t_end=1e-2, h=1e-3)),
+    ("model_to_dict", "model, con", vnhc.model_to_dict),
+    ("transversality_check", "con, model", lambda a, b: transversality_check(a, b, S0.q)),
+    ("project_onto_A", "con, model", lambda a, b: vnhc.project_onto_A(a, b, S0)),
+]
+
+
+@pytest.mark.parametrize("name, order, call", SWAPPED, ids=[case[0] for case in SWAPPED])
+def test_swapped_pair_is_a_type_error(name, order, call):
+    # The call swaps its two arguments; the error names the order it takes.
+    model, con = build_boat("sin(y)", "cos(x)")
+    swapped = (con, model) if order == "model, con" else (model, con)
+    first, second = order.split(", ")
+    got = {first: type(swapped[0]).__name__, second: type(swapped[1]).__name__}
+    with pytest.raises(TypeError) as info:
+        call(*swapped)
+    assert str(info.value) == (
+        f"expected ({order}, ...) with model a MechanicalModel and con an AffineConstraint; "
+        f"got {first}={got[first]}, {second}={got[second]}")
+    unswapped = swapped[::-1]
+    call(*unswapped)  # the right order works

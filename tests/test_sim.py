@@ -162,22 +162,19 @@ class TestIntegrate:
     def test_one_factorization_per_stage_in_the_fallback(self, monkeypatch):
         # Metric diag(1, x) and phi = xd: x runs down to 0 in 10 steps, where
         # the metric's condition passes the cap.  Every stage before runs in
-        # the kernel; the one it declines factors the metric once, and integrate
-        # reports its SPDError with the step.
+        # the kernel; the one it declines makes one call of the pair's q-only
+        # kernel, which factors the metric once, and integrate reports its
+        # SPDError with the step.  No linalg factorization runs.
         model = MechanicalModel(("x", "y"), [["1", "0"], ["0", "x"]],
                                 input_coframe=[["1", "0"]])
         con = AffineConstraint(("x", "y"), [["1", "0"]], Z=["0"])
-        calls = []
-        cholesky = vnhc.linalg.cholesky
-
-        def counting(a):
-            calls.append(1)
-            return cholesky(a)
-
-        monkeypatch.setattr(vnhc.linalg, "cholesky", counting)
+        kernel = vnhc.constraint._q_only(model, con)
+        calls, cholesky = [], []
+        con._q_only[model] = lambda q: calls.append(q) or kernel(q)
+        monkeypatch.setattr(vnhc.linalg, "cholesky", lambda a: cholesky.append(a))
         message = r"^aborted at step 10: metric condition estimate 7\.206e\+15 "
         with pytest.raises(IntegrationError, match=message) as info:
             integrate(model, con, State(q=(1.0, 0.0), qdot=(-10.0, 0.0)), t_end=0.2, h=1e-2)
         assert info.value.last_good_index == 9  # steps 0-9 sampled
         assert isinstance(info.value.__cause__, SPDError)
-        assert len(calls) == 1
+        assert (len(calls), cholesky) == (1, [])
