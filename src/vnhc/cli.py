@@ -8,7 +8,7 @@ Commands:
 
 Exit codes: 0 ok, 1 mathematical failure (violation/abort, or a math
 error such as a division by zero while evaluating the model), 2 usage or
-parse error.
+parse error, or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -43,7 +43,10 @@ def _parse_assignments(text: str) -> dict:
         if "=" not in part:
             raise ValueError(f"expected name=value, got {part!r}")
         name, _, value = part.partition("=")
-        out[name.strip()] = float(value)
+        name = name.strip()
+        if name in out:
+            raise ValueError(f"--point gives coordinate {name!r} twice")
+        out[name] = float(value)
     return out
 
 
@@ -56,7 +59,8 @@ def _parse_vector(text: str, n: int, flag: str) -> list[float]:
 
 def _points(args, coordinates) -> list[tuple]:
     """The points of --point and of the product of the --grid axes; a
-    usage error for a malformed or repeated axis or a non-finite coordinate."""
+    usage error for a malformed or repeated axis or coordinate or a
+    non-finite coordinate."""
     pts = []
     for text in args.point or []:
         values = _parse_assignments(text)
@@ -286,7 +290,7 @@ def main(argv=None) -> int:
             EvalError) as err:  # before ValueError: EvalError is one
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
-    except (ModelFileError, FileNotFoundError, ValueError) as err:
+    except (ModelFileError, OSError, ValueError) as err:  # OSError: a missing file, a directory
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,4 +1,4 @@
-"""Expression DSL: parsing, exact symbolic differentiation, evaluation.
+"""Expression DSL: parsing, exact symbolic differentiation, compilation.
 
 Expressions are immutable trees over named symbols.  By convention the
 velocity of a coordinate ``x`` is the symbol ``xd``.  Angles are plain
@@ -294,33 +294,10 @@ def parse(text: str) -> Expr:
 # Evaluation
 
 def evaluate(e: Expr, env: Mapping[str, float]) -> float:
-    """Evaluate with every free symbol bound; unbound symbols are errors."""
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, Symbol):
-        try:
-            return float(env[e.name])
-        except KeyError:
-            raise EvalError(f"unbound symbol {e.name!r}") from None
-    if isinstance(e, Unary):
-        v = evaluate(e.child, env)
-        if e.op == "neg":
-            return -v
-        return _math(_MATH_FN[e.op], e, v)
-    assert isinstance(e, Binary)
-    l = evaluate(e.left, env)
-    r = evaluate(e.right, env)
-    if e.op == "add":
-        return l + r
-    if e.op == "sub":
-        return l - r
-    if e.op == "mul":
-        return l * r
-    if e.op == "div":
-        if r == 0.0:
-            raise EvalError(f"division by zero in {to_string(e)}")
-        return l / r
-    return _math(math.pow, e, l, r)
+    """Evaluate with every free symbol bound; unbound symbols are errors.
+    e is compiled by `compile_exprs`, so a math error is the EvalError
+    that names the failing subexpression."""
+    return compile_exprs([e], list(env))(*map(float, env.values()))[0]
 
 
 def free_symbols(e: Expr) -> set[str]:
@@ -507,26 +484,34 @@ def to_string(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # Compilation to fast callables
 
-def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, float] | None = None):
+def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, float] | None = None,
+          every: bool = False):
     """Straight-line source of exprs over the locals _a0, _a1, ... that
     hold the variables, with common subexpressions computed once.
 
-    Returns (lines, roots, outputs): the statements binding subexpressions
+    Returns (lines, roots, nodes): the statements binding subexpressions
     to the locals _t0, _t1, ..., in order; exprs with each expression
     replaced by the source of its value, a local, a literal or an inline
-    expression, nested alike; and the expressions, left to right.  Raises
-    EvalError for a free symbol that is neither a variable nor a constant,
-    or a non-finite number or constant.
+    expression, nested alike; and the subexpression each line binds.
+    Raises EvalError for a free symbol that is neither a variable nor a
+    constant, or a non-finite number or constant.
 
     Each node is numbered by its structure (hash-consing: the key of a
     compound node is its op and its children's numbers, so no tree is
     hashed twice), and a compound node used more than once, within one
     expression or across several, is bound to a local on first use.
+
+    With every, each compound node is bound to a local of its own, one
+    operation per line, and the operands of + and * keep their order, so
+    the lines run in the order of a walk of exprs, left to right and
+    children first: the first line that raises holds the first
+    subexpression such a walk finds failing.
     """
     constants = constants or {}
     argnames = {name: f"_a{i}" for i, name in enumerate(variables)}
 
     dag: list = []  # node number -> leaf code (str) or (op, *child numbers)
+    first: list[Expr] = []  # node number -> the first Expr numbered so
     uses: list[int] = []  # node number -> references by parents and outputs
     numbers: dict = {}  # structural key -> node number
     by_id: dict[int, int] = {}  # id of a visited Expr -> node number
@@ -554,13 +539,14 @@ def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, flo
                 key = (e.op, canon(e.child))
             else:
                 l, r = canon(e.left), canon(e.right)
-                if e.op in ("add", "mul") and r < l:  # exact: IEEE + and * commute
+                if e.op in ("add", "mul") and r < l and not every:  # exact: IEEE + and * commute
                     l, r = r, l
                 key = (e.op, l, r)
             num = numbers.get(key)
             if num is None:
                 num = numbers[key] = len(dag)
                 dag.append(key)
+                first.append(e)
                 uses.append(0)
             elif not isinstance(key, str):
                 # a second copy of a known node: its children are
@@ -571,17 +557,13 @@ def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, flo
         uses[num] += 1
         return num
 
-    outputs: list[Expr] = []
-
     def canon_tree(item):  # a tree is a node number or a list of trees
-        if isinstance(item, Expr):
-            outputs.append(item)
-            return canon(item)
-        return [canon_tree(x) for x in item]
+        return canon(item) if isinstance(item, Expr) else [canon_tree(x) for x in item]
 
     roots = canon_tree(exprs)
 
     lines: list[str] = []
+    nodes: list[Expr] = []
     code = [key if isinstance(key, str) else None for key in dag]
     depth = [0] * len(dag)  # parentheses the text of a node nests
 
@@ -596,10 +578,11 @@ def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, flo
         else:
             text = f"(-{a})" if op == "neg" else f"math.{op}({a})"
         nest = 1 + max(depth[key[1]], depth[key[-1]])
-        if uses[num] > 1 or nest > 100:  # CPython parses up to 200 nested parentheses
+        if every or uses[num] > 1 or nest > 100:  # CPython parses up to 200 nested parentheses
             nest = 0
             name = f"_t{len(lines)}"
             lines.append(f"{name} = {text}")
+            nodes.append(first[num])
             text = name
         code[num], depth[num] = text, nest
         return text
@@ -612,7 +595,38 @@ def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, flo
     # cycle: deleting them frees the tables now, not at the collector's
     # next pass, which would otherwise fall inside a later call.
     del canon, canon_tree, emit, emit_tree
-    return lines, roots, outputs
+    return lines, roots, nodes
+
+
+def _source(lines: Sequence[str], roots, n: int) -> str:
+    """Source of the function kernel of the locals _a0 .. _a<n-1> that
+    runs lines and returns roots, a list of them giving a tuple."""
+    body = "".join(f"    {line}\n" for line in lines)
+    args = ", ".join(f"_a{i}" for i in range(n))
+    return f"def kernel({args}):\n{body}    return {_tuple_source(roots)}\n"
+
+
+def _tuple_source(tree) -> str:
+    if isinstance(tree, str):
+        return tree
+    return "(" + "".join(_tuple_source(t) + ", " for t in tree) + ")"
+
+
+_MATH_ERRORS = {ZeroDivisionError: "division by zero", OverflowError: "overflow"}
+
+
+def _name_math_error(traced, nodes: Sequence[Expr], values) -> None:
+    """Run traced, a kernel's source with one node per line (see `_emit`),
+    on values, and raise the EvalError naming the node of the line that
+    raises, read from traced's frame in the traceback."""
+    try:
+        traced(*values)
+    except (ArithmeticError, ValueError) as err:
+        tb = err.__traceback__
+        while tb.tb_frame.f_code is not traced.__code__:
+            tb = tb.tb_next
+        kind = _MATH_ERRORS.get(type(err), "domain error")
+        raise EvalError(f"{kind} in {to_string(nodes[tb.tb_lineno - 2])}") from None
 
 
 def compile_exprs(
@@ -631,32 +645,29 @@ def compile_exprs(
     is compiled by `linalg._define`, once per distinct source per process.
 
     A math error at call time (division by zero, a domain error, an
-    overflow) raises the EvalError of `evaluate` on the same inputs, which
-    names the failing subexpression.
+    overflow) raises an EvalError naming the first failing subexpression
+    in the order of a walk of exprs, left to right and children first.
+    It is found by running, on the same inputs, the source `_emit` gives
+    with one node per line, built on the kernel's first math error and
+    kept with the kernel.
     """
     constants = constants or {}
-    lines, roots, outputs = _emit(exprs, variables, constants)
-
-    def tuple_source(tree) -> str:
-        if isinstance(tree, str):
-            return tree
-        return "(" + "".join(tuple_source(t) + ", " for t in tree) + ")"
-
-    args = ", ".join(f"_a{i}" for i in range(len(variables)))
-    body = "".join(f"    {line}\n" for line in lines)
-    raw = linalg._define(f"def kernel({args}):\n{body}    return {tuple_source(roots)}\n")
-    del tuple_source  # a recursive closure: see _emit
+    lines, roots, _ = _emit(exprs, variables, constants)
+    raw = linalg._define(_source(lines, roots, len(variables)))
+    traced = None  # (function, nodes) of the one-node-per-line source, once built
 
     # The try lives here, not in the generated source: there it made each
     # kernel 15-27% slower to compile (CPython 3.11), a cost model
     # loading pays, while this wrapper adds one Python call per evaluation.
     def kernel(*values):
+        nonlocal traced
         try:
             return raw(*values)
         except (ArithmeticError, ValueError):
-            env = {**constants, **dict(zip(variables, values))}
-            for e in outputs:
-                evaluate(e, env)  # raises the EvalError naming the culprit
+            if traced is None:
+                lines, roots, nodes = _emit(exprs, variables, constants, every=True)
+                traced = linalg._define(_source(lines, roots, len(variables))), nodes
+            _name_math_error(*traced, values)
             raise
 
     return kernel

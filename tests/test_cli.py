@@ -543,7 +543,7 @@ FILE_CASES = [  # (model file data or raw text, message)
     (_boat_with("constraint", "Z", value=["0", "0"]), "Z must have one entry per constraint row"),
 ]
 SIM = "simulate {} --q0 0,0,0 --qdot0 0,0,0 --dt 0.1 --out {out}"
-ARG_CASES = [  # (command line, "{}" standing for a boat file; message)
+ARG_CASES = [  # (command line, "{}" standing for a boat file and "{dir}" for a directory; message)
     ("check {} --point x", "expected name=value, got 'x'"),
     ("check {} --point z=1", "unknown coordinates ['z'] in --point"),
     ("check {} --grid z=0:1:2", "unknown coordinate 'z' in --grid"),
@@ -554,6 +554,8 @@ ARG_CASES = [  # (command line, "{}" standing for a boat file; message)
     ("check {} --grid x=nan:1:2", "non-finite coordinate in --grid 'x=nan:1:2'"),
     ("check {} --grid x=-1e308:1e308:3", "non-finite coordinate in --grid 'x=-1e308:1e308:3'"),
     ("check {} --point x=0,theta=inf", "non-finite coordinate in --point 'x=0,theta=inf'"),
+    ("check {} --point x=1,x=2", "--point gives coordinate 'x' twice"),
+    ("check {dir}", "Is a directory"),
     ("control-at {} --q 0,0 --qdot 0,0,0", "--q needs 3 comma-separated values, got 2"),
     (SIM + " --t-end 1 --wrap z", "--wrap: unknown coordinate 'z'"),
     (SIM + " --t-end 0", "--t-end must be positive"),
@@ -561,6 +563,8 @@ ARG_CASES = [  # (command line, "{}" standing for a boat file; message)
     (SIM.replace("--q0 0", "--q0 nan") + " --t-end 1", "non-finite state entry"),
     ("fixture boat --current tide --out {out}",
      "--current must be one of ['shear', 'still', 'vortex']"),
+    (SIM.replace("{out}", "{dir}") + " --t-end 0.1", "Is a directory"),
+    ("fixture boat --out {dir}", "Is a directory"),
 ]
 
 
@@ -577,7 +581,7 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("argv, message", ARG_CASES)
     def test_command_line(self, boat_file, tmp_path, capsys, argv, message):
-        argv = [a.format(boat_file, out=tmp_path / "out") for a in argv.split()]
+        argv = [a.format(boat_file, out=tmp_path / "out", dir=tmp_path) for a in argv.split()]
         assert _code(argv) == 2
         assert message in capsys.readouterr().err
 

@@ -2,8 +2,9 @@ import math
 
 import pytest
 from hypothesis import given, strategies as st
+from oracle import walk
 
-from vnhc import expr as ex
+from vnhc import expr as ex, linalg
 from vnhc.expr import (
     Binary,
     Constant,
@@ -37,7 +38,7 @@ CORPUS = [
 def fd(e, s, env, h=1e-6):
     hi = dict(env, **{s: env[s] + h})
     lo = dict(env, **{s: env[s] - h})
-    return (evaluate(e, hi) - evaluate(e, lo)) / (2 * h)
+    return (walk(e, hi) - walk(e, lo)) / (2 * h)
 
 
 class TestParse:
@@ -195,7 +196,7 @@ class TestDiff:
     def test_product(self):
         d = diff(parse("x*y"), "x")
         for y in (0.0, -2.5, 7.0):
-            assert evaluate(d, {"x": 3.0, "y": y}) == y
+            assert walk(d, {"x": 3.0, "y": y}) == y
 
     def test_symbol_free_derivative_is_zero(self):
         assert diff(parse("sin(a)*b"), "x") == Constant(0.0)
@@ -215,7 +216,7 @@ class TestDiff:
                     pt = {
                         k: v + rng.uniform(-0.1, 0.1) for k, v in env.items()
                     }
-                    sym = evaluate(d, pt)
+                    sym = walk(d, pt)
                     num = fd(e, s, pt)
                     assert abs(sym - num) <= 1e-6 * (1 + abs(sym)), (text, s)
 
@@ -228,8 +229,8 @@ class TestDiff:
                 "C1": rng.uniform(-2, 2),
                 "C2": rng.uniform(-2, 2),
             }
-            assert abs(evaluate(d, env) - fd(e, "theta", env)) <= 1e-6 * (
-                1 + abs(evaluate(d, env))
+            assert abs(walk(d, env) - fd(e, "theta", env)) <= 1e-6 * (
+                1 + abs(walk(d, env))
             )
 
     def test_linearity_exact(self):
@@ -238,7 +239,7 @@ class TestDiff:
         da, db = diff(a, "x"), diff(b, "x")
         dsum = diff(a + b, "x")
         for env in ({"x": 1.5, "y": 0.3}, {"x": -2.0, "y": 4.0}):
-            assert evaluate(dsum, env) == evaluate(da, env) + evaluate(db, env)
+            assert walk(dsum, env) == walk(da, env) + walk(db, env)
 
 
 class TestPrinter:
@@ -278,7 +279,7 @@ class TestCompile:
             exprs = [e] + [diff(e, s) for s in sorted(free_symbols(e))]
             names = sorted(env)
             kernel = ex.compile_exprs(exprs, names)
-            expected = tuple(evaluate(x, env) for x in exprs)
+            expected = tuple(walk(x, env) for x in exprs)
             assert kernel(*[env[k] for k in names]) == expected, text
 
     def test_repeated_subexpression_computed_once(self, monkeypatch):
@@ -325,7 +326,36 @@ class TestCompile:
         with pytest.raises(EvalError, match=message):
             kernel(x)
         with pytest.raises(EvalError, match=message):
-            evaluate(parse(text), {"x": x})
+            walk(parse(text), {"x": x})
+
+    @pytest.mark.parametrize("texts", [
+        ["log(x) + 1/y", "1/y"],  # the shared 1/y is bound to a local first
+        ["log(x) + 1/y + 1/y"],  # and the operands of the outer + swap
+    ])
+    def test_errors_named_in_walk_order(self, texts):
+        # The kernel computes 1/y before log(x); the error names what a
+        # walk of the outputs, left to right and children first, meets
+        # first, as the tree walker does.
+        kernel = ex.compile_exprs([parse(t) for t in texts], ["x", "y"])
+        with pytest.raises(EvalError, match=r"^domain error in log\(x\)$"):
+            kernel(0.0, 0.0)
+        with pytest.raises(EvalError, match="^division by zero in 1 / y$"):
+            kernel(1.0, 0.0)
+
+    def test_second_math_error_builds_nothing(self, monkeypatch):
+        emits = []
+        real_emit = ex._emit
+        monkeypatch.setattr(ex, "_emit", lambda *a, **k: emits.append(k) or real_emit(*a, **k))
+        kernel = ex.compile_exprs([parse("x + 1"), parse("sqrt(x)/y")], ["x", "y"])
+        with pytest.raises(EvalError, match=r"^domain error in sqrt\(x\)$"):
+            kernel(-1.0, 1.0)
+        assert emits == [{}, {"every": True}]
+        misses = linalg._define.cache_info().misses
+        with pytest.raises(EvalError, match=r"^division by zero in sqrt\(x\) / y$"):
+            kernel(1.0, 0.0)
+        assert kernel(4.0, 2.0) == (5.0, 1.0)
+        assert len(emits) == 2
+        assert linalg._define.cache_info().misses == misses
 
 
 _leaf = st.one_of(
@@ -382,6 +412,47 @@ _all_exprs = st.recursive(
 ).filter(lambda e: e is not None)
 
 
+def assert_same_outcome(got, want):
+    """got() returns what want() returns, bit for bit, or both raise an
+    EvalError with the same message; got never raises a raw math error."""
+    try:
+        expected = want()
+    except EvalError as err:
+        with pytest.raises(EvalError) as raised:
+            got()
+        assert str(raised.value) == str(err)
+    else:
+        assert repr(got()) == repr(expected)
+
+
+# Coordinates that hit a zero divisor, a negative log or sqrt argument,
+# or an exp overflow, and ordinary ones.
+_points = st.tuples(*[st.sampled_from([0.0, -0.0, -1.0, 1e3, -1e3, 0.5, 2.0])] * 3)
+
+
+@given(st.lists(_all_exprs, min_size=1, max_size=3), st.integers(0, 2),
+       st.sampled_from(["div", "log", "sqrt", "exp"]), st.sampled_from("xyz"), _points)
+def test_kernel_errors_match_walker(exprs, at, trap, s, point):
+    # A trap over one coordinate, around one of the outputs, so that it
+    # shares its subexpressions, goes in among them.
+    e, s = exprs[at % len(exprs)], Symbol(s)
+    exprs.insert(at, ex.div(e, s) if trap == "div" else ex.mul(e, ex.fn(trap, s)))
+    kernel = ex.compile_exprs(exprs, ["x", "y", "z"])
+    env = dict(zip("xyz", point))
+    assert_same_outcome(lambda: kernel(*point), lambda: tuple(walk(x, env) for x in exprs))
+
+
+@pytest.mark.parametrize("text, env", CORPUS + [
+    ("1/x", {"x": 0.0}), ("log(x)", {"x": -1.0}), ("x^2", {"x": 1e200}),
+    ("exp(x)", {"x": 1e3}), ("sqrt(x) + 1/(x + 1)", {"x": -1.0}),
+])
+def test_public_evaluate_matches_walker(text, env):
+    for e in [parse(text)] + [diff(parse(text), s) for s in sorted(env)]:
+        assert_same_outcome(lambda: evaluate(e, env), lambda: walk(e, env))
+    with pytest.raises(EvalError, match="^unbound symbol 'w'$"):
+        evaluate(parse(text) + Symbol("w"), env)
+
+
 @given(_all_exprs)
 def test_print_parse_round_trip_random(e):
     assert parse(to_string(e)) == e
@@ -390,8 +461,8 @@ def test_print_parse_round_trip_random(e):
 @given(_exprs, _exprs)
 def test_diff_linearity_random(a, b):
     env = {"x": 0.37, "y": -1.21, "z": 2.05}
-    lhs = evaluate(diff(ex.add(a, b), "x"), env)
-    rhs = evaluate(diff(a, "x"), env) + evaluate(diff(b, "x"), env)
+    lhs = walk(diff(ex.add(a, b), "x"), env)
+    rhs = walk(diff(a, "x"), env) + walk(diff(b, "x"), env)
     assert lhs == pytest.approx(rhs, abs=1e-9, rel=1e-9)
 
 
@@ -399,6 +470,6 @@ def test_diff_linearity_random(a, b):
 def test_random_diff_matches_fd(e):
     env = {"x": 0.41, "y": -0.73, "z": 1.17}
     d = diff(e, "x")
-    sym = evaluate(d, env)
+    sym = walk(d, env)
     if abs(sym) < 1e6:  # keep FD meaningful away from blow-up
         assert abs(sym - fd(e, "x", env)) <= 1e-5 * (1 + abs(sym))

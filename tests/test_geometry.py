@@ -204,7 +204,9 @@ class TestGradPotential:
             [["1 + x^2", "0.1*x*y"], ["0.1*x*y", "2 + y^2"]],
             potential="sin(x)*y + x^2",
         )
-        from vnhc.expr import diff, evaluate, parse
+        from oracle import walk
+
+        from vnhc.expr import diff, parse
 
         v = parse("sin(x)*y + x^2")
         for _ in range(30):
@@ -213,7 +215,7 @@ class TestGradPotential:
             grad = m.grad_potential(q)
             g = np.array(m.metric_at(q))
             for i, s in enumerate(("x", "y")):
-                dv = evaluate(diff(v, s), env)
+                dv = walk(diff(v, s), env)
                 assert (g @ grad)[i] == pytest.approx(dv, abs=1e-12 * (1 + abs(dv)))
 
 
@@ -263,9 +265,8 @@ class TestDriftNonConstantMetric:
         # n^3 array G from christoffel_at's own first-kind kernel and F
         # evaluated by the tree walker; the drift takes the geodesic form
         # w from the model kernel instead.
+        from oracle import walk
         from test_control import build_gen4
-
-        from vnhc.expr import evaluate
 
         for model in (POLAR, CURVED_2D, build_gen4()[0]):
             n = model.n
@@ -274,7 +275,7 @@ class TestDriftNonConstantMetric:
                 q = rng.uniform(0.5, 2.0, size=n)
                 qd = rng.uniform(-2.0, 2.0, size=n)
                 env = dict(zip(names, [*q, *qd]), **model.parameters)
-                force = [evaluate(f, env) for f in model.external_force]
+                force = [walk(f, env) for f in model.external_force]
                 gamma = np.array(model.christoffel_at(q))
                 ref = (
                     -np.einsum("kij,i,j->k", gamma, qd, qd)

@@ -11,7 +11,9 @@ from vnhc import (
     p_matrix,
     project_onto_A,
 )
-from vnhc.expr import evaluate, free_symbols
+from vnhc.expr import free_symbols
+
+from oracle import walk
 
 
 def current_callables(c1_text, c2_text):
@@ -19,8 +21,8 @@ def current_callables(c1_text, c2_text):
 
     c1, c2 = parse(c1_text), parse(c2_text)
     return (
-        lambda x, y: evaluate(c1, {"x": x, "y": y}),
-        lambda x, y: evaluate(c2, {"x": x, "y": y}),
+        lambda x, y: walk(c1, {"x": x, "y": y}),
+        lambda x, y: walk(c2, {"x": x, "y": y}),
     )
 
 
