@@ -276,10 +276,10 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(args)
         if args.command == "simulate":
-            if args.t_end <= 0:
-                parser.error("--t-end must be positive")
-            if args.dt <= 0:
-                parser.error("--dt must be positive")
+            if not 0 < args.t_end < math.inf:
+                parser.error("--t-end must be positive and finite")
+            if not 0 < args.dt < math.inf:
+                parser.error("--dt must be positive and finite")
             if args.sample_every < 1:
                 parser.error("--sample-every must be at least 1")
             return cmd_simulate(args, parser)

@@ -1,6 +1,11 @@
 """Expression DSL: parsing, exact symbolic differentiation, compilation.
 
-Expressions are immutable trees over named symbols.  By convention the
+Expressions are immutable trees over named symbols, interned as one
+graph (see `Expr`): a structure built twice is one object.  Each stage
+from text to kernel source runs once per process for each distinct input,
+on that graph: `parse` per text, `substitute` per node and parameter
+values, `diff` per node and symbol, and `_emit` per set of roots,
+variables and constants; every memo is bounded.  By convention the
 velocity of a coordinate ``x`` is the symbol ``xd``.  Angles are plain
 reals; nothing here wraps.
 
@@ -13,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+import weakref
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
@@ -38,8 +43,45 @@ class EvalError(ExprError):
     overflow during evaluation."""
 
 
-@dataclass(frozen=True)
 class Expr:
+    """A node of the one expression graph.  Nodes are interned: each
+    constructor, a direct class call included, returns the live node of the
+    same op or name over the same child nodes if there is one
+    (hash-consing: Filliatre & Conchon, "Type-safe modular hash-consing",
+    2006), so a structure built twice is one object.  A constant is keyed
+    by the repr of its value, so 0.0 and -0.0 are two nodes, as they are
+    two literals in a kernel; they are still ==, as all nodes of one
+    structure with equal values are.  A node's hash is made once, from its
+    children's, and == compares fields only for two distinct nodes with
+    the same hash (in practice, trees apart only in the sign of a zero),
+    so neither walks the tree.
+
+    The table holds the nodes weakly: a node lives as long as its users
+    do, and the results of `diff` and `substitute` kept on it go with it.
+    No field of a node changes after it is made, since every user shares
+    it.  Assignment is not blocked: a guard on it made each new node
+    dearer, and a first model load 8-10% slower (CPython 3.11)."""
+
+    __slots__ = ("_hash", "_derivatives", "_folded", "__weakref__")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._hash == other._hash and self._fields() == other._fields()
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copies and unpickles through the table
+        return type(self), self._fields()
+
     def __add__(self, other):
         return add(self, as_expr(other))
 
@@ -74,27 +116,67 @@ class Expr:
         return to_string(self)
 
 
-@dataclass(frozen=True)
+_NODES: dict = {}  # key -> a weak reference to the live node with that key
+
+
+def _unintern(key, ref, nodes=_NODES):
+    """Drop the entry of a node that died (nodes is bound here, since at
+    exit the module's globals may be gone before the last node)."""
+    if nodes.get(key) is ref:
+        del nodes[key]
+
+
+def _new(cls, key, parts) -> Expr:
+    """A new node of cls, its fields still to set, entered in the table
+    under key, with the hash of parts: its fields, each child by its hash."""
+    node = object.__new__(cls)
+    node._hash, node._derivatives, node._folded = hash(parts), {}, None
+    _NODES[key] = weakref.ref(node, functools.partial(_unintern, key))
+    return node
+
+
 class Constant(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __new__(cls, value: float):
+        ref = _NODES.get(key := (cls, repr(value)))
+        if not (node := ref and ref()):
+            node = _new(cls, key, (value,))
+            node.value = value
+        return node
 
 
-@dataclass(frozen=True)
 class Symbol(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        ref = _NODES.get(key := (cls, name))
+        if not (node := ref and ref()):
+            node = _new(cls, key, (name,))
+            node.name = name
+        return node
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
-    op: str  # "neg" or a function name
-    child: Expr
+    __slots__ = ("op", "child")  # op: "neg" or a function name
+
+    def __new__(cls, op: str, child: Expr):
+        ref = _NODES.get(key := (op, id(child)))
+        if not (node := ref and ref()):
+            node = _new(cls, key, (op, child._hash))
+            node.op, node.child = op, child
+        return node
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str  # add sub mul div pow
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # op: add sub mul div pow
+
+    def __new__(cls, op: str, left: Expr, right: Expr):
+        ref = _NODES.get(key := (op, id(left), id(right)))
+        if not (node := ref and ref()):
+            node = _new(cls, key, (op, left._hash, right._hash))
+            node.op, node.left, node.right = op, left, right
+        return node
 
 
 ZERO = Constant(0.0)
@@ -220,41 +302,38 @@ class _Parser:
         starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
         raise ParseError(message, len(self.text[:starts[self.i]].encode("utf-8")))
 
-    def peek(self) -> str:
-        return self.tokens[self.i]
-
     def expr(self) -> Expr:
         e = self.term()
-        while (op := self.peek()) in ("+", "-"):
+        while (op := self.tokens[self.i]) in ("+", "-"):
             self.i += 1
             e = _BINARY[op](e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while (op := self.peek()) in ("*", "/"):
+        while (op := self.tokens[self.i]) in ("*", "/"):
             self.i += 1
             e = _BINARY[op](e, self.factor())
         return e
 
     def factor(self) -> Expr:
-        if self.peek() == "-":
+        if self.tokens[self.i] == "-":
             self.i += 1
             return neg(self.factor())
         base = self.atom()
-        if self.peek() == "^":
+        if self.tokens[self.i] == "^":
             self.i += 1
             return pow_(base, self.factor())
         return base
 
     def atom(self) -> Expr:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if not tok:
             self.error("unexpected end of input")
         if tok == "(":
             self.i += 1
             e = self.expr()
-            if self.peek() != ")":
+            if self.tokens[self.i] != ")":
                 self.error("expected ')'")
             self.i += 1
             return e
@@ -278,15 +357,18 @@ class _Parser:
         return fn(tok, self.atom())  # folds only once the ")" is found
 
 
+@functools.lru_cache(maxsize=1024)
 def parse(text: str) -> Expr:
-    """Parse DSL text into an Expr. Raises ParseError with a byte offset."""
+    """Parse DSL text into an Expr. Raises ParseError with a byte offset.
+    The last 1024 texts parsed are kept, so a model file loaded again
+    parses nothing."""
     p = _Parser(text)
     try:
         e = p.expr()
     except RecursionError:
         p.error("expression is nested too deeply")
-    if p.peek():
-        p.error(f"unexpected {p.peek()[0]!r}")
+    if tok := p.tokens[p.i]:
+        p.error(f"unexpected {tok[0]!r}")
     return e
 
 
@@ -295,9 +377,14 @@ def parse(text: str) -> Expr:
 
 def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     """Evaluate with every free symbol bound; unbound symbols are errors.
-    e is compiled by `compile_exprs`, so a math error is the EvalError
-    that names the failing subexpression."""
-    return compile_exprs([e], list(env))(*map(float, env.values()))[0]
+    e is compiled as by `compile_exprs`, so a math error is the EvalError
+    that names the failing subexpression.  The kernels of the last 64
+    (e, names) pairs are kept apart from the caches of `_emit` and
+    `linalg._define`, so one-off expressions never evict a model's kernels."""
+    names = tuple(env)
+    _, kernel = _EVALUATORS.get((id(e), names), lambda: (e, _compile(
+        [e], names, {}, _emit_uncached, linalg._define.__wrapped__)))
+    return kernel(*map(float, env.values()))[0]
 
 
 def free_symbols(e: Expr) -> set[str]:
@@ -323,7 +410,7 @@ def _leaves(e) -> tuple[set[str], list[float]]:
     return symbols, bad
 
 
-def substitute(e: Expr, values: Mapping[str, float]) -> tuple[Expr, set[str], list[float]]:
+def substitute(e: Expr, values: Mapping[str, float]) -> tuple[Expr, frozenset[str], tuple]:
     """e with each symbol named in values replaced by its value as a
     Constant, rebuilt by the smart constructors, so that identities such as
     1.0 * x and constant subtrees fold; with, from the same walk, the names
@@ -332,34 +419,39 @@ def substitute(e: Expr, values: Mapping[str, float]) -> tuple[Expr, set[str], li
     A fold that raises, or gives a non-finite number, is left unfolded, so
     that the error still happens where the expression is evaluated, as it
     would with the symbol.  Recursive, as `diff` is, which runs next on the
-    result; a subtree shared within e is walked once."""
-    symbols: set[str] = set()
-    bad: list[float] = []
-    memo: dict = {}  # id of a compound node of e -> its result
+    result.  Each node keeps its result for the last values it was folded
+    with, so a node shared within e, or with a tree folded before with the
+    same values, is walked once, and a sweep over many values keeps one
+    folded tree per node, not one per value."""
+    key = tuple(values.items())
+    if 0.0 in values.values():  # 0.0 == -0.0, but they fold apart
+        key = tuple(map(repr, key))
+    _, new, symbols, bad = _fold(e, key, values)
+    return e if new is None else new, symbols, bad
 
-    def walk(node: Expr) -> Expr:
+
+def _fold(node: Expr, key: tuple, values: Mapping[str, float]) -> tuple:
+    """(key, node folded or None where that is node itself, its symbols,
+    its non-finite constants) for the values key spells, kept on node."""
+    done = node._folded
+    if done is None or done[0] != key:
         kind = type(node)
-        if kind is Symbol:
-            symbols.add(node.name)
-            return Constant(float(values[node.name])) if node.name in values else node
-        if kind is Constant:
-            if not math.isfinite(node.value):
-                bad.append(node.value)
-            return node
-        new = memo.get(id(node))
-        if new is None:
-            if kind is Binary:
-                l, r = walk(node.left), walk(node.right)
-                new = node if l is node.left and r is node.right else _refold(node, l, r)
-            else:
-                c = walk(node.child)
-                new = node if c is node.child else _refold(node, c)
-            memo[id(node)] = new
-        return new
-
-    e = walk(e)
-    del walk  # a recursive closure: see _emit
-    return e, symbols, bad
+        if kind is Binary:
+            (_, l, ls, lb), (_, r, rs, rb) = (_fold(node.left, key, values),
+                                              _fold(node.right, key, values))
+            new = None if l is r is None else _refold(node, l or node.left, r or node.right)
+            done = key, new, ls | rs, lb + rb
+        elif kind is Unary:
+            _, c, cs, cb = _fold(node.child, key, values)
+            done = key, None if c is None else _refold(node, c), cs, cb
+        elif kind is Symbol:
+            name = node.name
+            new = Constant(float(values[name])) if name in values else None
+            done = key, new, frozenset((name,)), ()
+        else:
+            done = key, None, frozenset(), () if math.isfinite(node.value) else (node.value,)
+        node._folded = done
+    return done
 
 
 def _refold(node: Expr, *children: Expr) -> Expr:
@@ -381,13 +473,29 @@ _BUILD = {"add": add, "sub": sub, "mul": mul, "div": div, "pow": pow_, "neg": ne
 # Differentiation
 
 def diff(e: Expr, s: str) -> Expr:
-    """Exact partial derivative with respect to the symbol named s."""
+    """Exact partial derivative with respect to the symbol named s,
+    memoized on each compound node, so a subtree shared within e, or with
+    a tree differentiated before, is differentiated once per process."""
     if isinstance(e, Constant):
         return ZERO
     if isinstance(e, Symbol):
         return ONE if e.name == s else ZERO
+    memo = e._derivatives
+    d = memo.get(s)
+    if d is None:  # one frame per level of e: the children's derivatives are taken here
+        if isinstance(e, Unary):
+            d = _rule(e, diff(e.child, s))
+        else:
+            d = _rule(e, diff(e.left, s), diff(e.right, s))
+        memo[s] = d
+    return d
+
+
+def _rule(e: Expr, du: Expr, dv: Expr | None = None) -> Expr:
+    """The derivative of the compound node e from the derivatives of its
+    child, du, or of its left and right children, du and dv."""
     if isinstance(e, Unary):
-        u, du = e.child, diff(e.child, s)
+        u = e.child
         if e.op == "neg":
             return neg(du)
         if e.op == "sin":
@@ -403,9 +511,7 @@ def diff(e: Expr, s: str) -> Expr:
         if e.op == "sqrt":
             return div(du, mul(Constant(2.0), e))
         raise ExprError(f"unknown unary op {e.op!r}")
-    assert isinstance(e, Binary)
     u, v = e.left, e.right
-    du, dv = diff(u, s), diff(v, s)
     if e.op == "add":
         return add(du, dv)
     if e.op == "sub":
@@ -484,8 +590,48 @@ def to_string(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # Compilation to fast callables
 
+def _ids(tree):
+    """The identities of the nodes of a tree: a node, or a list of trees."""
+    if isinstance(tree, Expr):
+        return id(tree)
+    return tuple([id(x) if isinstance(x, Expr) else _ids(x) for x in tree])
+
+
+class _LRU:
+    """At most size results, under keys their callers make, the least
+    recently used dropped first: `functools.lru_cache` for arguments that
+    are not their own keys."""
+
+    def __init__(self, size: int):
+        self.size, self.results = size, {}
+
+    def get(self, key, make: Callable[[], object]):
+        result = self.results.pop(key, self)
+        if result is self:
+            result = make()
+            if len(self.results) >= self.size:
+                del self.results[next(iter(self.results))]
+        self.results[key] = result
+        return result
+
+
+_EMITTED = _LRU(256)
+_EVALUATORS = _LRU(64)  # of `evaluate`
+
+
 def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, float] | None = None,
           every: bool = False):
+    """`_emit_uncached`, memoized for the last 256 distinct arguments: the
+    identities of the nodes of exprs (== would take a -0.0 for a 0.0), kept
+    alive by exprs in the entry, which no caller changes after emitting it,
+    the variables, the constants by repr and every."""
+    constants = constants or {}
+    key = _ids(exprs), tuple(variables), repr(constants), every
+    return _EMITTED.get(key, lambda: (exprs, _emit_uncached(exprs, variables, constants, every)))[1]
+
+
+def _emit_uncached(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, float],
+                   every: bool = False):
     """Straight-line source of exprs over the locals _a0, _a1, ... that
     hold the variables, with common subexpressions computed once.
 
@@ -507,7 +653,6 @@ def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, flo
     children first: the first line that raises holds the first
     subexpression such a walk finds failing.
     """
-    constants = constants or {}
     argnames = {name: f"_a{i}" for i, name in enumerate(variables)}
 
     dag: list = []  # node number -> leaf code (str) or (op, *child numbers)
@@ -588,17 +733,18 @@ def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, flo
         return text
 
     def emit_tree(tree):
-        return emit(tree) if isinstance(tree, int) else [emit_tree(t) for t in tree]
+        return emit(tree) if isinstance(tree, int) else tuple(map(emit_tree, tree))
 
     roots = emit_tree(roots)
     # Each recursive closure holds itself through its cell, a reference
     # cycle: deleting them frees the tables now, not at the collector's
     # next pass, which would otherwise fall inside a later call.
     del canon, canon_tree, emit, emit_tree
-    return lines, roots, nodes
+    return tuple(lines), roots, tuple(nodes)
 
 
-def _source(lines: Sequence[str], roots, n: int) -> str:
+@functools.lru_cache(maxsize=256)
+def _source(lines: tuple[str, ...], roots, n: int) -> str:
     """Source of the function kernel of the locals _a0 .. _a<n-1> that
     runs lines and returns roots, a list of them giving a tuple."""
     body = "".join(f"    {line}\n" for line in lines)
@@ -651,9 +797,14 @@ def compile_exprs(
     with one node per line, built on the kernel's first math error and
     kept with the kernel.
     """
-    constants = constants or {}
-    lines, roots, _ = _emit(exprs, variables, constants)
-    raw = linalg._define(_source(lines, roots, len(variables)))
+    return _compile(exprs, variables, constants or {}, _emit, linalg._define)
+
+
+def _compile(exprs, variables, constants, emit, define):
+    """compile_exprs, with emit giving the source and define compiling it:
+    memoized, as there, or not, as for `evaluate`."""
+    lines, roots, _ = emit(exprs, variables, constants)
+    raw = define(_source(lines, roots, len(variables)))
     traced = None  # (function, nodes) of the one-node-per-line source, once built
 
     # The try lives here, not in the generated source: there it made each
@@ -665,8 +816,8 @@ def compile_exprs(
             return raw(*values)
         except (ArithmeticError, ValueError):
             if traced is None:
-                lines, roots, nodes = _emit(exprs, variables, constants, every=True)
-                traced = linalg._define(_source(lines, roots, len(variables))), nodes
+                lines, roots, nodes = emit(exprs, variables, constants, every=True)
+                traced = define(_source(lines, roots, len(variables))), nodes
             _name_math_error(*traced, values)
             raise
 

@@ -204,11 +204,10 @@ class MechanicalModel(_Chart):
         g, potential, coframe = self._fold(
             {"metric": self.metric, "potential": self.potential, "inputs": self.input_coframe})
         v = [ex.Symbol(s) for s in self.velocities]
-        dg = {}  # dg[i, j][k] = d_k g_ij, each symmetric pair differentiated once
-        for i in r:
-            for j in range(i, self.n):
-                dg[i, j] = dg[j, i] = [ex.diff(g[i][j], c) for c in coords]
-        D = [[contract([dg[l, j][i] for j in r], v) for i in r] for l in r]
+        # dg[i][j][k] = d_k g_ij, from the upper triangle: `diff` is memoized,
+        # so each symmetric pair is differentiated once
+        dg = [[[ex.diff(g[min(i, j)][max(i, j)], c) for c in coords] for j in r] for i in r]
+        D = [[contract([dg[l][j][i] for j in r], v) for i in r] for l in r]
         half = ex.Constant(0.5)
         w = [contract(D[l], v) - half * contract([row[l] for row in D], v) for l in r]
         dV = [ex.diff(potential, c) for c in coords]

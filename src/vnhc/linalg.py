@@ -12,7 +12,8 @@ and Veselic, 1992), and `eigvalsh` by cyclic Jacobi.
 Every generated source in the package, these and the kernels of `expr`,
 `constraint`, `control` and `sim`, is compiled by `_define`: once per
 distinct source per process, in one fixed namespace, with at most
-`DEFINE_CACHE_SIZE` compiled functions kept.
+`DEFINE_CACHE_SIZE` compiled functions kept.  `expr.evaluate` compiles its
+one-off sources by the function `_define` wraps, outside that cache.
 """
 
 from __future__ import annotations

@@ -69,8 +69,8 @@ _RK4 = linalg._Kernels(_rk4_source)
 
 def rk4_step(model: MechanicalModel, con: AffineConstraint, state: State, h: float) -> State:
     """One classical Runge-Kutta step of (qdot, closed-loop acceleration)."""
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("step size must be positive and finite")
     check_compatible(model, con)
     model._check_state(state)
     field = _closed_loop(model, con)
@@ -88,10 +88,10 @@ def integrate(
     sample_every: int = 1,
 ) -> Trajectory:
     """Fixed-step RK4 run, sampling every sample_every steps plus the end."""
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
+    if not 0.0 < h < math.inf:
+        raise ValueError("step size must be positive and finite")
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
     check_compatible(model, con)

@@ -5,6 +5,10 @@ division and math-error rules: the reference the compiled kernels, and
 the public `vnhc.evaluate` built on them, are tested against, values and
 error messages alike.
 
+`structure` and `spelled` are the references for expression equality
+and repr: nested tuples of each node's class and fields, and the text of
+a dataclass repr, built by recursion over the tree.
+
 `reference` is the reference for the q-only views: the model's and the
 constraint's source fields are evaluated by `walk`, with the parameters
 bound, and the linear algebra is numpy's: P = S G^-1 coframe^T, its
@@ -17,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from vnhc.constraint import RANK_RTOL
-from vnhc.expr import FUNCTIONS, Constant, EvalError, Symbol, Unary, to_string
+from vnhc.expr import FUNCTIONS, Binary, Constant, EvalError, Symbol, Unary, to_string
 
 _MATH = {**{name: getattr(math, name) for name in FUNCTIONS}, "pow": math.pow}
 
@@ -59,6 +63,35 @@ def _math(e, *args) -> float:
         raise EvalError(f"domain error in {to_string(e)}") from None
     except OverflowError:
         raise EvalError(f"overflow in {to_string(e)}") from None
+
+
+_CHILDREN = ("child", "left", "right")
+
+
+def _fields(e) -> list:
+    """(name, value) of each field of the node e, in declaration order."""
+    if isinstance(e, Constant):
+        return [("value", e.value)]
+    if isinstance(e, Symbol):
+        return [("name", e.name)]
+    if isinstance(e, Unary):
+        return [("op", e.op), ("child", e.child)]
+    assert isinstance(e, Binary)
+    return [("op", e.op), ("left", e.left), ("right", e.right)]
+
+
+def structure(e) -> tuple:
+    """e as nested tuples: its class, then each field, a child as its
+    structure; two trees are == exactly where their structures are, so a
+    constant 0.0 matches a -0.0."""
+    return (type(e).__name__,
+            *(structure(v) if name in _CHILDREN else v for name, v in _fields(e)))
+
+
+def spelled(e) -> str:
+    """The repr a frozen dataclass of e's class and fields would give."""
+    fields = (f"{name}={spelled(v) if name in _CHILDREN else repr(v)}" for name, v in _fields(e))
+    return f"{type(e).__name__}({', '.join(fields)})"
 
 
 class Reference(NamedTuple):

@@ -559,6 +559,10 @@ ARG_CASES = [  # (command line, "{}" standing for a boat file and "{dir}" for a 
     ("control-at {} --q 0,0 --qdot 0,0,0", "--q needs 3 comma-separated values, got 2"),
     (SIM + " --t-end 1 --wrap z", "--wrap: unknown coordinate 'z'"),
     (SIM + " --t-end 0", "--t-end must be positive"),
+    (SIM + " --t-end inf", "--t-end must be positive and finite"),
+    (SIM + " --t-end nan", "--t-end must be positive and finite"),
+    (SIM.replace("--dt 0.1", "--dt nan") + " --t-end 1", "--dt must be positive and finite"),
+    (SIM.replace("--dt 0.1", "--dt inf") + " --t-end 1", "--dt must be positive and finite"),
     (SIM + " --t-end 1 --sample-every 0", "--sample-every must be at least 1"),
     (SIM.replace("--q0 0", "--q0 nan") + " --t-end 1", "non-finite state entry"),
     ("fixture boat --current tide --out {out}",

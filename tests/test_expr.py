@@ -1,8 +1,9 @@
+import gc
 import math
 
 import pytest
 from hypothesis import given, strategies as st
-from oracle import walk
+from oracle import spelled, structure, walk
 
 from vnhc import expr as ex, linalg
 from vnhc.expr import (
@@ -473,3 +474,95 @@ def test_random_diff_matches_fd(e):
     sym = walk(d, env)
     if abs(sym) < 1e6:  # keep FD meaningful away from blow-up
         assert abs(sym - fd(e, "x", env)) <= 1e-5 * (1 + abs(sym))
+
+
+# -- interning ---------------------------------------------------------------
+
+def rebuilt(e):
+    """e built again node by node through the classes, as a fresh walk of
+    its structure would."""
+    if isinstance(e, Unary):
+        return Unary(e.op, rebuilt(e.child))
+    if isinstance(e, Binary):
+        return Binary(e.op, rebuilt(e.left), rebuilt(e.right))
+    return Constant(e.value) if isinstance(e, Constant) else Symbol(e.name)
+
+
+def flipped(e):
+    """e with the sign of every zero constant flipped."""
+    if isinstance(e, Unary):
+        return Unary(e.op, flipped(e.child))
+    if isinstance(e, Binary):
+        return Binary(e.op, flipped(e.left), flipped(e.right))
+    if isinstance(e, Constant) and e.value == 0.0:
+        return Constant(-e.value)
+    return e
+
+
+def zeros(e) -> list:
+    """The signs of e's zero constants."""
+    if isinstance(e, Unary):
+        return zeros(e.child)
+    if isinstance(e, Binary):
+        return zeros(e.left) + zeros(e.right)
+    return [math.copysign(1.0, e.value)] if isinstance(e, Constant) and e.value == 0.0 else []
+
+
+@given(_all_exprs)
+def test_one_structure_is_one_object(e):
+    assert rebuilt(e) is e
+    assert ex.add(e, Symbol("x")) is ex.add(rebuilt(e), Symbol("x"))
+
+
+@given(_all_exprs)
+def test_reparse_gives_the_same_object(e):
+    # The printer spells -0.0 as 0, so a tree with a negative zero
+    # reloads as the tree with 0.0 there: equal, but another object.
+    again = parse(to_string(e))
+    assert again == e
+    assert (again is e) == (-1.0 not in zeros(e))
+
+
+@given(_all_exprs, _all_exprs)
+def test_eq_and_repr_are_structural(a, b):
+    for x, y in ((a, b), (a, flipped(a)), (a, rebuilt(a))):
+        assert (x == y) == (structure(x) == structure(y))
+        assert (x != y) == (structure(x) != structure(y))
+        assert (hash(x) == hash(y)) or x != y
+        assert repr(x) == spelled(x)
+    if zeros(a):
+        assert flipped(a) == a and flipped(a) is not a
+
+
+def test_signed_zeros_are_two_equal_nodes():
+    zero, minus = Constant(0.0), Constant(-0.0)
+    assert zero is ex.ZERO and minus is not zero and minus == zero and hash(minus) == hash(zero)
+    x = Symbol("x")
+    assert Binary("mul", x, minus) == Binary("mul", x, zero)
+    # each is its own literal in a kernel, and in evaluate
+    for c, sign in ((zero, 1.0), (minus, -1.0), (zero, 1.0)):
+        e = Binary("mul", x, c)
+        assert math.copysign(1.0, ex.compile_exprs([e], ["x"])(1.0)[0]) == sign
+        assert math.copysign(1.0, evaluate(e, {"x": 1.0})) == sign
+
+
+def test_table_forgets_unused_nodes():
+    gc.collect()
+    before = len(ex._NODES)
+    x = Symbol("interning_probe")
+    e = ex.fn("exp", x * x + 2.5) / (x - Constant(-0.0))
+    d = diff(e, "interning_probe")  # memoized on the nodes of e
+    assert len(ex._NODES) > before
+    del x, e, d
+    gc.collect()
+    assert len(ex._NODES) == before
+
+
+def test_negative_zero_keeps_the_metric_symmetric():
+    from vnhc.model_io import load_model_dict
+
+    model, _ = load_model_dict({
+        "coordinates": ["x", "y"], "metric": [["1", "-0"], ["0", "1"]],
+        "inputs": [["1", "0"]], "constraint": {"mu": [["1", "0"]], "Z": ["0"]}})
+    assert model.metric[0][1] is not model.metric[1][0]
+    assert model.metric[0][1] == model.metric[1][0]

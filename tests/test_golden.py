@@ -1,5 +1,5 @@
-"""`vnhc check` output, pinned byte for byte, and the closed-loop kernel's
-source, pinned by its SHA-256.
+"""`vnhc check` output, pinned byte for byte, and the generated kernel
+sources, pinned by their SHA-256.
 
 `golden_check.txt` holds the exit code, standard output and standard error
 of each command in CASES, as the package printed them when `check` still
@@ -18,9 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-from test_control import build_gen5
+from test_control import build_gen4, build_gen5
 
-from vnhc import FIXTURE_CURRENTS, build_boat, control, save_model
+from vnhc import FIXTURE_CURRENTS, build_boat, constraint, control, linalg, save_model
 from vnhc.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_check.txt")
@@ -129,9 +129,43 @@ def test_closed_loop_source_is_unchanged():
     assert closed_loop_sha256() == CLOSED_LOOP_SHA256
 
 
+# SHA-256 of every source `kernel_sources` records, each followed by "\0".
+KERNEL_SOURCES_SHA256 = "569d992bef587ec527a627a90f18a9ebf044b70c92683ccbf69c1c7371c5272f"
+
+
+def kernel_sources() -> list[str]:
+    """The source of every kernel the three boats, gen4 and gen5 compile,
+    in order: per system the model's, the constraint's, the force's, the
+    first-kind, the q-only and the closed-loop kernels, each recorded as
+    it reaches `linalg._define` (every build of each passes there)."""
+    sources = []
+    real = linalg._define
+    linalg._define = lambda source: sources.append(source) or real(source)
+    try:
+        for build in [*(lambda c=c: build_boat(*c) for c in FIXTURE_CURRENTS.values()),
+                      build_gen4, build_gen5]:
+            model, con = build()
+            model._force_fn, model._first_kind
+            constraint._q_only(model, con)
+            control._closed_loop(model, con)
+    finally:
+        linalg._define = real
+    return sources
+
+
+def kernel_sources_sha256() -> str:
+    return hashlib.sha256("".join(s + "\0" for s in kernel_sources()).encode()).hexdigest()
+
+
+def test_every_kernel_source_is_unchanged():
+    sources = kernel_sources()
+    assert len(sources) == 6 * (len(FIXTURE_CURRENTS) + 2)
+    assert kernel_sources_sha256() == KERNEL_SOURCES_SHA256
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         GOLDEN.write_text(golden_text(Path(tmp)), encoding="utf-8")
-    print(closed_loop_sha256(), file=sys.stderr)
+    print(closed_loop_sha256(), kernel_sources_sha256(), file=sys.stderr)

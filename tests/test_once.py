@@ -2,7 +2,9 @@
 
 Every generated source is compiled by `linalg._define`, cached by its text
 with a fixed bound, so a model loaded again or a pair built again reuses
-the compiled functions; and `cli.build_parser` builds the parser once.
+the compiled functions; parsing, folding, differentiation and emitting
+are memoized on the interned expression graph, so a repeated load does
+none of them again; and `cli.build_parser` builds the parser once.
 Reuse must change no result and leak no state between calls.
 """
 
@@ -29,7 +31,8 @@ from vnhc import (
     solve_control,
     tau_star,
 )
-from vnhc import cli, linalg
+from vnhc import cli, constraint, control, linalg
+from vnhc import expr as ex
 
 SRC = os.path.dirname(os.path.dirname(vnhc.__file__))
 
@@ -54,6 +57,46 @@ def test_second_load_compiles_nothing(tmp_path):
     misses = linalg._define.cache_info().misses
     use(*load_model(path))
     assert linalg._define.cache_info().misses == misses
+
+
+def test_second_load_derives_nothing(tmp_path, monkeypatch):
+    path = model_file(tmp_path, "gen5")
+
+    def build():
+        model, con = load_model(path)
+        constraint._q_only(model, con), control._closed_loop(model, con), model._first_kind
+
+    build()
+    calls = []
+    for stage in ("_Parser", "_refold", "_rule", "_emit_uncached"):
+        real = getattr(ex, stage)
+        monkeypatch.setattr(ex, stage, lambda *a, real=real, stage=stage, **k: (
+            calls.append(stage), real(*a, **k))[1])
+    build()
+    assert calls == []
+
+
+def test_one_off_evaluations_evict_no_model_kernel(tmp_path):
+    path = model_file(tmp_path, "vortex")
+    load_model(path)
+    x = ex.Symbol("x")
+    for k in range(300):
+        assert ex.evaluate(x * x + float(k), {"x": 2.0}) == 4.0 + k
+    misses = linalg._define.cache_info().misses, ex.parse.cache_info().misses
+    emitted = len(ex._EMITTED.results)
+    load_model(path)
+    assert (linalg._define.cache_info().misses, ex.parse.cache_info().misses) == misses
+    assert len(ex._EMITTED.results) == emitted
+
+
+def test_rewritten_file_is_loaded_afresh(tmp_path):
+    # The memos are keyed by content, not by path.
+    path, shear = model_file(tmp_path, "vortex"), model_file(tmp_path, "shear")
+    s = State(q=(0.1, -0.2, 0.5), qdot=(0.4, 0.3, 0.8))
+    vortex = repr(vnhc.closed_loop_acceleration(*load_model(path), s))
+    path.write_bytes(shear.read_bytes())
+    again = repr(vnhc.closed_loop_acceleration(*load_model(path), s))
+    assert again == repr(vnhc.closed_loop_acceleration(*load_model(shear), s)) != vortex
 
 
 @pytest.mark.parametrize("name", [*FIXTURE_CURRENTS, "gen5"])

@@ -59,6 +59,9 @@ class TestRK4Step:
         s = State(q=(0, 0, 0), qdot=(0, 0, 0))
         with pytest.raises(ValueError):
             rk4_step(model, con, s, 0.0)
+        for h in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^step size must be positive and finite$"):
+                rk4_step(model, con, s, h)
 
     def test_order_four_self_convergence(self):
         model, con = build_boat("sin(y)", "cos(x)")
@@ -133,6 +136,11 @@ class TestIntegrate:
             integrate(model, con, s, t_end=1.0, h=-1e-3)
         with pytest.raises(ValueError):
             integrate(model, con, s, t_end=1.0, h=1e-3, sample_every=0)
+        for bad in (math.inf, math.nan):  # not an OverflowError from the step count
+            with pytest.raises(ValueError, match="^t_end must be positive and finite$"):
+                integrate(model, con, s, t_end=bad, h=1e-3)
+            with pytest.raises(ValueError, match="^step size must be positive and finite$"):
+                integrate(model, con, s, t_end=1.0, h=bad)
 
     def test_blow_up_is_integration_error(self):
         model, con = blow_up_system()
