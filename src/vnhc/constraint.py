@@ -15,7 +15,9 @@ expression the model's and the constraint's kernels evaluate at (q, 0),
 then the metric's Cholesky factor with its SPD and condition gates,
 P = S G^-1 coframe, its pivoted LU factor, cond_1 and determinant, and
 the singular, pivot and condition gates, from the statement generator
-that the closed-loop kernel of `control` shares.  It returns its verdict
+that the closed-loop kernel of `control` shares, with what depends on no
+input computed once when the source is made (`linalg._fold`; a constant
+metric's whole block goes).  It returns its verdict
 as data: a failing gate returns what was computed before it, with the
 gate's name, and `_p_system` and `_verdict` build the typed errors and
 their messages from those numbers.  `transversality_check`,
@@ -91,9 +93,11 @@ class AffineConstraint(_Chart):
              for dmu_b, dZ_b in zip(dmu, dZ)]
         self._exprs = [mu, Z, c]
         self._kernel = self._compile_qv(self._exprs, {"constraint.mu": dmu, "constraint.Z": dZ})
-        # model -> the closed-loop field (built by `control`) and the q-only
-        # kernel of (model, self), each built on its first use with that model.
+        # model -> the closed-loop field (built by `control`), the RK4 step
+        # kernel (by `sim`) and the q-only kernel of (model, self), each built
+        # on its first use with that model.
         self._closed_loop = {}
+        self._step = {}
         self._q_only = {}
 
     # -- evaluation ---------------------------------------------------------
@@ -220,16 +224,18 @@ def _bind(G, coframe, S) -> list[str]:
 def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
     """Source of kernel(q) -> the fields of `_QOnly`: every expression the
     model's and the constraint's kernels evaluate at (q, 0), with common
-    subexpressions computed once, then the gates of the closed-loop kernel.
-    dV, w, Z and c are evaluated for their math errors only."""
+    subexpressions computed once, then the gates of the closed-loop kernel,
+    folded (`linalg._fold`).  dV, w, Z and c are evaluated for their math
+    errors only."""
     n = model.n
     lines, ((G, coframe, dV, w), (S, Z, c)), _ = ex._emit(
         [model._exprs, con._exprs], model.coordinates + model.velocities)
-    body = [f"{linalg._vector('_a', n)}, = q",
-            " = ".join(f"_a{n + i}" for i in range(n)) + " = 0.0", *lines]
-    body += [root for root in chain(dV, w, Z, c) if "(" in root]  # not a local or a literal
+    body = (*(f"_a{n + i} = 0.0" for i in range(n)), *lines,
+            *(root for root in chain(dV, w, Z, c) if "(" in root),  # not a local or a literal
+            *_bind(G, coframe, S))
     gates, result = _q_only_gates(n, con.m)
-    return linalg._kernel_source("q", [*body, *_bind(G, coframe, S), *gates], result)
+    body, (result,) = linalg._fold(body + gates, (result,))
+    return linalg._kernel_source("q", [f"{linalg._vector('_a', n)}, = q", *body], result)
 
 
 @functools.cache

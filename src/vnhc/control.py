@@ -7,17 +7,20 @@ or off the constraint set; off the set it conserves phi at its initial
 value instead of nulling it.
 
 The closed-loop views (`solve_control`, `tau_star`,
-`closed_loop_acceleration`, and `sim`'s RK4 stages) make one call of a
-kernel generated per (model, constraint) pair: straight-line code with
-the model's, force's and constraint's expressions (common subexpressions
-computed once across all three), the metric's Cholesky factor, the input
-fields Y = G^-1 coframe, P = S Y, its pivoted LU and cond_1, the drift
-G^-1 (F - dV - w), b = -(S drift + c), tau and the acceleration, all
-inline.  Its field is built on the first closed-loop call with a model
-and kept on the constraint, so loading a model does not pay for it; the
-source is compiled by `linalg._define`, once per distinct source per
-process, so a pair built again from the same model text reuses the
-compiled kernel.  No other code computes a closed-loop result.
+`closed_loop_acceleration`) make one call of a kernel generated per
+(model, constraint) pair: straight-line code with the model's, force's
+and constraint's expressions (common subexpressions computed once across
+all three), the metric's Cholesky factor, the input fields Y = G^-1
+coframe, P = S Y, its pivoted LU and cond_1, the drift G^-1 (F - dV - w),
+b = -(S drift + c), tau and the acceleration, all inline.  What of that
+depends on no input, such as the whole metric block of a constant
+metric, is computed once when the source is made (`linalg._fold`).  The
+RK4 step kernel of `sim` runs the same folded statements at each stage.
+Its field is built on the first closed-loop call with a model and kept on
+the constraint, so loading a model does not pay for it; the statements
+are folded and the source compiled once per distinct pair per process
+(`linalg._fold`, `linalg._define`), so a pair built again from the same
+model text reuses both.  No other code computes a closed-loop result.
 
 The kernel's metric and P blocks, with every gate (metric SPD and
 condition, exactly singular P, pivot, P condition, a non-finite cond),
@@ -31,11 +34,13 @@ force's own kernel names a math error in F.  The q-only views
 external force, which may be singular at rest (Coulomb friction).
 `b_vector` needs no invertible P: it contracts the model's drift with the
 constraint's kernel.  The integrator re-solves the control at every RK4
-stage, and the tau it samples is the next step's stage-1 solve.
+stage, and the tau it samples is the next step's stage-1 solve; where a
+stage fails, the field at that stage's state raises its typed error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,36 +77,63 @@ def _admissible(k: _QOnly, q, state=None) -> _QOnly:
     return k
 
 
-def _closed_loop_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
-    """Source of kernel(q, qd) -> (acc, tau, b, P, cond), or None where a
-    gate fails: the model's, force's and constraint's expressions with
-    common subexpressions computed once, then the factorizations and
-    solves, from the generators of `linalg`.  Its gates are those of the
-    q-only kernel, on the same numbers, so it declines exactly where that
-    kernel reports a failed gate."""
+def _closed_loop_body(model: MechanicalModel, con: AffineConstraint) -> tuple[str, ...]:
+    """The closed-loop kernel's statements over the locals _a0 .. _a<2n-1>
+    holding (q, qd): the model's, force's and constraint's expressions
+    with common subexpressions computed once, then the factorizations and
+    solves, from the generators of `linalg`.  They bind the acceleration
+    d<i>, tau t<a>, b<b>, P<b>_<a> and cond; a failing gate runs `return
+    None`.  The gates are those of the q-only kernel, on the same numbers,
+    so the statements fail exactly where that kernel reports a failed gate."""
     n, m = model.n, con.m
-    r, rm = range(n), range(m)
     mu, _, dphi = con._exprs  # Z is not needed
     lines, ((G, coframe, dV, w), F, S, c), _ = ex._emit(
         [model._exprs, model._force, mu, dphi], model.coordinates + model.velocities)
-    body = [f"{linalg._vector('_a', n)}, = q",
-            ", ".join(f"_a{n + i}" for i in r) + ", = qd", *lines, *_bind(G, coframe, S)]
-    body += [f"d{i} = ({F[i]} - {dV[i]}) - {w[i]}" for i in r]  # drift: G^-1 (F - dV - w)
-    body += _gate_lines(n, m, lambda gate: "return None")
-    # The drift, b = -(S drift + c), tau and acc = drift + tau_a Y^a.
-    body += linalg._cho_solve_lines(n, "l", "d")
-    body += [f"b{b} = -({_dot(f'S{b}_', 'd', n)} + {c[b]})" for b in rm]
-    body += linalg._lu_solve_lines(m, "u", "p", f"({linalg._vector('b', m)},)", "t")
-    for a in rm:
-        body += [f"if t{a} != 0.0:", *(f"    d{i} = d{i} + t{a} * y{a}_{i}" for i in r)]
+    gates, solves = _closed_loop_blocks(n, m)
+    return (*lines, *_bind(G, coframe, S),
+            *(f"d{i} = ({F[i]} - {dV[i]}) - {w[i]}" for i in range(n)),  # G^-1 (F - dV - w)
+            *gates, *(f"b{b} = -({_dot(f'S{b}_', 'd', n)} + {c[b]})" for b in range(m)), *solves)
+
+
+@functools.cache
+def _closed_loop_blocks(n: int, m: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The closed-loop statements that depend on the size only: the metric
+    and P blocks with the drift's solve, which b = -(S drift + c) reads; and
+    tau with acc = drift + tau_a Y^a."""
+    gates = (*_gate_lines(n, m, lambda gate: "return None"), *linalg._cho_solve_lines(n, "l", "d"))
+    solves = linalg._lu_solve_lines(m, "u", "p", f"({linalg._vector('b', m)},)", "t")
+    for a in range(m):
+        solves += [f"if t{a} != 0.0:", *(f"    d{i} = d{i} + t{a} * y{a}_{i}" for i in range(n))]
+    return gates, tuple(solves)
+
+
+def _closed_loop_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
+    """Source of kernel(q, qd) -> (acc, tau, b, P, cond), or None where a
+    gate fails: the pair's closed-loop statements, folded (`linalg._fold`)."""
+    n, m = model.n, con.m
+    result = (*(f"d{i}" for i in range(n)), *(f"t{a}" for a in range(m)),  # acc, tau, b, P, cond
+              *(f"b{b}" for b in range(m)), *(f"P{b}_{a}" for b in range(m) for a in range(m)), "cond")
+    lines, out = linalg._fold(_closed_loop_body(model, con), result)
+    acc, tau, b = (", ".join(out[k:k + size]) for k, size in ((0, n), (n, m), (n + m, m)))
+    P = ", ".join(f"[{', '.join(out[k:k + m])}]" for k in range(n + 2 * m, len(out) - 1, m))
     return linalg._kernel_source(
-        "q, qd", body,
-        f"[{linalg._vector('d', n)}], [{linalg._vector('t', m)}], [{linalg._vector('b', m)}], "
-        f"{linalg._matrix('P', m)}, cond")
+        "q, qd", [f"{linalg._vector('_a', n)}, = q",
+                  ", ".join(f"_a{n + i}" for i in range(n)) + ", = qd", *lines],
+        f"[{acc}], [{tau}], [{b}], [{P}], {out[-1]}")
 
 
 def _compile_closed_loop(model: MechanicalModel, con: AffineConstraint):
     return linalg._define("\n".join(_closed_loop_source(model, con)))
+
+
+def _closed_loop_kernel(model: MechanicalModel, con: AffineConstraint):
+    """The pair's compiled closed-loop kernel.  A pair whose expressions are
+    too deep to compile here, a few stack frames short of the limit that
+    loading met, is an EvalError."""
+    try:
+        return _compile_closed_loop(model, con)
+    except RecursionError:
+        raise EvalError("closed-loop kernel is nested too deeply to compile") from None
 
 
 def _closed_loop(model: MechanicalModel, con: AffineConstraint):
@@ -111,15 +143,10 @@ def _closed_loop(model: MechanicalModel, con: AffineConstraint):
     meets a math error, the q-only kernel at q and then the force's own
     kernel at (q, qd) raise the typed error with its message: the closed
     loop's gates are the q-only kernel's, and a math error in w or c at qd
-    is one at rest, since their velocities only multiply.  A pair whose
-    expressions are too deep to compile here, a few stack frames short of
-    the limit that loading met, is an EvalError."""
+    is one at rest, since their velocities only multiply."""
     field = con._closed_loop.get(model)
     if field is None:
-        try:
-            kernel = _compile_closed_loop(model, con)
-        except RecursionError:
-            raise EvalError("closed-loop kernel is nested too deeply to compile") from None
+        kernel = _closed_loop_kernel(model, con)
 
         def field(q, qd, state=None):
             try:

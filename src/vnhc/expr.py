@@ -539,8 +539,9 @@ _SIGN = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 def _prec(e: Expr) -> int:
     if isinstance(e, Binary):
         return _PREC[e.op]
-    if (isinstance(e, Unary) and e.op == "neg") or (isinstance(e, Constant) and e.value < 0):
-        return _PREC["neg"]  # so a negative base prints as (-2)^x
+    if (isinstance(e, Unary) and e.op == "neg"
+            or isinstance(e, Constant) and math.copysign(1.0, e.value) < 0):
+        return _PREC["neg"]  # so a negative base, -0 too, prints as (-2)^x
     return 5  # constants, symbols, function calls
 
 
@@ -570,7 +571,7 @@ def to_string(e: Expr) -> str:
         if isinstance(node, Constant):
             v = node.value
             if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-                text[id(node)] = str(int(v))
+                text[id(node)] = str(int(v)) if v or math.copysign(1.0, v) > 0 else "-0"
             else:
                 text[id(node)] = repr(v)
         elif isinstance(node, Symbol):

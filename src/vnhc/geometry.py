@@ -55,13 +55,13 @@ class State:
     qdot: tuple
 
     def __post_init__(self):
-        q = tuple(float(v) for v in self.q)
-        qd = tuple(float(v) for v in self.qdot)
+        q = tuple(map(float, self.q))
+        qd = tuple(map(float, self.qdot))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "qdot", qd)
         if len(q) != len(qd):
             raise ValueError("q and qdot dimensions differ")
-        if not all(math.isfinite(v) for v in q + qd):
+        if not all(map(math.isfinite, q + qd)):
             raise ValueError("non-finite state entry")
 
 

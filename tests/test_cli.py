@@ -564,6 +564,8 @@ ARG_CASES = [  # (command line, "{}" standing for a boat file and "{dir}" for a 
     (SIM.replace("--dt 0.1", "--dt nan") + " --t-end 1", "--dt must be positive and finite"),
     (SIM.replace("--dt 0.1", "--dt inf") + " --t-end 1", "--dt must be positive and finite"),
     (SIM + " --t-end 1 --sample-every 0", "--sample-every must be at least 1"),
+    (SIM.replace("--dt 0.1", "--dt 1e-300") + " --t-end 1e300",
+     "t_end / step size overflows (1e+300 / 1e-300)"),
     (SIM.replace("--q0 0", "--q0 nan") + " --t-end 1", "non-finite state entry"),
     ("fixture boat --current tide --out {out}",
      "--current must be one of ['shear', 'still', 'vortex']"),

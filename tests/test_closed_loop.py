@@ -28,7 +28,7 @@ from vnhc import (
     solve_control,
     tau_star,
 )
-from vnhc import control, linalg
+from vnhc import constraint, control, linalg, sim
 from vnhc import expr as ex
 
 
@@ -122,6 +122,18 @@ def test_parameters_fold_before_compiling():
     assert "1.0 *" not in "\n".join(control._closed_loop_source(model, con))
     assert model._exprs[0] == [[ex.ONE, ex.ZERO, ex.ZERO], [ex.ZERO, ex.ONE, ex.ZERO],
                                [ex.ZERO, ex.ZERO, ex.ONE]]
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_a_constant_metric_block_folds(name):
+    # Every boat's metric is constant: its Cholesky factor, SPD and
+    # condition gates and its divisions leave the pair's kernels, which
+    # keep gen5's.  The step kernel runs the closed loop's statements.
+    model, con = SYSTEMS[name]()
+    sources = [control._closed_loop_source(model, con), constraint._q_only_source(model, con)]
+    sources.append(sim._step_source("\n".join(sources[0]), model.n))
+    for source in map("\n".join, sources):
+        assert (("sqrt(" in source) and ("ratio" in source)) == (name in ("gen4", "gen5"))
 
 
 def test_parameter_fold_errors_stay_at_evaluation():

@@ -1,5 +1,5 @@
-"""`vnhc check` output, pinned byte for byte, and the generated kernel
-sources, pinned by their SHA-256.
+"""`vnhc check`, `simulate` and `control-at` output, pinned byte for byte,
+and the generated kernel sources, pinned by their SHA-256.
 
 `golden_check.txt` holds the exit code, standard output and standard error
 of each command in CASES, as the package printed them when `check` still
@@ -9,21 +9,28 @@ a message shows here.  To write the file again after a deliberate change
 of the output format:
 
     PYTHONPATH=src python tests/test_golden.py
+
+`golden_simulate.txt` holds, the same way, the exit code, standard output
+(without `runtime_s`) and standard error of each command in SIM_CASES,
+and the CSV each `simulate` wrote, as the package printed them when each
+RK4 stage was one call of the closed-loop field.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
 from test_control import build_gen4, build_gen5
 
-from vnhc import FIXTURE_CURRENTS, build_boat, constraint, control, linalg, save_model
+from vnhc import FIXTURE_CURRENTS, build_boat, constraint, control, linalg, save_model, sim
 from vnhc.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_check.txt")
+GOLDEN_SIMULATE = Path(__file__).with_name("golden_simulate.txt")
 
 
 def plane(metric=("1", "1"), inputs=("1", "0"), mu=("1", "0"), Z="0", potential="0"):
@@ -58,6 +65,8 @@ MODELS = {  # name -> model file data
     "w_sqrt": plane(metric=("1 + sqrt(x)", "1")),  # d/dx sqrt(x) divides by zero at x = 0
     "c_sqrt": plane(mu=("1 + sqrt(x)", "0")),
     "metric_pole": plane(metric=("1/x", "1")),
+    # the metric's condition, e^x, passes its cap at x = 27.63
+    "threshold": plane(metric=("1", "exp(x)"), inputs=("0", "1"), mu=("0", "1")),
 }
 
 CASES = [  # (model, check arguments after the model file)
@@ -109,10 +118,48 @@ def test_check_output_is_golden(tmp_path):
     assert golden_text(tmp_path) == GOLDEN.read_text(encoding="utf-8")
 
 
+SIM_CASES = [  # (model, command and arguments after the model file; {out} is the CSV)
+    ("vortex", "simulate --q0 0.1,-0.2,0.5 --qdot0 0.4,0.3,0.8 --t-end 0.2 --dt 1e-3 "
+               "--sample-every 10 --project --out {out}"),
+    ("vortex", "simulate --q0 0.1,-0.2,3.13 --qdot0 0.4,0.3,0.8 --t-end 0.05 --dt 1e-3 "
+               "--sample-every 7 --wrap theta --out {out}"),
+    ("vortex", "control-at --q 0.1,-0.2,0.5 --qdot 0.4,0.3,0.8"),
+    ("shear", "simulate --q0 1,2,-0.5 --qdot0=-0.3,0.2,0.6 --t-end 0.02 --dt 2e-3 --out {out}"),
+    ("shear", "control-at --q 1,2,-0.5 --qdot=-0.3,0.2,0.6"),
+    ("gen5", "simulate --q0 0.1,-0.2,0.3,0.4,-0.5 --qdot0 0.2,0.1,-0.3,0.05,0.4 --t-end 0.05 "
+             "--dt 1e-3 --sample-every 5 --project --out {out}"),
+    ("gen5", "control-at --q 0.1,-0.2,0.3,0.4,-0.5 --qdot 0.2,0.1,-0.3,0.05,0.4"),
+    ("threshold", "simulate --q0 26.6,0 --qdot0 3,0 --t-end 0.6 --dt 0.1 --sample-every 2 "
+                  "--out {out}"),
+]
+
+
+def golden_simulate_text(directory: Path) -> str:
+    paths, csv = write_models(directory), directory / "traj.csv"
+    out = []
+    for name, args in SIM_CASES:
+        command, *rest = args.format(out=csv).split()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, str(paths[name]), *rest])
+        printed = re.sub(r'"runtime_s": [^,]*, ', "", stdout.getvalue()).replace(str(csv), "{out}")
+        out += [f"$ vnhc {command} {name}.json {' '.join(rest)}".replace(str(csv), "{out}"),
+                printed.rstrip("\n"), *(f"stderr: {line}" for line in stderr.getvalue().splitlines()),
+                f"exit {code}"]
+        if csv.exists():
+            out.append(csv.read_text(encoding="utf-8").rstrip("\n"))
+            csv.unlink()
+    return "\n".join(out) + "\n"
+
+
+def test_simulate_output_is_golden(tmp_path):
+    assert golden_simulate_text(tmp_path) == GOLDEN_SIMULATE.read_text(encoding="utf-8")
+
+
 # SHA-256 of "\n".join(control._closed_loop_source(model, con)).
 CLOSED_LOOP_SHA256 = {
-    "vortex": "bfbd6a3ad436a2637fb2a08faa11e2e07b0427932dbc992756039394d661a140",
-    "gen5": "519ab97488b2e88e5df3b765bfd0ed674221eb5f38ab57cb0db0bce0de5d3226",
+    "vortex": "4a33f55fc909c6106090913e2dd807d4f340e3296a255a9652bf18d6e16500ca",
+    "gen5": "5afd958a27abfc14cc56016329abb5d463fed4ee40590049bbc49e13afa95f19",
 }
 
 
@@ -129,38 +176,49 @@ def test_closed_loop_source_is_unchanged():
     assert closed_loop_sha256() == CLOSED_LOOP_SHA256
 
 
-# SHA-256 of every source `kernel_sources` records, each followed by "\0".
-KERNEL_SOURCES_SHA256 = "569d992bef587ec527a627a90f18a9ebf044b70c92683ccbf69c1c7371c5272f"
+# SHA-256 of the sources `kernel_sources` records, each followed by "\0": the
+# model's, the constraint's, the force's and the first-kind kernels, which
+# nothing folds, and the pair's q-only, closed-loop and RK4 step kernels.
+MODEL_KERNELS_SHA256 = "abbd851167e88c9eaec8f610b023d8b61b2b8a951adbac03014759495622f0ec"
+PAIR_KERNELS_SHA256 = "362540376212a129b8258d4222159c6122fadce9b62dabec0cd6c8865d3da27e"
 
 
-def kernel_sources() -> list[str]:
+def kernel_sources() -> tuple[list[str], list[str]]:
     """The source of every kernel the three boats, gen4 and gen5 compile,
-    in order: per system the model's, the constraint's, the force's, the
-    first-kind, the q-only and the closed-loop kernels, each recorded as
-    it reaches `linalg._define` (every build of each passes there)."""
-    sources = []
+    in order: per system the model's, the constraint's, the force's and the
+    first-kind kernels, then the pair's q-only, closed-loop and step
+    kernels, each recorded as it reaches `linalg._define` (every build of
+    each but the step passes there; the step's source is made from the
+    closed loop's)."""
+    model_sources, pair_sources = [], []
+    sources = model_sources
     real = linalg._define
     linalg._define = lambda source: sources.append(source) or real(source)
     try:
         for build in [*(lambda c=c: build_boat(*c) for c in FIXTURE_CURRENTS.values()),
                       build_gen4, build_gen5]:
+            sources = model_sources
             model, con = build()
             model._force_fn, model._first_kind
+            sources = pair_sources
             constraint._q_only(model, con)
             control._closed_loop(model, con)
+            pair_sources.append("\n".join(sim._step_source(pair_sources[-1], model.n)))
     finally:
         linalg._define = real
-    return sources
+    return model_sources, pair_sources
 
 
-def kernel_sources_sha256() -> str:
-    return hashlib.sha256("".join(s + "\0" for s in kernel_sources()).encode()).hexdigest()
+def sha256(sources: list[str]) -> str:
+    return hashlib.sha256("".join(s + "\0" for s in sources).encode()).hexdigest()
 
 
 def test_every_kernel_source_is_unchanged():
-    sources = kernel_sources()
-    assert len(sources) == 6 * (len(FIXTURE_CURRENTS) + 2)
-    assert kernel_sources_sha256() == KERNEL_SOURCES_SHA256
+    model_sources, pair_sources = kernel_sources()
+    systems = len(FIXTURE_CURRENTS) + 2
+    assert (len(model_sources), len(pair_sources)) == (4 * systems, 3 * systems)
+    assert (sha256(model_sources), sha256(pair_sources)) == (MODEL_KERNELS_SHA256,
+                                                             PAIR_KERNELS_SHA256)
 
 
 if __name__ == "__main__":
@@ -168,4 +226,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         GOLDEN.write_text(golden_text(Path(tmp)), encoding="utf-8")
-    print(closed_loop_sha256(), kernel_sources_sha256(), file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN_SIMULATE.write_text(golden_simulate_text(Path(tmp)), encoding="utf-8")
+    print(closed_loop_sha256(), *map(sha256, kernel_sources()), file=sys.stderr)

@@ -200,3 +200,99 @@ class TestSpectra:
         assert len(linalg.eigvalsh(a)) == 3
         assert len(linalg.singular_values(a[:2])) == 2
         assert len(linalg.singular_values(a[:1])) == 1
+
+
+def folded(lines, outputs=()):
+    return linalg._fold(tuple(lines), tuple(outputs))
+
+
+def run(lines, result, x):
+    """kernel(x) over lines returning result, or the type of what it raises."""
+    kernel = linalg._define.__wrapped__("\n".join(linalg._kernel_source("x", lines, result)))
+    try:
+        return repr(kernel(x))
+    except Exception as err:  # noqa: BLE001 - compared by type
+        return type(err).__name__
+
+
+class TestFold:
+    """`linalg._fold`: what depends on no input is computed when the source
+    is made, and every result keeps its bits."""
+
+    def test_constant_statements_go(self):
+        lines, (out,) = folded(["s = 4.0", "l = sqrt(s)", "r = max(l, 1.0) / min(l, 1.0)",
+                                "if r * r > 1e12:", "    return None", "y = x / l"], ["y * r"])
+        assert lines == ("y = x / 2.0",) and out == "y * 2.0"
+
+    @pytest.mark.parametrize("text, expected", [
+        ("x * 1.0", "x"), ("1.0 * x", "x"), ("x / 1.0", "x"), ("x - 0.0", "x"),
+        # these change a signed zero, or inf into NaN: they stay
+        ("x + 0.0", "x + 0.0"), ("0.0 + x", "0.0 + x"), ("0.0 * x", "0.0 * x"),
+        ("x - -0.0", "x - -0.0"), ("x * 1", "x * 1"), ("(x, y)[1]", "y"),
+    ])
+    def test_identities(self, text, expected):
+        assert folded([], [text])[1] == (expected,)
+
+    def test_what_raises_or_overflows_stays(self):
+        lines, _ = folded(["a = 1.0 / 0.0", "b = 1e+308 * 10.0", "c = math.log(-1.0)",
+                           "math.sqrt(-1.0)", "math.sqrt(4.0)"])
+        assert lines == ("a = 1.0 / 0.0", "b = 1e+308 * 10.0", "c = math.log(-1.0)",
+                         "math.sqrt(-1.0)")
+
+    def test_gates(self):
+        # a gate that folds to False goes; one that folds to True keeps its
+        # fail statement; one that depends on x stays
+        lines, _ = folded(["s = 1.0", "if s <= 0.0:", "    return None",
+                           "if s > 0.0:", "    return 1", "if x > s:", "    return 2"])
+        assert lines == ("return 1", "if x > 1.0:", "    return 2")
+
+    def test_a_local_a_branch_rebinds_is_bound_first(self):
+        lines, (out,) = folded(["d = 0.0", "t = 2.0", "if x != 0.0:", "    d = d + t * x"],
+                               ["d"])
+        assert lines == ("d = 0.0", "if x != 0.0:", "    d = d + 2.0 * x") and out == "d"
+
+    def test_unpacking(self):
+        lines, (out,) = folded(["p0, p1 = 0, 1", "r, big = 0, abs(x)", "t0, = (x,)[p0],",
+                                "a, b = b0, x", "if r == 1:", "    p0, p1 = p1, p0"],
+                               ["(p0, p1, t0, a)"])
+        assert lines == ("big = abs(x)", "t0 = x", "a, b = (b0, x)") and out == "(0, 1, t0, a)"
+
+    def test_memoized(self):
+        args = (("s = 2.0", "y = x * s"), ("y",))
+        assert linalg._fold(*args) is linalg._fold(*args)
+
+
+_FOLD_OPERANDS = ["x", "1.0", "0.0", "-0.0", "2.0", "-3.5", "1e308", "0.5"]
+
+
+@st.composite
+def programs(draw):
+    """Straight-line code with gates and branches over x and literals that
+    make signed zeros, infinities and NaN: lines and the result's source."""
+    names, lines = [], []
+    operand = st.sampled_from(_FOLD_OPERANDS)
+    for k in range(draw(st.integers(1, 8))):
+        a, b = draw(operand if not names else st.one_of(operand, st.sampled_from(names))), \
+            draw(operand if not names else st.one_of(operand, st.sampled_from(names)))
+        op = draw(st.sampled_from(["+", "-", "*", "/"]))
+        kind = draw(st.sampled_from(["plain", "plain", "call", "gate", "branch"]))
+        if kind == "call":
+            lines.append(f"v{k} = {draw(st.sampled_from(['sqrt', 'abs', 'math.exp']))}({a})")
+        elif kind == "gate":
+            lines += [f"if {a} {draw(st.sampled_from(['<=', '>', '!=']))} {b}:",
+                      "    return None", f"v{k} = {a} {op} {b}"]
+        elif kind == "branch" and names:
+            lines += [f"v{k} = {a}", f"if {b} > 0.0:", f"    v{k} = v{k} {op} {a}"]
+        else:
+            lines.append(f"v{k} = {a} {op} {b}")
+        names.append(f"v{k}")
+    return lines, "(" + "".join(f"{v}, " for v in names) + ")"
+
+
+@settings(max_examples=150, deadline=None)
+@given(programs())
+def test_fold_keeps_every_bit(program):
+    lines, result = program
+    body, (out,) = linalg._fold(tuple(lines), (result,))
+    for x in (0.0, -0.0, 1.0, -2.0, 1e308, math.inf, -math.inf, math.nan):
+        assert run(list(body), out, x) == run(lines, result, x), (lines, x)

@@ -59,6 +59,23 @@ def test_second_load_compiles_nothing(tmp_path):
     assert linalg._define.cache_info().misses == misses
 
 
+def test_second_load_folds_nothing(tmp_path):
+    # The pair's kernels are folded and the step kernel made once per
+    # distinct pair per process, not on each command-line call.
+    path = model_file(tmp_path, "vortex")
+
+    def build():
+        model, con = load_model(path)
+        use(model, con)
+        constraint._q_only(model, con)
+
+    build()
+    cache_info = linalg._fold.cache_info, vnhc.sim._step_kernel.cache_info
+    misses = [info().misses for info in cache_info]
+    build()
+    assert [info().misses for info in cache_info] == misses
+
+
 def test_second_load_derives_nothing(tmp_path, monkeypatch):
     path = model_file(tmp_path, "gen5")
 
