@@ -9,24 +9,25 @@ checks return report objects rather than raising, so callers can batch
 them over grids.
 
 `rank_check` reads the constraint's kernel.  Transversality, the
-invertibility of P(q) = [mu^b(Y^a)], is decided by a second kernel
-generated per (model, constraint) pair and evaluated at q alone: every
-expression the model's and the constraint's kernels evaluate at (q, 0),
-then the metric's Cholesky factor with its SPD and condition gates,
-P = S G^-1 coframe, its pivoted LU factor, cond_1 and determinant, and
-the singular, pivot and condition gates, from the statement generator
-that the closed-loop kernel of `control` shares, with what depends on no
-input computed once when the source is made (`linalg._fold`; a constant
-metric's whole block goes).  It returns its verdict
-as data: a failing gate returns what was computed before it, with the
-gate's name, and `_p_system` and `_verdict` build the typed errors and
-their messages from those numbers.  `transversality_check`,
-`control.p_matrix`, the closed-loop field's errors and `vnhc check` (one
-call per point, the rank from the returned S) read that one call.  Where
-the kernel meets a math error, the model's and the constraint's own
-kernels run again to name the expression.  The kernel is built on the
-first q-only call with a model and kept on the constraint, so loading a
-model does not pay for it.
+invertibility of P(q) = [mu^b(Y^a)], is decided by the second of the
+two kernels generated per (model, constraint) pair (the first is the
+step kernel of `control`), evaluated at q alone: every expression the model's and the
+constraint's kernels evaluate at (q, 0), then the metric's Cholesky
+factor with its SPD and condition gates, P = S G^-1 coframe, its pivoted
+LU factor, cond_1 and determinant, and the singular, pivot and condition
+gates, from the statement generator that the step kernel shares at each
+stage, with what depends on no input computed once when the source is
+made (`linalg._fold`; a constant metric's whole block goes).  It returns
+its verdict as data: a failing gate returns what was computed before it,
+with the gate's name, and `_p_system` and `_verdict` build the typed
+errors and their messages from those numbers.  `transversality_check`,
+`control.p_matrix`, `control._raise_failure` (the typed error of a
+failed closed-loop stage) and `vnhc check` (one call per point, the rank
+from the returned S) read that one call.  Where the kernel meets a math
+error, the model's and the constraint's own kernels run again to name
+the expression.  The kernel is built on the first q-only call with a
+model and kept on the constraint, so loading a model does not pay for
+it.
 """
 
 from __future__ import annotations
@@ -93,10 +94,8 @@ class AffineConstraint(_Chart):
              for dmu_b, dZ_b in zip(dmu, dZ)]
         self._exprs = [mu, Z, c]
         self._kernel = self._compile_qv(self._exprs, {"constraint.mu": dmu, "constraint.Z": dZ})
-        # model -> the closed-loop field (built by `control`), the RK4 step
-        # kernel (by `sim`) and the q-only kernel of (model, self), each built
-        # on its first use with that model.
-        self._closed_loop = {}
+        # model -> the step kernel (built by `control`) and the q-only kernel
+        # of (model, self), each built on its first use with that model.
         self._step = {}
         self._q_only = {}
 
@@ -224,7 +223,7 @@ def _bind(G, coframe, S) -> list[str]:
 def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
     """Source of kernel(q) -> the fields of `_QOnly`: every expression the
     model's and the constraint's kernels evaluate at (q, 0), with common
-    subexpressions computed once, then the gates of the closed-loop kernel,
+    subexpressions computed once, then the gates of the step kernel,
     folded (`linalg._fold`).  dV, w, Z and c are evaluated for their math
     errors only."""
     n = model.n
@@ -335,7 +334,7 @@ def project_onto_A(
     GiST = [linalg.cho_solve(L, list(row)) for row in S]  # rows: G^-1 mu^b
     m = con.m
     A = [[linalg.dot(S[b], GiST[a]) for a in range(m)] for b in range(m)]
-    lam = linalg.solve(A, phi)
+    lam = linalg.lu_solve(*linalg.lu_factor(A), phi)
     qd = list(state.qdot)
     for b in range(m):
         for i in range(con.n):

@@ -195,7 +195,7 @@ class MechanicalModel(_Chart):
         geodesic form w_l = qd^i qd^j (d_i g_jl - 1/2 d_l g_ij), from the
         parameter-folded fields, and the folded external force for
         `_force_fn`.  The expressions stay in `_exprs` and `_force` for the
-        closed-loop kernel of `control`.
+        pair's step kernel of `control`.
 
         With D[l][i] = d_i (G qd)_l, w_l = sum_i D[l][i] qd^i - 1/2 sum_m
         D[m][l] qd^m: the velocity-quadratic part of the Euler-Lagrange
@@ -218,9 +218,9 @@ class MechanicalModel(_Chart):
     @cached_property
     def _force_fn(self):
         """Kernel of (q, qdot) for the external force, compiled on first use:
-        the closed-loop kernel of `control` evaluates the force itself, so
-        only `drift_acceleration` (and `b_vector` through it) and the
-        closed loop's error path call this."""
+        the pair's step kernel of `control` evaluates the force itself, so
+        only `drift_acceleration` (and `b_vector` through it) and
+        `control._raise_failure` call this."""
         try:
             return self._compile_qv(self._force)
         except RecursionError:  # a tree that loaded, a few frames short of the limit

@@ -10,14 +10,15 @@ keeps small singular values accurate relative to the large ones (Demmel
 and Veselic, 1992), and `eigvalsh` by cyclic Jacobi.
 
 Every generated source in the package, these and the kernels of `expr`,
-`constraint`, `control` and `sim`, is compiled by `_define`: once per
-distinct source per process, in one fixed namespace, with at most
+`constraint` and `control`, is compiled by `_define`: once per distinct
+source per process, in one fixed namespace, with at most
 `DEFINE_CACHE_SIZE` compiled functions kept.  `expr.evaluate` compiles its
 one-off sources by the function `_define` wraps, outside that cache.  The
-kernels of a (model, constraint) pair are first folded by `_fold`, which
-computes the statements that depend on no input once, when the source is
-made; the kernels of `expr.compile_exprs` are not, as their constants
-already fold as the expressions are built.
+two kernels of a (model, constraint) pair, the q-only kernel and the RK4
+step kernel, are first folded by `_fold`, which computes the statements
+that depend on no input once, when the source is made; the kernels of
+`expr.compile_exprs` are not, as their constants already fold as the
+expressions are built.
 """
 
 from __future__ import annotations
@@ -48,13 +49,10 @@ def _define(source: str):
     _NAMESPACE, compiled once per distinct source: a model loaded again or
     a pair built again gets back the function already compiled from the
     same text, hence the same code and the same results.  Each source runs
-    in a copy of the namespace, so kernels never see one another.  The
-    function keeps its source, from which `sim` makes a pair's RK4 step."""
+    in a copy of the namespace, so kernels never see one another."""
     namespace = dict(_NAMESPACE)
     exec(source, namespace)
-    kernel = namespace["kernel"]
-    kernel.source = source
-    return kernel
+    return namespace["kernel"]
 
 
 def _matrix(name: str, n: int, lower: bool = False, upper: str = "_") -> str:
@@ -366,11 +364,6 @@ def lu_factor(a: list[list[float]]) -> tuple[list[list[float]], list[int]]:
 
 def lu_solve(lu: list[list[float]], piv: list[int], b: list[float]) -> list[float]:
     return _LU_SOLVE[len(lu)](lu, piv, b)
-
-
-def solve(a: list[list[float]], b: list[float]) -> list[float]:
-    lu, piv = lu_factor(a)
-    return lu_solve(lu, piv, b)
 
 
 def cond1_from_lu(a, lu, piv) -> float:

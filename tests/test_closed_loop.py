@@ -1,12 +1,13 @@
-"""The generated closed-loop kernel against the other paths.
+"""The generated closed-loop statements against the other paths.
 
-`control._closed_loop` runs one generated kernel per (model, constraint)
-pair, the only code that computes a closed-loop result.  Where one of its
-gates fails or a math error is raised, the pair's q-only kernel (through
-`_p_system`, as `p_matrix` uses it) and the force's kernel raise the
-typed error.  The
-kernel's results are bit-identical to an assembly of the other paths'
-pieces, and every decline raises the error and message of the q-only path.
+`control._step` builds one generated kernel per (model, constraint) pair,
+the RK4 step kernel, and its stage 1 alone is the only code that computes
+a closed-loop result for the views.  Where one of its gates fails or a
+math error is raised, `control._raise_failure` raises the typed error from
+the pair's q-only kernel (through `_p_system`, as `p_matrix` uses it) and
+the force's kernel.  Stage 1's results are bit-identical to an assembly of
+the other paths' pieces, and every failure raises the error and message of
+the q-only path.
 """
 
 import random
@@ -28,7 +29,7 @@ from vnhc import (
     solve_control,
     tau_star,
 )
-from vnhc import constraint, control, linalg, sim
+from vnhc import constraint, control, linalg
 from vnhc import expr as ex
 
 
@@ -36,20 +37,30 @@ SYSTEMS = {name: (lambda c=c: build_boat(*c)) for name, c in FIXTURE_CURRENTS.it
 SYSTEMS.update(gen4=build_gen4, gen5=build_gen5)
 
 
+def signed_zeros(rng, x: tuple) -> tuple:
+    """x with a random choice of its entries, at least one, replaced by -0.0."""
+    first = rng.randrange(len(x))
+    return tuple(-0.0 if i == first or rng.random() < 0.5 else v for i, v in enumerate(x))
+
+
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_kernel_equals_assembly(name):
-    # The assembly is made here from the other paths: P, its LU and cond
-    # from the q-only kernel at q, b from b_vector, tau by lu_solve,
-    # and acc = drift + tau_a Y^a from drift_acceleration and input_fields_at.
+    # Stage 1 of the step kernel against an assembly made here from the
+    # other paths: P, its LU and cond from the q-only kernel at q, b from
+    # b_vector, tau by lu_solve, and acc = drift + tau_a Y^a from
+    # drift_acceleration and input_fields_at.  A quarter of the states have
+    # -0.0 entries in q and in qdot.
     model, con = SYSTEMS[name]()
-    kernel = control._compile_closed_loop(model, con)
+    kernel = control._step(model, con)
     rng = random.Random(name)
     bound = 1.0 if name == "gen5" else 2.0
-    for _ in range(200):
+    for k in range(200):
         q = tuple(rng.uniform(-bound, bound) for _ in range(model.n))
         qd = tuple(rng.uniform(-bound, bound) for _ in range(model.n))
-        fused = kernel(q, qd)
-        assert fused is not None, (name, q, qd)  # admissible: no decline
+        if k % 4 == 0:
+            q, qd = signed_zeros(rng, q), signed_zeros(rng, qd)
+        fused = kernel(q, qd, None, None, False)
+        assert fused[0] is not None, (name, q, qd)  # admissible: stage 1 holds
         s = State(q=q, qdot=qd)
         ps = control._p_system(model, con, q)
         b = b_vector(model, con, s)
@@ -65,30 +76,29 @@ def test_kernel_equals_assembly(name):
 
 def test_built_once_per_model():
     model, con = build_boat("sin(y)", "cos(x)")
-    assert con._closed_loop == {}  # nothing compiled at construction
-    field = control._closed_loop(model, con)
+    assert con._step == {}  # nothing compiled at construction
+    kernel = control._step(model, con)
     tau_star(model, con, State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6)))
-    assert control._closed_loop(model, con) is field
+    assert control._step(model, con) is kernel
     other, _ = build_boat("sin(y)", "cos(x)")
-    other_field = control._closed_loop(other, con)
-    assert other_field is not field
-    assert con._closed_loop == {model: field, other: other_field}
+    assert control._step(other, con) is kernel  # the same source, compiled once
+    assert con._step == {model: kernel, other: kernel}
 
 
 def test_one_kernel_per_model_on_a_shared_constraint(monkeypatch):
-    # Two models on one constraint, called in turn: one compile each.
+    # Two models on one constraint, called in turn: one build each.
     (m1, con), (m2, _) = build_boat("sin(y)", "cos(x)"), build_boat("sin(y)", "cos(x)")
-    compiled = []
-    compile_closed_loop = control._compile_closed_loop
+    built = []
+    step_source = control._step_source
 
     def counting(model, c):
-        compiled.append(model)
-        return compile_closed_loop(model, c)
+        built.append(model)
+        return step_source(model, c)
 
-    monkeypatch.setattr(control, "_compile_closed_loop", counting)
+    monkeypatch.setattr(control, "_step_source", counting)
     s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
     taus = [tau_star(model, con, s) for model in (m1, m2) * 5]
-    assert compiled == [m1, m2]
+    assert built == [m1, m2]
     assert taus == [taus[0]] * 10
 
 
@@ -102,8 +112,10 @@ def test_too_deep_to_compile_lazily(monkeypatch):
     def too_deep(*args):
         raise RecursionError
 
-    monkeypatch.setattr(control, "_compile_closed_loop", too_deep)
-    for view in (solve_control, lambda m, c, s: integrate(m, c, s, t_end=1e-2, h=1e-3)):
+    monkeypatch.setattr(control, "_step_source", too_deep)
+    for view in (solve_control, tau_star, closed_loop_acceleration,
+                 lambda m, c, s: rk4_step(m, c, s, 1e-3),
+                 lambda m, c, s: integrate(m, c, s, t_end=1e-2, h=1e-3)):
         with pytest.raises(vnhc.EvalError,
                            match="^closed-loop kernel is nested too deeply to compile$"):
             view(model, con, s)
@@ -119,7 +131,7 @@ def test_parameters_fold_before_compiling():
     lines, roots, _ = ex._emit(model._force, model.coordinates + model.velocities)
     source = "\n".join(lines + roots)
     assert "1.0 *" not in source and "* 1.0" not in source
-    assert "1.0 *" not in "\n".join(control._closed_loop_source(model, con))
+    assert "1.0 *" not in control._step_source(model, con)
     assert model._exprs[0] == [[ex.ONE, ex.ZERO, ex.ZERO], [ex.ZERO, ex.ONE, ex.ZERO],
                                [ex.ZERO, ex.ZERO, ex.ONE]]
 
@@ -127,12 +139,10 @@ def test_parameters_fold_before_compiling():
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_a_constant_metric_block_folds(name):
     # Every boat's metric is constant: its Cholesky factor, SPD and
-    # condition gates and its divisions leave the pair's kernels, which
-    # keep gen5's.  The step kernel runs the closed loop's statements.
+    # condition gates and its divisions leave the pair's two kernels, which
+    # keep gen5's.
     model, con = SYSTEMS[name]()
-    sources = [control._closed_loop_source(model, con), constraint._q_only_source(model, con)]
-    sources.append(sim._step_source("\n".join(sources[0]), model.n))
-    for source in map("\n".join, sources):
+    for source in (control._step_source(model, con), "\n".join(constraint._q_only_source(model, con))):
         assert (("sqrt(" in source) and ("ratio" in source)) == (name in ("gen4", "gen5"))
 
 
@@ -169,8 +179,10 @@ def p_condition_cap():
 
 
 # name -> (system, q, qdot, the error every closed-loop view raises there,
-# and whether the kernel itself declines; the messages are those of the
-# assembly that computed every result before the kernel existed)
+# and whether stage 1 of the step kernel fails there: True where a gate
+# fails, the math error's type where one is raised, False where it returns
+# a non-finite result; the messages are those of the assembly that computed
+# every result before the generated kernels existed)
 FALLBACKS = {
     "non_spd_metric": (lambda: plane(metric=("1", "x")), (-1.0, 0.0), (0.5, 0.0),
                        "SPDError: metric not positive definite at q=(-1.0, 0.0); "
@@ -213,14 +225,11 @@ FALLBACKS = {
 def test_fallback_errors(name):
     build, q, qd, expected, declines = FALLBACKS[name]
     model, con = build()
-    kernel = control._compile_closed_loop(model, con)
-    if declines is True:
-        assert kernel(q, qd) is None
-    elif declines:
-        with pytest.raises(declines):
-            kernel(q, qd)
+    out = control._step(model, con)(q, qd, None, None, False)
+    if declines:  # stage 1 fails, and returns its state
+        assert out == (None, 1, q, qd)
     else:  # the kernel's own non-finite result; the views' check names it
-        assert kernel(q, qd) is not None
+        assert out[0] is not None
     views = [solve_control, tau_star, closed_loop_acceleration]
     if declines:  # the stepping views raise the same error at the start state
         views += [lambda m, c, s: rk4_step(m, c, s, 1e-3),

@@ -437,20 +437,20 @@ class TestSingleAssembly:
 
     @pytest.mark.parametrize("view", [closed_loop_acceleration, solve_control, tau_star])
     def test_one_factorization_per_evaluation(self, monkeypatch, view):
-        # One call of the generated closed-loop kernel, which factors G and
-        # P inline: no linalg routine runs.
+        # One call of the pair's step kernel, stage 1 alone, which factors G
+        # and P inline: no linalg routine runs.
         model, con = build_gen4()
-        field = vnhc.control._closed_loop(model, con)
+        kernel = vnhc.control._step(model, con)
         fused = []
 
         def counting(*args):
-            fused.append(args)
-            return field(*args)
+            fused.append(args[2:])
+            return kernel(*args)
 
-        con._closed_loop[model] = counting
+        con._step[model] = counting
         calls = self.count_linalg(monkeypatch)
         view(model, con, State(q=(0.3, -0.1, 0.7, 1.2), qdot=(0.5, -0.4, 0.2, 0.9)))
-        assert (len(fused), calls) == (1, {})
+        assert (fused, calls) == ([(None, None, False)], {})
 
     @pytest.mark.parametrize("view", [closed_loop_acceleration, solve_control, tau_star])
     def test_one_factorization_per_fallback(self, monkeypatch, view):

@@ -14,6 +14,12 @@ of the output format:
 (without `runtime_s`) and standard error of each command in SIM_CASES,
 and the CSV each `simulate` wrote, as the package printed them when each
 RK4 stage was one call of the closed-loop field.
+
+The kernel pins: `MODEL_KERNELS_SHA256` covers the model's, the
+constraint's, the force's and the first-kind kernels; `PAIR_KERNELS_SHA256`
+the two kernels of each pair, the q-only kernel and the RK4 step kernel,
+whose stage 1 alone is the closed-loop evaluation of the views; and
+`CLOSED_LOOP_SHA256` the step kernel of the vortex boat and of gen5.
 """
 
 import contextlib
@@ -26,7 +32,7 @@ from pathlib import Path
 
 from test_control import build_gen4, build_gen5
 
-from vnhc import FIXTURE_CURRENTS, build_boat, constraint, control, linalg, save_model, sim
+from vnhc import FIXTURE_CURRENTS, build_boat, constraint, control, linalg, save_model
 from vnhc.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_check.txt")
@@ -156,10 +162,11 @@ def test_simulate_output_is_golden(tmp_path):
     assert golden_simulate_text(tmp_path) == GOLDEN_SIMULATE.read_text(encoding="utf-8")
 
 
-# SHA-256 of "\n".join(control._closed_loop_source(model, con)).
+# SHA-256 of control._step_source(model, con), the pair's closed-loop
+# kernel: the RK4 step, whose stage 1 alone the views run.
 CLOSED_LOOP_SHA256 = {
-    "vortex": "4a33f55fc909c6106090913e2dd807d4f340e3296a255a9652bf18d6e16500ca",
-    "gen5": "5afd958a27abfc14cc56016329abb5d463fed4ee40590049bbc49e13afa95f19",
+    "vortex": "bf3043daaa89a7b8cd05bb548192ca4c69f5294c45f538ff86b719c1833416d6",
+    "gen5": "79665f4dd01968ce34d7ec1c6381fee889f8b30cd8c766fc1d764b4cf525b2be",
 }
 
 
@@ -167,8 +174,7 @@ def closed_loop_sha256() -> dict:
     out = {}
     for name, (model, con) in (("vortex", build_boat(*FIXTURE_CURRENTS["vortex"])),
                                ("gen5", build_gen5())):
-        source = "\n".join(control._closed_loop_source(model, con))
-        out[name] = hashlib.sha256(source.encode()).hexdigest()
+        out[name] = hashlib.sha256(control._step_source(model, con).encode()).hexdigest()
     return out
 
 
@@ -178,18 +184,16 @@ def test_closed_loop_source_is_unchanged():
 
 # SHA-256 of the sources `kernel_sources` records, each followed by "\0": the
 # model's, the constraint's, the force's and the first-kind kernels, which
-# nothing folds, and the pair's q-only, closed-loop and RK4 step kernels.
+# nothing folds, and the pair's q-only and RK4 step kernels.
 MODEL_KERNELS_SHA256 = "abbd851167e88c9eaec8f610b023d8b61b2b8a951adbac03014759495622f0ec"
-PAIR_KERNELS_SHA256 = "362540376212a129b8258d4222159c6122fadce9b62dabec0cd6c8865d3da27e"
+PAIR_KERNELS_SHA256 = "e174cf70f470009c91a69ad00c26e97af4a720b9b3735f984d0905f40eded44b"
 
 
 def kernel_sources() -> tuple[list[str], list[str]]:
     """The source of every kernel the three boats, gen4 and gen5 compile,
     in order: per system the model's, the constraint's, the force's and the
-    first-kind kernels, then the pair's q-only, closed-loop and step
-    kernels, each recorded as it reaches `linalg._define` (every build of
-    each but the step passes there; the step's source is made from the
-    closed loop's)."""
+    first-kind kernels, then the pair's q-only and step kernels, each
+    recorded as it reaches `linalg._define`."""
     model_sources, pair_sources = [], []
     sources = model_sources
     real = linalg._define
@@ -202,8 +206,7 @@ def kernel_sources() -> tuple[list[str], list[str]]:
             model._force_fn, model._first_kind
             sources = pair_sources
             constraint._q_only(model, con)
-            control._closed_loop(model, con)
-            pair_sources.append("\n".join(sim._step_source(pair_sources[-1], model.n)))
+            control._step(model, con)
     finally:
         linalg._define = real
     return model_sources, pair_sources
@@ -216,7 +219,7 @@ def sha256(sources: list[str]) -> str:
 def test_every_kernel_source_is_unchanged():
     model_sources, pair_sources = kernel_sources()
     systems = len(FIXTURE_CURRENTS) + 2
-    assert (len(model_sources), len(pair_sources)) == (4 * systems, 3 * systems)
+    assert (len(model_sources), len(pair_sources)) == (4 * systems, 2 * systems)
     assert (sha256(model_sources), sha256(pair_sources)) == (MODEL_KERNELS_SHA256,
                                                              PAIR_KERNELS_SHA256)
 

@@ -45,7 +45,7 @@ def model_file(tmp_path, name):
 
 def use(model, con):
     """Every kernel the command line compiles: the model's, the constraint's,
-    the pair's closed loop, the force's and RK4's."""
+    the pair's step kernel and the force's."""
     s = State(q=(0.1,) * model.n, qdot=(0.2,) * model.n)
     integrate(model, con, s, t_end=2e-3, h=1e-3)
     model.drift_acceleration(s)
@@ -60,7 +60,7 @@ def test_second_load_compiles_nothing(tmp_path):
 
 
 def test_second_load_folds_nothing(tmp_path):
-    # The pair's kernels are folded and the step kernel made once per
+    # The pair's kernels are folded and the step source made once per
     # distinct pair per process, not on each command-line call.
     path = model_file(tmp_path, "vortex")
 
@@ -70,10 +70,29 @@ def test_second_load_folds_nothing(tmp_path):
         constraint._q_only(model, con)
 
     build()
-    cache_info = linalg._fold.cache_info, vnhc.sim._step_kernel.cache_info
+    cache_info = linalg._fold.cache_info, control._step_text.cache_info
     misses = [info().misses for info in cache_info]
     build()
     assert [info().misses for info in cache_info] == misses
+
+
+def test_two_sources_per_pair(tmp_path, monkeypatch):
+    # A pair compiles two sources: the step kernel, whose stage 1 the views
+    # run, and the q-only kernel.  A second view builds nothing.
+    model, con = load_model(model_file(tmp_path, "vortex"))
+    s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
+    defined, built = [], []
+    define, step_source = linalg._define, control._step_source
+    monkeypatch.setattr(linalg, "_define", lambda source: defined.append(source) or define(source))
+    monkeypatch.setattr(control, "_step_source", lambda *a: built.append(a) or step_source(*a))
+    tau_star(model, con, s)
+    integrate(model, con, s, t_end=2e-3, h=1e-3)
+    assert (defined, len(built)) == ([step_source(model, con)], 1)
+    constraint.transversality_check(con, model, s.q)
+    assert defined[1:] == ["\n".join(constraint._q_only_source(model, con))]
+    del defined[:], built[:]
+    tau_star(model, con, s)
+    assert (defined, built) == ([], [])
 
 
 def test_second_load_derives_nothing(tmp_path, monkeypatch):
@@ -81,7 +100,7 @@ def test_second_load_derives_nothing(tmp_path, monkeypatch):
 
     def build():
         model, con = load_model(path)
-        constraint._q_only(model, con), control._closed_loop(model, con), model._first_kind
+        constraint._q_only(model, con), control._step(model, con), model._first_kind
 
     build()
     calls = []

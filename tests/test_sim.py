@@ -157,16 +157,16 @@ class TestIntegrate:
         # and the next step's stage 1 (each one closed-loop evaluation,
         # factors inline), plus one at the start for stage 1 of step 1; the
         # samples reuse the stage-1 tau instead of solving again.  The
-        # closed-loop field, which names a failed stage's error, is not called.
+        # function that names a failed stage's error is not called.
         model, con = build_boat("sin(y)", "cos(x)")
-        kernel = vnhc.sim._step(model, con)
-        calls, fields = [], []
+        kernel = vnhc.control._step(model, con)
+        calls, failures = [], []
         con._step[model] = lambda *args: calls.append(args[2] is None) or kernel(*args)
-        con._closed_loop[model] = lambda *args: fields.append(args)
+        monkeypatch.setattr(vnhc.sim, "_raise_failure", lambda *args: failures.append(args))
         s0 = State(q=(0.1, -0.2, 0.5), qdot=(0.4, 0.3, 0.8))
         traj = integrate(model, con, s0, t_end=0.1, h=1e-2, sample_every=1)
         assert len(traj.times) == 11
-        assert (calls, fields) == ([True] + [False] * 10, [])
+        assert (calls, failures) == ([True] + [False] * 10, [])
 
     def test_one_factorization_per_stage_in_the_fallback(self, monkeypatch):
         # Metric diag(1, x) and phi = xd: x runs down to 0 in 10 steps, where
