@@ -16,11 +16,14 @@ constraint's kernels evaluate at (q, 0), then the metric's Cholesky
 factor with its SPD and condition gates, P = S G^-1 coframe, its pivoted
 LU factor, cond_1 and determinant, and the singular, pivot and condition
 gates, from the statement generator that the step kernel shares at each
-stage, with what depends on no input computed once when the source is
-made (`linalg._fold`; a constant metric's whole block goes).  It returns
-its verdict as data: a failing gate returns what was computed before it,
-with the gate's name, and `_p_system` and `_verdict` build the typed
-errors and their messages from those numbers.  `transversality_check`,
+stage, with what depends on no input computed once, as the source is
+written (`linalg._Block`; a constant metric's whole block goes).  Both
+sources of a pair are generated once per distinct pair per process
+(`_pair_source`), so loading a model again generates neither.  The
+q-only kernel returns its verdict as data: a failing gate returns what
+was computed before it, with the gate's name, and `_p_system` and
+`_verdict` build the typed errors and their messages from those
+numbers.  `transversality_check`,
 `control.p_matrix`, `control._raise_failure` (the typed error of a
 failed closed-loop stage) and `vnhc check` (one call per point, the rank
 from the returned S) read that one call.  Where the kernel meets a math
@@ -35,11 +38,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from typing import NamedTuple, Sequence
 
 from . import expr as ex
 from . import linalg
+from .linalg import _bin, _Block, _call, _chain, _if_else, _list, _unary
 from .expr import EvalError
 from .geometry import MechanicalModel, ModelError, State, _Chart, _spd_error, contract
 
@@ -102,15 +106,14 @@ class AffineConstraint(_Chart):
     # -- evaluation ---------------------------------------------------------
 
     def mu_at(self, q: Sequence[float]) -> list[list[float]]:
-        return [list(row) for row in self._kernel(*q, *self._rest)[0]]
+        return [list(row) for row in self._at_rest(q)[0]]
 
     def z_at(self, q: Sequence[float]) -> list[float]:
-        return list(self._kernel(*q, *self._rest)[1])
+        return list(self._at_rest(q)[1])
 
     def phi(self, state: State) -> list[float]:
         """Constraint values S(q) qdot + Z(q); zero exactly on the affine set."""
-        self._check_state(state)
-        S, Z, _ = self._kernel(*state.q, *self._rest)
+        S, Z, _ = self._at_rest(state.q)
         return [linalg.dot(row, state.qdot) + z for row, z in zip(S, Z)]
 
     # -- hypothesis checks --------------------------------------------------
@@ -118,7 +121,7 @@ class AffineConstraint(_Chart):
     def rank_check(self, q: Sequence[float]) -> RankReport:
         """Row rank of S(q) by singular values, relative tolerance 1e-9;
         raises EvalError naming a non-finite entry of S, such as an overflow."""
-        rank, sv = self._rank(self._kernel(*q, *self._rest)[0])
+        rank, sv = self._rank(self._at_rest(q)[0])
         return RankReport(ok=rank == self.m, rank=rank, expected_rank=self.m,
                           singular_values=tuple(sv), q=tuple(map(float, q)))
 
@@ -173,21 +176,12 @@ class _QOnly(NamedTuple):
     det: float = 0.0  # from the LU factors: U's diagonal and the parity of the row swaps
 
 
-def _dot(x: str, y: str, n: int) -> str:
-    """Source of {x} . {y}, added up as sum() does, from 0."""
-    return "0.0" + "".join(f" + {x}{i} * {y}{i}" for i in range(n))
+def _dot(block: _Block, x: str, y: str, n: int):
+    """{x} . {y}, added up as sum() does, from 0."""
+    return _chain("+", [0.0, *(_bin(block[f"{x}{i}"], "*", block[f"{y}{i}"]) for i in range(n))])
 
 
-def _pivot_sources(n: int, m: int) -> tuple[str, str]:
-    """Source of P's smallest pivot magnitude and of its scale, the
-    largest constraint-row norm times the largest input-field norm."""
-    def longest(x: str) -> str:
-        return linalg._max([f"hypot({linalg._vector(f'{x}{a}_', n)})" for a in range(m)])
-
-    return linalg._min([f"abs(u{a}_{a})" for a in range(m)]), f"{longest('S')} * {longest('y')}"
-
-
-def _gate_lines(n: int, m: int, fail) -> list[str]:
+def _gate_lines(block: _Block, n: int, m: int, fail):
     """The metric and P blocks of both kernels of a pair, over the locals
     g{i}_{j} (the metric's lower triangle), y{a}_{i} (the coframe rows)
     and S{b}_{i}.  fail(gate) is the statement a failing gate runs; the
@@ -195,67 +189,103 @@ def _gate_lines(n: int, m: int, fail) -> list[str]:
     pivot and P condition gates, tested together)."""
     rm = range(m)
     # The metric: SPD and condition gates, then the input fields Y^a = G^-1 coframe^a.
-    body = linalg._cholesky_lines(n, "g", "l", fail("spd"))
-    diag = [f"l{i}_{i}" for i in range(n)]
-    body += [f"ratio = {linalg._max(diag)} / {linalg._min(diag)}",
-             f"if ratio * ratio > {linalg.CONDITION_CAP!r}:", f"    {fail('ratio')}"]
+    linalg._cholesky_lines(block, n, "g", "l", fail("spd"))
+    diag = [block[f"l{i}_{i}"] for i in range(n)]
+    block["ratio"] = _bin(_call("max", *diag), "/", _call("min", *diag))
+    block.gate(_bin(_bin(block["ratio"], "*", block["ratio"]), ">", linalg.CONDITION_CAP),
+               fail("ratio"))
     for a in rm:
-        body += linalg._cho_solve_lines(n, "l", f"y{a}_")
+        linalg._cho_solve_lines(block, n, "l", f"y{a}_")
     # P = S Y, factored, with its singular, condition and pivot gates.
-    body += [f"P{b}_{a} = {_dot(f'S{b}_', f'y{a}_', n)}" for b in rm for a in rm]
-    body += [f"u{b}_{a} = P{b}_{a}" for b in rm for a in rm]
-    body += linalg._lu_factor_lines(m, "u", "p", fail("singular"))
-    body += linalg._cond1_lines(m, "P", "u", "p", "cond")
-    min_pivot, scale = _pivot_sources(n, m)
-    return body + [f"if not cond <= {linalg.CONDITION_CAP!r} or "
-                   f"{min_pivot} <= {PIVOT_RTOL!r} * ({scale}):", f"    {fail('P')}"]
+    for b, a in product(rm, rm):
+        block[f"P{b}_{a}"] = _dot(block, f"S{b}_", f"y{a}_", n)
+    for b, a in product(rm, rm):
+        block[f"u{b}_{a}"] = block[f"P{b}_{a}"]
+    linalg._lu_factor_lines(block, m, "u", "p", fail("singular"))
+    linalg._cond1_lines(block, m, "P", "u", "p", "cond")
+    block.gate(_bin(_unary("not", _bin(block["cond"], "<=", linalg.CONDITION_CAP)), "or",
+                    _pivots(block, n, m)[2]), fail("P"))
 
 
-def _bind(G, coframe, S) -> list[str]:
-    """Statements binding the metric's lower triangle, the coframe rows and
-    S to the locals that `_gate_lines` reads."""
+def _pivots(block: _Block, n: int, m: int) -> tuple:
+    """P's smallest pivot magnitude, its scale (the largest constraint-row
+    norm times the largest input-field norm), and whether the pivot is too
+    small for the scale."""
+    norms = [_call("max", *(_call("hypot", *(block[f"{x}{a}_{i}"] for i in range(n)))
+                            for a in range(m))) for x in "Sy"]  # the longest of the rows
+    min_pivot = _call("min", *(_call("abs", block[f"u{a}_{a}"]) for a in range(m)))
+    scale = _bin(norms[0], "*", norms[1])
+    return min_pivot, scale, _bin(min_pivot, "<=", _bin(PIVOT_RTOL, "*", scale))
+
+
+def _bind(block: _Block, G, coframe, S):
+    """Bind the metric's lower triangle, the coframe rows and S, the roots
+    of `expr._emit`, to the locals that `_gate_lines` reads."""
     r, rm = range(len(G)), range(len(S))
-    return ([f"g{i}_{j} = {G[i][j]}" for i in r for j in range(i + 1)]
-            + [f"y{a}_{i} = {coframe[a][i]}" for a in rm for i in r]
-            + [f"S{b}_{i} = {S[b][i]}" for b in rm for i in r])
+    for name, root in chain(((f"g{i}_{j}", G[i][j]) for i in r for j in range(i + 1)),
+                            ((f"y{a}_{i}", coframe[a][i]) for a in rm for i in r),
+                            ((f"S{b}_{i}", S[b][i]) for b in rm for i in r)):
+        block[name] = block.root(root)
 
 
+_SOURCES = ex._LRU(linalg.DEFINE_CACHE_SIZE)  # of `_pair_source`
+
+
+def _pair_source(make):
+    """make(model, con), the source of one of a pair's kernels, memoized for
+    the last 256 distinct pairs as `expr._emit` is: by the identities of
+    the nodes of the pair's expressions, which the entry keeps alive, and
+    the chart.  A pair loaded again from the same model text generates and
+    folds nothing again."""
+    @functools.wraps(make)
+    def source(model: MechanicalModel, con: AffineConstraint):
+        exprs = model._exprs, model._force, con._exprs
+        key = make, ex._ids(exprs), model.coordinates
+        return _SOURCES.get(key, lambda: (exprs, make(model, con)))[1]
+
+    return source
+
+
+@_pair_source
 def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
-    """Source of kernel(q) -> the fields of `_QOnly`: every expression the
-    model's and the constraint's kernels evaluate at (q, 0), with common
-    subexpressions computed once, then the gates of the step kernel,
-    folded (`linalg._fold`).  dV, w, Z and c are evaluated for their math
-    errors only."""
-    n = model.n
+    """Source lines of kernel(q) -> the fields of `_QOnly`: every expression
+    the model's and the constraint's kernels evaluate at (q, 0), with
+    common subexpressions computed once, then the gates of the step kernel,
+    folded as they are written.  dV, w, Z and c are evaluated for their
+    math errors only.  A failing gate returns the fields computed before it."""
+    n, m = model.n, con.m
+    r, rm = range(n), range(m)
     lines, ((G, coframe, dV, w), (S, Z, c)), _ = ex._emit(
         [model._exprs, con._exprs], model.coordinates + model.velocities)
-    body = (*(f"_a{n + i} = 0.0" for i in range(n)), *lines,
-            *(root for root in chain(dV, w, Z, c) if "(" in root),  # not a local or a literal
-            *_bind(G, coframe, S))
-    gates, result = _q_only_gates(n, con.m)
-    body, (result,) = linalg._fold(body + gates, (result,))
-    return linalg._kernel_source("q", [f"{linalg._vector('_a', n)}, = q", *body], result)
+    block = _Block()  # the velocities at rest, the expressions, then the roots
+    block.lines += [*(f"_a{n + i} = 0.0" for i in r), *lines,  # not a local or a literal
+                    *(root for root in chain(dV, w, Z, c) if "(" in root)]
+    _bind(block, G, coframe, S)
 
+    def rows(x: str, size: int) -> list:  # of the values of the locals {x}b_a
+        return [[block[f"{x}{b}_{a}"] for a in range(size)] for b in rm]
 
-@functools.cache
-def _q_only_gates(n: int, m: int) -> tuple[tuple[str, ...], str]:
-    """The q-only kernel's gates and its result, which depend on the size
-    only: a failing gate returns the fields computed before it."""
-    r, rm = range(n), range(m)
-    rows = "[" + ", ".join(f"[{linalg._vector(f'S{b}_', n)}]" for b in rm) + "]"
-    metric = "[" + ", ".join("[" + ", ".join(f"g{max(i, j)}_{min(i, j)}" for j in r) + "]"
-                             for i in r) + "]"
-    P = linalg._matrix("P", m)
-    min_pivot, scale = _pivot_sources(n, m)
-    det = " * ".join(f"u{a}_{a}" for a in rm)
-    swaps = " + ".join(f"(p{a} > p{b})" for a, b in combinations(rm, 2))
-    rest = (f"{rows}, None, ratio, {P}, cond, {linalg._matrix('u', m)}, "
-            f"[{linalg._vector('p', m)}], {min_pivot}, {scale}, "
-            + (f"-({det}) if ({swaps}) % 2 else {det}" if m > 1 else det))
-    returns = {"spd": f"'metric', {rows}, {metric}", "ratio": f"'metric', {rows}, {metric}, ratio",
-               "singular": f"'singular', {rows}, None, ratio, {P}",
-               "P": f"'pivot' if {min_pivot} <= {PIVOT_RTOL!r} * ({scale}) else 'cond', {rest}"}
-    return tuple(_gate_lines(n, m, lambda gate: f"return {returns[gate]}")), f"None, {rest}"
+    def fields(gate: str | None) -> str:
+        """The fields of `_QOnly` that the gate's failure returns, from the
+        values of the locals there: those computed before it, or all of them
+        where every gate holds (gate None)."""
+        min_pivot, scale, small = _pivots(block, n, m)
+        det = _chain("*", [block[f"u{a}_{a}"] for a in rm])
+        if m > 1:  # the sign of the row permutation
+            swaps = _chain("+", [_bin(block[f"p{a}"], ">", block[f"p{b}"])
+                                 for a, b in combinations(rm, 2)])
+            det = _if_else(_bin(swaps, "%", 2), _unary("-", det), det)
+        failed = {"spd": "metric", "ratio": "metric", "singular": "singular",
+                  "P": _if_else(small, "pivot", "cond")}.get(gate)
+        metric = [[block[f"g{max(i, j)}_{min(i, j)}"] for j in r] for i in r]
+        out = [failed, rows("S", n), metric if failed == "metric" else None, block["ratio"],
+               rows("P", m), block["cond"], rows("u", m), [block[f"p{a}"] for a in rm], min_pivot,
+               scale, det]
+        return ", ".join(map(_list, out[:{"spd": 3, "ratio": 4, "singular": 5}.get(gate)]))
+
+    _gate_lines(block, n, m, lambda gate: f"return {fields(gate)}")
+    return linalg._kernel_source("q", [f"{linalg._vector('_a', n)}, = q", *block.lines],
+                                 fields(None))
 
 
 def _q_only(model: MechanicalModel, con: AffineConstraint):
@@ -264,10 +294,9 @@ def _q_only(model: MechanicalModel, con: AffineConstraint):
     kernel = con._q_only.get(model)
     if kernel is None:
         try:
-            kernel = linalg._define("\n".join(_q_only_source(model, con)))
+            kernel = con._q_only[model] = linalg._define("\n".join(_q_only_source(model, con)))
         except RecursionError:
             raise EvalError("q-only kernel is nested too deeply to compile") from None
-        con._q_only[model] = kernel
     return kernel
 
 
@@ -278,11 +307,12 @@ def _p_system(model: MechanicalModel, con: AffineConstraint, q, k: _QOnly | None
     kernel meets a math error, the model's kernel, the metric's gates and
     the constraint's kernel run in turn at (q, 0) to name it."""
     if k is None:
+        con._check_q(q)
         try:
             k = _QOnly(*_q_only(model, con)(q))
         except (ArithmeticError, ValueError):
-            model._factor(q, model._kernel(*q, *model._rest)[0])
-            con._kernel(*q, *con._rest)
+            model._factor(q)
+            con._at_rest(q)
             raise
     if k.failed == "metric":
         raise _spd_error(q, k.g, k.ratio)

@@ -14,15 +14,16 @@ computed once across all three), the metric's Cholesky factor, the input
 fields Y = G^-1 coframe, P = S Y, its pivoted LU and cond_1, the drift
 G^-1 (F - dV - w), b = -(S drift + c), tau and the acceleration, all
 inline.  What of that depends on no input, such as the whole metric
-block of a constant metric, is computed once when the source is made
-(`linalg._fold`).  The closed-loop views (`solve_control`, `tau_star`,
-`closed_loop_acceleration`) make one call of its stage 1 alone, which
-also returns b, P and cond; `sim` calls the whole step.  The kernel is
-built on the first closed-loop call with a model and kept on the
-constraint, so loading a model does not pay for it; the statements are
-folded, the step source made and compiled once per distinct pair per
-process (`linalg._fold`, `_step_text`, `linalg._define`), so a pair
-built again from the same model text reuses all three.
+block of a constant metric, is computed once, as the statement
+generators write the source (`linalg._Block`).  The closed-loop views
+(`solve_control`, `tau_star`, `closed_loop_acceleration`) make one call
+of its stage 1 alone, which also returns b, P and cond; `sim` calls the
+whole step.  The kernel is built on the first closed-loop call with a
+model and kept on the constraint, so loading a model does not pay for
+it; its source is generated once per distinct pair per process
+(`constraint._pair_source`) and compiled once per distinct source
+(`linalg._define`), so a pair loaded again from the same model text
+generates, folds and compiles nothing.
 
 The kernel's metric and P blocks, with every gate (metric SPD and
 condition, exactly singular P, pivot, P condition, a non-finite cond),
@@ -40,14 +41,14 @@ contracts the model's drift with the constraint's kernel.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 from . import expr as ex
 from . import linalg
-from .constraint import (AffineConstraint, _bind, _dot, _gate_lines, _p_system, _QOnly, _verdict,
-                         check_compatible)
+from .linalg import _bin, _Block, _list, _text, _unary
+from .constraint import (AffineConstraint, _bind, _dot, _gate_lines, _p_system, _pair_source,
+                         _QOnly, _verdict, check_compatible)
 from .expr import EvalError
 from .geometry import MechanicalModel, State
 
@@ -77,45 +78,68 @@ def _admissible(k: _QOnly, q, state=None) -> _QOnly:
     return k
 
 
-def _closed_loop_body(model: MechanicalModel, con: AffineConstraint) -> tuple[str, ...]:
+def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
     """The closed-loop statements, which the step kernel runs at each RK4
-    stage, over the locals _a0 .. _a<2n-1> holding (q, qd): the model's, force's and constraint's expressions
-    with common subexpressions computed once, then the factorizations and
-    solves, from the generators of `linalg`.  They bind the acceleration
-    d<i>, tau t<a>, b<b>, P<b>_<a> and cond; a failing gate runs `return
-    None`.  The gates are those of the q-only kernel, on the same numbers,
-    so the statements fail exactly where that kernel reports a failed gate."""
+    stage, over the locals _a0 .. _a<2n-1> holding (q, qd): the model's,
+    force's and constraint's expressions with common subexpressions
+    computed once, then the factorizations and solves, from the generators
+    of `linalg`, folded as they are written.  Returns them
+    and the values of [acc], [tau], [b], [P rows] and cond after them; a
+    failing gate runs `return None`.  The gates are those of the q-only
+    kernel, on the same numbers, so the statements fail exactly where that
+    kernel reports a failed gate."""
     n, m = model.n, con.m
+    r, rm = range(n), range(m)
     mu, _, dphi = con._exprs  # Z is not needed
     lines, ((G, coframe, dV, w), F, S, c), _ = ex._emit(
         [model._exprs, model._force, mu, dphi], model.coordinates + model.velocities)
-    gates, solves = _closed_loop_blocks(n, m)
-    return (*lines, *_bind(G, coframe, S),
-            *(f"d{i} = ({F[i]} - {dV[i]}) - {w[i]}" for i in range(n)),  # G^-1 (F - dV - w)
-            *gates, *(f"b{b} = -({_dot(f'S{b}_', 'd', n)} + {c[b]})" for b in range(m)), *solves)
+    block = _Block()
+    block.lines += lines
+    _bind(block, G, coframe, S)
+    for i in r:  # G^-1 (F - dV - w), the drift
+        block[f"d{i}"] = _bin(_bin(block.root(F[i]), "-", block.root(dV[i])), "-", block.root(w[i]))
+    _gate_lines(block, n, m, lambda gate: "return None")
+    linalg._cho_solve_lines(block, n, "l", "d")
+    for b in rm:  # b = -(S drift + c)
+        block[f"b{b}"] = _unary("-", _bin(_dot(block, f"S{b}_", "d", n), "+", block.root(c[b])))
+    linalg._lu_solve_lines(block, m, "u", "p", [block[f"b{b}"] for b in rm], "t")
+
+    def accelerate(then, a: int):  # d += t_a Y^a
+        for i in r:
+            then[f"d{i}"] = _bin(then[f"d{i}"], "+", _bin(then[f"t{a}"], "*", then[f"y{a}_{i}"]))
+
+    for a in rm:  # acc = drift + tau_a Y^a
+        block.when(_bin(block[f"t{a}"], "!=", 0.0), lambda then, a=a: accelerate(then, a),
+                   names=[f"d{i}" for i in r])
+    P = [[block[f"P{b}_{a}"] for a in rm] for b in rm]
+    return block.lines, [[block[f"d{i}"] for i in r], [block[f"t{a}"] for a in rm],
+                         [block[f"b{b}"] for b in rm], P, block["cond"]]
 
 
-@functools.cache
-def _closed_loop_blocks(n: int, m: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The closed-loop statements that depend on the size only: the metric
-    and P blocks with the drift's solve, which b = -(S drift + c) reads; and
-    tau with acc = drift + tau_a Y^a."""
-    gates = (*_gate_lines(n, m, lambda gate: "return None"), *linalg._cho_solve_lines(n, "l", "d"))
-    solves = linalg._lu_solve_lines(m, "u", "p", f"({linalg._vector('b', m)},)", "t")
-    for a in range(m):
-        solves += [f"if t{a} != 0.0:", *(f"    d{i} = d{i} + t{a} * y{a}_{i}" for i in range(n))]
-    return gates, tuple(solves)
+@_pair_source
+def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
+    """Source of kernel(q, v, a, h, more), the pair's one closed-loop kernel:
+    the RK4 stage arithmetic with the pair's closed-loop statements, folded
+    as they are written, inline at each stage.
+
+    With a None: stage 1 at (q, v) alone, returning ([acc], [tau], [b],
+    [P rows], cond) there; h and more are not read.  With a the stage-1
+    acceleration at (q, v): stages 2, 3 and 4 and the step's end (q1, v1),
+    the same operations in the same order as loops over the coordinates;
+    then, with more and a finite end, stage 1 at the end, returning (q1, v1,
+    acc, tau) there, and without more (q1, v1, None, None).  Where a
+    stage's gate fails or it meets a math error, the kernel returns (None,
+    k, q_k, qdot_k) for stage k at (q_k, qdot_k), k = 0 for an end that is
+    not finite."""
+    return _step_text(*_closed_loop_body(model, con))
 
 
-@functools.lru_cache(maxsize=linalg.DEFINE_CACHE_SIZE)
-def _step_text(lines: tuple[str, ...], out: tuple[str, ...], n: int, m: int) -> str:
-    """Source of the step kernel from the folded closed-loop statements
-    lines and the sources out of (acc, tau, b, P, cond) after them, once per
-    distinct folded text per process."""
+def _step_text(lines: list[str], outputs: list) -> str:
+    """Source of the step kernel from the closed-loop statements lines and
+    the values outputs of [acc], [tau], [b], [P rows] and cond after them."""
+    acc, tau = ([_text(x) for x in values] for values in outputs[:2])
+    n = len(acc)
     r = range(n)
-    acc, tau, b = out[:n], out[n:n + m], out[n + m:n + 2 * m]
-    P = ", ".join(f"[{', '.join(out[k:k + m])}]" for k in range(n + 2 * m, len(out) - 1, m))
-    views = f"[{', '.join(acc)}], [{', '.join(tau)}], [{', '.join(b)}], [{P}], {out[-1]}"
 
     def vec(text: str) -> str:  # the tuple of text.format(i) over the coordinates
         return "(" + "".join(text.format(i) + ", " for i in r) + ")"
@@ -146,29 +170,8 @@ def _step_text(lines: tuple[str, ...], out: tuple[str, ...], n: int, m: int) -> 
         "q, v, a, h, more",
         [f"{vec('x{0}')} = q", f"{vec('v{0}')} = v", "if a is not None:",
          *(f"    {line}" for line in rk4), *stage(1, "x{0}", "v{0}"),
-         "if a is None:", f"    return {views}"],
+         "if a is None:", f"    return {', '.join(map(_list, outputs))}"],
         f"{end}, ({''.join(f'{e}, ' for e in acc)}), ({''.join(f'{e}, ' for e in tau)})"))
-
-
-def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
-    """Source of kernel(q, v, a, h, more), the pair's one closed-loop kernel:
-    the RK4 stage arithmetic with the pair's closed-loop statements, folded
-    (`linalg._fold`), inline at each stage.
-
-    With a None: stage 1 at (q, v) alone, returning ([acc], [tau], [b],
-    [P rows], cond) there; h and more are not read.  With a the stage-1
-    acceleration at (q, v): stages 2, 3 and 4 and the step's end (q1, v1),
-    the same operations in the same order as loops over the coordinates;
-    then, with more and a finite end, stage 1 at the end, returning (q1, v1,
-    acc, tau) there, and without more (q1, v1, None, None).  Where a
-    stage's gate fails or it meets a math error, the kernel returns (None,
-    k, q_k, qdot_k) for stage k at (q_k, qdot_k), k = 0 for an end that is
-    not finite."""
-    n, m = model.n, con.m
-    outputs = (*(f"d{i}" for i in range(n)), *(f"t{a}" for a in range(m)),  # acc, tau, b, P, cond
-               *(f"b{b}" for b in range(m)), *(f"P{b}_{a}" for b in range(m) for a in range(m)),
-               "cond")
-    return _step_text(*linalg._fold(_closed_loop_body(model, con), outputs), n, m)
 
 
 def _step(model: MechanicalModel, con: AffineConstraint):

@@ -145,9 +145,19 @@ class _Chart:
                     raise ModelError(f"{name}: constant is not finite ({bad[0]!r})") from None
             raise
 
+    def _check_q(self, q: Sequence[float]):
+        """Raise ValueError unless q has one entry per coordinate: the
+        kernels take q positionally."""
+        if len(q) != self.n:
+            raise ValueError(f"state dimension {len(q)} does not match n={self.n}")
+
     def _check_state(self, state: State):
-        if len(state.q) != self.n:
-            raise ValueError(f"state dimension {len(state.q)} does not match n={self.n}")
+        self._check_q(state.q)
+
+    def _at_rest(self, q: Sequence[float]) -> tuple:
+        """The chart's kernel at (q, 0), once q is checked."""
+        self._check_q(q)
+        return self._kernel(*q, *self._rest)
 
 
 class MechanicalModel(_Chart):
@@ -242,18 +252,18 @@ class MechanicalModel(_Chart):
     # -- evaluation ---------------------------------------------------------
     #
     # Every view below unpacks one `_kernel(*q, *qd)` call, (metric rows,
-    # coframe rows, dV, w); the views of q alone pass qd = `_rest`.
+    # coframe rows, dV, w); the views of q alone make it by `_at_rest`.
 
     def metric_at(self, q: Sequence[float]) -> list[list[float]]:
         """Metric matrix at q; raises SPDError if not positive definite."""
-        g = self._kernel(*q, *self._rest)[0]
+        g = self._at_rest(q)[0]
         self._factor(q, g)  # SPD + conditioning gate
         return [list(row) for row in g]
 
     def _factor(self, q, g=None) -> list[list[float]]:
         """Cholesky factor of the metric; rejects non-SPD or cond > 1e12."""
         if g is None:
-            g = self._kernel(*q, *self._rest)[0]
+            g = self._at_rest(q)[0]
         try:
             L = linalg.cholesky(g)
         except linalg.SingularMatrixError:
@@ -279,15 +289,15 @@ class MechanicalModel(_Chart):
         return [linalg.dot(row, vector) for row in self.metric_at(q)]
 
     def grad_potential(self, q: Sequence[float]) -> list[float]:
-        g, _, dv, _ = self._kernel(*q, *self._rest)
+        g, _, dv, _ = self._at_rest(q)
         return linalg.cho_solve(self._factor(q, g), dv)
 
     def coframe_at(self, q: Sequence[float]) -> list[list[float]]:
-        return [list(row) for row in self._kernel(*q, *self._rest)[1]]
+        return [list(row) for row in self._at_rest(q)[1]]
 
     def input_fields_at(self, q: Sequence[float]) -> list[list[float]]:
         """Control force vector fields: sharp of each coframe row."""
-        g, coframe, _, _ = self._kernel(*q, *self._rest)
+        g, coframe, _, _ = self._at_rest(q)
         L = self._factor(q, g)
         return [linalg.cho_solve(L, row) for row in coframe]
 

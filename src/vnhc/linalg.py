@@ -15,20 +15,18 @@ source per process, in one fixed namespace, with at most
 `DEFINE_CACHE_SIZE` compiled functions kept.  `expr.evaluate` compiles its
 one-off sources by the function `_define` wraps, outside that cache.  The
 two kernels of a (model, constraint) pair, the q-only kernel and the RK4
-step kernel, are first folded by `_fold`, which computes the statements
-that depend on no input once, when the source is made; the kernels of
-`expr.compile_exprs` are not, as their constants already fold as the
-expressions are built.
+step kernel, are folded as their statement generators write them (see
+`_Block`): what depends on no input is computed once, when the source is
+made.  The kernels of `expr.compile_exprs` need no such step, as their
+constants already fold as the expressions are built.
 """
 
 from __future__ import annotations
 
-import ast
 import functools
 import itertools
 import math
 import operator
-import re
 
 CONDITION_CAP = 1e12
 DEFINE_CACHE_SIZE = 256
@@ -58,318 +56,330 @@ def _define(source: str):
 def _matrix(name: str, n: int, lower: bool = False, upper: str = "_") -> str:
     """Source of an n x n nested list of the locals name{i}_{j}; with lower,
     the entries above the diagonal are the text upper instead."""
-    return "[" + ", ".join(
-        "[" + ", ".join(f"{name}{i}_{j}" if j <= i or not lower else upper for j in range(n)) + "]"
-        for i in range(n)
-    ) + "]"
+    r = range(n)
+    return _list([[_Src(f"{name}{i}_{j}" if j <= i or not lower else upper) for j in r] for i in r])
 
 
 def _vector(name: str, n: int) -> str:
     return ", ".join(f"{name}{i}" for i in range(n))
 
 
-# Statement generators.  Each spells out one algorithm over the locals
-# named by its prefixes (matrix entries {a}i_j, vector entries {x}i), so the
-# per-size kernels below and the kernels of a (model, constraint) pair run
-# the same operations in the same order.  Scratch locals: s, r, big.
+# Folding while generating.  The statement generators below write into a
+# `_Block`, which holds the value of each local known so far: a number
+# computed here, when the source is made.  A pair's kernels run them on a
+# metric, a coframe and constraint rows that are often literal (every boat
+# has a constant metric), so each operation is either computed here or
+# written out (online partial evaluation: Jones, Gomard & Sestoft, "Partial
+# Evaluation and Automatic Program Generation", 1993), and every rule keeps
+# each result's bits:
+#  - an operation whose operands are all known runs once, here: the same
+#    IEEE operation.  Its value is kept only if it is finite; one that
+#    raises is written out, so it raises where it did;
+#  - a local bound to a known value is not bound at all: its readers get
+#    the literal.  One that a branch may rebind is bound before the branch;
+#  - a test that is known decides its `if` here, so a gate known to hold
+#    goes and one known to fail keeps its fail statement;
+#  - x * 1.0, 1.0 * x, x / 1.0 and x - 0.0 are x for every float x, signed
+#    zeros, infinities and NaN included, and (x, y)[1] is y.  0.0 * x,
+#    0.0 + x and x + 0.0 stay: they turn -0.0 into 0.0, or inf into NaN.
+# Into a block that does not fold, the generators write the unfolded
+# statements, which the per-size routines run.
 
-def _cholesky_lines(n: int, a: str, l: str, fail: str) -> list[str]:
+class _Src(str):
+    """The source of a value not known here: a local, or an operation on
+    one, with the precedence prec of its outermost operator (9 for a name,
+    a call or anything in parentheses)."""
+
+    def __new__(cls, text: str, prec: int = 9):
+        src = super().__new__(cls, text)
+        src.prec = prec
+        return src
+
+
+def _text(x, prec: int = 0, right: bool = False) -> str:
+    """Source of the value x as the operand of an operator of precedence
+    prec, on its right if right: in parentheses where the tree needs them."""
+    if not isinstance(x, _Src):
+        return repr(x)
+    return f"({x})" if x.prec < prec or right and x.prec == prec else x
+
+
+def _computed(fn, args: tuple, source):
+    """fn(*args) computed here, where every arg is known and it neither
+    raises nor gives a value that is not finite; else source()."""
+    if not any(isinstance(a, _Src) for a in args):
+        try:
+            value = fn(*args)
+        except (ArithmeticError, ValueError):
+            value = None
+        if type(value) in (int, bool, str) or type(value) is float and math.isfinite(value):
+            return value
+    return source()
+
+
+_BINARY = {"or": (1, lambda a, b: a or b), "<=": (4, operator.le), ">": (4, operator.gt),
+           "==": (4, operator.eq), "!=": (4, operator.ne), "+": (5, operator.add),
+           "-": (5, operator.sub), "*": (6, operator.mul), "/": (6, operator.truediv),
+           "%": (6, operator.mod)}
+_FUNCTIONS = {"abs": abs, "sqrt": math.sqrt, "hypot": math.hypot, "max": max, "min": min}
+
+
+def _bin(a, op: str, b):
+    """a op b, by the rules above; comparisons never chain.  (The repr of a
+    source is quoted, so only a known 1.0 has the repr 1.0.)"""
+    if isinstance(a, _Src) or isinstance(b, _Src):
+        if op in ("*", "/") and repr(b) == "1.0" or op == "-" and repr(b) == "0.0":
+            return a
+        if op == "*" and repr(a) == "1.0":
+            return b
+    p, fn = _BINARY[op]
+    return _computed(fn, (a, b), lambda: _Src(f"{_text(a, p, p == 4)} {op} {_text(b, p, True)}", p))
+
+
+def _unary(op: str, a):
+    """-a for op "-", not a for op "not"."""
+    p, fn = (7, operator.neg) if op == "-" else (3, operator.not_)
+    return _computed(fn, (a,), lambda: _Src(f"{op}{' ' * (p == 3)}{_text(a, p)}", p))
+
+
+def _call(name: str, *args):
+    """The function name of args; max and min of one item are the item."""
+    if name in ("max", "min") and len(args) == 1:
+        return args[0]
+    return _computed(_FUNCTIONS[name], args, lambda: _Src(f"{name}({', '.join(map(_text, args))})"))
+
+
+def _if_else(test, a, b):
+    """a if test else b."""
+    return _computed(lambda t, x, y: x if t else y, (test, a, b),
+                     lambda: _Src(f"{_text(a, 1)} if {_text(test, 1)} else {_text(b)}", 0))
+
+
+def _pick(items, i):
+    """items[i]: of the source of a sequence, or of a tuple of values."""
+    if not isinstance(i, _Src):
+        return items[i]
+    seq = items if isinstance(items, str) else "(" + "".join(f"{_text(x)}, " for x in items) + ")"
+    return _Src(f"{seq}[{i}]")
+
+
+def _chain(op: str, items):
+    """items[0] op items[1] op ..., left to right."""
+    return functools.reduce(lambda x, y: _bin(x, op, y), items)
+
+
+def _list(x) -> str:
+    """Source of the nested list of values x."""
+    return "[" + ", ".join(map(_list, x)) + "]" if isinstance(x, list) else _text(x)
+
+
+class _Block:
+    """Statements being written, and the value of each local known so far.
+    fold: the block runs whenever it is reached and may fold, so a local
+    bound to a known value is not bound at all: its readers get the value.
+    A branch's block does not fold, nor does one that writes the statements
+    unfolded, which is given no known values and reads no literal root."""
+
+    def __init__(self, known: dict | None = None, fold: bool = True):
+        self.known, self.fold, self.lines = known or {}, fold, []
+
+    def __getitem__(self, name: str):
+        """The value of the local name: known, or the name."""
+        return self.known[name] if name in self.known else _Src(name)
+
+    def __setitem__(self, name: str, value):
+        self.let((name, value))
+
+    def let(self, *pairs):
+        """Bind each (local, value) of pairs, all at once, as a tuple
+        assignment does: the values are read before any local is bound."""
+        kept = []
+        for name, value in pairs:
+            self.known.pop(name, None)
+            if self.fold and not isinstance(value, _Src):
+                self.known[name] = value
+            elif value != name:  # x = x goes
+                kept.append((name, _text(value)))
+        if kept:
+            self.lines.append(", ".join(name for name, _ in kept) + " = "
+                              + ", ".join(value for _, value in kept))
+
+    def less(self, name: str, first: str, pairs, over: str | None = None):
+        """name = first - x0 * y0 - x1 * y1 - ..., left to right, over the
+        pairs of locals (x, y), and divided by the local over if given."""
+        value = _chain("-", [self[first], *(_bin(self[x], "*", self[y]) for x, y in pairs)])
+        self[name] = value if over is None else _bin(value, "/", self[over])
+
+    def root(self, text: str):
+        """The value of an `expr._emit` root: its literal's where the block
+        folds, else its source."""
+        return float(text) if self.fold and text[0] in "-0123456789" else _Src(text)
+
+    def when(self, test, body, names=()):
+        """if test: body(block), written into the block it gets; names are
+        the locals it may bind."""
+        if not isinstance(test, _Src):  # decided here
+            return body(self) if test else None
+        for name in sorted(self.known.keys() & set(names)):  # may be rebound: bound before
+            self.lines.append(f"{name} = {self.known.pop(name)!r}")
+        block = _Block(dict(self.known), fold=False)
+        body(block)
+        self.lines += [f"if {test}:", *(f"    {line}" for line in block.lines)]
+
+    def gate(self, test, fail: str):
+        """if test: fail."""
+        self.when(test, lambda block: block.lines.append(fail))
+
+
+# Statement generators.  Each spells out one algorithm over the locals
+# named by its prefixes (matrix entries {a}i_j, vector entries {x}i) into
+# a block, so the per-size kernels below and the kernels of a (model,
+# constraint) pair run the same operations in the same order.  Scratch
+# locals: s, r, big.
+
+def _cholesky_lines(block: _Block, n: int, a: str, l: str, fail: str):
     """Factor the lower triangle of {a} into {l}; fail is the statement run
     where the matrix is not positive definite."""
-    lines = []
     for i in range(n):
         for j in range(i):
-            s = f"{a}{i}_{j}" + "".join(f" - {l}{i}_{k} * {l}{j}_{k}" for k in range(j))
-            lines.append(f"{l}{i}_{j} = ({s}) / {l}{j}_{j}")
-        s = f"{a}{i}_{i}" + "".join(f" - {l}{i}_{k} * {l}{i}_{k}" for k in range(i))
-        lines += [f"s = {s}", "if s <= 0.0:", f"    {fail}", f"{l}{i}_{i} = sqrt(s)"]
-    return lines
+            block.less(f"{l}{i}_{j}", f"{a}{i}_{j}",
+                       [(f"{l}{i}_{k}", f"{l}{j}_{k}") for k in range(j)], f"{l}{j}_{j}")
+        block.less("s", f"{a}{i}_{i}", [(f"{l}{i}_{k}",) * 2 for k in range(i)])
+        block.gate(_bin(block["s"], "<=", 0.0), fail)
+        block[f"{l}{i}_{i}"] = _call("sqrt", block["s"])
 
 
-def _cho_solve_lines(n: int, l: str, x: str) -> list[str]:
+def _cho_solve_lines(block: _Block, n: int, l: str, x: str):
     """Overwrite {x} with the solution of {l} {l}^T x = {x}."""
-    lines = []
     for i in range(n):  # L y = b
-        s = f"{x}{i}" + "".join(f" - {l}{i}_{k} * {x}{k}" for k in range(i))
-        lines.append(f"{x}{i} = ({s}) / {l}{i}_{i}")
+        block.less(f"{x}{i}", f"{x}{i}", [(f"{l}{i}_{k}", f"{x}{k}") for k in range(i)],
+                   f"{l}{i}_{i}")
     for i in reversed(range(n)):  # L^T x = y
-        s = f"{x}{i}" + "".join(f" - {l}{k}_{i} * {x}{k}" for k in range(i + 1, n))
-        lines.append(f"{x}{i} = ({s}) / {l}{i}_{i}")
-    return lines
+        block.less(f"{x}{i}", f"{x}{i}", [(f"{l}{k}_{i}", f"{x}{k}") for k in range(i + 1, n)],
+                   f"{l}{i}_{i}")
 
 
-def _lu_factor_lines(n: int, u: str, p: str, fail: str) -> list[str]:
+def _lu_factor_lines(block: _Block, n: int, u: str, p: str, fail: str):
     """Factor {u} in place with partial pivoting, the row permutation in
     {p}; fail is the statement run where a pivot column is zero."""
     def row(i):  # the locals of row i, its permutation entry last
-        return ", ".join(f"{u}{i}_{j}" for j in range(n)) + f", {p}{i}"
+        return [f"{u}{i}_{j}" for j in range(n)] + [f"{p}{i}"]
 
-    lines = [f"{_vector(p, n)} = {', '.join(map(str, range(n)))}"]
+    block.let(*((f"{p}{i}", i) for i in range(n)))
     for k in range(n):
-        lines.append(f"r, big = {k}, abs({u}{k}_{k})")  # first row of largest magnitude
+        block.let(("r", k), ("big", _call("abs", block[f"{u}{k}_{k}"])))  # first largest
         for i in range(k + 1, n):
-            lines += [f"if abs({u}{i}_{k}) > big:", f"    r, big = {i}, abs({u}{i}_{k})"]
-        lines += ["if big == 0.0:", f"    {fail}"]
+            big = _call("abs", block[f"{u}{i}_{k}"])
+            block.when(_bin(big, ">", block["big"]),
+                       lambda b, i=i, big=big: b.let(("r", i), ("big", big)), names=("r", "big"))
+        block.gate(_bin(block["big"], "==", 0.0), fail)
+        for i in range(k + 1, n):  # rows k and i swapped where r == i
+            block.when(_bin(block["r"], "==", i), lambda b, i=i: b.let(
+                *zip(row(k) + row(i), [b[x] for x in row(i) + row(k)])), row(k) + row(i))
         for i in range(k + 1, n):
-            lines += [f"{'if' if i == k + 1 else 'elif'} r == {i}:",
-                      f"    {row(k)}, {row(i)} = {row(i)}, {row(k)}"]
-        for i in range(k + 1, n):
-            lines.append(f"{u}{i}_{k} = {u}{i}_{k} / {u}{k}_{k}")
-            lines += [f"{u}{i}_{j} = {u}{i}_{j} - {u}{i}_{k} * {u}{k}_{j}" for j in range(k + 1, n)]
-    return lines
+            block[f"{u}{i}_{k}"] = _bin(block[f"{u}{i}_{k}"], "/", block[f"{u}{k}_{k}"])
+            for j in range(k + 1, n):
+                block.less(f"{u}{i}_{j}", f"{u}{i}_{j}", [(f"{u}{i}_{k}", f"{u}{k}_{j}")])
 
 
-def _lu_solve_lines(n: int, u: str, p: str, b: str, x: str) -> list[str]:
-    """Solve with the factors {u}, {p} into {x}; b is the source of the
-    right-hand side, indexed by the permutation."""
-    lines = [f"{_vector(x, n)}, = " + ", ".join(f"{b}[{p}{i}]" for i in range(n)) + ","]
+def _lu_solve_lines(block: _Block, n: int, u: str, p: str, b, x: str):
+    """Solve with the factors {u}, {p} into {x}; b is the right-hand side,
+    indexed by the permutation: the source of a sequence, or its values."""
+    block.let(*((f"{x}{i}", _pick(b, block[f"{p}{i}"])) for i in range(n)))
     for i in range(1, n):  # unit lower triangle
-        lines.append(f"{x}{i} = {x}{i}" + "".join(f" - {u}{i}_{k} * {x}{k}" for k in range(i)))
+        block.less(f"{x}{i}", f"{x}{i}", [(f"{u}{i}_{k}", f"{x}{k}") for k in range(i)])
     for i in reversed(range(n)):  # upper triangle
-        s = f"{x}{i}" + "".join(f" - {u}{i}_{k} * {x}{k}" for k in range(i + 1, n))
-        lines.append(f"{x}{i} = ({s}) / {u}{i}_{i}")
-    return lines
+        block.less(f"{x}{i}", f"{x}{i}", [(f"{u}{i}_{k}", f"{x}{k}") for k in range(i + 1, n)],
+                   f"{u}{i}_{i}")
 
 
-def _cond1_lines(n: int, a: str, u: str, p: str, out: str) -> list[str]:
+def _cond1_lines(block: _Block, n: int, a: str, u: str, p: str, out: str):
     """{out} = cond_1 of {a}, exact at this size: its largest column sum
     of absolute values times that of the inverse, whose columns come from
     one solve per unit vector with the factors {u}, {p}."""
-    lines = []
     for j in range(n):
-        unit = "(" + "".join("1.0, " if i == j else "0.0, " for i in range(n)) + ")"
-        lines += _lu_solve_lines(n, u, p, unit, f"{out}_x")
-        lines.append(f"{out}_c{j} = " + " + ".join(f"abs({out}_x{i})" for i in range(n)))
-    norm = [" + ".join(f"abs({a}{i}_{j})" for i in range(n)) for j in range(n)]
-    return lines + [f"{out} = {_max(norm)} * {_max([f'{out}_c{j}' for j in range(n)])}"]
-
-
-def _max(items: list[str]) -> str:
-    """Source of the largest of the sources items, left to right as max()."""
-    return items[0] if len(items) == 1 else f"max({', '.join(items)})"
-
-
-def _min(items: list[str]) -> str:
-    return items[0] if len(items) == 1 else f"min({', '.join(items)})"
+        _lu_solve_lines(block, n, u, p, [1.0 if i == j else 0.0 for i in range(n)], f"{out}_x")
+        block[f"{out}_c{j}"] = _chain("+", [_call("abs", block[f"{out}_x{i}"]) for i in range(n)])
+    norm = [_chain("+", [_call("abs", block[f"{a}{i}_{j}"]) for i in range(n)]) for j in range(n)]
+    block[out] = _bin(_call("max", *norm), "*",
+                      _call("max", *(block[f"{out}_c{j}"] for j in range(n))))
 
 
 def _kernel_source(args: str, body: list[str], result: str) -> list[str]:
     return [f"def kernel({args}):", *(f"    {line}" for line in body), f"    return {result}"]
 
 
+def _lines(generate, *args) -> list[str]:
+    """The statements the generator writes unfolded."""
+    block = _Block(fold=False)
+    generate(block, *args)
+    return block.lines
+
+
 def _cholesky_source(n: int) -> list[str]:
-    fail = "raise SingularMatrixError('matrix not positive definite')"
-    return _kernel_source(
-        "a", [f"{_matrix('a', n, lower=True)} = a", *_cholesky_lines(n, "a", "l", fail)],
+    return _kernel_source("a", [f"{_matrix('a', n, lower=True)} = a", *_lines(
+        _cholesky_lines, n, "a", "l", "raise SingularMatrixError('matrix not positive definite')")],
         _matrix("l", n, lower=True, upper="0.0"))
 
 
 def _cho_solve_source(n: int) -> list[str]:
     return _kernel_source("L, b", [f"{_matrix('l', n, lower=True)} = L", f"[{_vector('x', n)}] = b",
-                                   *_cho_solve_lines(n, "l", "x")], f"[{_vector('x', n)}]")
+                                   *_lines(_cho_solve_lines, n, "l", "x")], f"[{_vector('x', n)}]")
 
 
 def _lu_factor_source(n: int) -> list[str]:
-    return _kernel_source(
-        "a", [f"{_matrix('u', n)} = a",
-              *_lu_factor_lines(n, "u", "p", "raise SingularMatrixError('singular matrix')")],
+    return _kernel_source("a", [f"{_matrix('u', n)} = a", *_lines(
+        _lu_factor_lines, n, "u", "p", "raise SingularMatrixError('singular matrix')")],
         f"{_matrix('u', n)}, [{_vector('p', n)}]")
 
 
 def _lu_solve_source(n: int) -> list[str]:
     return _kernel_source("lu, piv, b", [f"{_matrix('u', n)} = lu", f"[{_vector('p', n)}] = piv",
-                                         *_lu_solve_lines(n, "u", "p", "b", "x")],
+                                         *_lines(_lu_solve_lines, n, "u", "p", "b", "x")],
                           f"[{_vector('x', n)}]")
 
 
 def _cond1_source(n: int) -> list[str]:
-    return _kernel_source(
-        "a, lu, piv", [f"{_matrix('a', n)} = a", f"{_matrix('u', n)} = lu",
-                       f"[{_vector('p', n)}] = piv", *_cond1_lines(n, "a", "u", "p", "cond")],
-        "cond")
+    return _kernel_source("a, lu, piv", [f"{_matrix('a', n)} = a", f"{_matrix('u', n)} = lu",
+                                         f"[{_vector('p', n)}] = piv",
+                                         *_lines(_cond1_lines, n, "a", "u", "p", "cond")], "cond")
 
 
-# Folding.  A pair's kernels run the statement generators above on a
-# metric, a coframe and constraint rows that are often constant (every boat
-# has a constant metric), so part of each call depends on no input.  `_fold`
-# computes that part once, when the source is made (partial evaluation:
-# Jones, Gomard & Sestoft, "Partial Evaluation and Automatic Program
-# Generation", 1993), and every rule keeps each result's bits:
-#  - an operation whose operands are all literals runs once, here, in the
-#    kernels' namespace: the same IEEE operations in the same order.  Its
-#    value replaces it only if it is finite; one that raises stays, so it
-#    raises where it did;
-#  - a local bound to such a value is not bound at all: its readers get
-#    the literal.  One that a branch may rebind is bound before the branch;
-#  - an `if` whose test folds runs its chosen branch unconditionally, so a
-#    gate that folds to False goes and one that folds to True keeps its
-#    fail statement;
-#  - x * 1.0, 1.0 * x, x / 1.0 and x - 0.0 are x for every float x, signed
-#    zeros, infinities and NaN included, and (x, y)[1] is y.  0.0 * x,
-#    0.0 + x and x + 0.0 stay: they turn -0.0 into 0.0, or inf into NaN.
-
-def _literal(node, text: str | None = None) -> bool:
-    """Whether node is a literal, one whose repr is text if given (so
-    "0.0" is neither -0.0 nor the int 0)."""
-    return isinstance(node, ast.Constant) and (text is None or repr(node.value) == text)
-
-
-class _Folder(ast.NodeTransformer):
-    """Folds one expression over the locals whose values are known."""
-
-    def __init__(self, known: dict):
-        self.known = known
-
-    def visit_Name(self, node):
-        return ast.Constant(self.known[node.id]) if node.id in self.known else node
-
-    def generic_visit(self, node):
-        node = super().generic_visit(node)  # the operands first
-        if isinstance(node, ast.BinOp) and not (_literal(node.left) and _literal(node.right)):
-            left, right, op = node.left, node.right, type(node.op)
-            if op in (ast.Mult, ast.Div) and _literal(right, "1.0") or (
-                    op is ast.Sub and _literal(right, "0.0")):
-                return left
-            return right if op is ast.Mult and _literal(left, "1.0") else node
-        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Tuple)
-                and _literal(node.slice) and type(node.slice.value) is int
-                and all(isinstance(e, (ast.Name, ast.Constant)) for e in node.value.elts)):
-            return node.value.elts[node.slice.value]  # (b0, b1)[1] is b1
-        if not isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Compare, ast.BoolOp, ast.IfExp,
-                                 ast.Call)):
-            return node  # a name, a literal, a tuple, or a list, which each call must build
-        operands = node.args if isinstance(node, ast.Call) else [
-            child for child in ast.iter_child_nodes(node) if isinstance(child, ast.expr)]
-        if not all(map(_literal, operands)):
-            return node
-        try:
-            value = eval(compile(ast.fix_missing_locations(ast.Expression(node)), "<fold>", "eval"),
-                         dict(_NAMESPACE))
-        except Exception:  # it raises where it is evaluated
-            return node
-        finite = type(value) in (int, bool) or type(value) is float and math.isfinite(value)
-        return ast.Constant(value) if finite else node
-
-
-def _assigned(statement) -> set:
-    return {node.id for node in ast.walk(statement)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
-
-
-def _fold_block(statements, known: dict, out: list, always: bool):
-    """Append to out the statements folded over known, which they update.
-    always: the statements run whenever the block is reached, so a local
-    bound to a literal need not be bound at all."""
-    fold = _Folder(known).visit
-    for st in statements:
-        if isinstance(st, ast.If):
-            test = fold(st.test)
-            if _literal(test):
-                _fold_block(st.body if test.value else st.orelse, known, out, always)
-                continue
-            names = _assigned(st)
-            out += [ast.Assign([ast.Name(name, ast.Store())], ast.Constant(known.pop(name)))
-                    for name in sorted(names & known.keys())]  # bound on either branch
-            body, orelse = [], []
-            _fold_block(st.body, dict(known), body, False)
-            _fold_block(st.orelse, dict(known), orelse, False)
-            out.append(ast.If(test, body or [ast.Pass()], orelse))
-        elif isinstance(st, ast.Assign):
-            value, (target,) = fold(st.value), st.targets
-            if (isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
-                    and len(value.elts) == len(target.elts)):
-                pairs = list(zip(target.elts, value.elts))
-            else:  # a name, or the unpacking of a value the call makes
-                pairs = [(target, value)]
-            kept = [(t, v) for t, v in pairs if not isinstance(t, ast.Name) or not (
-                always and _literal(v) or isinstance(v, ast.Name) and v.id == t.id)]
-            for t, v in pairs:  # the values are read before any target is bound
-                for name in _assigned(t):
-                    known.pop(name, None)
-                if isinstance(t, ast.Name) and _literal(v):
-                    known[t.id] = v.value
-            if kept:
-                targets, values = zip(*kept)
-                out.append(ast.Assign([targets[0]], values[0]) if len(kept) == 1 else ast.Assign(
-                    [ast.Tuple(list(targets), ast.Store())], ast.Tuple(list(values), ast.Load())))
-        elif isinstance(st, ast.Return):
-            out.append(ast.Return(st.value and fold(st.value)))
-        elif isinstance(st, ast.Expr):  # evaluated for its errors
-            value = fold(st.value)
-            if not _literal(value):
-                out.append(ast.Expr(value))
-        else:
-            raise ValueError(f"cannot fold {ast.unparse(st)!r}")
-
-
-@functools.lru_cache(maxsize=DEFINE_CACHE_SIZE)
-def _fold(lines: tuple[str, ...], outputs: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The statements lines with their state-independent parts computed
-    here, by the rules above, and the source of each expression of
-    outputs evaluated after them.  Once per distinct argument per process,
-    like `_define`: a pair built again from the same model text folds
-    nothing again."""
-    out, known = [], {}
-    _fold_block(ast.parse("\n".join(lines)).body, known, out, True)
-    folder = _Folder(known)
-    # ast.unparse puts a tuple target in parentheses before Python 3.11;
-    # without them the source, and its hash, is the same on every version
-    text = _TUPLE_TARGET.sub(r"\1\2 = ", ast.unparse(ast.fix_missing_locations(ast.Module(out, []))))
-    return (tuple(text.splitlines()),
-            tuple(ast.unparse(folder.visit(ast.parse(e, mode="eval").body)) for e in outputs))
-
-
-_TUPLE_TARGET = re.compile(r"^( *)\(([\w, ]+)\) = ", re.MULTILINE)
-
-
-class _Kernels(dict):
-    """Size n -> the routine whose source lines source(n) spells out,
-    defined on first use.
+@functools.cache
+def _sized(source, n: int):
+    """The routine whose source lines source(n) spells out, defined on
+    first use.
 
     The loops of the textbook algorithm run at build time, so a call makes
     only the arithmetic: the same operations in the same order as the
     loops would, hence the same floating-point results."""
-
-    def __init__(self, source):
-        super().__init__()
-        self.source = source
-
-    def __missing__(self, n: int):
-        fn = self[n] = _define("\n".join(self.source(n)))
-        return fn
-
-
-_CHOLESKY = _Kernels(_cholesky_source)
-_CHO_SOLVE = _Kernels(_cho_solve_source)
-_LU_FACTOR = _Kernels(_lu_factor_source)
-_LU_SOLVE = _Kernels(_lu_solve_source)
-_COND1 = _Kernels(_cond1_source)
+    return _define("\n".join(source(n)))
 
 
 def cholesky(a: list[list[float]]) -> list[list[float]]:
     """Lower-triangular Cholesky factor; raises if not positive definite."""
-    return _CHOLESKY[len(a)](a)
+    return _sized(_cholesky_source, len(a))(a)
 
 
 def cho_solve(L: list[list[float]], b) -> list[float]:
     """Solve L L^T x = b by forward then back substitution."""
-    return _CHO_SOLVE[len(L)](L, b)
+    return _sized(_cho_solve_source, len(L))(L, b)
 
 
 def lu_factor(a: list[list[float]]) -> tuple[list[list[float]], list[int]]:
     """LU with partial pivoting (Doolittle, on a copy): unit-lower L below
     the diagonal, U on and above it, and the row permutation."""
-    return _LU_FACTOR[len(a)](a)
+    return _sized(_lu_factor_source, len(a))(a)
 
 
 def lu_solve(lu: list[list[float]], piv: list[int], b: list[float]) -> list[float]:
-    return _LU_SOLVE[len(lu)](lu, piv, b)
+    return _sized(_lu_solve_source, len(lu))(lu, piv, b)
 
 
 def cond1_from_lu(a, lu, piv) -> float:
     """1-norm condition number, exact at this size: the inverse's column
     1-norms come straight from one lu_solve per unit vector."""
-    return _COND1[len(lu)](a, lu, piv)
+    return _sized(_cond1_source, len(lu))(a, lu, piv)
 
 
 def dot(x: list[float], y: list[float]) -> float:

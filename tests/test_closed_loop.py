@@ -7,12 +7,17 @@ math error is raised, `control._raise_failure` raises the typed error from
 the pair's q-only kernel (through `_p_system`, as `p_matrix` uses it) and
 the force's kernel.  Stage 1's results are bit-identical to an assembly of
 the other paths' pieces, and every failure raises the error and message of
-the q-only path.
+the q-only path.  Both pair kernels, folded as their statements are
+written, are bit-identical to their unfolded statements folded after the
+fact by `oracle.fold`, on drawn models.
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracle import fold
 from test_control import build_gen4, build_gen5
 
 import vnhc
@@ -238,3 +243,94 @@ def test_fallback_errors(name):
         with pytest.raises(Exception) as info:
             view(model, con, State(q=q, qdot=qd))
         assert f"{type(info.value).__name__}: {info.value}" == expected
+
+
+LITERALS = ["0.0", "-0.0", "0.5", "1.0", "2.0"]
+
+
+@st.composite
+def folding_cases(draw, mode: str):
+    """A model of n = 2..4 coordinates and m = 1..n-1 inputs whose metric,
+    coframe and constraint rows are each, by mode, constant, partly
+    constant or q-dependent (mixed: each block its own), and three states
+    with signed zeros among their entries.  The metric's diagonal is
+    shifted past its rows' other entries on |q| <= 1.5, so it is SPD."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, n - 1))
+    names = [f"q{i}" for i in range(n)]
+    kinds = {"constant": [True], "partial": [True, False], "q": [False]}
+
+    def block(rows: int, cols: int) -> list[list[str]]:
+        kind = kinds[draw(st.sampled_from(list(kinds))) if mode == "mixed" else mode]
+        x = st.sampled_from(names)
+        return [[draw(st.sampled_from(LITERALS)) if draw(st.sampled_from(kind)) else
+                 draw(st.sampled_from(["0.3*sin({})", "0.4*cos({})", "0.2*{}*{}", "0.5*{}"]))
+                 .format(draw(x), draw(x)) for _ in range(cols)] for _ in range(rows)]
+
+    G = block(n, n)
+    for i in range(n):
+        G[i][i] = f"{2.0 * n - 1.0} + {G[i][i]}"
+        for j in range(i):
+            G[i][j] = G[j][i]
+    coframe, mu, (Z,) = block(m, n), block(m, n), block(1, m)
+    constant = all(e in LITERALS for row in G + coframe + mu for e in row)
+    force = [draw(st.sampled_from(LITERALS if constant else [*LITERALS, f"-0.1*{x}d", f"sin({x})"]))
+             for x in names]
+    potential = "0" if constant else draw(st.sampled_from(["0", "0.5*q0*q1", "cos(q1)"]))
+    model = MechanicalModel(names, G, potential=potential, external_force=force,
+                            input_coframe=coframe)
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5))
+    states = [tuple(draw(entry) for _ in range(2 * n)) for _ in range(3)]
+    return model, AffineConstraint(names, mu, Z), [(s[:n], s[n:]) for s in states]
+
+
+class Unfolded(linalg._Block):
+    """A block that folds nothing, as the per-size routines' blocks do."""
+
+    def __init__(self, known=None, fold=True):
+        super().__init__(known, fold=False)
+
+
+def unfolded_kernels(model, con):
+    """The step and q-only kernels compiled from the pair's unfolded
+    statements, folded by `oracle.fold`."""
+    with mock.patch.object(control, "_Block", Unfolded), mock.patch.object(constraint, "_Block",
+                                                                         Unfolded):
+        lines, outputs = control._closed_loop_body(model, con)
+        _, *q_lines, result = constraint._q_only_source.__wrapped__(model, con)
+    names = [*outputs[0], *outputs[1], *outputs[2], *sum(outputs[3], []), outputs[4]]  # locals
+    body, out = fold(lines, names)
+    folded = dict(zip(names, map(linalg._Src, out)))
+
+    def relabel(x):
+        return [relabel(y) for y in x] if isinstance(x, list) else folded[x]
+
+    define = linalg._define.__wrapped__
+    step = define(control._step_text(list(body), relabel(outputs)))
+    body, (out,) = fold([line[4:] for line in q_lines], [result.removeprefix("    return ")])
+    return step, define("\n".join(linalg._kernel_source("q", body, out)))
+
+
+def outcome(kernel, *args) -> str:
+    try:
+        return repr(kernel(*args))
+    except Exception as err:  # noqa: BLE001 - compared by type and message
+        return f"{type(err).__name__}: {err}"
+
+
+@pytest.mark.parametrize("mode", ["constant", "partial", "q", "mixed"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_folded_kernels_keep_every_bit(mode, data):
+    # Stage 1, a whole step and the q-only kernel, as generated, against
+    # the unfolded statements folded after the fact.
+    model, con, states = data.draw(folding_cases(mode))
+    step, q_only = control._step(model, con), constraint._q_only(model, con)
+    ref_step, ref_q_only = unfolded_kernels(model, con)
+    for q, qd in states:
+        stage = step(q, qd, None, None, False)
+        assert outcome(step, q, qd, None, None, False) == outcome(ref_step, q, qd, None, None,
+                                                                   False)
+        a = stage[0] if stage[0] is not None else (0.5,) * model.n
+        assert outcome(step, q, qd, a, 0.1, True) == outcome(ref_step, q, qd, a, 0.1, True)
+        assert outcome(q_only, q) == outcome(ref_q_only, q)

@@ -10,6 +10,7 @@ from vnhc import (
     RankDefectError,
     State,
     build_boat,
+    p_matrix,
     project_onto_A,
     tau_star,
     transversality_check,
@@ -258,3 +259,31 @@ class TestChart:
         con = AffineConstraint(("x", "y"), [["1", "0"]], Z=["0"])
         with pytest.raises(ValueError, match="state dimension 3 does not match n=2"):
             con.phi(State(q=(0, 0, 0), qdot=(0, 0, 0)))
+
+
+# Every view of q alone, by name: each checks the length of q first.
+Q_VIEWS = {
+    "transversality_check": lambda model, con, q: transversality_check(con, model, q),
+    "p_matrix": p_matrix,
+    "rank_check": lambda model, con, q: con.rank_check(q),
+    "mu_at": lambda model, con, q: con.mu_at(q),
+    "z_at": lambda model, con, q: con.z_at(q),
+    "metric_at": lambda model, con, q: model.metric_at(q),
+    "coframe_at": lambda model, con, q: model.coframe_at(q),
+    "input_fields_at": lambda model, con, q: model.input_fields_at(q),
+    "grad_potential": lambda model, con, q: model.grad_potential(q),
+    "sharp": lambda model, con, q: model.sharp(q, [1.0, 0.0, 0.0]),
+    "flat": lambda model, con, q: model.flat(q, [1.0, 0.0, 0.0]),
+    "christoffel_at": lambda model, con, q: model.christoffel_at(q),
+    "project_onto_A": lambda model, con, q: project_onto_A(con, model, State(q=q, qdot=q)),
+}
+
+
+@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("view", Q_VIEWS)
+def test_q_of_the_wrong_length(view, size):
+    # n - 1 and n + 1 entries on the vortex boat (n = 3): the ValueError
+    # of a state of the wrong dimension, not a kernel's TypeError.
+    model, con = build_boat("sin(y)", "cos(x)")
+    with pytest.raises(ValueError, match=f"^state dimension {size} does not match n=3$"):
+        Q_VIEWS[view](model, con, (0.1,) * size)

@@ -165,8 +165,8 @@ def test_simulate_output_is_golden(tmp_path):
 # SHA-256 of control._step_source(model, con), the pair's closed-loop
 # kernel: the RK4 step, whose stage 1 alone the views run.
 CLOSED_LOOP_SHA256 = {
-    "vortex": "bf3043daaa89a7b8cd05bb548192ca4c69f5294c45f538ff86b719c1833416d6",
-    "gen5": "79665f4dd01968ce34d7ec1c6381fee889f8b30cd8c766fc1d764b4cf525b2be",
+    "vortex": "82ce169fe00bb92739d04ccd27e69898a8ce65927f6e383eaf4e02137f5f9684",
+    "gen5": "80a48e77790177efaa3a3e087d8c5e79232d6b0c56464dd14c52eea7fca54b06",
 }
 
 
@@ -186,7 +186,7 @@ def test_closed_loop_source_is_unchanged():
 # model's, the constraint's, the force's and the first-kind kernels, which
 # nothing folds, and the pair's q-only and RK4 step kernels.
 MODEL_KERNELS_SHA256 = "abbd851167e88c9eaec8f610b023d8b61b2b8a951adbac03014759495622f0ec"
-PAIR_KERNELS_SHA256 = "e174cf70f470009c91a69ad00c26e97af4a720b9b3735f984d0905f40eded44b"
+PAIR_KERNELS_SHA256 = "82c6d70d23829b4d209eec683c37e50f60cf29631938d627f65b64ced1d7989f"
 
 
 def kernel_sources() -> tuple[list[str], list[str]]:

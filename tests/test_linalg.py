@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vnhc import AffineConstraint, linalg
+from oracle import fold
+
+from vnhc import AffineConstraint, build_boat, constraint, control, linalg
 from vnhc.constraint import RANK_RTOL
 
 
@@ -203,7 +205,7 @@ class TestSpectra:
 
 
 def folded(lines, outputs=()):
-    return linalg._fold(tuple(lines), tuple(outputs))
+    return fold(tuple(lines), tuple(outputs))
 
 
 def run(lines, result, x):
@@ -216,8 +218,9 @@ def run(lines, result, x):
 
 
 class TestFold:
-    """`linalg._fold`: what depends on no input is computed when the source
-    is made, and every result keeps its bits."""
+    """`oracle.fold`, the reference for the folds the statement generators
+    make as they write a pair's kernels: what depends on no input is
+    computed when the source is made, and every result keeps its bits."""
 
     def test_constant_statements_go(self):
         lines, (out,) = folded(["s = 4.0", "l = sqrt(s)", "r = max(l, 1.0) / min(l, 1.0)",
@@ -232,6 +235,21 @@ class TestFold:
     ])
     def test_identities(self, text, expected):
         assert folded([], [text])[1] == (expected,)
+
+    @pytest.mark.parametrize("a, op, b, expected", [
+        ("x", "*", 1.0, "x"), (1.0, "*", "x", "x"), ("x", "/", 1.0, "x"), ("x", "-", 0.0, "x"),
+        ("x", "+", 0.0, "x + 0.0"), (0.0, "+", "x", "0.0 + x"), (0.0, "*", "x", "0.0 * x"),
+        ("x", "-", -0.0, "x - -0.0"), ("x", "*", 1, "x * 1"), (2.0, "*", -3.0, -6.0),
+        (1.0, "/", 0.0, "1.0 / 0.0"), (1e308, "*", 10.0, "1e+308 * 10.0"),
+    ])
+    def test_the_generators_fold_alike(self, a, op, b, expected):
+        # The generators' operations follow the same rules as they write.
+        a, b = (linalg._Src(x) if isinstance(x, str) else x for x in (a, b))
+        assert repr(linalg._bin(a, op, b)) == repr(expected)
+
+    def test_the_generators_call_and_pick_alike(self):
+        assert linalg._call("sqrt", -1.0) == "sqrt(-1.0)" and linalg._call("sqrt", 4.0) == 2.0
+        assert linalg._pick([linalg._Src("x"), linalg._Src("y")], 1) == "y"
 
     def test_what_raises_or_overflows_stays(self):
         lines, _ = folded(["a = 1.0 / 0.0", "b = 1e+308 * 10.0", "c = math.log(-1.0)",
@@ -258,8 +276,11 @@ class TestFold:
         assert lines == ("big = abs(x)", "t0 = x", "a, b = (b0, x)") and out == "(0, 1, t0, a)"
 
     def test_memoized(self):
-        args = (("s = 2.0", "y = x * s"), ("y",))
-        assert linalg._fold(*args) is linalg._fold(*args)
+        # A pair built again from the same text folds nothing again: its
+        # sources come back from the memo.
+        first, again = build_boat("sin(y)", "cos(x)"), build_boat("sin(y)", "cos(x)")
+        for source in (control._step_source, constraint._q_only_source):
+            assert source(*first) is source(*again)
 
 
 _FOLD_OPERANDS = ["x", "1.0", "0.0", "-0.0", "2.0", "-3.5", "1e308", "0.5"]
@@ -293,6 +314,6 @@ def programs(draw):
 @given(programs())
 def test_fold_keeps_every_bit(program):
     lines, result = program
-    body, (out,) = linalg._fold(tuple(lines), (result,))
+    body, (out,) = fold(tuple(lines), (result,))
     for x in (0.0, -0.0, 1.0, -2.0, 1e308, math.inf, -math.inf, math.nan):
         assert run(list(body), out, x) == run(lines, result, x), (lines, x)

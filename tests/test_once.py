@@ -59,21 +59,27 @@ def test_second_load_compiles_nothing(tmp_path):
     assert linalg._define.cache_info().misses == misses
 
 
-def test_second_load_folds_nothing(tmp_path):
-    # The pair's kernels are folded and the step source made once per
-    # distinct pair per process, not on each command-line call.
+def test_second_load_folds_nothing(tmp_path, monkeypatch):
+    # A pair's two sources are generated, folded and compiled once per
+    # distinct pair per process, not on each command-line call: a second
+    # load, then tau_star and check, writes and compiles no pair source.
     path = model_file(tmp_path, "vortex")
+    s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
 
     def build():
         model, con = load_model(path)
-        use(model, con)
-        constraint._q_only(model, con)
+        tau_star(model, con, s)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["check", str(path), "--grid", "x=-1:1:3"]) == 0
 
     build()
-    cache_info = linalg._fold.cache_info, control._step_text.cache_info
-    misses = [info().misses for info in cache_info]
+    written = []
+    for module in (constraint, control):  # where the pair sources are written
+        monkeypatch.setattr(module, "_Block", lambda *a, block=module._Block, **k: (
+            written.append(a) or block(*a, **k)))
+    misses = linalg._define.cache_info().misses
     build()
-    assert [info().misses for info in cache_info] == misses
+    assert (written, linalg._define.cache_info().misses) == ([], misses)
 
 
 def test_two_sources_per_pair(tmp_path, monkeypatch):
