@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence
 
 from . import expr as ex
 from . import linalg
-from .linalg import _bin, _Block, _call, _chain, _if_else, _list, _unary
+from .linalg import _bin, _Block, _call, _chain, _if_else, _list, _Src, _unary
 from .expr import EvalError
 from .geometry import MechanicalModel, ModelError, State, _Chart, _spd_error, contract
 
@@ -225,7 +225,7 @@ def _bind(block: _Block, G, coframe, S):
     for name, root in chain(((f"g{i}_{j}", G[i][j]) for i in r for j in range(i + 1)),
                             ((f"y{a}_{i}", coframe[a][i]) for a in rm for i in r),
                             ((f"S{b}_{i}", S[b][i]) for b in rm for i in r)):
-        block[name] = block.root(root)
+        block[name] = root
 
 
 _SOURCES = ex._LRU(linalg.DEFINE_CACHE_SIZE)  # of `_pair_source`
@@ -259,7 +259,7 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
         [model._exprs, con._exprs], model.coordinates + model.velocities)
     block = _Block()  # the velocities at rest, the expressions, then the roots
     block.lines += [*(f"_a{n + i} = 0.0" for i in r), *lines,  # not a local or a literal
-                    *(root for root in chain(dV, w, Z, c) if "(" in root)]
+                    *(e for e in chain(dV, w, Z, c) if type(e) is _Src and not e.isidentifier())]
     _bind(block, G, coframe, S)
 
     def rows(x: str, size: int) -> list:  # of the values of the locals {x}b_a
@@ -288,16 +288,23 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
                                  fields(None))
 
 
+def _built(kernels: dict, model: MechanicalModel, source, what: str):
+    """The pair kernel that source() defines, compiled and kept in kernels,
+    one of the constraint's dicts, under model.  A pair whose expressions
+    are too deep to compile here, a few stack frames short of the limit
+    that loading met, is an EvalError naming what kernel."""
+    try:
+        kernel = kernels[model] = linalg._define(source())
+    except RecursionError:
+        raise EvalError(f"{what} kernel is nested too deeply to compile") from None
+    return kernel
+
+
 def _q_only(model: MechanicalModel, con: AffineConstraint):
     """The pair's compiled q-only kernel, built on the first q-only call
     with this model and kept on con, one per model."""
-    kernel = con._q_only.get(model)
-    if kernel is None:
-        try:
-            kernel = con._q_only[model] = linalg._define("\n".join(_q_only_source(model, con)))
-        except RecursionError:
-            raise EvalError("q-only kernel is nested too deeply to compile") from None
-    return kernel
+    return con._q_only.get(model) or _built(con._q_only, model,
+                                            lambda: "\n".join(_q_only_source(model, con)), "q-only")
 
 
 def _p_system(model: MechanicalModel, con: AffineConstraint, q, k: _QOnly | None = None) -> _QOnly:
@@ -352,7 +359,9 @@ def project_onto_A(
     con: AffineConstraint, model: MechanicalModel, state: State
 ) -> State:
     """Metric-orthogonal (kinetic-energy-minimal) projection of the velocity
-    onto the affine constraint set at the same base point."""
+    onto the affine constraint set at the same base point.  Raises
+    RankDefectError where S(q) has lost rank, and EvalError where S G^-1 S^T
+    is singular in floating point or the projected velocity is not finite."""
     check_compatible(model, con, con_first=True)
     S = con.mu_at(state.q)
     rank = con._rank(S)[0]
@@ -364,9 +373,14 @@ def project_onto_A(
     GiST = [linalg.cho_solve(L, list(row)) for row in S]  # rows: G^-1 mu^b
     m = con.m
     A = [[linalg.dot(S[b], GiST[a]) for a in range(m)] for b in range(m)]
-    lam = linalg.lu_solve(*linalg.lu_factor(A), phi)
+    try:
+        lam = linalg.lu_solve(*linalg.lu_factor(A), phi)
+    except linalg.SingularMatrixError:  # S G^-1 S^T underflows, though S has full rank
+        raise EvalError(f"S G^-1 S^T {A} is singular at q={tuple(state.q)}") from None
     qd = list(state.qdot)
     for b in range(m):
         for i in range(con.n):
             qd[i] -= GiST[b][i] * lam[b]
+    if not all(map(math.isfinite, qd)):
+        raise EvalError(f"projected qdot {tuple(qd)} is not finite at q={tuple(state.q)}")
     return State(q=state.q, qdot=tuple(qd))

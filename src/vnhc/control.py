@@ -8,14 +8,15 @@ value instead of nulling it.
 
 Each (model, constraint) pair has one generated kernel of (q, qdot), the
 RK4 step kernel, and it is the only code that computes a closed-loop
-result.  At each RK4 stage it runs the same straight-line statements:
-the model's, force's and constraint's expressions (common subexpressions
-computed once across all three), the metric's Cholesky factor, the input
-fields Y = G^-1 coframe, P = S Y, its pivoted LU and cond_1, the drift
-G^-1 (F - dV - w), b = -(S drift + c), tau and the acceleration, all
-inline.  What of that depends on no input, such as the whole metric
-block of a constant metric, is computed once, as the statement
-generators write the source (`linalg._Block`).  The closed-loop views
+result.  At each RK4 stage it runs the same straight-line statements,
+written once in a loop over the stages: the model's, force's and
+constraint's expressions (common subexpressions computed once across all
+three), the metric's Cholesky factor, the input fields Y = G^-1 coframe,
+P = S Y, its pivoted LU and cond_1, the drift G^-1 (F - dV - w),
+b = -(S drift + c), tau and the acceleration.  What of that depends on
+no input, such as the whole metric block of a constant metric, is
+computed once, as the statement generators write the source
+(`linalg._Block`).  The closed-loop views
 (`solve_control`, `tau_star`, `closed_loop_acceleration`) make one call
 of its stage 1 alone, which also returns b, P and cond; `sim` calls the
 whole step.  The kernel is built on the first closed-loop call with a
@@ -46,9 +47,9 @@ from dataclasses import dataclass
 
 from . import expr as ex
 from . import linalg
-from .linalg import _bin, _Block, _list, _text, _unary
-from .constraint import (AffineConstraint, _bind, _dot, _gate_lines, _p_system, _pair_source,
-                         _QOnly, _verdict, check_compatible)
+from .linalg import _bin, _Block, _list, _Src, _text, _unary
+from .constraint import (AffineConstraint, _bind, _built, _dot, _gate_lines, _p_system,
+                         _pair_source, _QOnly, _verdict, check_compatible)
 from .expr import EvalError
 from .geometry import MechanicalModel, State
 
@@ -97,11 +98,11 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
     block.lines += lines
     _bind(block, G, coframe, S)
     for i in r:  # G^-1 (F - dV - w), the drift
-        block[f"d{i}"] = _bin(_bin(block.root(F[i]), "-", block.root(dV[i])), "-", block.root(w[i]))
+        block[f"d{i}"] = _bin(_bin(F[i], "-", dV[i]), "-", w[i])
     _gate_lines(block, n, m, lambda gate: "return None")
     linalg._cho_solve_lines(block, n, "l", "d")
     for b in rm:  # b = -(S drift + c)
-        block[f"b{b}"] = _unary("-", _bin(_dot(block, f"S{b}_", "d", n), "+", block.root(c[b])))
+        block[f"b{b}"] = _unary("-", _bin(_dot(block, f"S{b}_", "d", n), "+", c[b]))
     linalg._lu_solve_lines(block, m, "u", "p", [block[f"b{b}"] for b in rm], "t")
 
     def accelerate(then, a: int):  # d += t_a Y^a
@@ -119,15 +120,16 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
 @_pair_source
 def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
     """Source of kernel(q, v, a, h, more), the pair's one closed-loop kernel:
-    the RK4 stage arithmetic with the pair's closed-loop statements, folded
-    as they are written, inline at each stage.
+    the pair's closed-loop statements, folded as they are written, once, in
+    a loop over the RK4 stages, and the stage arithmetic between them.
 
     With a None: stage 1 at (q, v) alone, returning ([acc], [tau], [b],
     [P rows], cond) there; h and more are not read.  With a the stage-1
     acceleration at (q, v): stages 2, 3 and 4 and the step's end (q1, v1),
-    the same operations in the same order as loops over the coordinates;
-    then, with more and a finite end, stage 1 at the end, returning (q1, v1,
-    acc, tau) there, and without more (q1, v1, None, None).  Where a
+    whose sums v + 2 k2 + 2 k3 + k4 are added up stage by stage in that
+    order, so each result has the bits of the classical formula; then, with
+    more and a finite end, stage 1 at the end, returning (q1, v1, acc, tau)
+    there, and without more (q1, v1, None, None).  Where a
     stage's gate fails or it meets a math error, the kernel returns (None,
     k, q_k, qdot_k) for stage k at (q_k, qdot_k), k = 0 for an end that is
     not finite."""
@@ -136,56 +138,51 @@ def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
 
 def _step_text(lines: list[str], outputs: list) -> str:
     """Source of the step kernel from the closed-loop statements lines and
-    the values outputs of [acc], [tau], [b], [P rows] and cond after them."""
-    acc, tau = ([_text(x) for x in values] for values in outputs[:2])
+    the values outputs of [acc], [tau], [b], [P rows] and cond after them:
+    one copy of lines, run for each stage k in a loop over the stages."""
+    acc = [_text(x) for x in outputs[0]]
     n = len(acc)
-    r = range(n)
 
-    def vec(text: str) -> str:  # the tuple of text.format(i) over the coordinates
-        return "(" + "".join(text.format(i) + ", " for i in r) + ")"
+    def each(*texts) -> tuple:  # texts at each coordinate i; qdot_i is _a{j}, acc_i is {d}
+        return tuple(_Src(text.format(i=i, j=n + i, d=acc[i])) for text in texts for i in range(n))
 
-    def stage(k: int, q: str, v: str) -> list[str]:
-        """Stage k at the state of the sources q.format(i), v.format(i)."""
-        failed = f"return None, {k}, {vec('_a{0}')}, ({''.join(f'_a{n + i}, ' for i in r)})"
-        return ["try:", *(f"    _a{i} = {q.format(i)}" for i in r),
-                *(f"    _a{n + i} = {v.format(i)}" for i in r),
-                *(f"    {line}".replace("return None", failed) for line in lines),  # the gates
-                "except (ArithmeticError, ValueError):", f"    {failed}"]
-
-    rk4 = ["h2, h6 = 0.5 * h, h / 6.0", f"{vec('a1_{0}')} = a"]
-    # stage k: velocity k{k}q = v + dt a_{k-1} at the position q + dt slope
-    for k, dt, slope in ((2, "h2", "v{0}"), (3, "h2", "k2q{0}"), (4, "h", "k3q{0}")):
-        rk4 += [f"k{k}q{i} = v{i} + {dt} * a{k - 1}_{i}" for i in r]
-        rk4 += stage(k, f"x{{0}} + {dt} * {slope}", f"k{k}q{{0}}")
-        rk4 += [f"a{k}_{i} = {acc[i]}" for i in r]
-    rk4 += [f"x{i} = x{i} + h6 * (v{i} + 2.0 * k2q{i} + 2.0 * k3q{i} + k4q{i})" for i in r]
-    rk4 += [f"v{i} = v{i} + h6 * (a1_{i} + 2.0 * a2_{i} + 2.0 * a3_{i} + a4_{i})" for i in r]
-    end = f"{vec('x{0}')}, {vec('v{0}')}"
+    xs, vs, qs, qds = (_list(each(text)) for text in ("x{i}", "v{i}", "_a{i}", "_a{j}"))
+    failed = f"return None, k, {qs}, {qds}"
     # x - x is 0.0 for a finite x and NaN for inf and NaN, so the sum is 0.0
     # exactly where every entry is finite
-    finite = " + ".join([f"(x{i} - x{i})" for i in r] + [f"(v{i} - v{i})" for i in r])
-    rk4 += ["if not more:", f"    return {end}, None, None",
-            f"if {finite} != 0.0:", f"    return None, 0, {end}"]
-    return "\n".join(linalg._kernel_source(
-        "q, v, a, h, more",
-        [f"{vec('x{0}')} = q", f"{vec('v{0}')} = v", "if a is not None:",
-         *(f"    {line}" for line in rk4), *stage(1, "x{0}", "v{0}"),
-         "if a is None:", f"    return {', '.join(map(_list, outputs))}"],
-        f"{end}, ({''.join(f'{e}, ' for e in acc)}), ({''.join(f'{e}, ' for e in tau)})"))
+    finite = " + ".join(each("(x{i} - x{i})", "(v{i} - v{i})"))
+    # sx and sv are the sums of the slopes that the step's end adds up, and
+    # stage k + 1 is at the velocity v + dt acc and the position x + dt
+    # (stage k's velocity)
+    body = [
+        "if a is None:", "    stages = (1,)", f"    {qs} = q", f"    {qds} = v", "else:",
+        "    stages = (2, 3, 4, 1)", "    h2, h6 = 0.5 * h, h / 6.0", f"    {xs} = q",
+        f"    {vs} = v", f"    {_list(each('sx{i}'))} = v", f"    {_list(each('sv{i}'))} = a",
+        *each("    _a{i} = x{i} + h2 * v{i}", "    _a{j} = v{i} + h2 * sv{i}"),
+        "for k in stages:", "    try:",
+        *(f"        {line}".replace("return None", failed) for line in lines or ["pass"]),
+        "    except (ArithmeticError, ValueError):", f"        {failed}",
+        "    if k == 1:", "        if a is None:",
+        f"            return {', '.join(map(_list, outputs))}",
+        f"        return {xs}, {vs}, {_list(tuple(outputs[0]))}, {_list(tuple(outputs[1]))}",
+        "    if k == 4:",
+        *each("        x{i} = x{i} + h6 * (sx{i} + _a{j})",
+              "        v{i} = v{i} + h6 * (sv{i} + {d})"),
+        "        if not more:", f"            return {xs}, {vs}, None, None",
+        f"        if {finite} != 0.0:", f"            return None, 0, {xs}, {vs}",
+        *each("        _a{i} = x{i}", "        _a{j} = v{i}"),
+        "    else:",
+        *each("        sx{i} = sx{i} + 2.0 * _a{j}", "        sv{i} = sv{i} + 2.0 * {d}"),
+        "        dt = h2 if k == 2 else h",
+        *each("        _a{i} = x{i} + dt * _a{j}", "        _a{j} = v{i} + dt * {d}")]
+    return "\n".join(["def kernel(q, v, a, h, more):", *(f"    {line}" for line in body)])
 
 
 def _step(model: MechanicalModel, con: AffineConstraint):
     """The pair's compiled step kernel, built on the first closed-loop call
-    with this model and kept on con, one per model.  A pair whose
-    expressions are too deep to compile here, a few stack frames short of
-    the limit that loading met, is an EvalError."""
-    kernel = con._step.get(model)
-    if kernel is None:
-        try:
-            kernel = con._step[model] = linalg._define(_step_source(model, con))
-        except RecursionError:
-            raise EvalError("closed-loop kernel is nested too deeply to compile") from None
-    return kernel
+    with this model and kept on con, one per model."""
+    return con._step.get(model) or _built(con._step, model, lambda: _step_source(model, con),
+                                          "closed-loop")
 
 
 def _raise_failure(model: MechanicalModel, con: AffineConstraint, q, qd, state=None):

@@ -22,10 +22,10 @@ import weakref
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
+from .linalg import _bin, _call, _list, _Src, _text, _unary
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
-_MATH_FN = {name: getattr(math, name) for name in FUNCTIONS}  # compiled as math.<name>
 
 
 class ExprError(ValueError):
@@ -265,7 +265,7 @@ def fn(name: str, child: Expr) -> Expr:
     if name not in FUNCTIONS:
         raise ExprError(f"unknown function {name!r}")
     if _is_const(child):
-        return Constant(_math(_MATH_FN[name], Unary(name, child), child.value))
+        return Constant(_math(linalg._FUNCTIONS[f"math.{name}"], Unary(name, child), child.value))
     return Unary(name, child)
 
 
@@ -638,8 +638,10 @@ def _emit_uncached(exprs: Sequence, variables: Sequence[str], constants: Mapping
 
     Returns (lines, roots, nodes): the statements binding subexpressions
     to the locals _t0, _t1, ..., in order; exprs with each expression
-    replaced by the source of its value, a local, a literal or an inline
-    expression, nested alike; and the subexpression each line binds.
+    replaced by its value, nested alike: a `linalg._Src` (a local or an
+    inline expression) or a number; and the subexpression each line binds.
+    Each operation is written by `linalg`'s writer, so its text has only
+    the parentheses the tree needs.
     Raises EvalError for a free symbol that is neither a variable nor a
     constant, or a non-finite number or constant.
 
@@ -710,28 +712,26 @@ def _emit_uncached(exprs: Sequence, variables: Sequence[str], constants: Mapping
 
     lines: list[str] = []
     nodes: list[Expr] = []
-    code = [key if isinstance(key, str) else None for key in dag]
-    depth = [0] * len(dag)  # parentheses the text of a node nests
+    code = [None if isinstance(key, tuple) else _Src(key) if key[0] == "_" else float(key)
+            for key in dag]  # node number -> its value, once emitted
+    depth = [0] * len(dag)  # levels of the tree a node's value spells inline
 
-    def emit(num: int) -> str:
+    def emit(num: int):
         if code[num] is not None:
             return code[num]
-        key = dag[num]
-        op, a = key[0], emit(key[1])
-        if len(key) == 3:
-            b = emit(key[2])
-            text = f"math.pow({a}, {b})" if op == "pow" else f"({a} {_SIGN[op]} {b})"
-        else:
-            text = f"(-{a})" if op == "neg" else f"math.{op}({a})"
-        nest = 1 + max(depth[key[1]], depth[key[-1]])
+        op, *children = dag[num]
+        args = [emit(child) for child in children]
+        value = (_unary("-", *args) if op == "neg" else _call(f"math.{op}", *args)
+                 if op == "pow" or len(args) == 1 else _bin(args[0], _SIGN[op], args[1]))
+        nest = 1 + max(depth[child] for child in children)
         if every or uses[num] > 1 or nest > 100:  # CPython parses up to 200 nested parentheses
             nest = 0
             name = f"_t{len(lines)}"
-            lines.append(f"{name} = {text}")
+            lines.append(f"{name} = {_text(value)}")
             nodes.append(first[num])
-            text = name
-        code[num], depth[num] = text, nest
-        return text
+            value = _Src(name)
+        code[num], depth[num] = value, nest
+        return value
 
     def emit_tree(tree):
         return emit(tree) if isinstance(tree, int) else tuple(map(emit_tree, tree))
@@ -744,19 +744,23 @@ def _emit_uncached(exprs: Sequence, variables: Sequence[str], constants: Mapping
     return tuple(lines), roots, tuple(nodes)
 
 
-@functools.lru_cache(maxsize=256)
-def _source(lines: tuple[str, ...], roots, n: int) -> str:
+_SOURCES = _LRU(256)  # of `_source`
+
+
+def _source(emitted: tuple, n: int) -> str:
     """Source of the function kernel of the locals _a0 .. _a<n-1> that
-    runs lines and returns roots, a list of them giving a tuple."""
-    body = "".join(f"    {line}\n" for line in lines)
-    args = ", ".join(f"_a{i}" for i in range(n))
-    return f"def kernel({args}):\n{body}    return {_tuple_source(roots)}\n"
+    runs the lines of emitted, an `_emit` result, and returns its roots,
+    nested as tuples.  Made once per result and kept for the last 256,
+    keyed by the result's identity (the entry keeps it alive): == would
+    take a root -0.0 for a 0.0, and hashing the lines would cost every
+    repeated load."""
+    def make():
+        lines, roots, _ = emitted
+        body = "".join(f"    {line}\n" for line in lines)
+        args = ", ".join(f"_a{i}" for i in range(n))
+        return emitted, f"def kernel({args}):\n{body}    return {_list(roots)}\n"
 
-
-def _tuple_source(tree) -> str:
-    if isinstance(tree, str):
-        return tree
-    return "(" + "".join(_tuple_source(t) + ", " for t in tree) + ")"
+    return _SOURCES.get((id(emitted), n), make)[1]
 
 
 _MATH_ERRORS = {ZeroDivisionError: "division by zero", OverflowError: "overflow"}
@@ -804,8 +808,7 @@ def compile_exprs(
 def _compile(exprs, variables, constants, emit, define):
     """compile_exprs, with emit giving the source and define compiling it:
     memoized, as there, or not, as for `evaluate`."""
-    lines, roots, _ = emit(exprs, variables, constants)
-    raw = define(_source(lines, roots, len(variables)))
+    raw = define(_source(emit(exprs, variables, constants), len(variables)))
     traced = None  # (function, nodes) of the one-node-per-line source, once built
 
     # The try lives here, not in the generated source: there it made each
@@ -817,8 +820,8 @@ def _compile(exprs, variables, constants, emit, define):
             return raw(*values)
         except (ArithmeticError, ValueError):
             if traced is None:
-                lines, roots, nodes = emit(exprs, variables, constants, every=True)
-                traced = define(_source(lines, roots, len(variables))), nodes
+                emitted = emit(exprs, variables, constants, every=True)
+                traced = define(_source(emitted, len(variables))), emitted[2]
             _name_math_error(*traced, values)
             raise
 

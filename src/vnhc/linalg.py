@@ -121,7 +121,9 @@ _BINARY = {"or": (1, lambda a, b: a or b), "<=": (4, operator.le), ">": (4, oper
            "==": (4, operator.eq), "!=": (4, operator.ne), "+": (5, operator.add),
            "-": (5, operator.sub), "*": (6, operator.mul), "/": (6, operator.truediv),
            "%": (6, operator.mod)}
-_FUNCTIONS = {"abs": abs, "sqrt": math.sqrt, "hypot": math.hypot, "max": max, "min": min}
+_FUNCTIONS = {"abs": abs, "sqrt": math.sqrt, "hypot": math.hypot, "max": max, "min": min,
+              **{f"math.{name}": getattr(math, name)  # the calls of `expr._emit`
+                 for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "pow")}}
 
 
 def _bin(a, op: str, b):
@@ -169,7 +171,9 @@ def _chain(op: str, items):
 
 
 def _list(x) -> str:
-    """Source of the nested list of values x."""
+    """Source of the nested list, or tuple, of values x."""
+    if isinstance(x, tuple):
+        return "(" + "".join(f"{_list(y)}, " for y in x) + ")"
     return "[" + ", ".join(map(_list, x)) + "]" if isinstance(x, list) else _text(x)
 
 
@@ -178,7 +182,7 @@ class _Block:
     fold: the block runs whenever it is reached and may fold, so a local
     bound to a known value is not bound at all: its readers get the value.
     A branch's block does not fold, nor does one that writes the statements
-    unfolded, which is given no known values and reads no literal root."""
+    unfolded, which is given no known values."""
 
     def __init__(self, known: dict | None = None, fold: bool = True):
         self.known, self.fold, self.lines = known or {}, fold, []
@@ -209,11 +213,6 @@ class _Block:
         pairs of locals (x, y), and divided by the local over if given."""
         value = _chain("-", [self[first], *(_bin(self[x], "*", self[y]) for x, y in pairs)])
         self[name] = value if over is None else _bin(value, "/", self[over])
-
-    def root(self, text: str):
-        """The value of an `expr._emit` root: its literal's where the block
-        folds, else its source."""
-        return float(text) if self.fold and text[0] in "-0123456789" else _Src(text)
 
     def when(self, test, body, names=()):
         """if test: body(block), written into the block it gets; names are

@@ -7,14 +7,16 @@ diagnostics want uniform, reproducible sampling.
 
 Inputs are validated once at the API boundary; the steps carry plain
 q/qdot tuples.  A step is one call of the pair's step kernel
-(`control._step`): the RK4 stage arithmetic with the pair's folded
-closed-loop statements inline at each stage, so a stage computes what
-the views' stage-1 call would, bit for bit.  In `integrate` the call
-goes on to the next step's stage 1, whose tau is the one sampled at the
-step's end, once it has found that end finite.  Where a stage's gate
-fails or it meets a math error, the kernel returns the stage's state,
-and `control._raise_failure`, called there, raises the typed error with
-its message, as it does for the views.
+(`control._step`): the pair's folded closed-loop statements, written
+once and run for each stage in a loop, with the RK4 stage arithmetic
+between them, so a stage computes what the views' stage-1 call would,
+bit for bit.  In `integrate` the call goes on to the next step's stage 1,
+whose tau is the one sampled at the step's end, once it has found that
+end finite.  Where a stage's gate fails or it meets a math error, the
+kernel returns the stage's state, and `control._raise_failure`, called
+there, raises the typed error with its message, as it does for the
+views.  A math error in phi at a sample after the start aborts the run
+as a failed stage does: an `IntegrationError` naming the step.
 """
 
 from __future__ import annotations
@@ -93,24 +95,22 @@ def integrate(
 
     for step in range(1, n_steps + 1):
         out = kernel(q, qd, a, h, True)
-        if out[0] is None:
-            if out[1] == 0:
-                raise IntegrationError(
-                    f"non-finite state at step {step}", last_good_index=len(times) - 1
-                )
-            try:
+        try:
+            if out[0] is None:
+                if out[1] == 0:
+                    raise IntegrationError(f"non-finite state at step {step}",
+                                           last_good_index=len(times) - 1)
                 _raise_failure(model, con, *out[2:])
-            except (TransversalityError, SPDError, EvalError) as err:
-                raise IntegrationError(
-                    f"aborted at step {step}: {err}", last_good_index=len(times) - 1
-                ) from err
-        q, qd, a, tau = out
-        if step % sample_every == 0 or step == n_steps:
-            state = State(q=q, qdot=qd)
-            times.append(step * h)
-            states.append(state)
-            controls.append(tau)
-            phis.append(tuple(con.phi(state)))
+            q, qd, a, tau = out
+            if step % sample_every == 0 or step == n_steps:
+                state = State(q=q, qdot=qd)
+                phis.append(tuple(con.phi(state)))  # first: it may raise
+                times.append(step * h)
+                states.append(state)
+                controls.append(tau)
+        except (TransversalityError, SPDError, EvalError) as err:  # a stage's or phi's
+            raise IntegrationError(f"aborted at step {step}: {err}",
+                                   last_good_index=len(times) - 1) from err
 
     phi0 = phis[0]
     drift = tuple(

@@ -230,6 +230,31 @@ class TestSimulate:
             "error: aborted at step 10: metric condition estimate 7.206e+15 exceeds 1e+12 "
             "at q=(1.3877787807814457e-16, 0.0)\n"))
 
+    @pytest.mark.parametrize("mu, Z, message", [
+        ("1e-170", "1", "S G^-1 S^T [[0.0]] is singular at q=(0.0, 0.0)"),
+        ("1e-160", "1e200", "projected qdot (-inf, nan) is not finite at q=(0.0, 0.0)"),
+    ], ids=["underflow", "overflow"])
+    def test_projection_failure_exit_1(self, tmp_path, capsys, mu, Z, message):
+        # check passes; S G^-1 S^T underflows to 0, or the projection overflows
+        path = write_json(tmp_path, "tiny.json", {
+            "coordinates": ["x", "y"], "metric": [["1", "0"], ["0", "1"]],
+            "inputs": [["1", "0"]], "constraint": {"mu": [[mu, "0"]], "Z": [Z]}})
+        assert main(["check", path]) == 0
+        capsys.readouterr()
+        code = main(["simulate", path, "--q0", "0,0", "--qdot0", "0,0", "--t-end", "0.01",
+                     "--dt", "1e-3", "--project", "--out", str(tmp_path / "x.csv")])
+        assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
+
+    def test_phi_failure_mid_run_exit_1(self, tmp_path, capsys):
+        # Z = log(x) with x = 0.05 - t: no stage evaluates Z, the sample at step 5 does
+        path = write_json(tmp_path, "crossing.json", {
+            "coordinates": ["x", "y"], "metric": [["1", "0"], ["0", "1"]],
+            "inputs": [["0", "1"]], "constraint": {"mu": [["0", "1"]], "Z": ["log(x)"]}})
+        code = main(["simulate", path, "--q0", "0.05,0", "--qdot0=-1,0", "--t-end", "0.2",
+                     "--dt", "1e-2", "--out", str(tmp_path / "x.csv")])
+        assert (code, capsys.readouterr()) == (
+            1, ("", "error: aborted at step 5: domain error in log(x)\n"))
+
 
 class TestControlAt:
     def test_boat_value(self, boat_file, capsys):

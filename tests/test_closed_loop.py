@@ -79,6 +79,51 @@ def test_kernel_equals_assembly(name):
         assert repr(fused) == repr(slow), (name, q, qd)  # signed zeros too
 
 
+def oracle_step(model, con, q, v, h):
+    """One RK4 step written here, with closed_loop_acceleration at each
+    stage, each operation spelled and ordered as the step kernel's."""
+    def acc(x, qd):
+        return closed_loop_acceleration(model, con, State(q=tuple(x), qdot=tuple(qd)))
+
+    h2, h6 = 0.5 * h, h / 6.0
+    a1 = acc(q, v)
+    k2q = [vi + h2 * ai for vi, ai in zip(v, a1)]
+    a2 = acc([xi + h2 * vi for xi, vi in zip(q, v)], k2q)
+    k3q = [vi + h2 * ai for vi, ai in zip(v, a2)]
+    a3 = acc([xi + h2 * ki for xi, ki in zip(q, k2q)], k3q)
+    k4q = [vi + h * ai for vi, ai in zip(v, a3)]
+    a4 = acc([xi + h * ki for xi, ki in zip(q, k3q)], k4q)
+    r = range(len(q))
+    return State(q=tuple(q[i] + h6 * (v[i] + 2.0 * k2q[i] + 2.0 * k3q[i] + k4q[i]) for i in r),
+                 qdot=tuple(v[i] + h6 * (a1[i] + 2.0 * a2[i] + 2.0 * a3[i] + a4[i]) for i in r))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_rk4_against_an_oracle(name):
+    # rk4_step and a short integrate against oracle_step, bit for bit, from
+    # states with -0.0 entries among others; the step kernel holds the
+    # closed-loop statements once, run for each stage in a loop.
+    model, con = SYSTEMS[name]()
+    assert control._step_source(model, con).count("try:") == 1
+    rng = random.Random(name)
+    bound = 1.0 if name == "gen5" else 2.0
+    for k in range(12):
+        q = tuple(rng.uniform(-bound, bound) for _ in range(model.n))
+        qd = tuple(rng.uniform(-bound, bound) for _ in range(model.n))
+        if k % 2 == 0:
+            q, qd = signed_zeros(rng, q), signed_zeros(rng, qd)
+        h = rng.choice([1e-3, 0.01, 0.05])
+        s = State(q=q, qdot=qd)
+        assert repr(rk4_step(model, con, s, h)) == repr(oracle_step(model, con, q, qd, h))
+        states = [s]
+        for _ in range(4):
+            states.append(oracle_step(model, con, states[-1].q, states[-1].qdot, h))
+        traj = integrate(model, con, s, t_end=4 * h, h=h, sample_every=2)
+        assert repr(traj.states) == repr(tuple(states[::2]))
+        assert repr(traj.controls) == repr(tuple(tuple(tau_star(model, con, x))
+                                                  for x in states[::2]))
+
+
 def test_built_once_per_model():
     model, con = build_boat("sin(y)", "cos(x)")
     assert con._step == {}  # nothing compiled at construction
@@ -134,7 +179,7 @@ def test_parameters_fold_before_compiling():
     model, con = build_boat("sin(y)", "cos(x)")
     assert "m" in ex.free_symbols(model.external_force[0])  # the source stays symbolic
     lines, roots, _ = ex._emit(model._force, model.coordinates + model.velocities)
-    source = "\n".join(lines + roots)
+    source = "\n".join([*lines, linalg._list(roots)])
     assert "1.0 *" not in source and "* 1.0" not in source
     assert "1.0 *" not in control._step_source(model, con)
     assert model._exprs[0] == [[ex.ONE, ex.ZERO, ex.ZERO], [ex.ZERO, ex.ONE, ex.ZERO],

@@ -5,6 +5,7 @@ import pytest
 
 from vnhc import (
     AffineConstraint,
+    EvalError,
     MechanicalModel,
     ModelError,
     RankDefectError,
@@ -190,6 +191,19 @@ class TestProjection:
         con = AffineConstraint(("x", "y"), [["0", "0"]], Z=["0"])
         with pytest.raises(RankDefectError):
             project_onto_A(con, model, State(q=(0, 0), qdot=(1, 1)))
+
+    @pytest.mark.parametrize("mu, Z, message", [
+        # S has full rank, but S G^-1 S^T = 1e-340 underflows to 0
+        ("1e-170", "1", r"S G\^-1 S\^T \[\[0\.0\]\] is singular at q=\(0\.0, 0\.0\)"),
+        # phi / S G^-1 S^T = 1e200 / 1e-320 overflows
+        ("1e-160", "1e200", r"projected qdot \(-inf, nan\) is not finite at q=\(0\.0, 0\.0\)"),
+    ], ids=["underflow", "overflow"])
+    def test_floating_point_failures_are_eval_errors(self, mu, Z, message):
+        model = MechanicalModel(("x", "y"), [[1, 0], [0, 1]], input_coframe=[["1", "0"]])
+        con = AffineConstraint(("x", "y"), [[mu, "0"]], Z=[Z])
+        assert con.rank_check((0.0, 0.0)).ok and transversality_check(con, model, (0.0, 0.0)).ok
+        with pytest.raises(EvalError, match=f"^{message}$"):
+            project_onto_A(con, model, State(q=(0.0, 0.0), qdot=(0.0, 0.0)))
 
 
 class TestValidation:

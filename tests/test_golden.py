@@ -165,8 +165,8 @@ def test_simulate_output_is_golden(tmp_path):
 # SHA-256 of control._step_source(model, con), the pair's closed-loop
 # kernel: the RK4 step, whose stage 1 alone the views run.
 CLOSED_LOOP_SHA256 = {
-    "vortex": "82ce169fe00bb92739d04ccd27e69898a8ce65927f6e383eaf4e02137f5f9684",
-    "gen5": "80a48e77790177efaa3a3e087d8c5e79232d6b0c56464dd14c52eea7fca54b06",
+    "vortex": "5b96a7ef2592ffa497fedf6676163c9169dba6c8baf3ce31f543b8bb21ce77d4",
+    "gen5": "d24b413c4f24f9d9384ffc5ac92e7d9dc7e89ba0fee65a245636ebf5303b0c74",
 }
 
 
@@ -185,8 +185,8 @@ def test_closed_loop_source_is_unchanged():
 # SHA-256 of the sources `kernel_sources` records, each followed by "\0": the
 # model's, the constraint's, the force's and the first-kind kernels, which
 # nothing folds, and the pair's q-only and RK4 step kernels.
-MODEL_KERNELS_SHA256 = "abbd851167e88c9eaec8f610b023d8b61b2b8a951adbac03014759495622f0ec"
-PAIR_KERNELS_SHA256 = "82c6d70d23829b4d209eec683c37e50f60cf29631938d627f65b64ced1d7989f"
+MODEL_KERNELS_SHA256 = "7edeef22d6417f8651bc01cec19e09d9c49cd37a1d50ccc12f5f9d331029f8ba"
+PAIR_KERNELS_SHA256 = "006a5e2ef9cfc7b3f4cbb74d915b04da6ab00d0f61c4548f15a6a88a0c929f3e"
 
 
 def kernel_sources() -> tuple[list[str], list[str]]:

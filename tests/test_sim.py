@@ -280,6 +280,19 @@ class TestStageFailures:
             with pytest.raises(getattr(vnhc, kind), match=f"^{message}$"):
                 rk4_step(model, con, s0, h)
 
+    @pytest.mark.parametrize("every, step, last_good", [(1, 5, 4), (2, 6, 2)])
+    def test_phi_failing_at_a_sample(self, every, step, last_good):
+        # phi = yd + log(x) with x = 0.05 - t: the stages never evaluate Z,
+        # whose log fails at the first sample where x <= 0
+        model = MechanicalModel(("x", "y"), [[1, 0], [0, 1]], input_coframe=[["0", "1"]])
+        con = AffineConstraint(("x", "y"), [["0", "1"]], Z=["log(x)"])
+        s0 = State(q=(0.05, 0.0), qdot=(-1.0, 0.0))
+        with pytest.raises(IntegrationError,
+                           match=rf"^aborted at step {step}: domain error in log\(x\)$") as info:
+            integrate(model, con, s0, t_end=0.2, h=1e-2, sample_every=every)
+        assert info.value.last_good_index == last_good
+        assert type(info.value.__cause__) is vnhc.EvalError
+
     def test_non_finite_state_before_the_next_stage_1(self):
         # Every stage of step 1 is finite, but their sum overflows; stage 1
         # at the step's end would be a domain error in sin(inf).
