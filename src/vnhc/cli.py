@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import model_io, models
-from .constraint import RankDefectError, _p_system, _q_only, _QOnly, _verdict
+from .constraint import RankDefectError, _p_system, _verdict
 from .control import TransversalityError, solve_control
 from .expr import EvalError
 from .geometry import SPDError, State
@@ -98,14 +98,13 @@ def _points(args, coordinates) -> list[tuple]:
 def cmd_check(args) -> int:
     model, con = model_io.load_model(args.model)
     points = _points(args, model.coordinates)
-    kernel = _q_only(model, con)
     all_ok = True
     for q in points:
         line = f"q=({', '.join(f'{v:g}' for v in q)})"
-        try:
-            k = _QOnly(*kernel(q))
-        except (ArithmeticError, ValueError):
-            k = None  # the constraint's and then the model's kernels name the math error
+        try:  # one q-only kernel call; its error comes after the rank's
+            k, failure = _p_system(model, con, q), None
+        except (SPDError, EvalError) as err:
+            k, failure = None, err
         try:
             rank, sv = con._rank(con.mu_at(q) if k is None else k.S)
         except EvalError as err:
@@ -113,22 +112,18 @@ def cmd_check(args) -> int:
             all_ok = False
             continue
         line += f" rank={'ok' if rank == con.m else 'DEFECT'}({rank}/{con.m})"
-        if rank == con.m:
-            try:
-                k = _p_system(model, con, q, k)
-                error, cond = _verdict(k, q)
-                line += (f" transversality={'ok' if error is None else 'VIOLATION'} "
-                         f"cond={cond:.6g} det={k.det:.6g}")
-                all_ok &= error is None
-            except SPDError as err:
-                line += f" metric=SPD-FAILURE ({err})"
-                all_ok = False
-            except EvalError as err:
-                line += f" transversality=ERROR ({err})"
-                all_ok = False
-        else:
+        if rank < con.m:
             line += f" singular_values={[f'{s:.3e}' for s in sv]}"
             all_ok = False
+        elif failure is not None:
+            line += (f" metric=SPD-FAILURE ({failure})" if isinstance(failure, SPDError)
+                     else f" transversality=ERROR ({failure})")
+            all_ok = False
+        else:
+            error, cond = _verdict(k, q)
+            line += (f" transversality={'ok' if error is None else 'VIOLATION'} "
+                     f"cond={cond:.6g} det={k.det:.6g}")
+            all_ok &= error is None
         print(line)
     return EXIT_OK if all_ok else EXIT_FAILURE
 

@@ -21,16 +21,15 @@ written (`linalg._Block`; a constant metric's whole block goes).  Both
 sources of a pair are generated once per distinct pair per process
 (`_pair_source`), so loading a model again generates neither.  The
 q-only kernel returns its verdict as data: a failing gate returns what
-was computed before it, with the gate's name, and `_p_system` and
-`_verdict` build the typed errors and their messages from those
-numbers.  `transversality_check`,
-`control.p_matrix`, `control._raise_failure` (the typed error of a
-failed closed-loop stage) and `vnhc check` (one call per point, the rank
-from the returned S) read that one call.  Where the kernel meets a math
-error, the model's and the constraint's own kernels run again to name
-the expression.  The kernel is built on the first q-only call with a
-model and kept on the constraint, so loading a model does not pay for
-it.
+was computed before it, with the gate's name.  `_p_system` is the one
+call of it, for `transversality_check`, `control.p_matrix`,
+`control._raise_failure` (the typed error of a failed closed-loop stage)
+and `vnhc check` (one call per point, the rank from the returned S): it
+raises the typed errors in their one order, and alone runs the model's
+and the constraint's own kernels again where the kernel meets a math
+error, to name the expression; `_verdict` words a failed P gate.  The
+kernel is built on the first q-only call with a model and kept on the
+constraint, so loading a model does not pay for it.
 """
 
 from __future__ import annotations
@@ -169,11 +168,10 @@ class _QOnly(NamedTuple):
     ratio: float | None = None  # of the metric's Cholesky diagonal; None if G is not SPD
     P: list | None = None
     cond: float = math.inf  # cond_1(P); inf where P is exactly singular
-    lu: list | None = None
-    piv: list | None = None
+    det: float = 0.0  # from the LU factors: U's diagonal and the parity of the row swaps
+    # where the pivot or P condition gate fails, for the verdict's message:
     min_pivot: float | None = None
     scale: float | None = None  # P's entries before cancellation: max |S_b| times max |Y^a|
-    det: float = 0.0  # from the LU factors: U's diagonal and the parity of the row swaps
 
 
 def _dot(block: _Block, x: str, y: str, n: int):
@@ -267,8 +265,8 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
 
     def fields(gate: str | None) -> str:
         """The fields of `_QOnly` that the gate's failure returns, from the
-        values of the locals there: those computed before it, or all of them
-        where every gate holds (gate None)."""
+        values of the locals there: those computed before it, or all but the
+        pivot and its scale where every gate holds (gate None)."""
         min_pivot, scale, small = _pivots(block, n, m)
         det = _chain("*", [block[f"u{a}_{a}"] for a in rm])
         if m > 1:  # the sign of the row permutation
@@ -279,9 +277,8 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
                   "P": _if_else(small, "pivot", "cond")}.get(gate)
         metric = [[block[f"g{max(i, j)}_{min(i, j)}"] for j in r] for i in r]
         out = [failed, rows("S", n), metric if failed == "metric" else None, block["ratio"],
-               rows("P", m), block["cond"], rows("u", m), [block[f"p{a}"] for a in rm], min_pivot,
-               scale, det]
-        return ", ".join(map(_list, out[:{"spd": 3, "ratio": 4, "singular": 5}.get(gate)]))
+               rows("P", m), block["cond"], det, min_pivot, scale]
+        return ", ".join(map(_list, out[:{"spd": 3, "ratio": 4, "singular": 5, None: 7}.get(gate)]))
 
     _gate_lines(block, n, m, lambda gate: f"return {fields(gate)}")
     return linalg._kernel_source("q", [f"{linalg._vector('_a', n)}, = q", *block.lines],
@@ -307,20 +304,21 @@ def _q_only(model: MechanicalModel, con: AffineConstraint):
                                             lambda: "\n".join(_q_only_source(model, con)), "q-only")
 
 
-def _p_system(model: MechanicalModel, con: AffineConstraint, q, k: _QOnly | None = None) -> _QOnly:
-    """The pair's q-only kernel at q, or its result k there if the caller
-    has it.  Raises the metric's SPDError, an EvalError naming a math error
-    or a non-finite P; a failed P gate is left in `failed`.  Where the
-    kernel meets a math error, the model's kernel, the metric's gates and
-    the constraint's kernel run in turn at (q, 0) to name it."""
-    if k is None:
-        con._check_q(q)
-        try:
-            k = _QOnly(*_q_only(model, con)(q))
-        except (ArithmeticError, ValueError):
-            model._factor(q)
-            con._at_rest(q)
-            raise
+def _p_system(model: MechanicalModel, con: AffineConstraint, q) -> _QOnly:
+    """The pair's q-only kernel at q, or the typed error of its failure
+    there, named in the order the model's and the constraint's kernels
+    meet them: the model's expressions, the metric's gates (SPDError), the
+    constraint's expressions, then a non-finite P (EvalError).  A failed P
+    gate is left in `failed`.  Where the kernel meets a math error, the
+    model's kernel, the metric's gates and the constraint's kernel run in
+    turn at (q, 0) to name it."""
+    con._check_q(q)
+    try:
+        k = _QOnly(*_q_only(model, con)(q))
+    except (ArithmeticError, ValueError):
+        model._factor(q)
+        con._at_rest(q)
+        raise
     if k.failed == "metric":
         raise _spd_error(q, k.g, k.ratio)
     # A non-finite entry makes P singular or cond non-finite: only then is P checked.
@@ -369,18 +367,25 @@ def project_onto_A(
         raise RankDefectError(f"constraint rank defect at q={state.q}: rank {rank} < {con.m}")
     phi = con.phi(state)
     L = model._factor(state.q)
-    # qdot' = qdot - G^-1 S^T (S G^-1 S^T)^-1 phi
-    GiST = [linalg.cho_solve(L, list(row)) for row in S]  # rows: G^-1 mu^b
+    # qdot' = qdot - G^-1 S^T (S G^-1 S^T)^-1 phi.  S is scaled first by f,
+    # the power of two (at most 2^1023) that brings its largest entry to
+    # [0.5, 1), so S G^-1 S^T of tiny or huge rows neither under- nor
+    # overflows, and the correction is scaled back by f.  The scalings are
+    # exact: a result that neither under- nor overflows keeps its bits.
+    f = math.ldexp(1.0, -max(math.frexp(max(map(abs, chain.from_iterable(S))))[1], -1023))
+    S = [[s * f for s in row] for row in S]
+    GiST = [linalg.cho_solve(L, row) for row in S]  # rows: G^-1 mu^b, scaled by f
     m = con.m
     A = [[linalg.dot(S[b], GiST[a]) for a in range(m)] for b in range(m)]
     try:
         lam = linalg.lu_solve(*linalg.lu_factor(A), phi)
-    except linalg.SingularMatrixError:  # S G^-1 S^T underflows, though S has full rank
+    except linalg.SingularMatrixError:  # in floating point, though S has full rank
+        A = [[a / f / f for a in row] for row in A]
         raise EvalError(f"S G^-1 S^T {A} is singular at q={tuple(state.q)}") from None
     qd = list(state.qdot)
     for b in range(m):
         for i in range(con.n):
-            qd[i] -= GiST[b][i] * lam[b]
+            qd[i] -= GiST[b][i] * lam[b] * f
     if not all(map(math.isfinite, qd)):
         raise EvalError(f"projected qdot {tuple(qd)} is not finite at q={tuple(state.q)}")
     return State(q=state.q, qdot=tuple(qd))

@@ -32,9 +32,11 @@ come from one statement generator, `constraint._gate_lines`, which the
 pair's q-only kernel shares.  Where a stage's gate fails or it meets a
 math error, the kernel returns that stage's state, and `_raise_failure`
 raises the typed error there for the views and for `sim` alike: the
-q-only kernel at q reports the failed gate on the same numbers and
-`_admissible` gives its message, then the force's own kernel names a
-math error in F.  The q-only views (`p_matrix`, `transversality_check`,
+q-only kernel at q reports the failed gate on the same numbers
+(`constraint._p_system`) and `_admissible` gives its message, then the
+force's own kernel names a math error in F.  `_stage1`, stage 1 at a
+state or its typed error, is the one entry for the views and for `sim`'s
+first stage.  The q-only views (`p_matrix`, `transversality_check`,
 `vnhc check`) never evaluate the external force, which may be singular
 at rest (Coulomb friction).  `b_vector` needs no invertible P: it
 contracts the model's drift with the constraint's kernel.
@@ -187,13 +189,24 @@ def _step(model: MechanicalModel, con: AffineConstraint):
 
 def _raise_failure(model: MechanicalModel, con: AffineConstraint, q, qd, state=None):
     """Raise the typed error of a closed-loop evaluation at (q, qd) where
-    the step kernel failed: the q-only kernel's at q, then the force's own
-    kernel's at (q, qd).  The closed loop's gates are the q-only kernel's,
-    and a math error in w or c at qd is one at rest, since their velocities
-    only multiply."""
+    the step kernel failed: the q-only kernel's at q (`_p_system`, then the
+    P gates' verdict), then the force's own kernel's at (q, qd).  The
+    closed loop's gates are the q-only kernel's, and a math error in w or c
+    at qd is one at rest, since their velocities only multiply."""
     _admissible(_p_system(model, con, q), q, state)
     model._force_fn(*q, *qd)
     raise AssertionError(f"closed-loop kernel failed at q={q}, qdot={qd}, where every gate holds")
+
+
+def _stage1(model: MechanicalModel, con: AffineConstraint, state: State) -> tuple:
+    """Stage 1 of the pair's step kernel at state, checked: its ([acc],
+    [tau], [b], [P rows], cond) there, or the typed error of its failure."""
+    check_compatible(model, con)
+    model._check_state(state)
+    out = _step(model, con)(state.q, state.qdot, None, None, False)
+    if out[0] is None:
+        _raise_failure(model, con, state.q, state.qdot, state)
+    return out
 
 
 def p_matrix(model: MechanicalModel, con: AffineConstraint, q) -> list[list[float]]:
@@ -222,11 +235,7 @@ def _finite(state: State, **vectors):
 
 
 def _checked(model: MechanicalModel, con: AffineConstraint, state: State) -> tuple:
-    check_compatible(model, con)
-    model._check_state(state)
-    out = _step(model, con)(state.q, state.qdot, None, None, False)
-    if out[0] is None:
-        _raise_failure(model, con, state.q, state.qdot, state)
+    out = _stage1(model, con, state)
     acc, tau, b = out[:3]
     # A non-finite b or tau always reaches acc (0 * inf is NaN): one sum
     # screens all three, and _finite names the first bad one.

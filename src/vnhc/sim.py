@@ -12,11 +12,12 @@ once and run for each stage in a loop, with the RK4 stage arithmetic
 between them, so a stage computes what the views' stage-1 call would,
 bit for bit.  In `integrate` the call goes on to the next step's stage 1,
 whose tau is the one sampled at the step's end, once it has found that
-end finite.  Where a stage's gate fails or it meets a math error, the
-kernel returns the stage's state, and `control._raise_failure`, called
-there, raises the typed error with its message, as it does for the
-views.  A math error in phi at a sample after the start aborts the run
-as a failed stage does: an `IntegrationError` naming the step.
+end finite.  Stage 1 at the start state is `control._stage1`, as for
+the views.  Where a later stage's gate fails or it meets a math error,
+the kernel returns the stage's state, and `control._raise_failure`,
+called there, raises the typed error with its message, as it does for
+the views.  A math error in phi at a sample after the start aborts the
+run as a failed stage does: an `IntegrationError` naming the step.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constraint import AffineConstraint, check_compatible
-from .control import TransversalityError, _raise_failure, _step
+from .constraint import AffineConstraint
+from .control import TransversalityError, _raise_failure, _stage1, _step
 from .expr import EvalError
 from .geometry import MechanicalModel, SPDError, State
 
@@ -49,13 +50,8 @@ def rk4_step(model: MechanicalModel, con: AffineConstraint, state: State, h: flo
     """One classical Runge-Kutta step of (qdot, closed-loop acceleration)."""
     if not 0.0 < h < math.inf:
         raise ValueError("step size must be positive and finite")
-    check_compatible(model, con)
-    model._check_state(state)
-    kernel = _step(model, con)
-    out = kernel(state.q, state.qdot, None, None, False)  # stage 1
-    if out[0] is None:
-        _raise_failure(model, con, *out[2:], state)
-    out = kernel(state.q, state.qdot, out[0], h, False)
+    a = _stage1(model, con, state)[0]
+    out = _step(model, con)(state.q, state.qdot, a, h, False)
     if out[0] is None:
         _raise_failure(model, con, *out[2:])
     return State(q=out[0], qdot=out[1])
@@ -76,18 +72,12 @@ def integrate(
         raise ValueError("step size must be positive and finite")
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
-    check_compatible(model, con)
-    model._check_state(state0)
-
     steps = t_end / h
     if steps == math.inf:
         raise ValueError(f"t_end / step size overflows ({t_end!r} / {h!r})")
     n_steps = max(1, int(round(steps)))
+    q, qd, (a, tau) = state0.q, state0.qdot, _stage1(model, con, state0)[:2]  # stage 1 of step 1
     kernel = _step(model, con)
-    out = kernel(state0.q, state0.qdot, None, None, False)  # stage 1 of step 1
-    if out[0] is None:
-        _raise_failure(model, con, *out[2:], state0)
-    q, qd, (a, tau) = state0.q, state0.qdot, out[:2]
     times = [0.0]
     states = [state0]
     controls = [tuple(tau)]

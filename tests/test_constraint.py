@@ -192,18 +192,35 @@ class TestProjection:
         with pytest.raises(RankDefectError):
             project_onto_A(con, model, State(q=(0, 0), qdot=(1, 1)))
 
-    @pytest.mark.parametrize("mu, Z, message", [
-        # S has full rank, but S G^-1 S^T = 1e-340 underflows to 0
-        ("1e-170", "1", r"S G\^-1 S\^T \[\[0\.0\]\] is singular at q=\(0\.0, 0\.0\)"),
-        # phi / S G^-1 S^T = 1e200 / 1e-320 overflows
-        ("1e-160", "1e200", r"projected qdot \(-inf, nan\) is not finite at q=\(0\.0, 0\.0\)"),
+    @pytest.mark.parametrize("mu, Z, expected", [
+        # S G^-1 S^T = 1e-340 would underflow to 0; S scaled by 2^564 does not
+        ("1e-170", "1", "State(q=(0.0, 0.0), qdot=(-1e+170, 0.0))"),
+        # the correction phi / S = 1e200 / 1e-160 overflows
+        ("1e-160", "1e200", "EvalError: projected qdot (-inf, 0.0) is not finite at q=(0.0, 0.0)"),
     ], ids=["underflow", "overflow"])
-    def test_floating_point_failures_are_eval_errors(self, mu, Z, message):
+    def test_floating_point_failures_are_eval_errors(self, mu, Z, expected):
+        # Tiny rows of S project; a velocity that overflows is an EvalError.
         model = MechanicalModel(("x", "y"), [[1, 0], [0, 1]], input_coframe=[["1", "0"]])
         con = AffineConstraint(("x", "y"), [[mu, "0"]], Z=[Z])
         assert con.rank_check((0.0, 0.0)).ok and transversality_check(con, model, (0.0, 0.0)).ok
-        with pytest.raises(EvalError, match=f"^{message}$"):
-            project_onto_A(con, model, State(q=(0.0, 0.0), qdot=(0.0, 0.0)))
+        try:
+            got = repr(project_onto_A(con, model, State(q=(0.0, 0.0), qdot=(0.0, 0.0))))
+        except EvalError as err:
+            got = f"EvalError: {err}"
+        assert got == expected
+
+    @pytest.mark.parametrize("k", [-600, -300, 300, 520])
+    def test_rows_scaled_by_a_power_of_two_project_alike(self, k):
+        # S and Z scaled by 2^k scale phi alike, so the projection keeps its
+        # bits, also where S G^-1 S^T of the scaled rows would under- or
+        # overflow (k = -600, 520).
+        def projected(c):
+            model = MechanicalModel(("x", "y"), [["2", "0.5"], ["0.5", "1"]],
+                                    input_coframe=[["1", "0"]])
+            con = AffineConstraint(("x", "y"), [[repr(c), repr(3 * c)]], Z=[repr(-0.5 * c)])
+            return project_onto_A(con, model, State(q=(0.1, 0.2), qdot=(0.3, -0.4)))
+
+        assert projected(math.ldexp(1.0, k)) == projected(1.0)
 
 
 class TestValidation:

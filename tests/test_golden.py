@@ -186,7 +186,7 @@ def test_closed_loop_source_is_unchanged():
 # model's, the constraint's, the force's and the first-kind kernels, which
 # nothing folds, and the pair's q-only and RK4 step kernels.
 MODEL_KERNELS_SHA256 = "7edeef22d6417f8651bc01cec19e09d9c49cd37a1d50ccc12f5f9d331029f8ba"
-PAIR_KERNELS_SHA256 = "006a5e2ef9cfc7b3f4cbb74d915b04da6ab00d0f61c4548f15a6a88a0c929f3e"
+PAIR_KERNELS_SHA256 = "2843435bde5de30c0a18300f19fc53b589dfa2382a2a65115c8570ce2a862675"
 
 
 def kernel_sources() -> tuple[list[str], list[str]]:

@@ -28,8 +28,13 @@ from vnhc import (
     TransversalityError,
     build_boat,
     cli,
+    closed_loop_acceleration,
+    constraint,
+    integrate,
     p_matrix,
+    rk4_step,
     save_model,
+    solve_control,
     tau_star,
     transversality_check,
 )
@@ -156,15 +161,16 @@ def test_fallbacks_alike_from_every_view(tmp_path, name):
     assert check_lines(path, [q], model.coordinates)[1] == [line_from_views(model, con, q)]
 
 
-def plane(metric00="1", potential="0", Z="0"):
+def plane(metric00="1", potential="0", Z="0", force=("0", "0")):
     return (MechanicalModel(("x", "y"), [[metric00, "0"], ["0", "1"]], potential=potential,
-                            input_coframe=[["1", "0"]]),
+                            external_force=force, input_coframe=[["1", "0"]]),
             AffineConstraint(("x", "y"), [["1", "0"]], Z=[Z]))
 
 
-# Two failures at one point: the q-only views name the model's first (its
-# kernel, then the metric's gates, then the constraint's kernel), while
-# `check` tests the rank, from the constraint's kernel, first.
+# Two failures at one point: every view names the model's first (its
+# kernel, then the metric's gates, then the constraint's kernel, then P,
+# then the force), while `check` tests the rank, from the constraint's
+# kernel, first.
 TWO_FAILURES = {
     "metric_then_z": (plane(metric00="x", Z="log(x)"), (-1.0, 0.0),
                       "SPDError: metric not positive definite at q=(-1.0, 0.0); "
@@ -172,14 +178,23 @@ TWO_FAILURES = {
     "dv_then_z": (plane(potential="log(x)", Z="log(x)"), (0.0, 0.0),
                   "EvalError: division by zero in 1 / x",
                   "q=(0, 0) rank=ERROR (domain error in log(x))"),
+    "metric_then_force": (plane(metric00="x", force=("1/(x+1)", "0")), (-1.0, 0.0),
+                          "SPDError: metric not positive definite at q=(-1.0, 0.0); "
+                          "eigenvalues [-1.0, 1.0]",
+                          "q=(-1, 0) rank=ok(1/1) metric=SPD-FAILURE (metric not positive "
+                          "definite at q=(-1.0, 0.0); eigenvalues [-1.0, 1.0])"),
 }
 
 
 @pytest.mark.parametrize("name", TWO_FAILURES)
 def test_the_first_failure_is_named(tmp_path, name):
     (model, con), q, expected, line = TWO_FAILURES[name]
+    state = State(q=q, qdot=(0.0, 0.0))
     for view in (lambda: p_matrix(model, con, q), lambda: transversality_check(con, model, q),
-                 lambda: tau_star(model, con, State(q=q, qdot=(0.0, 0.0)))):
+                 lambda: tau_star(model, con, state), lambda: solve_control(model, con, state),
+                 lambda: closed_loop_acceleration(model, con, state),
+                 lambda: rk4_step(model, con, state, 1e-3),
+                 lambda: integrate(model, con, state, t_end=1e-2, h=1e-3)):
         assert outcome(view) == expected
     path = tmp_path / "model.json"
     save_model(path, model, con)
@@ -191,20 +206,17 @@ def test_one_kernel_call_per_point(tmp_path, monkeypatch):
     # model's nor the constraint's own kernel.
     path = tmp_path / "gen5.json"
     save_model(path, *SYSTEMS["gen5"])
-    q_only, load, calls, other = cli._q_only, cli.model_io.load_model, [], []
+    load, calls, other = cli.model_io.load_model, [], []
 
     def loading(path):
         model, con = load(path)
+        q_only = constraint._q_only(model, con)
+        con._q_only[model] = lambda q: calls.append(q) or q_only(q)
         for chart in (model, con):
             chart._kernel = lambda *args, kernel=chart._kernel: other.append(args) or kernel(*args)
         return model, con
 
-    def counting(model, con):
-        kernel = q_only(model, con)
-        return lambda q: calls.append(q) or kernel(q)
-
     monkeypatch.setattr(cli.model_io, "load_model", loading)
-    monkeypatch.setattr(cli, "_q_only", counting)
     qs = [(0.1 * i, 0.2, -0.3, 0.4, 0.5) for i in range(7)]
     assert check_lines(path, qs, SYSTEMS["gen5"][0].coordinates)[0] == 0
     assert (calls, other) == (qs, [])
