@@ -17,11 +17,11 @@ factor with its SPD and condition gates, P = S G^-1 coframe, its pivoted
 LU factor, cond_1 and determinant, and the singular, pivot and condition
 gates, from the statement generator that the step kernel shares at each
 stage, with what depends on no input computed once, as the source is
-written (`linalg._Block`; a constant metric's whole block goes).  Both
-sources of a pair are generated once per distinct pair per process
-(`_pair_source`), so loading a model again generates neither.  The
-q-only kernel returns its verdict as data: a failing gate returns what
-was computed before it, with the gate's name.  `_p_system` is the one
+written (`linalg._Block`; a constant metric's whole block goes).  A
+model text loaded again gives back the pair built from it, with the
+kernels it has built (`model_io.load_model`), so it generates neither
+again.  The q-only kernel returns its verdict as data: a failing gate
+returns what was computed before it, with the gate's name.  `_p_system` is the one
 call of it, for `transversality_check`, `control.p_matrix`,
 `control._raise_failure` (the typed error of a failed closed-loop stage)
 and `vnhc check` (one call per point, the rank from the returned S): it
@@ -34,7 +34,6 @@ constraint, so loading a model does not pay for it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, product
@@ -226,25 +225,6 @@ def _bind(block: _Block, G, coframe, S):
         block[name] = root
 
 
-_SOURCES = ex._LRU(linalg.DEFINE_CACHE_SIZE)  # of `_pair_source`
-
-
-def _pair_source(make):
-    """make(model, con), the source of one of a pair's kernels, memoized for
-    the last 256 distinct pairs as `expr._emit` is: by the identities of
-    the nodes of the pair's expressions, which the entry keeps alive, and
-    the chart.  A pair loaded again from the same model text generates and
-    folds nothing again."""
-    @functools.wraps(make)
-    def source(model: MechanicalModel, con: AffineConstraint):
-        exprs = model._exprs, model._force, con._exprs
-        key = make, ex._ids(exprs), model.coordinates
-        return _SOURCES.get(key, lambda: (exprs, make(model, con)))[1]
-
-    return source
-
-
-@_pair_source
 def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
     """Source lines of kernel(q) -> the fields of `_QOnly`: every expression
     the model's and the constraint's kernels evaluate at (q, 0), with

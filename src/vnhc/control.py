@@ -21,10 +21,10 @@ computed once, as the statement generators write the source
 of its stage 1 alone, which also returns b, P and cond; `sim` calls the
 whole step.  The kernel is built on the first closed-loop call with a
 model and kept on the constraint, so loading a model does not pay for
-it; its source is generated once per distinct pair per process
-(`constraint._pair_source`) and compiled once per distinct source
-(`linalg._define`), so a pair loaded again from the same model text
-generates, folds and compiles nothing.
+it; a model text loaded again gives back the pair built from it
+(`model_io.load_model`), so it generates, folds and compiles nothing, and
+a pair built again from the same expressions compiles nothing
+(`linalg._define` compiles once per distinct source).
 
 The kernel's metric and P blocks, with every gate (metric SPD and
 condition, exactly singular P, pivot, P condition, a non-finite cond),
@@ -51,7 +51,7 @@ from . import expr as ex
 from . import linalg
 from .linalg import _bin, _Block, _list, _Src, _text, _unary
 from .constraint import (AffineConstraint, _bind, _built, _dot, _gate_lines, _p_system,
-                         _pair_source, _QOnly, _verdict, check_compatible)
+                         _QOnly, _verdict, check_compatible)
 from .expr import EvalError
 from .geometry import MechanicalModel, State
 
@@ -119,7 +119,6 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
                          [block[f"b{b}"] for b in rm], P, block["cond"]]
 
 
-@_pair_source
 def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
     """Source of kernel(q, v, a, h, more), the pair's one closed-loop kernel:
     the pair's closed-loop statements, folded as they are written, once, in

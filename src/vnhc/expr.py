@@ -188,7 +188,10 @@ def as_expr(value) -> Expr:
     if isinstance(value, Expr):
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return Constant(float(value))
+        try:
+            return Constant(float(value))
+        except OverflowError:  # an int beyond float range
+            raise ExprError("integer is out of range") from None
     if isinstance(value, str):
         return parse(value)
     raise TypeError(f"cannot interpret {value!r} as an expression")
@@ -360,8 +363,8 @@ class _Parser:
 @functools.lru_cache(maxsize=1024)
 def parse(text: str) -> Expr:
     """Parse DSL text into an Expr. Raises ParseError with a byte offset.
-    The last 1024 texts parsed are kept, so a model file loaded again
-    parses nothing."""
+    The last 1024 texts parsed are kept, so a model built again from the
+    same fields parses nothing."""
     p = _Parser(text)
     try:
         e = p.expr()

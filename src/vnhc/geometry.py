@@ -98,7 +98,11 @@ class _Chart:
         for name, value in self.parameters.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ModelError(f"parameter {name!r} is not a real number ({value!r})")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond float range
+                raise ModelError(f"parameter {name!r} is out of range") from None
+            if not finite:
                 raise ModelError(f"parameter {name!r} is not finite ({float(value)!r})")
         self._rest = (0.0,) * self.n
 

@@ -44,10 +44,10 @@ _NAMESPACE = {"math": math, "sqrt": math.sqrt, "hypot": math.hypot,
 @functools.lru_cache(maxsize=DEFINE_CACHE_SIZE)
 def _define(source: str):
     """The function named kernel that source defines over the names of
-    _NAMESPACE, compiled once per distinct source: a model loaded again or
-    a pair built again gets back the function already compiled from the
-    same text, hence the same code and the same results.  Each source runs
-    in a copy of the namespace, so kernels never see one another."""
+    _NAMESPACE, compiled once per distinct source: a model or a pair built
+    again gets back the function already compiled from the same text, hence
+    the same code and the same results.  Each source runs in a copy of the
+    namespace, so kernels never see one another."""
     namespace = dict(_NAMESPACE)
     exec(source, namespace)
     return namespace["kernel"]

@@ -15,6 +15,8 @@ Schema (unknown keys are errors):
 "potential", "external_force" and "parameters" are optional.  The
 constraint block takes either "Z" directly or a vector field "X" (n DSL
 strings), in which case Z = -S X is formed symbolically at load time.
+`load_model` gives back the pair it built when it reads the same text
+again.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 
 from . import expr as ex
+from . import linalg
 from .constraint import AffineConstraint, check_compatible
 from .geometry import MechanicalModel, ModelError
 
@@ -114,13 +117,26 @@ def load_model_dict(data: dict) -> tuple[MechanicalModel, AffineConstraint]:
     return model, con
 
 
+_LOADED = ex._LRU(linalg.DEFINE_CACHE_SIZE)  # of `load_model`
+
+
 def load_model(path) -> tuple[MechanicalModel, AffineConstraint]:
+    """The pair of the model file at path, read on every call.  The same
+    text gives the same pair, which is immutable after construction: the
+    pairs of the last 256 distinct texts are kept, each with the kernels it
+    has built, so loading a text again parses, generates and compiles
+    nothing.  A failed load keeps nothing."""
     with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
+
+    def load():
         try:
-            data = json.load(f)
-        except json.JSONDecodeError as err:
+            data = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deeply
             raise ModelFileError(f"{path}: invalid JSON: {err}") from err
-    return load_model_dict(data)
+        return load_model_dict(data)
+
+    return _LOADED.get(text, load)
 
 
 def model_to_dict(model: MechanicalModel, con: AffineConstraint) -> dict:

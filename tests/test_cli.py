@@ -330,6 +330,18 @@ class TestNonFiniteNumbers:
             capsys.readouterr().err
         )
 
+    def test_integer_parameter_out_of_range(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "big.json", metric00="m", parameters={"m": 10**400})
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == "error: parameter 'm' is out of range\n"
+        with pytest.raises(ModelError, match="^parameter 'k' is out of range$"):
+            MechanicalModel(["x"], [["k"]], input_coframe=[["1"]], parameters={"k": 10**400})
+
+    def test_integer_field_out_of_range(self, tmp_path, capsys):
+        path = boat_with(tmp_path, "big.json", metric00=10**400)
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == "error: metric[0][0]: integer is out of range\n"
+
     def test_nan_parameter(self, tmp_path, capsys):
         path = boat_with(tmp_path, "nan.json", metric00="m", parameters={"m": math.nan})
         assert main(["check", path]) == 2

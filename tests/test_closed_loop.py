@@ -342,7 +342,7 @@ def unfolded_kernels(model, con):
     with mock.patch.object(control, "_Block", Unfolded), mock.patch.object(constraint, "_Block",
                                                                          Unfolded):
         lines, outputs = control._closed_loop_body(model, con)
-        _, *q_lines, result = constraint._q_only_source.__wrapped__(model, con)
+        _, *q_lines, result = constraint._q_only_source(model, con)
     names = [*outputs[0], *outputs[1], *outputs[2], *sum(outputs[3], []), outputs[4]]  # locals
     body, out = fold(lines, names)
     folded = dict(zip(names, map(linalg._Src, out)))

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracle import fold
 
-from vnhc import AffineConstraint, build_boat, constraint, control, linalg
+from vnhc import AffineConstraint, build_boat, constraint, control, linalg, load_model, save_model
 from vnhc.constraint import RANK_RTOL
 
 
@@ -275,12 +275,18 @@ class TestFold:
                                ["(p0, p1, t0, a)"])
         assert lines == ("big = abs(x)", "t0 = x", "a, b = (b0, x)") and out == "(0, 1, t0, a)"
 
-    def test_memoized(self):
-        # A pair built again from the same text folds nothing again: its
-        # sources come back from the memo.
-        first, again = build_boat("sin(y)", "cos(x)"), build_boat("sin(y)", "cos(x)")
-        for source in (control._step_source, constraint._q_only_source):
-            assert source(*first) is source(*again)
+    def test_memoized(self, tmp_path):
+        # A model text loaded again folds nothing again: it gives back the
+        # pair built from it, with the same kernels.  A pair built again
+        # from the same expressions gets the same sources, compiled once.
+        path = tmp_path / "boat.json"
+        save_model(path, *build_boat("sin(y)", "cos(x)"))
+        first, again = load_model(path), load_model(path)
+        assert again is first
+        built = build_boat("sin(y)", "cos(x)"), build_boat("sin(y)", "cos(x)")
+        for kernel in (control._step, constraint._q_only):
+            assert kernel(*again) is kernel(*first)
+            assert kernel(*built[1]) is kernel(*built[0])
 
 
 _FOLD_OPERANDS = ["x", "1.0", "0.0", "-0.0", "2.0", "-3.5", "1e308", "0.5"]

@@ -104,3 +104,14 @@ def test_deep_model_round_trips(tmp_path):
     again = load_model(tmp_path / "saved.json")
     assert model_to_dict(*again) == model_to_dict(model, con)
     assert model_to_dict(model, con)["potential"] == data["potential"]
+
+
+def test_deeply_nested_json_is_invalid(tmp_path, capsys):
+    # The JSON decoder recurses per nesting level: too deep a file is one
+    # usage-error line, not a RecursionError traceback.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1 and err.endswith("\n")

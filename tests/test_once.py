@@ -1,15 +1,19 @@
 """One-time work is done once per process.
 
-Every generated source is compiled by `linalg._define`, cached by its text
-with a fixed bound, so a model loaded again or a pair built again reuses
-the compiled functions; parsing, folding, differentiation and emitting
-are memoized on the interned expression graph, so a repeated load does
-none of them again; and `cli.build_parser` builds the parser once.
+`model_io.load_model` keeps the pair it builds from each model text, so a
+text loaded again gives back the same pair with the kernels it has built:
+nothing is parsed, generated or compiled again, and a failed load keeps
+nothing.  Every generated source is compiled by `linalg._define`, cached
+by its text with a fixed bound, so a pair built again reuses the compiled
+functions; parsing, folding, differentiation and emitting are memoized on
+the interned expression graph, so a model built again from the same data
+does none of them again; and `cli.build_parser` builds the parser once.
 Reuse must change no result and leak no state between calls.
 """
 
 import contextlib
 import io
+import json
 import math
 import os
 import random
@@ -31,8 +35,9 @@ from vnhc import (
     solve_control,
     tau_star,
 )
-from vnhc import cli, constraint, control, linalg
+from vnhc import cli, constraint, control, linalg, model_io
 from vnhc import expr as ex
+from vnhc.model_io import load_model_dict
 
 SRC = os.path.dirname(os.path.dirname(vnhc.__file__))
 
@@ -60,9 +65,9 @@ def test_second_load_compiles_nothing(tmp_path):
 
 
 def test_second_load_folds_nothing(tmp_path, monkeypatch):
-    # A pair's two sources are generated, folded and compiled once per
-    # distinct pair per process, not on each command-line call: a second
-    # load, then tau_star and check, writes and compiles no pair source.
+    # A model text loaded again gives back its pair, with both kernels
+    # built: a second load, then tau_star and check, writes and compiles
+    # no pair source.
     path = model_file(tmp_path, "vortex")
     s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
 
@@ -84,8 +89,12 @@ def test_second_load_folds_nothing(tmp_path, monkeypatch):
 
 def test_two_sources_per_pair(tmp_path, monkeypatch):
     # A pair compiles two sources: the step kernel, whose stage 1 the views
-    # run, and the q-only kernel.  A second view builds nothing.
-    model, con = load_model(model_file(tmp_path, "vortex"))
+    # run, and the q-only kernel.  A second view builds nothing.  The model
+    # text is one no other test loads, so its pair has built neither yet.
+    path = tmp_path / "boat.json"
+    save_model(path, *build_boat(*FIXTURE_CURRENTS["vortex"], m=1.125, I=0.875))
+    model, con = load_model(path)
+    assert (con._step, con._q_only) == ({}, {})
     s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
     defined, built = [], []
     define, step_source = linalg._define, control._step_source
@@ -102,11 +111,13 @@ def test_two_sources_per_pair(tmp_path, monkeypatch):
 
 
 def test_second_load_derives_nothing(tmp_path, monkeypatch):
+    # Neither a second load nor a pair built again from the same data
+    # parses, folds, differentiates or emits.
     path = model_file(tmp_path, "gen5")
 
     def build():
-        model, con = load_model(path)
-        constraint._q_only(model, con), control._step(model, con), model._first_kind
+        for model, con in (load_model(path), load_model_dict(json.loads(path.read_text()))):
+            constraint._q_only(model, con), control._step(model, con), model._first_kind
 
     build()
     calls = []
@@ -141,13 +152,27 @@ def test_rewritten_file_is_loaded_afresh(tmp_path):
     assert again == repr(vnhc.closed_loop_acceleration(*load_model(shear), s)) != vortex
 
 
+def test_failed_load_keeps_nothing(tmp_path):
+    # A file rewritten to invalid JSON fails to load and keeps nothing;
+    # restored, it gives back the pair loaded before.
+    path = model_file(tmp_path, "vortex")
+    text, pair = path.read_text(), load_model(path)
+    loaded = dict(model_io._LOADED.results)
+    path.write_text(text[:-3])
+    with pytest.raises(model_io.ModelFileError, match="invalid JSON"):
+        load_model(path)
+    assert model_io._LOADED.results == loaded
+    path.write_text(text)
+    assert load_model(path) is pair
+
+
 @pytest.mark.parametrize("name", [*FIXTURE_CURRENTS, "gen5"])
 def test_repeated_load_is_bit_identical(tmp_path, name):
+    # The same text gives the same pair, and the results of a pair built
+    # afresh from it, every source compiled again.
     path = model_file(tmp_path, name)
-    linalg._define.cache_clear()  # the first load compiles every source
 
-    def reprs():
-        model, con = load_model(path)
+    def reprs(model, con):
         rng = random.Random(name)
         out = []
         for _ in range(200):
@@ -158,10 +183,13 @@ def test_repeated_load_is_bit_identical(tmp_path, name):
                                   sample_every=10)))
         return out
 
-    first = reprs()
-    hits = linalg._define.cache_info().hits
-    assert reprs() == first
-    assert linalg._define.cache_info().hits > hits
+    pair = load_model(path)
+    first = reprs(*pair)
+    assert load_model(path) is pair
+    assert reprs(*load_model(path)) == first
+    linalg._define.cache_clear()
+    assert reprs(*load_model_dict(json.loads(path.read_text()))) == first
+    assert linalg._define.cache_info().misses > 0
 
 
 def test_cache_is_bounded():

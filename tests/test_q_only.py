@@ -208,15 +208,35 @@ def test_one_kernel_call_per_point(tmp_path, monkeypatch):
     save_model(path, *SYSTEMS["gen5"])
     load, calls, other = cli.model_io.load_model, [], []
 
-    def loading(path):
+    def loading(path):  # the pair is kept for a later load of its text: patch it undoably
         model, con = load(path)
         q_only = constraint._q_only(model, con)
-        con._q_only[model] = lambda q: calls.append(q) or q_only(q)
+        monkeypatch.setitem(con._q_only, model, lambda q: calls.append(q) or q_only(q))
         for chart in (model, con):
-            chart._kernel = lambda *args, kernel=chart._kernel: other.append(args) or kernel(*args)
+            monkeypatch.setattr(chart, "_kernel", lambda *args, kernel=chart._kernel: (
+                other.append(args) or kernel(*args)))
         return model, con
 
     monkeypatch.setattr(cli.model_io, "load_model", loading)
     qs = [(0.1 * i, 0.2, -0.3, 0.4, 0.5) for i in range(7)]
     assert check_lines(path, qs, SYSTEMS["gen5"][0].coordinates)[0] == 0
     assert (calls, other) == (qs, [])
+
+
+def test_q_only_too_deep_to_compile(tmp_path, monkeypatch, capsys):
+    # A q-only kernel too deep to compile, a few stack frames short of the
+    # limit that loading met, is a typed error at every check point, never
+    # a traceback.  The model text is one no other test loads, so its pair
+    # has built no q-only kernel yet.
+    path = tmp_path / "boat.json"
+    save_model(path, *build_boat("sin(y)", "cos(x)", m=1.375, I=0.625))
+
+    def too_deep(*args):
+        raise RecursionError
+
+    monkeypatch.setattr(constraint, "_q_only_source", too_deep)
+    qs = [(0.1 * i, 0.2, -0.3) for i in range(3)]
+    assert check_lines(path, qs, ("x", "y", "theta")) == (1, [
+        f"q=({', '.join(f'{v:g}' for v in q)}) rank=ok(1/1) "
+        "transversality=ERROR (q-only kernel is nested too deeply to compile)" for q in qs])
+    assert capsys.readouterr().err == ""
