@@ -57,11 +57,14 @@ def _parse_vector(text: str, n: int, flag: str) -> list[float]:
     return [float(p) for p in parts]
 
 
-def _points(args, coordinates) -> list[tuple]:
-    """The points of --point and of the product of the --grid axes; a
-    usage error for a malformed or repeated axis or coordinate or a
-    non-finite coordinate."""
-    pts = []
+def _points(args, coordinates) -> tuple[list[tuple], list[str]]:
+    """The points of --point and of the product of the --grid axes (the
+    origin if neither is given), and the label of each, its coordinates as
+    `check` prints them: a grid axis's values are formatted once, and the
+    labels are joined from their product as the points are; a usage error
+    for a malformed or repeated axis or coordinate or a non-finite
+    coordinate."""
+    pts, labels = [], []
     for text in args.point or []:
         values = _parse_assignments(text)
         unknown = set(values) - set(coordinates)
@@ -70,6 +73,7 @@ def _points(args, coordinates) -> list[tuple]:
         pts.append(tuple(values.get(c, 0.0) for c in coordinates))
         if not all(map(math.isfinite, pts[-1])):
             raise ValueError(f"non-finite coordinate in --point {text!r}")
+        labels.append(", ".join(f"{v:g}" for v in pts[-1]))
     axes = {}
     for text in args.grid or []:
         name, _, spec = text.partition("=")
@@ -88,19 +92,22 @@ def _points(args, coordinates) -> list[tuple]:
         axes[name] = [lo + i * step for i in range(count)]
         if not all(map(math.isfinite, axes[name])):
             raise ValueError(f"non-finite coordinate in --grid {text!r}")
-    if axes:
-        pts.extend(itertools.product(*(axes.get(c, [0.0]) for c in coordinates)))
-    if not pts:
-        pts.append(tuple(0.0 for _ in coordinates))
-    return pts
+    if axes or not pts:
+        values = [axes.get(c, [0.0]) for c in coordinates]
+        pts.extend(itertools.product(*values))
+        labels.extend(map(", ".join, itertools.product(*([f"{v:g}" for v in axis]
+                                                         for axis in values))))
+    return pts, labels
 
 
 def cmd_check(args) -> int:
+    """One line per point, written before the next point is evaluated."""
     model, con = model_io.load_model(args.model)
-    points = _points(args, model.coordinates)
+    points, labels = _points(args, model.coordinates)
+    m, write = con.m, sys.stdout.write
+    full = f" rank=ok({m}/{m})"
     all_ok = True
-    for q in points:
-        line = f"q=({', '.join(f'{v:g}' for v in q)})"
+    for q, label in zip(points, labels):
         try:  # one q-only kernel call; its error comes after the rank's
             k, failure = _p_system(model, con, q), None
         except (SPDError, EvalError) as err:
@@ -108,23 +115,22 @@ def cmd_check(args) -> int:
         try:
             rank, sv = con._rank(con.mu_at(q) if k is None else k.S)
         except EvalError as err:
-            print(f"{line} rank=ERROR ({err})")
-            all_ok = False
-            continue
-        line += f" rank={'ok' if rank == con.m else 'DEFECT'}({rank}/{con.m})"
-        if rank < con.m:
-            line += f" singular_values={[f'{s:.3e}' for s in sv]}"
-            all_ok = False
-        elif failure is not None:
-            line += (f" metric=SPD-FAILURE ({failure})" if isinstance(failure, SPDError)
-                     else f" transversality=ERROR ({failure})")
-            all_ok = False
+            verdict = f" rank=ERROR ({err})"
         else:
-            error, cond = _verdict(k, q)
-            line += (f" transversality={'ok' if error is None else 'VIOLATION'} "
-                     f"cond={cond:.6g} det={k.det:.6g}")
-            all_ok &= error is None
-        print(line)
+            if rank < m:
+                verdict = f" rank=DEFECT({rank}/{m}) singular_values={[f'{s:.3e}' for s in sv]}"
+            elif failure is None:
+                error, cond = _verdict(k, q)
+                write(f"q=({label}){full} transversality={'ok' if error is None else 'VIOLATION'}"
+                      f" cond={cond:.6g} det={k.det:.6g}\n")
+                all_ok &= error is None
+                continue
+            elif isinstance(failure, SPDError):
+                verdict = f"{full} metric=SPD-FAILURE ({failure})"
+            else:
+                verdict = f"{full} transversality=ERROR ({failure})"
+        write(f"q=({label}){verdict}\n")
+        all_ok = False
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 

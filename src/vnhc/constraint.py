@@ -5,8 +5,9 @@ The constraint is declared through its one-form rows mu^b (the rows of S)
 and the affine part Z; both depend on q only.  One kernel of (q, qdot)
 returns S, Z and c = dZ qdot + qdot^T dS qdot, the part of dphi/dt that
 does not involve the acceleration, so dphi/dt = S qddot + c.  Hypothesis
-checks return report objects rather than raising, so callers can batch
-them over grids.
+checks return reports rather than raising, so callers can batch them over
+grids; a report (`RankReport`, `TransversalityReport`) is a named tuple,
+cheap to make and equal to the plain tuple of its fields.
 
 `rank_check` reads the constraint's kernel.  Transversality, the
 invertibility of P(q) = [mu^b(Y^a)], is decided by the second of the
@@ -21,23 +22,25 @@ written (`linalg._Block`; a constant metric's whole block goes).  A
 model text loaded again gives back the pair built from it, with the
 kernels it has built (`model_io.load_model`), so it generates neither
 again.  The q-only kernel returns its verdict as data: a failing gate
-returns what was computed before it, with the gate's name.  `_p_system` is the one
-call of it, for `transversality_check`, `control.p_matrix`,
+returns what was computed before it, with the gate's name.  `_p_system`
+is the one call of it, for `transversality_check`, `control.p_matrix`,
 `control._raise_failure` (the typed error of a failed closed-loop stage)
 and `vnhc check` (one call per point, the rank from the returned S): it
-raises the typed errors in their one order, and alone runs the model's
-and the constraint's own kernels again where the kernel meets a math
-error, to name the expression; `_verdict` words a failed P gate.  The
-kernel is built on the first q-only call with a model and kept on the
-constraint, so loading a model does not pay for it.
+wraps the kernel's tuple as a `_QOnly`, the fields a failing gate leaves
+out padded with their defaults, without a constructor call; raises the
+typed errors in their one order; and alone runs the model's and the
+constraint's own kernels again where the kernel meets a math error, to
+name the expression.  `_verdict` words a failed P gate.  The kernel is
+built on the first q-only call with a model and kept on the constraint,
+so loading a model does not pay for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import chain, combinations, product
-from typing import NamedTuple, Sequence
 
 from . import expr as ex
 from . import linalg
@@ -53,22 +56,10 @@ class RankDefectError(RuntimeError):
     """S(q) lost row rank at a queried point."""
 
 
-@dataclass(frozen=True)
-class RankReport:
-    ok: bool
-    rank: int
-    expected_rank: int
-    singular_values: tuple
-    q: tuple
-
-
-@dataclass(frozen=True)
-class TransversalityReport:
-    ok: bool
-    p: tuple  # row-major m x m entries of P(q)
-    det: float
-    cond_estimate: float
-    q: tuple
+RankReport = namedtuple("RankReport", "ok rank expected_rank singular_values q")
+# p: the row-major m x m entries of P(q)
+TransversalityReport = namedtuple("TransversalityReport", "ok p det cond_estimate q")
+_new = tuple.__new__  # _new(record type, fields): a record without a call of its __new__
 
 
 class AffineConstraint(_Chart):
@@ -120,8 +111,7 @@ class AffineConstraint(_Chart):
         """Row rank of S(q) by singular values, relative tolerance 1e-9;
         raises EvalError naming a non-finite entry of S, such as an overflow."""
         rank, sv = self._rank(self._at_rest(q)[0])
-        return RankReport(ok=rank == self.m, rank=rank, expected_rank=self.m,
-                          singular_values=tuple(sv), q=tuple(map(float, q)))
+        return _new(RankReport, (rank == self.m, rank, self.m, tuple(sv), tuple(map(float, q))))
 
     def _rank(self, S) -> tuple[int, list[float]]:
         """The rank and the singular values of S, the rows of S(q)."""
@@ -132,7 +122,7 @@ class AffineConstraint(_Chart):
                         raise EvalError(
                             f"constraint.mu[{b}][{i}] = {ex.to_string(e)} is not finite ({v!r})")
         sv = linalg.singular_values(S)
-        return sum(s > RANK_RTOL * sv[0] for s in sv), sv  # 0 when S = 0; S has m >= 1 rows
+        return sum(map((RANK_RTOL * sv[0]).__lt__, sv)), sv  # 0 when S = 0; S has m >= 1 rows
 
 
 def check_compatible(model: MechanicalModel, con: AffineConstraint, con_first: bool = False):
@@ -157,20 +147,22 @@ def check_compatible(model: MechanicalModel, con: AffineConstraint, con_first: b
 
 # -- the q-only kernel of a (model, constraint) pair ------------------------
 
-class _QOnly(NamedTuple):
-    """One call of a pair's q-only kernel at q.  A failing gate returns what
-    was computed before it; the fields after that keep their defaults."""
-
-    failed: str | None  # the gate that failed: metric, singular, pivot or cond
-    S: list  # rows of S(q)
-    g: list | None  # the metric where it fails a gate, for the SPDError's eigenvalues
-    ratio: float | None = None  # of the metric's Cholesky diagonal; None if G is not SPD
-    P: list | None = None
-    cond: float = math.inf  # cond_1(P); inf where P is exactly singular
-    det: float = 0.0  # from the LU factors: U's diagonal and the parity of the row swaps
-    # where the pivot or P condition gate fails, for the verdict's message:
-    min_pivot: float | None = None
-    scale: float | None = None  # P's entries before cancellation: max |S_b| times max |Y^a|
+# One call of a pair's q-only kernel at q, its tuple with the defaults after
+# it (`_p_system`).  A failing gate returns what was computed before it; the
+# fields after that keep their defaults:
+#   failed: None, or the gate that failed: metric, singular, pivot or cond;
+#   S: the rows of S(q);
+#   g: the metric where it fails a gate, for the SPDError's eigenvalues;
+#   ratio: of the metric's Cholesky diagonal; None if G is not SPD;
+#   P: the rows of P(q);
+#   cond: cond_1(P); inf where P is exactly singular;
+#   det: from the LU factors: U's diagonal and the parity of the row swaps;
+#   min_pivot, scale: where the pivot or P condition gate fails, for the
+#     verdict's message; scale is P's entries before cancellation, max |S_b|
+#     times max |Y^a|.
+_QOnly = namedtuple("_QOnly", "failed S g ratio P cond det min_pivot scale")
+# The defaults of the fields after the kernel's tuple of 3, 4, 5, 7 or 9, by its length:
+_PADS = {n: (None, None, math.inf, 0.0, None, None)[n - 3:] for n in (3, 4, 5, 7, 9)}
 
 
 def _dot(block: _Block, x: str, y: str, n: int):
@@ -294,11 +286,12 @@ def _p_system(model: MechanicalModel, con: AffineConstraint, q) -> _QOnly:
     turn at (q, 0) to name it."""
     con._check_q(q)
     try:
-        k = _QOnly(*_q_only(model, con)(q))
+        k = _q_only(model, con)(q)
     except (ArithmeticError, ValueError):
         model._factor(q)
         con._at_rest(q)
         raise
+    k = _new(_QOnly, k + _PADS[len(k)])
     if k.failed == "metric":
         raise _spd_error(q, k.g, k.ratio)
     # A non-finite entry makes P singular or cond non-finite: only then is P checked.
@@ -329,8 +322,8 @@ def transversality_check(
     check_compatible(model, con, con_first=True)
     k = _p_system(model, con, q)
     error, cond = _verdict(k, q)
-    return TransversalityReport(ok=error is None, p=tuple(chain.from_iterable(k.P)), det=k.det,
-                                cond_estimate=cond, q=tuple(map(float, q)))
+    return _new(TransversalityReport, (error is None, tuple(chain.from_iterable(k.P)), k.det,
+                                       cond, tuple(map(float, q))))
 
 
 def project_onto_A(

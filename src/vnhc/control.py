@@ -45,7 +45,7 @@ contracts the model's drift with the constraint's kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import expr as ex
 from . import linalg
@@ -66,12 +66,8 @@ class TransversalityError(RuntimeError):
         self.cond = cond
 
 
-@dataclass(frozen=True)
-class ControlSolve:
-    P: tuple  # rows of the m x m system matrix
-    b: tuple
-    tau: tuple
-    cond_estimate: float
+# P: the rows of the m x m system matrix
+ControlSolve = namedtuple("ControlSolve", "P b tau cond_estimate")
 
 
 def _admissible(k: _QOnly, q, state=None) -> _QOnly:
@@ -248,12 +244,7 @@ def solve_control(
 ) -> ControlSolve:
     """Assemble and solve P tau = b at one state."""
     _, tau, b, P, cond = _checked(model, con, state)
-    return ControlSolve(
-        P=tuple(tuple(row) for row in P),
-        b=tuple(b),
-        tau=tuple(tau),
-        cond_estimate=cond,
-    )
+    return ControlSolve(tuple(map(tuple, P)), tuple(b), tuple(tau), cond)
 
 
 def tau_star(model: MechanicalModel, con: AffineConstraint, state: State) -> list[float]:

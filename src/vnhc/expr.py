@@ -19,7 +19,7 @@ import functools
 import math
 import re
 import weakref
-from typing import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
 from .linalg import _bin, _call, _list, _Src, _text, _unary

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from functools import cached_property
-from typing import Mapping, Sequence
 
 from . import expr as ex
 from . import linalg
@@ -49,20 +49,23 @@ def _spd_error(q, g, ratio=None) -> SPDError:
     )
 
 
-@dataclass(frozen=True)
-class State:
-    q: tuple
-    qdot: tuple
+class State(namedtuple("State", "q qdot")):
+    """A configuration q and a velocity qdot of one length, each a tuple of
+    finite floats: an immutable tuple (q, qdot), checked however it is made."""
 
-    def __post_init__(self):
-        q = tuple(map(float, self.q))
-        qd = tuple(map(float, self.qdot))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "qdot", qd)
+    __slots__ = ()
+
+    def __new__(cls, q, qdot):
+        q, qd = tuple(map(float, q)), tuple(map(float, qdot))
         if len(q) != len(qd):
             raise ValueError("q and qdot dimensions differ")
         if not all(map(math.isfinite, q + qd)):
             raise ValueError("non-finite state entry")
+        return tuple.__new__(cls, (q, qd))
+
+    @classmethod
+    def _make(cls, iterable):  # and so _replace, which makes its record here
+        return cls(*iterable)
 
 
 def contract(row: Sequence, vector: Sequence) -> ex.Expr:

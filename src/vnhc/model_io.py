@@ -130,9 +130,9 @@ def load_model(path) -> tuple[MechanicalModel, AffineConstraint]:
         text = f.read()
 
     def load():
-        try:
+        try:  # ValueError: a JSONDecodeError, or an integer of more digits than int() converts
             data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deeply
+        except (ValueError, RecursionError) as err:  # RecursionError: nested too deeply
             raise ModelFileError(f"{path}: invalid JSON: {err}") from err
         return load_model_dict(data)
 

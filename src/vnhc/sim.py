@@ -23,7 +23,7 @@ run as a failed stage does: an `IntegrationError` naming the step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constraint import AffineConstraint
 from .control import TransversalityError, _raise_failure, _stage1, _step
@@ -37,13 +37,9 @@ class IntegrationError(RuntimeError):
         self.last_good_index = last_good_index
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    times: tuple
-    states: tuple  # of State
-    controls: tuple  # of m-tuples (tau* at each sample)
-    phis: tuple  # of m-tuples
-    drift_report: tuple  # per constraint row: max_t |phi_b(t) - phi_b(0)|
+# states: of State; controls: of m-tuples, tau* at each sample; phis: of
+# m-tuples; drift_report: per constraint row, max_t |phi_b(t) - phi_b(0)|
+Trajectory = namedtuple("Trajectory", "times states controls phis drift_report")
 
 
 def rk4_step(model: MechanicalModel, con: AffineConstraint, state: State, h: float) -> State:
@@ -106,10 +102,4 @@ def integrate(
     drift = tuple(
         max(abs(p[b] - phi0[b]) for p in phis) for b in range(con.m)
     )
-    return Trajectory(
-        times=tuple(times),
-        states=tuple(states),
-        controls=tuple(controls),
-        phis=tuple(phis),
-        drift_report=drift,
-    )
+    return Trajectory(tuple(times), tuple(states), tuple(controls), tuple(phis), drift)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_q_only import line_from_views
 
 import vnhc
 from vnhc import (
@@ -24,6 +27,7 @@ from vnhc import (
     tau_star,
     transversality_check,
 )
+from vnhc import cli
 from vnhc.cli import main
 
 SRC = os.path.dirname(os.path.dirname(vnhc.__file__))
@@ -122,6 +126,43 @@ class TestCheckLines:
             "q=(0, 0) rank=ERROR (division by zero in 1 / x)",
             "q=(1, 0) rank=ok(1/1) transversality=ok cond=1 det=1",
         ]
+
+    def test_lines_are_the_per_point_format(self, tmp_path, capsys):
+        # The --point points, then the product of the --grid axes, with y, which
+        # has no axis, at 0: each line is the one made at its point from the
+        # views, its label the point's coordinates formatted with {v:g} (-0.0
+        # as -0), whether the label is joined per point or per grid axis.
+        model, con = build_boat("sin(y)", "cos(x)", m=1.5)
+        path = tmp_path / "boat.json"
+        save_model(path, model, con)
+
+        def axis(lo, hi, count):
+            return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
+
+        qs = [(-0.0, 0.0, 0.0), (0.0, 1e-7, -2.5)]
+        qs += [(x, 0.0, t) for x in axis(-1e-5, 2.5e6, 3) for t in axis(-3.0, 3.1, 4)]
+        assert main(["check", str(path), "--point", "x=-0", "--point", "theta=-2.5,y=1e-7",
+                     "--grid", "theta=-3:3.1:4", "--grid", "x=-1e-5:2.5e6:3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [line_from_views(model, con, q) for q in qs]
+        assert [line[:line.index(")") + 1] for line in lines[:4]] == [
+            "q=(-0, 0, 0)", "q=(0, 1e-07, -2.5)", "q=(-1e-05, 0, -3)", "q=(-1e-05, 0, -0.966667)"]
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == line_from_views(model, con, (0.0,) * 3) + "\n"
+
+    def test_each_line_is_written_before_the_next_point(self, boat_file, monkeypatch):
+        out, written = io.StringIO(), []
+
+        def p_system(model, con, q):  # the lines written when point q is evaluated
+            written.append(out.getvalue().count("\n"))
+            return real(model, con, q)
+
+        real = cli._p_system
+        monkeypatch.setattr(cli, "_p_system", p_system)
+        with contextlib.redirect_stdout(out):
+            assert main(["check", boat_file, "--point", "x=1", "--grid", "theta=0:1:4"]) == 0
+        assert written == [0, 1, 2, 3, 4]
+        assert out.getvalue().count("\n") == 5
 
     def test_eval_error_does_not_abort_grid(self, tmp_path, capsys):
         path = boat_with(tmp_path, "inv.json", metric00="1/x")

@@ -3,6 +3,9 @@ usage error (exit 2) whose message names the field or parameter at fault."""
 
 import json
 import math
+import sys
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -115,3 +118,21 @@ def test_deeply_nested_json_is_invalid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: invalid JSON: maximum recursion depth exceeded")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts integers of any length")
+def test_too_long_a_json_integer_is_invalid(tmp_path, capsys):
+    # json.loads raises a plain ValueError for an integer of more digits
+    # than int() converts: one usage-error line that names the file.
+    limit = sys.get_int_max_str_digits()
+    text = json.dumps({**VORTEX, "parameters": {**VORTEX["parameters"], "k": 0}})
+    path = tmp_path / "long.json"
+    path.write_text(text.replace('"k": 0', f'"k": 1{"0" * limit}'))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid JSON: Exceeds the limit ({limit} digits)")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    path.write_text(text.replace('"k": 0', f'"k": 1{"0" * (limit - 1)}'))
+    assert main(["check", str(path)]) == 2  # a parameter beyond float range
+    assert capsys.readouterr().err == "error: parameter 'k' is out of range\n"
