@@ -170,15 +170,13 @@ def cmd_simulate(args, parser) -> int:
         + [f"tau_{a + 1}" for a in range(model.m)]
         + [f"phi_{b + 1}" for b in range(con.m)]
     )
+    row = ",".join(["%.17g"] * len(header)) + "\n"  # prints what f"{v:.17g}" does
+    rows = [",".join(header) + "\n"]
+    for t, st, tau, phi in zip(traj.times, traj.states, traj.controls, traj.phis):
+        q = [_wrap_angle(v) if i in wrap_idx else v for i, v in enumerate(st.q)]
+        rows.append(row % (t, *q, *st.qdot, *tau, *phi))
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for t, st, tau, phi in zip(traj.times, traj.states, traj.controls, traj.phis):
-            q = [
-                _wrap_angle(v) if i in wrap_idx else v
-                for i, v in enumerate(st.q)
-            ]
-            row = [t, *q, *st.qdot, *tau, *phi]
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        f.write("".join(rows))
 
     summary = {
         "samples": len(traj.times),

@@ -21,7 +21,10 @@ computed once, as the statement generators write the source
 of its stage 1 alone, which also returns b, P and cond; `sim` calls the
 whole step.  The kernel is built on the first closed-loop call with a
 model and kept on the constraint, so loading a model does not pay for
-it; a model text loaded again gives back the pair built from it
+it.  The pair is checked (`check_compatible`) only then, right before the
+build (`_step`): a kernel kept in `con._step[model]` proves the check
+passed, so a warm call checks nothing about the pair again.  A model text
+loaded again gives back the pair built from it
 (`model_io.load_model`), so it generates, folds and compiles nothing, and
 a pair built again from the same expressions compiles nothing
 (`linalg._define` compiles once per distinct source).
@@ -36,7 +39,11 @@ q-only kernel at q reports the failed gate on the same numbers
 (`constraint._p_system`) and `_admissible` gives its message, then the
 force's own kernel names a math error in F.  `_stage1`, stage 1 at a
 state or its typed error, is the one entry for the views and for `sim`'s
-first stage.  The q-only views (`p_matrix`, `transversality_check`,
+first stage, and a view reaches the kernel in that one frame: warm, it
+is a dict lookup, a length test, the kernel call and, for the views, a
+finite screen; a failed lookup takes `_step`'s cold path, whose errors
+(a swapped or incompatible pair, then a state of another dimension) come
+before the build's.  The q-only views (`p_matrix`, `transversality_check`,
 `vnhc check`) never evaluate the external force, which may be singular
 at rest (Coulomb friction).  `b_vector` needs no invertible P: it
 contracts the model's drift with the constraint's kernel.
@@ -175,11 +182,22 @@ def _step_text(lines: list[str], outputs: list) -> str:
     return "\n".join(["def kernel(q, v, a, h, more):", *(f"    {line}" for line in body)])
 
 
-def _step(model: MechanicalModel, con: AffineConstraint):
+def _step(model: MechanicalModel, con: AffineConstraint, state: State | None = None):
     """The pair's compiled step kernel, built on the first closed-loop call
-    with this model and kept on con, one per model."""
-    return con._step.get(model) or _built(con._step, model, lambda: _step_source(model, con),
-                                          "closed-loop")
+    with this model and kept on con, one per model.  The pair is checked
+    (`check_compatible`) here, on the cold path alone, right before the
+    build: both are immutable and models hash by identity, so a kernel kept
+    in con._step[model] proves the check passed.  Any failed lookup (con
+    not an AffineConstraint, a model not yet built, an unhashable argument)
+    takes the cold path and its typed error; a given state's q is checked
+    after the pair, so its error too comes before a build."""
+    try:
+        return con._step[model]
+    except (AttributeError, KeyError, TypeError):
+        check_compatible(model, con)
+        if state is not None:
+            model._check_q(state.q)
+        return _built(con._step, model, lambda: _step_source(model, con), "closed-loop")
 
 
 def _raise_failure(model: MechanicalModel, con: AffineConstraint, q, qd, state=None):
@@ -193,14 +211,28 @@ def _raise_failure(model: MechanicalModel, con: AffineConstraint, q, qd, state=N
     raise AssertionError(f"closed-loop kernel failed at q={q}, qdot={qd}, where every gate holds")
 
 
-def _stage1(model: MechanicalModel, con: AffineConstraint, state: State) -> tuple:
+def _stage1(model: MechanicalModel, con: AffineConstraint, state: State,
+            screen: bool = True) -> tuple:
     """Stage 1 of the pair's step kernel at state, checked: its ([acc],
-    [tau], [b], [P rows], cond) there, or the typed error of its failure."""
-    check_compatible(model, con)
-    model._check_state(state)
-    out = _step(model, con)(state.q, state.qdot, None, None, False)
+    [tau], [b], [P rows], cond) there, or the typed error of its failure.
+    The one entry of the views and of `sim`'s first stage: warm, one lookup
+    of the kernel (whose build checked the pair, `_step`), one length test
+    and one kernel call, then with screen the views' finite check, which
+    integrate makes on its states instead."""
+    try:
+        kernel = con._step[model]
+    except (AttributeError, KeyError, TypeError):
+        kernel = _step(model, con, state)
+    q = state.q
+    if len(q) != model.n:
+        model._check_q(q)
+    out = kernel(q, state.qdot, None, None, False)
     if out[0] is None:
-        _raise_failure(model, con, state.q, state.qdot, state)
+        _raise_failure(model, con, q, state.qdot, state)
+    # A non-finite b or tau always reaches acc (0 * inf is NaN): one sum
+    # screens all three, and _finite names the first bad one.
+    if screen and not math.isfinite(sum(out[0])):
+        _finite(state, b=out[2], tau=out[1], acceleration=out[0])
     return out
 
 
@@ -229,31 +261,21 @@ def _finite(state: State, **vectors):
             raise EvalError(f"{name} {tuple(v)} is not finite at q={state.q}, qdot={state.qdot}")
 
 
-def _checked(model: MechanicalModel, con: AffineConstraint, state: State) -> tuple:
-    out = _stage1(model, con, state)
-    acc, tau, b = out[:3]
-    # A non-finite b or tau always reaches acc (0 * inf is NaN): one sum
-    # screens all three, and _finite names the first bad one.
-    if not math.isfinite(sum(acc)):
-        _finite(state, b=b, tau=tau, acceleration=acc)
-    return out
-
-
 def solve_control(
     model: MechanicalModel, con: AffineConstraint, state: State
 ) -> ControlSolve:
     """Assemble and solve P tau = b at one state."""
-    _, tau, b, P, cond = _checked(model, con, state)
+    _, tau, b, P, cond = _stage1(model, con, state)
     return ControlSolve(tuple(map(tuple, P)), tuple(b), tuple(tau), cond)
 
 
 def tau_star(model: MechanicalModel, con: AffineConstraint, state: State) -> list[float]:
     """The unique control keeping phi constant along the closed loop."""
-    return _checked(model, con, state)[1]
+    return _stage1(model, con, state)[1]
 
 
 def closed_loop_acceleration(
     model: MechanicalModel, con: AffineConstraint, state: State
 ) -> list[float]:
     """Drift acceleration plus tau*_a Y^a: the controlled second-order field."""
-    return _checked(model, con, state)[0]
+    return _stage1(model, con, state)[0]

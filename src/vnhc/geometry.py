@@ -56,10 +56,14 @@ class State(namedtuple("State", "q qdot")):
     __slots__ = ()
 
     def __new__(cls, q, qdot):
+        if isinstance(q, str) or isinstance(qdot, str):  # else read as one-digit numbers
+            name = "q" if isinstance(q, str) else "qdot"
+            raise TypeError(f"State {name} must be a sequence of numbers, not a str")
         q, qd = tuple(map(float, q)), tuple(map(float, qdot))
         if len(q) != len(qd):
             raise ValueError("q and qdot dimensions differ")
-        if not all(map(math.isfinite, q + qd)):
+        # a sum of finite entries is finite unless it overflows: only then is each looked at
+        if not math.isfinite(sum(q + qd)) and not all(map(math.isfinite, q + qd)):
             raise ValueError("non-finite state entry")
         return tuple.__new__(cls, (q, qd))
 
@@ -157,9 +161,6 @@ class _Chart:
         kernels take q positionally."""
         if len(q) != self.n:
             raise ValueError(f"state dimension {len(q)} does not match n={self.n}")
-
-    def _check_state(self, state: State):
-        self._check_q(state.q)
 
     def _at_rest(self, q: Sequence[float]) -> tuple:
         """The chart's kernel at (q, 0), once q is checked."""
@@ -310,8 +311,8 @@ class MechanicalModel(_Chart):
 
     def drift_acceleration(self, state: State) -> list[float]:
         """Acceleration of the unactuated forced system (the drift field)."""
-        self._check_state(state)
         q, qd = state.q, state.qdot
+        self._check_q(q)
         g, _, dv, w = self._kernel(*q, *qd)
         L = self._factor(q, g)
         rhs = map(operator.sub, map(operator.sub, self._force_fn(*q, *qd), dv), w)

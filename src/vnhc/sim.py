@@ -12,12 +12,14 @@ once and run for each stage in a loop, with the RK4 stage arithmetic
 between them, so a stage computes what the views' stage-1 call would,
 bit for bit.  In `integrate` the call goes on to the next step's stage 1,
 whose tau is the one sampled at the step's end, once it has found that
-end finite.  Stage 1 at the start state is `control._stage1`, as for
-the views.  Where a later stage's gate fails or it meets a math error,
-the kernel returns the stage's state, and `control._raise_failure`,
-called there, raises the typed error with its message, as it does for
-the views.  A math error in phi at a sample after the start aborts the
-run as a failed stage does: an `IntegrationError` naming the step.
+end finite.  Stage 1 at the start state is `control._stage1`, the views'
+one entry, without their finite screen; its kernel's build checked the
+pair (`control._step`), so later steps check nothing again.  Where a
+later stage's gate fails or it meets a math error, the kernel returns
+the stage's state, and `control._raise_failure`, called there, raises
+the typed error with its message, as it does for the views.  A math
+error in phi at a sample after the start aborts the run as a failed
+stage does: an `IntegrationError` naming the step.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def rk4_step(model: MechanicalModel, con: AffineConstraint, state: State, h: flo
     """One classical Runge-Kutta step of (qdot, closed-loop acceleration)."""
     if not 0.0 < h < math.inf:
         raise ValueError("step size must be positive and finite")
-    a = _stage1(model, con, state)[0]
+    a = _stage1(model, con, state, False)[0]
     out = _step(model, con)(state.q, state.qdot, a, h, False)
     if out[0] is None:
         _raise_failure(model, con, *out[2:])
@@ -72,7 +74,8 @@ def integrate(
     if steps == math.inf:
         raise ValueError(f"t_end / step size overflows ({t_end!r} / {h!r})")
     n_steps = max(1, int(round(steps)))
-    q, qd, (a, tau) = state0.q, state0.qdot, _stage1(model, con, state0)[:2]  # stage 1 of step 1
+    # stage 1 of step 1
+    q, qd, (a, tau) = state0.q, state0.qdot, _stage1(model, con, state0, False)[:2]
     kernel = _step(model, con)
     times = [0.0]
     states = [state0]

@@ -503,3 +503,97 @@ def test_swapped_pair_is_a_type_error(name, order, call):
         f"got {first}={got[first]}, {second}={got[second]}")
     unswapped = swapped[::-1]
     call(*unswapped)  # the right order works
+
+
+VIEWS = [closed_loop_acceleration, solve_control, tau_star]
+
+
+class TestWarmPath:
+    """A kernel kept on the constraint proves its pair was checked when it
+    was built: a warm view makes one step-kernel call and no pair check,
+    and every error it raised before the pair was warm it still raises."""
+
+    @staticmethod
+    def warm():
+        model, con = build_boat("sin(y)", "cos(x)")
+        tau_star(model, con, S0)
+        return model, con
+
+    @staticmethod
+    def count(monkeypatch) -> list:
+        # the pair checks and the step-kernel calls, in order
+        calls = []
+        real_check, real_built = vnhc.control.check_compatible, vnhc.control._built
+
+        def check(*args):
+            calls.append("check")
+            return real_check(*args)
+
+        def built(kernels, model, source, what):
+            kernel = real_built(kernels, model, source, what)
+
+            def counting(*args):
+                calls.append("kernel")
+                return kernel(*args)
+
+            kernels[model] = counting
+            return counting
+
+        monkeypatch.setattr(vnhc.control, "check_compatible", check)
+        monkeypatch.setattr(vnhc.control, "_built", built)
+        return calls
+
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_a_warm_view_is_one_kernel_call(self, monkeypatch, view):
+        model, con = build_boat("sin(y)", "cos(x)")
+        calls = self.count(monkeypatch)
+        cold = view(model, con, S0)
+        assert calls == ["check", "kernel"]
+        calls.clear()
+        assert view(model, con, S0) == cold
+        assert calls == ["kernel"]
+
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_swapped_pair(self, view):
+        model, con = self.warm()
+        with pytest.raises(TypeError) as info:
+            view(con, model, S0)
+        assert str(info.value) == (
+            "expected (model, con, ...) with model a MechanicalModel and con an "
+            "AffineConstraint; got model=AffineConstraint, con=MechanicalModel")
+
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_unhashable_model(self, view):
+        _, con = self.warm()
+        with pytest.raises(TypeError, match=r"got model=list, con=AffineConstraint$"):
+            view([], con, S0)
+
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_incompatible_constraint(self, view):
+        model, _ = self.warm()
+        other = AffineConstraint(("x", "y", "phi"), [["1", "0", "0"]], Z=["0"])
+        short = State(q=(0.1, 0.2), qdot=(0.3, 0.4))
+        for state in (S0, short):  # the pair's error comes before the state's
+            with pytest.raises(vnhc.ModelError,
+                               match=r"^constraint chart \('x', 'y', 'phi'\) is not the model's$"):
+                view(model, other, state)
+
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_state_of_another_dimension(self, view):
+        model, con = self.warm()
+        with pytest.raises(ValueError) as info:
+            view(model, con, State(q=(0.1, 0.2), qdot=(0.3, 0.4)))
+        assert str(info.value) == "state dimension 2 does not match n=3"
+
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_a_cold_state_error_builds_nothing(self, view):
+        model, con = build_boat("sin(y)", "cos(x)")
+        with pytest.raises(ValueError, match="^state dimension 2 does not match n=3$"):
+            view(model, con, State(q=(0.1, 0.2), qdot=(0.3, 0.4)))
+        assert model not in con._step
+
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_a_plain_tuple_is_refused(self, view):
+        model, con = self.warm()
+        with pytest.raises(AttributeError, match="'tuple' object has no attribute 'q'"):
+            view(model, con, (S0.q, S0.qdot))

@@ -146,6 +146,28 @@ def test_state_errors_on_every_path(maker, q, qd, message):
 
 
 @pytest.mark.parametrize("maker", MAKERS)
+@pytest.mark.parametrize("q, qd, field", [
+    ("012", (3.0, 4.0, 5.0), "q"),
+    ((0.0, 1.0, 2.0), "345", "qdot"),
+    ("012", "345", "q"),
+])
+def test_state_refuses_a_string(maker, q, qd, field):
+    # a str is a sequence of one-character strings, each of which float reads
+    with pytest.raises(TypeError) as err:
+        MAKERS[maker](q, qd)
+    assert str(err.value) == f"State {field} must be a sequence of numbers, not a str"
+
+
+@pytest.mark.parametrize("maker", MAKERS)
+def test_state_sum_screen_keeps_each_verdict(maker):
+    # entries whose sum overflows are each finite; inf and -inf sum to NaN
+    s = MAKERS[maker]((0.0, 0.0, 0.0), (1e308, 1e308, 0.0))
+    assert s.qdot == (1e308, 1e308, 0.0)
+    with pytest.raises(ValueError, match="^non-finite state entry$"):
+        MAKERS[maker]((float("inf"), float("-inf")), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("maker", MAKERS)
 def test_state_makers_agree(maker):
     s = MAKERS[maker]([1, -0.0], (2, 3))
     assert repr(s) == "State(q=(1.0, -0.0), qdot=(2.0, 3.0))"
