@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 import time
 
@@ -140,6 +141,8 @@ def _wrap_angle(v: float) -> float:
 
 
 def cmd_simulate(args, parser) -> int:
+    """Writes the CSV only once the run succeeds: a run that fails leaves
+    no new file and an existing one untouched."""
     model, con = model_io.load_model(args.model)
     n = model.n
     q0 = _parse_vector(args.q0, n, "--q0")
@@ -155,6 +158,11 @@ def cmd_simulate(args, parser) -> int:
         from .constraint import project_onto_A
 
         state0 = project_onto_A(con, model, state0)
+
+    new = not os.path.lexists(args.out)
+    open(args.out, "a").close()  # an unwritable --out fails here, before the run
+    if new:
+        os.remove(args.out)
 
     start = time.perf_counter()
     traj = integrate(

@@ -25,9 +25,8 @@ it.  The pair is checked (`check_compatible`) only then, right before the
 build (`_step`): a kernel kept in `con._step[model]` proves the check
 passed, so a warm call checks nothing about the pair again.  A model text
 loaded again gives back the pair built from it
-(`model_io.load_model`), so it generates, folds and compiles nothing, and
-a pair built again from the same expressions compiles nothing
-(`linalg._define` compiles once per distinct source).
+(`model_io.load_model`), so it generates, folds and compiles nothing; a
+pair built anew generates and compiles its kernels anew.
 
 The kernel's metric and P blocks, with every gate (metric SPD and
 condition, exactly singular P, pivot, P condition, a non-finite cond),

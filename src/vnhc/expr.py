@@ -1,13 +1,13 @@
 """Expression DSL: parsing, exact symbolic differentiation, compilation.
 
 Expressions are immutable trees over named symbols, interned as one
-graph (see `Expr`): a structure built twice is one object.  Each stage
-from text to kernel source runs once per process for each distinct input,
-on that graph: `parse` per text, `substitute` per node and parameter
-values, `diff` per node and symbol, and `_emit` per set of roots,
-variables and constants; every memo is bounded.  By convention the
-velocity of a coordinate ``x`` is the symbol ``xd``.  Angles are plain
-reals; nothing here wraps.
+graph (see `Expr`): a structure built twice is one object.  The results
+of `substitute` and `diff` are kept on the nodes, so a subtree shared
+within one build is folded and differentiated once; parsing, emitting and
+compiling run on every call.  A model text loaded again costs none of
+them: `model_io.load_model` gives back the pair it built.  By convention
+the velocity of a coordinate ``x`` is the symbol ``xd``.  Angles are
+plain reals; nothing here wraps.
 
 Grammar (precedence low to high): ``+ -`` < ``* /`` < unary ``-`` < ``^``
 (right associative) < atoms.  Functions: sin cos tan exp log sqrt.
@@ -360,11 +360,8 @@ class _Parser:
         return fn(tok, self.atom())  # folds only once the ")" is found
 
 
-@functools.lru_cache(maxsize=1024)
 def parse(text: str) -> Expr:
-    """Parse DSL text into an Expr. Raises ParseError with a byte offset.
-    The last 1024 texts parsed are kept, so a model built again from the
-    same fields parses nothing."""
+    """Parse DSL text into an Expr. Raises ParseError with a byte offset."""
     p = _Parser(text)
     try:
         e = p.expr()
@@ -380,13 +377,11 @@ def parse(text: str) -> Expr:
 
 def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     """Evaluate with every free symbol bound; unbound symbols are errors.
-    e is compiled as by `compile_exprs`, so a math error is the EvalError
+    e is compiled by `compile_exprs`, so a math error is the EvalError
     that names the failing subexpression.  The kernels of the last 64
-    (e, names) pairs are kept apart from the caches of `_emit` and
-    `linalg._define`, so one-off expressions never evict a model's kernels."""
+    (e, names) pairs are kept, each entry holding e alive."""
     names = tuple(env)
-    _, kernel = _EVALUATORS.get((id(e), names), lambda: (e, _compile(
-        [e], names, {}, _emit_uncached, linalg._define.__wrapped__)))
+    _, kernel = _EVALUATORS.get((id(e), names), lambda: (e, compile_exprs([e], names)))
     return kernel(*map(float, env.values()))[0]
 
 
@@ -594,13 +589,6 @@ def to_string(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # Compilation to fast callables
 
-def _ids(tree):
-    """The identities of the nodes of a tree: a node, or a list of trees."""
-    if isinstance(tree, Expr):
-        return id(tree)
-    return tuple([id(x) if isinstance(x, Expr) else _ids(x) for x in tree])
-
-
 class _LRU:
     """At most size results, under keys their callers make, the least
     recently used dropped first: `functools.lru_cache` for arguments that
@@ -619,23 +607,11 @@ class _LRU:
         return result
 
 
-_EMITTED = _LRU(256)
 _EVALUATORS = _LRU(64)  # of `evaluate`
 
 
 def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, float] | None = None,
           every: bool = False):
-    """`_emit_uncached`, memoized for the last 256 distinct arguments: the
-    identities of the nodes of exprs (== would take a -0.0 for a 0.0), kept
-    alive by exprs in the entry, which no caller changes after emitting it,
-    the variables, the constants by repr and every."""
-    constants = constants or {}
-    key = _ids(exprs), tuple(variables), repr(constants), every
-    return _EMITTED.get(key, lambda: (exprs, _emit_uncached(exprs, variables, constants, every)))[1]
-
-
-def _emit_uncached(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, float],
-                   every: bool = False):
     """Straight-line source of exprs over the locals _a0, _a1, ... that
     hold the variables, with common subexpressions computed once.
 
@@ -660,6 +636,7 @@ def _emit_uncached(exprs: Sequence, variables: Sequence[str], constants: Mapping
     subexpression such a walk finds failing.
     """
     argnames = {name: f"_a{i}" for i, name in enumerate(variables)}
+    constants = constants or {}
 
     dag: list = []  # node number -> leaf code (str) or (op, *child numbers)
     first: list[Expr] = []  # node number -> the first Expr numbered so
@@ -747,23 +724,14 @@ def _emit_uncached(exprs: Sequence, variables: Sequence[str], constants: Mapping
     return tuple(lines), roots, tuple(nodes)
 
 
-_SOURCES = _LRU(256)  # of `_source`
-
-
 def _source(emitted: tuple, n: int) -> str:
     """Source of the function kernel of the locals _a0 .. _a<n-1> that
     runs the lines of emitted, an `_emit` result, and returns its roots,
-    nested as tuples.  Made once per result and kept for the last 256,
-    keyed by the result's identity (the entry keeps it alive): == would
-    take a root -0.0 for a 0.0, and hashing the lines would cost every
-    repeated load."""
-    def make():
-        lines, roots, _ = emitted
-        body = "".join(f"    {line}\n" for line in lines)
-        args = ", ".join(f"_a{i}" for i in range(n))
-        return emitted, f"def kernel({args}):\n{body}    return {_list(roots)}\n"
-
-    return _SOURCES.get((id(emitted), n), make)[1]
+    nested as tuples."""
+    lines, roots, _ = emitted
+    body = "".join(f"    {line}\n" for line in lines)
+    args = ", ".join(f"_a{i}" for i in range(n))
+    return f"def kernel({args}):\n{body}    return {_list(roots)}\n"
 
 
 _MATH_ERRORS = {ZeroDivisionError: "division by zero", OverflowError: "overflow"}
@@ -796,7 +764,7 @@ def compile_exprs(
     are inlined.  A free symbol that is neither a variable nor a constant,
     or a non-finite number or constant, raises EvalError at compile time.
     Common subexpressions are computed once (see `_emit`), and the source
-    is compiled by `linalg._define`, once per distinct source per process.
+    is compiled by `linalg._define`.
 
     A math error at call time (division by zero, a domain error, an
     overflow) raises an EvalError naming the first failing subexpression
@@ -805,13 +773,7 @@ def compile_exprs(
     with one node per line, built on the kernel's first math error and
     kept with the kernel.
     """
-    return _compile(exprs, variables, constants or {}, _emit, linalg._define)
-
-
-def _compile(exprs, variables, constants, emit, define):
-    """compile_exprs, with emit giving the source and define compiling it:
-    memoized, as there, or not, as for `evaluate`."""
-    raw = define(_source(emit(exprs, variables, constants), len(variables)))
+    raw = linalg._define(_source(_emit(exprs, variables, constants), len(variables)))
     traced = None  # (function, nodes) of the one-node-per-line source, once built
 
     # The try lives here, not in the generated source: there it made each
@@ -823,8 +785,8 @@ def _compile(exprs, variables, constants, emit, define):
             return raw(*values)
         except (ArithmeticError, ValueError):
             if traced is None:
-                emitted = emit(exprs, variables, constants, every=True)
-                traced = define(_source(emitted, len(variables))), emitted[2]
+                emitted = _emit(exprs, variables, constants, every=True)
+                traced = linalg._define(_source(emitted, len(variables))), emitted[2]
             _name_math_error(*traced, values)
             raise
 

@@ -49,6 +49,9 @@ def _spd_error(q, g, ratio=None) -> SPDError:
     )
 
 
+_TEXT = (str, bytes, bytearray)
+
+
 class State(namedtuple("State", "q qdot")):
     """A configuration q and a velocity qdot of one length, each a tuple of
     finite floats: an immutable tuple (q, qdot), checked however it is made."""
@@ -56,9 +59,12 @@ class State(namedtuple("State", "q qdot")):
     __slots__ = ()
 
     def __new__(cls, q, qdot):
-        if isinstance(q, str) or isinstance(qdot, str):  # else read as one-digit numbers
-            name = "q" if isinstance(q, str) else "qdot"
-            raise TypeError(f"State {name} must be a sequence of numbers, not a str")
+        # float would read a str's characters as digits, bytes as their codes;
+        # two tuples, the common case, skip the slower isinstance tests
+        if (type(q) is not tuple or type(qdot) is not tuple) and (
+                isinstance(q, _TEXT) or isinstance(qdot, _TEXT)):
+            name, x = ("q", q) if isinstance(q, _TEXT) else ("qdot", qdot)
+            raise TypeError(f"State {name} must be a sequence of numbers, not a {type(x).__name__}")
         q, qd = tuple(map(float, q)), tuple(map(float, qdot))
         if len(q) != len(qd):
             raise ValueError("q and qdot dimensions differ")

@@ -10,12 +10,13 @@ keeps small singular values accurate relative to the large ones (Demmel
 and Veselic, 1992), and `eigvalsh` by cyclic Jacobi.
 
 Every generated source in the package, these and the kernels of `expr`,
-`constraint` and `control`, is compiled by `_define`: once per distinct
-source per process, in one fixed namespace, with at most
-`DEFINE_CACHE_SIZE` compiled functions kept.  `expr.evaluate` compiles its
-one-off sources by the function `_define` wraps, outside that cache.  The
-two kernels of a (model, constraint) pair, the q-only kernel and the RK4
-step kernel, are folded as their statement generators write them (see
+`constraint` and `control`, is compiled by `_define`, in one fixed
+namespace, and kept by its owner alone: these per-size routines by
+`_sized`, a model's kernels on the model, a pair's on its constraint.
+The one process-wide memo of what a build makes is `model_io.load_model`'s,
+of the pairs it built, so a model text loaded again compiles nothing.
+The two kernels of a (model, constraint) pair, the q-only kernel and the
+RK4 step kernel, are folded as their statement generators write them (see
 `_Block`): what depends on no input is computed once, when the source is
 made.  The kernels of `expr.compile_exprs` need no such step, as their
 constants already fold as the expressions are built.
@@ -29,7 +30,6 @@ import math
 import operator
 
 CONDITION_CAP = 1e12
-DEFINE_CACHE_SIZE = 256
 _EPS = 2.0 ** -52
 
 
@@ -41,13 +41,10 @@ _NAMESPACE = {"math": math, "sqrt": math.sqrt, "hypot": math.hypot,
               "SingularMatrixError": SingularMatrixError}
 
 
-@functools.lru_cache(maxsize=DEFINE_CACHE_SIZE)
 def _define(source: str):
     """The function named kernel that source defines over the names of
-    _NAMESPACE, compiled once per distinct source: a model or a pair built
-    again gets back the function already compiled from the same text, hence
-    the same code and the same results.  Each source runs in a copy of the
-    namespace, so kernels never see one another."""
+    _NAMESPACE.  Each source runs in a copy of the namespace, so kernels
+    never see one another."""
     namespace = dict(_NAMESPACE)
     exec(source, namespace)
     return namespace["kernel"]

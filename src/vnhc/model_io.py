@@ -16,7 +16,10 @@ Schema (unknown keys are errors):
 constraint block takes either "Z" directly or a vector field "X" (n DSL
 strings), in which case Z = -S X is formed symbolically at load time.
 `load_model` gives back the pair it built when it reads the same text
-again.
+again, with the kernels the pair has built since: this is the package's
+one process-wide memo of what a build makes, bounded by `LOAD_CACHE_SIZE`
+texts.  A pair built otherwise parses, emits and compiles anew; only the
+folds and derivatives kept on live expression nodes are shared.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import json
 
 from . import expr as ex
-from . import linalg
 from .constraint import AffineConstraint, check_compatible
 from .geometry import MechanicalModel, ModelError
 
@@ -117,15 +119,16 @@ def load_model_dict(data: dict) -> tuple[MechanicalModel, AffineConstraint]:
     return model, con
 
 
-_LOADED = ex._LRU(linalg.DEFINE_CACHE_SIZE)  # of `load_model`
+LOAD_CACHE_SIZE = 256
+_LOADED = ex._LRU(LOAD_CACHE_SIZE)  # of `load_model`
 
 
 def load_model(path) -> tuple[MechanicalModel, AffineConstraint]:
     """The pair of the model file at path, read on every call.  The same
     text gives the same pair, which is immutable after construction: the
-    pairs of the last 256 distinct texts are kept, each with the kernels it
-    has built, so loading a text again parses, generates and compiles
-    nothing.  A failed load keeps nothing."""
+    pairs of the last `LOAD_CACHE_SIZE` distinct texts are kept, each with
+    the kernels it has built, so loading a text again parses, generates
+    and compiles nothing.  A failed load keeps nothing."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -301,6 +302,61 @@ class TestSimulate:
                      "--dt", "1e-2", "--out", str(tmp_path / "x.csv")])
         assert (code, capsys.readouterr()) == (
             1, ("", "error: aborted at step 5: domain error in log(x)\n"))
+
+    @pytest.mark.parametrize("where, errno_", [
+        ("missing/x.csv", errno.ENOENT), ("boat.json/x.csv", errno.ENOTDIR), (".", errno.EISDIR),
+        ("locked/x.csv", errno.EACCES),
+    ], ids=["missing-directory", "under-a-file", "directory", "denied"])
+    def test_unwritable_out_is_found_before_the_run(self, boat_file, tmp_path, capsys,
+                                                    monkeypatch, where, errno_):
+        # --out is opened right after --project: an unwritable path is one
+        # error line, exit 2, and nothing is integrated.
+        out = str(tmp_path / where)
+        (tmp_path / "locked").mkdir(mode=0o500)
+        if where.startswith("locked") and os.access(tmp_path / "locked", os.W_OK):
+            real_open = open  # a user that permissions do not bind: denied here
+
+            def denied(path, *args, **kwargs):
+                if path == out:
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+                return real_open(path, *args, **kwargs)
+
+            monkeypatch.setattr(cli, "open", denied, raising=False)
+        runs = []
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: runs.append(a))
+        code = main(["simulate", boat_file, "--q0", "0,0,0", "--qdot0", "0.4,0.3,0.8",
+                     "--t-end", "2", "--dt", "1e-4", "--project", "--out", out])
+        assert (code, runs) == (2, [])
+        assert capsys.readouterr() == (
+            "", f"error: [Errno {errno_}] {os.strerror(errno_)}: {out!r}\n")
+
+    @pytest.mark.parametrize("existing", [None, "old\n"])
+    @pytest.mark.parametrize("row, Z, argv, code", [
+        (["0", "1"], "log(x)", "--q0 0.05,0 --qdot0=-1,0 --t-end 0.2 --dt 1e-2", 1),
+        (["1e-160", "0"], "1e200", "--q0 0,0 --qdot0 0,0 --t-end 0.01 --dt 1e-3 --project", 1),
+        (["0", "1"], "0", "--q0 0,0 --qdot0 0,0 --t-end 1e300 --dt 1e-300", 2),
+    ], ids=["run", "projection", "step-count"])
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, existing, row, Z, argv, code):
+        # A run that fails, in the projection, the integrator's checks or
+        # the run itself, leaves no new file and an existing one untouched.
+        path = write_json(tmp_path, "m.json", {
+            "coordinates": ["x", "y"], "metric": [["1", "0"], ["0", "1"]],
+            "inputs": [["0", "1"] if row[0] == "0" else ["1", "0"]],  # where the row acts
+            "constraint": {"mu": [row], "Z": [Z]}})
+        out = tmp_path / "x.csv"
+        if existing is not None:
+            out.write_text(existing)
+        assert main(["simulate", path, *argv.split(), "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (out.read_text() if out.exists() else None) == existing
+
+    def test_longer_file_is_replaced(self, boat_file, tmp_path, capsys):
+        argv = ["simulate", boat_file, "--q0", "0,0,0.5", "--qdot0", "0.4,0.3,0.8",
+                "--t-end", "0.05", "--dt", "1e-3", "--out"]
+        fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+        old.write_text("x" * 100_000)
+        assert (main([*argv, str(fresh)]), main([*argv, str(old)])) == (0, 0)
+        assert old.read_bytes() == fresh.read_bytes()
 
 
 class TestControlAt:

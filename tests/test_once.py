@@ -3,15 +3,17 @@
 `model_io.load_model` keeps the pair it builds from each model text, so a
 text loaded again gives back the same pair with the kernels it has built:
 nothing is parsed, generated or compiled again, and a failed load keeps
-nothing.  Every generated source is compiled by `linalg._define`, cached
-by its text with a fixed bound, so a pair built again reuses the compiled
-functions; parsing, folding, differentiation and emitting are memoized on
-the interned expression graph, so a model built again from the same data
-does none of them again; and `cli.build_parser` builds the parser once.
-Reuse must change no result and leak no state between calls.
+nothing.  That is the one process-wide memo of what a build makes: a pair
+built anew from the same data parses, emits and compiles its kernels anew,
+with the same results, and a pair the memo drops is freed with its
+kernels.  Within one build, the results of folding and differentiation
+kept on the interned expression graph share work, and a command-line run
+compiles each distinct source once.  `cli.build_parser` builds the parser
+once.  Reuse must change no result and leak no state between calls.
 """
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -20,6 +22,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 from test_control import build_gen5
@@ -56,12 +59,19 @@ def use(model, con):
     model.drift_acceleration(s)
 
 
-def test_second_load_compiles_nothing(tmp_path):
+def defines(monkeypatch) -> list:
+    """The sources `linalg._define` compiles from now on, in order."""
+    sources, define = [], linalg._define
+    monkeypatch.setattr(linalg, "_define", lambda source: sources.append(source) or define(source))
+    return sources
+
+
+def test_second_load_compiles_nothing(tmp_path, monkeypatch):
     path = model_file(tmp_path, "vortex")
     use(*load_model(path))
-    misses = linalg._define.cache_info().misses
+    defined = defines(monkeypatch)
     use(*load_model(path))
-    assert linalg._define.cache_info().misses == misses
+    assert defined == []
 
 
 def test_second_load_folds_nothing(tmp_path, monkeypatch):
@@ -82,9 +92,9 @@ def test_second_load_folds_nothing(tmp_path, monkeypatch):
     for module in (constraint, control):  # where the pair sources are written
         monkeypatch.setattr(module, "_Block", lambda *a, block=module._Block, **k: (
             written.append(a) or block(*a, **k)))
-    misses = linalg._define.cache_info().misses
+    defined = defines(monkeypatch)
     build()
-    assert (written, linalg._define.cache_info().misses) == ([], misses)
+    assert (written, defined) == ([], [])
 
 
 def test_two_sources_per_pair(tmp_path, monkeypatch):
@@ -96,9 +106,8 @@ def test_two_sources_per_pair(tmp_path, monkeypatch):
     model, con = load_model(path)
     assert (con._step, con._q_only) == ({}, {})
     s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
-    defined, built = [], []
-    define, step_source = linalg._define, control._step_source
-    monkeypatch.setattr(linalg, "_define", lambda source: defined.append(source) or define(source))
+    defined, built = defines(monkeypatch), []
+    step_source = control._step_source
     monkeypatch.setattr(control, "_step_source", lambda *a: built.append(a) or step_source(*a))
     tau_star(model, con, s)
     integrate(model, con, s, t_end=2e-3, h=1e-3)
@@ -110,36 +119,39 @@ def test_two_sources_per_pair(tmp_path, monkeypatch):
     assert (defined, built) == ([], [])
 
 
-def test_second_load_derives_nothing(tmp_path, monkeypatch):
-    # Neither a second load nor a pair built again from the same data
-    # parses, folds, differentiates or emits.
-    path = model_file(tmp_path, "gen5")
-
-    def build():
-        for model, con in (load_model(path), load_model_dict(json.loads(path.read_text()))):
-            constraint._q_only(model, con), control._step(model, con), model._first_kind
-
-    build()
+def stage_calls(monkeypatch) -> list:
+    """The loading stages of `expr` called from now on, by name."""
     calls = []
-    for stage in ("_Parser", "_refold", "_rule", "_emit_uncached"):
+    for stage in ("_Parser", "_refold", "_rule", "_emit"):
         real = getattr(ex, stage)
         monkeypatch.setattr(ex, stage, lambda *a, real=real, stage=stage, **k: (
             calls.append(stage), real(*a, **k))[1])
+    return calls
+
+
+def test_second_load_derives_nothing(tmp_path, monkeypatch):
+    # A second load parses, folds, differentiates and emits nothing.
+    path = model_file(tmp_path, "gen5")
+
+    def build():
+        model, con = load_model(path)
+        constraint._q_only(model, con), control._step(model, con), model._first_kind
+
+    build()
+    calls = stage_calls(monkeypatch)
     build()
     assert calls == []
 
 
-def test_one_off_evaluations_evict_no_model_kernel(tmp_path):
+def test_one_off_evaluations_evict_no_model_kernel(tmp_path, monkeypatch):
     path = model_file(tmp_path, "vortex")
     load_model(path)
     x = ex.Symbol("x")
     for k in range(300):
         assert ex.evaluate(x * x + float(k), {"x": 2.0}) == 4.0 + k
-    misses = linalg._define.cache_info().misses, ex.parse.cache_info().misses
-    emitted = len(ex._EMITTED.results)
+    calls, defined = stage_calls(monkeypatch), defines(monkeypatch)
     load_model(path)
-    assert (linalg._define.cache_info().misses, ex.parse.cache_info().misses) == misses
-    assert len(ex._EMITTED.results) == emitted
+    assert (calls, defined) == ([], [])
 
 
 def test_rewritten_file_is_loaded_afresh(tmp_path):
@@ -167,7 +179,7 @@ def test_failed_load_keeps_nothing(tmp_path):
 
 
 @pytest.mark.parametrize("name", [*FIXTURE_CURRENTS, "gen5"])
-def test_repeated_load_is_bit_identical(tmp_path, name):
+def test_repeated_load_is_bit_identical(tmp_path, monkeypatch, name):
     # The same text gives the same pair, and the results of a pair built
     # afresh from it, every source compiled again.
     path = model_file(tmp_path, name)
@@ -187,24 +199,63 @@ def test_repeated_load_is_bit_identical(tmp_path, name):
     first = reprs(*pair)
     assert load_model(path) is pair
     assert reprs(*load_model(path)) == first
-    linalg._define.cache_clear()
+    defined = defines(monkeypatch)
     assert reprs(*load_model_dict(json.loads(path.read_text()))) == first
-    assert linalg._define.cache_info().misses > 0
+    assert len(defined) >= 2  # the rebuilt pair's model and step kernels at least
 
 
-def test_cache_is_bounded():
-    # Each mass is another literal in the model's kernel: a distinct source.
-    # The first model's kernels leave the cache and stay with the model.
+def test_dropped_pair_frees_its_kernels(tmp_path, monkeypatch):
+    # The load memo keeps a pair with its kernels while the pair is among
+    # its last texts; once dropped and held by no caller, the pair is
+    # freed with every kernel it built.  Each mass is another model text.
+    monkeypatch.setattr(model_io, "_LOADED", ex._LRU(2))
+    paths = [tmp_path / f"boat{k}.json" for k in range(3)]
+    for k, path in enumerate(paths):
+        save_model(path, *build_boat("sin(y)", "cos(x)", m=1.0 + k))
     s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
-    first = build_boat("sin(y)", "cos(x)", m=1.0)
-    for k in range(linalg.DEFINE_CACHE_SIZE + 44):
-        build_boat("sin(y)", "cos(x)", m=2.0 + k)
-    assert linalg._define.cache_info().currsize <= linalg.DEFINE_CACHE_SIZE
-    fresh = build_boat("sin(y)", "cos(x)", m=1.5)
     (_, _, th), (xd, yd, thd) = s.q, s.qdot
-    for (model, con), m in ((first, 1.0), (fresh, 1.5)):
-        law = -m * thd * (math.cos(th) * xd + math.sin(th) * yd)
-        assert tau_star(model, con, s)[0] == pytest.approx(law, rel=1e-12, abs=1e-15)
+    model, con = load_model(paths[0])
+    law = -thd * (math.cos(th) * xd + math.sin(th) * yd)
+    assert tau_star(model, con, s)[0] == pytest.approx(law, rel=1e-12, abs=1e-15)
+    kernels = [weakref.ref(k) for k in (control._step(model, con),
+                                        constraint._q_only(model, con), model._kernel)]
+    del model, con
+    load_model(paths[1])
+    gc.collect()
+    assert all(k() is not None for k in kernels)  # kept by the memo
+    load_model(paths[2])  # drops paths[0], the least recently loaded
+    gc.collect()
+    assert [k() for k in kernels] == [None] * 3
+
+
+# Runs argv by `cli.main` in this process and writes, as its last stderr
+# line, the exit code, the number of `linalg._define` calls and of distinct
+# sources among them.
+COUNT_DEFINES = """
+import json, sys
+from vnhc import cli, linalg
+sources, define = [], linalg._define
+linalg._define = lambda source: sources.append(source) or define(source)
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, len(sources), len(set(sources))]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("name", ["vortex", "gen5"])
+def test_fresh_command_compiles_each_source_once(tmp_path, name):
+    # A fresh process builds its pair once, so no source is compiled twice.
+    path = str(model_file(tmp_path, name))
+    q, qd = ("0.1,-0.2,0.5", "0.4,0.3,0.8") if name == "vortex" else (
+        "0.1,0.2,-0.3,0.4,0.5", "0.2,-0.1,0.3,0.1,-0.2")
+    for argv in (["check", path, "--grid", "x=-1:1:3" if name == "vortex" else "q1=-1:1:3"],
+                 ["simulate", path, "--q0", q, "--qdot0", qd, "--t-end", "0.05", "--dt", "1e-3",
+                  "--project", "--out", str(tmp_path / "traj.csv")],
+                 ["control-at", path, "--q", q, "--qdot", qd]):
+        done = subprocess.run([sys.executable, "-c", COUNT_DEFINES, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": SRC})
+        code, calls, distinct = json.loads(done.stderr.splitlines()[-1])
+        assert (code, calls) == (0, distinct), argv
+        assert calls >= 2, argv  # the model's kernel and the pair's kernel at least
 
 
 # A usage error first, then every command, each flag given once and then

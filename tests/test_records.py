@@ -9,6 +9,7 @@ tuple of its fields, and `State` checks its entries on every way of
 making one.
 """
 
+import array
 import hashlib
 import random
 
@@ -156,6 +157,26 @@ def test_state_refuses_a_string(maker, q, qd, field):
     with pytest.raises(TypeError) as err:
         MAKERS[maker](q, qd)
     assert str(err.value) == f"State {field} must be a sequence of numbers, not a str"
+
+
+@pytest.mark.parametrize("maker", MAKERS)
+@pytest.mark.parametrize("q, qd, field, kind", [
+    (b"012", (3.0, 4.0, 5.0), "q", "bytes"),
+    ((0.0, 1.0, 2.0), bytearray(b"345"), "qdot", "bytearray"),
+    (bytearray(b"012"), b"345", "q", "bytearray"),
+    ((0.0, 1.0, 2.0), b"", "qdot", "bytes"),
+])
+def test_state_refuses_bytes(maker, q, qd, field, kind):
+    # bytes and bytearray are sequences of ints, their character codes
+    with pytest.raises(TypeError) as err:
+        MAKERS[maker](q, qd)
+    assert str(err.value) == f"State {field} must be a sequence of numbers, not a {kind}"
+
+
+@pytest.mark.parametrize("maker", MAKERS)
+def test_state_takes_a_memoryview_of_floats(maker):
+    q, qd = memoryview(array.array("d", [0.5, -1.0])), memoryview(array.array("d", [2.0, 0.0]))
+    assert MAKERS[maker](q, qd) == State(q=(0.5, -1.0), qdot=(2.0, 0.0))
 
 
 @pytest.mark.parametrize("maker", MAKERS)
