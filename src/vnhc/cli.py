@@ -205,13 +205,7 @@ def cmd_control_at(args) -> int:
     q = _parse_vector(args.q, n, "--q")
     qd = _parse_vector(args.qdot, n, "--qdot")
     solve = solve_control(model, con, State(q=tuple(q), qdot=tuple(qd)))
-    record = {
-        "P": [list(row) for row in solve.P],
-        "b": list(solve.b),
-        "tau": list(solve.tau),
-        "cond_estimate": solve.cond_estimate,
-    }
-    print(json.dumps(record))
+    print(json.dumps(solve._asdict()))  # tuples are written as arrays
     return EXIT_OK
 
 

@@ -2,10 +2,12 @@
 
 Expressions are immutable trees over named symbols, interned as one
 graph (see `Expr`): a structure built twice is one object.  The results
-of `substitute` and `diff` are kept on the nodes, so a subtree shared
-within one build is folded and differentiated once; parsing, emitting and
-compiling run on every call.  A model text loaded again costs none of
-them: `model_io.load_model` gives back the pair it built.  By convention
+of `diff` are kept on the nodes, so a subtree shared within one build is
+differentiated once; `substitute` keeps its folds for one call, and
+parsing, emitting and compiling run on every call.  A model text loaded
+again costs none of them: `model_io.load_model` gives back the pair it
+built.  `evaluate` keeps the kernels of its last 64 expressions in a
+`functools.lru_cache`.  By convention
 the velocity of a coordinate ``x`` is the symbol ``xd``.  Angles are
 plain reals; nothing here wraps.
 
@@ -57,12 +59,12 @@ class Expr:
     so neither walks the tree.
 
     The table holds the nodes weakly: a node lives as long as its users
-    do, and the results of `diff` and `substitute` kept on it go with it.
+    do, and the derivatives `diff` keeps on it go with it.
     No field of a node changes after it is made, since every user shares
     it.  Assignment is not blocked: a guard on it made each new node
     dearer, and a first model load 8-10% slower (CPython 3.11)."""
 
-    __slots__ = ("_hash", "_derivatives", "_folded", "__weakref__")
+    __slots__ = ("_hash", "_derivatives", "__weakref__")
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in type(self).__slots__)
@@ -130,7 +132,7 @@ def _new(cls, key, parts) -> Expr:
     """A new node of cls, its fields still to set, entered in the table
     under key, with the hash of parts: its fields, each child by its hash."""
     node = object.__new__(cls)
-    node._hash, node._derivatives, node._folded = hash(parts), {}, None
+    node._hash, node._derivatives = hash(parts), {}
     _NODES[key] = weakref.ref(node, functools.partial(_unintern, key))
     return node
 
@@ -380,9 +382,14 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     e is compiled by `compile_exprs`, so a math error is the EvalError
     that names the failing subexpression.  The kernels of the last 64
     (e, names) pairs are kept, each entry holding e alive."""
-    names = tuple(env)
-    _, kernel = _EVALUATORS.get((id(e), names), lambda: (e, compile_exprs([e], names)))
-    return kernel(*map(float, env.values()))[0]
+    return _evaluator(id(e), tuple(env), e)(*map(float, env.values()))[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _evaluator(_, names: tuple, e: Expr):
+    """The kernel of e over names.  Its key holds id(e), so two trees apart
+    only in the sign of a zero, which are ==, compile apart."""
+    return compile_exprs([e], names)
 
 
 def free_symbols(e: Expr) -> set[str]:
@@ -391,65 +398,58 @@ def free_symbols(e: Expr) -> set[str]:
 
 def _leaves(e) -> tuple[set[str], list[float]]:
     """The names of the symbols of e, an expression or a nested list of
-    them, and its non-finite constants left to right."""
-    symbols, bad, stack = set(), [], [e]
+    them, and its non-finite constants left to right.  A node shared
+    within e is walked once."""
+    symbols, bad, seen, stack = set(), [], set(), [e]
     while stack:
         e = stack.pop()
-        if isinstance(e, Binary):
-            stack += e.right, e.left
-        elif isinstance(e, Unary):
-            stack.append(e.child)
-        elif isinstance(e, Symbol):
-            symbols.add(e.name)
-        elif isinstance(e, list):
+        if isinstance(e, list):
             stack += reversed(e)
-        elif not math.isfinite(e.value):
-            bad.append(e.value)
+        elif id(e) not in seen:
+            seen.add(id(e))
+            if isinstance(e, Binary):
+                stack += e.right, e.left
+            elif isinstance(e, Unary):
+                stack.append(e.child)
+            elif isinstance(e, Symbol):
+                symbols.add(e.name)
+            elif not math.isfinite(e.value):
+                bad.append(e.value)
     return symbols, bad
 
 
-def substitute(e: Expr, values: Mapping[str, float]) -> tuple[Expr, frozenset[str], tuple]:
+def substitute(e: Expr, values: Mapping[str, float]) -> Expr:
     """e with each symbol named in values replaced by its value as a
     Constant, rebuilt by the smart constructors, so that identities such as
-    1.0 * x and constant subtrees fold; with, from the same walk, the names
-    of e's symbols and its non-finite constants, left to right.
+    1.0 * x and constant subtrees fold.
 
     A fold that raises, or gives a non-finite number, is left unfolded, so
     that the error still happens where the expression is evaluated, as it
     would with the symbol.  Recursive, as `diff` is, which runs next on the
-    result.  Each node keeps its result for the last values it was folded
-    with, so a node shared within e, or with a tree folded before with the
-    same values, is walked once, and a sweep over many values keeps one
-    folded tree per node, not one per value."""
-    key = tuple(values.items())
-    if 0.0 in values.values():  # 0.0 == -0.0, but they fold apart
-        key = tuple(map(repr, key))
-    _, new, symbols, bad = _fold(e, key, values)
-    return e if new is None else new, symbols, bad
+    result.  A node shared within e is folded once: the folds are kept by
+    node id for this call only."""
+    done: dict[int, Expr] = {}  # id of a node of e -> the node folded
 
+    def fold(node: Expr) -> Expr:
+        new = done.get(id(node))
+        if new is None:
+            kind = type(node)
+            if kind is Binary:
+                l, r = fold(node.left), fold(node.right)
+                new = node if l is node.left and r is node.right else _refold(node, l, r)
+            elif kind is Unary:
+                c = fold(node.child)
+                new = node if c is node.child else _refold(node, c)
+            elif kind is Symbol and node.name in values:
+                new = Constant(float(values[node.name]))
+            else:
+                new = node
+            done[id(node)] = new
+        return new
 
-def _fold(node: Expr, key: tuple, values: Mapping[str, float]) -> tuple:
-    """(key, node folded or None where that is node itself, its symbols,
-    its non-finite constants) for the values key spells, kept on node."""
-    done = node._folded
-    if done is None or done[0] != key:
-        kind = type(node)
-        if kind is Binary:
-            (_, l, ls, lb), (_, r, rs, rb) = (_fold(node.left, key, values),
-                                              _fold(node.right, key, values))
-            new = None if l is r is None else _refold(node, l or node.left, r or node.right)
-            done = key, new, ls | rs, lb + rb
-        elif kind is Unary:
-            _, c, cs, cb = _fold(node.child, key, values)
-            done = key, None if c is None else _refold(node, c), cs, cb
-        elif kind is Symbol:
-            name = node.name
-            new = Constant(float(values[name])) if name in values else None
-            done = key, new, frozenset((name,)), ()
-        else:
-            done = key, None, frozenset(), () if math.isfinite(node.value) else (node.value,)
-        node._folded = done
-    return done
+    folded = fold(e)
+    del fold  # a recursive closure: see `_emit`
+    return folded
 
 
 def _refold(node: Expr, *children: Expr) -> Expr:
@@ -588,27 +588,6 @@ def to_string(e: Expr) -> str:
 
 # ---------------------------------------------------------------------------
 # Compilation to fast callables
-
-class _LRU:
-    """At most size results, under keys their callers make, the least
-    recently used dropped first: `functools.lru_cache` for arguments that
-    are not their own keys."""
-
-    def __init__(self, size: int):
-        self.size, self.results = size, {}
-
-    def get(self, key, make: Callable[[], object]):
-        result = self.results.pop(key, self)
-        if result is self:
-            result = make()
-            if len(self.results) >= self.size:
-                del self.results[next(iter(self.results))]
-        self.results[key] = result
-        return result
-
-
-_EVALUATORS = _LRU(64)  # of `evaluate`
-
 
 def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, float] | None = None,
           every: bool = False):

@@ -59,12 +59,13 @@ class State(namedtuple("State", "q qdot")):
     __slots__ = ()
 
     def __new__(cls, q, qdot):
-        # float would read a str's characters as digits, bytes as their codes;
-        # two tuples, the common case, skip the slower isinstance tests
-        if (type(q) is not tuple or type(qdot) is not tuple) and (
-                isinstance(q, _TEXT) or isinstance(qdot, _TEXT)):
-            name, x = ("q", q) if isinstance(q, _TEXT) else ("qdot", qdot)
-            raise TypeError(f"State {name} must be a sequence of numbers, not a {type(x).__name__}")
+        # float would read a str's characters as digits, and bytes, or a view
+        # of them, as their codes; two tuples, the common case, skip the tests
+        if type(q) is not tuple or type(qdot) is not tuple:
+            for name, x in ("q", q), ("qdot", qdot):
+                if isinstance(x, _TEXT) or isinstance(x, memoryview) and isinstance(x.obj, _TEXT):
+                    raise TypeError(
+                        f"State {name} must be a sequence of numbers, not a {type(x).__name__}")
         q, qd = tuple(map(float, q)), tuple(map(float, qdot))
         if len(q) != len(qd):
             raise ValueError("q and qdot dimensions differ")
@@ -134,7 +135,8 @@ class _Chart:
         def fold(where: str, field):
             if not isinstance(field, ex.Expr):
                 return [fold(f"{where}[{i}]", f) for i, f in enumerate(field)]
-            e, symbols, constants = ex.substitute(field, self.parameters)
+            e = ex.substitute(field, self.parameters)
+            symbols, constants = ex._leaves(field)
             extra = symbols - allowed
             if extra:
                 kind = "must be velocity-free; offending" if extra & v else "uses unknown"

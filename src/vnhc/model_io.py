@@ -15,15 +15,17 @@ Schema (unknown keys are errors):
 "potential", "external_force" and "parameters" are optional.  The
 constraint block takes either "Z" directly or a vector field "X" (n DSL
 strings), in which case Z = -S X is formed symbolically at load time.
-`load_model` gives back the pair it built when it reads the same text
+`load_model` gives back the pair it built when it reads the same content
 again, with the kernels the pair has built since: this is the package's
-one process-wide memo of what a build makes, bounded by `LOAD_CACHE_SIZE`
-texts.  A pair built otherwise parses, emits and compiles anew; only the
-folds and derivatives kept on live expression nodes are shared.
+one process-wide memo of what a build makes, a `functools.lru_cache` of
+`LOAD_CACHE_SIZE` contents.  A pair built otherwise parses, emits and
+compiles anew; only the derivatives kept on live expression nodes are
+shared.  A model file is UTF-8 JSON text (RFC 8259, section 8.1).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 from . import expr as ex
@@ -120,26 +122,30 @@ def load_model_dict(data: dict) -> tuple[MechanicalModel, AffineConstraint]:
 
 
 LOAD_CACHE_SIZE = 256
-_LOADED = ex._LRU(LOAD_CACHE_SIZE)  # of `load_model`
+
+
+@functools.lru_cache(maxsize=LOAD_CACHE_SIZE)
+def _load_content(content: bytes) -> tuple[MechanicalModel, AffineConstraint]:
+    """The pair of a model file's content, the memo of `load_model`."""
+    return load_model_dict(json.loads(content.decode("utf-8")))
 
 
 def load_model(path) -> tuple[MechanicalModel, AffineConstraint]:
     """The pair of the model file at path, read on every call.  The same
-    text gives the same pair, which is immutable after construction: the
-    pairs of the last `LOAD_CACHE_SIZE` distinct texts are kept, each with
-    the kernels it has built, so loading a text again parses, generates
-    and compiles nothing.  A failed load keeps nothing."""
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-
-    def load():
-        try:  # ValueError: a JSONDecodeError, or an integer of more digits than int() converts
-            data = json.loads(text)
-        except (ValueError, RecursionError) as err:  # RecursionError: nested too deeply
-            raise ModelFileError(f"{path}: invalid JSON: {err}") from err
-        return load_model_dict(data)
-
-    return _LOADED.get(text, load)
+    content gives the same pair, which is immutable after construction: the
+    pairs of the last `LOAD_CACHE_SIZE` distinct contents are kept, each
+    with the kernels it has built, so loading a content again decodes,
+    parses, generates and compiles nothing.  A failed load keeps nothing."""
+    with open(path, "rb") as f:
+        content = f.read()
+    try:
+        return _load_content(content)
+    except ModelFileError:
+        raise
+    # ValueError: not UTF-8, a JSONDecodeError, or an integer of more digits
+    # than int() converts; RecursionError: nested too deeply
+    except (ValueError, RecursionError) as err:
+        raise ModelFileError(f"{path}: invalid JSON: {err}") from err
 
 
 def model_to_dict(model: MechanicalModel, con: AffineConstraint) -> dict:

@@ -203,8 +203,20 @@ def test_parameter_fold_errors_stay_at_evaluation():
                             input_coframe=[["1", "0"]], parameters={"k": -1e200})
     with pytest.raises(vnhc.EvalError, match=r"^domain error in sqrt\(-1e\+200\)$"):
         model.grad_potential((0.0, 0.0))
-    assert ex.substitute(ex.parse("k*k"), {"k": -1e200})[0] == ex.Binary(
+    assert ex.substitute(ex.parse("k*k"), {"k": -1e200}) == ex.Binary(
         "mul", ex.Constant(-1e200), ex.Constant(-1e200))
+
+
+def test_a_shared_subtree_is_walked_once():
+    # e = x^(2^40) as 40 squarings: a node per level, 2^40 paths.  The
+    # fold and the symbol and constant checks visit each node once.
+    e = ex.Symbol("x")
+    for _ in range(40):
+        e = e * e
+    assert ex.free_symbols(e) == {"x"}
+    model = MechanicalModel(("x", "y"), [["1", "0"], ["0", "1"]], potential=e * "k",
+                            input_coframe=[["1", "0"]], parameters={"k": 0.0})
+    assert list(model.grad_potential((0.5, 0.0))) == [0.0, 0.0]
 
 
 def plane(metric=("1", "1"), force=("0", "0"), inputs=("1", "0"), mu=("1", "0")):

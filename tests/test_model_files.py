@@ -136,3 +136,21 @@ def test_too_long_a_json_integer_is_invalid(tmp_path, capsys):
     path.write_text(text.replace('"k": 0', f'"k": 1{"0" * (limit - 1)}'))
     assert main(["check", str(path)]) == 2  # a parameter beyond float range
     assert capsys.readouterr().err == "error: parameter 'k' is out of range\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["control-at", "--q", "0,0,0", "--qdot", "0,0,0"],
+    ["simulate", "--q0", "0,0,0", "--qdot0", "0,0,0", "--t-end", "0.01", "--dt", "1e-3",
+     "--out", "traj.csv"],
+])
+def test_a_file_not_in_utf8_is_invalid(tmp_path, capsys, monkeypatch, argv):
+    # JSON text is UTF-8 (RFC 8259, section 8.1): a file that does not
+    # decode is invalid JSON, one usage-error line that names the file.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")

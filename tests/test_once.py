@@ -1,18 +1,22 @@
 """One-time work is done once per process.
 
-`model_io.load_model` keeps the pair it builds from each model text, so a
-text loaded again gives back the same pair with the kernels it has built:
-nothing is parsed, generated or compiled again, and a failed load keeps
+`model_io.load_model` keeps the pair it builds from each model file's
+content in a `functools.lru_cache`, so a content loaded again, from any
+path, gives back the same pair with the kernels it has built: nothing is
+decoded, parsed, generated or compiled again, and a failed load keeps
 nothing.  That is the one process-wide memo of what a build makes: a pair
 built anew from the same data parses, emits and compiles its kernels anew,
 with the same results, and a pair the memo drops is freed with its
-kernels.  Within one build, the results of folding and differentiation
-kept on the interned expression graph share work, and a command-line run
-compiles each distinct source once.  `cli.build_parser` builds the parser
-once.  Reuse must change no result and leak no state between calls.
+kernels.  Within one build, the derivatives kept on the interned
+expression graph, and the parameter folds kept for one `substitute` call,
+share work, and a command-line run compiles each distinct source once.
+`vnhc.evaluate` keeps the kernels of its last 64 expressions in an
+`lru_cache` of its own.  `cli.build_parser` builds the parser once.
+Reuse must change no result and leak no state between calls.
 """
 
 import contextlib
+import functools
 import gc
 import io
 import json
@@ -164,18 +168,77 @@ def test_rewritten_file_is_loaded_afresh(tmp_path):
     assert again == repr(vnhc.closed_loop_acceleration(*load_model(shear), s)) != vortex
 
 
-def test_failed_load_keeps_nothing(tmp_path):
+def fresh_memo(monkeypatch, size=model_io.LOAD_CACHE_SIZE):
+    """An empty load memo of size contents in place of the process's, over
+    the same function."""
+    memo = functools.lru_cache(maxsize=size)(model_io._load_content.__wrapped__)
+    monkeypatch.setattr(model_io, "_load_content", memo)
+    return memo
+
+
+def test_failed_load_keeps_nothing(tmp_path, monkeypatch):
     # A file rewritten to invalid JSON fails to load and keeps nothing;
     # restored, it gives back the pair loaded before.
+    memo = fresh_memo(monkeypatch)
     path = model_file(tmp_path, "vortex")
     text, pair = path.read_text(), load_model(path)
-    loaded = dict(model_io._LOADED.results)
     path.write_text(text[:-3])
     with pytest.raises(model_io.ModelFileError, match="invalid JSON"):
         load_model(path)
-    assert model_io._LOADED.results == loaded
+    path.write_bytes(b"\xff" + text.encode())
+    with pytest.raises(model_io.ModelFileError, match="invalid JSON: 'utf-8' codec"):
+        load_model(path)
+    assert memo.cache_info().currsize == 1
     path.write_text(text)
     assert load_model(path) is pair
+    assert memo.cache_info().currsize == 1
+
+
+def test_same_content_at_two_paths_is_one_pair(tmp_path, monkeypatch):
+    # The memo is keyed by content: a copy of a file loads as its pair.
+    memo = fresh_memo(monkeypatch)
+    path = model_file(tmp_path, "shear")
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(path.read_bytes())
+    assert load_model(copy) is load_model(path)
+    assert memo.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+def compiled(monkeypatch) -> list:
+    """The ids of the expressions each `expr.compile_exprs` call compiles
+    from now on (ids, so that the record holds no node alive)."""
+    calls, compile_exprs = [], ex.compile_exprs
+    monkeypatch.setattr(ex, "compile_exprs", lambda exprs, *a: (
+        calls.append([id(e) for e in exprs]), compile_exprs(exprs, *a))[1])
+    return calls
+
+
+def test_repeated_evaluation_compiles_once(monkeypatch):
+    e = ex.parse("u * 0.375 + sin(u)")
+    calls = compiled(monkeypatch)
+    values = [ex.evaluate(e, {"u": 2.0}) for _ in range(3)]
+    assert values == [0.75 + math.sin(2.0)] * 3
+    assert calls == [[id(e)]]
+    ex.evaluate(e, {"u": 1.0, "v": 0.0})  # other names, another kernel
+    assert calls == [[id(e)]] * 2
+
+
+def test_65th_evaluated_node_evicts_the_first(monkeypatch):
+    # Each entry holds its node alive until 64 distinct nodes evaluated
+    # after it evict it; it is then freed.
+    u = ex.Symbol("u")
+    first = u * 0.0625 + u
+    node = weakref.ref(first)
+    calls = compiled(monkeypatch)
+    assert ex.evaluate(first, {"u": 1.0}) == 1.0625
+    del first
+    for k in range(1, 64):
+        assert ex.evaluate(u * 0.0625 + float(k), {"u": 1.0}) == 0.0625 + k
+    gc.collect()
+    assert node() is not None  # kept by the memo
+    ex.evaluate(u * 0.0625 + 64.0, {"u": 1.0})
+    gc.collect()
+    assert node() is None and len(calls) == 65
 
 
 @pytest.mark.parametrize("name", [*FIXTURE_CURRENTS, "gen5"])
@@ -208,7 +271,7 @@ def test_dropped_pair_frees_its_kernels(tmp_path, monkeypatch):
     # The load memo keeps a pair with its kernels while the pair is among
     # its last texts; once dropped and held by no caller, the pair is
     # freed with every kernel it built.  Each mass is another model text.
-    monkeypatch.setattr(model_io, "_LOADED", ex._LRU(2))
+    fresh_memo(monkeypatch, 2)
     paths = [tmp_path / f"boat{k}.json" for k in range(3)]
     for k, path in enumerate(paths):
         save_model(path, *build_boat("sin(y)", "cos(x)", m=1.0 + k))

@@ -165,9 +165,14 @@ def test_state_refuses_a_string(maker, q, qd, field):
     ((0.0, 1.0, 2.0), bytearray(b"345"), "qdot", "bytearray"),
     (bytearray(b"012"), b"345", "q", "bytearray"),
     ((0.0, 1.0, 2.0), b"", "qdot", "bytes"),
+    (memoryview(b"012"), (0.0, 0.0, 1.0), "q", "memoryview"),
+    ((0.0, 1.0, 2.0), memoryview(bytearray(b"345")), "qdot", "memoryview"),
+    (memoryview(b"0123")[1:], memoryview(b"345"), "q", "memoryview"),
+    ((0.0,), memoryview(memoryview(b"3")), "qdot", "memoryview"),
 ])
 def test_state_refuses_bytes(maker, q, qd, field, kind):
-    # bytes and bytearray are sequences of ints, their character codes
+    # bytes and bytearray, and views of them, are sequences of ints, their
+    # character codes
     with pytest.raises(TypeError) as err:
         MAKERS[maker](q, qd)
     assert str(err.value) == f"State {field} must be a sequence of numbers, not a {kind}"
