@@ -122,7 +122,8 @@ class AffineConstraint(_Chart):
                         raise EvalError(
                             f"constraint.mu[{b}][{i}] = {ex.to_string(e)} is not finite ({v!r})")
         sv = linalg.singular_values(S)
-        return sum(map((RANK_RTOL * sv[0]).__lt__, sv)), sv  # 0 when S = 0; S has m >= 1 rows
+        # a sum of booleans, an int; 0 when S = 0; S has m >= 1 rows
+        return sum(map((RANK_RTOL * sv[0]).__lt__, sv)), sv
 
 
 def check_compatible(model: MechanicalModel, con: AffineConstraint, con_first: bool = False):
@@ -166,7 +167,7 @@ _PADS = {n: (None, None, math.inf, 0.0, None, None)[n - 3:] for n in (3, 4, 5, 7
 
 
 def _dot(block: _Block, x: str, y: str, n: int):
-    """{x} . {y}, added up as sum() does, from 0."""
+    """{x} . {y}, added left to right from 0, as `linalg.dot` adds."""
     return _chain("+", [0.0, *(_bin(block[f"{x}{i}"], "*", block[f"{y}{i}"]) for i in range(n))])
 
 

@@ -18,10 +18,12 @@ no input, such as the whole metric block of a constant metric, is
 computed once, as the statement generators write the source
 (`linalg._Block`).  The closed-loop views
 (`solve_control`, `tau_star`, `closed_loop_acceleration`) make one call
-of its stage 1 alone, which also returns b, P and cond; `sim` calls the
-whole step.  The kernel is built on the first closed-loop call with a
-model and kept on the constraint, so loading a model does not pay for
-it.  The pair is checked (`check_compatible`) only then, right before the
+of its stage 1 alone, which also returns b, P and cond; `sim` makes one
+call per sample interval, which chains the interval's steps and ends
+with phi = S qdot + Z at the sample, from statements of S and Z of its
+own that run there alone (`_phi_body`).  The kernel is built on the
+first closed-loop call with a model and kept on the constraint, so
+loading a model does not pay for it.  The pair is checked (`check_compatible`) only then, right before the
 build (`_step`): a kernel kept in `con._step[model]` proves the check
 passed, so a warm call checks nothing about the pair again.  A model text
 loaded again gives back the pair built from it
@@ -55,7 +57,7 @@ from collections import namedtuple
 
 from . import expr as ex
 from . import linalg
-from .linalg import _bin, _Block, _list, _Src, _text, _unary
+from .linalg import _bin, _Block, _chain, _list, _Src, _text, _unary
 from .constraint import (AffineConstraint, _bind, _built, _dot, _gate_lines, _p_system,
                          _QOnly, _verdict, check_compatible)
 from .expr import EvalError
@@ -121,63 +123,94 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
                          [block[f"b{b}"] for b in rm], P, block["cond"]]
 
 
+def _phi_body(model: MechanicalModel, con: AffineConstraint):
+    """The statements of phi = S qdot + Z at the locals _a0 .. _a<2n-1>
+    holding (q, qd), which the step kernel runs at a sample alone: S and Z
+    with common subexpressions computed once, over locals of their own
+    (_z0, _z1, ...), so no stage computes what only Z needs.  Returns them
+    and the values of [phi] after them, each S_b qd added left to right
+    from 0, then Z_b, as `con.phi` adds them."""
+    n = model.n
+    mu, Z, _ = con._exprs
+    lines, (S, Z), _ = ex._emit([mu, Z], model.coordinates + model.velocities, prefix="_z")
+    qd = [_Src(f"_a{n + i}") for i in range(n)]
+    return lines, [_bin(_chain("+", [0.0, *map(_bin, row, "*" * n, qd)]), "+", z)
+                   for row, z in zip(S, Z)]
+
+
 def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
     """Source of kernel(q, v, a, h, more), the pair's one closed-loop kernel:
     the pair's closed-loop statements, folded as they are written, once, in
-    a loop over the RK4 stages, and the stage arithmetic between them.
+    a loop over the RK4 stages and steps, the stage arithmetic between
+    them, and the statements of phi at a sample.
 
     With a None: stage 1 at (q, v) alone, returning ([acc], [tau], [b],
     [P rows], cond) there; h and more are not read.  With a the stage-1
-    acceleration at (q, v): stages 2, 3 and 4 and the step's end (q1, v1),
-    whose sums v + 2 k2 + 2 k3 + k4 are added up stage by stage in that
-    order, so each result has the bits of the classical formula; then, with
-    more and a finite end, stage 1 at the end, returning (q1, v1, acc, tau)
-    there, and without more (q1, v1, None, None).  Where a
-    stage's gate fails or it meets a math error, the kernel returns (None,
-    k, q_k, qdot_k) for stage k at (q_k, qdot_k), k = 0 for an end that is
-    not finite."""
-    return _step_text(*_closed_loop_body(model, con))
+    acceleration at (q, v) and more false: stages 2, 3 and 4 and the step's
+    end (q1, v1), whose sums v + 2 k2 + 2 k3 + k4 are added up stage by
+    stage in that order, so each result has the bits of the classical
+    formula, returning (q1, v1, None, None).  With more a count of steps,
+    one sample interval: that many steps, each ended by the test that its
+    end is finite and by stage 1 there, whose acceleration starts the next
+    step; after the last, phi there (`_phi_body`), returning (q1, v1, acc,
+    tau, phi) at the last end.  Where a stage's gate fails or it meets a
+    math error (phi's at the sample included), the kernel returns (None, k,
+    q_k, qdot_k) for stage k at (q_k, qdot_k), k = 0 for an end that is not
+    finite, and with a given, the count of steps left, the failing one
+    included, after them."""
+    return _step_text(*_closed_loop_body(model, con), _phi_body(model, con))
 
 
-def _step_text(lines: list[str], outputs: list) -> str:
-    """Source of the step kernel from the closed-loop statements lines and
-    the values outputs of [acc], [tau], [b], [P rows] and cond after them:
-    one copy of lines, run for each stage k in a loop over the stages."""
+def _step_text(lines: list[str], outputs: list, phi: tuple) -> str:
+    """Source of the step kernel from the closed-loop statements lines, the
+    values outputs of [acc], [tau], [b], [P rows] and cond after them, and
+    phi, the statements of phi and its values (`_phi_body`): one copy of
+    lines, run for each stage k in a loop over the stages and the steps,
+    and one copy of phi's, run at the last step's end."""
     acc = [_text(x) for x in outputs[0]]
     n = len(acc)
+    phi_lines, phi = phi
 
     def each(*texts) -> tuple:  # texts at each coordinate i; qdot_i is _a{j}, acc_i is {d}
         return tuple(_Src(text.format(i=i, j=n + i, d=acc[i])) for text in texts for i in range(n))
 
     xs, vs, qs, qds = (_list(each(text)) for text in ("x{i}", "v{i}", "_a{i}", "_a{j}"))
-    failed = f"return None, k, {qs}, {qds}"
     # x - x is 0.0 for a finite x and NaN for inf and NaN, so the sum is 0.0
     # exactly where every entry is finite
     finite = " + ".join(each("(x{i} - x{i})", "(v{i} - v{i})"))
     # sx and sv are the sums of the slopes that the step's end adds up, and
     # stage k + 1 is at the velocity v + dt acc and the position x + dt
-    # (stage k's velocity)
+    # (stage k's velocity); a failing gate or a math error leaves the loop
+    # at stage k, whose state the kernel returns
+    start = each("_a{i} = x{i} + h2 * v{i}", "_a{j} = v{i} + h2 * sv{i}")
     body = [
-        "if a is None:", "    stages = (1,)", f"    {qs} = q", f"    {qds} = v", "else:",
-        "    stages = (2, 3, 4, 1)", "    h2, h6 = 0.5 * h, h / 6.0", f"    {xs} = q",
-        f"    {vs} = v", f"    {_list(each('sx{i}'))} = v", f"    {_list(each('sv{i}'))} = a",
-        *each("    _a{i} = x{i} + h2 * v{i}", "    _a{j} = v{i} + h2 * sv{i}"),
-        "for k in stages:", "    try:",
-        *(f"        {line}".replace("return None", failed) for line in lines or ["pass"]),
-        "    except (ArithmeticError, ValueError):", f"        {failed}",
-        "    if k == 1:", "        if a is None:",
-        f"            return {', '.join(map(_list, outputs))}",
-        f"        return {xs}, {vs}, {_list(tuple(outputs[0]))}, {_list(tuple(outputs[1]))}",
-        "    if k == 4:",
-        *each("        x{i} = x{i} + h6 * (sx{i} + _a{j})",
-              "        v{i} = v{i} + h6 * (sv{i} + {d})"),
-        "        if not more:", f"            return {xs}, {vs}, None, None",
-        f"        if {finite} != 0.0:", f"            return None, 0, {xs}, {vs}",
-        *each("        _a{i} = x{i}", "        _a{j} = v{i}"),
-        "    else:",
-        *each("        sx{i} = sx{i} + 2.0 * _a{j}", "        sv{i} = sv{i} + 2.0 * {d}"),
-        "        dt = h2 if k == 2 else h",
-        *each("        _a{i} = x{i} + dt * _a{j}", "        _a{j} = v{i} + dt * {d}")]
+        "if a is None:", "    k = 1", f"    {qs} = q", f"    {qds} = v", "else:",
+        "    k = 2", "    h2, h6 = 0.5 * h, h / 6.0", f"    {xs} = q", f"    {vs} = v",
+        f"    {_list(each('sx{i}'))} = v", f"    {_list(each('sv{i}'))} = a",
+        *(f"    {line}" for line in start),
+        "try:", "    while True:",
+        *(f"        {line}".replace("return None", "break") for line in lines or ["pass"]),
+        "        if k == 1:", "            if a is None:",
+        f"                return {', '.join(map(_list, outputs))}",
+        "            if more == 1:", *(f"                {line}" for line in phi_lines),
+        f"                return {xs}, {vs}, {_list(tuple(outputs[0]))}, "
+        f"{_list(tuple(outputs[1]))}, {_list(tuple(phi))}",
+        "            more = more - 1", "            k = 2",
+        *each("            sx{i} = v{i}", "            sv{i} = {d}"),
+        *(f"            {line}" for line in start),
+        "        elif k == 4:",
+        *each("            x{i} = x{i} + h6 * (sx{i} + _a{j})",
+              "            v{i} = v{i} + h6 * (sv{i} + {d})"),
+        "            if not more:", f"                return {xs}, {vs}, None, None",
+        f"            if {finite} != 0.0:", f"                return None, 0, {xs}, {vs}, more",
+        "            k = 1", *each("            _a{i} = x{i}", "            _a{j} = v{i}"),
+        "        else:",
+        *each("            sx{i} = sx{i} + 2.0 * _a{j}", "            sv{i} = sv{i} + 2.0 * {d}"),
+        "            dt = h2 if k == 2 else h", "            k = k + 1",
+        *each("            _a{i} = x{i} + dt * _a{j}", "            _a{j} = v{i} + dt * {d}"),
+        "except (ArithmeticError, ValueError):", "    pass",
+        "if a is None:", f"    return None, k, {qs}, {qds}",
+        f"return None, k, {qs}, {qds}, more"]
     return "\n".join(["def kernel(q, v, a, h, more):", *(f"    {line}" for line in body)])
 
 
@@ -229,7 +262,8 @@ def _stage1(model: MechanicalModel, con: AffineConstraint, state: State,
     if out[0] is None:
         _raise_failure(model, con, q, state.qdot, state)
     # A non-finite b or tau always reaches acc (0 * inf is NaN): one sum
-    # screens all three, and _finite names the first bad one.
+    # screens all three, and _finite names the first bad one.  Only whether
+    # the sum is finite is used, which no order of summation changes.
     if screen and not math.isfinite(sum(out[0])):
         _finite(state, b=out[2], tau=out[1], acceleration=out[0])
     return out

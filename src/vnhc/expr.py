@@ -590,14 +590,15 @@ def to_string(e: Expr) -> str:
 # Compilation to fast callables
 
 def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, float] | None = None,
-          every: bool = False):
+          every: bool = False, prefix: str = "_t"):
     """Straight-line source of exprs over the locals _a0, _a1, ... that
     hold the variables, with common subexpressions computed once.
 
     Returns (lines, roots, nodes): the statements binding subexpressions
-    to the locals _t0, _t1, ..., in order; exprs with each expression
-    replaced by its value, nested alike: a `linalg._Src` (a local or an
-    inline expression) or a number; and the subexpression each line binds.
+    to the locals {prefix}0, {prefix}1, ..., in order; exprs with each
+    expression replaced by its value, nested alike: a `linalg._Src` (a
+    local or an inline expression) or a number; and the subexpression each
+    line binds.
     Each operation is written by `linalg`'s writer, so its text has only
     the parentheses the tree needs.
     Raises EvalError for a free symbol that is neither a variable nor a
@@ -685,7 +686,7 @@ def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, flo
         nest = 1 + max(depth[child] for child in children)
         if every or uses[num] > 1 or nest > 100:  # CPython parses up to 200 nested parentheses
             nest = 0
-            name = f"_t{len(lines)}"
+            name = f"{prefix}{len(lines)}"
             lines.append(f"{name} = {_text(value)}")
             nodes.append(first[num])
             value = _Src(name)

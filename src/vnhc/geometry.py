@@ -50,6 +50,7 @@ def _spd_error(q, g, ratio=None) -> SPDError:
 
 
 _TEXT = (str, bytes, bytearray)
+_BYTE_FORMATS = ("b", "B", "c")  # the `struct` formats of one byte
 
 
 class State(namedtuple("State", "q qdot")):
@@ -60,16 +61,21 @@ class State(namedtuple("State", "q qdot")):
 
     def __new__(cls, q, qdot):
         # float would read a str's characters as digits, and bytes, or a view
-        # of them, as their codes; two tuples, the common case, skip the tests
+        # of bytes (of whatever object: a float array cast to bytes too), as
+        # their codes; two tuples, the common case, skip the tests
         if type(q) is not tuple or type(qdot) is not tuple:
             for name, x in ("q", q), ("qdot", qdot):
-                if isinstance(x, _TEXT) or isinstance(x, memoryview) and isinstance(x.obj, _TEXT):
+                if isinstance(x, _TEXT) or isinstance(x, memoryview) and x.format.lstrip(
+                        "@=<>!") in _BYTE_FORMATS:
                     raise TypeError(
                         f"State {name} must be a sequence of numbers, not a {type(x).__name__}")
         q, qd = tuple(map(float, q)), tuple(map(float, qdot))
         if len(q) != len(qd):
             raise ValueError("q and qdot dimensions differ")
-        # a sum of finite entries is finite unless it overflows: only then is each looked at
+        # a sum of finite entries is finite unless it overflows: only then is
+        # each looked at.  Only whether the sum is finite is used, which no
+        # order of summation changes (sum() of floats is compensated from
+        # Python 3.12 on): a non-finite entry makes any sum inf or NaN
         if not math.isfinite(sum(q + qd)) and not all(map(math.isfinite, q + qd)):
             raise ValueError("non-finite state entry")
         return tuple.__new__(cls, (q, qd))

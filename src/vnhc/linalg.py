@@ -379,7 +379,12 @@ def cond1_from_lu(a, lu, piv) -> float:
 
 
 def dot(x: list[float], y: list[float]) -> float:
-    return sum(map(operator.mul, x, y))
+    """x . y, added left to right from 0 as the generated kernels add it,
+    so on every Python (sum() of floats is compensated from 3.12 on)."""
+    total = 0
+    for a, b in zip(x, y):
+        total = total + a * b
+    return total
 
 
 def _jacobi(a: list, one_sided: bool) -> list:

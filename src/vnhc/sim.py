@@ -6,24 +6,30 @@ an order of accuracy in the phi-drift certificate.  No adaptivity: the
 diagnostics want uniform, reproducible sampling.
 
 Inputs are validated once at the API boundary; the steps carry plain
-q/qdot tuples.  A step is one call of the pair's step kernel
+q/qdot tuples.  A sample interval is one call of the pair's step kernel
 (`control._step`): the pair's folded closed-loop statements, written
-once and run for each stage in a loop, with the RK4 stage arithmetic
-between them, so a stage computes what the views' stage-1 call would,
-bit for bit.  In `integrate` the call goes on to the next step's stage 1,
-whose tau is the one sampled at the step's end, once it has found that
-end finite.  Stage 1 at the start state is `control._stage1`, the views'
-one entry, without their finite screen; its kernel's build checked the
-pair (`control._step`), so later steps check nothing again.  Where a
-later stage's gate fails or it meets a math error, the kernel returns
-the stage's state, and `control._raise_failure`, called there, raises
-the typed error with its message, as it does for the views.  A math
-error in phi at a sample after the start aborts the run as a failed
-stage does: an `IntegrationError` naming the step.
+once and run for each stage in a loop over the stages and the steps,
+with the RK4 stage arithmetic between them, so a stage computes what the
+views' stage-1 call would, bit for bit.  Each step ends with the test
+that its end is finite and stage 1 there, whose acceleration starts the
+next step and whose tau is the one sampled at the interval's end; there
+the kernel also computes phi, with the bits of `con.phi`, and returns
+the sample's record, which `integrate` keeps as it comes, its state made
+without checking it again.  Stage 1 at the start state is
+`control._stage1`, the views' one entry, without their finite screen,
+and phi there is `con.phi`; the kernel's build checked the pair
+(`control._step`), so later steps check nothing again.  Where a later
+stage's gate fails or it meets a math error, the kernel returns the
+stage's state and the steps left, and `control._raise_failure`, called
+there, raises the typed error with its message, as it does for the
+views.  A math error in phi at a sample after the start aborts the run
+as a failed stage does: an `IntegrationError` naming the step.  No stage
+evaluates what only phi needs, so phi between samples never fails a run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -39,6 +45,10 @@ class IntegrationError(RuntimeError):
         self.last_good_index = last_good_index
 
 
+# A State made without the checks of its constructor, of the tuples of
+# floats that the step kernel returns and has found finite.
+_checked_state = functools.partial(tuple.__new__, State)
+
 # states: of State; controls: of m-tuples, tau* at each sample; phis: of
 # m-tuples; drift_report: per constraint row, max_t |phi_b(t) - phi_b(0)|
 Trajectory = namedtuple("Trajectory", "times states controls phis drift_report")
@@ -51,7 +61,7 @@ def rk4_step(model: MechanicalModel, con: AffineConstraint, state: State, h: flo
     a = _stage1(model, con, state, False)[0]
     out = _step(model, con)(state.q, state.qdot, a, h, False)
     if out[0] is None:
-        _raise_failure(model, con, *out[2:])
+        _raise_failure(model, con, *out[2:4])
     return State(q=out[0], qdot=out[1])
 
 
@@ -82,24 +92,27 @@ def integrate(
     controls = [tuple(tau)]
     phis = [tuple(con.phi(state0))]
 
-    for step in range(1, n_steps + 1):
-        out = kernel(q, qd, a, h, True)
-        try:
-            if out[0] is None:
-                if out[1] == 0:
-                    raise IntegrationError(f"non-finite state at step {step}",
-                                           last_good_index=len(times) - 1)
-                _raise_failure(model, con, *out[2:])
-            q, qd, a, tau = out
-            if step % sample_every == 0 or step == n_steps:
-                state = State(q=q, qdot=qd)
-                phis.append(tuple(con.phi(state)))  # first: it may raise
-                times.append(step * h)
-                states.append(state)
-                controls.append(tau)
-        except (TransversalityError, SPDError, EvalError) as err:  # a stage's or phi's
-            raise IntegrationError(f"aborted at step {step}: {err}",
-                                   last_good_index=len(times) - 1) from err
+    step = 0
+    while step < n_steps:
+        # one call runs the steps up to the next sample and returns its record
+        count = min(sample_every - step % sample_every, n_steps - step)
+        out = kernel(q, qd, a, h, count)
+        if out[0] is None:
+            step += count + 1 - out[4]  # the step that failed
+            if out[1] == 0:
+                raise IntegrationError(f"non-finite state at step {step}",
+                                       last_good_index=len(times) - 1)
+            try:
+                _raise_failure(model, con, *out[2:4])
+            except (TransversalityError, SPDError, EvalError) as err:  # a stage's or phi's
+                raise IntegrationError(f"aborted at step {step}: {err}",
+                                       last_good_index=len(times) - 1) from err
+        step += count
+        q, qd, a, tau, phi = out
+        times.append(step * h)
+        states.append(_checked_state((q, qd)))
+        controls.append(tau)
+        phis.append(phi)
 
     phi0 = phis[0]
     drift = tuple(

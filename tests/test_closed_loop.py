@@ -349,7 +349,9 @@ class Unfolded(linalg._Block):
 
 def unfolded_kernels(model, con):
     """The step and q-only kernels compiled from the pair's unfolded
-    statements, folded by `oracle.fold`."""
+    statements, folded by `oracle.fold`.  The step kernel's statements of
+    phi at a sample are `expr._emit`'s alone, which no block folds, so
+    they are taken as they are."""
     with mock.patch.object(control, "_Block", Unfolded), mock.patch.object(constraint, "_Block",
                                                                          Unfolded):
         lines, outputs = control._closed_loop_body(model, con)
@@ -362,7 +364,7 @@ def unfolded_kernels(model, con):
         return [relabel(y) for y in x] if isinstance(x, list) else folded[x]
 
     define = linalg._define
-    step = define(control._step_text(list(body), relabel(outputs)))
+    step = define(control._step_text(list(body), relabel(outputs), control._phi_body(model, con)))
     body, (out,) = fold([line[4:] for line in q_lines], [result.removeprefix("    return ")])
     return step, define("\n".join(linalg._kernel_source("q", body, out)))
 

@@ -165,8 +165,8 @@ def test_simulate_output_is_golden(tmp_path):
 # SHA-256 of control._step_source(model, con), the pair's closed-loop
 # kernel: the RK4 step, whose stage 1 alone the views run.
 CLOSED_LOOP_SHA256 = {
-    "vortex": "5b96a7ef2592ffa497fedf6676163c9169dba6c8baf3ce31f543b8bb21ce77d4",
-    "gen5": "d24b413c4f24f9d9384ffc5ac92e7d9dc7e89ba0fee65a245636ebf5303b0c74",
+    "vortex": "34fa41f7e8f6e5929428b6c5f5b1697e3331b820f90e183c49c3d4af294f3942",
+    "gen5": "aaf8069cd4423f2b6be6779d12b68e32cc344431fba0ef33a9cdb5888e9fd36a",
 }
 
 
@@ -186,7 +186,7 @@ def test_closed_loop_source_is_unchanged():
 # model's, the constraint's, the force's and the first-kind kernels, which
 # nothing folds, and the pair's q-only and RK4 step kernels.
 MODEL_KERNELS_SHA256 = "7edeef22d6417f8651bc01cec19e09d9c49cd37a1d50ccc12f5f9d331029f8ba"
-PAIR_KERNELS_SHA256 = "2843435bde5de30c0a18300f19fc53b589dfa2382a2a65115c8570ce2a862675"
+PAIR_KERNELS_SHA256 = "1e26724bf3a1f1c280c174d16d3496e114b650f528b01ac7b31b0558f3ce3da2"
 
 
 def kernel_sources() -> tuple[list[str], list[str]]:

@@ -320,3 +320,10 @@ def test_fold_keeps_every_bit(program):
     body, (out,) = fold(tuple(lines), (result,))
     for x in (0.0, -0.0, 1.0, -2.0, 1e308, math.inf, -math.inf, math.nan):
         assert run(list(body), out, x) == run(lines, result, x), (lines, x)
+
+
+def test_dot_adds_left_to_right_on_every_python():
+    # sum() of floats is compensated from Python 3.12 on, and gives 1.0
+    # here; dot adds as the generated kernels do, which loses the 1.0
+    assert linalg.dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
+    assert repr(linalg.dot([-0.0, -0.0], [1.0, 1.0])) == "0.0"  # from 0, as sum() starts

@@ -179,6 +179,22 @@ def test_state_refuses_bytes(maker, q, qd, field, kind):
 
 
 @pytest.mark.parametrize("maker", MAKERS)
+@pytest.mark.parametrize("view", [
+    memoryview(array.array("d", [0.5])).cast("B"),
+    memoryview(array.array("d", [0.5])).cast("b"),
+    memoryview(array.array("d", [0.5])).cast("c"),
+    memoryview(array.array("B", [1, 2, 3, 4, 5, 6, 7, 8])),
+], ids=["cast-B", "cast-b", "cast-c", "byte-array"])
+def test_state_refuses_a_view_of_bytes_of_any_object(maker, view):
+    # a view in a one-byte format reads its memory byte by byte, whatever
+    # object holds it: a float array cast to bytes would give byte values
+    for q, qd, field in (view, (0.0,) * 8, "q"), ((0.0,) * 8, view, "qdot"):
+        with pytest.raises(TypeError) as err:
+            MAKERS[maker](q, qd)
+        assert str(err.value) == f"State {field} must be a sequence of numbers, not a memoryview"
+
+
+@pytest.mark.parametrize("maker", MAKERS)
 def test_state_takes_a_memoryview_of_floats(maker):
     q, qd = memoryview(array.array("d", [0.5, -1.0])), memoryview(array.array("d", [2.0, 0.0]))
     assert MAKERS[maker](q, qd) == State(q=(0.5, -1.0), qdot=(2.0, 0.0))

@@ -1,7 +1,11 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
+from test_control import build_gen5
 
 import vnhc
 from vnhc import (
@@ -10,6 +14,7 @@ from vnhc import (
     MechanicalModel,
     SPDError,
     State,
+    FIXTURE_CURRENTS,
     build_boat,
     build_linear_fixture,
     integrate,
@@ -306,3 +311,101 @@ class TestStageFailures:
         assert (info.value.last_good_index, info.value.__cause__) == (0, None)
         with pytest.raises(ValueError, match="^non-finite state entry$"):
             rk4_step(model, con, s0, 1.0)
+
+
+    # The cases that abort after the start, and the step each names.
+    ABORTS = {name: int(re.search(r"step (\d+)", case[6][0])[1])
+              for name, case in STAGE_CASES.items() if len(case[6]) == 3}
+
+    @pytest.mark.parametrize("every", [2, 3, 8])
+    @pytest.mark.parametrize("name", ABORTS)
+    def test_inside_a_sample_interval(self, name, every):
+        # One kernel call runs the steps up to the next sample: a failure
+        # inside it names the same step and error as one step per call
+        # would, and keeps the samples before it.  The runs take 8 steps,
+        # so the step that fails is inside a call of several.
+        force, x0, xd0, h, _, _, (message, _, cause), _ = STAGE_CASES[name]
+        model, con = threshold_system(force)
+        s0 = State(q=(x0, 0.0), qdot=(xd0, 0.0))
+        with pytest.raises(IntegrationError, match=f"^{message}$") as info:
+            integrate(model, con, s0, t_end=h * 8, h=h, sample_every=every)
+        assert info.value.last_good_index == (self.ABORTS[name] - 1) // every
+        assert type(info.value.__cause__) is cause
+
+    @pytest.mark.parametrize("every, step, last_good", [(3, 6, 1), (7, 7, 0), (25, 20, 0)])
+    def test_phi_failing_at_a_later_sample(self, every, step, last_good):
+        # The model of test_phi_failing_at_a_sample: x <= 0 from step 5 on,
+        # which no stage sees; the first sample from there on fails, the
+        # run's last step (20) where sample_every passes it.
+        model = MechanicalModel(("x", "y"), [[1, 0], [0, 1]], input_coframe=[["0", "1"]])
+        con = AffineConstraint(("x", "y"), [["0", "1"]], Z=["log(x)"])
+        s0 = State(q=(0.05, 0.0), qdot=(-1.0, 0.0))
+        with pytest.raises(IntegrationError,
+                           match=rf"^aborted at step {step}: domain error in log\(x\)$") as info:
+            integrate(model, con, s0, t_end=0.2, h=1e-2, sample_every=every)
+        assert info.value.last_good_index == last_good
+        assert type(info.value.__cause__) is vnhc.EvalError
+
+    @pytest.mark.parametrize("system, t_end, h, every, step", [
+        (blow_up_system, 1.0, 0.1, 3, 2),
+        (blow_up_system, 1.0, 0.1, 20, 2),
+    ])
+    def test_non_finite_state_inside_a_sample_interval(self, system, t_end, h, every, step):
+        model, con = system()
+        s0 = State(q=(0.0, 0.0), qdot=(10.0, 0.0))
+        with pytest.raises(IntegrationError, match=f"^non-finite state at step {step}$") as info:
+            integrate(model, con, s0, t_end=t_end, h=h, sample_every=every)
+        assert (info.value.last_good_index, info.value.__cause__) == (0, None)
+
+
+@functools.cache
+def sampled_system(name):
+    return build_gen5() if name == "gen5" else build_boat(*FIXTURE_CURRENTS[name])
+
+
+@st.composite
+def sampled_runs(draw):
+    """A system (the three boats and gen5), a start state, a step size, a
+    step count and sample_every."""
+    name = draw(st.sampled_from([*FIXTURE_CURRENTS, "gen5"]))
+    model, con = sampled_system(name)
+    bound = 1.0 if name == "gen5" else 2.0
+    x = st.floats(-bound, bound)
+    s0 = State(q=tuple(draw(x) for _ in range(model.n)), qdot=tuple(draw(x) for _ in range(model.n)))
+    return (model, con, s0, draw(st.sampled_from([1e-3, 1e-2])), draw(st.integers(1, 25)),
+            draw(st.sampled_from([1, 2, 3, 7, 10])))
+
+
+def run(model, con, s0, h, steps, every):
+    try:
+        return integrate(model, con, s0, t_end=h * steps, h=h, sample_every=every)
+    except IntegrationError:  # a start far from the admissible set
+        reject()
+
+
+@settings(max_examples=40, deadline=None)
+@given(sampled_runs())
+def test_each_sampled_phi_is_con_phi(drawn):
+    # The step kernel computes phi at each sample after the start; it has
+    # the bits of con.phi at the sampled state.
+    model, con, s0, h, steps, every = drawn
+    traj = run(model, con, s0, h, steps, every)
+    assert [repr(con.phi(s)) for s in traj.states] == [repr(list(p)) for p in traj.phis]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sampled_runs())
+def test_sampling_picks_from_the_every_step_run(drawn):
+    # sample_every=k records, repr for repr, every k-th sample and the last
+    # of the run that samples every step.
+    model, con, s0, h, steps, every = drawn
+    every_step, sampled = run(model, con, s0, h, steps, 1), run(model, con, s0, h, steps, every)
+    n = len(every_step.times)
+    picks = [*range(0, n - 1, every), n - 1]
+    for field in ("times", "states", "controls", "phis"):
+        assert repr(getattr(sampled, field)) == repr(tuple(getattr(every_step, field)[i]
+                                                           for i in picks)), field
+    # the drift report is the largest |phi - phi0| over the samples kept
+    phi0 = sampled.phis[0]
+    assert sampled.drift_report == tuple(max(abs(p[b] - phi0[b]) for p in sampled.phis)
+                                         for b in range(con.m))
