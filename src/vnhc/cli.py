@@ -180,11 +180,13 @@ def cmd_simulate(args, parser) -> int:
         + [f"phi_{b + 1}" for b in range(con.m)]
     )
     row = ",".join(["%.17g"] * len(header)) + "\n"  # prints what f"{v:.17g}" does
-    rows = [",".join(header) + "\n"]
-    for t, st, tau, phi in zip(traj.times, traj.states, traj.controls, traj.phis):
-        q = [_wrap_angle(v) if i in wrap_idx else v for i, v in enumerate(st.q)]
-        rows.append(row % (t, *q, *st.qdot, *tau, *phi))
-    _rewrite(args.out, "".join(rows).encode("utf-8"))
+    values = []  # of every row, formatted with one %
+    for t, (q, qd), tau, phi in zip(traj.times, traj.states, traj.controls, traj.phis):
+        if wrap_idx:
+            q = [_wrap_angle(v) if i in wrap_idx else v for i, v in enumerate(q)]
+        values += (t, *q, *qd, *tau, *phi)
+    text = ",".join(header) + "\n" + (row * len(traj.times)) % tuple(values)
+    _rewrite(args.out, text.encode("utf-8"))
 
     summary = {
         "samples": len(traj.times),

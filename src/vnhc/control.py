@@ -161,15 +161,15 @@ def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
     return _step_text(*_closed_loop_body(model, con), _phi_body(model, con))
 
 
-def _step_text(lines: list[str], outputs: list, phi: tuple) -> str:
+def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
     """Source of the step kernel from the closed-loop statements lines, the
     values outputs of [acc], [tau], [b], [P rows] and cond after them, and
-    phi, the statements of phi and its values (`_phi_body`): one copy of
-    lines, run for each stage k in a loop over the stages and the steps,
-    and one copy of phi's, run at the last step's end."""
+    sample, the statements of phi and its values (`_phi_body`): one copy
+    of lines, run for each stage k in a loop over the stages and the
+    steps, and one copy of phi's, run at the last step's end."""
     acc = [_text(x) for x in outputs[0]]
     n = len(acc)
-    phi_lines, phi = phi
+    phi_lines, phi = sample
 
     def each(*texts) -> tuple:  # texts at each coordinate i; qdot_i is _a{j}, acc_i is {d}
         return tuple(_Src(text.format(i=i, j=n + i, d=acc[i])) for text in texts for i in range(n))
