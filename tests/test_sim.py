@@ -132,6 +132,18 @@ class TestIntegrate:
         t2 = integrate(model, con, s0, t_end=0.5, h=1e-3, sample_every=10)
         assert t1 == t2
 
+    def test_sample_every_is_a_whole_number(self):
+        # each kernel call runs a whole number of steps to the next sample
+        model, con = build_boat("sin(y)", "cos(x)")
+        s0 = stable_offset_state(con)
+        for bad in (2.5, math.nan):
+            with pytest.raises(ValueError, match="^sample_every must be a whole number of steps$"):
+                integrate(model, con, s0, t_end=0.05, h=1e-2, sample_every=bad)
+        runs = [integrate(model, con, s0, t_end=0.05, h=1e-2, sample_every=every)
+                for every in (2, 2.0, 5, math.inf)]
+        assert repr(runs[0]) == repr(runs[1])
+        assert repr(runs[2]) == repr(runs[3])  # the start and the last step
+
     def test_flag_validation(self):
         model, con = build_linear_fixture()
         s = State(q=(0, 0, 0), qdot=(0, 0, 0))
