@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 import os
-import stat
 import sys
 import time
 
@@ -186,7 +185,8 @@ def cmd_simulate(args, parser) -> int:
             q = [_wrap_angle(v) if i in wrap_idx else v for i, v in enumerate(q)]
         values += (t, *q, *qd, *tau, *phi)
     text = ",".join(header) + "\n" + (row * len(traj.times)) % tuple(values)
-    _rewrite(args.out, text.encode("utf-8"))
+    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
 
     summary = {
         "samples": len(traj.times),
@@ -199,23 +199,6 @@ def cmd_simulate(args, parser) -> int:
     }
     print(json.dumps(summary))
     return EXIT_OK
-
-
-def _rewrite(path: str, data: bytes):
-    """Write data over the file at path, created if missing, in place: the
-    same inode and mode, cut to the length of data where it is a regular
-    file (not a device, a FIFO or a terminal).  On ext4 a truncating open
-    and write of a small file cost over ten times more (README,
-    Performance)."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
-    finally:
-        os.close(fd)
 
 
 def cmd_control_at(args) -> int:

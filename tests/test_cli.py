@@ -360,42 +360,14 @@ class TestSimulate:
 
     SHORT = ["--q0", "0,0,0.5", "--qdot0", "0.4,0.3,0.8", "--t-end", "0.01", "--dt", "1e-3"]
 
-    def test_rewritten_in_place(self, boat_file, tmp_path, capsys):
-        # A short run over the CSV of a longer one writes the file in place
-        # and cuts it to length: the same inode and mode, so a hard link
-        # sees the new rows, and no stale tail.
-        out, link, fresh = tmp_path / "traj.csv", tmp_path / "link.csv", tmp_path / "fresh.csv"
-        long = ["--q0", "0,0,0.5", "--qdot0", "0.4,0.3,0.8", "--t-end", "0.1", "--dt", "1e-3"]
-        assert main(["simulate", boat_file, *long, "--out", str(out)]) == 0
-        os.link(out, link)
-        out.chmod(0o640)
-        before = out.stat()
-        assert main(["simulate", boat_file, *self.SHORT, "--out", str(out)]) == 0
-        assert main(["simulate", boat_file, *self.SHORT, "--out", str(fresh)]) == 0
-        capsys.readouterr()
-        after = out.stat()
-        assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
-        assert out.read_bytes() == link.read_bytes() == fresh.read_bytes()
-        assert after.st_size == len(fresh.read_bytes()) < before.st_size
-
-    def test_short_writes_are_resumed(self, monkeypatch, tmp_path):
-        # os.write may write fewer bytes than asked (a pipe, a signal)
-        out, data, real = tmp_path / "x.csv", bytes(range(256)) * 40, os.write
-        out.write_bytes(b"\xff" * 20000)
-        calls = []
-        monkeypatch.setattr(cli.os, "write", lambda fd, b: calls.append(len(b)) or real(fd, b[:999]))
-        cli._rewrite(str(out), data)
-        assert out.read_bytes() == data
-        assert len(calls) == 11
-
     def test_out_to_dev_null(self, boat_file, capsys):
-        # a character device: written, and not cut to length
+        # a character device, which the open does not truncate
         assert main(["simulate", boat_file, *self.SHORT, "--out", os.devnull]) == 0
         assert json.loads(capsys.readouterr().out)["out"] == os.devnull
 
     def test_out_to_stdout_in_a_pipe(self, boat_file, tmp_path, capsys):
-        # /dev/stdout opens the pipe the command writes to: a FIFO, written
-        # and not cut to length; the CSV comes first, then the summary
+        # /dev/stdout opens the pipe the command writes to, a FIFO: the CSV
+        # comes first, then the summary
         fresh = tmp_path / "fresh.csv"
         assert main(["simulate", boat_file, *self.SHORT, "--out", str(fresh)]) == 0
         capsys.readouterr()
