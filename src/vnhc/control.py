@@ -20,11 +20,12 @@ computed once, as the statement generators write the source
 (`solve_control`, `tau_star`, `closed_loop_acceleration`) make one call
 of its stage 1 alone, which also returns b, P and cond; `sim` makes one
 call per sample interval, which chains the interval's steps and ends
-with phi = S qdot + Z at the sample, from statements of S and Z of its
-own that run there alone (`_phi_body`).  The kernel is built on the
-first closed-loop call with a model and kept on the constraint, so
-loading a model does not pay for it.  The pair is checked (`check_compatible`) only then, right before the
-build (`_step`): a kernel kept in `con._step[model]` proves the check
+with phi = S qdot + Z at the sample, from the S of the stage 1 there
+and statements of Z of its own that run there alone (`_phi_body`).
+The kernel is built on the first closed-loop call with a model and kept
+on the constraint, so loading a model does not pay for it.  The pair is
+checked (`check_compatible`) only then, right before the build
+(`_step`): a kernel kept in `con._step[model]` proves the check
 passed, so a warm call checks nothing about the pair again.  A model text
 loaded again gives back the pair built from it
 (`model_io.load_model`), so it generates, folds and compiles nothing; a
@@ -90,9 +91,10 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
     stage, over the locals _a0 .. _a<2n-1> holding (q, qd): the model's,
     force's and constraint's expressions with common subexpressions
     computed once, then the factorizations and solves, from the generators
-    of `linalg`, folded as they are written.  Returns them
-    and the values of [acc], [tau], [b], [P rows] and cond after them; a
-    failing gate runs `return None`.  The gates are those of the q-only
+    of `linalg`, folded as they are written.  Returns them, the values of
+    [acc], [tau], [b], [P rows] and cond after them, and the values of the
+    S rows, which phi at a sample reads (`_phi_body`); a failing gate runs
+    `return None`.  The gates are those of the q-only
     kernel, on the same numbers, so the statements fail exactly where that
     kernel reports a failed gate."""
     n, m = model.n, con.m
@@ -120,19 +122,20 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
                    names=[f"d{i}" for i in r])
     P = [[block[f"P{b}_{a}"] for a in rm] for b in rm]
     return block.lines, [[block[f"d{i}"] for i in r], [block[f"t{a}"] for a in rm],
-                         [block[f"b{b}"] for b in rm], P, block["cond"]]
+                         [block[f"b{b}"] for b in rm], P, block["cond"]], \
+        [[block[f"S{b}_{i}"] for i in r] for b in rm]
 
 
-def _phi_body(model: MechanicalModel, con: AffineConstraint):
+def _phi_body(model: MechanicalModel, con: AffineConstraint, S: list):
     """The statements of phi = S qdot + Z at the locals _a0 .. _a<2n-1>
-    holding (q, qd), which the step kernel runs at a sample alone: S and Z
-    with common subexpressions computed once, over locals of their own
-    (_z0, _z1, ...), so no stage computes what only Z needs.  Returns them
-    and the values of [phi] after them, each S_b qd added left to right
-    from 0, then Z_b, as `con.phi` adds them."""
+    holding (q, qd), which the step kernel runs at a sample after stage 1
+    there, whose statements left S there in the values S: Z with common
+    subexpressions computed once, over locals of its own (_z0, _z1, ...),
+    so no stage computes what only Z needs.  Returns them and the values
+    of [phi] after them, each S_b qd added left to right from 0, then
+    Z_b, as `con.phi` adds them."""
     n = model.n
-    mu, Z, _ = con._exprs
-    lines, (S, Z), _ = ex._emit([mu, Z], model.coordinates + model.velocities, prefix="_z")
+    lines, (Z,), _ = ex._emit([con._exprs[1]], model.coordinates + model.velocities, prefix="_z")
     qd = [_Src(f"_a{n + i}") for i in range(n)]
     return lines, [_bin(_chain("+", [0.0, *map(_bin, row, "*" * n, qd)]), "+", z)
                    for row, z in zip(S, Z)]
@@ -158,7 +161,8 @@ def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
     q_k, qdot_k) for stage k at (q_k, qdot_k), k = 0 for an end that is not
     finite, and with a given, the count of steps left, the failing one
     included, after them."""
-    return _step_text(*_closed_loop_body(model, con), _phi_body(model, con))
+    lines, outputs, S = _closed_loop_body(model, con)
+    return _step_text(lines, outputs, _phi_body(model, con, S))
 
 
 def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:

@@ -350,13 +350,14 @@ class Unfolded(linalg._Block):
 def unfolded_kernels(model, con):
     """The step and q-only kernels compiled from the pair's unfolded
     statements, folded by `oracle.fold`.  The step kernel's statements of
-    phi at a sample are `expr._emit`'s alone, which no block folds, so
-    they are taken as they are."""
+    Z at a sample are `expr._emit`'s alone, which no block folds, so they
+    are taken as they are."""
     with mock.patch.object(control, "_Block", Unfolded), mock.patch.object(constraint, "_Block",
                                                                          Unfolded):
-        lines, outputs = control._closed_loop_body(model, con)
+        lines, outputs, S = control._closed_loop_body(model, con)
         _, *q_lines, result = constraint._q_only_source(model, con)
-    names = [*outputs[0], *outputs[1], *outputs[2], *sum(outputs[3], []), outputs[4]]  # locals
+    names = [*outputs[0], *outputs[1], *outputs[2], *sum(outputs[3], []), outputs[4],
+             *sum(S, [])]  # locals
     body, out = fold(lines, names)
     folded = dict(zip(names, map(linalg._Src, out)))
 
@@ -364,7 +365,8 @@ def unfolded_kernels(model, con):
         return [relabel(y) for y in x] if isinstance(x, list) else folded[x]
 
     define = linalg._define
-    step = define(control._step_text(list(body), relabel(outputs), control._phi_body(model, con)))
+    step = define(control._step_text(list(body), relabel(outputs),
+                                     control._phi_body(model, con, relabel(S))))
     body, (out,) = fold([line[4:] for line in q_lines], [result.removeprefix("    return ")])
     return step, define("\n".join(linalg._kernel_source("q", body, out)))
 

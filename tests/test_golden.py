@@ -165,8 +165,8 @@ def test_simulate_output_is_golden(tmp_path):
 # SHA-256 of control._step_source(model, con), the pair's closed-loop
 # kernel: the RK4 step, whose stage 1 alone the views run.
 CLOSED_LOOP_SHA256 = {
-    "vortex": "34fa41f7e8f6e5929428b6c5f5b1697e3331b820f90e183c49c3d4af294f3942",
-    "gen5": "aaf8069cd4423f2b6be6779d12b68e32cc344431fba0ef33a9cdb5888e9fd36a",
+    "vortex": "5d7f7fa54584f71039f462f24073e8574a12c3eea138cbf3678a194d965edbfa",
+    "gen5": "46f3cc30ca307aefb56d7ff7d5aab1ad821bbe84d2ba8f2ea361bf0b24bdc59e",
 }
 
 
@@ -186,7 +186,7 @@ def test_closed_loop_source_is_unchanged():
 # model's, the constraint's, the force's and the first-kind kernels, which
 # nothing folds, and the pair's q-only and RK4 step kernels.
 MODEL_KERNELS_SHA256 = "7edeef22d6417f8651bc01cec19e09d9c49cd37a1d50ccc12f5f9d331029f8ba"
-PAIR_KERNELS_SHA256 = "1e26724bf3a1f1c280c174d16d3496e114b650f528b01ac7b31b0558f3ce3da2"
+PAIR_KERNELS_SHA256 = "5a5816cc482903772080c6d2fead219ab03664423770a10f3a2af73564f1d80a"
 
 
 def kernel_sources() -> tuple[list[str], list[str]]:
