@@ -81,8 +81,10 @@ def integrate(
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
     # a kernel call counts its steps down to 1: a fraction or NaN never gets there
-    if sample_every % 1 != 0 and sample_every != math.inf:
-        raise ValueError("sample_every must be a whole number of steps")
+    if sample_every != math.inf:
+        if sample_every % 1 != 0:
+            raise ValueError("sample_every must be a whole number of steps")
+        sample_every = int(sample_every)  # 2.0 counts steps as 2 does
     steps = t_end / h
     if steps == math.inf:
         raise ValueError(f"t_end / step size overflows ({t_end!r} / {h!r})")

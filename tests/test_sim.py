@@ -329,13 +329,14 @@ class TestStageFailures:
     ABORTS = {name: int(re.search(r"step (\d+)", case[6][0])[1])
               for name, case in STAGE_CASES.items() if len(case[6]) == 3}
 
-    @pytest.mark.parametrize("every", [2, 3, 8])
+    @pytest.mark.parametrize("every", [2, 2.0, 3, 8])
     @pytest.mark.parametrize("name", ABORTS)
     def test_inside_a_sample_interval(self, name, every):
         # One kernel call runs the steps up to the next sample: a failure
         # inside it names the same step and error as one step per call
         # would, and keeps the samples before it.  The runs take 8 steps,
-        # so the step that fails is inside a call of several.
+        # so the step that fails is inside a call of several.  A float
+        # sample_every names the step as an int.
         force, x0, xd0, h, _, _, (message, _, cause), _ = STAGE_CASES[name]
         model, con = threshold_system(force)
         s0 = State(q=(x0, 0.0), qdot=(xd0, 0.0))
