@@ -2,7 +2,8 @@
 checks of the theorem's hypotheses.
 
 The constraint is declared through its one-form rows mu^b (the rows of S)
-and the affine part Z; both depend on q only.  One kernel of (q, qdot)
+and the affine part Z; both depend on q only.  One kernel of (q, qdot),
+compiled on its first use (`geometry._compiled`, as every kernel is),
 returns S, Z and c = dZ qdot + qdot^T dS qdot, the part of dphi/dt that
 does not involve the acceleration, so dphi/dt = S qddot + c.  Hypothesis
 checks return reports rather than raising, so callers can batch them over
@@ -29,10 +30,11 @@ and `vnhc check` (one call per point, the rank from the returned S): it
 wraps the kernel's tuple as a `_QOnly`, the fields a failing gate leaves
 out padded with their defaults, without a constructor call; raises the
 typed errors in their one order; and alone runs the model's and the
-constraint's own kernels again where the kernel meets a math error, to
-name the expression.  `_verdict` words a failed P gate.  The kernel is
-built on the first q-only call with a model and kept on the constraint,
-so loading a model does not pay for it.
+constraint's own kernels where the kernel meets a math error, to name the
+expression.  `_verdict` words a failed P gate.  The kernel is built on the
+first q-only call with a model and kept on the constraint, so loading a
+model does not pay for it.  `project_onto_A` takes S and Z from one call
+of the constraint's kernel.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from . import expr as ex
 from . import linalg
 from .linalg import _bin, _Block, _call, _chain, _if_else, _list, _Src, _unary
 from .expr import EvalError
-from .geometry import MechanicalModel, ModelError, State, _Chart, _spd_error, contract
+from .geometry import (MechanicalModel, ModelError, State, _Chart, _compiled, _spd_error,
+                       contract)
 
 RANK_RTOL = 1e-9
 PIVOT_RTOL = 1e-12
@@ -63,7 +66,9 @@ _new = tuple.__new__  # _new(record type, fields): a record without a call of it
 
 
 class AffineConstraint(_Chart):
-    """m constraint one-forms and the affine term, with one compiled kernel."""
+    """m constraint one-forms and the affine term, with one kernel."""
+
+    _what = "constraint"
 
     def __init__(self, model_coordinates: Sequence[str], mu, Z, parameters=None):
         super().__init__(model_coordinates, parameters)
@@ -77,7 +82,7 @@ class AffineConstraint(_Chart):
         if len(self.Z) != self.m:
             raise ModelError("Z must have one entry per constraint row")
 
-        # One kernel of (q, qdot): (S rows, Z, c), where
+        # The expressions of `_kernel` of (q, qdot): (S rows, Z, c), where
         # c_b = sum_i (d_i mu^b(qdot) + d_i Z_b) qdot^i is dphi_b/dt less S_b qddot.
         mu, Z = self._fold({"constraint.mu": self.mu, "constraint.Z": self.Z})
         v = [ex.Symbol(s) for s in self.velocities]
@@ -85,8 +90,8 @@ class AffineConstraint(_Chart):
         dZ = [[ex.diff(z, x) for x in self.coordinates] for z in Z]
         c = [contract([contract(d, v) + dz for d, dz in zip(dmu_b, dZ_b)], v)
              for dmu_b, dZ_b in zip(dmu, dZ)]
+        self._check_derived({"constraint.mu": dmu, "constraint.Z": dZ})
         self._exprs = [mu, Z, c]
-        self._kernel = self._compile_qv(self._exprs, {"constraint.mu": dmu, "constraint.Z": dZ})
         # model -> the step kernel (built by `control`) and the q-only kernel
         # of (model, self), each built on its first use with that model.
         self._step = {}
@@ -259,14 +264,10 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
 
 
 def _built(kernels: dict, model: MechanicalModel, source, what: str):
-    """The pair kernel that source() defines, compiled and kept in kernels,
-    one of the constraint's dicts, under model.  A pair whose expressions
-    are too deep to compile here, a few stack frames short of the limit
-    that loading met, is an EvalError naming what kernel."""
-    try:
-        kernel = kernels[model] = linalg._define(source())
-    except RecursionError:
-        raise EvalError(f"{what} kernel is nested too deeply to compile") from None
+    """The pair kernel that source() defines, compiled (`_compiled`, as
+    what kernel) and kept in kernels, one of the constraint's dicts, under
+    model."""
+    kernel = kernels[model] = _compiled(f"{what} kernel", lambda: linalg._define(source()))
     return kernel
 
 
@@ -286,8 +287,9 @@ def _p_system(model: MechanicalModel, con: AffineConstraint, q) -> _QOnly:
     model's kernel, the metric's gates and the constraint's kernel run in
     turn at (q, 0) to name it."""
     con._check_q(q)
+    kernel = _q_only(model, con)  # its build's errors are not the kernel's math errors
     try:
-        k = _q_only(model, con)(q)
+        k = kernel(q)
     except (ArithmeticError, ValueError):
         model._factor(q)
         con._at_rest(q)
@@ -335,11 +337,11 @@ def project_onto_A(
     RankDefectError where S(q) has lost rank, and EvalError where S G^-1 S^T
     is singular in floating point or the projected velocity is not finite."""
     check_compatible(model, con, con_first=True)
-    S = con.mu_at(state.q)
+    S, Z, _ = con._at_rest(state.q)
     rank = con._rank(S)[0]
     if rank < con.m:
         raise RankDefectError(f"constraint rank defect at q={state.q}: rank {rank} < {con.m}")
-    phi = con.phi(state)
+    phi = [linalg.dot(row, state.qdot) + z for row, z in zip(S, Z)]  # as `con.phi` adds
     L = model._factor(state.q)
     # qdot' = qdot - G^-1 S^T (S G^-1 S^T)^-1 phi.  S is scaled first by f,
     # the power of two (at most 2^1023) that brings its largest entry to

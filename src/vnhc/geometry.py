@@ -3,14 +3,16 @@
 Everything is coordinate-based on an open subset of n-space.  The model
 holds the kinetic-energy metric, potential, external force covector and
 the control coframe rows; at construction the parameters' values are
-folded into them, their symbolic derivatives are taken once, and they are
-compiled to a kernel of (q, qdot) for the metric, coframe, potential
+folded into them and their symbolic derivatives are taken once, into the
+expressions of one kernel of (q, qdot) for the metric, coframe, potential
 gradient and the geodesic form w = Gamma(qdot, qdot) lowered by the
 metric.  The stored fields stay symbolic.  Views that depend on q only
 call it at qdot = 0, where w vanishes; the external force stays out of
 them because it may be singular there (Coulomb friction), and has a
-kernel of its own.  That kernel and the one `christoffel_at` uses are
-compiled on first use.
+kernel of its own, as the symbols `christoffel_at` uses do.  Construction
+compiles nothing: each kernel, these three and the constraint's and the
+pair's of `constraint` and `control`, is compiled on its first use by its
+owner, through `_compiled`.
 """
 
 from __future__ import annotations
@@ -85,6 +87,17 @@ class State(namedtuple("State", "q qdot")):
         return cls(*iterable)
 
 
+def _compiled(what: str, build, *args):
+    """build(*args), the kernel named what, which its owner builds on the
+    kernel's first use.  An expression that loaded can be a few stack
+    frames short of the limit there: its RecursionError is an EvalError
+    naming what, never a traceback."""
+    try:
+        return build(*args)
+    except RecursionError:
+        raise ex.EvalError(f"{what} is nested too deeply to compile") from None
+
+
 def contract(row: Sequence, vector: Sequence) -> ex.Expr:
     """The expression sum_i row_i vector_i, skipping the ZERO entries of row
     (what diff returns for a vanishing derivative) without building them."""
@@ -107,7 +120,7 @@ class _Chart:
         if self.n == 0:
             raise ModelError("empty coordinate list")
         self.velocities = tuple(c + "d" for c in self.coordinates)
-        names = self.coordinates + self.velocities
+        names = self._names = self.coordinates + self.velocities  # a kernel's arguments
         if len(set(names)) != 2 * self.n:
             twice = sorted({c for c in names if names.count(c) > 1})
             raise ModelError(f"duplicate coordinate or velocity names {twice}")
@@ -156,19 +169,19 @@ class _Chart:
             raise ModelError(bad[0])
         return folded
 
-    def _compile_qv(self, exprs, derived: Mapping[str, list] | None = None):
-        """compile_exprs of exprs over (q, qdot).  derived maps a source
-        field's name to its derivatives among exprs: a non-finite constant
-        that differentiation folded there, such as d/dx (1e200*x*1e200), is
-        a ModelError naming that field."""
-        try:
-            return ex.compile_exprs(exprs, self.coordinates + self.velocities)
-        except ex.EvalError:
-            for name, tree in (derived or {}).items():
-                bad = ex._leaves(tree)[1]
-                if bad:
-                    raise ModelError(f"{name}: constant is not finite ({bad[0]!r})") from None
-            raise
+    def _check_derived(self, derived: Mapping[str, list]):
+        """Raise ModelError naming the first source field in derived (name ->
+        its derivatives) where differentiation folded a non-finite constant,
+        such as d/dx (1e200*x*1e200): `_fold` has checked the fields."""
+        for name, tree in derived.items():
+            bad = ex._leaves(tree)[1]
+            if bad:
+                raise ModelError(f"{name}: constant is not finite ({bad[0]!r})")
+
+    @cached_property
+    def _kernel(self):
+        """The chart's kernel of (q, qdot), over `_exprs`."""
+        return _compiled(f"{self._what} kernel", ex.compile_exprs, self._exprs, self._names)
 
     def _check_q(self, q: Sequence[float]):
         """Raise ValueError unless q has one entry per coordinate: the
@@ -187,6 +200,8 @@ class MechanicalModel(_Chart):
 
     Immutable after construction; all evaluation methods are pure.
     """
+
+    _what = "model"
 
     def __init__(
         self,
@@ -220,18 +235,13 @@ class MechanicalModel(_Chart):
         if self.m >= self.n:
             raise ModelError(f"need fewer inputs than coordinates (m={self.m}, n={self.n})")
 
-        self._compile()
-
-    def _compile(self):
-        """One kernel of (q, qdot) for the metric, coframe, dV and the
-        geodesic form w_l = qd^i qd^j (d_i g_jl - 1/2 d_l g_ij), from the
-        parameter-folded fields, and the folded external force for
-        `_force_fn`.  The expressions stay in `_exprs` and `_force` for the
-        pair's step kernel of `control`.
-
-        With D[l][i] = d_i (G qd)_l, w_l = sum_i D[l][i] qd^i - 1/2 sum_m
-        D[m][l] qd^m: the velocity-quadratic part of the Euler-Lagrange
-        operator.  w is ZERO for a constant metric."""
+        # The expressions of `_kernel` of (q, qdot), from the parameter-folded
+        # fields: the metric, coframe, dV and the geodesic form w_l = qd^i
+        # qd^j (d_i g_jl - 1/2 d_l g_ij); and the folded external force of
+        # `_force_fn`.  The pair's kernels take them from `_exprs` and
+        # `_force` too.  With D[l][i] = d_i (G qd)_l, w_l = sum_i D[l][i]
+        # qd^i - 1/2 sum_m D[m][l] qd^m: the velocity-quadratic part of the
+        # Euler-Lagrange operator.  w is ZERO for a constant metric.
         coords, r = self.coordinates, range(self.n)
         g, potential, coframe = self._fold(
             {"metric": self.metric, "potential": self.potential, "inputs": self.input_coframe})
@@ -243,33 +253,27 @@ class MechanicalModel(_Chart):
         half = ex.Constant(0.5)
         w = [contract(D[l], v) - half * contract([row[l] for row in D], v) for l in r]
         dV = [ex.diff(potential, c) for c in coords]
+        self._check_derived({"potential": dV, "metric": w})
         self._exprs = [g, coframe, dV, w]
-        self._kernel = self._compile_qv(self._exprs, {"potential": dV, "metric": w})
         (self._force,) = self._fold({"external_force": self.external_force}, with_velocities=True)
 
     @cached_property
     def _force_fn(self):
-        """Kernel of (q, qdot) for the external force, compiled on first use:
-        the pair's step kernel of `control` evaluates the force itself, so
-        only `drift_acceleration` (and `b_vector` through it) and
-        `control._raise_failure` call this."""
-        try:
-            return self._compile_qv(self._force)
-        except RecursionError:  # a tree that loaded, a few frames short of the limit
-            raise ex.EvalError("external force is nested too deeply to compile") from None
+        """Kernel of (q, qdot) for the external force: the pair's step kernel
+        of `control` evaluates the force itself, so only `drift_acceleration`
+        (and `b_vector` through it) and `control._raise_failure` call this."""
+        return _compiled("external force", ex.compile_exprs, self._force, self._names)
 
     @cached_property
     def _first_kind(self):
         """Kernel of q for the Christoffel symbols of the first kind,
-        [i][j][l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij); compiled on first use."""
+        [i][j][l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)."""
         coords, g, r = self.coordinates, self._exprs[0], range(self.n)
         dg = [[[ex.diff(e, c) for c in coords] for e in row] for row in g]  # d_k g_ij
         half = ex.Constant(0.5)
-        return ex.compile_exprs(
-            [[[half * (dg[j][l][i] + dg[i][l][j] - dg[i][j][l]) for l in r] for j in r]
-             for i in r],
-            coords,
-        )
+        first = [[[half * (dg[j][l][i] + dg[i][l][j] - dg[i][j][l]) for l in r] for j in r]
+                 for i in r]
+        return _compiled("Christoffel kernel", ex.compile_exprs, first, coords)
 
     # -- evaluation ---------------------------------------------------------
     #

@@ -11,8 +11,10 @@ and Veselic, 1992), and `eigvalsh` by cyclic Jacobi.
 
 Every generated source in the package, these and the kernels of `expr`,
 `constraint` and `control`, is compiled by `_define`, in one fixed
-namespace, and kept by its owner alone: these per-size routines by
-`_sized`, a model's kernels on the model, a pair's on its constraint.
+namespace, when its owner first calls it, and kept by its owner alone:
+these per-size routines by `_sized`, the model's, force's and Christoffel
+kernels on the model, the constraint's kernel on the constraint, and a
+pair's two kernels on its constraint.  Loading a model compiles none.
 The one process-wide memo of what a build makes is `model_io.load_model`'s,
 of the pairs it built, so a model text loaded again compiles nothing.
 The two kernels of a (model, constraint) pair, the q-only kernel and the

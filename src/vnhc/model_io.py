@@ -16,11 +16,12 @@ Schema (unknown keys are errors):
 constraint block takes either "Z" directly or a vector field "X" (n DSL
 strings), in which case Z = -S X is formed symbolically at load time.
 `load_model` gives back the pair it built when it reads the same content
-again, with the kernels the pair has built since: this is the package's
-one process-wide memo of what a build makes, a `functools.lru_cache` of
-`LOAD_CACHE_SIZE` contents.  A pair built otherwise parses, emits and
-compiles anew; only the derivatives kept on live expression nodes are
-shared.  A model file is UTF-8 JSON text (RFC 8259, section 8.1).
+again: this is the package's one process-wide memo of what a build makes,
+a `functools.lru_cache` of `LOAD_CACHE_SIZE` contents.  A load parses,
+folds and differentiates, and compiles no kernel; the memo's pair holds
+the kernels it has compiled since, each on its first use.  A pair built
+otherwise parses, emits and compiles anew; only the derivatives kept on
+live expression nodes are shared.  A model file is UTF-8 JSON text (RFC 8259, section 8.1).
 """
 
 from __future__ import annotations

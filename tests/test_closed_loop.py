@@ -168,9 +168,41 @@ def test_too_deep_to_compile_lazily(monkeypatch):
         with pytest.raises(vnhc.EvalError,
                            match="^closed-loop kernel is nested too deeply to compile$"):
             view(model, con, s)
-    monkeypatch.setattr(model, "_compile_qv", too_deep)
+    model._kernel  # compiled first, by drift_acceleration's first line
+    monkeypatch.setattr(ex, "compile_exprs", too_deep)  # what `geometry._compiled` calls
     with pytest.raises(vnhc.EvalError, match="^external force is nested too deeply to compile$"):
         model.drift_acceleration(s)
+
+
+# Each kernel: the view that first calls it, the kernels that view calls
+# before it, and the name of its error.
+FIRST_VIEWS = {
+    "model": (lambda m, c, s: m.metric_at(s.q), (), "model kernel"),
+    "constraint": (lambda m, c, s: c.phi(s), (), "constraint kernel"),
+    "force": (lambda m, c, s: m.drift_acceleration(s), ("_kernel",), "external force"),
+    "Christoffel": (lambda m, c, s: m.christoffel_at(s.q), ("_kernel",), "Christoffel kernel"),
+    "q-only": (lambda m, c, s: constraint.transversality_check(c, m, s.q), (), "q-only kernel"),
+    "step": (tau_star, (), "closed-loop kernel"),
+}
+
+
+@pytest.mark.parametrize("kernel", FIRST_VIEWS)
+def test_every_kernel_too_deep_to_compile(kernel, monkeypatch):
+    # Every kernel is compiled on first use by one helper: an emitter that
+    # runs out of stack there is a typed error at the kernel's first view,
+    # never a bare RecursionError.
+    view, before, what = FIRST_VIEWS[kernel]
+    model, con = build_boat("sin(y)", "cos(x)")
+    s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
+    for name in before:
+        getattr(model, name)
+
+    def too_deep(*args, **kwargs):
+        raise RecursionError
+
+    monkeypatch.setattr(ex, "_emit", too_deep)  # every kernel's source is emitted here
+    with pytest.raises(vnhc.EvalError, match=f"^{what} is nested too deeply to compile$"):
+        view(model, con, s)
 
 
 def test_parameters_fold_before_compiling():

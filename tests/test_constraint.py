@@ -222,6 +222,16 @@ class TestProjection:
 
         assert projected(math.ldexp(1.0, k)) == projected(1.0)
 
+    def test_one_constraint_kernel_call(self, monkeypatch):
+        # S, Z and so phi come from one call of the constraint's kernel at
+        # (q, 0), and phi is added as con.phi adds it.
+        model, con = build_boat("sin(y)", "cos(x)", m=2.0, I=0.5)
+        s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
+        expected, calls, kernel = project_onto_A(con, model, s), [], con._kernel
+        monkeypatch.setattr(con, "_kernel", lambda *args: calls.append(args) or kernel(*args))
+        assert repr(project_onto_A(con, model, s)) == repr(expected)
+        assert calls == [(0.1, 0.2, 0.3, 0.0, 0.0, 0.0)]
+
 
 class TestValidation:
     def test_velocity_in_mu_rejected(self):

@@ -85,24 +85,33 @@ class TestMetric:
 
 
 class TestCompileCount:
-    def test_boat_compiles_three_kernels(self, monkeypatch):
-        import vnhc.expr
+    def test_boat_compiles_each_kernel_on_first_use(self, monkeypatch):
+        # Construction compiles nothing.  Each of the six kernels is compiled
+        # once, by the first view that calls it, and never again.
+        import vnhc
+        from vnhc import constraint, linalg
 
-        calls = []
-        real = vnhc.expr.compile_exprs
-        monkeypatch.setattr(vnhc.expr, "compile_exprs",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
-        model, con = build_boat("sin(y)", "cos(x)")
-        assert len(calls) == 2  # the model's and the constraint's
         s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
-        vnhc.tau_star(model, con, s)  # the closed-loop kernel is emitted, not compiled here
-        assert len(calls) == 2
-        model.drift_acceleration(s)  # the force's kernel, on first use
-        model.drift_acceleration(s)
-        assert len(calls) == 3
-        model.christoffel_at((0.1, 0.2, 0.3))  # compiles its kernel on first call
-        model.christoffel_at((0.4, 0.5, 0.6))
-        assert len(calls) == 4
+        views = [  # each with the kernel it compiles
+            lambda model, con: vnhc.tau_star(model, con, s),  # the pair's step kernel
+            lambda model, con: model.metric_at(s.q),  # the model's
+            lambda model, con: model.drift_acceleration(s),  # the force's
+            lambda model, con: model.christoffel_at(s.q),  # the Christoffel symbols'
+            lambda model, con: con.phi(s),  # the constraint's
+            lambda model, con: constraint.transversality_check(con, model, s.q),  # q-only
+        ]
+        warm = build_boat("0", "0")
+        for view in views:  # builds the per-size linalg routines the views call
+            view(*warm)
+        sources, real = [], linalg._define
+        monkeypatch.setattr(linalg, "_define",
+                            lambda source: sources.append(source) or real(source))
+        model, con = build_boat("sin(y)", "cos(x)")
+        assert sources == []
+        for kernels, view in enumerate(views, 1):
+            view(model, con)
+            view(model, con)
+            assert len(sources) == kernels
 
 
 class TestChristoffel:

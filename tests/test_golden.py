@@ -203,7 +203,7 @@ def kernel_sources() -> tuple[list[str], list[str]]:
                       build_gen4, build_gen5]:
             sources = model_sources
             model, con = build()
-            model._force_fn, model._first_kind
+            model._kernel, con._kernel, model._force_fn, model._first_kind
             sources = pair_sources
             constraint._q_only(model, con)
             control._step(model, con)

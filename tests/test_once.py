@@ -104,7 +104,9 @@ def test_second_load_folds_nothing(tmp_path, monkeypatch):
 def test_two_sources_per_pair(tmp_path, monkeypatch):
     # A pair compiles two sources: the step kernel, whose stage 1 the views
     # run, and the q-only kernel.  A second view builds nothing.  The model
-    # text is one no other test loads, so its pair has built neither yet.
+    # text is one no other test loads, so its pair has built neither yet,
+    # nor the constraint's own kernel, which integrate compiles for phi at
+    # the start.
     path = tmp_path / "boat.json"
     save_model(path, *build_boat(*FIXTURE_CURRENTS["vortex"], m=1.125, I=0.875))
     model, con = load_model(path)
@@ -114,10 +116,11 @@ def test_two_sources_per_pair(tmp_path, monkeypatch):
     step_source = control._step_source
     monkeypatch.setattr(control, "_step_source", lambda *a: built.append(a) or step_source(*a))
     tau_star(model, con, s)
-    integrate(model, con, s, t_end=2e-3, h=1e-3)
     assert (defined, len(built)) == ([step_source(model, con)], 1)
+    integrate(model, con, s, t_end=2e-3, h=1e-3)
+    assert (len(defined), len(built), "_kernel" in vars(con)) == (2, 1, True)
     constraint.transversality_check(con, model, s.q)
-    assert defined[1:] == ["\n".join(constraint._q_only_source(model, con))]
+    assert defined[2:] == ["\n".join(constraint._q_only_source(model, con))]
     del defined[:], built[:]
     tau_star(model, con, s)
     assert (defined, built) == ([], [])
@@ -306,19 +309,25 @@ print(json.dumps([code, len(sources), len(set(sources))]), file=sys.stderr)
 
 @pytest.mark.parametrize("name", ["vortex", "gen5"])
 def test_fresh_command_compiles_each_source_once(tmp_path, name):
-    # A fresh process builds its pair once, so no source is compiled twice.
+    # A fresh process builds its pair once, so no source is compiled twice,
+    # and a load compiles nothing: each command compiles the kernels it runs.
     path = str(model_file(tmp_path, name))
     q, qd = ("0.1,-0.2,0.5", "0.4,0.3,0.8") if name == "vortex" else (
         "0.1,0.2,-0.3,0.4,0.5", "0.2,-0.1,0.3,0.1,-0.2")
-    for argv in (["check", path, "--grid", "x=-1:1:3" if name == "vortex" else "q1=-1:1:3"],
-                 ["simulate", path, "--q0", q, "--qdot0", qd, "--t-end", "0.05", "--dt", "1e-3",
-                  "--project", "--out", str(tmp_path / "traj.csv")],
-                 ["control-at", path, "--q", q, "--qdot", qd]):
+    simulate = ["simulate", path, "--q0", q, "--qdot0", qd, "--t-end", "0.05", "--dt", "1e-3",
+                "--out", str(tmp_path / "traj.csv")]
+    for argv, sources in (
+            # the q-only kernel
+            (["check", path, "--grid", "x=-1:1:3" if name == "vortex" else "q1=-1:1:3"], 1),
+            # the step kernel, and the constraint's kernel for phi at the start
+            (simulate, 2),
+            # and for one projection the model's kernel and four per-size
+            # linalg routines: Cholesky, its solve, LU and its solve
+            ([*simulate, "--project"], 7),
+            (["control-at", path, "--q", q, "--qdot", qd], 1)):  # the step kernel
         done = subprocess.run([sys.executable, "-c", COUNT_DEFINES, *argv], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": SRC})
-        code, calls, distinct = json.loads(done.stderr.splitlines()[-1])
-        assert (code, calls) == (0, distinct), argv
-        assert calls >= 2, argv  # the model's kernel and the pair's kernel at least
+        assert json.loads(done.stderr.splitlines()[-1]) == [0, sources, sources], argv
 
 
 # A usage error first, then every command, each flag given once and then
