@@ -14,6 +14,7 @@ parse error, or a file that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -23,7 +24,7 @@ import sys
 import time
 
 from . import model_io, models
-from .constraint import RankDefectError, _p_system, _verdict
+from .constraint import RankDefectError, _p_system, _verdict, project_onto_A
 from .control import TransversalityError, solve_control
 from .expr import EvalError
 from .geometry import SPDError, State
@@ -142,7 +143,9 @@ def _wrap_angle(v: float) -> float:
 
 def cmd_simulate(args, parser) -> int:
     """Writes the CSV only once the run succeeds: a run that fails leaves
-    no new file and an existing one untouched."""
+    no new file and an existing one untouched.  Where --out is the file
+    stdout writes to (/dev/stdout), the CSV is written through stdout,
+    before the summary."""
     model, con = model_io.load_model(args.model)
     n = model.n
     q0 = _parse_vector(args.q0, n, "--q0")
@@ -155,8 +158,6 @@ def cmd_simulate(args, parser) -> int:
 
     state0 = State(q=tuple(q0), qdot=tuple(qd0))
     if args.project:
-        from .constraint import project_onto_A
-
         state0 = project_onto_A(con, model, state0)
 
     new = not os.path.lexists(args.out)
@@ -185,7 +186,14 @@ def cmd_simulate(args, parser) -> int:
             q = [_wrap_angle(v) if i in wrap_idx else v for i, v in enumerate(q)]
         values += (t, *q, *qd, *tau, *phi)
     text = ",".join(header) + "\n" + (row * len(traj.times)) % tuple(values)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
+    # --out naming stdout's own file, opened again, would be written from its
+    # start and then the summary over it: the CSV goes through stdout instead
+    try:
+        same = os.path.samestat(os.stat(args.out), os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no file descriptor: a caller captures stdout
+        same = False
+    with contextlib.nullcontext(sys.stdout) if same else open(
+            args.out, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
 
     summary = {

@@ -267,8 +267,7 @@ def _built(kernels: dict, model: MechanicalModel, source, what: str):
     """The pair kernel that source() defines, compiled (`_compiled`, as
     what kernel) and kept in kernels, one of the constraint's dicts, under
     model."""
-    kernel = kernels[model] = _compiled(f"{what} kernel", lambda: linalg._define(source()))
-    return kernel
+    return kernels.setdefault(model, _compiled(f"{what} kernel", lambda: linalg._define(source())))
 
 
 def _q_only(model: MechanicalModel, con: AffineConstraint):

@@ -19,9 +19,10 @@ computed once, as the statement generators write the source
 (`linalg._Block`).  The closed-loop views
 (`solve_control`, `tau_star`, `closed_loop_acceleration`) make one call
 of its stage 1 alone, which also returns b, P and cond; `sim` makes one
-call per sample interval, which chains the interval's steps and ends
-with phi = S qdot + Z at the sample, from the S of the stage 1 there
-and statements of Z of its own that run there alone (`_phi_body`).
+call for the start's record and one per sample interval, which chains
+the interval's steps; each ends with phi = S qdot + Z at the sample,
+from the S of the stage 1 there and statements of Z of its own that run
+there alone (`_phi_body`).
 The kernel is built on the first closed-loop call with a model and kept
 on the constraint, so loading a model does not pay for it.  The pair is
 checked (`check_compatible`) only then, right before the build
@@ -37,17 +38,17 @@ come from one statement generator, `constraint._gate_lines`, which the
 pair's q-only kernel shares.  Where a stage's gate fails or it meets a
 math error, the kernel returns that stage's state, and `_raise_failure`
 raises the typed error there for the views and for `sim` alike: the
-q-only kernel at q reports the failed gate on the same numbers
-(`constraint._p_system`) and `_admissible` gives its message, then the
-force's own kernel names a math error in F.  `_stage1`, stage 1 at a
-state or its typed error, is the one entry for the views and for `sim`'s
-first stage, and a view reaches the kernel in that one frame: warm, it
-is a dict lookup, a length test, the kernel call and, for the views, a
-finite screen; a failed lookup takes `_step`'s cold path, whose errors
-(a swapped or incompatible pair, then a state of another dimension) come
-before the build's.  The q-only views (`p_matrix`, `transversality_check`,
-`vnhc check`) never evaluate the external force, which may be singular
-at rest (Coulomb friction).  `b_vector` needs no invertible P: it
+q-only kernel at q reports the failed gate (or a math error in Z) on the
+same numbers (`constraint._p_system`) and `_admissible` gives its
+message, then the force's own kernel names a math error in F.
+`_stage1`, stage 1 at a state or its typed error, is the one entry for
+the views and for `sim`'s start, and a view reaches the kernel in that
+one frame: warm, it is a dict lookup, a length test, the kernel call
+and, for the views, a finite screen; a failed lookup takes `_step`'s
+cold path, whose errors (a swapped or incompatible pair, then a state of
+another dimension) come before the build's.  The q-only views
+(`p_matrix`, `transversality_check`, `vnhc check`) never evaluate the
+external force, which may be singular at rest (Coulomb friction).  `b_vector` needs no invertible P: it
 contracts the model's drift with the constraint's kernel.
 """
 
@@ -147,20 +148,22 @@ def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
     a loop over the RK4 stages and steps, the stage arithmetic between
     them, and the statements of phi at a sample.
 
-    With a None: stage 1 at (q, v) alone, returning ([acc], [tau], [b],
-    [P rows], cond) there; h and more are not read.  With a the stage-1
+    With a and h None: stage 1 at (q, v) alone, returning ([acc], [tau],
+    [b], [P rows], cond) there; more is not read.  With a None, h given and
+    more 1: a run's start record, stage 1 and phi at (q, v), returning (q,
+    v, acc, tau, phi) there; h is not read.  With a the stage-1
     acceleration at (q, v) and more false: stages 2, 3 and 4 and the step's
     end (q1, v1), whose sums v + 2 k2 + 2 k3 + k4 are added up stage by
     stage in that order, so each result has the bits of the classical
     formula, returning (q1, v1, None, None).  With more a count of steps,
     one sample interval: that many steps, each ended by the test that its
     end is finite and by stage 1 there, whose acceleration starts the next
-    step; after the last, phi there (`_phi_body`), returning (q1, v1, acc,
-    tau, phi) at the last end.  Where a stage's gate fails or it meets a
-    math error (phi's at the sample included), the kernel returns (None, k,
-    q_k, qdot_k) for stage k at (q_k, qdot_k), k = 0 for an end that is not
-    finite, and with a given, the count of steps left, the failing one
-    included, after them."""
+    step; after the last, phi there (`_phi_body`), returning the record
+    (q1, v1, acc, tau, phi) at the last end.  Where a stage's gate fails or
+    it meets a math error (phi's at a record included), the kernel returns
+    (None, k, q_k, qdot_k) for stage k at (q_k, qdot_k), k = 0 for an end
+    that is not finite, and with a given, the count of steps left, the
+    failing one included, after them."""
     lines, outputs, S = _closed_loop_body(model, con)
     return _step_text(lines, outputs, _phi_body(model, con, S))
 
@@ -170,7 +173,10 @@ def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
     values outputs of [acc], [tau], [b], [P rows] and cond after them, and
     sample, the statements of phi and its values (`_phi_body`): one copy
     of lines, run for each stage k in a loop over the stages and the
-    steps, and one copy of phi's, run at the last step's end."""
+    steps, and one copy of phi's, run where a record is returned.  At
+    stage 1, h None returns the views' outputs and more 1 the record, whose
+    state is the locals _a, which hold (q, v) at the start and a step's end
+    alike."""
     acc = [_text(x) for x in outputs[0]]
     n = len(acc)
     phi_lines, phi = sample
@@ -194,10 +200,10 @@ def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
         *(f"    {line}" for line in start),
         "try:", "    while True:",
         *(f"        {line}".replace("return None", "break") for line in lines or ["pass"]),
-        "        if k == 1:", "            if a is None:",
+        "        if k == 1:", "            if h is None:",
         f"                return {', '.join(map(_list, outputs))}",
         "            if more == 1:", *(f"                {line}" for line in phi_lines),
-        f"                return {xs}, {vs}, {_list(tuple(outputs[0]))}, "
+        f"                return {qs}, {qds}, {_list(tuple(outputs[0]))}, "
         f"{_list(tuple(outputs[1]))}, {_list(tuple(phi))}",
         "            more = more - 1", "            k = 2",
         *each("            sx{i} = v{i}", "            sv{i} = {d}"),
@@ -248,13 +254,14 @@ def _raise_failure(model: MechanicalModel, con: AffineConstraint, q, qd, state=N
 
 
 def _stage1(model: MechanicalModel, con: AffineConstraint, state: State,
-            screen: bool = True) -> tuple:
-    """Stage 1 of the pair's step kernel at state, checked: its ([acc],
-    [tau], [b], [P rows], cond) there, or the typed error of its failure.
-    The one entry of the views and of `sim`'s first stage: warm, one lookup
-    of the kernel (whose build checked the pair, `_step`), one length test
-    and one kernel call, then with screen the views' finite check, which
-    integrate makes on its states instead."""
+            h: float | None = None) -> tuple:
+    """Stage 1 of the pair's step kernel at state, checked, or the typed
+    error of its failure: without h, the views' ([acc], [tau], [b], [P
+    rows], cond) there, screened finite; given a run's step h, the run's
+    start record (q, qdot, acc, tau, phi), which integrate checks on its
+    states instead.  The one entry of the views and of `integrate`'s start:
+    warm, one lookup of the kernel (whose build checked the pair, `_step`),
+    one length test and one kernel call, then the views' finite check."""
     try:
         kernel = con._step[model]
     except (AttributeError, KeyError, TypeError):
@@ -262,13 +269,13 @@ def _stage1(model: MechanicalModel, con: AffineConstraint, state: State,
     q = state.q
     if len(q) != model.n:
         model._check_q(q)
-    out = kernel(q, state.qdot, None, None, False)
+    out = kernel(q, state.qdot, None, h, 1)
     if out[0] is None:
         _raise_failure(model, con, q, state.qdot, state)
     # A non-finite b or tau always reaches acc (0 * inf is NaN): one sum
     # screens all three, and _finite names the first bad one.  Only whether
     # the sum is finite is used, which no order of summation changes.
-    if screen and not math.isfinite(sum(out[0])):
+    if h is None and not math.isfinite(sum(out[0])):
         _finite(state, b=out[2], tau=out[1], acceleration=out[0])
     return out
 

@@ -709,9 +709,7 @@ def _source(emitted: tuple, n: int) -> str:
     runs the lines of emitted, an `_emit` result, and returns its roots,
     nested as tuples."""
     lines, roots, _ = emitted
-    body = "".join(f"    {line}\n" for line in lines)
-    args = ", ".join(f"_a{i}" for i in range(n))
-    return f"def kernel({args}):\n{body}    return {_list(roots)}\n"
+    return "\n".join(linalg._kernel_source(linalg._vector("_a", n), lines, _list(roots))) + "\n"
 
 
 _MATH_ERRORS = {ZeroDivisionError: "division by zero", OverflowError: "overflow"}

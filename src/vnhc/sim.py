@@ -15,16 +15,20 @@ that its end is finite and stage 1 there, whose acceleration starts the
 next step and whose tau is the one sampled at the interval's end; there
 the kernel also computes phi, with the bits of `con.phi`, and returns
 the sample's record, which `integrate` keeps as it comes, its state made
-without checking it again.  Stage 1 at the start state is
-`control._stage1`, the views' one entry, without their finite screen,
-and phi there is `con.phi`; the kernel's build checked the pair
-(`control._step`), so later steps check nothing again.  Where a later
-stage's gate fails or it meets a math error, the kernel returns the
-stage's state and the steps left, and `control._raise_failure`, called
-there, raises the typed error with its message, as it does for the
-views.  A math error in phi at a sample after the start aborts the run
-as a failed stage does: an `IntegrationError` naming the step.  No stage
-evaluates what only phi needs, so phi between samples never fails a run.
+without checking it again.  The start's record (state, acceleration, tau
+and phi) comes from the same kernel, through `control._stage1`, the
+views' one entry, given the run's step and so without their finite
+screen: every entry of a trajectory comes from the step kernel.  The
+kernel's build checked the pair (`control._step`), so later steps check
+nothing again.  A failure at the start, phi's included, raises the typed
+error of `control._raise_failure` with the start state, as the views
+do.  Where a later stage's gate fails or it meets a math error, the
+kernel returns the stage's state and the steps left, and
+`control._raise_failure`, called there, raises that typed error, which
+integrate chains to an `IntegrationError` naming the step; a math error
+in phi at a later sample aborts the run as a failed stage does.  No
+stage evaluates what only phi needs, so phi between samples never fails
+a run.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ def rk4_step(model: MechanicalModel, con: AffineConstraint, state: State, h: flo
     """One classical Runge-Kutta step of (qdot, closed-loop acceleration)."""
     if not 0.0 < h < math.inf:
         raise ValueError("step size must be positive and finite")
-    a = _stage1(model, con, state, False)[0]
+    a = _stage1(model, con, state)[0]
     out = _step(model, con)(state.q, state.qdot, a, h, False)
     if out[0] is None:
         _raise_failure(model, con, *out[2:4])
@@ -81,24 +85,26 @@ def integrate(
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
     # a kernel call counts its steps down to 1: a fraction or NaN never gets there
-    if sample_every != math.inf:
-        if sample_every % 1 != 0:
-            raise ValueError("sample_every must be a whole number of steps")
-        sample_every = int(sample_every)  # 2.0 counts steps as 2 does
+    if sample_every % 1 != 0 and sample_every != math.inf:
+        raise ValueError("sample_every must be a whole number of steps")
     steps = t_end / h
     if steps == math.inf:
         raise ValueError(f"t_end / step size overflows ({t_end!r} / {h!r})")
     n_steps = max(1, int(round(steps)))
-    # stage 1 of step 1
-    q, qd, (a, tau) = state0.q, state0.qdot, _stage1(model, con, state0, False)[:2]
+    # 2.0 counts steps as 2 does, and more than n_steps (inf) as n_steps
+    sample_every = int(min(sample_every, n_steps))
+    out = _stage1(model, con, state0, h)  # the start's record
     kernel = _step(model, con)
-    times = [0.0]
-    states = [state0]
-    controls = [tuple(tau)]
-    phis = [tuple(con.phi(state0))]
-
+    times, states, controls, phis = [0.0], [], [], []
     step = 0
-    while step < n_steps:
+    while True:
+        # a record: the sample's state, the acceleration of stage 1 there, tau and phi
+        q, qd, a, tau, phi = out
+        states.append(_checked_state((q, qd)))
+        controls.append(tau)
+        phis.append(phi)
+        if step == n_steps:
+            break
         # one call runs the steps up to the next sample and returns its record
         count = min(sample_every - step % sample_every, n_steps - step)
         out = kernel(q, qd, a, h, count)
@@ -113,11 +119,7 @@ def integrate(
                 raise IntegrationError(f"aborted at step {step}: {err}",
                                        last_good_index=len(times) - 1) from err
         step += count
-        q, qd, a, tau, phi = out
         times.append(step * h)
-        states.append(_checked_state((q, qd)))
-        controls.append(tau)
-        phis.append(phi)
 
     phi0 = phis[0]
     drift = tuple(

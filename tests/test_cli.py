@@ -380,6 +380,26 @@ class TestSimulate:
         assert done.stdout.startswith(csv)
         assert json.loads(done.stdout[len(csv):])["samples"] == 11
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_out_to_stdout_redirected_to_a_file(self, boat_file, tmp_path, capsys):
+        # /dev/stdout opens the file the command writes to, at offset 0: the
+        # CSV goes through stdout, so the summary follows it instead of
+        # writing over its start
+        fresh = tmp_path / "fresh.csv"
+        assert main(["simulate", boat_file, *self.SHORT, "--out", str(fresh)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "traj.txt"
+        with open(out, "wb") as f:
+            done = subprocess.run([sys.executable, "-m", "vnhc.cli", "simulate", boat_file,
+                                   *self.SHORT, "--out", "/dev/stdout"],
+                                  stdout=f, stderr=subprocess.PIPE,
+                                  env={**os.environ, "PYTHONPATH": SRC})
+        assert (done.returncode, done.stderr) == (0, b"")
+        text, csv = out.read_bytes(), fresh.read_bytes()
+        assert text.startswith(b"t,x,y,theta,") and text.startswith(csv)
+        assert json.loads(text[len(csv):])["samples"] == 11
+        assert text.endswith(b"\n") and text.count(b"\n") == csv.count(b"\n") + 1
+
 
 class TestControlAt:
     def test_boat_value(self, boat_file, capsys):

@@ -450,7 +450,7 @@ class TestSingleAssembly:
         con._step[model] = counting
         calls = self.count_linalg(monkeypatch)
         view(model, con, State(q=(0.3, -0.1, 0.7, 1.2), qdot=(0.5, -0.4, 0.2, 0.9)))
-        assert (fused, calls) == ([(None, None, False)], {})
+        assert (fused, calls) == ([(None, None, 1)], {})
 
     @pytest.mark.parametrize("view", [closed_loop_acceleration, solve_control, tau_star])
     def test_one_factorization_per_fallback(self, monkeypatch, view):

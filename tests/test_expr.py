@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -526,6 +528,17 @@ def test_one_structure_is_one_object(e):
 def test_reparse_gives_the_same_object(e):
     # -0.0 is spelled -0, so a tree with a negative zero reloads as itself.
     assert parse(to_string(e)) is e
+
+
+def test_copies_are_the_same_object():
+    # copy, deepcopy and unpickling build each node again through the
+    # table (`Expr.__reduce__`), so a tree with shared subtrees, x*y among
+    # them, comes back as itself.
+    e = parse("sin(x*y) * (x*y + 1) + (x*y + 1)^2 * (-0 - x*y)")
+    assert e.left.right is e.right.left.left
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
 
 
 @given(_all_exprs, _all_exprs)

@@ -163,10 +163,11 @@ def test_simulate_output_is_golden(tmp_path):
 
 
 # SHA-256 of control._step_source(model, con), the pair's closed-loop
-# kernel: the RK4 step, whose stage 1 alone the views run.
+# kernel: the RK4 step, whose stage 1 alone the views run and whose start
+# record integrate takes.
 CLOSED_LOOP_SHA256 = {
-    "vortex": "5d7f7fa54584f71039f462f24073e8574a12c3eea138cbf3678a194d965edbfa",
-    "gen5": "46f3cc30ca307aefb56d7ff7d5aab1ad821bbe84d2ba8f2ea361bf0b24bdc59e",
+    "vortex": "076a8d288d7b88b78fdfbc491706054581167ff3c4b7b8b8c180ca3ae2688af2",
+    "gen5": "94170c086ec6d404bcd9719caee32b1f1ce63e42ce70e802945cf2565d3c551e",
 }
 
 
@@ -186,7 +187,7 @@ def test_closed_loop_source_is_unchanged():
 # model's, the constraint's, the force's and the first-kind kernels, which
 # nothing folds, and the pair's q-only and RK4 step kernels.
 MODEL_KERNELS_SHA256 = "7edeef22d6417f8651bc01cec19e09d9c49cd37a1d50ccc12f5f9d331029f8ba"
-PAIR_KERNELS_SHA256 = "5a5816cc482903772080c6d2fead219ab03664423770a10f3a2af73564f1d80a"
+PAIR_KERNELS_SHA256 = "dc131f8f7101e424021fd96d067c49c53634d605411128d0aa0e730d08aacef6"
 
 
 def kernel_sources() -> tuple[list[str], list[str]]:

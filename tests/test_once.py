@@ -103,10 +103,10 @@ def test_second_load_folds_nothing(tmp_path, monkeypatch):
 
 def test_two_sources_per_pair(tmp_path, monkeypatch):
     # A pair compiles two sources: the step kernel, whose stage 1 the views
-    # run, and the q-only kernel.  A second view builds nothing.  The model
-    # text is one no other test loads, so its pair has built neither yet,
-    # nor the constraint's own kernel, which integrate compiles for phi at
-    # the start.
+    # run and which gives integrate every record, the start's included, and
+    # the q-only kernel.  A second view builds nothing, and neither view nor
+    # run the constraint's own kernel.  The model text is one no other test
+    # loads, so its pair has built neither yet.
     path = tmp_path / "boat.json"
     save_model(path, *build_boat(*FIXTURE_CURRENTS["vortex"], m=1.125, I=0.875))
     model, con = load_model(path)
@@ -118,9 +118,9 @@ def test_two_sources_per_pair(tmp_path, monkeypatch):
     tau_star(model, con, s)
     assert (defined, len(built)) == ([step_source(model, con)], 1)
     integrate(model, con, s, t_end=2e-3, h=1e-3)
-    assert (len(defined), len(built), "_kernel" in vars(con)) == (2, 1, True)
+    assert (len(defined), len(built), "_kernel" in vars(con)) == (1, 1, False)
     constraint.transversality_check(con, model, s.q)
-    assert defined[2:] == ["\n".join(constraint._q_only_source(model, con))]
+    assert defined[1:] == ["\n".join(constraint._q_only_source(model, con))]
     del defined[:], built[:]
     tau_star(model, con, s)
     assert (defined, built) == ([], [])
@@ -267,7 +267,7 @@ def test_repeated_load_is_bit_identical(tmp_path, monkeypatch, name):
     assert reprs(*load_model(path)) == first
     defined = defines(monkeypatch)
     assert reprs(*load_model_dict(json.loads(path.read_text()))) == first
-    assert len(defined) >= 2  # the rebuilt pair's model and step kernels at least
+    assert len(defined) == 1  # the rebuilt pair's step kernel
 
 
 def test_dropped_pair_frees_its_kernels(tmp_path, monkeypatch):
@@ -319,10 +319,11 @@ def test_fresh_command_compiles_each_source_once(tmp_path, name):
     for argv, sources in (
             # the q-only kernel
             (["check", path, "--grid", "x=-1:1:3" if name == "vortex" else "q1=-1:1:3"], 1),
-            # the step kernel, and the constraint's kernel for phi at the start
-            (simulate, 2),
-            # and for one projection the model's kernel and four per-size
-            # linalg routines: Cholesky, its solve, LU and its solve
+            # the step kernel, which gives every record, the start's included
+            (simulate, 1),
+            # and for one projection the constraint's and the model's
+            # kernels and four per-size linalg routines: Cholesky, its
+            # solve, LU and its solve
             ([*simulate, "--project"], 7),
             (["control-at", path, "--q", q, "--qdot", qd], 1)):  # the step kernel
         done = subprocess.run([sys.executable, "-c", COUNT_DEFINES, *argv], capture_output=True,

@@ -87,6 +87,18 @@ class TestRK4Step:
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_start_of_another_dimension_on_a_warm_pair(self, size):
+        # The pair's step kernel is built, so the start record's call is
+        # warm: the state's dimension is checked before the kernel runs.
+        model, con = build_boat(*FIXTURE_CURRENTS["vortex"])
+        integrate(model, con, State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6)), t_end=1e-3, h=1e-3)
+        assert model in con._step
+        s0 = State(q=(0.1,) * size, qdot=(0.2,) * size)
+        with pytest.raises(ValueError) as info:
+            integrate(model, con, s0, t_end=1e-2, h=1e-3)
+        assert str(info.value) == f"state dimension {size} does not match n=3"
+
     def test_two_samples_when_t_end_is_h(self):
         model, con = build_linear_fixture()
         s = State(q=(0, 0, 0), qdot=(1.0, 0.0, 0.1))
@@ -371,6 +383,23 @@ class TestStageFailures:
         assert (info.value.last_good_index, info.value.__cause__) == (0, None)
 
 
+def test_a_non_finite_stage_1_is_screened_before_a_step():
+    # F = 1e300 x overflows at x = 1e10, so stage 1 at the start is not
+    # finite: rk4_step raises the views' error there, as tau_star does,
+    # while integrate finds the end of step 1 not finite.
+    model = MechanicalModel(("x", "y"), [["1", "0"], ["0", "1"]],
+                            external_force=["1e300*x", "0"], input_coframe=[["0", "1"]])
+    con = AffineConstraint(("x", "y"), [["0", "1"]], Z=["0"])
+    s0 = State(q=(1e10, 0.0), qdot=(1.0, 0.0))
+    message = r"^b \(nan,\) is not finite at q=\(10000000000\.0, 0\.0\), qdot=\(1\.0, 0\.0\)$"
+    for call in (lambda: rk4_step(model, con, s0, 1e-3), lambda: vnhc.tau_star(model, con, s0)):
+        with pytest.raises(vnhc.EvalError, match=message):
+            call()
+    with pytest.raises(IntegrationError, match="^non-finite state at step 1$") as info:
+        integrate(model, con, s0, t_end=2e-3, h=1e-3)
+    assert (info.value.last_good_index, info.value.__cause__) == (0, None)
+
+
 @functools.cache
 def sampled_system(name):
     return build_gen5() if name == "gen5" else build_boat(*FIXTURE_CURRENTS[name])
@@ -399,8 +428,8 @@ def run(model, con, s0, h, steps, every):
 @settings(max_examples=40, deadline=None)
 @given(sampled_runs())
 def test_each_sampled_phi_is_con_phi(drawn):
-    # The step kernel computes phi at each sample after the start; it has
-    # the bits of con.phi at the sampled state.
+    # The step kernel computes phi at each sample, the start's included; it
+    # has the bits of con.phi at the sampled state.
     model, con, s0, h, steps, every = drawn
     traj = run(model, con, s0, h, steps, every)
     assert [repr(con.phi(s)) for s in traj.states] == [repr(list(p)) for p in traj.phis]
