@@ -110,11 +110,13 @@ def cmd_check(args) -> int:
     full = f" rank=ok({m}/{m})"
     all_ok = True
     for q, label in zip(points, labels):
-        try:  # one q-only kernel call; its error comes after the rank's
-            k, failure = _p_system(model, con, q), None
+        k = None
+        try:  # one q-only kernel call and its verdict; their error comes after the rank's
+            k = _p_system(model, con, q)
+            (error, cond), failure = _verdict(k, q), None
         except (SPDError, EvalError) as err:
-            k, failure = None, err
-        try:
+            failure = err
+        try:  # S from the record; from the constraint's kernel where the q-only kernel raised
             rank, sv = con._rank(con.mu_at(q) if k is None else k.S)
         except EvalError as err:
             verdict = f" rank=ERROR ({err})"
@@ -122,7 +124,6 @@ def cmd_check(args) -> int:
             if rank < m:
                 verdict = f" rank=DEFECT({rank}/{m}) singular_values={[f'{s:.3e}' for s in sv]}"
             elif failure is None:
-                error, cond = _verdict(k, q)
                 write(f"q=({label}){full} transversality={'ok' if error is None else 'VIOLATION'}"
                       f" cond={cond:.6g} det={k.det:.6g}\n")
                 all_ok &= error is None

@@ -23,18 +23,20 @@ written (`linalg._Block`; a constant metric's whole block goes).  A
 model text loaded again gives back the pair built from it, with the
 kernels it has built (`model_io.load_model`), so it generates neither
 again.  The q-only kernel returns its verdict as data: a failing gate
-returns what was computed before it, with the gate's name.  `_p_system`
-is the one call of it, for `transversality_check`, `control.p_matrix`,
-`control._raise_failure` (the typed error of a failed closed-loop stage)
-and `vnhc check` (one call per point, the rank from the returned S): it
+returns what was computed before it, with the gate's name.  One
+evaluation and one judgment serve `transversality_check`,
+`control.p_matrix`, `control._raise_failure` (the typed error of a
+failed closed-loop stage) and `vnhc check` (one call per point, the rank
+from the record's S).  `_p_system` is the one call of the kernel: it
 wraps the kernel's tuple as a `_QOnly`, the fields a failing gate leaves
-out padded with their defaults, without a constructor call; raises the
-typed errors in their one order; and alone runs the model's and the
-constraint's own kernels where the kernel meets a math error, to name the
-expression.  `_verdict` words a failed P gate.  The kernel is built on the
-first q-only call with a model and kept on the constraint, so loading a
-model does not pay for it.  `project_onto_A` takes S and Z from one call
-of the constraint's kernel.
+out padded with their defaults, without a constructor call, whichever
+gate failed; where the kernel meets a math error, it alone runs the
+model's and the constraint's own kernels, to name the expression.
+`_verdict` alone judges the record, in one order: the metric's gates
+(SPDError), a non-finite P (EvalError), then the wording of a failed P
+gate.  The kernel is built on the first q-only call with a model and
+kept on the constraint, so loading a model does not pay for it.
+`project_onto_A` takes S and Z from one call of the constraint's kernel.
 """
 
 from __future__ import annotations
@@ -227,8 +229,12 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
     """Source lines of kernel(q) -> the fields of `_QOnly`: every expression
     the model's and the constraint's kernels evaluate at (q, 0), with
     common subexpressions computed once, then the gates of the step kernel,
-    folded as they are written.  dV, w, Z and c are evaluated for their
-    math errors only.  A failing gate returns the fields computed before it."""
+    folded as they are written.  dV, w, Z and c at rest are evaluated for
+    their math errors, though no field returns them: they make the q-only
+    views and `vnhc check` fail where the model or the constraint is not
+    differentiable at q, and `control._raise_failure` relies on them to
+    name a step kernel's math error in w or c.  A failing gate returns the
+    fields computed before it."""
     n, m = model.n, con.m
     r, rm = range(n), range(m)
     lines, ((G, coframe, dV, w), (S, Z, c)), _ = ex._emit(
@@ -278,13 +284,12 @@ def _q_only(model: MechanicalModel, con: AffineConstraint):
 
 
 def _p_system(model: MechanicalModel, con: AffineConstraint, q) -> _QOnly:
-    """The pair's q-only kernel at q, or the typed error of its failure
-    there, named in the order the model's and the constraint's kernels
-    meet them: the model's expressions, the metric's gates (SPDError), the
-    constraint's expressions, then a non-finite P (EvalError).  A failed P
-    gate is left in `failed`.  Where the kernel meets a math error, the
+    """The pair's q-only kernel at q, its record whichever gate failed
+    (`_verdict` judges it).  Where the kernel meets a math error, the
     model's kernel, the metric's gates and the constraint's kernel run in
-    turn at (q, 0) to name it."""
+    turn at (q, 0) to name it, in the order the kernels meet them: the
+    model's expressions (EvalError), the metric's gates (SPDError), then
+    the constraint's expressions (EvalError)."""
     con._check_q(q)
     kernel = _q_only(model, con)  # its build's errors are not the kernel's math errors
     try:
@@ -293,18 +298,20 @@ def _p_system(model: MechanicalModel, con: AffineConstraint, q) -> _QOnly:
         model._factor(q)
         con._at_rest(q)
         raise
-    k = _new(_QOnly, k + _PADS[len(k)])
+    return _new(_QOnly, k + _PADS[len(k)])
+
+
+def _verdict(k: _QOnly, q) -> tuple[str | None, float]:
+    """The judgment of the q-only record k at q: the metric's SPDError
+    where it failed its gates, then EvalError where P is not finite;
+    otherwise why no control exists at q, None where P is admissible, and
+    the condition estimate to report: inf where P is singular, or
+    numerically so."""
     if k.failed == "metric":
         raise _spd_error(q, k.g, k.ratio)
     # A non-finite entry makes P singular or cond non-finite: only then is P checked.
     if not math.isfinite(k.cond) and not all(map(math.isfinite, chain.from_iterable(k.P))):
         raise EvalError(f"P matrix {k.P} is not finite at q={tuple(q)}")
-    return k
-
-
-def _verdict(k: _QOnly, q) -> tuple[str | None, float]:
-    """Why no control exists at q, None where P is admissible, and the
-    condition estimate to report: inf where P is singular, or numerically so."""
     if k.failed == "singular":
         return f"singular P matrix at q={tuple(q)}", math.inf
     if k.failed == "pivot":

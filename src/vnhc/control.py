@@ -39,8 +39,9 @@ pair's q-only kernel shares.  Where a stage's gate fails or it meets a
 math error, the kernel returns that stage's state, and `_raise_failure`
 raises the typed error there for the views and for `sim` alike: the
 q-only kernel at q reports the failed gate (or a math error in Z) on the
-same numbers (`constraint._p_system`) and `_admissible` gives its
-message, then the force's own kernel names a math error in F.
+same numbers (`constraint._p_system`), `_verdict` judges it and
+`_admissible` raises its verdict, then the force's own kernel names a
+math error in F.
 `_stage1`, stage 1 at a state or its typed error, is the one entry for
 the views and for `sim`'s start, and a view reaches the kernel in that
 one frame: warm, it is a dict lookup, a length test, the kernel call
@@ -244,8 +245,8 @@ def _step(model: MechanicalModel, con: AffineConstraint, state: State | None = N
 
 def _raise_failure(model: MechanicalModel, con: AffineConstraint, q, qd, state=None):
     """Raise the typed error of a closed-loop evaluation at (q, qd) where
-    the step kernel failed: the q-only kernel's at q (`_p_system`, then the
-    P gates' verdict), then the force's own kernel's at (q, qd).  The
+    the step kernel failed: the q-only kernel's at q (`_p_system`, then
+    its judgment, `_verdict`), then the force's own kernel's at (q, qd).  The
     closed loop's gates are the q-only kernel's, and a math error in w or c
     at qd is one at rest, since their velocities only multiply."""
     _admissible(_p_system(model, con, q), q, state)

@@ -106,7 +106,7 @@ def integrate(
         if step == n_steps:
             break
         # one call runs the steps up to the next sample and returns its record
-        count = min(sample_every - step % sample_every, n_steps - step)
+        count = min(sample_every, n_steps - step)
         out = kernel(q, qd, a, h, count)
         if out[0] is None:
             step += count + 1 - out[4]  # the step that failed
@@ -119,7 +119,7 @@ def integrate(
                 raise IntegrationError(f"aborted at step {step}: {err}",
                                        last_good_index=len(times) - 1) from err
         step += count
-        times.append(step * h)
+        times.append(float(step * h))  # a float for an int h too, as the start's is
 
     phi0 = phis[0]
     drift = tuple(

@@ -183,6 +183,16 @@ TWO_FAILURES = {
                           "eigenvalues [-1.0, 1.0]",
                           "q=(-1, 0) rank=ok(1/1) metric=SPD-FAILURE (metric not positive "
                           "definite at q=(-1.0, 0.0); eigenvalues [-1.0, 1.0])"),
+    # S overflows where the metric fails: the q-only kernel returns S with
+    # the metric's gate, and check screens that S for the rank
+    "metric_then_s_inf": ((MechanicalModel(("x", "y"), [["x", "0"], ["0", "1"]],
+                                           input_coframe=[["1", "0"]]),
+                           AffineConstraint(("x", "y"), [["1e300*x", "0"]], Z=["0"])),
+                          (-1e10, 0.0),
+                          "SPDError: metric not positive definite at q=(-10000000000.0, 0.0); "
+                          "eigenvalues [-10000000000.0, 1.0]",
+                          "q=(-1e+10, 0) rank=ERROR (constraint.mu[0][0] = 1e+300 * x is not "
+                          "finite (-inf))"),
 }
 
 
@@ -201,11 +211,23 @@ def test_the_first_failure_is_named(tmp_path, name):
     assert check_lines(path, [q], model.coordinates) == (1, [line])
 
 
+# (model, points): every gate holds on gen5; at the others' points a gate
+# fails (non_spd, thin: the metric's; p_inf, s_inf: P is not finite), and
+# the kernel returns its record all the same
+ONE_CALL = {"gen5": (SYSTEMS["gen5"], [(0.1 * i, 0.2, -0.3, 0.4, 0.5) for i in range(7)]),
+            "non_spd": (plane(metric00="x"), [(-1.0, 0.0)]),
+            "thin": ((MechanicalModel(("x", "y"), [["1", "0"], ["0", "1e-309"]],
+                                      input_coframe=[["1", "0"]]), plane()[1]), [(0.0, 0.0)]),
+            "p_inf": ((MechanicalModel(("x", "y"), [["1", "0"], ["0", "1"]],
+                                       input_coframe=[["1e300*x", "0"]]), plane()[1]),
+                      [(1e10, 0.0)]),
+            "s_inf": ((plane()[0], AffineConstraint(("x", "y"), [["1e300*x", "0"]], Z=["0"])),
+                      [(1e10, 0.0)])}
+
+
 def test_one_kernel_call_per_point(tmp_path, monkeypatch):
     # check calls the pair's q-only kernel once per point and neither the
-    # model's nor the constraint's own kernel.
-    path = tmp_path / "gen5.json"
-    save_model(path, *SYSTEMS["gen5"])
+    # model's nor the constraint's own kernel, whether or not a gate holds.
     load, calls, other = cli.model_io.load_model, [], []
 
     def loading(path):  # the pair is kept for a later load of its text: patch it undoably
@@ -218,9 +240,12 @@ def test_one_kernel_call_per_point(tmp_path, monkeypatch):
         return model, con
 
     monkeypatch.setattr(cli.model_io, "load_model", loading)
-    qs = [(0.1 * i, 0.2, -0.3, 0.4, 0.5) for i in range(7)]
-    assert check_lines(path, qs, SYSTEMS["gen5"][0].coordinates)[0] == 0
-    assert (calls, other) == (qs, [])
+    for name, ((model, con), qs) in ONE_CALL.items():
+        path = tmp_path / f"{name}.json"
+        save_model(path, model, con)
+        calls.clear()
+        assert check_lines(path, qs, model.coordinates)[0] == (0 if name == "gen5" else 1), name
+        assert (calls, other) == (qs, []), name
 
 
 def test_q_only_too_deep_to_compile(tmp_path, monkeypatch, capsys):

@@ -106,6 +106,13 @@ class TestIntegrate:
         assert len(traj.times) == 2
         assert traj.times == (0.0, 0.01)
 
+    def test_times_are_floats_for_an_int_step(self):
+        model, con = build_linear_fixture()
+        s = State(q=(0, 0, 0), qdot=(1.0, 0.0, 0.1))
+        times = integrate(model, con, s, t_end=2, h=1).times
+        assert times == (0.0, 1.0, 2.0)
+        assert all(type(t) is float for t in times)
+
     def test_sequences_share_length_times_increasing(self):
         model, con = build_boat("0.3", "0.1*x")
         s = State(q=(0, 0, 0), qdot=(0.5, 0.0, 0.2))
