@@ -144,9 +144,10 @@ def _wrap_angle(v: float) -> float:
 
 def cmd_simulate(args, parser) -> int:
     """Writes the CSV only once the run succeeds: a run that fails leaves
-    no new file and an existing one untouched.  Where --out is the file
-    stdout writes to (/dev/stdout), the CSV is written through stdout,
-    before the summary."""
+    no new file, not even the target of a dangling link, and an existing
+    one untouched.  Where --out is the file stdout writes to
+    (/dev/stdout), the CSV is written through stdout, before the
+    summary."""
     model, con = model_io.load_model(args.model)
     n = model.n
     q0 = _parse_vector(args.q0, n, "--q0")
@@ -161,10 +162,12 @@ def cmd_simulate(args, parser) -> int:
     if args.project:
         state0 = project_onto_A(con, model, state0)
 
-    new = not os.path.lexists(args.out)
-    open(args.out, "a").close()  # an unwritable --out fails here, before the run
+    # an unwritable --out fails here, before the run; a file this makes goes
+    # again, and behind a dangling link that is the link's target
+    new = not os.path.exists(args.out)
+    open(args.out, "a").close()
     if new:
-        os.remove(args.out)
+        os.remove(os.path.realpath(args.out))
 
     start = time.perf_counter()
     traj = integrate(

@@ -7,50 +7,28 @@ or off the constraint set; off the set it conserves phi at its initial
 value instead of nulling it.
 
 Each (model, constraint) pair has one generated kernel of (q, qdot), the
-RK4 step kernel, and it is the only code that computes a closed-loop
-result.  At each RK4 stage it runs the same straight-line statements,
-written once in a loop over the stages: the model's, force's and
-constraint's expressions (common subexpressions computed once across all
-three), the metric's Cholesky factor, the input fields Y = G^-1 coframe,
-P = S Y, its pivoted LU and cond_1, the drift G^-1 (F - dV - w),
-b = -(S drift + c), tau and the acceleration.  What of that depends on
-no input, such as the whole metric block of a constant metric, is
-computed once, as the statement generators write the source
-(`linalg._Block`).  The closed-loop views
-(`solve_control`, `tau_star`, `closed_loop_acceleration`) make one call
-of its stage 1 alone, which also returns b, P and cond; `sim` makes one
-call for the start's record and one per sample interval, which chains
-the interval's steps; each ends with phi = S qdot + Z at the sample,
-from the S of the stage 1 there and statements of Z of its own that run
-there alone (`_phi_body`).
-The kernel is built on the first closed-loop call with a model and kept
-on the constraint, so loading a model does not pay for it.  The pair is
-checked (`check_compatible`) only then, right before the build
-(`_step`): a kernel kept in `con._step[model]` proves the check
-passed, so a warm call checks nothing about the pair again.  A model text
-loaded again gives back the pair built from it
-(`model_io.load_model`), so it generates, folds and compiles nothing; a
-pair built anew generates and compiles its kernels anew.
+RK4 step kernel (`_step_source` states its protocol), and it is the only
+code that computes a closed-loop result.  At each stage it runs the same
+straight-line statements: the model's, force's and constraint's
+expressions, the metric's Cholesky factor, Y = G^-1 coframe, P = S Y,
+its pivoted LU and cond_1, the drift, b = -(S drift + c), tau and the
+acceleration, with what depends on no input computed once, as the source
+is written (`linalg._Block`).  The metric and P blocks, with every gate,
+come from `constraint._gate_lines`, which the pair's q-only kernel
+shares.
 
-The kernel's metric and P blocks, with every gate (metric SPD and
-condition, exactly singular P, pivot, P condition, a non-finite cond),
-come from one statement generator, `constraint._gate_lines`, which the
-pair's q-only kernel shares.  Where a stage's gate fails or it meets a
-math error, the kernel returns that stage's state, and `_raise_failure`
-raises the typed error there for the views and for `sim` alike: the
-q-only kernel at q reports the failed gate (or a math error in Z) on the
-same numbers (`constraint._p_system`), `_verdict` judges it and
-`_admissible` raises its verdict, then the force's own kernel names a
-math error in F.
-`_stage1`, stage 1 at a state or its typed error, is the one entry for
-the views and for `sim`'s start, and a view reaches the kernel in that
-one frame: warm, it is a dict lookup, a length test, the kernel call
-and, for the views, a finite screen; a failed lookup takes `_step`'s
-cold path, whose errors (a swapped or incompatible pair, then a state of
-another dimension) come before the build's.  The q-only views
-(`p_matrix`, `transversality_check`, `vnhc check`) never evaluate the
-external force, which may be singular at rest (Coulomb friction).  `b_vector` needs no invertible P: it
-contracts the model's drift with the constraint's kernel.
+The kernel is built on the first closed-loop call with a model and kept
+on the constraint (`_step`), which checks the pair (`check_compatible`)
+right before the build, so a warm call checks nothing about the pair
+again.  `_stage1`, stage 1 at a state or its typed error, is the one
+entry of the views (`solve_control`, `tau_star`,
+`closed_loop_acceleration`) and of `sim`'s start.  Where the kernel
+fails, `_raise_failure` raises the typed error from the q-only kernel at
+q (`constraint._p_system`, judged by `_verdict`), then from the force's
+own kernel.  The q-only views (`p_matrix`, `transversality_check`, `vnhc
+check`) never evaluate the external force, which may be singular at rest
+(Coulomb friction).  `b_vector` needs no invertible P: it contracts the
+model's drift with the constraint's kernel.
 """
 
 from __future__ import annotations
@@ -94,18 +72,26 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
     force's and constraint's expressions with common subexpressions
     computed once, then the factorizations and solves, from the generators
     of `linalg`, folded as they are written.  Returns them, the values of
-    [acc], [tau], [b], [P rows] and cond after them, and the values of the
-    S rows, which phi at a sample reads (`_phi_body`); a failing gate runs
-    `return None`.  The gates are those of the q-only
-    kernel, on the same numbers, so the statements fail exactly where that
-    kernel reports a failed gate."""
+    [acc], [tau], [b], [P rows] and cond after them, and phi = S qd + Z at a
+    sample: the statements that only Z needs, run after stage 1 there, and
+    the values of [phi] after them, each S_b qd added left to right from 0,
+    then Z_b, as `con.phi` adds them.  A failing gate runs `return None`;
+    the gates are those of the q-only kernel, on the same numbers, so the
+    statements fail exactly where that kernel reports a failed gate.
+
+    One emission gives every expression, Z last, so the lines that the
+    stages need come first.  The lines from the first one whose node no
+    stage root reaches are Z's alone, and no stage runs them."""
     n, m = model.n, con.m
     r, rm = range(n), range(m)
-    mu, _, dphi = con._exprs  # Z is not needed
-    lines, ((G, coframe, dV, w), F, S, c), _ = ex._emit(
-        [model._exprs, model._force, mu, dphi], model.coordinates + model.velocities)
+    mu, Z, dphi = con._exprs
+    stage = [model._exprs, model._force, mu, dphi]
+    lines, ((G, coframe, dV, w), F, S, c, Z), nodes = ex._emit(
+        [*stage, Z], model.coordinates + model.velocities)
+    reached = ex._leaves(stage)[2]
+    head = next((i for i, node in enumerate(nodes) if id(node) not in reached), len(lines))
     block = _Block()
-    block.lines += lines
+    block.lines += lines[:head]
     _bind(block, G, coframe, S)
     for i in r:  # G^-1 (F - dV - w), the drift
         block[f"d{i}"] = _bin(_bin(F[i], "-", dV[i]), "-", w[i])
@@ -123,57 +109,50 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
         block.when(_bin(block[f"t{a}"], "!=", 0.0), lambda then, a=a: accelerate(then, a),
                    names=[f"d{i}" for i in r])
     P = [[block[f"P{b}_{a}"] for a in rm] for b in rm]
+    qd = [_Src(f"_a{n + i}") for i in r]
+    phi = [_bin(_chain("+", [0.0, *(_bin(block[f"S{b}_{i}"], "*", qd[i]) for i in r)]), "+", Z[b])
+           for b in rm]
     return block.lines, [[block[f"d{i}"] for i in r], [block[f"t{a}"] for a in rm],
-                         [block[f"b{b}"] for b in rm], P, block["cond"]], \
-        [[block[f"S{b}_{i}"] for i in r] for b in rm]
-
-
-def _phi_body(model: MechanicalModel, con: AffineConstraint, S: list):
-    """The statements of phi = S qdot + Z at the locals _a0 .. _a<2n-1>
-    holding (q, qd), which the step kernel runs at a sample after stage 1
-    there, whose statements left S there in the values S: Z with common
-    subexpressions computed once, over locals of its own (_z0, _z1, ...),
-    so no stage computes what only Z needs.  Returns them and the values
-    of [phi] after them, each S_b qd added left to right from 0, then
-    Z_b, as `con.phi` adds them."""
-    n = model.n
-    lines, (Z,), _ = ex._emit([con._exprs[1]], model.coordinates + model.velocities, prefix="_z")
-    qd = [_Src(f"_a{n + i}") for i in range(n)]
-    return lines, [_bin(_chain("+", [0.0, *map(_bin, row, "*" * n, qd)]), "+", z)
-                   for row, z in zip(S, Z)]
+                         [block[f"b{b}"] for b in rm], P, block["cond"]], (lines[head:], phi)
 
 
 def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
-    """Source of kernel(q, v, a, h, more), the pair's one closed-loop kernel:
-    the pair's closed-loop statements, folded as they are written, once, in
+    """Source of kernel(q, v, a, h, more), the pair's one closed-loop kernel,
+    which every closed-loop result comes from: the pair's closed-loop
+    statements (`_closed_loop_body`), folded as they are written, once, in
     a loop over the RK4 stages and steps, the stage arithmetic between
     them, and the statements of phi at a sample.
 
-    With a and h None: stage 1 at (q, v) alone, returning ([acc], [tau],
-    [b], [P rows], cond) there; more is not read.  With a None, h given and
-    more 1: a run's start record, stage 1 and phi at (q, v), returning (q,
-    v, acc, tau, phi) there; h is not read.  With a the stage-1
-    acceleration at (q, v) and more false: stages 2, 3 and 4 and the step's
-    end (q1, v1), whose sums v + 2 k2 + 2 k3 + k4 are added up stage by
-    stage in that order, so each result has the bits of the classical
-    formula, returning (q1, v1, None, None).  With more a count of steps,
-    one sample interval: that many steps, each ended by the test that its
-    end is finite and by stage 1 there, whose acceleration starts the next
-    step; after the last, phi there (`_phi_body`), returning the record
-    (q1, v1, acc, tau, phi) at the last end.  Where a stage's gate fails or
-    it meets a math error (phi's at a record included), the kernel returns
-    (None, k, q_k, qdot_k) for stage k at (q_k, qdot_k), k = 0 for an end
-    that is not finite, and with a given, the count of steps left, the
-    failing one included, after them."""
-    lines, outputs, S = _closed_loop_body(model, con)
-    return _step_text(lines, outputs, _phi_body(model, con, S))
+    - a and h None: stage 1 at (q, v) alone, returning ([acc], [tau], [b],
+      [P rows], cond) there, for the views.
+    - a None, h given and more 1: a run's start record, stage 1 and phi at
+      (q, v), returning (q, v, acc, tau, phi) there; h is not read.
+    - a the stage-1 acceleration at (q, v) and more false: stages 2, 3 and
+      4 and the step's end, returning (q1, v1), whose sums v + 2 k2 + 2 k3
+      + k4 are added up stage by stage in that order, so each result has
+      the bits of the classical formula.
+    - a given and more a count of steps: one sample interval, that many
+      steps, each ended by the test that its end is finite and by stage 1
+      there, whose acceleration starts the next step; after the last, phi
+      there, returning the record (q1, v1, acc, tau, phi) at the last end.
+
+    phi = S qdot + Z is computed from the S of stage 1 at the record's
+    state and the statements that Z alone needs, which run there and
+    nowhere else: no stage evaluates what only phi needs, so phi between
+    samples never fails a run.  Where a stage's gate fails or it meets a
+    math error (phi's at a record included), the kernel returns (None, k,
+    q_k, qdot_k, more) for stage k at (q_k, qdot_k), k = 0 for an end that
+    is not finite, and more the count of steps left, the failing one
+    included (as given where a is None or more is false);
+    `_raise_failure` raises the typed error there."""
+    return _step_text(*_closed_loop_body(model, con))
 
 
 def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
     """Source of the step kernel from the closed-loop statements lines, the
     values outputs of [acc], [tau], [b], [P rows] and cond after them, and
-    sample, the statements of phi and its values (`_phi_body`): one copy
-    of lines, run for each stage k in a loop over the stages and the
+    sample, the statements of phi and its values (`_closed_loop_body`): one
+    copy of lines, run for each stage k in a loop over the stages and the
     steps, and one copy of phi's, run where a record is returned.  At
     stage 1, h None returns the views' outputs and more 1 the record, whose
     state is the locals _a, which hold (q, v) at the start and a step's end
@@ -212,7 +191,7 @@ def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
         "        elif k == 4:",
         *each("            x{i} = x{i} + h6 * (sx{i} + _a{j})",
               "            v{i} = v{i} + h6 * (sv{i} + {d})"),
-        "            if not more:", f"                return {xs}, {vs}, None, None",
+        "            if not more:", f"                return {xs}, {vs}",
         f"            if {finite} != 0.0:", f"                return None, 0, {xs}, {vs}, more",
         "            k = 1", *each("            _a{i} = x{i}", "            _a{j} = v{i}"),
         "        else:",
@@ -220,7 +199,6 @@ def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
         "            dt = h2 if k == 2 else h", "            k = k + 1",
         *each("            _a{i} = x{i} + dt * _a{j}", "            _a{j} = v{i} + dt * {d}"),
         "except (ArithmeticError, ValueError):", "    pass",
-        "if a is None:", f"    return None, k, {qs}, {qds}",
         f"return None, k, {qs}, {qds}, more"]
     return "\n".join(["def kernel(q, v, a, h, more):", *(f"    {line}" for line in body)])
 

@@ -396,10 +396,10 @@ def free_symbols(e: Expr) -> set[str]:
     return _leaves(e)[0]
 
 
-def _leaves(e) -> tuple[set[str], list[float]]:
+def _leaves(e) -> tuple[set[str], list[float], set[int]]:
     """The names of the symbols of e, an expression or a nested list of
-    them, and its non-finite constants left to right.  A node shared
-    within e is walked once."""
+    them, its non-finite constants left to right, and the ids of its
+    nodes.  A node shared within e is walked once."""
     symbols, bad, seen, stack = set(), [], set(), [e]
     while stack:
         e = stack.pop()
@@ -415,7 +415,7 @@ def _leaves(e) -> tuple[set[str], list[float]]:
                 symbols.add(e.name)
             elif not math.isfinite(e.value):
                 bad.append(e.value)
-    return symbols, bad
+    return symbols, bad, seen
 
 
 def substitute(e: Expr, values: Mapping[str, float]) -> Expr:
@@ -590,15 +590,16 @@ def to_string(e: Expr) -> str:
 # Compilation to fast callables
 
 def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, float] | None = None,
-          every: bool = False, prefix: str = "_t"):
+          every: bool = False):
     """Straight-line source of exprs over the locals _a0, _a1, ... that
     hold the variables, with common subexpressions computed once.
 
     Returns (lines, roots, nodes): the statements binding subexpressions
-    to the locals {prefix}0, {prefix}1, ..., in order; exprs with each
-    expression replaced by its value, nested alike: a `linalg._Src` (a
-    local or an inline expression) or a number; and the subexpression each
-    line binds.
+    to the locals _t0, _t1, ..., in order; exprs with each expression
+    replaced by its value, nested alike: a `linalg._Src` (a local or an
+    inline expression) or a number; and the subexpression each line binds.
+    The lines follow exprs: every line that an item needs comes before the
+    lines that only later items need.
     Each operation is written by `linalg`'s writer, so its text has only
     the parentheses the tree needs.
     Raises EvalError for a free symbol that is neither a variable nor a
@@ -686,7 +687,7 @@ def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, flo
         nest = 1 + max(depth[child] for child in children)
         if every or uses[num] > 1 or nest > 100:  # CPython parses up to 200 nested parentheses
             nest = 0
-            name = f"{prefix}{len(lines)}"
+            name = f"_t{len(lines)}"
             lines.append(f"{name} = {_text(value)}")
             nodes.append(first[num])
             value = _Src(name)

@@ -155,7 +155,7 @@ class _Chart:
             if not isinstance(field, ex.Expr):
                 return [fold(f"{where}[{i}]", f) for i, f in enumerate(field)]
             e = ex.substitute(field, self.parameters)
-            symbols, constants = ex._leaves(field)
+            symbols, constants, _ = ex._leaves(field)
             extra = symbols - allowed
             if extra:
                 kind = "must be velocity-free; offending" if extra & v else "uses unknown"

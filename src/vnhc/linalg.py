@@ -15,8 +15,10 @@ namespace, when its owner first calls it, and kept by its owner alone:
 these per-size routines by `_sized`, the model's, force's and Christoffel
 kernels on the model, the constraint's kernel on the constraint, and a
 pair's two kernels on its constraint.  Loading a model compiles none.
-The one process-wide memo of what a build makes is `model_io.load_model`'s,
-of the pairs it built, so a model text loaded again compiles nothing.
+The process-wide memos are four: `model_io.load_model`'s, of the pairs
+it built, so a model text loaded again compiles nothing; `_sized`'s, of
+every per-size routine; `expr.evaluate`'s, of the kernels of its last 64
+expressions; and `cli.build_parser`'s, of its parser.
 The two kernels of a (model, constraint) pair, the q-only kernel and the
 RK4 step kernel, are folded as their statement generators write them (see
 `_Block`): what depends on no input is computed once, when the source is

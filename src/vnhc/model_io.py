@@ -16,8 +16,10 @@ Schema (unknown keys are errors):
 constraint block takes either "Z" directly or a vector field "X" (n DSL
 strings), in which case Z = -S X is formed symbolically at load time.
 `load_model` gives back the pair it built when it reads the same content
-again: this is the package's one process-wide memo of what a build makes,
-a `functools.lru_cache` of `LOAD_CACHE_SIZE` contents.  A load parses,
+again, from a `functools.lru_cache` of `LOAD_CACHE_SIZE` contents: the
+process-wide memo of the pairs a build makes.  The others keep
+`linalg._sized`'s per-size routines, `expr.evaluate`'s last 64 kernels
+and `cli.build_parser`'s parser.  A load parses,
 folds and differentiates, and compiles no kernel; the memo's pair holds
 the kernels it has compiled since, each on its first use.  A pair built
 otherwise parses, emits and compiles anew; only the derivatives kept on

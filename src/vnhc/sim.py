@@ -5,30 +5,13 @@ The control is re-solved at every RK4 stage; freezing it per step costs
 an order of accuracy in the phi-drift certificate.  No adaptivity: the
 diagnostics want uniform, reproducible sampling.
 
-Inputs are validated once at the API boundary; the steps carry plain
-q/qdot tuples.  A sample interval is one call of the pair's step kernel
-(`control._step`): the pair's folded closed-loop statements, written
-once and run for each stage in a loop over the stages and the steps,
-with the RK4 stage arithmetic between them, so a stage computes what the
-views' stage-1 call would, bit for bit.  Each step ends with the test
-that its end is finite and stage 1 there, whose acceleration starts the
-next step and whose tau is the one sampled at the interval's end; there
-the kernel also computes phi, with the bits of `con.phi`, and returns
-the sample's record, which `integrate` keeps as it comes, its state made
-without checking it again.  The start's record (state, acceleration, tau
-and phi) comes from the same kernel, through `control._stage1`, the
-views' one entry, given the run's step and so without their finite
-screen: every entry of a trajectory comes from the step kernel.  The
-kernel's build checked the pair (`control._step`), so later steps check
-nothing again.  A failure at the start, phi's included, raises the typed
-error of `control._raise_failure` with the start state, as the views
-do.  Where a later stage's gate fails or it meets a math error, the
-kernel returns the stage's state and the steps left, and
-`control._raise_failure`, called there, raises that typed error, which
-integrate chains to an `IntegrationError` naming the step; a math error
-in phi at a later sample aborts the run as a failed stage does.  No
-stage evaluates what only phi needs, so phi between samples never fails
-a run.
+Inputs are validated once at the API boundary.  Every entry of a
+trajectory comes from the pair's step kernel (`control._step_source`
+states its protocol): the start's record through `control._stage1`, the
+views' one entry, then one call per sample interval, whose record
+`integrate` keeps as it comes.  A failed stage, or phi at a sample, is
+raised by `control._raise_failure` and chained to an `IntegrationError`
+naming the step.
 """
 
 from __future__ import annotations
@@ -50,7 +33,9 @@ class IntegrationError(RuntimeError):
 
 
 # A State made without the checks of its constructor, of the tuples of
-# floats that the step kernel returns and has found finite.
+# floats that the step kernel returns and has found finite.  State is
+# bound here, at import: the benchmark's tracer (bench/spans.py) rebinds
+# this module's State to a timing wrapper, which tuple.__new__ refuses.
 _checked_state = functools.partial(tuple.__new__, State)
 
 # states: of State; controls: of m-tuples, tau* at each sample; phis: of

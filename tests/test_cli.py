@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import math
@@ -302,6 +303,38 @@ class TestSimulate:
                      "--dt", "1e-2", "--out", str(tmp_path / "x.csv")])
         assert (code, capsys.readouterr()) == (
             1, ("", "error: aborted at step 5: domain error in log(x)\n"))
+
+    def test_no_stage_runs_a_line_only_z_needs(self, tmp_path, capsys):
+        # log(x) is bound to a local that only Z reads.  Stage 2 of step 5
+        # is at x = -2.5e-5, where it has no value; every sample is at
+        # x >= 2.5e-5, so the run completes.
+        path = write_json(tmp_path, "log2.json", {
+            "coordinates": ["x", "y"], "metric": [["1", "0"], ["0", "1"]], "potential": "-2*x",
+            "inputs": [["0", "1"]],
+            "constraint": {"mu": [["0", "1"]], "Z": ["log(x) + log(x)"]}})
+        out = tmp_path / "x.csv"
+        code = main(["simulate", path, "--q0", "0.002025,0", "--qdot0=-0.09,0", "--t-end", "0.1",
+                     "--dt", "0.01", "--out", str(out)])
+        printed = capsys.readouterr()
+        assert (code, printed.err) == (0, "")
+        summary = json.loads(printed.out)
+        assert (summary["samples"], summary["drift_report"]) == (11, [0.23516906766368528])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "bb073e8c624d0dc1f8b4e2c545c3ef7f9b9beea9cabbee1a4ad9ffb566c9fabd")
+
+    def test_failed_run_leaves_no_file_behind_a_dangling_link(self, tmp_path, capsys):
+        # --out links to a file that does not exist: the check that --out is
+        # writable makes the link's target, and the failed run removes it
+        link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+        try:
+            os.symlink("target.csv", link)
+        except (AttributeError, NotImplementedError, OSError):
+            pytest.skip("no symbolic links")
+        path = write_json(tmp_path, "singular.json", DEGENERATE)
+        code = main(["simulate", path, "--q0", "0,0", "--qdot0", "0,0", "--t-end", "0.01",
+                     "--dt", "1e-3", "--out", str(link)])
+        assert (code, capsys.readouterr().err) == (1, "error: singular P matrix at q=(0.0, 0.0)\n")
+        assert (target.exists(), link.is_symlink()) == (False, True)
 
     @pytest.mark.parametrize("where, errno_", [
         ("missing/x.csv", errno.ENOENT), ("boat.json/x.csv", errno.ENOTDIR), (".", errno.EISDIR),

@@ -320,7 +320,7 @@ def test_fallback_errors(name):
     model, con = build()
     out = control._step(model, con)(q, qd, None, None, False)
     if declines:  # stage 1 fails, and returns its state
-        assert out == (None, 1, q, qd)
+        assert out == (None, 1, q, qd, False)
     else:  # the kernel's own non-finite result; the views' check names it
         assert out[0] is not None
     views = [solve_control, tau_star, closed_loop_acceleration]
@@ -381,15 +381,14 @@ class Unfolded(linalg._Block):
 
 def unfolded_kernels(model, con):
     """The step and q-only kernels compiled from the pair's unfolded
-    statements, folded by `oracle.fold`.  The step kernel's statements of
-    Z at a sample are `expr._emit`'s alone, which no block folds, so they
-    are taken as they are."""
+    statements, folded by `oracle.fold`, phi at a sample with them.  The
+    step kernel's statements of Z at a sample are `expr._emit`'s alone,
+    which no block folds, so they are taken as they are."""
     with mock.patch.object(control, "_Block", Unfolded), mock.patch.object(constraint, "_Block",
                                                                          Unfolded):
-        lines, outputs, S = control._closed_loop_body(model, con)
+        lines, outputs, (z_lines, phi) = control._closed_loop_body(model, con)
         _, *q_lines, result = constraint._q_only_source(model, con)
-    names = [*outputs[0], *outputs[1], *outputs[2], *sum(outputs[3], []), outputs[4],
-             *sum(S, [])]  # locals
+    names = [*outputs[0], *outputs[1], *outputs[2], *sum(outputs[3], []), outputs[4], *phi]
     body, out = fold(lines, names)
     folded = dict(zip(names, map(linalg._Src, out)))
 
@@ -397,8 +396,7 @@ def unfolded_kernels(model, con):
         return [relabel(y) for y in x] if isinstance(x, list) else folded[x]
 
     define = linalg._define
-    step = define(control._step_text(list(body), relabel(outputs),
-                                     control._phi_body(model, con, relabel(S))))
+    step = define(control._step_text(list(body), relabel(outputs), (z_lines, relabel(phi))))
     body, (out,) = fold([line[4:] for line in q_lines], [result.removeprefix("    return ")])
     return step, define("\n".join(linalg._kernel_source("q", body, out)))
 

@@ -209,6 +209,20 @@ class TestProjection:
             got = f"EvalError: {err}"
         assert got == expected
 
+    def test_singular_in_floating_point_is_an_eval_error(self):
+        # The rows (1, 0, 0) and (1, 1e-8, 0) have rank 2, but S G^-1 S^T
+        # rounds to [[1, 1], [1, 1]], which LU finds singular.
+        model = MechanicalModel(("x", "y", "z"), [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                input_coframe=[["1", "0", "0"], ["0", "1", "0"]])
+        con = AffineConstraint(("x", "y", "z"), [["1", "0", "0"], ["1", "1e-8", "0"]],
+                               Z=["0", "1"])
+        q = (0.0, 0.0, 0.0)
+        assert con.rank_check(q).rank == 2
+        with pytest.raises(EvalError) as err:
+            project_onto_A(con, model, State(q=q, qdot=q))
+        assert str(err.value) == ("S G^-1 S^T [[1.0, 1.0], [1.0, 1.0]] is singular "
+                                  "at q=(0.0, 0.0, 0.0)")
+
     @pytest.mark.parametrize("k", [-600, -300, 300, 520])
     def test_rows_scaled_by_a_power_of_two_project_alike(self, k):
         # S and Z scaled by 2^k scale phi alike, so the projection keeps its

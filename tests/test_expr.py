@@ -541,6 +541,26 @@ def test_copies_are_the_same_object():
     assert pickle.loads(pickle.dumps(e)) is e
 
 
+_X = Symbol("x")
+
+
+@pytest.mark.parametrize("built, expected", [
+    (lambda: 1 + _X, lambda: parse("1 + x")),
+    (lambda: 1 - _X, lambda: parse("1 - x")),
+    (lambda: 2 * _X, lambda: parse("2 * x")),
+    (lambda: 1 / _X, lambda: parse("1 / x")),
+    (lambda: _X ** 2, lambda: parse("x^2")),
+    (lambda: str(_X ** 2), lambda: "x^2"),
+    (lambda: ex.div(_X, ex.ONE), lambda: _X),
+    (lambda: ex.pow_(_X, ex.ZERO), lambda: ex.ONE),
+], ids=["radd", "rsub", "rmul", "rtruediv", "pow", "str", "div-by-one", "pow-zero"])
+def test_operators_build_what_parse_builds(built, expected):
+    # Nodes are interned, so an operator, or a fold, that builds the same
+    # structure as the parser gives the same object.
+    got, want = built(), expected()
+    assert got is want if isinstance(want, ex.Expr) else got == want
+
+
 @given(_all_exprs, _all_exprs)
 def test_eq_and_repr_are_structural(a, b):
     for x, y in ((a, b), (a, flipped(a)), (a, rebuilt(a))):

@@ -166,8 +166,8 @@ def test_simulate_output_is_golden(tmp_path):
 # kernel: the RK4 step, whose stage 1 alone the views run and whose start
 # record integrate takes.
 CLOSED_LOOP_SHA256 = {
-    "vortex": "076a8d288d7b88b78fdfbc491706054581167ff3c4b7b8b8c180ca3ae2688af2",
-    "gen5": "94170c086ec6d404bcd9719caee32b1f1ce63e42ce70e802945cf2565d3c551e",
+    "vortex": "1bcc45b5322047d8dfaf00087fba9deb7eaa59886c7d82eb696f5b2c1bb0e24c",
+    "gen5": "3116f42c43727b8ecada8e173f49c4a3253b3ff8a11d816c6c63a44c8c1f0aef",
 }
 
 
@@ -187,7 +187,7 @@ def test_closed_loop_source_is_unchanged():
 # model's, the constraint's, the force's and the first-kind kernels, which
 # nothing folds, and the pair's q-only and RK4 step kernels.
 MODEL_KERNELS_SHA256 = "7edeef22d6417f8651bc01cec19e09d9c49cd37a1d50ccc12f5f9d331029f8ba"
-PAIR_KERNELS_SHA256 = "dc131f8f7101e424021fd96d067c49c53634d605411128d0aa0e730d08aacef6"
+PAIR_KERNELS_SHA256 = "c67d318e084521867010903bdd89d9ba4881d535f27815c6eea09f9bb3a5eddd"
 
 
 def kernel_sources() -> tuple[list[str], list[str]]:
