@@ -147,10 +147,8 @@ def check_compatible(model: MechanicalModel, con: AffineConstraint, con_first: b
     if con.coordinates != model.coordinates:
         raise ModelError(f"constraint chart {con.coordinates} is not the model's")
     if con.m != model.m:
-        raise ModelError(
-            f"number of constraint rows ({con.m}) must equal number of "
-            f"control inputs ({model.m})"
-        )
+        raise ModelError(f"number of constraint rows ({con.m}) must equal number of "
+                         f"control inputs ({model.m})")
 
 
 # -- the q-only kernel of a (model, constraint) pair ------------------------
@@ -174,8 +172,10 @@ _PADS = {n: (None, None, math.inf, 0.0, None, None)[n - 3:] for n in (3, 4, 5, 7
 
 
 def _dot(block: _Block, x: str, y: str, n: int):
-    """{x} . {y}, added left to right from 0, as `linalg.dot` adds."""
-    return _chain("+", [0.0, *(_bin(block[f"{x}{i}"], "*", block[f"{y}{i}"]) for i in range(n))])
+    """{x} . {y}, added left to right from 0, as `linalg.dot` adds; a term
+    drops only if it is a known zero (`_Block.sum`)."""
+    return block.sum("+", 0.0, [(block[f"{x}{i}"], block[f"{y}{i}"]) for i in range(n)],
+                     products=False)
 
 
 def _gate_lines(block: _Block, n: int, m: int, fail):

@@ -13,9 +13,13 @@ straight-line statements: the model's, force's and constraint's
 expressions, the metric's Cholesky factor, Y = G^-1 coframe, P = S Y,
 its pivoted LU and cond_1, the drift, b = -(S drift + c), tau and the
 acceleration, with what depends on no input computed once, as the source
-is written (`linalg._Block`).  The metric and P blocks, with every gate,
-come from `constraint._gate_lines`, which the pair's q-only kernel
-shares.
+is written (`linalg._Block`), and the terms of its sums known to be zero
+dropped, which moves only signed zeros and the kind of a value already not
+finite, and no gate.  The metric and P blocks, with every gate, come from
+`constraint._gate_lines`, which the pair's q-only kernel shares; that
+kernel keeps its zero terms, as its records are printed: dropping them
+would turn `vnhc check`'s P matrix [[nan]] into [[inf]] where a coframe
+entry overflows (golden `p_inf`).
 
 The kernel is built on the first closed-loop call with a model and kept
 on the constraint (`_step`), which checks the pair (`check_compatible`)
@@ -38,7 +42,7 @@ from collections import namedtuple
 
 from . import expr as ex
 from . import linalg
-from .linalg import _bin, _Block, _chain, _list, _Src, _text, _unary
+from .linalg import _bin, _Block, _list, _Src, _text, _unary
 from .constraint import (AffineConstraint, _bind, _built, _dot, _gate_lines, _p_system,
                          _QOnly, _verdict, check_compatible)
 from .expr import EvalError
@@ -90,7 +94,7 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
         [*stage, Z], model.coordinates + model.velocities)
     reached = ex._leaves(stage)[2]
     head = next((i for i, node in enumerate(nodes) if id(node) not in reached), len(lines))
-    block = _Block()
+    block = _Block(zeros=True)
     block.lines += lines[:head]
     _bind(block, G, coframe, S)
     for i in r:  # G^-1 (F - dV - w), the drift
@@ -110,7 +114,7 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
                    names=[f"d{i}" for i in r])
     P = [[block[f"P{b}_{a}"] for a in rm] for b in rm]
     qd = [_Src(f"_a{n + i}") for i in r]
-    phi = [_bin(_chain("+", [0.0, *(_bin(block[f"S{b}_{i}"], "*", qd[i]) for i in r)]), "+", Z[b])
+    phi = [_bin(block.sum("+", 0.0, [(block[f"S{b}_{i}"], qd[i]) for i in r]), "+", Z[b])
            for b in rm]
     return block.lines, [[block[f"d{i}"] for i in r], [block[f"t{a}"] for a in rm],
                          [block[f"b{b}"] for b in rm], P, block["cond"]], (lines[head:], phi)
@@ -284,9 +288,7 @@ def _finite(state: State, **vectors):
             raise EvalError(f"{name} {tuple(v)} is not finite at q={state.q}, qdot={state.qdot}")
 
 
-def solve_control(
-    model: MechanicalModel, con: AffineConstraint, state: State
-) -> ControlSolve:
+def solve_control(model: MechanicalModel, con: AffineConstraint, state: State) -> ControlSolve:
     """Assemble and solve P tau = b at one state."""
     _, tau, b, P, cond = _stage1(model, con, state)
     return ControlSolve(tuple(map(tuple, P)), tuple(b), tuple(tau), cond)
@@ -297,8 +299,7 @@ def tau_star(model: MechanicalModel, con: AffineConstraint, state: State) -> lis
     return _stage1(model, con, state)[1]
 
 
-def closed_loop_acceleration(
-    model: MechanicalModel, con: AffineConstraint, state: State
-) -> list[float]:
+def closed_loop_acceleration(model: MechanicalModel, con: AffineConstraint,
+                             state: State) -> list[float]:
     """Drift acceleration plus tau*_a Y^a: the controlled second-order field."""
     return _stage1(model, con, state)[0]

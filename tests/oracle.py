@@ -139,7 +139,12 @@ def reference(model, con, q) -> Reference:
 #    fail statement;
 #  - x * 1.0, 1.0 * x, x / 1.0 and x - 0.0 are x for every float x, signed
 #    zeros, infinities and NaN included, and (x, y)[1] is y.  0.0 * x,
-#    0.0 + x and x + 0.0 stay: they turn -0.0 into 0.0, or inf into NaN.
+#    0.0 + x and x + 0.0 stay: they turn -0.0 into 0.0, or inf into NaN;
+#  - with zeros, a term written as the product of two locals drops out of
+#    a sum where it is known to be zero: of a sum of such terms taken from
+#    a local (x - a * b - ...), where a factor folds to a zero literal; of
+#    a sum from 0.0 (0.0 + a * b + ...), where it folds to a zero literal
+#    itself, and in an output, read at a record, where a factor does.
 
 _NAMESPACE = {"math": math, "sqrt": math.sqrt, "hypot": math.hypot}
 
@@ -150,17 +155,45 @@ def _literal(node, text: str | None = None) -> bool:
     return isinstance(node, ast.Constant) and (text is None or repr(node.value) == text)
 
 
-class _Folder(ast.NodeTransformer):
-    """Folds one expression over the locals whose values are known."""
+def _zero(node, by_factor: bool = False) -> bool:
+    """Whether node is a zero literal, of either sign, or with by_factor a
+    product with one."""
+    return _literal(node) and node.value == 0.0 or by_factor and isinstance(node, ast.BinOp) and (
+        _zero(node.left) or _zero(node.right))
 
-    def __init__(self, known: dict):
-        self.known = known
+
+def _sum_term(node):
+    """Where node adds or takes a term written as the product of two locals
+    to or from a sum, by the rules above: whether a zero factor drops the
+    term; else None."""
+    if not (isinstance(node, ast.BinOp) and type(node.op) in (ast.Add, ast.Sub)
+            and isinstance(node.right, ast.BinOp) and type(node.right.op) is ast.Mult
+            and isinstance(node.right.left, ast.Name) and isinstance(node.right.right, ast.Name)):
+        return None
+    if type(node.op) is ast.Sub:
+        return True
+    first = node
+    while isinstance(first, ast.BinOp) and type(first.op) is ast.Add:
+        first = first.left
+    return False if _literal(first, "0.0") else None
+
+
+class _Folder(ast.NodeTransformer):
+    """Folds one expression over the locals whose values are known; with
+    zeros, drops the zero terms of sums, those of an output's sums from 0.0
+    by their factors if record."""
+
+    def __init__(self, known: dict, zeros: bool = False, record: bool = False):
+        self.known, self.zeros, self.record = known, zeros, record
 
     def visit_Name(self, node):
         return ast.Constant(self.known[node.id]) if node.id in self.known else node
 
     def generic_visit(self, node):
+        by_factor = _sum_term(node) if self.zeros else None
         node = super().generic_visit(node)  # the operands first
+        if by_factor is not None and _zero(node.right, by_factor or self.record):
+            return node.left
         if isinstance(node, ast.BinOp) and not (_literal(node.left) and _literal(node.right)):
             left, right, op = node.left, node.right, type(node.op)
             if op in (ast.Mult, ast.Div) and _literal(right, "1.0") or (
@@ -192,23 +225,23 @@ def _assigned(statement) -> set:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
 
 
-def _fold_block(statements, known: dict, out: list, always: bool):
+def _fold_block(statements, known: dict, out: list, always: bool, zeros: bool):
     """Append to out the statements folded over known, which they update.
     always: the statements run whenever the block is reached, so a local
     bound to a literal need not be bound at all."""
-    fold = _Folder(known).visit
+    fold = _Folder(known, zeros).visit
     for st in statements:
         if isinstance(st, ast.If):
             test = fold(st.test)
             if _literal(test):
-                _fold_block(st.body if test.value else st.orelse, known, out, always)
+                _fold_block(st.body if test.value else st.orelse, known, out, always, zeros)
                 continue
             names = _assigned(st)
             out += [ast.Assign([ast.Name(name, ast.Store())], ast.Constant(known.pop(name)))
                     for name in sorted(names & known.keys())]  # bound on either branch
             body, orelse = [], []
-            _fold_block(st.body, dict(known), body, False)
-            _fold_block(st.orelse, dict(known), orelse, False)
+            _fold_block(st.body, dict(known), body, False, zeros)
+            _fold_block(st.orelse, dict(known), orelse, False, zeros)
             out.append(ast.If(test, body or [ast.Pass()], orelse))
         elif isinstance(st, ast.Assign):
             value, (target,) = fold(st.value), st.targets
@@ -242,13 +275,13 @@ def _fold_block(statements, known: dict, out: list, always: bool):
 _TUPLE_TARGET = re.compile(r"^( *)\(([\w, ]+)\) = ", re.MULTILINE)
 
 
-def fold(lines, outputs=()) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def fold(lines, outputs=(), zeros: bool = False) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The statements lines with their state-independent parts computed
-    here, by the rules above, and the source of each expression of outputs
-    evaluated after them."""
+    here, by the rules above, with zeros dropping the zero terms of sums,
+    and the source of each expression of outputs evaluated after them."""
     out, known = [], {}
-    _fold_block(ast.parse("\n".join(lines)).body, known, out, True)
-    folder = _Folder(known)
+    _fold_block(ast.parse("\n".join(lines)).body, known, out, True, zeros)
+    folder = _Folder(known, zeros, record=True)
     text = _TUPLE_TARGET.sub(r"\1\2 = ", ast.unparse(ast.fix_missing_locations(ast.Module(out, []))))
     return (tuple(text.splitlines()),
             tuple(ast.unparse(folder.visit(ast.parse(e, mode="eval").body)) for e in outputs))

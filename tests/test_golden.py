@@ -16,10 +16,11 @@ and the CSV each `simulate` wrote, as the package printed them when each
 RK4 stage was one call of the closed-loop field.
 
 The kernel pins: `MODEL_KERNELS_SHA256` covers the model's, the
-constraint's, the force's and the first-kind kernels; `PAIR_KERNELS_SHA256`
-the two kernels of each pair, the q-only kernel and the RK4 step kernel,
-whose stage 1 alone is the closed-loop evaluation of the views; and
-`CLOSED_LOOP_SHA256` the step kernel of the vortex boat and of gen5.
+constraint's, the force's and the first-kind kernels; `Q_ONLY_KERNELS_SHA256`
+and `STEP_KERNELS_SHA256` the two kernels of each pair, the q-only kernel
+and the RK4 step kernel, whose stage 1 alone is the closed-loop evaluation
+of the views; and `CLOSED_LOOP_SHA256` the step kernel of the vortex boat
+and of gen5.
 """
 
 import contextlib
@@ -166,7 +167,7 @@ def test_simulate_output_is_golden(tmp_path):
 # kernel: the RK4 step, whose stage 1 alone the views run and whose start
 # record integrate takes.
 CLOSED_LOOP_SHA256 = {
-    "vortex": "1bcc45b5322047d8dfaf00087fba9deb7eaa59886c7d82eb696f5b2c1bb0e24c",
+    "vortex": "8ae78ba2544db4dc7e926cc4c55b060c155769a1d8cf3b90306daadef1b8d72a",
     "gen5": "3116f42c43727b8ecada8e173f49c4a3253b3ff8a11d816c6c63a44c8c1f0aef",
 }
 
@@ -183,11 +184,30 @@ def test_closed_loop_source_is_unchanged():
     assert closed_loop_sha256() == CLOSED_LOOP_SHA256
 
 
+# The most lines each step kernel may have: one fewer than when its sums
+# kept their zero terms (106, 115 and 118 lines).  gen5's sums have none,
+# as its metric depends on q and its constraint rows lead with 1, so its
+# 341 lines hold.
+STEP_LINES = {"still": 105, "shear": 114, "vortex": 117, "gen5": 341}
+
+
+def test_step_kernels_drop_their_zero_terms():
+    systems = {name: build_boat(*FIXTURE_CURRENTS[name]) for name in ("still", "shear", "vortex")}
+    systems["gen5"] = build_gen5()
+    for name, (model, con) in systems.items():
+        source = control._step_source(model, con)
+        assert not re.search(r"(?<![\w.])0\.0 \*", source), name  # no product with 0.0
+        assert not re.search(r"^ *(\w+) = \1$", source, re.MULTILINE), name  # no x = x
+        assert len(source.splitlines()) <= STEP_LINES[name], name
+
+
 # SHA-256 of the sources `kernel_sources` records, each followed by "\0": the
 # model's, the constraint's, the force's and the first-kind kernels, which
-# nothing folds, and the pair's q-only and RK4 step kernels.
+# nothing folds; the pair's q-only kernels, whose sums keep their zero
+# terms; and the pair's RK4 step kernels, whose sums drop them.
 MODEL_KERNELS_SHA256 = "7edeef22d6417f8651bc01cec19e09d9c49cd37a1d50ccc12f5f9d331029f8ba"
-PAIR_KERNELS_SHA256 = "c67d318e084521867010903bdd89d9ba4881d535f27815c6eea09f9bb3a5eddd"
+Q_ONLY_KERNELS_SHA256 = "bc176b3065d7e6e352cb715eb3b856a3fd33035bd56fd2f554c6c2191096d0f3"
+STEP_KERNELS_SHA256 = "df78af15f50e810620833694979e17d8459e7443756c294f59bdf785517dc181"
 
 
 def kernel_sources() -> tuple[list[str], list[str]]:
@@ -221,8 +241,8 @@ def test_every_kernel_source_is_unchanged():
     model_sources, pair_sources = kernel_sources()
     systems = len(FIXTURE_CURRENTS) + 2
     assert (len(model_sources), len(pair_sources)) == (4 * systems, 2 * systems)
-    assert (sha256(model_sources), sha256(pair_sources)) == (MODEL_KERNELS_SHA256,
-                                                             PAIR_KERNELS_SHA256)
+    assert (sha256(model_sources), sha256(pair_sources[0::2]), sha256(pair_sources[1::2])) == (
+        MODEL_KERNELS_SHA256, Q_ONLY_KERNELS_SHA256, STEP_KERNELS_SHA256)
 
 
 if __name__ == "__main__":

@@ -204,8 +204,8 @@ class TestSpectra:
         assert len(linalg.singular_values(a[:1])) == 1
 
 
-def folded(lines, outputs=()):
-    return fold(tuple(lines), tuple(outputs))
+def folded(lines, outputs=(), zeros=False):
+    return fold(tuple(lines), tuple(outputs), zeros)
 
 
 def run(lines, result, x):
@@ -246,6 +246,44 @@ class TestFold:
         # The generators' operations follow the same rules as they write.
         a, b = (linalg._Src(x) if isinstance(x, str) else x for x in (a, b))
         assert repr(linalg._bin(a, op, b)) == repr(expected)
+
+    @pytest.mark.parametrize("lines, out, expected", [
+        # x - 0.0 * y is x
+        (["l = 0.0", "x = x - l * y"], "x", ((), "x")),
+        # 0.0 - 0.0 * x is the literal 0.0, which folds on
+        (["s = 0.0", "l = 0.0", "s = s - l * x", "r = 1.0 - s"], "r", ((), "1.0")),
+        (["l = 2.0", "x = x - l * y"], "x", (("x = x - 2.0 * y",), "x")),
+        # a sum from 0.0 keeps a product with an unknown factor; it drops
+        # one known to be zero, and at a record (an output) any zero product
+        (["z = 0.0", "p = 0.0 + S * y + z * w"], "p",
+         (("p = 0.0 + S * y + 0.0 * w",), "p")),
+        (["z = 0.0", "w = 2.0", "p = 0.0 + S * y + z * w"], "p", (("p = 0.0 + S * y",), "p")),
+        (["z = 0.0"], "0.0 + S * y + z * w", ((), "0.0 + S * y")),
+        # x + 0.0 and a term that is not a product of two locals stay
+        (["z = 0.0", "p = 0.0 + S * y + z"], "p", (("p = 0.0 + S * y + 0.0",), "p")),
+    ])
+    def test_zero_terms(self, lines, out, expected):
+        body, (result,) = folded(lines, [out], zeros=True)
+        assert (body, result) == expected
+
+    def test_without_zeros_every_term_stays(self):
+        assert folded(["l = 0.0", "x = x - l * y"], ["0.0 + S * y + l * w"]) == (
+            ("x = x - 0.0 * y",), ("0.0 + S * y + 0.0 * w",))
+
+    def test_the_generators_drop_zero_terms_alike(self):
+        x, y, z = map(linalg._Src, "xyz")
+        block = linalg._Block(zeros=True)
+        assert block.sum("-", x, [(0.0, y)]) == "x" and block.sum("-", 0.0, [(0.0, x)]) == 0.0
+        assert block.sum("-", 1.0, [(-0.0, x), (0.0, 2.0)]) == 1.0
+        assert block.sum("+", 0.0, [(x, y), (0.0, z)]) == "0.0 + x * y"
+        assert block.sum("+", 0.0, [(x, y), (0.0, z), (0.0, 2.0)],
+                         products=False) == "0.0 + x * y + 0.0 * z"
+        block["l"] = 0.0
+        block.less("x", "x", [("l", "y")])
+        assert block.lines == []  # x = x binds no line
+        # a block without zeros, as the q-only kernel's, keeps every term
+        plain = linalg._Block()
+        assert plain.sum("+", x, [(0.0, y), (0.0, 2.0)]) == "x + 0.0 * y + 0.0"
 
     def test_the_generators_call_and_pick_alike(self):
         assert linalg._call("sqrt", -1.0) == "sqrt(-1.0)" and linalg._call("sqrt", 4.0) == 2.0

@@ -38,7 +38,7 @@ SYSTEMS = {name: (lambda c=c: build_boat(*c)) for name, c in FIXTURE_CURRENTS.it
 SYSTEMS.update(gen4=build_gen4, gen5=build_gen5)
 
 # SHA-256 of `record_reprs()`, each repr followed by "\0".
-REPRS_SHA256 = "d9b96c661d51a452a798a61e83a127f565bc3d72e8c6b2dd90acaf08a6433ddf"
+REPRS_SHA256 = "256dee3cb0676cd840881fc0a21d9a6d5334cf4bd95f74ffbda754e24b8c0656"
 
 
 def record_reprs() -> list[str]:
