@@ -18,8 +18,10 @@ constraint's kernels evaluate at (q, 0), then the metric's Cholesky
 factor with its SPD and condition gates, P = S G^-1 coframe, its pivoted
 LU factor, cond_1 and determinant, and the singular, pivot and condition
 gates, from the statement generator that the step kernel shares at each
-stage, with what depends on no input computed once, as the source is
-written (`linalg._Block`; a constant metric's whole block goes).  A
+stage, folded by the step kernel's rules (`linalg._Block`): what depends
+on no input is computed once, as the source is written (a constant
+metric's whole block goes), and the terms of its sums known to be zero
+drop out, so both kernels run the same statements on the same numbers.  A
 model text loaded again gives back the pair built from it, with the
 kernels it has built (`model_io.load_model`), so it generates neither
 again.  The q-only kernel returns its verdict as data: a failing gate

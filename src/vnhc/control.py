@@ -16,10 +16,8 @@ acceleration, with what depends on no input computed once, as the source
 is written (`linalg._Block`), and the terms of its sums known to be zero
 dropped, which moves only signed zeros and the kind of a value already not
 finite, and no gate.  The metric and P blocks, with every gate, come from
-`constraint._gate_lines`, which the pair's q-only kernel shares; that
-kernel keeps its zero terms, as its records are printed: dropping them
-would turn `vnhc check`'s P matrix [[nan]] into [[inf]] where a coframe
-entry overflows (golden `p_inf`).
+`constraint._gate_lines`, which the pair's q-only kernel shares and folds
+by the same rules, so both kernels run the same statements there.
 
 The kernel is built on the first closed-loop call with a model and kept
 on the constraint (`_step`), which checks the pair (`check_compatible`)
@@ -94,7 +92,7 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
         [*stage, Z], model.coordinates + model.velocities)
     reached = ex._leaves(stage)[2]
     head = next((i for i, node in enumerate(nodes) if id(node) not in reached), len(lines))
-    block = _Block(zeros=True)
+    block = _Block()
     block.lines += lines[:head]
     _bind(block, G, coframe, S)
     for i in r:  # G^-1 (F - dV - w), the drift
@@ -271,7 +269,10 @@ def p_matrix(model: MechanicalModel, con: AffineConstraint, q) -> list[list[floa
 
 def b_vector(model: MechanicalModel, con: AffineConstraint, state: State) -> list[float]:
     """Right-hand side b = -(S drift + c): minus the derivative of phi along
-    the drift field; needs no invertible P."""
+    the drift field; needs no invertible P.  It contracts the model's drift,
+    whose per-size solve knows no zeros and keeps every term, so a b that is
+    not finite can be NaN here where the step kernel's views report an
+    infinity."""
     check_compatible(model, con)
     drift = model.drift_acceleration(state)
     S, _, c = con._kernel(*state.q, *state.qdot)

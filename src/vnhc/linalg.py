@@ -22,8 +22,8 @@ expressions; and `cli.build_parser`'s, of its parser.
 The two kernels of a (model, constraint) pair, the q-only kernel and the
 RK4 step kernel, are folded as their statement generators write them (see
 `_Block`): what depends on no input is computed once, when the source is
-made, and the step kernel's sums drop their terms known to be zero, such
-as the products with L's zeros in a solve with a constant metric.  The
+made, and their sums drop their terms known to be zero, such as the
+products with L's zeros in a solve with a constant metric.  The
 kernels of `expr.compile_exprs` need no such step, as their constants
 already fold as the expressions are built.
 """
@@ -85,21 +85,23 @@ def _vector(name: str, n: int) -> str:
 #  - x * 1.0, 1.0 * x, x / 1.0 and x - 0.0 are x for every float x, signed
 #    zeros, infinities and NaN included, and (x, y)[1] is y.  0.0 * x,
 #    0.0 + x and x + 0.0 stay: they turn -0.0 into 0.0, or inf into NaN;
-#  - in a block with zeros (the step kernel's), a term known to be zero
-#    drops out of a sum (`_Block.sum`, which `less` and `constraint._dot`
-#    write): a known zero after the first term, and a product with a
-#    known-zero factor, except in P's and b's sums (`_dot`).  A sum left
-#    with its first term alone is that term, so x = x binds no line, and a
-#    sum of zeros from 0.0 is the literal 0.0, which folds on.
+#  - in every block, a term known to be zero drops out of a sum
+#    (`_Block.sum`, which `less` and `constraint._dot` write): a known zero
+#    after the first term, and a product with a known-zero factor, except
+#    in P's and b's sums (`_dot`).  A sum left with its first term alone is
+#    that term, so x = x binds no line, and a sum of zeros from 0.0 is the
+#    literal 0.0, which folds on.  The per-size routines' blocks know no
+#    values, so their sums keep every term.
 #    Dropping 0.0 * y changes only the sign of an exact zero and the kind
 #    of a value already not finite: x - 0.0 * y is NaN for an infinite y,
-#    x alone is not.  No gate moves: the other factor of a solve's product
-#    is a local that stays not finite once it is and is read again (L by
-#    its diagonal, y by P's sums, d by b's, tau by the acceleration), and
-#    P's and b's sums keep every product with an unknown factor, so a value
-#    not finite still reaches P, whose gate tests not cond <= CAP, or b and
-#    the acceleration.  phi drops such products too: it runs at a record,
-#    whose state is finite.
+#    x alone is not, so a q-only record can hold P [[inf]] where the kept
+#    term gave [[nan]].  No gate moves: the other factor of a solve's
+#    product is a local that stays not finite once it is and is read again
+#    (L by its diagonal, y by P's sums, d by b's, tau by the acceleration),
+#    and P's and b's sums keep every product with an unknown factor, so a
+#    value not finite still reaches P, whose gate tests not cond <= CAP, or
+#    b and the acceleration.  phi drops such products too: it runs at a
+#    record, whose state is finite.
 # Into a block that does not fold, the generators write the unfolded
 # statements, which the per-size routines run.
 
@@ -200,11 +202,11 @@ class _Block:
     fold: the block runs whenever it is reached and may fold, so a local
     bound to a known value is not bound at all: its readers get the value.
     A branch's block does not fold, nor does one that writes the statements
-    unfolded, which is given no known values.  zeros: its sums drop their
-    terms known to be zero (`sum`)."""
+    unfolded, which is given no known values.  Its sums drop their terms
+    known to be zero (`sum`)."""
 
-    def __init__(self, known: dict | None = None, fold: bool = True, zeros: bool = False):
-        self.known, self.fold, self.zeros, self.lines = known or {}, fold, zeros, []
+    def __init__(self, known: dict | None = None, fold: bool = True):
+        self.known, self.fold, self.lines = known or {}, fold, []
 
     def __getitem__(self, name: str):
         """The value of the local name: known, or the name."""
@@ -229,13 +231,11 @@ class _Block:
 
     def sum(self, op: str, first, pairs, products: bool = True):
         """first op x0 * y0 op x1 * y1 op ..., left to right, over the pairs
-        of values (x, y), less the terms known to be zero where the block has
-        zeros: a known zero, and with products, a product with a known-zero
-        factor.  (A source never equals 0.0; a known value does if it is a
-        zero of either sign.)"""
-        drop = self.zeros and products
-        terms = [_bin(x, "*", y) for x, y in pairs if not (drop and 0.0 in (x, y))]
-        return _chain(op, [first, *(t for t in terms if not (self.zeros and t == 0.0))])
+        of values (x, y), less the terms known to be zero: a known zero, and
+        with products, a product with a known-zero factor.  (A source never
+        equals 0.0; a known value does if it is a zero of either sign.)"""
+        terms = [_bin(x, "*", y) for x, y in pairs if not (products and 0.0 in (x, y))]
+        return _chain(op, [first, *(t for t in terms if t != 0.0)])
 
     def less(self, name: str, first: str, pairs, over: str | None = None):
         """name = first - x0 * y0 - x1 * y1 - ..., left to right, over the

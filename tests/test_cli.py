@@ -95,6 +95,12 @@ class TestCheck:
         assert code == 0
         assert "q=(2, 0, 1)" in capsys.readouterr().out
 
+    def test_point_flag_skips_empty_items(self, boat_file, capsys):
+        assert main(["check", boat_file, "--point", "x=1,,y=0"]) == 0
+        empty = capsys.readouterr().out
+        assert main(["check", boat_file, "--point", "x=1,y=0"]) == 0
+        assert empty == capsys.readouterr().out and empty.startswith("q=(1, 0, 0) ")
+
 
 class TestCheckLines:
     """The per-point line of `check` for each way a point can fail; every

@@ -9,12 +9,13 @@ the force's kernel.  Stage 1's results equal an assembly of the other
 paths' pieces, but in the sign of an exact zero, and every failure raises
 the error and message of the q-only path.  Both pair kernels, folded as
 their statements are written, are bit-identical to their unfolded
-statements folded after the fact by `oracle.fold`, on drawn models.  The
-step kernel, whose sums drop their zero terms, fails where the statements
-that keep them fail, on drawn models, states that are not finite and
-forces that overflow.
+statements folded after the fact by `oracle.fold`, on drawn models.  Both
+kernels, whose sums drop their zero terms, fail where the statements that
+keep them fail, on drawn models, states that are not finite and forces
+that overflow.
 """
 
+import itertools
 import math
 import random
 from unittest import mock
@@ -379,10 +380,10 @@ def folding_cases(draw, mode: str, forces=()):
 
 
 class Unfolded(linalg._Block):
-    """A block that folds nothing and drops no zero term, as the per-size
-    routines' blocks do."""
+    """A block that folds nothing, as the per-size routines' blocks do, so
+    it knows no value and its sums drop no term."""
 
-    def __init__(self, known=None, fold=True, zeros=False):
+    def __init__(self, known=None, fold=True):
         super().__init__(known, fold=False)
 
 
@@ -396,10 +397,10 @@ def unfolded_statements(model, con):
 
 def unfolded_kernels(model, con):
     """The step and q-only kernels compiled from the pair's unfolded
-    statements, folded by `oracle.fold`, the step kernel's with the zero
-    terms of its sums dropped, phi at a sample with them.  The step
-    kernel's statements of Z at a sample are `expr._emit`'s alone, which no
-    block folds, so they are taken as they are."""
+    statements, folded by `oracle.fold` with the zero terms of their sums
+    dropped, phi at a sample with them.  The step kernel's statements of Z
+    at a sample are `expr._emit`'s alone, which no block folds, so they are
+    taken as they are."""
     (lines, outputs, (z_lines, phi)), (_, *q_lines, result) = unfolded_statements(model, con)
     names = [*outputs[0], *outputs[1], *outputs[2], *sum(outputs[3], []), outputs[4], *phi]
     body, out = fold(lines, names, zeros=True)
@@ -410,7 +411,8 @@ def unfolded_kernels(model, con):
 
     define = linalg._define
     step = define(control._step_text(list(body), relabel(outputs), (z_lines, relabel(phi))))
-    body, (out,) = fold([line[4:] for line in q_lines], [result.removeprefix("    return ")])
+    body, (out,) = fold([line[4:] for line in q_lines], [result.removeprefix("    return ")],
+                        zeros=True)
     return step, define("\n".join(linalg._kernel_source("q", body, out)))
 
 
@@ -497,3 +499,58 @@ def test_dropped_zero_terms_move_no_gate(case):
         a = stage[0] if stage[0] is not None else (0.5,) * model.n
         for more in (False, 3):
             assert alike(step(q, qd, a, 0.1, more), whole(q, qd, a, 0.1, more))
+
+
+def judged(kernel, q) -> tuple:
+    """A q-only kernel's record at q, with `_verdict`'s outcome: the type of
+    what the kernel or the verdict raises, or whether P is admissible."""
+    try:
+        k = kernel(q)
+    except (ArithmeticError, ValueError) as err:
+        return None, type(err)
+    record = constraint._new(constraint._QOnly, k + constraint._PADS[len(k)])
+    try:
+        return record, constraint._verdict(record, q)[0] is None
+    except Exception as err:  # noqa: BLE001 - compared by type
+        return record, type(err)
+
+
+def p_inf_case():
+    """The golden `p_inf` plane at x = 1e10: the coframe entry 1e300*x
+    overflows, and P is [[inf]] from S Y = 1 * inf + 0 * 0, where the kept
+    term y0_1 - 0.0 * y0_0 made it NaN."""
+    names = ["x", "y"]
+    model = MechanicalModel(names, [["1", "0"], ["0", "1"]], input_coframe=[["1e300*x", "0"]])
+    return model, AffineConstraint(names, [["1", "0"]], ["0"]), [((1e10, 0.0), (0.0, 0.0))]
+
+
+def nan_under_zero_column_case():
+    """S with a zero column over a coframe entry that is NaN at q, which P
+    reads only through S's 0.0 * y0_0."""
+    names = ["q0", "q1"]
+    model = MechanicalModel(names, [["1", "0"], ["0", "1"]], input_coframe=[["sin(q0)", "1"]])
+    return model, AffineConstraint(names, [["0", "1"]], ["0"]), [((math.nan, 0.0), (0.0, 0.0))]
+
+
+@settings(max_examples=12, deadline=2000)
+@given(case=parity_cases())
+@example(case=p_inf_case())
+@example(case=nan_under_zero_column_case())
+def test_q_only_kernel_judges_as_its_statements_do(case):
+    # The q-only kernel, whose sums drop their zero terms, against one
+    # compiled from the same statements as `Unfolded` blocks write them,
+    # which keep every term, at q alone: `_verdict` raises the same type of
+    # error, or gives the same answer, and the records are alike, but that
+    # `failed` may read pivot for cond where P is not finite.  The second
+    # explicit example fails if P's sum drops 0.0 * y0_0 for an unknown
+    # y0_0: P turns 1.0, admissible, where it is NaN.
+    model, con, states = case
+    q_only = constraint._q_only(model, con)
+    whole = linalg._define("\n".join(unfolded_statements(model, con)[1]))
+    for q, _ in states:
+        (record, verdict), (whole_record, whole_verdict) = judged(q_only, q), judged(whole, q)
+        assert verdict == whole_verdict
+        if record is not None and {record.failed, whole_record.failed} == {"pivot", "cond"}:
+            assert not all(map(math.isfinite, itertools.chain(*record.P, *whole_record.P)))
+            record = record._replace(failed=whole_record.failed)
+        assert alike(record, whole_record)

@@ -301,6 +301,10 @@ class TestChart:
         with pytest.raises(ModelError, match="empty coordinate list"):
             AffineConstraint((), [[]], Z=["0"])
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ModelError, match="^constraint needs at least one row$"):
+            AffineConstraint(("x", "y"), [], Z=[])
+
     def test_unknown_symbol_named(self):
         with pytest.raises(ModelError, match=r"Z\[0\] uses unknown symbols \['k'\]"):
             AffineConstraint(("x", "y"), [["1", "0"]], Z=["k*x"])

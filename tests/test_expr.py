@@ -12,6 +12,7 @@ from vnhc.expr import (
     Binary,
     Constant,
     EvalError,
+    ExprError,
     ParseError,
     Symbol,
     Unary,
@@ -73,6 +74,13 @@ class TestParse:
     def test_unknown_function(self):
         with pytest.raises(ParseError, match="unknown function"):
             parse("sinh(x)")
+
+    def test_unknown_function_built_directly(self):
+        # ex.fn, not the parser, rejects the name: an ExprError that is not
+        # a ParseError, as no text was parsed
+        with pytest.raises(ExprError, match="^unknown function 'sinh'$") as err:
+            ex.fn("sinh", Symbol("x"))
+        assert type(err.value) is ExprError
 
     def test_unclosed_paren(self):
         with pytest.raises(ParseError):

@@ -272,7 +272,7 @@ class TestFold:
 
     def test_the_generators_drop_zero_terms_alike(self):
         x, y, z = map(linalg._Src, "xyz")
-        block = linalg._Block(zeros=True)
+        block = linalg._Block()
         assert block.sum("-", x, [(0.0, y)]) == "x" and block.sum("-", 0.0, [(0.0, x)]) == 0.0
         assert block.sum("-", 1.0, [(-0.0, x), (0.0, 2.0)]) == 1.0
         assert block.sum("+", 0.0, [(x, y), (0.0, z)]) == "0.0 + x * y"
@@ -281,9 +281,10 @@ class TestFold:
         block["l"] = 0.0
         block.less("x", "x", [("l", "y")])
         assert block.lines == []  # x = x binds no line
-        # a block without zeros, as the q-only kernel's, keeps every term
-        plain = linalg._Block()
-        assert plain.sum("+", x, [(0.0, y), (0.0, 2.0)]) == "x + 0.0 * y + 0.0"
+        # one rule in every block, one that does not fold included
+        plain = linalg._Block(fold=False)
+        assert plain.sum("+", x, [(0.0, y), (0.0, 2.0)]) == "x"
+        assert plain.sum("+", x, [(0.0, y), (0.0, 2.0)], products=False) == "x + 0.0 * y"
 
     def test_the_generators_call_and_pick_alike(self):
         assert linalg._call("sqrt", -1.0) == "sqrt(-1.0)" and linalg._call("sqrt", 4.0) == 2.0

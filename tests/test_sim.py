@@ -144,6 +144,23 @@ class TestIntegrate:
             traj = integrate(model, con, s0, t_end=2.0, h=1e-3, sample_every=50)
             assert traj.drift_report[0] <= 1e-8, name
 
+    @pytest.mark.parametrize("projected", [True, False])
+    def test_phi_drift_shows_rk4_order(self, projected):
+        # phi stays at its initial value up to RK4 error: from criterion 2's
+        # start, on the constraint set (projected) and off it, each halving
+        # of h divides the drift by about 2^4 = 16 (16.04-16.15 on the set,
+        # 15.95-15.99 off it; the drift goes from about 1e-7 to 2e-11).  A
+        # law that lost an order would divide it by about 8, and drift at
+        # round-off by about 1.
+        model, con = build_boat(*FIXTURE_CURRENTS["vortex"])
+        s0 = State(q=(0.1, -0.2, 0.5), qdot=(0.4, 0.3, 0.8))
+        if projected:
+            s0 = project_onto_A(con, model, s0)
+        drifts = [integrate(model, con, s0, t_end=2.0, h=h, sample_every=math.inf).drift_report[0]
+                  for h in (4e-2, 2e-2, 1e-2, 5e-3)]
+        ratios = [a / b for a, b in zip(drifts, drifts[1:])]
+        assert all(15.0 <= r <= 17.0 for r in ratios), (drifts, ratios)
+
     def test_deterministic_bit_identical(self):
         model, con = build_boat("sin(y)", "cos(x)")
         s0 = stable_offset_state(con)

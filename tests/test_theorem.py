@@ -1,7 +1,7 @@
 """The paper's theorem as a property of random models, against references
 that share no code with the kernels' generator.
 
-On drawn models (n = 2..4 coordinates, m = 1..n-1 inputs, a metric
+On drawn models (n = 2..5 coordinates, m = 1..n-1 inputs, a metric
 A^T A + c I with trig or polynomial entries, constant in some draws,
 random coframe and constraint rows and a nonzero Z) and at drawn states
 where `transversality_check` holds:
@@ -37,13 +37,14 @@ COEFFICIENTS = ["0.5", "-0.7", "1.0", "1.3", "-1.5"]
 TEMPLATES = ["{c}", "{c}*{x}", "{c}*{x}*{y}", "{c} + 0.4*{x}^2", "{c}*sin({x})",
              "{c}*cos({y})", "0.6*sin({x})*cos({y})"]
 STATES = 3
+N_MAX = 5  # the most coordinates a drawn model has
 
 
 @st.composite
 def systems(draw):
     """A drawn model and constraint, and STATES states with entries in
     [-1, 1]."""
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, N_MAX))
     m = draw(st.integers(1, n - 1))
     names = [f"q{i}" for i in range(n)]
     constant_metric = draw(st.booleans())
@@ -114,7 +115,7 @@ def test_p_matches_numpy(system):
 
 
 @settings(max_examples=15, deadline=None)
-@given(systems(), st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+@given(systems(), st.lists(st.floats(-1.0, 1.0), min_size=N_MAX - 1, max_size=N_MAX - 1))
 def test_another_control_moves_phi_at_rate_p_delta(system, delta):
     model, con, states = system
     delta = np.array(delta[:con.m])
