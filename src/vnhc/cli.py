@@ -9,6 +9,13 @@ Commands:
 Exit codes: 0 ok, 1 mathematical failure (violation/abort, or a math
 error such as a division by zero while evaluating the model), 2 usage or
 parse error, or a file that cannot be read or written.
+
+A command line is parsed by the subparser of the command its first word
+names, which is all the full parser would do with it: that parser hands
+every word after the command to the subparser.  Where the first word
+names no command (none, -h, an unknown word) or the subparser leaves
+words unparsed, the full parser parses the line instead, so every help
+text and usage error is the one it prints.
 """
 
 from __future__ import annotations
@@ -38,13 +45,10 @@ EXIT_USAGE = 2
 
 def _parse_assignments(text: str) -> dict:
     out = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
+    for part in filter(None, map(str.strip, text.split(","))):
+        name, eq, value = part.partition("=")
+        if not eq:
             raise ValueError(f"expected name=value, got {part!r}")
-        name, _, value = part.partition("=")
         name = name.strip()
         if name in out:
             raise ValueError(f"--point gives coordinate {name!r} twice")
@@ -149,9 +153,8 @@ def cmd_simulate(args, parser) -> int:
     (/dev/stdout), the CSV is written through stdout, before the
     summary."""
     model, con = model_io.load_model(args.model)
-    n = model.n
-    q0 = _parse_vector(args.q0, n, "--q0")
-    qd0 = _parse_vector(args.qdot0, n, "--qdot0")
+    q0 = _parse_vector(args.q0, model.n, "--q0")
+    qd0 = _parse_vector(args.qdot0, model.n, "--qdot0")
     wrap_idx = set()
     for name in args.wrap or []:
         if name not in model.coordinates:
@@ -215,9 +218,8 @@ def cmd_simulate(args, parser) -> int:
 
 def cmd_control_at(args) -> int:
     model, con = model_io.load_model(args.model)
-    n = model.n
-    q = _parse_vector(args.q, n, "--q")
-    qd = _parse_vector(args.qdot, n, "--qdot")
+    q = _parse_vector(args.q, model.n, "--q")
+    qd = _parse_vector(args.qdot, model.n, "--qdot")
     solve = solve_control(model, con, State(q=tuple(q), qdot=tuple(qd)))
     print(json.dumps(solve._asdict()))  # tuples are written as arrays
     return EXIT_OK
@@ -227,9 +229,7 @@ def cmd_fixture(args, parser) -> int:
     if args.name == "boat":
         c1, c2 = models.FIXTURE_CURRENTS.get(args.current, (None, None))
         if c1 is None:
-            parser.error(
-                f"--current must be one of {sorted(models.FIXTURE_CURRENTS)}"
-            )
+            parser.error(f"--current must be one of {sorted(models.FIXTURE_CURRENTS)}")
         model, con = models.build_boat(c1, c2, m=args.mass, I=args.inertia)
     else:
         model, con = models.build_linear_fixture(m=args.mass, I=args.inertia)
@@ -281,12 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", dest="mass", type=float, default=1.0)
     p.add_argument("--I", dest="inertia", type=float, default=1.0)
     p.add_argument("--out", required=True)
+    parser.commands = sub.choices  # each command's subparser, by name
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    # the namespace and the words left unparsed, as the full parser has them from the subparser
+    known = command and command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    args = known[0] if known and not known[1] else parser.parse_args(argv)
     try:
         if args.command == "check":
             return cmd_check(args)

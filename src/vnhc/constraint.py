@@ -30,14 +30,16 @@ evaluation and one judgment serve `transversality_check`,
 `control.p_matrix`, `control._raise_failure` (the typed error of a
 failed closed-loop stage) and `vnhc check` (one call per point, the rank
 from the record's S).  `_p_system` is the one call of the kernel: it
-wraps the kernel's tuple as a `_QOnly`, the fields a failing gate leaves
-out padded with their defaults, without a constructor call, whichever
-gate failed; where the kernel meets a math error, it alone runs the
-model's and the constraint's own kernels, to name the expression.
-`_verdict` alone judges the record, in one order: the metric's gates
-(SPDError), a non-finite P (EvalError), then the wording of a failed P
-gate.  The kernel is built on the first q-only call with a model and
-kept on the constraint, so loading a model does not pay for it.
+wraps the kernel's tuple as a `_QOnly` without a constructor call, as
+each of the kernel's returns writes all nine fields, the defaults of
+those a failing gate leaves out as literals; where the kernel meets a
+math error, it alone runs the model's and the constraint's own kernels,
+to name the expression.  `_verdict` alone judges the record: a record
+whose every gate held is admissible at once; otherwise, in one order,
+the metric's gates (SPDError), a non-finite P (EvalError), then the
+wording of a failed P gate.  The kernel is built on the first q-only
+call with a model and kept on the constraint, so loading a model does
+not pay for it.
 `project_onto_A` takes S and Z from one call of the constraint's kernel.
 """
 
@@ -124,15 +126,19 @@ class AffineConstraint(_Chart):
 
     def _rank(self, S) -> tuple[int, list[float]]:
         """The rank and the singular values of S, the rows of S(q)."""
-        if not all(map(math.isfinite, chain.from_iterable(S))):
+        # A non-finite entry makes the sum inf or NaN, as in `State`; only
+        # then is each entry looked at.
+        if not math.isfinite(sum(chain.from_iterable(S))):
             for b, (row, exprs) in enumerate(zip(S, self.mu)):
                 for i, (v, e) in enumerate(zip(row, exprs)):
                     if not math.isfinite(v):
                         raise EvalError(
                             f"constraint.mu[{b}][{i}] = {ex.to_string(e)} is not finite ({v!r})")
         sv = linalg.singular_values(S)
-        # a sum of booleans, an int; 0 when S = 0; S has m >= 1 rows
-        return sum(map((RANK_RTOL * sv[0]).__lt__, sv)), sv
+        tol = RANK_RTOL * sv[0]
+        # all where the smallest passes, as they are descending; else a sum
+        # of booleans, an int; 0 when S = 0; S has m >= 1 rows
+        return len(sv) if tol < sv[-1] else sum(map(tol.__lt__, sv)), sv
 
 
 def check_compatible(model: MechanicalModel, con: AffineConstraint, con_first: bool = False):
@@ -155,9 +161,9 @@ def check_compatible(model: MechanicalModel, con: AffineConstraint, con_first: b
 
 # -- the q-only kernel of a (model, constraint) pair ------------------------
 
-# One call of a pair's q-only kernel at q, its tuple with the defaults after
-# it (`_p_system`).  A failing gate returns what was computed before it; the
-# fields after that keep their defaults:
+# One call of a pair's q-only kernel at q, its tuple of nine fields
+# (`_p_system`).  A failing gate returns what was computed before it, and
+# the defaults of the fields after that (`_DEFAULTS`) as literals:
 #   failed: None, or the gate that failed: metric, singular, pivot or cond;
 #   S: the rows of S(q);
 #   g: the metric where it fails a gate, for the SPDError's eigenvalues;
@@ -169,15 +175,21 @@ def check_compatible(model: MechanicalModel, con: AffineConstraint, con_first: b
 #     verdict's message; scale is P's entries before cancellation, max |S_b|
 #     times max |Y^a|.
 _QOnly = namedtuple("_QOnly", "failed S g ratio P cond det min_pivot scale")
-# The defaults of the fields after the kernel's tuple of 3, 4, 5, 7 or 9, by its length:
-_PADS = {n: (None, None, math.inf, 0.0, None, None)[n - 3:] for n in (3, 4, 5, 7, 9)}
+# The defaults of the fields from ratio on (ratio, P, cond, det, min_pivot,
+# scale), as the kernel's returns write them:
+_DEFAULTS = [None, None, _Src("math.inf"), 0.0, None, None]
 
 
-def _dot(block: _Block, x: str, y: str, n: int):
+def _dot(block: _Block, x: str, y: str, n: int, finite: bool = False):
     """{x} . {y}, added left to right from 0, as `linalg.dot` adds; a term
-    drops only if it is a known zero (`_Block.sum`)."""
-    return block.sum("+", 0.0, [(block[f"{x}{i}"], block[f"{y}{i}"]) for i in range(n)],
-                     products=False)
+    drops only if it is a known zero (`_Block.sum`), or, where finite says
+    that every {x} entry is finite (b's S, past P's gate), if its {y} entry
+    is a known zero.  Such a term x * 0.0 is a zero of either sign, and a
+    sum from 0.0 is never -0.0 (x + y is -0.0 only where both are), so
+    adding it leaves every partial sum's bits as they were: for finite S,
+    0.0 + S0 * 0.0 + S1 * 0.0 + c has exactly the bits of 0.0 + c."""
+    return block.sum("+", 0.0, [(block[f"{x}{i}"], block[f"{y}{i}"]) for i in range(n)
+                                if not (finite and block[f"{y}{i}"] == 0.0)], products=False)
 
 
 def _gate_lines(block: _Block, n: int, m: int, fail):
@@ -236,7 +248,7 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
     views and `vnhc check` fail where the model or the constraint is not
     differentiable at q, and `control._raise_failure` relies on them to
     name a step kernel's math error in w or c.  A failing gate returns the
-    fields computed before it."""
+    fields computed before it, then the defaults of the others."""
     n, m = model.n, con.m
     r, rm = range(n), range(m)
     lines, ((G, coframe, dV, w), (S, Z, c)), _ = ex._emit(
@@ -250,9 +262,10 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
         return [[block[f"{x}{b}_{a}"] for a in range(size)] for b in rm]
 
     def fields(gate: str | None) -> str:
-        """The fields of `_QOnly` that the gate's failure returns, from the
-        values of the locals there: those computed before it, or all but the
-        pivot and its scale where every gate holds (gate None)."""
+        """The nine fields of `_QOnly` that the gate's failure returns, from
+        the values of the locals there: those computed before it, or all but
+        the pivot and its scale where every gate holds (gate None), then the
+        defaults of the others."""
         min_pivot, scale, small = _pivots(block, n, m)
         det = _chain("*", [block[f"u{a}_{a}"] for a in rm])
         if m > 1:  # the sign of the row permutation
@@ -264,7 +277,8 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
         metric = [[block[f"g{max(i, j)}_{min(i, j)}"] for j in r] for i in r]
         out = [failed, rows("S", n), metric if failed == "metric" else None, block["ratio"],
                rows("P", m), block["cond"], det, min_pivot, scale]
-        return ", ".join(map(_list, out[:{"spd": 3, "ratio": 4, "singular": 5, None: 7}.get(gate)]))
+        kept = {"spd": 3, "ratio": 4, "singular": 5, None: 7}.get(gate, 9)
+        return ", ".join(map(_list, out[:kept] + _DEFAULTS[kept - 3:]))
 
     _gate_lines(block, n, m, lambda gate: f"return {fields(gate)}")
     return linalg._kernel_source("q", [f"{linalg._vector('_a', n)}, = q", *block.lines],
@@ -295,20 +309,21 @@ def _p_system(model: MechanicalModel, con: AffineConstraint, q) -> _QOnly:
     con._check_q(q)
     kernel = _q_only(model, con)  # its build's errors are not the kernel's math errors
     try:
-        k = kernel(q)
+        return _new(_QOnly, kernel(q))
     except (ArithmeticError, ValueError):
         model._factor(q)
         con._at_rest(q)
         raise
-    return _new(_QOnly, k + _PADS[len(k)])
 
 
 def _verdict(k: _QOnly, q) -> tuple[str | None, float]:
-    """The judgment of the q-only record k at q: the metric's SPDError
-    where it failed its gates, then EvalError where P is not finite;
-    otherwise why no control exists at q, None where P is admissible, and
-    the condition estimate to report: inf where P is singular, or
+    """The judgment of the q-only record k at q: None and cond where every
+    gate held; else the metric's SPDError where it failed its gates, then
+    EvalError where P is not finite; otherwise why no control exists at q
+    and the condition estimate to report: inf where P is singular, or
     numerically so."""
+    if k.failed is None:  # every gate held, so cond <= CAP and P is finite
+        return None, k.cond
     if k.failed == "metric":
         raise _spd_error(q, k.g, k.ratio)
     # A non-finite entry makes P singular or cond non-finite: only then is P checked.
@@ -319,10 +334,8 @@ def _verdict(k: _QOnly, q) -> tuple[str | None, float]:
     if k.failed == "pivot":
         return (f"numerically singular P matrix at q={tuple(q)} "
                 f"(pivot {k.min_pivot:.3e} vs scale {k.scale:.3e})"), math.inf
-    if k.failed == "cond":
-        return (f"P condition estimate {k.cond:.3e} exceeds {linalg.CONDITION_CAP:.0e} "
-                f"at q={tuple(q)}"), k.cond
-    return None, k.cond
+    return (f"P condition estimate {k.cond:.3e} exceeds {linalg.CONDITION_CAP:.0e} "
+            f"at q={tuple(q)}"), k.cond
 
 
 def transversality_check(

@@ -99,8 +99,8 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
         block[f"d{i}"] = _bin(_bin(F[i], "-", dV[i]), "-", w[i])
     _gate_lines(block, n, m, lambda gate: "return None")
     linalg._cho_solve_lines(block, n, "l", "d")
-    for b in rm:  # b = -(S drift + c)
-        block[f"b{b}"] = _unary("-", _bin(_dot(block, f"S{b}_", "d", n), "+", c[b]))
+    for b in rm:  # b = -(S drift + c), S finite past P's gate
+        block[f"b{b}"] = _unary("-", _bin(_dot(block, f"S{b}_", "d", n, finite=True), "+", c[b]))
     linalg._lu_solve_lines(block, m, "u", "p", [block[f"b{b}"] for b in rm], "t")
 
     def accelerate(then, a: int):  # d += t_a Y^a

@@ -88,7 +88,8 @@ def _vector(name: str, n: int) -> str:
 #  - in every block, a term known to be zero drops out of a sum
 #    (`_Block.sum`, which `less` and `constraint._dot` write): a known zero
 #    after the first term, and a product with a known-zero factor, except
-#    in P's and b's sums (`_dot`).  A sum left with its first term alone is
+#    in P's and b's sums (`_dot`), where the other factor must be finite:
+#    b's S is, past P's gate.  A sum left with its first term alone is
 #    that term, so x = x binds no line, and a sum of zeros from 0.0 is the
 #    literal 0.0, which folds on.  The per-size routines' blocks know no
 #    values, so their sums keep every term.
@@ -98,10 +99,10 @@ def _vector(name: str, n: int) -> str:
 #    term gave [[nan]].  No gate moves: the other factor of a solve's
 #    product is a local that stays not finite once it is and is read again
 #    (L by its diagonal, y by P's sums, d by b's, tau by the acceleration),
-#    and P's and b's sums keep every product with an unknown factor, so a
-#    value not finite still reaches P, whose gate tests not cond <= CAP, or
-#    b and the acceleration.  phi drops such products too: it runs at a
-#    record, whose state is finite.
+#    and P's and b's sums keep every product with a factor that may not be
+#    finite, so a value not finite still reaches P, whose gate tests not
+#    cond <= CAP, or b and the acceleration.  phi drops such products too:
+#    it runs at a record, whose state is finite.
 # Into a block that does not fold, the generators write the unfolded
 # statements, which the per-size routines run.
 

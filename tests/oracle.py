@@ -17,17 +17,25 @@ determinant and 1-norm condition number, and the singular values of S.
 `fold` is the reference for the folds the statement generators of a
 pair's kernels make as they write: it folds their unfolded statements
 after the fact, by a walk of the parsed source, under the same rules.
+
+`verdict` and `rank` are the references for the judgment of a q-only
+record and for the rank of S: `constraint._verdict` and
+`AffineConstraint._rank` as they were before their fast paths, with a
+test of every branch in turn and of every entry and singular value.
 """
 
 import ast
 import math
 import re
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
+from vnhc import linalg
 from vnhc.constraint import RANK_RTOL
 from vnhc.expr import FUNCTIONS, Binary, Constant, EvalError, Symbol, Unary, to_string
+from vnhc.geometry import _spd_error
 
 _MATH = {**{name: getattr(math, name) for name in FUNCTIONS}, "pow": math.pow}
 
@@ -125,6 +133,40 @@ def reference(model, con, q) -> Reference:
     P = S @ np.linalg.solve(G, coframe.T)
     return Reference(S, P, float(np.linalg.det(P)), float(np.linalg.cond(P, 1)),
                      np.linalg.svd(S, compute_uv=False))
+
+
+def verdict(k, q) -> tuple:
+    """The judgment of the q-only record k at q, each gate's branch tested
+    in turn: the metric's SPDError, EvalError where P is not finite, then
+    why no control exists at q (None where P is admissible) and the
+    condition estimate to report."""
+    if k.failed == "metric":
+        raise _spd_error(q, k.g, k.ratio)
+    if not math.isfinite(k.cond) and not all(map(math.isfinite, chain.from_iterable(k.P))):
+        raise EvalError(f"P matrix {k.P} is not finite at q={tuple(q)}")
+    if k.failed == "singular":
+        return f"singular P matrix at q={tuple(q)}", math.inf
+    if k.failed == "pivot":
+        return (f"numerically singular P matrix at q={tuple(q)} "
+                f"(pivot {k.min_pivot:.3e} vs scale {k.scale:.3e})"), math.inf
+    if k.failed == "cond":
+        return (f"P condition estimate {k.cond:.3e} exceeds {linalg.CONDITION_CAP:.0e} "
+                f"at q={tuple(q)}"), k.cond
+    return None, k.cond
+
+
+def rank(con, S) -> tuple:
+    """The rank and the singular values of the rows S of con's S(q): every
+    entry tested, the first that is not finite named, then each singular
+    value counted that exceeds the tolerance."""
+    if not all(map(math.isfinite, chain.from_iterable(S))):
+        for b, (row, exprs) in enumerate(zip(S, con.mu)):
+            for i, (v, e) in enumerate(zip(row, exprs)):
+                if not math.isfinite(v):
+                    raise EvalError(
+                        f"constraint.mu[{b}][{i}] = {to_string(e)} is not finite ({v!r})")
+    sv = linalg.singular_values(S)
+    return sum(map((RANK_RTOL * sv[0]).__lt__, sv)), sv
 
 
 # Folding after the fact, over the syntax tree of the unfolded statements:

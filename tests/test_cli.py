@@ -816,6 +816,61 @@ class TestInputChecks:
         assert message in capsys.readouterr().err
 
 
+PARSED = [  # command lines that the command's own subparser parses
+    "check m.json", "check -- m.json", "check m.json --",
+    "check m.json --grid x=0:1:2 --grid=theta=0:6.28:4 --point x=1 --point y=-2",
+    "simulate m.json --q0 0,0,0 --qdot0=-1,0 --t-end=0.2 --dt 1e-3 --out t.csv",
+    "simulate m.json --q0 0,0,0 --qdot0 1,0 --t-end 0.2 --dt 1e-3 --sample 10 --project "
+    "--wrap theta --wrap x --out t.csv",
+    "control-at m.json --q 0,0,0 --qdot 1,0,1",
+    "fixture boat --current vortex --m 2 --I 0.5 --out b.json",
+    "fixture linear --out l.json",
+]
+FULL = [  # command lines that the full parser parses, its help or usage error
+    "", "-h", "--help", "-h check", "check -h", "simulate --help", "bogus m.json",
+    "--bogus check m.json", "-- check m.json", "check m.json --bogus", "check m.json extra",
+    "check m.json -- --point x=1", "check",
+    "check m.json --point", "fixture boat", "fixture plane --out p.json",
+    "simulate m.json --q0 0 --qdot0 0 --t-end 1 --dt abc --out t.csv",
+    "simulate m.json --q0 0 --qdot0 0 --dt 1 --out t.csv",
+    "simulate m.json --q 0 --qdot0 0 --t-end 1 --dt 1 --out t.csv",
+    "control-at m.json --q 0 --qdot 0 --q0 1",
+    "simulate m.json --q0 0 --qdot0 -1,0 --t-end 1 --dt 1 --out t.csv",  # -1,0 is no number
+]
+
+
+class TestParsing:
+    """`main` parses a command line with the subparser its first word
+    names: the namespace, the help text, every usage error and exit code
+    are those of the full parser (`build_parser().parse_args`)."""
+
+    @staticmethod
+    def outcome(parse, argv) -> tuple:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = parse(argv)
+            except SystemExit as exit:
+                result = exit.code
+        return result, out.getvalue(), err.getvalue()
+
+    @pytest.fixture(autouse=True)
+    def commands_return_their_arguments(self, monkeypatch):
+        for name in ("cmd_check", "cmd_simulate", "cmd_control_at", "cmd_fixture"):
+            monkeypatch.setattr(cli, name, lambda args, *_: args)
+
+    @pytest.mark.parametrize("line", PARSED + FULL)
+    def test_as_the_full_parser(self, line):
+        argv = line.split()
+        assert self.outcome(main, argv) == self.outcome(cli.build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("line", PARSED)
+    def test_a_valid_line_is_parsed_once(self, line, monkeypatch):
+        parser = cli.build_parser()
+        monkeypatch.setattr(parser, "parse_args", None)  # the full parser is not called
+        assert self.outcome(main, line.split())[1:] == ("", "")
+
+
 class TestChartRules:
     """A model file that breaks a rule of its chart exits 2 and names the
     culprit, whether or not an expression uses it."""

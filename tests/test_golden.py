@@ -206,6 +206,8 @@ def test_step_kernels_drop_their_zero_terms():
     for name, (model, con) in pair_systems().items():
         source = control._step_source(model, con)
         assert_no_zero_terms(source, name)
+        # b's S is finite past P's gate: no product with a known-zero drift
+        assert not re.search(r"^ *b\d+ = .*\* 0\.0(?![\d.e])", source, re.MULTILINE), name
         assert len(source.splitlines()) <= STEP_LINES[name], name
 
 
@@ -225,10 +227,12 @@ def test_q_only_kernels_drop_their_zero_terms():
 # SHA-256 of the sources `kernel_sources` records, each followed by "\0": the
 # model's, the constraint's, the force's and the first-kind kernels, which
 # nothing folds; and the pair's q-only and RK4 step kernels, whose sums drop
-# their zero terms by one rule.
+# their zero terms by one rule (b's also a product with a known-zero drift
+# entry, S being finite there), and each of whose q-only returns writes all
+# nine fields of `constraint._QOnly`.
 MODEL_KERNELS_SHA256 = "7edeef22d6417f8651bc01cec19e09d9c49cd37a1d50ccc12f5f9d331029f8ba"
-Q_ONLY_KERNELS_SHA256 = "572032ef1698569dcb5dccfa928192d7703cdc8228b8684321f6388a7a962dfe"
-STEP_KERNELS_SHA256 = "df78af15f50e810620833694979e17d8459e7443756c294f59bdf785517dc181"
+Q_ONLY_KERNELS_SHA256 = "2534cbbe058a050121d19d5ee73f897c5177cf15838334cb571dff5c47119f4c"
+STEP_KERNELS_SHA256 = "d60ea3d612af0c27391955bc116a177f3724ff03b96708f46d0d473c4e8e6daa"
 
 
 def kernel_sources() -> tuple[list[str], list[str]]:

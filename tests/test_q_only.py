@@ -4,18 +4,21 @@ one another.
 `transversality_check`, `p_matrix` and `vnhc check` read one call of the
 pair's q-only kernel; `rank_check` reads the constraint's kernel.  Their
 P, det, cond and rank verdicts match the reference, and every way a
-point can fail gives the same error from every view.
+point can fail gives the same error from every view.  The judgment of a
+record (`_verdict`) and the rank of S (`_rank`) give what `oracle`'s
+references of every branch and entry give.
 """
 
 import contextlib
+import functools
 import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
-from oracle import reference
-from test_closed_loop import FALLBACKS
+from hypothesis import assume, example, given, settings, strategies as st
+from oracle import rank, reference, verdict
+from test_closed_loop import FALLBACKS, p_inf_case, parity_cases
 from test_control import build_gen4, build_gen5
 
 from vnhc import (
@@ -265,3 +268,67 @@ def test_q_only_too_deep_to_compile(tmp_path, monkeypatch, capsys):
         f"q=({', '.join(f'{v:g}' for v in q)}) rank=ok(1/1) "
         "transversality=ERROR (q-only kernel is nested too deeply to compile)" for q in qs])
     assert capsys.readouterr().err == ""
+
+
+def judged_alike(view, ref) -> bool:
+    """Whether view and its reference give the same result (by repr, so a
+    NaN matches a NaN), or raise the same type of error with one message."""
+    return repr(outcome(view)) == repr(outcome(ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=parity_cases())
+@example(case=p_inf_case())
+def test_the_judgment_of_a_record_is_the_reference(case):
+    # `_verdict` and `_rank` of the q-only record at each state, signed
+    # zeros, infinities and NaN included, against the references that test
+    # every branch and every entry.
+    model, con, states = case
+    for q, _ in states:
+        k = outcome(lambda: constraint._p_system(model, con, q))
+        if isinstance(k, str):  # the kernel's math error, judged by no one
+            continue
+        assert judged_alike(lambda: constraint._verdict(k, q), lambda: verdict(k, q)), q
+        assert judged_alike(lambda: con._rank(k.S), lambda: rank(con, k.S)), q
+
+
+@functools.cache
+def rows_of(m: int, n: int) -> AffineConstraint:
+    """A constraint of m rows over n coordinates, for its names alone."""
+    names = [f"q{i}" for i in range(n)]
+    return AffineConstraint(names, [[f"{b + 1}*{x}" for x in names] for b in range(m)], ["0"] * m)
+
+
+@st.composite
+def s_matrices(draw):
+    """S with m = 1..3 rows of n >= m entries: drawn entries, among them
+    1e308 (where hypot and the scaled singular values overflow), 1e-300,
+    NaN and infinities; zero rows; and rows that are an exact multiple of
+    an earlier one."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 4))
+    entry = st.sampled_from([1e308, -1e308, 1e-300, math.nan, math.inf, -math.inf, 0.0, -0.0]) \
+        | st.floats(-2.0, 2.0)
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["entries", "zero", "multiple"][:2 + bool(rows)]))
+        if kind == "entries":
+            rows.append([draw(entry) for _ in range(n)])
+        elif kind == "zero":
+            rows.append([0.0] * n)
+        else:
+            scale = draw(st.sampled_from([1.0, -1.0, 2.0, 0.5]))
+            rows.append([scale * x for x in draw(st.sampled_from(rows))])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(S=s_matrices())
+@example(S=[[1e308] * 4])
+@example(S=[[1e308, 1e308, 1e308], [1e308, -1e308, 1e308]])
+@example(S=[[1e-300, 0.0, 0.0], [0.0, 1e-300, 0.0]])
+@example(S=[[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+@example(S=[[0.0, 0.0], [0.0, 0.0]])
+def test_rank_is_the_reference(S):
+    con = rows_of(len(S), len(S[0]))
+    assert judged_alike(lambda: con._rank(S), lambda: rank(con, S)), S
