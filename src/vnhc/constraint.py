@@ -134,11 +134,11 @@ class AffineConstraint(_Chart):
                     if not math.isfinite(v):
                         raise EvalError(
                             f"constraint.mu[{b}][{i}] = {ex.to_string(e)} is not finite ({v!r})")
-        sv = linalg.singular_values(S)
+        sv, e = linalg._scaled_singular_values(S)  # of S 2^-e, which has S's rank
         tol = RANK_RTOL * sv[0]
         # all where the smallest passes, as they are descending; else a sum
         # of booleans, an int; 0 when S = 0; S has m >= 1 rows
-        return len(sv) if tol < sv[-1] else sum(map(tol.__lt__, sv)), sv
+        return len(sv) if tol < sv[-1] else sum(map(tol.__lt__, sv)), linalg._unscaled(sv, e)
 
 
 def check_compatible(model: MechanicalModel, con: AffineConstraint, con_first: bool = False):
@@ -240,22 +240,22 @@ def _bind(block: _Block, G, coframe, S):
 
 
 def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
-    """Source lines of kernel(q) -> the fields of `_QOnly`: every expression
-    the model's and the constraint's kernels evaluate at (q, 0), with
-    common subexpressions computed once, then the gates of the step kernel,
-    folded as they are written.  dV, w, Z and c at rest are evaluated for
-    their math errors, though no field returns them: they make the q-only
-    views and `vnhc check` fail where the model or the constraint is not
-    differentiable at q, and `control._raise_failure` relies on them to
-    name a step kernel's math error in w or c.  A failing gate returns the
-    fields computed before it, then the defaults of the others."""
+    """Source lines of kernel(q) -> the fields of `_QOnly`: the lines of
+    every expression the model's and the constraint's kernels evaluate at
+    (q, 0), with common subexpressions computed once, then the gates of the
+    step kernel, folded as they are written.  No field returns dV, w, Z or
+    c at rest, so only their lines run; but each of their operations that
+    can raise is a line (`expr._emit`), so the q-only views and `vnhc
+    check` fail where the model or the constraint is not differentiable at
+    q, and `control._raise_failure` finds a step kernel's math error in w
+    or c here.  A failing gate returns the fields computed before it, then
+    the defaults of the others."""
     n, m = model.n, con.m
     r, rm = range(n), range(m)
-    lines, ((G, coframe, dV, w), (S, Z, c)), _ = ex._emit(
+    lines, ((G, coframe, _, _), (S, _, _)), _ = ex._emit(
         [model._exprs, con._exprs], model.coordinates + model.velocities)
-    block = _Block()  # the velocities at rest, the expressions, then the roots
-    block.lines += [*(f"_a{n + i} = 0.0" for i in r), *lines,  # not a local or a literal
-                    *(e for e in chain(dV, w, Z, c) if type(e) is _Src and not e.isidentifier())]
+    block = _Block()  # the velocities at rest, the expressions' lines, then the roots
+    block.lines += [*(f"_a{n + i} = 0.0" for i in r), *lines]
     _bind(block, G, coframe, S)
 
     def rows(x: str, size: int) -> list:  # of the values of the locals {x}b_a

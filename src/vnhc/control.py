@@ -226,9 +226,11 @@ def _step(model: MechanicalModel, con: AffineConstraint, state: State | None = N
 def _raise_failure(model: MechanicalModel, con: AffineConstraint, q, qd, state=None):
     """Raise the typed error of a closed-loop evaluation at (q, qd) where
     the step kernel failed: the q-only kernel's at q (`_p_system`, then
-    its judgment, `_verdict`), then the force's own kernel's at (q, qd).  The
-    closed loop's gates are the q-only kernel's, and a math error in w or c
-    at qd is one at rest, since their velocities only multiply."""
+    its judgment, `_verdict`), then the force's own kernel's at (q, qd),
+    each of which names its own math error.  The closed loop's gates are
+    the q-only kernel's, and a math error in w or c at qd is one at rest,
+    since their velocities only multiply: the operations that can raise
+    take q alone, and each is a line of the q-only kernel (`expr._emit`)."""
     _admissible(_p_system(model, con, q), q, state)
     model._force_fn(*q, *qd)
     raise AssertionError(f"closed-loop kernel failed at q={q}, qdot={qd}, where every gate holds")

@@ -7,7 +7,9 @@ differentiated once; `substitute` keeps its folds for one call, and
 parsing, emitting and compiling run on every call.  A model text loaded
 again costs none of them: `model_io.load_model` gives back the pair it
 built.  `evaluate` keeps the kernels of its last 64 expressions in a
-`functools.lru_cache`.  By convention
+`functools.lru_cache`.  A compiled kernel is one source, whose
+operations that can raise each have a line (`_emit`), so a math error is
+named by the line that raised.  By convention
 the velocity of a coordinate ``x`` is the symbol ``xd``.  Angles are
 plain reals; nothing here wraps.
 
@@ -589,8 +591,7 @@ def to_string(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # Compilation to fast callables
 
-def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, float] | None = None,
-          every: bool = False):
+def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, float] | None = None):
     """Straight-line source of exprs over the locals _a0, _a1, ... that
     hold the variables, with common subexpressions computed once.
 
@@ -607,19 +608,23 @@ def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, flo
 
     Each node is numbered by its structure (hash-consing: the key of a
     compound node is its op and its children's numbers, so no tree is
-    hashed twice), and a compound node used more than once, within one
+    hashed twice; x + y and y + x share a number, as IEEE + and * commute
+    exactly), and a compound node used more than once, within one
     expression or across several, is bound to a local on first use.
 
-    With every, each compound node is bound to a local of its own, one
-    operation per line, and the operands of + and * keep their order, so
-    the lines run in the order of a walk of exprs, left to right and
-    children first: the first line that raises holds the first
-    subexpression such a walk finds failing.
+    One rule places the operations that can raise on floats: a division, a
+    power (`math.pow`) and a function call each get a local and a line of
+    their own, while +, - and * stay inline.  Operands are emitted in
+    source order (those of x + y and y + x in the order of the one numbered
+    first), so the lines run in the order of a walk of exprs, left to right
+    and children first: the first line that raises binds the first
+    subexpression such a walk finds failing, and no other line or root can
+    raise on floats (`compile_exprs` names it).
     """
     argnames = {name: f"_a{i}" for i, name in enumerate(variables)}
     constants = constants or {}
 
-    dag: list = []  # node number -> leaf code (str) or (op, *child numbers)
+    dag: list = []  # node number -> leaf code (str) or (op, *child numbers), in source order
     first: list[Expr] = []  # node number -> the first Expr numbered so
     uses: list[int] = []  # node number -> references by parents and outputs
     numbers: dict = {}  # structural key -> node number
@@ -636,25 +641,24 @@ def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, flo
         num = by_id.get(id(e))
         if num is None:
             if isinstance(e, Constant):
-                key = literal(e.value, "constant")
+                node = key = literal(e.value, "constant")
             elif isinstance(e, Symbol):
                 if e.name in argnames:
-                    key = argnames[e.name]
+                    node = key = argnames[e.name]
                 elif e.name in constants:
-                    key = literal(constants[e.name], f"parameter {e.name!r}")
+                    node = key = literal(constants[e.name], f"parameter {e.name!r}")
                 else:
                     raise EvalError(f"unbound symbol {e.name!r}")
             elif isinstance(e, Unary):
-                key = (e.op, canon(e.child))
+                node = key = (e.op, canon(e.child))
             else:
-                l, r = canon(e.left), canon(e.right)
-                if e.op in ("add", "mul") and r < l and not every:  # exact: IEEE + and * commute
-                    l, r = r, l
-                key = (e.op, l, r)
+                node = key = (e.op, canon(e.left), canon(e.right))
+                if e.op in ("add", "mul") and node[2] < node[1]:
+                    key = (e.op, node[2], node[1])
             num = numbers.get(key)
             if num is None:
                 num = numbers[key] = len(dag)
-                dag.append(key)
+                dag.append(node)
                 first.append(e)
                 uses.append(0)
             elif not isinstance(key, str):
@@ -685,7 +689,8 @@ def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, flo
         value = (_unary("-", *args) if op == "neg" else _call(f"math.{op}", *args)
                  if op == "pow" or len(args) == 1 else _bin(args[0], _SIGN[op], args[1]))
         nest = 1 + max(depth[child] for child in children)
-        if every or uses[num] > 1 or nest > 100:  # CPython parses up to 200 nested parentheses
+        # (nest > 100: CPython parses up to 200 nested parentheses)
+        if op not in _INLINE or uses[num] > 1 or nest > 100:
             nest = 0
             name = f"_t{len(lines)}"
             lines.append(f"{name} = {_text(value)}")
@@ -705,29 +710,8 @@ def _emit(exprs: Sequence, variables: Sequence[str], constants: Mapping[str, flo
     return tuple(lines), roots, tuple(nodes)
 
 
-def _source(emitted: tuple, n: int) -> str:
-    """Source of the function kernel of the locals _a0 .. _a<n-1> that
-    runs the lines of emitted, an `_emit` result, and returns its roots,
-    nested as tuples."""
-    lines, roots, _ = emitted
-    return "\n".join(linalg._kernel_source(linalg._vector("_a", n), lines, _list(roots))) + "\n"
-
-
+_INLINE = ("add", "sub", "mul", "neg")  # the operations that never raise on floats
 _MATH_ERRORS = {ZeroDivisionError: "division by zero", OverflowError: "overflow"}
-
-
-def _name_math_error(traced, nodes: Sequence[Expr], values) -> None:
-    """Run traced, a kernel's source with one node per line (see `_emit`),
-    on values, and raise the EvalError naming the node of the line that
-    raises, read from traced's frame in the traceback."""
-    try:
-        traced(*values)
-    except (ArithmeticError, ValueError) as err:
-        tb = err.__traceback__
-        while tb.tb_frame.f_code is not traced.__code__:
-            tb = tb.tb_next
-        kind = _MATH_ERRORS.get(type(err), "domain error")
-        raise EvalError(f"{kind} in {to_string(nodes[tb.tb_lineno - 2])}") from None
 
 
 def compile_exprs(
@@ -747,26 +731,28 @@ def compile_exprs(
 
     A math error at call time (division by zero, a domain error, an
     overflow) raises an EvalError naming the first failing subexpression
-    in the order of a walk of exprs, left to right and children first.
-    It is found by running, on the same inputs, the source `_emit` gives
-    with one node per line, built on the kernel's first math error and
-    kept with the kernel.
+    in the order of a walk of exprs, left to right and children first:
+    the node of the line that raised, which `_emit` makes the only one that
+    can, read from the kernel's frame in the traceback.  Nothing is built
+    or run again.
     """
-    raw = linalg._define(_source(_emit(exprs, variables, constants), len(variables)))
-    traced = None  # (function, nodes) of the one-node-per-line source, once built
+    lines, roots, nodes = _emit(exprs, variables, constants)
+    raw = linalg._define("\n".join(linalg._kernel_source(
+        linalg._vector("_a", len(variables)), lines, _list(roots))) + "\n")
 
     # The try lives here, not in the generated source: there it made each
     # kernel 15-27% slower to compile (CPython 3.11), a cost model
     # loading pays, while this wrapper adds one Python call per evaluation.
     def kernel(*values):
-        nonlocal traced
         try:
             return raw(*values)
-        except (ArithmeticError, ValueError):
-            if traced is None:
-                emitted = _emit(exprs, variables, constants, every=True)
-                traced = linalg._define(_source(emitted, len(variables))), emitted[2]
-            _name_math_error(*traced, values)
+        except (ArithmeticError, ValueError) as err:
+            # the frame after this one is raw's, whose calls run in C: its
+            # line 1 is the def, line 2 the first of lines
+            line = err.__traceback__.tb_next.tb_lineno - 2
+            if line < len(nodes):  # else an input no float holds, such as an int past 1e308
+                kind = _MATH_ERRORS.get(type(err), "domain error")
+                raise EvalError(f"{kind} in {to_string(nodes[line])}") from None
             raise
 
     return kernel

@@ -7,7 +7,8 @@ factorizations and their triangular solves run as straight-line code
 generated once per size.  Spectra, for the checks and error messages
 only: `singular_values` by one-sided (Hestenes) Jacobi on the rows, which
 keeps small singular values accurate relative to the large ones (Demmel
-and Veselic, 1992), and `eigvalsh` by cyclic Jacobi.
+and Veselic, 1992), scaled by a power of two so that none overflows where
+a rank is decided, and `eigvalsh` by cyclic Jacobi.
 
 Every generated source in the package, these and the kernels of `expr`,
 `constraint` and `control`, is compiled by `_define`, in one fixed
@@ -450,14 +451,27 @@ def _jacobi(a: list, one_sided: bool) -> list:
 
 
 def singular_values(a: list[list[float]]) -> list[float]:
-    """Singular values of the m x n matrix a with m <= n, descending: the
-    norms of its rows once one-sided Jacobi has made them orthogonal.
-    S S^T is never formed, and one row needs no rotation."""
-    if len(a) == 1:
-        return [math.hypot(*a[0])]
-    _, e = math.frexp(max(abs(x) for row in a for x in row))  # exact power-of-2 scaling
+    """Singular values of the m x n matrix a with m <= n, descending; inf
+    where one passes the float range."""
+    return _unscaled(*_scaled_singular_values(a))
+
+
+def _scaled_singular_values(a: list[list[float]]) -> tuple[list[float], int]:
+    """(sv, e): the singular values of a 2^-e, descending, 2^-e being the
+    power of two (exact) that brings a's largest entry to [0.5, 1), so none
+    overflows, and a rank decided on them is a's.  They are the norms of
+    the rows once one-sided Jacobi has made them orthogonal: S S^T is never
+    formed.  One row of finite norm needs neither rotation nor scale (e 0)."""
+    if len(a) == 1 and (norm := math.hypot(*a[0])) < math.inf:
+        return [norm], 0
+    _, e = math.frexp(max(abs(x) for row in a for x in row))
     rows = _jacobi([[math.ldexp(x, -e) for x in row] for row in a], one_sided=True)
-    return sorted((math.ldexp(math.hypot(*row), e) for row in rows), reverse=True)
+    return sorted((math.hypot(*row) for row in rows), reverse=True), e
+
+
+def _unscaled(sv: list[float], e: int) -> list[float]:
+    """The values sv 2^e, exact, or inf past the float range (2^1024)."""
+    return [math.ldexp(s, e) if math.frexp(s)[1] + e <= 1024 else math.inf for s in sv] if e else sv
 
 
 def eigvalsh(a: list[list[float]]) -> list[float]:

@@ -158,15 +158,18 @@ def verdict(k, q) -> tuple:
 def rank(con, S) -> tuple:
     """The rank and the singular values of the rows S of con's S(q): every
     entry tested, the first that is not finite named, then each singular
-    value counted that exceeds the tolerance."""
+    value counted that exceeds the tolerance, those of S scaled by the power
+    of two that brings its largest entry to [0.5, 1): the same rank, and
+    no value overflows."""
     if not all(map(math.isfinite, chain.from_iterable(S))):
         for b, (row, exprs) in enumerate(zip(S, con.mu)):
             for i, (v, e) in enumerate(zip(row, exprs)):
                 if not math.isfinite(v):
                     raise EvalError(
                         f"constraint.mu[{b}][{i}] = {to_string(e)} is not finite ({v!r})")
-    sv = linalg.singular_values(S)
-    return sum(map((RANK_RTOL * sv[0]).__lt__, sv)), sv
+    _, e = math.frexp(max(abs(x) for row in S for x in row))
+    sv = linalg.singular_values([[math.ldexp(x, -e) for x in row] for row in S])
+    return sum(map((RANK_RTOL * sv[0]).__lt__, sv)), linalg.singular_values(S)
 
 
 # Folding after the fact, over the syntax tree of the unfolded statements:

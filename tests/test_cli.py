@@ -135,6 +135,20 @@ class TestCheckLines:
             "q=(1, 0) rank=ok(1/1) transversality=ok cond=1 det=1",
         ]
 
+    def test_rows_past_the_float_range(self, tmp_path, capsys):
+        # S's singular values pass the float range, its rank does not.
+        path = write_json(tmp_path, "big.json", {
+            "coordinates": ["x", "y", "z"],
+            "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            "inputs": [["1", "0", "0"], ["0", "1", "0"]],
+            "constraint": {"mu": [["1e308", "1e308", "1e308"], ["1e308", "-1e308", "1e308"]],
+                           "Z": ["0", "0"]},
+        })
+        assert main(["check", path, "--point", "x=0", "--point", "x=1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" transversality=")[0] for line in lines] == [
+            "q=(0, 0, 0) rank=ok(2/2)", "q=(1, 0, 0) rank=ok(2/2)"]
+
     def test_lines_are_the_per_point_format(self, tmp_path, capsys):
         # The --point points, then the product of the --grid axes, with y, which
         # has no axis, at 0: each line is the one made at its point from the

@@ -122,6 +122,27 @@ class TestRankCheck:
             q = [0.0] * S.shape[1]
             assert scaled.rank_check(q).ok == base.rank_check(q).ok
 
+    @pytest.mark.parametrize("mu, values", [
+        # two rows whose norms pass the float range: the larger singular
+        # value is 2e308, past it, the smaller 2^0.5 1e308
+        ([["1e308", "1e308", "1e308"], ["1e308", "-1e308", "1e308"]], (math.inf, 2**0.5 * 1e308)),
+        ([["1e308"] * 4], (math.inf,)),  # one row, of norm 2e308
+    ])
+    def test_rows_past_the_float_range(self, mu, values):
+        # The rank is decided on S scaled by a power of two, which keeps the
+        # rank; a singular value past the float range is reported as inf.
+        n = len(mu[0])
+        con = AffineConstraint([f"q{i}" for i in range(n)], mu, Z=["0"] * len(mu))
+        r = con.rank_check([0.0] * n)
+        assert (r.ok, r.rank, r.expected_rank) == (True, len(mu), len(mu))
+        assert r.singular_values == pytest.approx(values, rel=1e-15)
+        model = MechanicalModel(con.coordinates, [["1" if i == j else "0" for j in range(n)]
+                                                  for i in range(n)],
+                                input_coframe=[["1" if i == a else "0" for i in range(n)]
+                                               for a in range(len(mu))])
+        projected = project_onto_A(con, model, State([0.0] * n, [1.0] + [0.0] * (n - 1)))
+        assert all(map(math.isfinite, projected.qdot))
+
 
 class TestTransversality:
     def test_boat_scalar_p(self):

@@ -167,8 +167,8 @@ def test_simulate_output_is_golden(tmp_path):
 # kernel: the RK4 step, whose stage 1 alone the views run and whose start
 # record integrate takes.
 CLOSED_LOOP_SHA256 = {
-    "vortex": "8ae78ba2544db4dc7e926cc4c55b060c155769a1d8cf3b90306daadef1b8d72a",
-    "gen5": "3116f42c43727b8ecada8e173f49c4a3253b3ff8a11d816c6c63a44c8c1f0aef",
+    "vortex": "778018846e4d5e0f62f4e1c777d3877784531ff92f2ec91c2f528991de86b952",
+    "gen5": "14f2baea88511fae0a3c592e3565f44ef68af2685b08afef5fccc997a86d55a1",
 }
 
 
@@ -186,9 +186,10 @@ def test_closed_loop_source_is_unchanged():
 
 # The most lines each step kernel may have: one fewer than when its sums
 # kept their zero terms (106, 115 and 118 lines).  gen5's sums have none,
-# as its metric depends on q and its constraint rows lead with 1, so its
-# 341 lines hold.
-STEP_LINES = {"still": 105, "shear": 114, "vortex": 117, "gen5": 341}
+# as its metric depends on q and its constraint rows lead with 1; its 341
+# lines became 342 when each function call got a line of its own, which
+# split -math.sin(_a4) in two.
+STEP_LINES = {"still": 105, "shear": 114, "vortex": 117, "gen5": 342}
 
 
 def pair_systems() -> dict:
@@ -212,9 +213,11 @@ def test_step_kernels_drop_their_zero_terms():
 
 
 # The lines of each q-only kernel: 28, 30, 31 and 224 when its sums kept
-# their zero terms, such as the products with L's zeros in a boat's solves.
-# gen5's sums have none, as for its step kernel.
-Q_ONLY_LINES = {"still": 24, "shear": 26, "vortex": 27, "gen5": 224}
+# their zero terms, such as the products with L's zeros in a boat's solves
+# (gen5's sums have none, as for its step kernel); then 24, 26, 27 and 224
+# while it kept a statement for each inline root of dV, w, Z and c at rest,
+# whose raising operations are now lines of their own.
+Q_ONLY_LINES = {"still": 23, "shear": 24, "vortex": 27, "gen5": 214}
 
 
 def test_q_only_kernels_drop_their_zero_terms():
@@ -229,10 +232,12 @@ def test_q_only_kernels_drop_their_zero_terms():
 # nothing folds; and the pair's q-only and RK4 step kernels, whose sums drop
 # their zero terms by one rule (b's also a product with a known-zero drift
 # entry, S being finite there), and each of whose q-only returns writes all
-# nine fields of `constraint._QOnly`.
-MODEL_KERNELS_SHA256 = "7edeef22d6417f8651bc01cec19e09d9c49cd37a1d50ccc12f5f9d331029f8ba"
-Q_ONLY_KERNELS_SHA256 = "2534cbbe058a050121d19d5ee73f897c5177cf15838334cb571dff5c47119f4c"
-STEP_KERNELS_SHA256 = "d60ea3d612af0c27391955bc116a177f3724ff03b96708f46d0d473c4e8e6daa"
+# nine fields of `constraint._QOnly`.  Every kernel's expressions are
+# emitted by one rule: each division, power and function call on a line of
+# its own, + - * inline, operands in source order.
+MODEL_KERNELS_SHA256 = "79d9ec31ff9f4a3048052945f472065227a011c397e5c0b9f410d6fdeaddb113"
+Q_ONLY_KERNELS_SHA256 = "33bfd5fe58db41a7201b8ce7e9c4ecd22610439d1f50615c8f93014b89b3ff21"
+STEP_KERNELS_SHA256 = "60c57a942286b05a5449d4e0cbdedd1ffaf9bd095e4930b33e15ea1e5ec62126"
 
 
 def kernel_sources() -> tuple[list[str], list[str]]:

@@ -30,6 +30,7 @@ import weakref
 
 import pytest
 from test_control import build_gen5
+from test_golden import MODELS
 
 import vnhc
 from vnhc import (
@@ -329,6 +330,37 @@ def test_fresh_command_compiles_each_source_once(tmp_path, name):
         done = subprocess.run([sys.executable, "-c", COUNT_DEFINES, *argv], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": SRC})
         assert json.loads(done.stderr.splitlines()[-1]) == [0, sources, sources], argv
+
+
+# phi = yd + log(x), from x = 0.05 at xd = -1: the sample at step 5 meets log(0)
+CROSSING = {"coordinates": ["x", "y"], "metric": [["1", "0"], ["0", "1"]],
+            "inputs": [["0", "1"]], "constraint": {"mu": [["0", "1"]], "Z": ["log(x)"]}}
+
+
+@pytest.mark.parametrize("name, argv, sources", [
+    # the q-only kernel, then `_p_system`'s ladder up to the kernel that
+    # names the error: the model's, the per-size Cholesky routine of the
+    # metric's gates, the constraint's; check's rank then reads S from the
+    # constraint's kernel
+    ("z_log", ["check", "--point", "x=-1"], 4),
+    ("dv_log", ["check", "--point", "x=0"], 3),
+    ("w_sqrt", ["check", "--point", "x=0"], 3),
+    ("c_sqrt", ["check", "--point", "x=0"], 4),
+    ("metric_pole", ["check", "--point", "x=0"], 3),
+    # the step kernel, then `_raise_failure`'s q-only kernel and its ladder
+    ("crossing", ["simulate", "--q0", "0.05,0", "--qdot0=-1,0", "--t-end", "0.2", "--dt", "1e-2",
+                  "--out", "traj.csv"], 5),
+])
+def test_failing_command_compiles_each_kernel_once(tmp_path, name, argv, sources):
+    # Each kernel names its own math error from its own frame, so a failing
+    # command compiles one source per kernel it runs, and no traced copy.
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(CROSSING if name == "crossing" else MODELS[name]), encoding="utf-8")
+    done = subprocess.run([sys.executable, "-c", COUNT_DEFINES, argv[0], str(path), *argv[1:]],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert "Traceback" not in done.stderr
+    assert json.loads(done.stderr.splitlines()[-1]) == [1, sources, sources], argv
 
 
 # A usage error first, then every command, each flag given once and then
