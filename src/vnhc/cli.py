@@ -120,8 +120,10 @@ def cmd_check(args) -> int:
             (error, cond), failure = _verdict(k, q), None
         except (SPDError, EvalError) as err:
             failure = err
-        try:  # S from the record; from the constraint's kernel where the q-only kernel raised
-            rank, sv = con._rank(con.mu_at(q) if k is None else k.S)
+        try:  # m where the record certifies it, else of S: the record's, or the
+            # constraint's kernel's where the q-only kernel raised
+            rank, sv = (m, None) if k is not None and k.full_rank else con._rank(
+                con.mu_at(q) if k is None else k.S)
         except EvalError as err:
             verdict = f" rank=ERROR ({err})"
         else:

@@ -28,11 +28,12 @@ again.  The q-only kernel returns its verdict as data: a failing gate
 returns what was computed before it, with the gate's name.  One
 evaluation and one judgment serve `transversality_check`,
 `control.p_matrix`, `control._raise_failure` (the typed error of a
-failed closed-loop stage) and `vnhc check` (one call per point, the rank
-from the record's S).  `_p_system` is the one call of the kernel: it
-wraps the kernel's tuple as a `_QOnly` without a constructor call, as
-each of the kernel's returns writes all nine fields, the defaults of
-those a failing gate leaves out as literals; where the kernel meets a
+failed closed-loop stage) and `vnhc check` (one call per point; the rank
+is m where the record certifies it, and otherwise decided on the
+record's S).  `_p_system` is the one call of the kernel: it wraps the
+kernel's tuple as a `_QOnly` without a constructor call, as each of the
+kernel's returns writes all ten fields, the defaults of those a failing
+gate leaves out as literals; where the kernel meets a
 math error, it alone runs the model's and the constraint's own kernels,
 to name the expression.  `_verdict` alone judges the record: a record
 whose every gate held is admissible at once; otherwise, in one order,
@@ -161,7 +162,7 @@ def check_compatible(model: MechanicalModel, con: AffineConstraint, con_first: b
 
 # -- the q-only kernel of a (model, constraint) pair ------------------------
 
-# One call of a pair's q-only kernel at q, its tuple of nine fields
+# One call of a pair's q-only kernel at q, its tuple of ten fields
 # (`_p_system`).  A failing gate returns what was computed before it, and
 # the defaults of the fields after that (`_DEFAULTS`) as literals:
 #   failed: None, or the gate that failed: metric, singular, pivot or cond;
@@ -173,11 +174,13 @@ def check_compatible(model: MechanicalModel, con: AffineConstraint, con_first: b
 #   det: from the LU factors: U's diagonal and the parity of the row swaps;
 #   min_pivot, scale: where the pivot or P condition gate fails, for the
 #     verdict's message; scale is P's entries before cancellation, max |S_b|
-#     times max |Y^a|.
-_QOnly = namedtuple("_QOnly", "failed S g ratio P cond det min_pivot scale")
+#     times max |Y^a|;
+#   full_rank: where every gate held, whether P's inverse proves that S has
+#     rank m by `_rank`'s tolerance (`_q_only_source`); False otherwise.
+_QOnly = namedtuple("_QOnly", "failed S g ratio P cond det min_pivot scale full_rank")
 # The defaults of the fields from ratio on (ratio, P, cond, det, min_pivot,
-# scale), as the kernel's returns write them:
-_DEFAULTS = [None, None, _Src("math.inf"), 0.0, None, None]
+# scale, full_rank), as the kernel's returns write them:
+_DEFAULTS = [None, None, _Src("math.inf"), 0.0, None, None, False]
 
 
 def _dot(block: _Block, x: str, y: str, n: int, finite: bool = False):
@@ -249,7 +252,23 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
     check` fail where the model or the constraint is not differentiable at
     q, and `control._raise_failure` finds a step kernel's math error in w
     or c here.  A failing gate returns the fields computed before it, then
-    the defaults of the others."""
+    the defaults of the others.
+
+    Where every gate held, full_rank certifies rank S = m, as P = S Y
+    invertible does in exact arithmetic, if ||P^-1||_1 scale, the largest
+    of the column sums cond_c{j} of |P^-1| times the pivot gate's scale,
+    is below 1 / (2 RANK_RTOL m^1.5).  For then, by sigma_i(A B) <=
+    sigma_i(A) ||B||_2 (Horn & Johnson, Topics in Matrix Analysis, 3.3)
+    and the norm bounds ||B||_2 <= sqrt(m) ||B||_1 and ||Y||_2 <= sqrt(m)
+    max |Y^a| (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 6): sigma_m(S) >= sigma_m(P) / ||Y||_2 >= 1 / (m ||P^-1||_1 max
+    |Y^a|), with sigma_1(S) <= sqrt(m) max |S_b|, so sigma_m(S) /
+    sigma_1(S) >= 1 / (m^1.5 ||P^-1||_1 scale) > 2 RANK_RTOL, which
+    `_rank` counts as rank m.  Y may be the computed one: the bound holds
+    for any Y.  The factor 2 covers the round-off of P's sums, of the LU
+    inverse and of the Jacobi singular values: where the certificate
+    holds, cond_1(P) <= m ||P^-1||_1 scale < 5e8, so each is below about
+    n 5e8 eps < 1e-6 relative.  A NaN or inf makes the test false."""
     n, m = model.n, con.m
     r, rm = range(n), range(m)
     lines, ((G, coframe, _, _), (S, _, _)), _ = ex._emit(
@@ -262,10 +281,10 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
         return [[block[f"{x}{b}_{a}"] for a in range(size)] for b in rm]
 
     def fields(gate: str | None) -> str:
-        """The nine fields of `_QOnly` that the gate's failure returns, from
+        """The ten fields of `_QOnly` that the gate's failure returns, from
         the values of the locals there: those computed before it, or all but
-        the pivot and its scale where every gate holds (gate None), then the
-        defaults of the others."""
+        the pivot and its scale, with the rank certificate, where every gate
+        holds (gate None), then the defaults of the others."""
         min_pivot, scale, small = _pivots(block, n, m)
         det = _chain("*", [block[f"u{a}_{a}"] for a in rm])
         if m > 1:  # the sign of the row permutation
@@ -277,7 +296,11 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
         metric = [[block[f"g{max(i, j)}_{min(i, j)}"] for j in r] for i in r]
         out = [failed, rows("S", n), metric if failed == "metric" else None, block["ratio"],
                rows("P", m), block["cond"], det, min_pivot, scale]
-        kept = {"spd": 3, "ratio": 4, "singular": 5, None: 7}.get(gate, 9)
+        if gate is None:  # no pivot, no scale, but the rank certificate (see above)
+            inverse = _call("max", *(block[f"cond_c{j}"] for j in rm))  # ||P^-1||_1
+            out[7:] = None, None, _bin(1 / (2 * RANK_RTOL * m * math.sqrt(m)), ">",
+                                       _bin(inverse, "*", scale))
+        kept = {"spd": 3, "ratio": 4, "singular": 5, "P": 9}.get(gate, 10)
         return ", ".join(map(_list, out[:kept] + _DEFAULTS[kept - 3:]))
 
     _gate_lines(block, n, m, lambda gate: f"return {fields(gate)}")

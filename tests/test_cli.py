@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from test_q_only import line_from_views
+from test_q_only import THIN_RANK, line_from_views
 
 import vnhc
 from vnhc import (
@@ -29,7 +29,7 @@ from vnhc import (
     tau_star,
     transversality_check,
 )
-from vnhc import cli
+from vnhc import cli, constraint
 from vnhc.cli import main
 
 SRC = os.path.dirname(os.path.dirname(vnhc.__file__))
@@ -148,6 +148,17 @@ class TestCheckLines:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(" transversality=")[0] for line in lines] == [
             "q=(0, 0, 0) rank=ok(2/2)", "q=(1, 0, 0) rank=ok(2/2)"]
+
+    def test_rank_defect_where_every_gate_holds(self, tmp_path, capsys):
+        # P = I passes every q-only gate, but sigma_2 / sigma_1 of S is 1e-10:
+        # the record certifies no rank, and `_rank` finds the defect.
+        path = tmp_path / "thinrank.json"
+        save_model(path, *THIN_RANK)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "q=(0, 0, 0) rank=DEFECT(1/2) singular_values=['1.000e+00', '1.000e-10']\n")
+        record = constraint._p_system(*load_model(path), (0.0, 0.0, 0.0))
+        assert (record.failed, record.full_rank) == (None, False)
 
     def test_lines_are_the_per_point_format(self, tmp_path, capsys):
         # The --point points, then the product of the --grid axes, with y, which

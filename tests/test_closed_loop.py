@@ -508,7 +508,7 @@ def judged(kernel, q) -> tuple:
         k = kernel(q)
     except (ArithmeticError, ValueError) as err:
         return None, type(err)
-    record = constraint._new(constraint._QOnly, k)  # each return writes all nine fields
+    record = constraint._new(constraint._QOnly, k)  # each return writes all ten fields
     try:
         return record, constraint._verdict(record, q)[0] is None
     except Exception as err:  # noqa: BLE001 - compared by type

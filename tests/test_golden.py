@@ -232,11 +232,11 @@ def test_q_only_kernels_drop_their_zero_terms():
 # nothing folds; and the pair's q-only and RK4 step kernels, whose sums drop
 # their zero terms by one rule (b's also a product with a known-zero drift
 # entry, S being finite there), and each of whose q-only returns writes all
-# nine fields of `constraint._QOnly`.  Every kernel's expressions are
+# ten fields of `constraint._QOnly`.  Every kernel's expressions are
 # emitted by one rule: each division, power and function call on a line of
 # its own, + - * inline, operands in source order.
 MODEL_KERNELS_SHA256 = "79d9ec31ff9f4a3048052945f472065227a011c397e5c0b9f410d6fdeaddb113"
-Q_ONLY_KERNELS_SHA256 = "33bfd5fe58db41a7201b8ce7e9c4ecd22610439d1f50615c8f93014b89b3ff21"
+Q_ONLY_KERNELS_SHA256 = "dad473f33a7294e7a6d3e91dbe3272a373ad93bc6781c04d0e3d3c5b4693ab30"
 STEP_KERNELS_SHA256 = "60c57a942286b05a5449d4e0cbdedd1ffaf9bd095e4930b33e15ea1e5ec62126"
 
 

@@ -34,6 +34,7 @@ from vnhc import (
     closed_loop_acceleration,
     constraint,
     integrate,
+    linalg,
     p_matrix,
     rk4_step,
     save_model,
@@ -48,8 +49,14 @@ from vnhc.constraint import RANK_RTOL
 PINCH = (MechanicalModel(("x", "y", "z"), [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                          input_coframe=[[1, 0, 0], [0, 1, 0]]),
          AffineConstraint(("x", "y", "z"), [["1", "0", "0"], ["0", "x", "0"]], Z=["0", "y"]))
+# S = [[1, 0, 0], [0, 1e-10, 0]] over inputs [1, 0, 0] and [0, 1e10, 0]:
+# P = I, so every q-only gate holds, but sigma_2 / sigma_1 of S is 1e-10,
+# below RANK_RTOL; the rank certificate declines and `_rank` finds rank 1
+THIN_RANK = (MechanicalModel(("x", "y", "z"), [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                             input_coframe=[[1, 0, 0], [0, 1e10, 0]]),
+             AffineConstraint(("x", "y", "z"), [[1, 0, 0], [0, 1e-10, 0]], Z=[0, 0]))
 SYSTEMS = {name: build_boat(*currents) for name, currents in FIXTURE_CURRENTS.items()}
-SYSTEMS.update(gen4=build_gen4(), gen5=build_gen5(), pinch=PINCH)
+SYSTEMS.update(gen4=build_gen4(), gen5=build_gen5(), pinch=PINCH, thin_rank=THIN_RANK)
 
 coordinate = st.floats(-3.0, 3.0) | st.floats(-1e-8, 1e-8)
 
@@ -249,6 +256,24 @@ def test_one_kernel_call_per_point(tmp_path, monkeypatch):
         calls.clear()
         assert check_lines(path, qs, model.coordinates)[0] == (0 if name == "gen5" else 1), name
         assert (calls, other) == (qs, []), name
+
+
+def test_singular_values_only_where_the_rank_is_not_certified(tmp_path, monkeypatch):
+    # Every point of a 4 x 4 x 4 vortex grid passes, and its record
+    # certifies rank S = m there, so check computes no singular value; the
+    # thin-rank point's record certifies nothing, and `_rank` runs once.
+    calls, real = [], linalg._scaled_singular_values
+    monkeypatch.setattr(linalg, "_scaled_singular_values",
+                        lambda a: calls.append(a) or real(a))
+    path = tmp_path / "vortex.json"
+    save_model(path, *SYSTEMS["vortex"])
+    grid = ["--grid", "x=-1:1:4", "--grid", "y=-1:1:4", "--grid", "theta=0:6.28:4"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["check", str(path), *grid]) == 0
+    assert (len(out.getvalue().splitlines()), calls) == (64, [])
+    save_model(path, *THIN_RANK)
+    assert check_lines(path, [(0.0, 0.0, 0.0)], "xyz")[0] == 1
+    assert calls == [[[1.0, 0.0, 0.0], [0.0, 1e-10, 0.0]]]
 
 
 def test_q_only_too_deep_to_compile(tmp_path, monkeypatch, capsys):

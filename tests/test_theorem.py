@@ -11,7 +11,10 @@ where `transversality_check` holds:
 - P from `solve_control` is numpy's S G^-1 coframe^T (`oracle.reference`);
 - uniqueness: acc + Y delta, the acceleration of tau* + delta, moves phi
   at the rate P delta, which is not 0 for delta != 0 since P is
-  invertible.
+  invertible;
+- the rank hypothesis: where the q-only record certifies rank S = m (P
+  invertible implies it), `_rank` finds rank m, on the drawn models and on
+  a family whose S loses rank while P stays well conditioned.
 
 phi is evaluated by `oracle.walk` of mu and Z, Y = G^-1 coframe^T by
 numpy on walked grids.  The central difference takes criterion 4's step,
@@ -19,6 +22,8 @@ and its bound is scaled by 1 + |qdot|^2 + |acc|, plus the round-off that
 solving P tau = b leaves in S acc + c, which grows with |tau|: near a
 singular P, |tau| can be 1e9 times |acc|.
 """
+
+import functools
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
@@ -29,6 +34,7 @@ from vnhc import (
     MechanicalModel,
     State,
     closed_loop_acceleration,
+    constraint,
     solve_control,
     transversality_check,
 )
@@ -161,3 +167,42 @@ def test_another_control_moves_phi_at_rate_p_delta(system, delta):
         P = reference(model, con, state.q).P
         error = np.max(np.abs(rate(con, state, acc) - P @ delta))
         assert error <= bound(model, con, state, acc, tau)
+
+
+@functools.cache
+def thin_rows(k: int):
+    """A system whose second S row is scaled by 10^-k and its coframe row by
+    10^k: P = [[1, 0], [10^-k (cos y + 0.2 z / g), 1 / g]], g = 1 + 0.5
+    sin(x)^2, stays well conditioned while sigma_2 / sigma_1 of S falls like
+    10^-k, past RANK_RTOL from k = 10 on."""
+    names = ["x", "y", "z"]
+    G = [["1", "0", "0"], ["0", "1 + 0.5*sin(x)^2", "0"], ["0", "0", "1"]]
+    coframe = [["1", "0.2*z", "0"], ["0", f"1e{k}", "0"]]
+    mu = [["1", "0", "0.5*x"], [f"1e-{k}*cos(y)", f"1e-{k}", f"1e-{k}*0.3*z"]]
+    return MechanicalModel(names, G, input_coframe=coframe), AffineConstraint(names, mu, ["0", "0"])
+
+
+def certified(model, con, q) -> bool:
+    """Whether the q-only record at q certifies rank S = m, which it does
+    only where every gate held; where it does, `_rank` finds rank m."""
+    record = constraint._p_system(model, con, q)
+    if record.full_rank is not True:
+        assert record.full_rank is False, q
+        return False
+    assert record.failed is None and con._rank(record.S)[0] == con.m, q
+    return True
+
+
+@settings(max_examples=15, deadline=None)
+@given(systems())
+def test_a_certified_rank_is_full(system):
+    model, con, states = system
+    for state in states:
+        certified(model, con, state.q)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_a_certified_rank_is_full_on_thin_rows(q):
+    claims = [certified(*thin_rows(k), q) for k in range(15)]
+    assert claims[0], claims  # the certificate is not vacuous
