@@ -31,7 +31,8 @@ import sys
 import time
 
 from . import model_io, models
-from .constraint import RankDefectError, _p_system, _verdict, project_onto_A
+from .constraint import (RankDefectError, _new, _q_only, _QOnly, _raise_named, _verdict,
+                         project_onto_A)
 from .control import TransversalityError, solve_control
 from .expr import EvalError
 from .geometry import SPDError, State
@@ -107,23 +108,37 @@ def _points(args, coordinates) -> tuple[list[tuple], list[str]]:
 
 
 def cmd_check(args) -> int:
-    """One line per point, written before the next point is evaluated."""
+    """One line per point, written before the next point is evaluated.
+
+    A point is one call of the pair's q-only kernel, looked up at the
+    first point (and again at each while it fails to compile, which is
+    that point's error), and its record is judged here.  A record whose
+    every gate held and which certifies rank m gets its line at once; any
+    other record goes through `_verdict` and the rank of its S, and a math
+    error of the kernel is named by `constraint._raise_named`, the
+    rank then coming from the constraint's kernel; neither calls the
+    q-only kernel again."""
     model, con = model_io.load_model(args.model)
     points, labels = _points(args, model.coordinates)
     m, write = con.m, sys.stdout.write
     full = f" rank=ok({m}/{m})"
-    all_ok = True
+    all_ok, kernel = True, None
     for q, label in zip(points, labels):
         k = None
-        try:  # one q-only kernel call and its verdict; their error comes after the rank's
-            k = _p_system(model, con, q)
-            (error, cond), failure = _verdict(k, q), None
+        try:  # one q-only kernel call; its error, and the verdict's, come after the rank's
+            kernel = kernel or _q_only(model, con)
+            try:
+                failed, _, _, _, _, cond, det, _, _, full_rank = k = kernel(q)
+            except (ArithmeticError, ValueError):
+                _raise_named(model, con, q)
+            if failed is None and full_rank:
+                write(f"q=({label}){full} transversality=ok cond={cond:.6g} det={det:.6g}\n")
+                continue
+            (error, cond), failure = _verdict(k := _new(_QOnly, k), q), None
         except (SPDError, EvalError) as err:
             failure = err
-        try:  # m where the record certifies it, else of S: the record's, or the
-            # constraint's kernel's where the q-only kernel raised
-            rank, sv = (m, None) if k is not None and k.full_rank else con._rank(
-                con.mu_at(q) if k is None else k.S)
+        try:  # of S: the record's, or the constraint's kernel's where the q-only kernel raised
+            rank, sv = con._rank(con.mu_at(q) if k is None else k.S)
         except EvalError as err:
             verdict = f" rank=ERROR ({err})"
         else:

@@ -30,15 +30,17 @@ evaluation and one judgment serve `transversality_check`,
 `control.p_matrix`, `control._raise_failure` (the typed error of a
 failed closed-loop stage) and `vnhc check` (one call per point; the rank
 is m where the record certifies it, and otherwise decided on the
-record's S).  `_p_system` is the one call of the kernel: it wraps the
+record's S).  `_p_system` calls the kernel for the views: it wraps the
 kernel's tuple as a `_QOnly` without a constructor call, as each of the
 kernel's returns writes all ten fields, the defaults of those a failing
-gate leaves out as literals; where the kernel meets a
-math error, it alone runs the model's and the constraint's own kernels,
-to name the expression.  `_verdict` alone judges the record: a record
-whose every gate held is admissible at once; otherwise, in one order,
-the metric's gates (SPDError), a non-finite P (EvalError), then the
-wording of a failed P gate.  The kernel is built on the first q-only
+gate leaves out as literals.  `vnhc check` calls it in its own loop and
+writes the line of a record whose every gate held and which certifies
+the rank from the tuple itself.  Where the kernel meets a math error,
+both call `_raise_named`, which alone runs the model's and the
+constraint's own kernels, to name the expression.  `_verdict` alone
+judges the record: a record whose every gate held is admissible at once;
+otherwise, in one order, the metric's gates (SPDError), a non-finite P
+(EvalError), then the wording of a failed P gate.  The kernel is built on the first q-only
 call with a model and kept on the constraint, so loading a model does
 not pay for it.
 `project_onto_A` takes S and Z from one call of the constraint's kernel.
@@ -323,20 +325,29 @@ def _q_only(model: MechanicalModel, con: AffineConstraint):
 
 
 def _p_system(model: MechanicalModel, con: AffineConstraint, q) -> _QOnly:
-    """The pair's q-only kernel at q, its record whichever gate failed
-    (`_verdict` judges it).  Where the kernel meets a math error, the
-    model's kernel, the metric's gates and the constraint's kernel run in
-    turn at (q, 0) to name it, in the order the kernels meet them: the
-    model's expressions (EvalError), the metric's gates (SPDError), then
-    the constraint's expressions (EvalError)."""
+    """The pair's q-only kernel at q, its record whichever gate failed, for
+    the views, which judge it with `_verdict` (`vnhc check` calls the
+    kernel and judges its record in its own loop); where the kernel meets
+    a math error, `_raise_named` raises the typed error that names
+    it."""
     con._check_q(q)
     kernel = _q_only(model, con)  # its build's errors are not the kernel's math errors
     try:
         return _new(_QOnly, kernel(q))
     except (ArithmeticError, ValueError):
-        model._factor(q)
-        con._at_rest(q)
-        raise
+        _raise_named(model, con, q)
+
+
+def _raise_named(model: MechanicalModel, con: AffineConstraint, q):
+    """Called where the q-only kernel at q meets a math error: the model's
+    kernel, the metric's gates and the constraint's kernel run in turn at
+    (q, 0) to name it, in the order the kernels meet them: the model's
+    expressions (EvalError), the metric's gates (SPDError), then the
+    constraint's expressions (EvalError); where none raises, the kernel's
+    error is raised again."""
+    model._factor(q)
+    con._at_rest(q)
+    raise
 
 
 def _verdict(k: _QOnly, q) -> tuple[str | None, float]:

@@ -185,17 +185,70 @@ class TestCheckLines:
 
     def test_each_line_is_written_before_the_next_point(self, boat_file, monkeypatch):
         out, written = io.StringIO(), []
+        model, con = load_model(boat_file)  # the pair check loads: patch its kernel undoably
+        real = constraint._q_only(model, con)
 
-        def p_system(model, con, q):  # the lines written when point q is evaluated
+        def q_only(q):  # the lines written when point q is evaluated
             written.append(out.getvalue().count("\n"))
-            return real(model, con, q)
+            return real(q)
 
-        real = cli._p_system
-        monkeypatch.setattr(cli, "_p_system", p_system)
+        monkeypatch.setitem(con._q_only, model, q_only)
         with contextlib.redirect_stdout(out):
             assert main(["check", boat_file, "--point", "x=1", "--grid", "theta=0:1:4"]) == 0
         assert written == [0, 1, 2, 3, 4]
         assert out.getvalue().count("\n") == 5
+
+    # Every verdict of check, where log(x + 0.75) fails at x = -1, the
+    # metric is not SPD at x <= 0 and S = 0 at x = 0: rank=ERROR at x = -1,
+    # metric=SPD-FAILURE at -0.5, rank=DEFECT(0/1) at 0, ok at 0.5 and 1.
+    MIXED = {
+        "coordinates": ["x", "y"],
+        "metric": [["x", "0.5"], ["0.5", "1"]],
+        "inputs": [["1", "0"]],
+        "constraint": {"mu": [["x", "0"]], "Z": ["log(x+0.75)"]},
+    }
+    # passing points between failing ones, then the grid x = -1, -0.5, ..., 1
+    MIXED_ARGS = ["--point", "x=-1", "--point", "x=0.5,y=2", "--point", "x=-0.5",
+                  "--point", "x=1", "--point", "x=0,y=-3", "--point", "x=0.5",
+                  "--grid", "x=-1:1:5"]
+    MIXED_QS = [(-1.0, 0.0), (0.5, 2.0), (-0.5, 0.0), (1.0, 0.0), (0.0, -3.0), (0.5, 0.0),
+                *((x, 0.0) for x in (-1.0, -0.5, 0.0, 0.5, 1.0))]
+
+    def test_every_verdict_in_one_run(self, tmp_path, capsys):
+        # Each line is the views' at its point, whatever the point before it
+        # left: no verdict, cond or record is carried to the next point.
+        path = write_json(tmp_path, "mixed.json", self.MIXED)
+        assert main(["check", path, *self.MIXED_ARGS]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        model, con = load_model(path)
+        assert lines == [line_from_views(model, con, q) for q in self.MIXED_QS]
+        ok, error, spd, defect = ("transversality=ok ", "rank=ERROR (domain error in log(",
+                                  "metric=SPD-FAILURE (", "rank=DEFECT(0/1) ")
+        kinds = [error, ok, spd, ok, defect, ok, error, spd, defect, ok, ok]
+        assert all(kind in line for kind, line in zip(kinds, lines, strict=True))
+
+    def test_a_passing_point_is_not_judged_again(self, tmp_path, monkeypatch):
+        # A record whose every gate held and which certifies the rank is
+        # written at once: neither `_verdict` nor `_rank` runs at a point of
+        # a vortex grid.  A record that failed a gate is judged by both; a
+        # point whose kernel raised has no record to judge, and its rank
+        # comes from the constraint's kernel, which raises before `_rank`.
+        verdicts, ranks = [], []
+        verdict, rank = cli._verdict, constraint.AffineConstraint._rank
+        monkeypatch.setattr(cli, "_verdict", lambda k, q: verdicts.append(q) or verdict(k, q))
+        monkeypatch.setattr(constraint.AffineConstraint, "_rank",
+                            lambda con, S: ranks.append(S) or rank(con, S))
+        path = tmp_path / "vortex.json"
+        save_model(path, *build_boat(*vnhc.FIXTURE_CURRENTS["vortex"]))
+        grid = ["--grid", "x=-1:1:4", "--grid", "y=-1:1:4", "--grid", "theta=0:6.28:4"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["check", str(path), *grid]) == 0
+        assert (out.getvalue().count(" transversality=ok "), verdicts, ranks) == (64, [], [])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["check", write_json(tmp_path, "mixed.json", self.MIXED),
+                         *self.MIXED_ARGS]) == 1
+        failed = [q for q in self.MIXED_QS if q[0] in (-0.5, 0.0)]
+        assert (verdicts, len(ranks)) == (failed, len(failed))
 
     def test_eval_error_does_not_abort_grid(self, tmp_path, capsys):
         path = boat_with(tmp_path, "inv.json", metric00="1/x")
