@@ -29,6 +29,7 @@ import math
 import os
 import sys
 import time
+from operator import itemgetter
 
 from . import model_io, models
 from .constraint import (RankDefectError, _new, _q_only, _QOnly, _raise_named, _verdict,
@@ -117,21 +118,42 @@ def cmd_check(args) -> int:
     other record goes through `_verdict` and the rank of its S, and a math
     error of the kernel is named by `constraint._raise_named`, the
     rank then coming from the constraint's kernel; neither calls the
-    q-only kernel again."""
+    q-only kernel again.
+
+    On a system with symmetry the record reads the shape coordinates
+    alone (`constraint._reads`: theta on the boat), so for this call a
+    record whose line is written at once is kept under their values and
+    serves every later point with the same values, with no kernel call;
+    its line is formatted at each point.  A kernel that raised and a
+    record that failed a gate or declined the certificate are not kept,
+    and a record that reads every coordinate (gen5's) is not looked up."""
     model, con = model_io.load_model(args.model)
     points, labels = _points(args, model.coordinates)
-    m, write = con.m, sys.stdout.write
+    m, n, write = con.m, model.n, sys.stdout.write
     full = f" rank=ok({m}/{m})"
-    all_ok, kernel = True, None
+    # records: the values of the coordinates that the record reads -> the
+    # record written at once at an earlier point.  0.0 and -0.0 are one key,
+    # yet the line is the one of the point's own kernel call: it prints
+    # only cond and det, both nonzero where every gate held, and no
+    # nonzero value depends on the sign of a zero input, as x/0, log(0) and
+    # 0 raised to a negative power all raise in Python.
+    all_ok, kernel, key, records = True, None, None, {}
     for q, label in zip(points, labels):
         k = None
         try:  # one q-only kernel call; its error, and the verdict's, come after the rank's
-            kernel = kernel or _q_only(model, con)
-            try:
-                failed, _, _, _, _, cond, det, _, _, full_rank = k = kernel(q)
-            except (ArithmeticError, ValueError):
-                _raise_named(model, con, q)
+            if kernel is None:
+                kernel, reads = _q_only(model, con), con._reads[model]
+                if len(reads) < n:
+                    key = itemgetter(*reads) if reads else lambda q: ()
+            if key is None or (k := records.get(at := key(q))) is None:
+                try:
+                    k = kernel(q)
+                except (ArithmeticError, ValueError):
+                    _raise_named(model, con, q)
+            failed, _, _, _, _, cond, det, _, _, full_rank = k
             if failed is None and full_rank:
+                if key:
+                    records[at] = k
                 write(f"q=({label}){full} transversality=ok cond={cond:.6g} det={det:.6g}\n")
                 continue
             (error, cond), failure = _verdict(k := _new(_QOnly, k), q), None

@@ -28,12 +28,13 @@ again.  The q-only kernel returns its verdict as data: a failing gate
 returns what was computed before it, with the gate's name.  One
 evaluation and one judgment serve `transversality_check`,
 `control.p_matrix`, `control._raise_failure` (the typed error of a
-failed closed-loop stage) and `vnhc check` (one call per point; the rank
-is m where the record certifies it, and otherwise decided on the
-record's S).  `_p_system` calls the kernel for the views: it wraps the
-kernel's tuple as a `_QOnly` without a constructor call, as each of the
-kernel's returns writes all ten fields, the defaults of those a failing
-gate leaves out as literals.  `vnhc check` calls it in its own loop and
+failed closed-loop stage) and `vnhc check` (one call per point, or per
+value of the coordinates the record reads; the rank is m where the
+record certifies it, and otherwise decided on the record's S).
+`_p_system` calls the kernel for the views: it wraps the kernel's tuple
+as a `_QOnly` without a constructor call, as each of the kernel's
+returns writes all ten fields, the defaults of those a failing gate
+leaves out as literals.  `vnhc check` calls it in its own loop and
 writes the line of a record whose every gate held and which certifies
 the rank from the tuple itself.  Where the kernel meets a math error,
 both call `_raise_named`, which alone runs the model's and the
@@ -42,7 +43,15 @@ judges the record: a record whose every gate held is admissible at once;
 otherwise, in one order, the metric's gates (SPDError), a non-finite P
 (EvalError), then the wording of a failed P gate.  The kernel is built on the first q-only
 call with a model and kept on the constraint, so loading a model does
-not pay for it.
+not pay for it; with it are kept the coordinates that its record reads
+(`_reads`), derived from the same emission.  On a system with symmetry
+the metric, the coframe and the constraint rows are invariant under the
+group and depend on the shape coordinates alone (Bloch, Krishnaprasad,
+Marsden & Murray, "Nonholonomic mechanical systems with symmetry",
+ARMA 136, 1996), and so does the record where no line that can raise
+reads another coordinate: on the boat, theta.  `vnhc check` reuses a
+record for the length of one call at every point with the same values
+of these coordinates.
 `project_onto_A` takes S and Z from one call of the constraint's kernel.
 """
 
@@ -102,9 +111,11 @@ class AffineConstraint(_Chart):
         self._check_derived({"constraint.mu": dmu, "constraint.Z": dZ})
         self._exprs = [mu, Z, c]
         # model -> the step kernel (built by `control`) and the q-only kernel
-        # of (model, self), each built on its first use with that model.
+        # of (model, self), each built on its first use with that model, and
+        # the coordinates that the q-only kernel's record reads (`_reads`).
         self._step = {}
         self._q_only = {}
+        self._reads = {}
 
     # -- evaluation ---------------------------------------------------------
 
@@ -273,8 +284,9 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
     n 5e8 eps < 1e-6 relative.  A NaN or inf makes the test false."""
     n, m = model.n, con.m
     r, rm = range(n), range(m)
-    lines, ((G, coframe, _, _), (S, _, _)), _ = ex._emit(
+    lines, ((G, coframe, _, _), (S, _, _)), nodes = ex._emit(
         [model._exprs, con._exprs], model.coordinates + model.velocities)
+    con._reads[model] = _reads(model, con, nodes)
     block = _Block()  # the velocities at rest, the expressions' lines, then the roots
     block.lines += [*(f"_a{n + i} = 0.0" for i in r), *lines]
     _bind(block, G, coframe, S)
@@ -308,6 +320,24 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
     _gate_lines(block, n, m, lambda gate: f"return {fields(gate)}")
     return linalg._kernel_source("q", [f"{linalg._vector('_a', n)}, = q", *block.lines],
                                  fields(None))
+
+
+def _reads(model: MechanicalModel, con: AffineConstraint, nodes) -> tuple[int, ...]:
+    """The indices of the coordinates that the pair's q-only record reads,
+    nodes being the subexpressions that the lines of its emission bind:
+    the coordinates of the roots G, coframe and S, which its gates read,
+    and those of every line that can raise at a finite q
+    (`expr._may_raise`).  Any other line cannot raise, and feeds only
+    dV, w, Z and c at rest, which no field returns, or a root or line
+    counted here.  So where the kernel returns at one q, it returns the
+    same record, bit for bit, at every q whose entries at these indices
+    have the same bits.  On a system with symmetry the metric, the coframe
+    and the constraint rows are invariant under the group, and these are
+    the shape coordinates: theta alone on the boat, whatever its
+    current."""
+    G, coframe = model._exprs[:2]
+    symbols = ex._leaves([G, coframe, con._exprs[0], [e for e in nodes if ex._may_raise(e)]])[0]
+    return tuple(i for i, c in enumerate(model.coordinates) if c in symbols)
 
 
 def _built(kernels: dict, model: MechanicalModel, source, what: str):

@@ -714,6 +714,16 @@ _INLINE = ("add", "sub", "mul", "neg")  # the operations that never raise on flo
 _MATH_ERRORS = {ZeroDivisionError: "division by zero", OverflowError: "overflow"}
 
 
+def _may_raise(node: Expr) -> bool:
+    """Whether the line that `_emit` binds node to can raise where every
+    variable is finite.  A shared +, -, * or neg cannot, nor can sin, cos
+    or tan of a variable itself, as they raise only on inf; every other
+    line can, since a finite argument of an inline sum or product can
+    overflow to inf, as 2*x does."""
+    return node.op not in _INLINE and not (node.op in ("sin", "cos", "tan")
+                                           and type(node.child) is Symbol)
+
+
 def compile_exprs(
     exprs: Sequence,
     variables: Sequence[str],

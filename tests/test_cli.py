@@ -195,8 +195,30 @@ class TestCheckLines:
         monkeypatch.setitem(con._q_only, model, q_only)
         with contextlib.redirect_stdout(out):
             assert main(["check", boat_file, "--point", "x=1", "--grid", "theta=0:1:4"]) == 0
-        assert written == [0, 1, 2, 3, 4]
+        # the grid's first point, theta = 0, reuses the record of x=1 (the
+        # boat's record reads theta alone), so it makes no kernel call
+        assert written == [0, 2, 3, 4]
         assert out.getvalue().count("\n") == 5
+
+    def test_signed_zeros_share_a_key(self, tmp_path, monkeypatch, capsys):
+        # theta = 0 and theta = -0 are one key of the boat's record, which
+        # reads theta alone, so -0 reuses the record of 0, and the grid's
+        # first theta, -0.0, reuses it too; each line is the views' at its
+        # own point, byte for byte.
+        path = tmp_path / "vortex.json"
+        save_model(path, *build_boat(*vnhc.FIXTURE_CURRENTS["vortex"]))
+        model, con = load_model(path)  # the pair check loads: patch its kernel undoably
+        real, calls = constraint._q_only(model, con), []
+        monkeypatch.setitem(con._q_only, model, lambda q: calls.append(q) or real(q))
+        assert main(["check", str(path), "--point", "theta=0", "--point", "theta=-0",
+                     "--grid", "x=-1:1:3", "--grid", "theta=-0:-1:3"]) == 0
+        assert calls == [(0.0, 0.0, 0.0), (-1.0, 0.0, -0.5), (-1.0, 0.0, -1.0)]
+        assert [math.copysign(1.0, q[2]) for q in calls] == [1.0, -1.0, -1.0]
+        qs = [(0.0, 0.0, 0.0), (0.0, 0.0, -0.0),
+              *((x, 0.0, t) for x in (-1.0, 0.0, 1.0) for t in (-0.0, -0.5, -1.0))]
+        out = capsys.readouterr().out
+        assert out == "".join(line_from_views(model, con, q) + "\n" for q in qs)
+        assert out.splitlines()[1].startswith("q=(0, 0, -0) ")
 
     # Every verdict of check, where log(x + 0.75) fails at x = -1, the
     # metric is not SPD at x <= 0 and S = 0 at x = 0: rank=ERROR at x = -1,

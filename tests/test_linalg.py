@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracle import fold
 
@@ -176,11 +176,16 @@ class TestSpectra:
         report = AffineConstraint(names, S, [0.0] * len(S)).rank_check([0.0] * len(names))
         assert report.rank == int(np.sum(ref > RANK_RTOL * ref[0]))
 
+    # The reference is numpy's eigh, not its eigvalsh: on this matrix, whose
+    # eigenvalues are 0 and +-2 to within 1e-156, eigh gives [-2, 0, 2] as
+    # `eigvalsh` does, and numpy's eigvalsh +-2.0000000000129536.
     @SPECTRUM
     @given(symmetric_matrices())
+    @example(a=[[4.117226067142258e-157, 0.0, 2.0], [0.0, 0.0, 2.058613033571129e-157],
+                [2.0, 2.058613033571129e-157, 0.0]])
     def test_eigenvalues_match_numpy(self, a):
         eigs = linalg.eigvalsh(a)
-        ref = np.linalg.eigvalsh(np.array(a))
+        ref = np.linalg.eigh(np.array(a))[0]
         assert eigs == sorted(eigs)
         assert np.max(np.abs(np.array(eigs) - ref)) <= 1e-13 * np.max(np.abs(ref))
 

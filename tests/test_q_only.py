@@ -35,6 +35,7 @@ from vnhc import (
     constraint,
     integrate,
     linalg,
+    load_model,
     p_matrix,
     rk4_step,
     save_model,
@@ -293,6 +294,44 @@ def test_q_only_too_deep_to_compile(tmp_path, monkeypatch, capsys):
         f"q=({', '.join(f'{v:g}' for v in q)}) rank=ok(1/1) "
         "transversality=ERROR (q-only kernel is nested too deeply to compile)" for q in qs])
     assert capsys.readouterr().err == ""
+
+
+# (system, the coordinates its q-only record reads (`constraint._reads`),
+# points where every gate holds).  `plane`'s S, G and coframe are constant,
+# so only the lines of Z (and of c, its derivative) that can raise at a
+# finite q put x in: exp(x), log(sin(x)) and sin(2*x), as 2*x can overflow
+# to inf; not sin(x), which raises only on inf.  The boat's S, G and
+# coframe read theta, and its current's lines cannot raise.
+PLANE_QS = [(0.5, -1.0), (0.5, 1.0), (1.5, -1.0), (1.5, 1.0), (0.5, 2.0)]
+KEYS = {"exp": (plane(Z="exp(x)"), ("x",), PLANE_QS),
+        "log_sin": (plane(Z="log(sin(x))"), ("x",), PLANE_QS),
+        "sin": (plane(Z="sin(x)"), (), PLANE_QS),
+        "sin_2x": (plane(Z="sin(2*x)"), ("x",), PLANE_QS),
+        "constant": (plane(), (), PLANE_QS),
+        "vortex": (SYSTEMS["vortex"], ("theta",),
+                   [(0.0, 0.0, 0.0), (1.0, 2.0, 0.0), (0.0, 0.0, 1.0), (-1.0, 0.0, 1.0)]),
+        "gen5": (SYSTEMS["gen5"], ("q1", "q2", "q3", "q4", "q5"), ONE_CALL["gen5"][1][:2] * 2)}
+
+
+@pytest.mark.parametrize("name", KEYS)
+def test_one_kernel_call_per_key(tmp_path, monkeypatch, name):
+    # check calls the q-only kernel at the first point of each value of the
+    # coordinates its record reads, and at every point where it reads them
+    # all (gen5, at a point given twice); each line is the views' at its
+    # point.  An empty key makes one call.
+    (model, con), names, qs = KEYS[name]
+    path = tmp_path / f"{name}.json"
+    save_model(path, model, con)
+    model, con = load_model(path)  # the pair check loads: patch its kernel undoably
+    q_only, calls = constraint._q_only(model, con), []
+    assert tuple(model.coordinates[i] for i in con._reads[model]) == names
+    monkeypatch.setitem(con._q_only, model, lambda q: calls.append(q) or q_only(q))
+    code, lines = check_lines(path, qs, model.coordinates)
+    keys = [tuple(q[model.coordinates.index(c)] for c in names) for q in qs]
+    first = [q for i, q in enumerate(qs) if len(names) == model.n or keys[i] not in keys[:i]]
+    assert calls == first
+    assert (code, lines) == (0, [line_from_views(model, con, q) for q in qs])
+    assert len(first) == {"sin": 1, "constant": 1, "gen5": 4}.get(name, 2)
 
 
 def judged_alike(view, ref) -> bool:

@@ -14,7 +14,10 @@ where `transversality_check` holds:
   invertible;
 - the rank hypothesis: where the q-only record certifies rank S = m (P
   invertible implies it), `_rank` finds rank m, on the drawn models and on
-  a family whose S loses rank while P stays well conditioned.
+  a family whose S loses rank while P stays well conditioned;
+- symmetry: on models whose metric, coframe and rows read a subset of the
+  coordinates, a passing q-only record does not change when every
+  coordinate outside the ones it reads moves, as `vnhc check` assumes.
 
 phi is evaluated by `oracle.walk` of mu and Z, Y = G^-1 coframe^T by
 numpy on walked grids.  The central difference takes criterion 4's step,
@@ -53,15 +56,19 @@ ROUND = N_MAX * 2.0**-52
 
 
 @st.composite
-def systems(draw):
+def systems(draw, shape=False):
     """A drawn model and constraint, and STATES states with entries in
-    [-1, 1]."""
+    [-1, 1].  With shape, the metric, coframe and constraint rows read a
+    drawn proper subset of the coordinates, the shape, and Z may read any
+    through lines that can raise, such as exp(q0)."""
     n = draw(st.integers(2, N_MAX))
     m = draw(st.integers(1, n - 1))
     names = [f"q{i}" for i in range(n)]
     constant_metric = draw(st.booleans())
+    pool = (draw(st.lists(st.sampled_from(names), min_size=1, max_size=n - 1, unique=True))
+            if shape else names)
 
-    def entry(templates=TEMPLATES) -> str:
+    def entry(templates=TEMPLATES, names=pool) -> str:
         x, y = draw(st.sampled_from(names)), draw(st.sampled_from(names))
         return draw(st.sampled_from(templates)).format(c=draw(st.sampled_from(COEFFICIENTS)),
                                                        x=x, y=y)
@@ -75,7 +82,9 @@ def systems(draw):
             G[i][j] = G[j][i] = " + ".join([c] * (i == j) + terms)
     coframe = [[entry() for _ in names] for _ in range(m)]
     mu = [[entry() for _ in names] for _ in range(m)]
-    Z = [entry(["{c}", "{c}*sin({x})", "{c} + 0.4*{x}*{y}"]) for _ in range(m)]
+    Z = [entry(["{c}", "{c}*sin({x})", "{c} + 0.4*{x}*{y}"]
+               + ["{c}*exp({x})", "{c}*exp({x})/(2 + sin({y}))"] * shape, names)
+         for _ in range(m)]
     potential = draw(st.sampled_from(["0", "0.5*q0*q1", "cos(q1)"]))
     force = [draw(st.sampled_from(["0", f"-0.1*{x}d", f"0.3*sin({x})"])) for x in names]
     model = MechanicalModel(names, G, potential=potential, external_force=force,
@@ -167,6 +176,25 @@ def test_another_control_moves_phi_at_rate_p_delta(system, delta):
         P = reference(model, con, state.q).P
         error = np.max(np.abs(rate(con, state, acc) - P @ delta))
         assert error <= bound(model, con, state, acc, tau)
+
+
+@settings(max_examples=15, deadline=None)
+@given(systems(shape=True), st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                     min_size=N_MAX, max_size=N_MAX))
+def test_a_passing_record_reads_its_key_alone(system, others):
+    # Where every gate held, the q-only record is the same, bit for bit,
+    # with every coordinate outside the key (`constraint._reads`) replaced
+    # by any finite value, as `vnhc check` takes it to be: drawn ones, and
+    # +-1e300, where exp overflows and inline sums and products reach inf.
+    model, con, states = system
+    kernel = constraint._q_only(model, con)
+    reads = con._reads[model]
+    passing = [s.q for s in states if constraint._p_system(model, con, s.q).failed is None]
+    assume(passing)
+    for q in passing:
+        for far in (others, [1e300] * N_MAX, [-1e300] * N_MAX):
+            moved = tuple(v if i in reads else far[i] for i, v in enumerate(q))
+            assert repr(kernel(moved)) == repr(kernel(q)), (q, moved)
 
 
 @functools.cache
