@@ -32,10 +32,9 @@ import time
 from operator import itemgetter
 
 from . import model_io, models
-from .constraint import (RankDefectError, _new, _q_only, _QOnly, _raise_named, _verdict,
-                         project_onto_A)
+from .constraint import RankDefectError, _new, _q_only, _QOnly, _verdict, project_onto_A
 from .control import TransversalityError, solve_control
-from .expr import EvalError
+from .expr import EvalError, _named
 from .geometry import SPDError, State
 from .model_io import ModelFileError
 from .sim import IntegrationError, integrate
@@ -115,10 +114,11 @@ def cmd_check(args) -> int:
     first point (and again at each while it fails to compile, which is
     that point's error), and its record is judged here.  A record whose
     every gate held and which certifies rank m gets its line at once; any
-    other record goes through `_verdict` and the rank of its S, and a math
-    error of the kernel is named by `constraint._raise_named`, the
-    rank then coming from the constraint's kernel; neither calls the
-    q-only kernel again.
+    other record goes through `_verdict` and the rank of its S.  A math
+    error of the kernel is named by the kernel's own line (`expr._named`),
+    and the rank then comes from the constraint's kernel, as it does for a
+    record without S, where the metric failed a gate before a line of the
+    constraint's that can raise; neither calls the q-only kernel again.
 
     On a system with symmetry the record reads the shape coordinates
     alone (`constraint._reads`: theta on the boat), so for this call a
@@ -146,10 +146,7 @@ def cmd_check(args) -> int:
                 if len(reads) < n:
                     key = itemgetter(*reads) if reads else lambda q: ()
             if key is None or (k := records.get(at := key(q))) is None:
-                try:
-                    k = kernel(q)
-                except (ArithmeticError, ValueError):
-                    _raise_named(model, con, q)
+                k = _named(kernel, con._tables["q-only", model].get, q)
             failed, _, _, _, _, cond, det, _, _, full_rank = k
             if failed is None and full_rank:
                 if key:
@@ -159,8 +156,8 @@ def cmd_check(args) -> int:
             (error, cond), failure = _verdict(k := _new(_QOnly, k), q), None
         except (SPDError, EvalError) as err:
             failure = err
-        try:  # of S: the record's, or the constraint's kernel's where the q-only kernel raised
-            rank, sv = con._rank(con.mu_at(q) if k is None else k.S)
+        try:  # of S: the record's, or the constraint's kernel's where the record has none
+            rank, sv = con._rank(con.mu_at(q) if k is None or k.S is None else k.S)
         except EvalError as err:
             verdict = f" rank=ERROR ({err})"
         else:

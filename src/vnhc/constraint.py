@@ -13,18 +13,18 @@ cheap to make and equal to the plain tuple of its fields.
 `rank_check` reads the constraint's kernel.  Transversality, the
 invertibility of P(q) = [mu^b(Y^a)], is decided by the second of the
 two kernels generated per (model, constraint) pair (the first is the
-step kernel of `control`), evaluated at q alone: every expression the model's and the
-constraint's kernels evaluate at (q, 0), then the metric's Cholesky
-factor with its SPD and condition gates, P = S G^-1 coframe, its pivoted
-LU factor, cond_1 and determinant, and the singular, pivot and condition
-gates, from the statement generator that the step kernel shares at each
-stage, folded by the step kernel's rules (`linalg._Block`): what depends
-on no input is computed once, as the source is written (a constant
-metric's whole block goes), and the terms of its sums known to be zero
-drop out, so both kernels run the same statements on the same numbers.  A
-model text loaded again gives back the pair built from it, with the
-kernels it has built (`model_io.load_model`), so it generates neither
-again.  The q-only kernel returns its verdict as data: a failing gate
+step kernel of `control`), evaluated at q alone, in the views' order:
+the expressions the model's kernel evaluates at (q, 0), the metric's
+Cholesky factor with its SPD and condition gates, the constraint's
+expressions at (q, 0), then P = S G^-1 coframe, its pivoted LU factor,
+cond_1 and determinant, and the singular, pivot and condition gates,
+from the statement generator that the step kernel shares at each stage,
+folded by the step kernel's rules (`linalg._Block`): what depends on no
+input is computed once, as the source is written (a constant metric's
+whole block goes), and the terms of its sums known to be zero drop out,
+so both kernels run the same statements on the same numbers.  A model
+text loaded again gives back the pair built from it, with the kernels it
+has built (`model_io.load_model`), so it generates neither again.  The q-only kernel returns its verdict as data: a failing gate
 returns what was computed before it, with the gate's name.  One
 evaluation and one judgment serve `transversality_check`,
 `control.p_matrix`, `control._raise_failure` (the typed error of a
@@ -36,14 +36,19 @@ as a `_QOnly` without a constructor call, as each of the kernel's
 returns writes all ten fields, the defaults of those a failing gate
 leaves out as literals.  `vnhc check` calls it in its own loop and
 writes the line of a record whose every gate held and which certifies
-the rank from the tuple itself.  Where the kernel meets a math error,
-both call `_raise_named`, which alone runs the model's and the
-constraint's own kernels, to name the expression.  `_verdict` alone
-judges the record: a record whose every gate held is admissible at once;
-otherwise, in one order, the metric's gates (SPDError), a non-finite P
-(EvalError), then the wording of a failed P gate.  The kernel is built on the first q-only
-call with a model and kept on the constraint, so loading a model does
-not pay for it; with it are kept the coordinates that its record reads
+the rank from the tuple itself.  The kernel names its own math error:
+both call it through `expr._named`, which maps the line that raised
+through the kernel's line -> node table, kept on the constraint beside
+the kernel (`_tables`), to the EvalError naming the expression; no other
+kernel runs.  So the first failure in the views' order is named (a math
+error in the model's expressions, a failed metric gate, as a record, a
+math error in the constraint's expressions, then P's gates), as it is
+the first in the kernel's own order.  `_verdict` alone judges the
+record: a record whose every gate held is admissible at once; otherwise,
+in one order, the metric's gates (SPDError), a non-finite P (EvalError),
+then the wording of a failed P gate.  The kernel is built on the first
+q-only call with a model and kept on the constraint, so loading a model
+does not pay for it; with it are kept the coordinates that its record reads
 (`_reads`), derived from the same emission.  On a system with symmetry
 the metric, the coframe and the constraint rows are invariant under the
 group and depend on the shape coordinates alone (Bloch, Krishnaprasad,
@@ -116,6 +121,10 @@ class AffineConstraint(_Chart):
         self._step = {}
         self._q_only = {}
         self._reads = {}
+        # (what kernel, model) -> the line -> node table of each kernel
+        # (`expr._table`), written with its source, by which it names its
+        # own math errors
+        self._tables = {}
 
     # -- evaluation ---------------------------------------------------------
 
@@ -179,7 +188,8 @@ def check_compatible(model: MechanicalModel, con: AffineConstraint, con_first: b
 # (`_p_system`).  A failing gate returns what was computed before it, and
 # the defaults of the fields after that (`_DEFAULTS`) as literals:
 #   failed: None, or the gate that failed: metric, singular, pivot or cond;
-#   S: the rows of S(q);
+#   S: the rows of S(q); None where the metric fails a gate before a line
+#     of the constraint's that can raise has run (`_q_only_source`);
 #   g: the metric where it fails a gate, for the SPDError's eigenvalues;
 #   ratio: of the metric's Cholesky diagonal; None if G is not SPD;
 #   P: the rows of P(q);
@@ -208,13 +218,15 @@ def _dot(block: _Block, x: str, y: str, n: int, finite: bool = False):
                                 if not (finite and block[f"{y}{i}"] == 0.0)], products=False)
 
 
-def _gate_lines(block: _Block, n: int, m: int, fail):
-    """The metric and P blocks of both kernels of a pair, over the locals
-    g{i}_{j} (the metric's lower triangle), y{a}_{i} (the coframe rows)
-    and S{b}_{i}.  fail(gate) is the statement a failing gate runs; the
-    gates, in order: spd and ratio (the metric's), singular and P (the
+def _gate_lines(block: _Block, n: int, m: int, fail, G, coframe, lines, S):
+    """The metric and P blocks of both kernels of a pair, over the roots
+    of `expr._emit` G (the metric's rows), coframe and S, bound to locals
+    (`_bind`) where each block reads them, with lines, `_emit`'s too, run
+    between the blocks.  fail(gate) is the statement a failing gate runs;
+    the gates, in order: spd and ratio (the metric's), singular and P (the
     pivot and P condition gates, tested together)."""
     rm = range(m)
+    _bind(block, g=G, y=coframe)
     # The metric: SPD and condition gates, then the input fields Y^a = G^-1 coframe^a.
     linalg._cholesky_lines(block, n, "g", "l", fail("spd"))
     diag = [block[f"l{i}_{i}"] for i in range(n)]
@@ -223,6 +235,8 @@ def _gate_lines(block: _Block, n: int, m: int, fail):
                fail("ratio"))
     for a in rm:
         linalg._cho_solve_lines(block, n, "l", f"y{a}_")
+    block.lines += lines
+    _bind(block, S=S)
     # P = S Y, factored, with its singular, condition and pivot gates.
     for b, a in product(rm, rm):
         block[f"P{b}_{a}"] = _dot(block, f"S{b}_", f"y{a}_", n)
@@ -245,27 +259,37 @@ def _pivots(block: _Block, n: int, m: int) -> tuple:
     return min_pivot, scale, _bin(min_pivot, "<=", _bin(PIVOT_RTOL, "*", scale))
 
 
-def _bind(block: _Block, G, coframe, S):
-    """Bind the metric's lower triangle, the coframe rows and S, the roots
-    of `expr._emit`, to the locals that `_gate_lines` reads."""
-    r, rm = range(len(G)), range(len(S))
-    for name, root in chain(((f"g{i}_{j}", G[i][j]) for i in r for j in range(i + 1)),
-                            ((f"y{a}_{i}", coframe[a][i]) for a in rm for i in r),
-                            ((f"S{b}_{i}", S[b][i]) for b in rm for i in r)):
-        block[name] = root
+def _bind(block: _Block, **roots):
+    """Bind roots of `expr._emit` to the locals that `_gate_lines` reads: g
+    the metric's rows (their lower triangle), y the coframe rows and S the
+    constraint rows, entry j of row i to the local {name}{i}_{j}."""
+    for name, rows in roots.items():
+        for i, row in enumerate(rows):
+            for j, root in enumerate(row[:i + 1] if name == "g" else row):
+                block[f"{name}{i}_{j}"] = root
 
 
 def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
-    """Source lines of kernel(q) -> the fields of `_QOnly`: the lines of
-    every expression the model's and the constraint's kernels evaluate at
-    (q, 0), with common subexpressions computed once, then the gates of the
-    step kernel, folded as they are written.  No field returns dV, w, Z or
-    c at rest, so only their lines run; but each of their operations that
-    can raise is a line (`expr._emit`), so the q-only views and `vnhc
-    check` fail where the model or the constraint is not differentiable at
-    q, and `control._raise_failure` finds a step kernel's math error in w
-    or c here.  A failing gate returns the fields computed before it, then
-    the defaults of the others.
+    """Source lines of kernel(q) -> the fields of `_QOnly`, in the views'
+    order: the lines of every expression the model's kernel evaluates at
+    (q, 0), the metric's block, the lines that the constraint's expressions
+    at (q, 0) add, then the P block, from one emission, so that common
+    subexpressions are computed once, folded as they are written.  The
+    constraint's lines run before the metric's block where none of them
+    can raise, at any q (a shared +, -, * or neg), as they cannot change
+    which failure comes first, and a failing metric gate then returns S;
+    from the first that can raise, after it, and such a return carries S
+    None.  (`expr._may_raise` would let a sin of a coordinate run first,
+    which raises at an infinite q, where the views take the metric's
+    failure first.)  No field returns dV, w, Z or c at rest, so only their
+    lines run; but each of their operations that can raise is a line
+    (`expr._emit`), so the q-only views and `vnhc check` fail where the
+    model or the constraint is not differentiable at q, and
+    `control._raise_failure` finds a step kernel's math error in w or c
+    here.  A failing gate returns the fields computed before it, then the
+    defaults of the others.  The kernel's line -> node table
+    (`expr._table`) is kept on con, by which it names its math errors
+    (`expr._named`).
 
     Where every gate held, full_rank certifies rank S = m, as P = S Y
     invertible does in exact arithmetic, if ||P^-1||_1 scale, the largest
@@ -287,9 +311,16 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
     lines, ((G, coframe, _, _), (S, _, _)), nodes = ex._emit(
         [model._exprs, con._exprs], model.coordinates + model.velocities)
     con._reads[model] = _reads(model, con, nodes)
-    block = _Block()  # the velocities at rest, the expressions' lines, then the roots
-    block.lines += [*(f"_a{n + i} = 0.0" for i in r), *lines]
-    _bind(block, G, coframe, S)
+    # The lines that no model root reaches are the constraint's alone, after
+    # the model's.  From the first of them that can raise, at any q, finite
+    # or not, they run after the metric block, whose failing returns then
+    # carry no S.
+    reached = ex._leaves(model._exprs)[2]
+    cut = next((i for i, node in enumerate(nodes)
+                if id(node) not in reached and node.op not in ex._INLINE), len(lines))
+    carried = [list(row) for row in S] if cut == len(lines) else None
+    block = _Block()  # the velocities at rest, then the model's lines
+    block.lines += [*(f"_a{n + i} = 0.0" for i in r), *lines[:cut]]
 
     def rows(x: str, size: int) -> list:  # of the values of the locals {x}b_a
         return [[block[f"{x}{b}_{a}"] for a in range(size)] for b in rm]
@@ -308,8 +339,9 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
         failed = {"spd": "metric", "ratio": "metric", "singular": "singular",
                   "P": _if_else(small, "pivot", "cond")}.get(gate)
         metric = [[block[f"g{max(i, j)}_{min(i, j)}"] for j in r] for i in r]
-        out = [failed, rows("S", n), metric if failed == "metric" else None, block["ratio"],
-               rows("P", m), block["cond"], det, min_pivot, scale]
+        out = [failed, carried if failed == "metric" else rows("S", n),
+               metric if failed == "metric" else None, block["ratio"], rows("P", m),
+               block["cond"], det, min_pivot, scale]
         if gate is None:  # no pivot, no scale, but the rank certificate (see above)
             inverse = _call("max", *(block[f"cond_c{j}"] for j in rm))  # ||P^-1||_1
             out[7:] = None, None, _bin(1 / (2 * RANK_RTOL * m * math.sqrt(m)), ">",
@@ -317,9 +349,11 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
         kept = {"spd": 3, "ratio": 4, "singular": 5, "P": 9}.get(gate, 10)
         return ", ".join(map(_list, out[:kept] + _DEFAULTS[kept - 3:]))
 
-    _gate_lines(block, n, m, lambda gate: f"return {fields(gate)}")
-    return linalg._kernel_source("q", [f"{linalg._vector('_a', n)}, = q", *block.lines],
-                                 fields(None))
+    _gate_lines(block, n, m, lambda gate: f"return {fields(gate)}", G, coframe, lines[cut:], S)
+    source = linalg._kernel_source("q", [f"{linalg._vector('_a', n)}, = q", *block.lines],
+                                   fields(None))
+    con._tables["q-only", model] = ex._table(source, nodes)
+    return source
 
 
 def _reads(model: MechanicalModel, con: AffineConstraint, nodes) -> tuple[int, ...]:
@@ -358,26 +392,12 @@ def _p_system(model: MechanicalModel, con: AffineConstraint, q) -> _QOnly:
     """The pair's q-only kernel at q, its record whichever gate failed, for
     the views, which judge it with `_verdict` (`vnhc check` calls the
     kernel and judges its record in its own loop); where the kernel meets
-    a math error, `_raise_named` raises the typed error that names
-    it."""
+    a math error, the EvalError that names it, from the kernel's own line
+    (`expr._named`)."""
     con._check_q(q)
-    kernel = _q_only(model, con)  # its build's errors are not the kernel's math errors
-    try:
-        return _new(_QOnly, kernel(q))
-    except (ArithmeticError, ValueError):
-        _raise_named(model, con, q)
-
-
-def _raise_named(model: MechanicalModel, con: AffineConstraint, q):
-    """Called where the q-only kernel at q meets a math error: the model's
-    kernel, the metric's gates and the constraint's kernel run in turn at
-    (q, 0) to name it, in the order the kernels meet them: the model's
-    expressions (EvalError), the metric's gates (SPDError), then the
-    constraint's expressions (EvalError); where none raises, the kernel's
-    error is raised again."""
-    model._factor(q)
-    con._at_rest(q)
-    raise
+    # the kernel is built, which keeps its table, before the table is read;
+    # its build's errors are not the kernel's math errors
+    return _new(_QOnly, ex._named(_q_only(model, con), con._tables["q-only", model].get, q))
 
 
 def _verdict(k: _QOnly, q) -> tuple[str | None, float]:

@@ -26,11 +26,15 @@ again.  `_stage1`, stage 1 at a state or its typed error, is the one
 entry of the views (`solve_control`, `tau_star`,
 `closed_loop_acceleration`) and of `sim`'s start.  Where the kernel
 fails, `_raise_failure` raises the typed error from the q-only kernel at
-q (`constraint._p_system`, judged by `_verdict`), then from the force's
-own kernel.  The q-only views (`p_matrix`, `transversality_check`, `vnhc
-check`) never evaluate the external force, which may be singular at rest
-(Coulomb friction).  `b_vector` needs no invertible P: it contracts the
-model's drift with the constraint's kernel.
+q (`constraint._p_system`, judged by `_verdict`), which names the first
+failure in the views' order, and where that kernel's record is
+admissible, from the step kernel's own failure: the math error it
+returns, named by the line that raised, which can then only be the
+force's (`expr._math_error`).  Nothing else is built or run.  The q-only
+views (`p_matrix`, `transversality_check`, `vnhc check`) never evaluate
+the external force, which may be singular at rest (Coulomb friction).
+`b_vector` needs no invertible P: it contracts the model's drift with
+the constraint's kernel.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from collections import namedtuple
 from . import expr as ex
 from . import linalg
 from .linalg import _bin, _Block, _list, _Src, _text, _unary
-from .constraint import (AffineConstraint, _bind, _built, _dot, _gate_lines, _p_system,
-                         _QOnly, _verdict, check_compatible)
+from .constraint import (AffineConstraint, _built, _dot, _gate_lines, _p_system, _QOnly,
+                         _verdict, check_compatible)
 from .expr import EvalError
 from .geometry import MechanicalModel, State
 
@@ -94,10 +98,9 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
     head = next((i for i, node in enumerate(nodes) if id(node) not in reached), len(lines))
     block = _Block()
     block.lines += lines[:head]
-    _bind(block, G, coframe, S)
     for i in r:  # G^-1 (F - dV - w), the drift
         block[f"d{i}"] = _bin(_bin(F[i], "-", dV[i]), "-", w[i])
-    _gate_lines(block, n, m, lambda gate: "return None")
+    _gate_lines(block, n, m, lambda gate: "return None", G, coframe, (), S)
     linalg._cho_solve_lines(block, n, "l", "d")
     for b in rm:  # b = -(S drift + c), S finite past P's gate
         block[f"b{b}"] = _unary("-", _bin(_dot(block, f"S{b}_", "d", n, finite=True), "+", c[b]))
@@ -115,7 +118,7 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
     phi = [_bin(block.sum("+", 0.0, [(block[f"S{b}_{i}"], qd[i]) for i in r]), "+", Z[b])
            for b in rm]
     return block.lines, [[block[f"d{i}"] for i in r], [block[f"t{a}"] for a in rm],
-                         [block[f"b{b}"] for b in rm], P, block["cond"]], (lines[head:], phi)
+                         [block[f"b{b}"] for b in rm], P, block["cond"]], (lines[head:], phi), nodes
 
 
 def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
@@ -143,11 +146,17 @@ def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
     nowhere else: no stage evaluates what only phi needs, so phi between
     samples never fails a run.  Where a stage's gate fails or it meets a
     math error (phi's at a record included), the kernel returns (None, k,
-    q_k, qdot_k, more) for stage k at (q_k, qdot_k), k = 0 for an end that
-    is not finite, and more the count of steps left, the failing one
-    included (as given where a is None or more is false);
-    `_raise_failure` raises the typed error there."""
-    return _step_text(*_closed_loop_body(model, con))
+    q_k, qdot_k, more, error) for stage k at (q_k, qdot_k), k = 0 for an
+    end that is not finite, more the count of steps left, the failing one
+    included (as given where a is None or more is false), and error the
+    math error caught, whose traceback holds the kernel's line that raised
+    (None for a failed gate or an end that is not finite);
+    `_raise_failure` raises the typed error there.  The kernel's line ->
+    node table (`expr._table`) is kept on con."""
+    *body, nodes = _closed_loop_body(model, con)
+    source = _step_text(*body)
+    con._tables["closed-loop", model] = ex._table(source.splitlines(), nodes)
+    return source
 
 
 def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
@@ -173,7 +182,7 @@ def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
     # sx and sv are the sums of the slopes that the step's end adds up, and
     # stage k + 1 is at the velocity v + dt acc and the position x + dt
     # (stage k's velocity); a failing gate or a math error leaves the loop
-    # at stage k, whose state the kernel returns
+    # at stage k, whose state the kernel returns, with the math error
     start = each("_a{i} = x{i} + h2 * v{i}", "_a{j} = v{i} + h2 * sv{i}")
     body = [
         "if a is None:", "    k = 1", f"    {qs} = q", f"    {qds} = v", "else:",
@@ -194,14 +203,15 @@ def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
         *each("            x{i} = x{i} + h6 * (sx{i} + _a{j})",
               "            v{i} = v{i} + h6 * (sv{i} + {d})"),
         "            if not more:", f"                return {xs}, {vs}",
-        f"            if {finite} != 0.0:", f"                return None, 0, {xs}, {vs}, more",
+        f"            if {finite} != 0.0:",
+        f"                return None, 0, {xs}, {vs}, more, None",
         "            k = 1", *each("            _a{i} = x{i}", "            _a{j} = v{i}"),
         "        else:",
         *each("            sx{i} = sx{i} + 2.0 * _a{j}", "            sv{i} = sv{i} + 2.0 * {d}"),
         "            dt = h2 if k == 2 else h", "            k = k + 1",
         *each("            _a{i} = x{i} + dt * _a{j}", "            _a{j} = v{i} + dt * {d}"),
-        "except (ArithmeticError, ValueError):", "    pass",
-        f"return None, k, {qs}, {qds}, more"]
+        "except (ArithmeticError, ValueError) as error:",
+        f"    return None, k, {qs}, {qds}, more, error", f"return None, k, {qs}, {qds}, more, None"]
     return "\n".join(["def kernel(q, v, a, h, more):", *(f"    {line}" for line in body)])
 
 
@@ -223,17 +233,21 @@ def _step(model: MechanicalModel, con: AffineConstraint, state: State | None = N
         return _built(con._step, model, lambda: _step_source(model, con), "closed-loop")
 
 
-def _raise_failure(model: MechanicalModel, con: AffineConstraint, q, qd, state=None):
-    """Raise the typed error of a closed-loop evaluation at (q, qd) where
-    the step kernel failed: the q-only kernel's at q (`_p_system`, then
-    its judgment, `_verdict`), then the force's own kernel's at (q, qd),
-    each of which names its own math error.  The closed loop's gates are
-    the q-only kernel's, and a math error in w or c at qd is one at rest,
-    since their velocities only multiply: the operations that can raise
-    take q alone, and each is a line of the q-only kernel (`expr._emit`)."""
+def _raise_failure(model: MechanicalModel, con: AffineConstraint, q, error, state=None):
+    """Raise the typed error of a closed-loop evaluation at q where the
+    step kernel failed and returned error, the math error it caught or
+    None: the q-only kernel's at q (`_p_system`, then its judgment,
+    `_verdict`), which names the first failure in the views' order, then,
+    where its record is admissible, the EvalError that names the step
+    kernel's line that raised error.  The closed loop's gates are the
+    q-only kernel's, on the same numbers, so error is then a math error;
+    one in w or c at any qdot is one at rest, since their velocities only
+    multiply: the operations that can raise take q alone, and each is a
+    line of the q-only kernel (`expr._emit`), as is each line of Z.  So
+    the step kernel's error can then only be the force's."""
     _admissible(_p_system(model, con, q), q, state)
-    model._force_fn(*q, *qd)
-    raise AssertionError(f"closed-loop kernel failed at q={q}, qdot={qd}, where every gate holds")
+    table = con._tables["closed-loop", model]
+    raise ex._math_error(error, table.get(error.__traceback__.tb_lineno)) from None
 
 
 def _stage1(model: MechanicalModel, con: AffineConstraint, state: State,
@@ -254,7 +268,7 @@ def _stage1(model: MechanicalModel, con: AffineConstraint, state: State,
         model._check_q(q)
     out = kernel(q, state.qdot, None, h, 1)
     if out[0] is None:
-        _raise_failure(model, con, q, state.qdot, state)
+        _raise_failure(model, con, q, out[5], state)
     # A non-finite b or tau always reaches acc (0 * inf is NaN): one sum
     # screens all three, and _finite names the first bad one.  Only whether
     # the sum is finite is used, which no order of summation changes.

@@ -9,9 +9,11 @@ again costs none of them: `model_io.load_model` gives back the pair it
 built.  `evaluate` keeps the kernels of its last 64 expressions in a
 `functools.lru_cache`.  A compiled kernel is one source, whose
 operations that can raise each have a line (`_emit`), so a math error is
-named by the line that raised.  By convention
-the velocity of a coordinate ``x`` is the symbol ``xd``.  Angles are
-plain reals; nothing here wraps.
+named by the line that raised, through the kernel's line -> node table
+(`_table`, `_named`): the kernels of `compile_exprs` and the two kernels
+of each (model, constraint) pair alike.  By convention the velocity of a
+coordinate ``x`` is the symbol ``xd``.  Angles are plain reals; nothing
+here wraps.
 
 Grammar (precedence low to high): ``+ -`` < ``* /`` < unary ``-`` < ``^``
 (right associative) < atoms.  Functions: sin cos tan exp log sqrt.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import traceback
 import weakref
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
@@ -277,13 +280,9 @@ def fn(name: str, child: Expr) -> Expr:
 
 
 def _math(f, node: Expr, *args: float) -> float:
-    """f(*args), with math errors raised as EvalError naming node."""
-    try:
-        return f(*args)
-    except ValueError:
-        raise EvalError(f"domain error in {to_string(node)}") from None
-    except OverflowError:
-        raise EvalError(f"overflow in {to_string(node)}") from None
+    """f(*args), with a math error raised as the EvalError naming node,
+    whichever line raised it (`_named`)."""
+    return _named(f, lambda line: node, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +713,41 @@ _INLINE = ("add", "sub", "mul", "neg")  # the operations that never raise on flo
 _MATH_ERRORS = {ZeroDivisionError: "division by zero", OverflowError: "overflow"}
 
 
+def _table(source: Sequence[str], nodes: Sequence[Expr]) -> dict[int, Expr]:
+    """The line -> node table of a kernel's source lines: the number of
+    each line that binds one of `_emit`'s locals _t{i}, to nodes[i], the
+    subexpression that local holds.  Only these lines can raise on floats."""
+    return {number: nodes[int(bound[1])] for number, line in enumerate(source, 1)
+            if (bound := re.match(r" *_t(\d+) = ", line))}
+
+
+def _math_error(err: Exception, node: Expr | None) -> Exception:
+    """The EvalError naming node, the subexpression whose operation raised
+    err, a math error: a division by zero, a domain error or an overflow.
+    Every kernel names its math errors here, by the node of the line of
+    its own that raised (`_table`); nothing is built or run again.  err
+    itself where node is None: that line binds none, as where an input
+    no float holds, such as an int past 1e308, meets an operation."""
+    if node is None:
+        return err
+    return EvalError(f"{_MATH_ERRORS.get(type(err), 'domain error')} in {to_string(node)}")
+
+
+def _named(kernel, node_at, *args):
+    """kernel(*args), whose math error raises the EvalError naming
+    node_at(line), the node of the line that raised (the `get` of the
+    kernel's table, `_table`): the line of the innermost frame of the
+    error's traceback, the kernel's own, as its operations run in C.  The
+    try lives here, not in the generated source: there it made each kernel
+    15-27% slower to compile (CPython 3.11), a cost model loading pays,
+    while this adds one Python call per evaluation."""
+    try:
+        return kernel(*args)
+    except (ArithmeticError, ValueError) as err:
+        *_, (_, line) = traceback.walk_tb(err.__traceback__)
+        raise _math_error(err, node_at(line)) from None
+
+
 def _may_raise(node: Expr) -> bool:
     """Whether the line that `_emit` binds node to can raise where every
     variable is finite.  A shared +, -, * or neg cannot, nor can sin, cos
@@ -747,25 +781,9 @@ def compile_exprs(
     or run again.
     """
     lines, roots, nodes = _emit(exprs, variables, constants)
-    raw = linalg._define("\n".join(linalg._kernel_source(
-        linalg._vector("_a", len(variables)), lines, _list(roots))) + "\n")
-
-    # The try lives here, not in the generated source: there it made each
-    # kernel 15-27% slower to compile (CPython 3.11), a cost model
-    # loading pays, while this wrapper adds one Python call per evaluation.
-    def kernel(*values):
-        try:
-            return raw(*values)
-        except (ArithmeticError, ValueError) as err:
-            # the frame after this one is raw's, whose calls run in C: its
-            # line 1 is the def, line 2 the first of lines
-            line = err.__traceback__.tb_next.tb_lineno - 2
-            if line < len(nodes):  # else an input no float holds, such as an int past 1e308
-                kind = _MATH_ERRORS.get(type(err), "domain error")
-                raise EvalError(f"{kind} in {to_string(nodes[line])}") from None
-            raise
-
-    return kernel
+    source = linalg._kernel_source(linalg._vector("_a", len(variables)), lines, _list(roots))
+    return functools.partial(_named, linalg._define("\n".join(source) + "\n"),
+                             _table(source, nodes).get)
 
 
 def grid(rows: Iterable[Iterable]) -> list[list[Expr]]:

@@ -260,8 +260,9 @@ class MechanicalModel(_Chart):
     @cached_property
     def _force_fn(self):
         """Kernel of (q, qdot) for the external force: the pair's step kernel
-        of `control` evaluates the force itself, so only `drift_acceleration`
-        (and `b_vector` through it) and `control._raise_failure` call this."""
+        of `control` evaluates the force itself, and names the force's math
+        errors from its own lines, so only `drift_acceleration` (and
+        `b_vector` through it) calls this."""
         return _compiled("external force", ex.compile_exprs, self._force, self._names)
 
     @cached_property

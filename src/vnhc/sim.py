@@ -10,8 +10,10 @@ trajectory comes from the pair's step kernel (`control._step_source`
 states its protocol): the start's record through `control._stage1`, the
 views' one entry, then one call per sample interval, whose record
 `integrate` keeps as it comes.  A failed stage, or phi at a sample, is
-raised by `control._raise_failure` and chained to an `IntegrationError`
-naming the step.
+raised by `control._raise_failure`, from the kernel's returned state and
+math error, and chained to an `IntegrationError` naming the step: the
+q-only kernel names the first failure in the views' order, and the step
+kernel's own line the force's math error; nothing else is built or run.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def rk4_step(model: MechanicalModel, con: AffineConstraint, state: State, h: flo
     a = _stage1(model, con, state)[0]
     out = _step(model, con)(state.q, state.qdot, a, h, False)
     if out[0] is None:
-        _raise_failure(model, con, *out[2:4])
+        _raise_failure(model, con, out[2], out[5])
     return State(q=out[0], qdot=out[1])
 
 
@@ -99,7 +101,7 @@ def integrate(
                 raise IntegrationError(f"non-finite state at step {step}",
                                        last_good_index=len(times) - 1)
             try:
-                _raise_failure(model, con, *out[2:4])
+                _raise_failure(model, con, out[2], out[5])
             except (TransversalityError, SPDError, EvalError) as err:  # a stage's or phi's
                 raise IntegrationError(f"aborted at step {step}: {err}",
                                        last_good_index=len(times) - 1) from err

@@ -22,6 +22,13 @@ after the fact, by a walk of the parsed source, under the same rules.
 record and for the rank of S: `constraint._verdict` and
 `AffineConstraint._rank` as they were before their fast paths, with a
 test of every branch in turn and of every entry and singular value.
+
+`q_only_ladder`, `closed_loop_ladder` and `check_line` are the references
+for which failure a view names first, where a point fails more than one
+way: the per-field kernels (the model's, the constraint's and the
+force's, each of which names its own math error) and the per-size
+Cholesky factor of the metric, run in the views' order, as the package
+named the failures of its pair kernels before each named its own.
 """
 
 import ast
@@ -32,10 +39,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from vnhc import linalg
+from vnhc import constraint, control, linalg
 from vnhc.constraint import RANK_RTOL
 from vnhc.expr import FUNCTIONS, Binary, Constant, EvalError, Symbol, Unary, to_string
-from vnhc.geometry import _spd_error
+from vnhc.geometry import SPDError, _spd_error
 
 _MATH = {**{name: getattr(math, name) for name in FUNCTIONS}, "pow": math.pow}
 
@@ -170,6 +177,56 @@ def rank(con, S) -> tuple:
     _, e = math.frexp(max(abs(x) for row in S for x in row))
     sv = linalg.singular_values([[math.ldexp(x, -e) for x in row] for row in S])
     return sum(map((RANK_RTOL * sv[0]).__lt__, sv)), linalg.singular_values(S)
+
+
+def q_only_ladder(model, con, q) -> tuple:
+    """The q-only record at q and its verdict (`verdict`), or the first
+    typed error of the views' order: the model's expressions (EvalError),
+    the metric's gates (SPDError), the constraint's expressions
+    (EvalError), then a P that is not finite (EvalError).  The model's and
+    the constraint's kernels run at (q, 0) and name their own errors; the
+    record comes from the pair's q-only kernel, which can then meet no
+    math error, as each of its lines that can raise is one of theirs."""
+    model._factor(q)  # the model's kernel, then the per-size Cholesky and the ratio gate
+    con._at_rest(q)
+    k = constraint._p_system(model, con, q)
+    return k, verdict(k, q)
+
+
+def closed_loop_ladder(model, con, q, qd):
+    """Raise the typed error of the closed-loop views at (q, qd), where
+    stage 1 of the pair's step kernel fails there, in the views' order:
+    `q_only_ladder`'s, Z's expressions included, the TransversalityError of
+    P's gates, then the force's own kernel's EvalError, which alone reads
+    qd.  Stage 1 runs no line that Z alone needs (Z is read at a sample),
+    so where only such a line fails there, no view fails."""
+    if control._step(model, con)(q, qd, None, None, False)[0] is not None:
+        return
+    _, (error, cond) = q_only_ladder(model, con, q)
+    if error is not None:
+        raise control.TransversalityError(error, q=tuple(q), cond=cond)
+    model._force_fn(*q, *qd)
+
+
+def check_line(model, con, q) -> str:
+    """The line `vnhc check` prints at q: the rank first, from the
+    constraint's kernel and `rank`, then `q_only_ladder`'s verdict."""
+    label = f"q=({', '.join(f'{v:g}' for v in q)})"
+    try:
+        r, sv = rank(con, con.mu_at(q))
+    except EvalError as err:
+        return f"{label} rank=ERROR ({err})"
+    if r < con.m:
+        return f"{label} rank=DEFECT({r}/{con.m}) singular_values={[f'{s:.3e}' for s in sv]}"
+    label += f" rank=ok({con.m}/{con.m})"
+    try:
+        k, (error, cond) = q_only_ladder(model, con, q)
+    except SPDError as err:
+        return f"{label} metric=SPD-FAILURE ({err})"
+    except EvalError as err:
+        return f"{label} transversality=ERROR ({err})"
+    verdict_ = "ok" if error is None else "VIOLATION"
+    return f"{label} transversality={verdict_} cond={cond:.6g} det={k.det:.6g}"
 
 
 # Folding after the fact, over the syntax tree of the unfolded statements:

@@ -252,9 +252,11 @@ class TestCheckLines:
     def test_a_passing_point_is_not_judged_again(self, tmp_path, monkeypatch):
         # A record whose every gate held and which certifies the rank is
         # written at once: neither `_verdict` nor `_rank` runs at a point of
-        # a vortex grid.  A record that failed a gate is judged by both; a
-        # point whose kernel raised has no record to judge, and its rank
-        # comes from the constraint's kernel, which raises before `_rank`.
+        # a vortex grid.  A record that failed a gate is judged by both, but
+        # at x = -1: there the metric's gate fails before the constraint's
+        # lines, one of which can raise, so the record carries no S, and its
+        # rank comes from the constraint's kernel, which raises before
+        # `_rank`.
         verdicts, ranks = [], []
         verdict, rank = cli._verdict, constraint.AffineConstraint._rank
         monkeypatch.setattr(cli, "_verdict", lambda k, q: verdicts.append(q) or verdict(k, q))
@@ -269,8 +271,9 @@ class TestCheckLines:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["check", write_json(tmp_path, "mixed.json", self.MIXED),
                          *self.MIXED_ARGS]) == 1
-        failed = [q for q in self.MIXED_QS if q[0] in (-0.5, 0.0)]
-        assert (verdicts, len(ranks)) == (failed, len(failed))
+        failed = [q for q in self.MIXED_QS if q[0] <= 0.0]
+        ranked = [q for q in failed if q[0] != -1.0]
+        assert (verdicts, len(ranks)) == (failed, len(ranked))
 
     def test_eval_error_does_not_abort_grid(self, tmp_path, capsys):
         path = boat_with(tmp_path, "inv.json", metric00="1/x")

@@ -3,9 +3,11 @@
 `control._step` builds one generated kernel per (model, constraint) pair,
 the RK4 step kernel, and its stage 1 alone is the only code that computes
 a closed-loop result for the views.  Where one of its gates fails or a
-math error is raised, `control._raise_failure` raises the typed error from
-the pair's q-only kernel (through `_p_system`, as `p_matrix` uses it) and
-the force's kernel.  Stage 1's results equal an assembly of the other
+math error is raised, it returns the stage's state and the math error,
+and `control._raise_failure` raises the typed error from the pair's q-only
+kernel (through `_p_system`, as `p_matrix` uses it), then, where that
+record is admissible, from the step kernel's own line that raised: each
+kernel names its own error, and no other kernel runs.  Stage 1's results equal an assembly of the other
 paths' pieces, but in the sign of an exact zero, and every failure raises
 the error and message of the q-only path.  Both pair kernels, folded as
 their statements are written, are bit-identical to their unfolded
@@ -325,8 +327,9 @@ def test_fallback_errors(name):
     build, q, qd, expected, declines = FALLBACKS[name]
     model, con = build()
     out = control._step(model, con)(q, qd, None, None, False)
-    if declines:  # stage 1 fails, and returns its state
-        assert out == (None, 1, q, qd, False)
+    if declines:  # stage 1 fails, and returns its state and the error it met, None at a gate
+        assert out[:5] == (None, 1, q, qd, False)
+        assert type(out[5]) is (type(None) if declines is True else declines)
     else:  # the kernel's own non-finite result; the views' check names it
         assert out[0] is not None
     views = [solve_control, tau_star, closed_loop_acceleration]
@@ -392,7 +395,7 @@ def unfolded_statements(model, con):
     them: `control._closed_loop_body`'s and `constraint._q_only_source`'s."""
     with mock.patch.object(control, "_Block", Unfolded), mock.patch.object(constraint, "_Block",
                                                                          Unfolded):
-        return control._closed_loop_body(model, con), constraint._q_only_source(model, con)
+        return control._closed_loop_body(model, con)[:3], constraint._q_only_source(model, con)
 
 
 def unfolded_kernels(model, con):
@@ -443,7 +446,10 @@ def test_folded_kernels_keep_every_bit(mode, data):
 
 def alike(x, y) -> bool:
     """Whether the kernel results x and y agree but in the sign of an exact
-    zero and, where neither is finite, in NaN for an infinity."""
+    zero and, where neither is finite, in NaN for an infinity; a math error
+    a failure returns, by its type and message."""
+    if isinstance(x, Exception):
+        return type(x) is type(y) and x.args == y.args
     if isinstance(x, (tuple, list)):
         return type(x) is type(y) and len(x) == len(y) and all(map(alike, x, y))
     if type(x) is float and type(y) is float and not (math.isfinite(x) or math.isfinite(y)):

@@ -165,10 +165,11 @@ def test_simulate_output_is_golden(tmp_path):
 
 # SHA-256 of control._step_source(model, con), the pair's closed-loop
 # kernel: the RK4 step, whose stage 1 alone the views run and whose start
-# record integrate takes.
+# record integrate takes, and whose failure returns the math error it
+# caught.
 CLOSED_LOOP_SHA256 = {
-    "vortex": "778018846e4d5e0f62f4e1c777d3877784531ff92f2ec91c2f528991de86b952",
-    "gen5": "14f2baea88511fae0a3c592e3565f44ef68af2685b08afef5fccc997a86d55a1",
+    "vortex": "cbcc5fa30de5d379131ef5a5ddce1df5d607f1f16c10eab2b476263280c27ec5",
+    "gen5": "45e0d4959b95ea4f7e8e7d38e3212dd9e9639a1317666a0f54d211e2efe9a0ed",
 }
 
 
@@ -234,10 +235,13 @@ def test_q_only_kernels_drop_their_zero_terms():
 # entry, S being finite there), and each of whose q-only returns writes all
 # ten fields of `constraint._QOnly`.  Every kernel's expressions are
 # emitted by one rule: each division, power and function call on a line of
-# its own, + - * inline, operands in source order.
+# its own, + - * inline, operands in source order.  Both pair kernels run
+# in the views' order, the metric's gates before P's, which bind S; the
+# q-only kernel the model's lines, then the metric's block, then the
+# constraint's lines; the step kernel's failure returns its math error.
 MODEL_KERNELS_SHA256 = "79d9ec31ff9f4a3048052945f472065227a011c397e5c0b9f410d6fdeaddb113"
-Q_ONLY_KERNELS_SHA256 = "dad473f33a7294e7a6d3e91dbe3272a373ad93bc6781c04d0e3d3c5b4693ab30"
-STEP_KERNELS_SHA256 = "60c57a942286b05a5449d4e0cbdedd1ffaf9bd095e4930b33e15ea1e5ec62126"
+Q_ONLY_KERNELS_SHA256 = "fc90966817a217691dc66266639ea7636da3bbc515daebca936cdbe3be0c3814"
+STEP_KERNELS_SHA256 = "75249f432ec06ab01dd73b6516d8175c383fc2bf3ddf7bd8fe544459e182eed0"
 
 
 def kernel_sources() -> tuple[list[str], list[str]]:

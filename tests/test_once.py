@@ -335,27 +335,36 @@ def test_fresh_command_compiles_each_source_once(tmp_path, name):
 # phi = yd + log(x), from x = 0.05 at xd = -1: the sample at step 5 meets log(0)
 CROSSING = {"coordinates": ["x", "y"], "metric": [["1", "0"], ["0", "1"]],
             "inputs": [["0", "1"]], "constraint": {"mu": [["0", "1"]], "Z": ["log(x)"]}}
+# a force with a pole at x = 0, where every gate of q holds
+FORCE_POLE = {"coordinates": ["x", "y"], "metric": [["1", "0"], ["0", "1"]],
+              "external_force": ["1/x", "0"], "inputs": [["1", "0"]],
+              "constraint": {"mu": [["1", "0"]], "Z": ["0"]}}
 
 
 @pytest.mark.parametrize("name, argv, sources", [
-    # the q-only kernel, then `_p_system`'s ladder up to the kernel that
-    # names the error: the model's, the per-size Cholesky routine of the
-    # metric's gates, the constraint's; check's rank then reads S from the
-    # constraint's kernel
-    ("z_log", ["check", "--point", "x=-1"], 4),
-    ("dv_log", ["check", "--point", "x=0"], 3),
-    ("w_sqrt", ["check", "--point", "x=0"], 3),
-    ("c_sqrt", ["check", "--point", "x=0"], 4),
-    ("metric_pole", ["check", "--point", "x=0"], 3),
-    # the step kernel, then `_raise_failure`'s q-only kernel and its ladder
+    # the q-only kernel, which names its own math error or fails a gate of
+    # the metric before the constraint's lines; check's rank then reads S
+    # from the constraint's kernel
+    ("z_log", ["check", "--point", "x=-1"], 2),
+    ("dv_log", ["check", "--point", "x=0"], 2),
+    ("w_sqrt", ["check", "--point", "x=0"], 2),
+    ("c_sqrt", ["check", "--point", "x=0"], 2),
+    ("metric_pole", ["check", "--point", "x=0"], 2),
+    # the step kernel, then the q-only kernel, which judges q first: its
+    # record is admissible at the force's pole, and the step kernel's own
+    # line names the error
     ("crossing", ["simulate", "--q0", "0.05,0", "--qdot0=-1,0", "--t-end", "0.2", "--dt", "1e-2",
-                  "--out", "traj.csv"], 5),
+                  "--out", "traj.csv"], 2),
+    ("force_pole", ["simulate", "--q0", "0,0", "--qdot0", "0,0", "--t-end", "0.01", "--dt",
+                    "1e-3", "--out", "traj.csv"], 2),
 ])
 def test_failing_command_compiles_each_kernel_once(tmp_path, name, argv, sources):
     # Each kernel names its own math error from its own frame, so a failing
-    # command compiles one source per kernel it runs, and no traced copy.
+    # command compiles one source per kernel it runs, and no traced copy,
+    # and none of the model's, the force's or the per-size linalg routines.
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(CROSSING if name == "crossing" else MODELS[name]), encoding="utf-8")
+    path.write_text(json.dumps({"crossing": CROSSING, "force_pole": FORCE_POLE}.get(name)
+                               or MODELS[name]), encoding="utf-8")
     done = subprocess.run([sys.executable, "-c", COUNT_DEFINES, argv[0], str(path), *argv[1:]],
                           capture_output=True, text=True, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": SRC})

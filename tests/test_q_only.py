@@ -13,11 +13,13 @@ import contextlib
 import functools
 import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from oracle import rank, reference, verdict
+from oracle import check_line, closed_loop_ladder, q_only_ladder, rank, reference, verdict
 from test_closed_loop import FALLBACKS, p_inf_case, parity_cases
 from test_control import build_gen4, build_gen5
 
@@ -172,10 +174,11 @@ def test_fallbacks_alike_from_every_view(tmp_path, name):
     assert check_lines(path, [q], model.coordinates)[1] == [line_from_views(model, con, q)]
 
 
-def plane(metric00="1", potential="0", Z="0", force=("0", "0")):
+def plane(metric00="1", potential="0", Z="0", force=("0", "0"), mu=("1", "0"),
+          inputs=("1", "0")):
     return (MechanicalModel(("x", "y"), [[metric00, "0"], ["0", "1"]], potential=potential,
-                            external_force=force, input_coframe=[["1", "0"]]),
-            AffineConstraint(("x", "y"), [["1", "0"]], Z=[Z]))
+                            external_force=force, input_coframe=[list(inputs)]),
+            AffineConstraint(("x", "y"), [list(mu)], Z=[Z]))
 
 
 # Two failures at one point: every view names the model's first (its
@@ -204,6 +207,20 @@ TWO_FAILURES = {
                           "eigenvalues [-10000000000.0, 1.0]",
                           "q=(-1e+10, 0) rank=ERROR (constraint.mu[0][0] = 1e+300 * x is not "
                           "finite (-inf))"),
+    # the metric's gate fails before a constraint row that raises: the
+    # q-only record carries no S, and check's rank comes from the
+    # constraint's kernel
+    "metric_then_mu": (plane(metric00="x", mu=("1", "log(x)")), (-1.0, 0.0),
+                       "SPDError: metric not positive definite at q=(-1.0, 0.0); "
+                       "eigenvalues [-1.0, 1.0]", "q=(-1, 0) rank=ERROR (domain error in log(x))"),
+    # the step kernel meets the force's pole first, the q-only kernel Z's log
+    "z_then_force": (plane(Z="log(x)", force=("1/x", "0")), (0.0, 0.0),
+                     "EvalError: domain error in log(x)",
+                     "q=(0, 0) rank=ERROR (domain error in log(x))"),
+    # the step kernel meets the force's pole first, the q-only kernel P's gate
+    "p_then_force": (plane(inputs=("0", "1"), force=("1/x", "0")), (0.0, 0.0),
+                     "TransversalityError: singular P matrix at q=(0.0, 0.0)",
+                     "q=(0, 0) rank=ok(1/1) transversality=VIOLATION cond=inf det=0"),
 }
 
 
@@ -211,15 +228,112 @@ TWO_FAILURES = {
 def test_the_first_failure_is_named(tmp_path, name):
     (model, con), q, expected, line = TWO_FAILURES[name]
     state = State(q=q, qdot=(0.0, 0.0))
-    for view in (lambda: p_matrix(model, con, q), lambda: transversality_check(con, model, q),
+    for view in (lambda: p_matrix(model, con, q),
                  lambda: tau_star(model, con, state), lambda: solve_control(model, con, state),
                  lambda: closed_loop_acceleration(model, con, state),
                  lambda: rk4_step(model, con, state, 1e-3),
                  lambda: integrate(model, con, state, t_end=1e-2, h=1e-3)):
         assert outcome(view) == expected
+    report = outcome(lambda: transversality_check(con, model, q))
+    if expected.startswith("TransversalityError"):  # a verdict it reports, not raises
+        assert report.ok is False
+    else:
+        assert report == expected
     path = tmp_path / "model.json"
     save_model(path, model, con)
     assert check_lines(path, [q], model.coordinates) == (1, [line])
+
+
+@pytest.mark.parametrize("x, expected", [
+    (-math.inf, "SPDError: metric not positive definite at q=(-inf, 0.0); eigenvalues [-inf, 1.0]"),
+    (math.inf, "SPDError: metric condition estimate inf exceeds 1e+12 at q=(inf, 0.0)")])
+def test_the_metric_fails_first_at_an_infinite_q(x, expected):
+    # sin(x) raises only at an infinite x, where the metric x fails its
+    # gate: the q-only views, which take any q, name the metric's failure,
+    # as the views' order puts the model's before the constraint's.
+    model, con = plane(metric00="x", Z="sin(x)")
+    for view in (lambda: p_matrix(model, con, (x, 0.0)),
+                 lambda: transversality_check(con, model, (x, 0.0))):
+        assert outcome(view) == expected
+
+
+POLES = ["log({})", "sqrt({})", "1/{}"]  # each fails at 0, the first two below it too
+
+
+@st.composite
+def ladder_cases(draw):
+    """A model of 2 or 3 coordinates and m < n inputs, unit rows but where a
+    metric entry, the potential, the force, a mu entry and Z may each hold
+    log, sqrt or 1/ of a coordinate (the force: or of a velocity), and
+    three states whose entries are drawn from -1, 0 (every pole), 0.5 and
+    2."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(1, n - 1))
+    names = ["x", "y", "z"][:n]
+
+    def maybe(base: str, variables=names) -> str:
+        pole = draw(st.sampled_from([None, *POLES]))
+        return base if pole is None else pole.format(draw(st.sampled_from(variables)))
+
+    unit = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    metric = [row[:] for row in unit]
+    i = draw(st.integers(0, n - 1))
+    metric[i][i] = maybe("1")
+    mu = [row[:] for row in unit[:m]]
+    b, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+    mu[b][j] = maybe(mu[b][j])
+    inputs = draw(st.sampled_from([unit[:m], unit[n - m:]]))  # the second: P singular for m = 1
+    force = [maybe("0", names + [f"{x}d" for x in names]) for _ in range(n)]
+    model = MechanicalModel(names, metric, potential=maybe("0"), external_force=force,
+                            input_coframe=inputs)
+    con = AffineConstraint(names, mu, Z=[maybe("0") for _ in range(m)])
+    entry = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+    states = [tuple(draw(entry) for _ in range(2 * n)) for _ in range(3)]
+    return model, con, [(s[:n], s[n:]) for s in states]
+
+
+@settings(max_examples=20, deadline=2000)
+@given(case=ladder_cases())
+def test_every_view_names_the_ladders_failure(case):
+    # At drawn points where the model, the metric, the constraint, P and
+    # the force may each fail, every view raises the typed error that the
+    # per-field kernels, run in the views' order, raise first (the ladders
+    # of `oracle`), and check prints the ladder's line; where the ladder
+    # passes, no view fails but on a result that is not finite.  Where only
+    # a line that Z alone needs fails, the closed-loop views pass, and a run
+    # fails at its start record, whose phi reads Z, with the q-only error.
+    model, con, states = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(path, model, con)
+        lines = check_lines(path, [q for q, _ in states], model.coordinates)[1]
+    assert lines == [check_line(model, con, q) for q, _ in states]
+    for q, qd in states:
+        state = State(q=q, qdot=qd)
+        q_only = outcome(lambda: q_only_ladder(model, con, q))
+        report = outcome(lambda: transversality_check(con, model, q))
+        if isinstance(q_only, str):  # the ladder's SPDError or EvalError
+            assert outcome(lambda: p_matrix(model, con, q)) == report == q_only, q
+        else:
+            (k, (error, cond)) = q_only
+            assert (report.ok, report.cond_estimate) == (error is None, cond), q
+            assert outcome(lambda: p_matrix(model, con, q)) == (
+                k.P if error is None else f"TransversalityError: {error}"), q
+        expected = outcome(lambda: closed_loop_ladder(model, con, q, qd))
+        views = [lambda: tau_star(model, con, state), lambda: solve_control(model, con, state),
+                 lambda: closed_loop_acceleration(model, con, state)]
+        if expected is not None:  # the start state fails: so does a step or a run from it
+            views += [lambda: rk4_step(model, con, state, 1e-3),
+                      lambda: integrate(model, con, state, t_end=1e-2, h=1e-3)]
+        for view in views:
+            got = outcome(view)
+            if expected is None and isinstance(got, str):  # a result that is not finite
+                assert got.startswith("EvalError: ") and " is not finite at q=" in got, (q, qd)
+            else:
+                assert expected is None and not isinstance(got, str) or got == expected, (q, qd)
+        if expected is None and isinstance(q_only, str):
+            run = outcome(lambda: integrate(model, con, state, t_end=1e-2, h=1e-3))
+            assert run == q_only, (q, qd)
 
 
 # (model, points): every gate holds on gen5; at the others' points a gate
