@@ -121,37 +121,41 @@ def cmd_check(args) -> int:
     constraint's that can raise; neither calls the q-only kernel again.
 
     On a system with symmetry the record reads the shape coordinates
-    alone (`constraint._reads`: theta on the boat), so for this call a
-    record whose line is written at once is kept under their values and
-    serves every later point with the same values, with no kernel call;
-    its line is formatted at each point.  A kernel that raised and a
-    record that failed a gate or declined the certificate are not kept,
-    and a record that reads every coordinate (gen5's) is not looked up."""
+    alone (`constraint._reads`: theta on the boat), so for this call the
+    tail of a line written at once, all of it after the point's label, is
+    formatted once and kept under their values, and every later point
+    with the same values writes its label and that tail, with no kernel
+    call.  A kernel that raised and a record that failed a gate or
+    declined the certificate keep nothing, and a record that reads every
+    coordinate (gen5's) is not looked up."""
     model, con = model_io.load_model(args.model)
     points, labels = _points(args, model.coordinates)
     m, n, write = con.m, model.n, sys.stdout.write
     full = f" rank=ok({m}/{m})"
-    # records: the values of the coordinates that the record reads -> the
-    # record written at once at an earlier point.  0.0 and -0.0 are one key,
-    # yet the line is the one of the point's own kernel call: it prints
+    # tails: the values of the coordinates that the record reads -> the
+    # tail of the line written at once at the first point with those
+    # values, all of it after the label, formatted there once and written
+    # as it is at every later point with them.  0.0 and -0.0 are one key,
+    # yet the tail is the one of the point's own kernel call: it prints
     # only cond and det, both nonzero where every gate held, and no
     # nonzero value depends on the sign of a zero input, as x/0, log(0) and
-    # 0 raised to a negative power all raise in Python.
-    all_ok, kernel, key, records = True, None, None, {}
+    # 0 raised to a negative power all raise in Python.  Where no key is
+    # looked up, `at` stays None: a slot written, never read.
+    all_ok, kernel, key, at, tails = True, None, None, None, {}
     for q, label in zip(points, labels):
-        k = None
+        k = tail = None
         try:  # one q-only kernel call; its error, and the verdict's, come after the rank's
             if kernel is None:
                 kernel, reads = _q_only(model, con), con._reads[model]
                 if len(reads) < n:
                     key = itemgetter(*reads) if reads else lambda q: ()
-            if key is None or (k := records.get(at := key(q))) is None:
+            if key is None or (tail := tails.get(at := key(q))) is None:
                 k = _named(kernel, con._tables["q-only", model].get, q)
-            failed, _, _, _, _, cond, det, _, _, full_rank = k
-            if failed is None and full_rank:
-                if key:
-                    records[at] = k
-                write(f"q=({label}){full} transversality=ok cond={cond:.6g} det={det:.6g}\n")
+                failed, _, _, _, _, cond, det, _, _, full_rank = k
+                if failed is None and full_rank:
+                    tail = tails[at] = f"{full} transversality=ok cond={cond:.6g} det={det:.6g}\n"
+            if tail:
+                write(f"q=({label}){tail}")
                 continue
             (error, cond), failure = _verdict(k := _new(_QOnly, k), q), None
         except (SPDError, EvalError) as err:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
+from sys import float_info
 
 from .constraint import AffineConstraint
 from .control import TransversalityError, _raise_failure, _stage1, _step
@@ -47,7 +48,7 @@ Trajectory = namedtuple("Trajectory", "times states controls phis drift_report")
 
 def rk4_step(model: MechanicalModel, con: AffineConstraint, state: State, h: float) -> State:
     """One classical Runge-Kutta step of (qdot, closed-loop acceleration)."""
-    if not 0.0 < h < math.inf:
+    if not 0.0 < h <= float_info.max:
         raise ValueError("step size must be positive and finite")
     a = _stage1(model, con, state)[0]
     out = _step(model, con)(state.q, state.qdot, a, h, False)
@@ -65,9 +66,9 @@ def integrate(
     sample_every: int = 1,
 ) -> Trajectory:
     """Fixed-step RK4 run, sampling every sample_every steps plus the end."""
-    if not 0.0 < t_end < math.inf:
+    if not 0.0 < t_end <= float_info.max:
         raise ValueError("t_end must be positive and finite")
-    if not 0.0 < h < math.inf:
+    if not 0.0 < h <= float_info.max:
         raise ValueError("step size must be positive and finite")
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")

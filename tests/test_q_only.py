@@ -101,14 +101,19 @@ def test_rank_matches_the_reference(name, data):
     assert close(report.singular_values, ref.singular_values, ref.singular_values[0]), (name, q)
 
 
+def check_output(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 def check_lines(path, qs, coordinates) -> tuple[int, list[str]]:
     argv = ["check", str(path)]
     for q in qs:
         argv += ["--point", ",".join(f"{c}={v!r}" for c, v in zip(coordinates, q))]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return code, out.getvalue().splitlines()
+    code, out = check_output(argv)
+    return code, out.splitlines()
 
 
 def line_from_views(model, con, q) -> str:
@@ -446,6 +451,56 @@ def test_one_kernel_call_per_key(tmp_path, monkeypatch, name):
     assert calls == first
     assert (code, lines) == (0, [line_from_views(model, con, q) for q in qs])
     assert len(first) == {"sin": 1, "constant": 1, "gen5": 4}.get(name, 2)
+
+
+# a few values, so that points repeat a key; -0.0 and 0.0 are one key
+VALUES = st.sampled_from([-0.0, 0.0, 0.5, -1.0])
+
+
+@st.composite
+def check_words(draw, coordinates):
+    """The words of a check command line after its model: up to three
+    --points and a --grid axis of 1-4 values on each of a drawn subset of
+    the coordinates, starting at -0.0 or a drawn value."""
+    words = []
+    for _ in range(draw(st.integers(0, 3))):
+        point = draw(st.lists(st.tuples(st.sampled_from(coordinates), VALUES), min_size=1,
+                              max_size=len(coordinates), unique_by=lambda cv: cv[0]))
+        words += ["--point", ",".join(f"{c}={v!r}" for c, v in point)]
+    for c in draw(st.lists(st.sampled_from(coordinates), unique=True)):
+        lo, hi = draw(st.just(-0.0) | VALUES), draw(VALUES)
+        words += ["--grid", f"{c}={lo!r}:{hi!r}:{draw(st.integers(1, 4))}"]
+    return words
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["vortex", "sin"]), data=st.data())
+def test_a_run_prints_what_a_run_per_point_prints(name, data):
+    # One check run prints, byte for byte, the lines of one run per point,
+    # and calls the q-only kernel at the first point of each key, every
+    # point passing: theta on the vortex boat; on the plane with
+    # Z = sin(x) no coordinate, so one call serves the run and every later
+    # point writes the tail kept from it.
+    (model, con), names, _ = KEYS[name]
+    words = data.draw(check_words(model.coordinates))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / f"{name}.json")
+        save_model(path, model, con)
+        model, con = load_model(path)  # the pair check loads
+        qs = cli._points(cli.build_parser().parse_args(["check", path, *words]),
+                         model.coordinates)[0]
+        alone = [check_output(["check", path, "--point",
+                               ",".join(f"{c}={v!r}" for c, v in zip(model.coordinates, q))])
+                 for q in qs]
+        q_only, calls = constraint._q_only(model, con), []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(con._q_only, model, lambda q: calls.append(q) or q_only(q))
+            code, out = check_output(["check", path, *words])
+    assert all(code == 0 for code, _ in alone)
+    assert (code, out) == (0, "".join(text for _, text in alone))
+    keys = [tuple(q[model.coordinates.index(c)] for c in names) for q in qs]
+    first = [q for i, q in enumerate(qs) if keys[i] not in keys[:i]]
+    assert repr(calls) == repr(first)  # the sign of a zero too
 
 
 def judged_alike(view, ref) -> bool:

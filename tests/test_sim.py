@@ -64,7 +64,8 @@ class TestRK4Step:
         s = State(q=(0, 0, 0), qdot=(0, 0, 0))
         with pytest.raises(ValueError):
             rk4_step(model, con, s, 0.0)
-        for h in (math.inf, math.nan):
+        # an int past the float range too: not an OverflowError from the kernel's 0.5 * h
+        for h in (math.inf, math.nan, 10**400, 2**1100):
             with pytest.raises(ValueError, match="^step size must be positive and finite$"):
                 rk4_step(model, con, s, h)
 
@@ -202,7 +203,9 @@ class TestIntegrate:
         # finite, but too many steps to count: not an OverflowError
         with pytest.raises(ValueError, match=r"^t_end / step size overflows \(1e\+300 / 1e-300\)$"):
             integrate(model, con, s, t_end=1e300, h=1e-300)
-        for bad in (math.inf, math.nan):  # not an OverflowError from the step count
+        # not an OverflowError from the step count, or from converting an int
+        # past the float range
+        for bad in (math.inf, math.nan, 10**400, 2**1100):
             with pytest.raises(ValueError, match="^t_end must be positive and finite$"):
                 integrate(model, con, s, t_end=bad, h=1e-3)
             with pytest.raises(ValueError, match="^step size must be positive and finite$"):
