@@ -21,12 +21,12 @@ text and usage error is the one it prints.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
 import math
 import os
+import stat
 import sys
 import time
 from operator import itemgetter
@@ -187,9 +187,11 @@ def _wrap_angle(v: float) -> float:
 
 
 def cmd_simulate(args, parser) -> int:
-    """Writes the CSV only once the run succeeds: a run that fails leaves
-    no new file, not even the target of a dangling link, and an existing
-    one untouched.  Where --out is the file stdout writes to
+    """Opens --out once, before the run, and writes the CSV only once the
+    run succeeds: a run that fails leaves no new file, not even the target
+    of a dangling link, and an existing one untouched.  An existing file
+    is written over in place and cut to the CSV's length, so it keeps its
+    inode and its hard links.  Where --out is the file stdout writes to
     (/dev/stdout), the CSV is written through stdout, before the
     summary."""
     model, con = model_io.load_model(args.model)
@@ -205,43 +207,48 @@ def cmd_simulate(args, parser) -> int:
     if args.project:
         state0 = project_onto_A(con, model, state0)
 
-    # an unwritable --out fails here, before the run; a file this makes goes
-    # again, and behind a dangling link that is the link's target
+    # --out is opened once, here, so an unwritable path fails before the run.
+    # Without O_TRUNC: ext4 writes back a file cut to zero when it is closed,
+    # so an existing file is written over and then cut to the CSV's length.
     new = not os.path.exists(args.out)
-    open(args.out, "a").close()
-    if new:
-        os.remove(os.path.realpath(args.out))
+    with open(args.out, "wb",
+              opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666)) as f:
+        try:
+            start = time.perf_counter()
+            traj = integrate(
+                model, con, state0,
+                t_end=args.t_end, h=args.dt, sample_every=args.sample_every,
+            )
+            runtime = time.perf_counter() - start
 
-    start = time.perf_counter()
-    traj = integrate(
-        model, con, state0,
-        t_end=args.t_end, h=args.dt, sample_every=args.sample_every,
-    )
-    runtime = time.perf_counter() - start
-
-    header = (
-        ["t"]
-        + list(model.coordinates)
-        + list(model.velocities)
-        + [f"tau_{a + 1}" for a in range(model.m)]
-        + [f"phi_{b + 1}" for b in range(con.m)]
-    )
-    row = ",".join(["%.17g"] * len(header)) + "\n"  # prints what f"{v:.17g}" does
-    values = []  # of every row, formatted with one %
-    for t, (q, qd), tau, phi in zip(traj.times, traj.states, traj.controls, traj.phis):
-        if wrap_idx:
-            q = [_wrap_angle(v) if i in wrap_idx else v for i, v in enumerate(q)]
-        values += (t, *q, *qd, *tau, *phi)
-    text = ",".join(header) + "\n" + (row * len(traj.times)) % tuple(values)
-    # --out naming stdout's own file, opened again, would be written from its
-    # start and then the summary over it: the CSV goes through stdout instead
-    try:
-        same = os.path.samestat(os.stat(args.out), os.fstat(sys.stdout.fileno()))
-    except (AttributeError, OSError, ValueError):  # no file descriptor: a caller captures stdout
-        same = False
-    with contextlib.nullcontext(sys.stdout) if same else open(
-            args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+            header = ["t", *model.coordinates, *model.velocities,
+                      *(f"tau_{a + 1}" for a in range(model.m)),
+                      *(f"phi_{b + 1}" for b in range(con.m))]
+            row = ",".join(["%.17g"] * len(header)) + "\n"  # prints what f"{v:.17g}" does
+            values = []  # of every row, formatted with one %
+            for t, (q, qd), tau, phi in zip(traj.times, traj.states, traj.controls, traj.phis):
+                if wrap_idx:
+                    q = [_wrap_angle(v) if i in wrap_idx else v for i, v in enumerate(q)]
+                values += (t, *q, *qd, *tau, *phi)
+            text = ",".join(header) + "\n" + (row * len(traj.times)) % tuple(values)
+            # --out naming stdout's own file would be written from its start
+            # and then the summary over it: the CSV goes through stdout instead
+            st = os.fstat(f.fileno())
+            try:
+                same = os.path.samestat(st, os.fstat(sys.stdout.fileno()))
+            except (AttributeError, OSError, ValueError):  # no descriptor: a caller captures stdout
+                same = False
+            if same:
+                sys.stdout.write(text)
+            else:
+                f.write(text.encode())
+                if stat.S_ISREG(st.st_mode):  # a device or a FIFO is not cut
+                    f.truncate()  # at the CSV's end, never 0: the header is there
+        except BaseException:  # KeyboardInterrupt too
+            f.close()
+            if new:  # a file this run made goes again; behind a dangling link, its target
+                os.remove(os.path.realpath(args.out))
+            raise
 
     summary = {
         "samples": len(traj.times),

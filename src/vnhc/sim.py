@@ -81,6 +81,7 @@ def integrate(
     n_steps = max(1, int(round(steps)))
     # 2.0 counts steps as 2 does, and more than n_steps (inf) as n_steps
     sample_every = int(min(sample_every, n_steps))
+    h = float(h)  # so each step * h is a float, inf past the float range, for an int h too
     out = _stage1(model, con, state0, h)  # the start's record
     kernel = _step(model, con)
     times, states, controls, phis = [0.0], [], [], []
@@ -107,7 +108,7 @@ def integrate(
                 raise IntegrationError(f"aborted at step {step}: {err}",
                                        last_good_index=len(times) - 1) from err
         step += count
-        times.append(float(step * h))  # a float for an int h too, as the start's is
+        times.append(step * h)
 
     phi0 = phis[0]
     drift = tuple(

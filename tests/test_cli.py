@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -499,6 +500,83 @@ class TestSimulate:
         old.write_text("x" * 100_000)
         assert (main([*argv, str(fresh)]), main([*argv, str(old)])) == (0, 0)
         assert old.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("scale", [10, 0.5], ids=["longer", "shorter"])
+    def test_existing_file_is_rewritten_in_place(self, boat_file, tmp_path, capsys, scale):
+        # written over from its start and cut to the CSV's length: the bytes
+        # of a fresh file, in the same inode
+        argv = ["simulate", boat_file, *self.SHORT, "--out"]
+        fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+        assert main([*argv, str(fresh)]) == 0
+        old.write_bytes(b"\xff" * int(scale * fresh.stat().st_size))
+        inode = old.stat().st_ino
+        assert main([*argv, str(old)]) == 0
+        assert (old.read_bytes(), old.stat().st_ino) == (fresh.read_bytes(), inode)
+
+    def test_new_file_has_the_mode_of_a_plain_open(self, boat_file, tmp_path, capsys):
+        plain, out = tmp_path / "plain.csv", tmp_path / "x.csv"
+        plain.write_text("")
+        assert main(["simulate", boat_file, *self.SHORT, "--out", str(out)]) == 0
+        assert out.stat().st_mode == plain.stat().st_mode
+
+    def test_a_hard_link_sees_the_new_file(self, boat_file, tmp_path, capsys):
+        argv = ["simulate", boat_file, *self.SHORT, "--out"]
+        fresh, out, link = tmp_path / "fresh.csv", tmp_path / "x.csv", tmp_path / "link.csv"
+        out.write_text("old\n" * 1000)
+        try:
+            os.link(out, link)
+        except (AttributeError, NotImplementedError, OSError):
+            pytest.skip("no hard links")
+        assert (main([*argv, str(fresh)]), main([*argv, str(out)])) == (0, 0)
+        assert link.read_bytes() == out.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("existing", [None, "old\n"])
+    def test_interrupted_run_writes_nothing(self, boat_file, tmp_path, monkeypatch, existing):
+        # any exception, KeyboardInterrupt included, closes --out and
+        # removes it where this run made it
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "integrate", interrupted)
+        out = tmp_path / "x.csv"
+        if existing is not None:
+            out.write_text(existing)
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", boat_file, *self.SHORT, "--out", str(out)])
+        assert (out.read_text() if out.exists() else None) == existing
+
+    @pytest.mark.parametrize("dt, code", [("1e-3", 0), ("1e-300", 2)], ids=["run", "failed"])
+    def test_out_is_opened_once(self, boat_file, tmp_path, capsys, monkeypatch, dt, code):
+        out, opened = str(tmp_path / "x.csv"), []
+        real_open = open
+
+        def counted(path, *args, **kwargs):
+            opened.append(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counted, raising=False)
+        argv = ["simulate", boat_file, "--q0", "0,0,0.5", "--qdot0", "0.4,0.3,0.8",
+                "--t-end", "1e300" if code else "0.01", "--dt", dt, "--out", out]
+        assert main(argv) == code
+        assert opened.count(out) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_out_to_a_fifo(self, boat_file, tmp_path, capsys):
+        # a FIFO is written, not cut: the reader gets a fresh file's bytes
+        fresh, fifo = tmp_path / "fresh.csv", tmp_path / "fifo"
+        assert main(["simulate", boat_file, *self.SHORT, "--out", str(fresh)]) == 0
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            code = main(["simulate", boat_file, *self.SHORT, "--out", str(fifo)])
+        finally:
+            reader.join(timeout=10)
+            if reader.is_alive():  # the run never opened the FIFO: let the reader go
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(timeout=10)
+        assert (code, got, reader.is_alive()) == (0, [fresh.read_bytes()], False)
 
     SHORT = ["--q0", "0,0,0.5", "--qdot0", "0.4,0.3,0.8", "--t-end", "0.01", "--dt", "1e-3"]
 

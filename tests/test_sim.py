@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +114,16 @@ class TestIntegrate:
         times = integrate(model, con, s, t_end=2, h=1).times
         assert times == (0.0, 1.0, 2.0)
         assert all(type(t) is float for t in times)
+
+    def test_an_int_step_whose_last_time_passes_the_float_range(self):
+        # 2 * h is past the float range: inf, as for the same h as a float,
+        # not an OverflowError from converting the int product
+        model, con = build_boat("0", "0")
+        s = State(q=(0.0, 0.0, 0.0), qdot=(0.0, 0.0, 0.0))
+        h = int(0.6 * sys.float_info.max)
+        for step in (h, float(h)):
+            times = integrate(model, con, s, t_end=sys.float_info.max, h=step).times
+            assert times == (0.0, 1.0786158809173893e+308, math.inf)
 
     def test_sequences_share_length_times_increasing(self):
         model, con = build_boat("0.3", "0.1*x")
