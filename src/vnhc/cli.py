@@ -10,12 +10,15 @@ Exit codes: 0 ok, 1 mathematical failure (violation/abort, or a math
 error such as a division by zero while evaluating the model), 2 usage or
 parse error, or a file that cannot be read or written.
 
-A command line is parsed by the subparser of the command its first word
-names, which is all the full parser would do with it: that parser hands
-every word after the command to the subparser.  Where the first word
-names no command (none, -h, an unknown word) or the subparser leaves
-words unparsed, the full parser parses the line instead, so every help
-text and usage error is the one it prints.
+A plain command line is parsed from the table of the command its first
+word names (`_plain`): every word after the command is a declared option
+string, as `--name value` or, but for a flag, `--name=value`; a value not
+starting with `-`; or the command's one positional; each value passes its
+type and choices, and every required argument is given.  Any other line
+goes to the command's subparser, which is all the full parser would do
+with it, and where the first word names no command (none, -h, an unknown
+word) or the subparser leaves words unparsed, to the full parser, so
+every help text and usage error is the one it prints.
 """
 
 from __future__ import annotations
@@ -285,10 +288,51 @@ def cmd_fixture(args, parser) -> int:
     return EXIT_OK
 
 
+def _plain(command, argv):
+    """The namespace the full parser gives a plain line `argv`, from the
+    table of its command's subparser; None for any other line (see the
+    module's docstring).  An explicit value that is empty or `--`, which
+    argparse reads differently from one version to the next, is not
+    plain.  A default is taken as it is: argparse runs a string default
+    through the argument's type, and no argument here has both."""
+    table, given, words = command.table, {}, iter(argv[1:])
+    for word in words:
+        option = word.startswith("-")
+        name, eq, value = word.partition("=") if option else (None, "", word)
+        kind, action = table.get(name, (None, None))
+        if kind == "store_true" and not eq:
+            given[action] = action.const
+            continue
+        # an unknown word or kind, a flag given a value, a second positional
+        if kind not in ("store", "append") or not option and action in given:
+            return None
+        if option and not eq:
+            value = next(words, "-")  # a missing value reads as "-", which is not plain
+        # a separate value starting with "-" argparse may read as an option
+        if value.startswith("-") if not eq else value in ("", "--"):
+            return None
+        try:
+            value = action.type(value) if action.type else value
+        except ValueError:
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        if kind == "append":  # onto a copy, never onto the default
+            value = [*(given.get(action) or action.default or ()), value]
+        given[action] = value
+    if any(action.required and action not in given for _, action in table.values()):
+        return None
+    return argparse.Namespace(command=argv[0], **{
+        action.dest: given.get(action, action.default) for _, action in table.values()})
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
-    call in the process: parsing a command line leaves no state on it."""
+    call in the process: parsing a command line leaves no state on it.
+    Each subparser's `table` maps each option string it declares (None for
+    its positional) to the kind the argument is added with, its `action=`,
+    and the Action that `add_argument` returns."""
     parser = argparse.ArgumentParser(
         prog="vnhc",
         description="Synthesize and certify feedback laws that keep an "
@@ -296,38 +340,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="rank and transversality checks")
-    p.add_argument("model")
-    p.add_argument("--point", action="append",
-                   help="comma-separated name=value list; repeatable")
-    p.add_argument("--grid", action="append", metavar="NAME=LO:HI:COUNT",
-                   help="grid axis; repeatable, axes combine as a product")
+    def command(name, **kwargs):  # a subparser, with an empty table
+        p = sub.add_parser(name, **kwargs)
+        p.table = {}
+        return p
 
-    p = sub.add_parser("simulate", help="integrate the closed-loop system")
-    p.add_argument("model")
-    p.add_argument("--q0", required=True)
-    p.add_argument("--qdot0", required=True)
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--sample-every", type=int, default=1)
-    p.add_argument("--project", action="store_true",
-                   help="project the initial velocity onto the constraint set")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--wrap", action="append", metavar="COORD",
-                   help="wrap this coordinate to (-pi, pi] in the CSV only")
+    def add(*names, action="store", **kwargs):  # an argument of p, entered in its table
+        entry = action, p.add_argument(*names, action=action, **kwargs)
+        for name in names:
+            p.table[name if name.startswith("-") else None] = entry
 
-    p = sub.add_parser("control-at", help="evaluate P, b, tau* at one state")
-    p.add_argument("model")
-    p.add_argument("--q", required=True)
-    p.add_argument("--qdot", required=True)
+    p = command("check", help="rank and transversality checks")
+    add("model")
+    add("--point", action="append", help="comma-separated name=value list; repeatable")
+    add("--grid", action="append", metavar="NAME=LO:HI:COUNT",
+        help="grid axis; repeatable, axes combine as a product")
 
-    p = sub.add_parser("fixture", help="write a bundled fixture model file")
-    p.add_argument("name", choices=["boat", "linear"])
-    p.add_argument("--current", default="still",
-                   help="boat current field: " + ", ".join(sorted(models.FIXTURE_CURRENTS)))
-    p.add_argument("--m", dest="mass", type=float, default=1.0)
-    p.add_argument("--I", dest="inertia", type=float, default=1.0)
-    p.add_argument("--out", required=True)
+    p = command("simulate", help="integrate the closed-loop system")
+    add("model")
+    add("--q0", required=True)
+    add("--qdot0", required=True)
+    add("--t-end", type=float, required=True)
+    add("--dt", type=float, required=True)
+    add("--sample-every", type=int, default=1)
+    add("--project", action="store_true",
+        help="project the initial velocity onto the constraint set")
+    add("--out", required=True, help="CSV output path")
+    add("--wrap", action="append", metavar="COORD",
+        help="wrap this coordinate to (-pi, pi] in the CSV only")
+
+    p = command("control-at", help="evaluate P, b, tau* at one state")
+    add("model")
+    add("--q", required=True)
+    add("--qdot", required=True)
+
+    p = command("fixture", help="write a bundled fixture model file")
+    add("name", choices=["boat", "linear"])
+    add("--current", default="still",
+        help="boat current field: " + ", ".join(sorted(models.FIXTURE_CURRENTS)))
+    add("--m", dest="mass", type=float, default=1.0)
+    add("--I", dest="inertia", type=float, default=1.0)
+    add("--out", required=True)
     parser.commands = sub.choices  # each command's subparser, by name
     return parser
 
@@ -336,9 +389,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     command = parser.commands.get(argv[0]) if argv else None
-    # the namespace and the words left unparsed, as the full parser has them from the subparser
-    known = command and command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    args = known[0] if known and not known[1] else parser.parse_args(argv)
+    # a plain line from the command's table; any other from its subparser,
+    # which leaves unparsed words to the full parser, as it does a line
+    # that names no command
+    args = command and _plain(command, argv)
+    if not args:
+        known = command and command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        args = known[0] if known and not known[1] else parser.parse_args(argv)
     try:
         if args.command == "check":
             return cmd_check(args)

@@ -11,6 +11,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from test_q_only import THIN_RANK, line_from_views
 
 import vnhc
@@ -304,7 +305,7 @@ class TestSimulate:
         summary = json.loads(capsys.readouterr().out)
         assert summary["drift_report"][0] <= 1e-8
         assert abs(summary["phi0"][0]) <= 1e-12
-        lines = open(out_csv).read().splitlines()
+        lines = (tmp_path / "traj.csv").read_text().splitlines()
         assert lines[0] == "t,x,y,theta,xd,yd,thetad,tau_1,phi_1"
         assert len(lines) == summary["samples"] + 1
         # 17 significant digits, locale-independent decimal point
@@ -345,7 +346,7 @@ class TestSimulate:
             "--out", out_csv, "--wrap", "theta",
         ])
         capsys.readouterr()
-        rows = [l.split(",") for l in open(out_csv).read().splitlines()[1:]]
+        rows = [l.split(",") for l in (tmp_path / "traj.csv").read_text().splitlines()[1:]]
         thetas = [float(r[3]) for r in rows]
         assert all(-math.pi < t <= math.pi for t in thetas)
         # wrapping is presentation-only: velocity column unaffected
@@ -1019,11 +1020,68 @@ FULL = [  # command lines that the full parser parses, its help or usage error
     "simulate m.json --q0 0 --qdot0 -1,0 --t-end 1 --dt 1 --out t.csv",  # -1,0 is no number
 ]
 
+# Per kind of value, the values of a plain line, then the others: argparse
+# reads "-1" as a value but "-1,0", "-", "--" and "-h" as options or the
+# end of options, and the table hands on an empty `--name=`.
+TEXTS = ["m.json", "x=1,y=2", "a b"], ["", "-1", "-1,0", "-", "--", "-h"]
+NUMBERS = ["0.25", "1e-3", "3"], ["abc", "", "1,0", "0x10", "-abc"]  # in range, or no float
+COMMANDS = {  # per command: its positional's values, and each option's values (None: a flag)
+    "check": (TEXTS, {"--point": TEXTS, "--grid": TEXTS}),
+    "simulate": (TEXTS, {
+        "--q0": TEXTS, "--qdot0": TEXTS, "--t-end": NUMBERS, "--dt": NUMBERS,
+        "--sample-every": (["1", "10"], ["1.5", "abc", ""]), "--project": None,
+        "--out": TEXTS, "--wrap": TEXTS}),
+    "control-at": (TEXTS, {"--q": TEXTS, "--qdot": TEXTS}),
+    "fixture": ((["boat", "linear"], ["plane", ""]), {
+        "--current": TEXTS, "--m": (NUMBERS[0] + ["-1"], NUMBERS[1]), "--I": NUMBERS,
+        "--out": TEXTS}),
+}
+REQUIRED = {"--q0", "--qdot0", "--t-end", "--dt", "--out", "--q", "--qdot"}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A command and, in a drawn order, its positional and each of its
+    options 0-2 times, a required one at least once, each option in its
+    exact or `=` form and each value one of a plain line's; but for one
+    drawn fault: at one draw in six, a value of the others, an option
+    abbreviated or bare, or a required option left out; or a flag given a
+    value, no positional or two, or a word no plain line holds."""
+    fault = draw(st.sampled_from(
+        [None, None, "value", "form", "missing", "flag", "positional", "word"]))
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    positionals, options = COMMANDS[command]
+
+    def odd(kind):  # this draw of the kind is faulty
+        return fault == kind and draw(st.sampled_from([True] + [False] * 5))
+
+    def value(pools):
+        return draw(st.sampled_from(pools[odd("value")]))
+
+    count = draw(st.sampled_from([0, 2])) if fault == "positional" else 1
+    groups = [[value(positionals)] for _ in range(count)]
+    for option, pools in options.items():
+        counts = [1, 1, 2] if option in REQUIRED else [0, 1, 2]
+        count = 0 if option in REQUIRED and odd("missing") else draw(st.sampled_from(counts))
+        for _ in range(count):
+            if pools is None:  # a flag
+                groups.append([f"{option}=1" if fault == "flag" else option])
+                continue
+            words = [option, value(pools)]
+            forms = [words, ["=".join(words)]]  # exact, =
+            if odd("form"):
+                forms = [[option[:-1], words[1]], [option]]  # abbreviated, bare
+            groups.append(draw(st.sampled_from(forms)))
+    if fault == "word":
+        groups.append([draw(st.sampled_from(["--", "-h", "--help", "--bogus", "extra", "-x=1"]))])
+    return [command, *(word for group in draw(st.permutations(groups)) for word in group)]
+
 
 class TestParsing:
-    """`main` parses a command line with the subparser its first word
-    names: the namespace, the help text, every usage error and exit code
-    are those of the full parser (`build_parser().parse_args`)."""
+    """`main` parses a plain command line from the table of the command
+    its first word names, and any other with that command's subparser or
+    the full parser: the namespace, the help text, every usage error and
+    exit code are those of the full parser (`build_parser().parse_args`)."""
 
     @staticmethod
     def outcome(parse, argv) -> tuple:
@@ -1050,6 +1108,29 @@ class TestParsing:
         parser = cli.build_parser()
         monkeypatch.setattr(parser, "parse_args", None)  # the full parser is not called
         assert self.outcome(main, line.split())[1:] == ("", "")
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=command_lines())
+    @example(argv=["check", "m.json", "--point=--"])  # [[]] on 3.11, where argparse drops "--"
+    def test_a_drawn_line_as_the_full_parser(self, argv):
+        """Whether the command's table resolves the line or hands it on."""
+        assert self.outcome(main, argv) == self.outcome(cli.build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "vortex.json", "--grid", "x=-1.25:0.5:4", "--grid", "y=0.125:1.5:4",
+         "--grid", "theta=-2.5:3.0:4"],
+        ["simulate", "vortex.json", "--q0=0.1,-0.2,0.5", "--qdot0=-0.4,0.3,0.8", "--t-end",
+         "0.05", "--dt", "0.001", "--sample-every", "10", "--project", "--out", "traj.csv"],
+    ])
+    def test_a_plain_line_calls_no_argparse_parse(self, argv, monkeypatch):
+        """The command lines of `check --grid` and `simulate` as the
+        benchmark gives them are parsed from the command's table alone."""
+        parser = cli.build_parser()
+        expected = self.outcome(parser.parse_args, argv)
+        monkeypatch.setattr(parser, "parse_args", None)
+        monkeypatch.setattr(parser.commands[argv[0]], "parse_known_args", None)
+        assert self.outcome(main, argv) == expected
 
 
 class TestChartRules:
