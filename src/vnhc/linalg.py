@@ -90,9 +90,11 @@ def _vector(name: str, n: int) -> str:
 #    (`_Block.sum`, which `less` and `constraint._dot` write): a known zero
 #    after the first term, and a product with a known-zero factor, except
 #    in P's and b's sums (`_dot`), where the other factor must be finite:
-#    b's S is, past P's gate.  A sum left with its first term alone is
-#    that term, so x = x binds no line, and a sum of zeros from 0.0 is the
-#    literal 0.0, which folds on.  The per-size routines' blocks know no
+#    b's S is, past P's gate, and in the Cholesky factor's, where it must
+#    be known: its gate s <= 0.0 fails -inf but passes NaN, so 0.0 * inf
+#    must reach it as NaN, as it does unfolded.  A sum left with its first
+#    term alone is that term, so x = x binds no line, and a sum of zeros
+#    from 0.0 is the literal 0.0, which folds on.  The per-size routines' blocks know no
 #    values, so their sums keep every term.
 #    Dropping 0.0 * y changes only the sign of an exact zero and the kind
 #    of a value already not finite: x - 0.0 * y is NaN for an infinite y,
@@ -239,10 +241,12 @@ class _Block:
         terms = [_bin(x, "*", y) for x, y in pairs if not (products and 0.0 in (x, y))]
         return _chain(op, [first, *(t for t in terms if t != 0.0)])
 
-    def less(self, name: str, first: str, pairs, over: str | None = None):
+    def less(self, name: str, first: str, pairs, over: str | None = None,
+             products: bool = True):
         """name = first - x0 * y0 - x1 * y1 - ..., left to right, over the
-        pairs of locals (x, y), and divided by the local over if given."""
-        value = self.sum("-", self[first], [(self[x], self[y]) for x, y in pairs])
+        pairs of locals (x, y), and divided by the local over if given;
+        products as `sum` takes it."""
+        value = self.sum("-", self[first], [(self[x], self[y]) for x, y in pairs], products)
         self[name] = value if over is None else _bin(value, "/", self[over])
 
     def when(self, test, body, names=()):
@@ -269,11 +273,12 @@ class _Block:
 
 def _cholesky_lines(block: _Block, n: int, a: str, l: str, fail: str):
     """Factor the lower triangle of {a} into {l}; fail is the statement run
-    where the matrix is not positive definite."""
+    where the matrix is not positive definite.  A sum drops a product only
+    where both of its factors are known (see `_Block.sum`)."""
     for i in range(n):
         for j in range(i):
             block.less(f"{l}{i}_{j}", f"{a}{i}_{j}",
-                       [(f"{l}{i}_{k}", f"{l}{j}_{k}") for k in range(j)], f"{l}{j}_{j}")
+                       [(f"{l}{i}_{k}", f"{l}{j}_{k}") for k in range(j)], f"{l}{j}_{j}", False)
         block.less("s", f"{a}{i}_{i}", [(f"{l}{i}_{k}",) * 2 for k in range(i)])
         block.gate(_bin(block["s"], "<=", 0.0), fail)
         block[f"{l}{i}_{i}"] = _call("sqrt", block["s"])

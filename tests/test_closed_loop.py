@@ -538,10 +538,21 @@ def nan_under_zero_column_case():
     return model, AffineConstraint(names, [["0", "1"]], ["0"]), [((math.nan, 0.0), (0.0, 0.0))]
 
 
+def inf_over_zero_factor_case():
+    """A metric constant but in g2_0 = g0_2, at q0 = inf: L's l2_1 reads
+    the known zero l1_0 through l2_0 * l1_0, which is NaN there."""
+    names = ["q0", "q1", "q2"]
+    model = MechanicalModel(names, [["7", "0", "0.2*q0*q0"], ["0", "7", "0"],
+                                    ["0.2*q0*q0", "0", "7"]], input_coframe=[["1", "0", "0"]])
+    return model, AffineConstraint(names, [["0", "1", "0"]], ["0"]), [((math.inf, 0.0, 0.0),
+                                                                        (0.0, 0.0, 0.0))]
+
+
 @settings(max_examples=12, deadline=2000)
 @given(case=parity_cases())
 @example(case=p_inf_case())
 @example(case=nan_under_zero_column_case())
+@example(case=inf_over_zero_factor_case())
 def test_q_only_kernel_judges_as_its_statements_do(case):
     # The q-only kernel, whose sums drop their zero terms, against one
     # compiled from the same statements as `Unfolded` blocks write them,
@@ -549,7 +560,9 @@ def test_q_only_kernel_judges_as_its_statements_do(case):
     # error, or gives the same answer, and the records are alike, but that
     # `failed` may read pivot for cond where P is not finite.  The second
     # explicit example fails if P's sum drops 0.0 * y0_0 for an unknown
-    # y0_0: P turns 1.0, admissible, where it is NaN.
+    # y0_0: P turns 1.0, admissible, where it is NaN.  The third fails if
+    # the Cholesky factor's sum drops l2_0 * l1_0: s turns -inf, and the
+    # metric fails its gate, where s is NaN, which passes it.
     model, con, states = case
     q_only = constraint._q_only(model, con)
     whole = linalg._define("\n".join(unfolded_statements(model, con)[1]))
