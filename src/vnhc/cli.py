@@ -14,11 +14,10 @@ A plain command line is parsed from the table of the command its first
 word names (`_plain`): every word after the command is a declared option
 string, as `--name value` or, but for a flag, `--name=value`; a value not
 starting with `-`; or the command's one positional; each value passes its
-type and choices, and every required argument is given.  Any other line
-goes to the command's subparser, which is all the full parser would do
-with it, and where the first word names no command (none, -h, an unknown
-word) or the subparser leaves words unparsed, to the full parser, so
-every help text and usage error is the one it prints.
+type and choices, and every required argument is given.  Any other line,
+and one whose first word names no command (none, -h, an unknown word),
+goes to the full parser, so every help text and usage error is the one it
+prints.  These are the only two paths.
 """
 
 from __future__ import annotations
@@ -389,13 +388,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     command = parser.commands.get(argv[0]) if argv else None
-    # a plain line from the command's table; any other from its subparser,
-    # which leaves unparsed words to the full parser, as it does a line
-    # that names no command
-    args = command and _plain(command, argv)
-    if not args:
-        known = command and command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        args = known[0] if known and not known[1] else parser.parse_args(argv)
+    # a plain line from the command's table; any other, and a line that
+    # names no command, from the full parser
+    args = command and _plain(command, argv) or parser.parse_args(argv)
     try:
         if args.command == "check":
             return cmd_check(args)

@@ -24,9 +24,12 @@ on the constraint (`_step`), which checks the pair (`check_compatible`)
 right before the build, so a warm call checks nothing about the pair
 again.  `_stage1`, stage 1 at a state or its typed error, is the one
 entry of the views (`solve_control`, `tau_star`,
-`closed_loop_acceleration`) and of `sim`'s start.  Where the kernel
-fails, `_raise_failure` raises the typed error from the q-only kernel at
-q (`constraint._p_system`, judged by `_verdict`), which names the first
+`closed_loop_acceleration`) and of `sim`'s start.  The views' stage 1
+also runs the lines that Z alone needs, so the views refuse a q where Z
+has no value, as the q-only views and a run's start do; the stages
+between a run's samples do not run them.  Where the kernel fails,
+`_raise_failure` raises the typed error from the q-only kernel at q
+(`constraint._p_system`, judged by `_verdict`), which names the first
 failure in the views' order, and where that kernel's record is
 admissible, from the step kernel's own failure: the math error it
 returns, named by the line that raised, which can then only be the
@@ -79,15 +82,17 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
     computed once, then the factorizations and solves, from the generators
     of `linalg`, folded as they are written.  Returns them, the values of
     [acc], [tau], [b], [P rows] and cond after them, and phi = S qd + Z at a
-    sample: the statements that only Z needs, run after stage 1 there, and
-    the values of [phi] after them, each S_b qd added left to right from 0,
-    then Z_b, as `con.phi` adds them.  A failing gate runs `return None`;
-    the gates are those of the q-only kernel, on the same numbers, so the
-    statements fail exactly where that kernel reports a failed gate.
+    sample: the statements that only Z needs, run after stage 1 there and
+    in the views' stage 1, and the values of [phi] after them, each S_b qd
+    added left to right from 0, then Z_b, as `con.phi` adds them.  A
+    failing gate runs `return None`; the gates are those of the q-only
+    kernel, on the same numbers, so the statements fail exactly where that
+    kernel reports a failed gate.
 
     One emission gives every expression, Z last, so the lines that the
     stages need come first.  The lines from the first one whose node no
-    stage root reaches are Z's alone, and no stage runs them."""
+    stage root reaches are Z's alone, and no stage between samples runs
+    them."""
     n, m = model.n, con.m
     r, rm = range(n), range(m)
     mu, Z, dphi = con._exprs
@@ -128,8 +133,9 @@ def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
     a loop over the RK4 stages and steps, the stage arithmetic between
     them, and the statements of phi at a sample.
 
-    - a and h None: stage 1 at (q, v) alone, returning ([acc], [tau], [b],
-      [P rows], cond) there, for the views.
+    - a and h None: stage 1 and the statements that Z alone needs at (q,
+      v), returning ([acc], [tau], [b], [P rows], cond) there, for the
+      views.
     - a None, h given and more 1: a run's start record, stage 1 and phi at
       (q, v), returning (q, v, acc, tau, phi) there; h is not read.
     - a the stage-1 acceleration at (q, v) and more false: stages 2, 3 and
@@ -142,8 +148,9 @@ def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
       there, returning the record (q1, v1, acc, tau, phi) at the last end.
 
     phi = S qdot + Z is computed from the S of stage 1 at the record's
-    state and the statements that Z alone needs, which run there and
-    nowhere else: no stage evaluates what only phi needs, so phi between
+    state and the statements that Z alone needs, which run there and at
+    the views' stage 1, so the views share the q-only kernel's domain; no
+    stage between samples evaluates what only phi needs, so phi between
     samples never fails a run.  Where a stage's gate fails or it meets a
     math error (phi's at a record included), the kernel returns (None, k,
     q_k, qdot_k, more, error) for stage k at (q_k, qdot_k), k = 0 for an
@@ -164,13 +171,13 @@ def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
     values outputs of [acc], [tau], [b], [P rows] and cond after them, and
     sample, the statements of phi and its values (`_closed_loop_body`): one
     copy of lines, run for each stage k in a loop over the stages and the
-    steps, and one copy of phi's, run where a record is returned.  At
-    stage 1, h None returns the views' outputs and more 1 the record, whose
-    state is the locals _a, which hold (q, v) at the start and a step's end
-    alike."""
+    steps, and two copies of phi's statements, run at stage 1 where the
+    views' outputs are returned (h None) and where the record is (more 1),
+    whose state is the locals _a, which hold (q, v) at the start and a
+    step's end alike.  No other stage runs them."""
     acc = [_text(x) for x in outputs[0]]
     n = len(acc)
-    phi_lines, phi = sample
+    phi_lines, phi = [f"                {line}" for line in sample[0]], sample[1]
 
     def each(*texts) -> tuple:  # texts at each coordinate i; qdot_i is _a{j}, acc_i is {d}
         return tuple(_Src(text.format(i=i, j=n + i, d=acc[i])) for text in texts for i in range(n))
@@ -191,9 +198,9 @@ def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
         *(f"    {line}" for line in start),
         "try:", "    while True:",
         *(f"        {line}".replace("return None", "break") for line in lines or ["pass"]),
-        "        if k == 1:", "            if h is None:",
+        "        if k == 1:", "            if h is None:", *phi_lines,
         f"                return {', '.join(map(_list, outputs))}",
-        "            if more == 1:", *(f"                {line}" for line in phi_lines),
+        "            if more == 1:", *phi_lines,
         f"                return {qs}, {qds}, {_list(tuple(outputs[0]))}, "
         f"{_list(tuple(outputs[1]))}, {_list(tuple(phi))}",
         "            more = more - 1", "            k = 2",

@@ -198,8 +198,8 @@ def closed_loop_ladder(model, con, q, qd):
     stage 1 of the pair's step kernel fails there, in the views' order:
     `q_only_ladder`'s, Z's expressions included, the TransversalityError of
     P's gates, then the force's own kernel's EvalError, which alone reads
-    qd.  Stage 1 runs no line that Z alone needs (Z is read at a sample),
-    so where only such a line fails there, no view fails."""
+    qd.  The views' stage 1 runs the lines that Z alone needs too, so where
+    only such a line fails there, `q_only_ladder` raises its error."""
     if control._step(model, con)(q, qd, None, None, False)[0] is not None:
         return
     _, (error, cond) = q_only_ladder(model, con, q)

@@ -998,16 +998,20 @@ class TestInputChecks:
         assert message in capsys.readouterr().err
 
 
-PARSED = [  # command lines that the command's own subparser parses
-    "check m.json", "check -- m.json", "check m.json --",
+PLAIN = [  # valid command lines that the command's own table resolves
+    "check m.json",
     "check m.json --grid x=0:1:2 --grid=theta=0:6.28:4 --point x=1 --point y=-2",
     "simulate m.json --q0 0,0,0 --qdot0=-1,0 --t-end=0.2 --dt 1e-3 --out t.csv",
-    "simulate m.json --q0 0,0,0 --qdot0 1,0 --t-end 0.2 --dt 1e-3 --sample 10 --project "
-    "--wrap theta --wrap x --out t.csv",
     "control-at m.json --q 0,0,0 --qdot 1,0,1",
     "fixture boat --current vortex --m 2 --I 0.5 --out b.json",
     "fixture linear --out l.json",
 ]
+HANDED_ON = [  # valid command lines that the table hands on to the full parser
+    "check -- m.json", "check m.json --",
+    "simulate m.json --q0 0,0,0 --qdot0 1,0 --t-end 0.2 --dt 1e-3 --sample 10 --project "
+    "--wrap theta --wrap x --out t.csv",  # --sample abbreviates --sample-every
+]
+PARSED = PLAIN + HANDED_ON
 FULL = [  # command lines that the full parser parses, its help or usage error
     "", "-h", "--help", "-h check", "check -h", "simulate --help", "bogus m.json",
     "--bogus check m.json", "-- check m.json", "check m.json --bogus", "check m.json extra",
@@ -1079,9 +1083,9 @@ def command_lines(draw) -> list[str]:
 
 class TestParsing:
     """`main` parses a plain command line from the table of the command
-    its first word names, and any other with that command's subparser or
-    the full parser: the namespace, the help text, every usage error and
-    exit code are those of the full parser (`build_parser().parse_args`)."""
+    its first word names, and any other with the full parser: the
+    namespace, the help text, every usage error and exit code are those of
+    the full parser (`build_parser().parse_args`)."""
 
     @staticmethod
     def outcome(parse, argv) -> tuple:
@@ -1105,9 +1109,24 @@ class TestParsing:
 
     @pytest.mark.parametrize("line", PARSED)
     def test_a_valid_line_is_parsed_once(self, line, monkeypatch):
-        parser = cli.build_parser()
-        monkeypatch.setattr(parser, "parse_args", None)  # the full parser is not called
+        """A plain line calls no argparse parse, and any other the full
+        parser once, within which argparse calls the command's subparser;
+        `main` calls no subparser itself."""
+        parser, calls = cli.build_parser(), []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, **k: calls.append(name) or real(*a, **k))
+
+        spy(parser, "parse_args")
+        for command in parser.commands.values():
+            spy(command, "parse_known_args")
         assert self.outcome(main, line.split())[1:] == ("", "")
+        if line in PLAIN:
+            assert calls == []
+        else:  # argparse's own calls of a subparser come within parse_args
+            assert calls[0] == "parse_args" and calls.count("parse_args") == 1
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

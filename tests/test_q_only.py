@@ -262,6 +262,20 @@ def test_the_metric_fails_first_at_an_infinite_q(x, expected):
         assert outcome(view) == expected
 
 
+def test_every_view_refuses_a_q_where_only_z_fails():
+    # Z = log(x) has no value at x = -1, where the closed loop needs only
+    # dZ = 1/x: stage 1 of the views runs Z's lines too, so every view
+    # refuses the point, as check, p_matrix and a run from it do
+    model, con = plane(Z="log(x)")
+    q, state = (-1.0, 0.0), State(q=(-1.0, 0.0), qdot=(-1.0, -1.0))
+    for view in (lambda: tau_star(model, con, state), lambda: solve_control(model, con, state),
+                 lambda: closed_loop_acceleration(model, con, state),
+                 lambda: rk4_step(model, con, state, 1e-3), lambda: p_matrix(model, con, q),
+                 lambda: transversality_check(con, model, q),
+                 lambda: integrate(model, con, state, t_end=1e-2, h=1e-3)):
+        assert outcome(view) == "EvalError: domain error in log(x)"
+
+
 POLES = ["log({})", "sqrt({})", "1/{}"]  # each fails at 0, the first two below it too
 
 
@@ -304,9 +318,9 @@ def test_every_view_names_the_ladders_failure(case):
     # the force may each fail, every view raises the typed error that the
     # per-field kernels, run in the views' order, raise first (the ladders
     # of `oracle`), and check prints the ladder's line; where the ladder
-    # passes, no view fails but on a result that is not finite.  Where only
-    # a line that Z alone needs fails, the closed-loop views pass, and a run
-    # fails at its start record, whose phi reads Z, with the q-only error.
+    # passes, no view fails but on a result that is not finite.  The views
+    # share one domain: where the q-only ladder fails or finds no control,
+    # so does the closed loop's stage 1, at a line that Z alone needs too.
     model, con, states = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
@@ -336,9 +350,8 @@ def test_every_view_names_the_ladders_failure(case):
                 assert got.startswith("EvalError: ") and " is not finite at q=" in got, (q, qd)
             else:
                 assert expected is None and not isinstance(got, str) or got == expected, (q, qd)
-        if expected is None and isinstance(q_only, str):
-            run = outcome(lambda: integrate(model, con, state, t_end=1e-2, h=1e-3))
-            assert run == q_only, (q, qd)
+        if expected is None:  # one domain: where stage 1 holds, so does the q-only ladder
+            assert not isinstance(q_only, str) and q_only[1][0] is None, (q, qd)
 
 
 # (model, points): every gate holds on gen5; at the others' points a gate
