@@ -69,7 +69,7 @@ from itertools import chain, combinations, product
 
 from . import expr as ex
 from . import linalg
-from .linalg import _bin, _Block, _call, _chain, _if_else, _list, _Src, _unary
+from .linalg import _bin, _Block, _call, _chain, _extreme, _if_else, _list, _Src, _unary
 from .expr import EvalError
 from .geometry import (MechanicalModel, ModelError, State, _Chart, _compiled, _spd_error,
                        contract)
@@ -224,13 +224,18 @@ def _gate_lines(block: _Block, n: int, m: int, fail, G, coframe, lines, S):
     (`_bind`) where each block reads them, with lines, `_emit`'s too, run
     between the blocks.  fail(gate) is the statement a failing gate runs;
     the gates, in order: spd and ratio (the metric's), singular and P (the
-    pivot and P condition gates, tested together)."""
+    pivot and P condition gates, tested together), whose fail also gets
+    `_pivots`'s tuple.  The ratio's largest and smallest Cholesky diagonal
+    entries, hi and lo, and cond_1's largest column sums are comparisons
+    (`linalg._extreme`), as are `_pivots`'s extremes, bound once before
+    the P gate.  Returns `_pivots`'s tuple and ||P^-1||_1, for the q-only
+    kernel's last return."""
     rm = range(m)
     _bind(block, g=G, y=coframe)
     # The metric: SPD and condition gates, then the input fields Y^a = G^-1 coframe^a.
     linalg._cholesky_lines(block, n, "g", "l", fail("spd"))
     diag = [block[f"l{i}_{i}"] for i in range(n)]
-    block["ratio"] = _bin(_call("max", *diag), "/", _call("min", *diag))
+    block["ratio"] = _bin(_extreme(block, "hi", ">", diag), "/", _extreme(block, "lo", "<", diag))
     block.gate(_bin(_bin(block["ratio"], "*", block["ratio"]), ">", linalg.CONDITION_CAP),
                fail("ratio"))
     for a in rm:
@@ -243,18 +248,21 @@ def _gate_lines(block: _Block, n: int, m: int, fail, G, coframe, lines, S):
     for b, a in product(rm, rm):
         block[f"u{b}_{a}"] = block[f"P{b}_{a}"]
     linalg._lu_factor_lines(block, m, "u", "p", fail("singular"))
-    linalg._cond1_lines(block, m, "P", "u", "p", "cond")
+    inverse = linalg._cond1_lines(block, m, "P", "u", "p", "cond")
+    pivots = _pivots(block, n, m)
     block.gate(_bin(_unary("not", _bin(block["cond"], "<=", linalg.CONDITION_CAP)), "or",
-                    _pivots(block, n, m)[2]), fail("P"))
+                    pivots[2]), fail("P", pivots))
+    return pivots, inverse
 
 
 def _pivots(block: _Block, n: int, m: int) -> tuple:
     """P's smallest pivot magnitude, its scale (the largest constraint-row
     norm times the largest input-field norm), and whether the pivot is too
-    small for the scale."""
-    norms = [_call("max", *(_call("hypot", *(block[f"{x}{a}_{i}"] for i in range(n)))
-                            for a in range(m))) for x in "Sy"]  # the longest of the rows
-    min_pivot = _call("min", *(_call("abs", block[f"u{a}_{a}"]) for a in range(m)))
+    small for the scale.  The largest norms and the smallest pivot are
+    bound once, by `_extreme`'s comparisons, to Snorm, ynorm and pivot."""
+    norms = [_extreme(block, f"{x}norm", ">", [  # the longest of the rows
+        _call("hypot", *(block[f"{x}{a}_{i}"] for i in range(n))) for a in range(m)]) for x in "Sy"]
+    min_pivot = _extreme(block, "pivot", "<", [_call("abs", block[f"u{a}_{a}"]) for a in range(m)])
     scale = _bin(norms[0], "*", norms[1])
     return min_pivot, scale, _bin(min_pivot, "<=", _bin(PIVOT_RTOL, "*", scale))
 
@@ -325,12 +333,13 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
     def rows(x: str, size: int) -> list:  # of the values of the locals {x}b_a
         return [[block[f"{x}{b}_{a}"] for a in range(size)] for b in rm]
 
-    def fields(gate: str | None) -> str:
+    def fields(gate: str | None, pivots=(None,) * 3, inverse=None) -> str:
         """The ten fields of `_QOnly` that the gate's failure returns, from
         the values of the locals there: those computed before it, or all but
         the pivot and its scale, with the rank certificate, where every gate
-        holds (gate None), then the defaults of the others."""
-        min_pivot, scale, small = _pivots(block, n, m)
+        holds (gate None), then the defaults of the others.  pivots, for the
+        P gate and gate None, is `_pivots`'s, and inverse ||P^-1||_1."""
+        min_pivot, scale, small = pivots
         det = _chain("*", [block[f"u{a}_{a}"] for a in rm])
         if m > 1:  # the sign of the row permutation
             swaps = _chain("+", [_bin(block[f"p{a}"], ">", block[f"p{b}"])
@@ -343,15 +352,15 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
                metric if failed == "metric" else None, block["ratio"], rows("P", m),
                block["cond"], det, min_pivot, scale]
         if gate is None:  # no pivot, no scale, but the rank certificate (see above)
-            inverse = _call("max", *(block[f"cond_c{j}"] for j in rm))  # ||P^-1||_1
             out[7:] = None, None, _bin(1 / (2 * RANK_RTOL * m * math.sqrt(m)), ">",
                                        _bin(inverse, "*", scale))
         kept = {"spd": 3, "ratio": 4, "singular": 5, "P": 9}.get(gate, 10)
         return ", ".join(map(_list, out[:kept] + _DEFAULTS[kept - 3:]))
 
-    _gate_lines(block, n, m, lambda gate: f"return {fields(gate)}", G, coframe, lines[cut:], S)
+    ends = _gate_lines(block, n, m, lambda *gate: f"return {fields(*gate)}", G, coframe,
+                       lines[cut:], S)
     source = linalg._kernel_source("q", [f"{linalg._vector('_a', n)}, = q", *block.lines],
-                                   fields(None))
+                                   fields(None, *ends))
     con._tables["q-only", model] = ex._table(source, nodes)
     return source
 

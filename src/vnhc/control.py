@@ -105,7 +105,7 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
     block.lines += lines[:head]
     for i in r:  # G^-1 (F - dV - w), the drift
         block[f"d{i}"] = _bin(_bin(F[i], "-", dV[i]), "-", w[i])
-    _gate_lines(block, n, m, lambda gate: "return None", G, coframe, (), S)
+    _gate_lines(block, n, m, lambda *_: "return None", G, coframe, (), S)
     linalg._cho_solve_lines(block, n, "l", "d")
     for b in rm:  # b = -(S drift + c), S finite past P's gate
         block[f"b{b}"] = _unary("-", _bin(_dot(block, f"S{b}_", "d", n, finite=True), "+", c[b]))

@@ -83,6 +83,11 @@ def _vector(name: str, n: int) -> str:
 #    the literal.  One that a branch may rebind is bound before the branch;
 #  - a test that is known decides its `if` here, so a gate known to hold
 #    goes and one known to fail keeps its fail statement;
+#  - max and min are not calls but comparisons (`_extreme`), in the
+#    builtin's order: the first item, then each later one where it is
+#    strictly greater (less), so NaN and signed zeros win where they win
+#    the builtin's.  Known items compare here, so an extreme of one item or
+#    of known items alone writes no line;
 #  - x * 1.0, 1.0 * x, x / 1.0 and x - 0.0 are x for every float x, signed
 #    zeros, infinities and NaN included, and (x, y)[1] is y.  0.0 * x,
 #    0.0 + x and x + 0.0 stay: they turn -0.0 into 0.0, or inf into NaN;
@@ -142,10 +147,10 @@ def _computed(fn, args: tuple, source):
 
 
 _BINARY = {"or": (1, lambda a, b: a or b), "<=": (4, operator.le), ">": (4, operator.gt),
-           "==": (4, operator.eq), "!=": (4, operator.ne), "+": (5, operator.add),
-           "-": (5, operator.sub), "*": (6, operator.mul), "/": (6, operator.truediv),
-           "%": (6, operator.mod)}
-_FUNCTIONS = {"abs": abs, "sqrt": math.sqrt, "hypot": math.hypot, "max": max, "min": min,
+           "<": (4, operator.lt), "==": (4, operator.eq), "!=": (4, operator.ne),
+           "+": (5, operator.add), "-": (5, operator.sub), "*": (6, operator.mul),
+           "/": (6, operator.truediv), "%": (6, operator.mod)}
+_FUNCTIONS = {"abs": abs, "sqrt": math.sqrt, "hypot": math.hypot,
               **{f"math.{name}": getattr(math, name)  # the calls of `expr._emit`
                  for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "pow")}}
 
@@ -169,9 +174,7 @@ def _unary(op: str, a):
 
 
 def _call(name: str, *args):
-    """The function name of args; max and min of one item are the item."""
-    if name in ("max", "min") and len(args) == 1:
-        return args[0]
+    """The function name of args.  (max and min are not calls: `_extreme`.)"""
     return _computed(_FUNCTIONS[name], args, lambda: _Src(f"{name}({', '.join(map(_text, args))})"))
 
 
@@ -265,11 +268,30 @@ class _Block:
         self.when(test, lambda block: block.lines.append(fail))
 
 
+def _extreme(block: _Block, name: str, op: str, items):
+    """max(*items) for op ">", min(*items) for op "<", bound to the local
+    name by comparisons, as the builtin computes it: items read left to
+    right, a later one replacing the extreme only where it is strictly op
+    the extreme, so NaN and signed zeros come out as the builtin's.  An
+    item neither known nor a local is bound to e first, so it runs once.
+    One item is that item, and writes no line; known items compare here."""
+    first, *rest = items
+    if not rest:
+        return first
+    block[name] = first
+    for item in rest:
+        if isinstance(item, _Src) and not item.isidentifier():
+            block["e"] = item
+            item = block["e"]
+        block.when(_bin(item, op, block[name]), lambda b, x=item: b.let((name, x)), (name,))
+    return block[name]
+
+
 # Statement generators.  Each spells out one algorithm over the locals
 # named by its prefixes (matrix entries {a}i_j, vector entries {x}i) into
 # a block, so the per-size kernels below and the kernels of a (model,
 # constraint) pair run the same operations in the same order.  Scratch
-# locals: s, r, big.
+# locals: s, r, big, e.
 
 def _cholesky_lines(block: _Block, n: int, a: str, l: str, fail: str):
     """Factor the lower triangle of {a} into {l}; fail is the statement run
@@ -330,14 +352,18 @@ def _lu_solve_lines(block: _Block, n: int, u: str, p: str, b, x: str):
 
 def _cond1_lines(block: _Block, n: int, a: str, u: str, p: str, out: str):
     """{out} = cond_1 of {a}, exact at this size: its largest column sum
-    of absolute values times that of the inverse, whose columns come from
-    one solve per unit vector with the factors {u}, {p}."""
+    of absolute values, {out}_a, times that of the inverse, {out}_v, whose
+    columns come from one solve per unit vector with the factors {u}, {p};
+    both largest sums by `_extreme`'s comparisons.  Returns the value of
+    {out}_v, ||{a}^-1||_1."""
     for j in range(n):
         _lu_solve_lines(block, n, u, p, [1.0 if i == j else 0.0 for i in range(n)], f"{out}_x")
         block[f"{out}_c{j}"] = _chain("+", [_call("abs", block[f"{out}_x{i}"]) for i in range(n)])
-    norm = [_chain("+", [_call("abs", block[f"{a}{i}_{j}"]) for i in range(n)]) for j in range(n)]
-    block[out] = _bin(_call("max", *norm), "*",
-                      _call("max", *(block[f"{out}_c{j}"] for j in range(n))))
+    norm = _extreme(block, f"{out}_a", ">", [
+        _chain("+", [_call("abs", block[f"{a}{i}_{j}"]) for i in range(n)]) for j in range(n)])
+    inverse = _extreme(block, f"{out}_v", ">", [block[f"{out}_c{j}"] for j in range(n)])
+    block[out] = _bin(norm, "*", inverse)
+    return inverse
 
 
 def _kernel_source(args: str, body: list[str], result: str) -> list[str]:

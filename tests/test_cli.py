@@ -794,6 +794,36 @@ class TestNonFiniteResults:
         assert main(["control-at", path, "--q", "1e10,0", "--qdot", "0,0"]) == 1
         assert "error: P matrix [[nan]] is not finite" in capsys.readouterr().err
 
+    def test_nan_reaches_the_extremes(self, tmp_path, capsys):
+        # At x = 1e10 the metric's x entries overflow to inf, so the Cholesky
+        # diagonal is (inf, nan, nan): NaN reaches the ratio gate's largest
+        # and smallest entry, and P's cond and pivot gates.  The lines are
+        # those the builtin max and min gave; at x = 1 and 1e-3, G is not SPD.
+        path = write_json(tmp_path, "nan.json", {
+            "coordinates": ["x", "y", "z"],
+            "metric": [["1e300*x*x", "1e300*x*x", "0"], ["1e300*x*x", "1", "0"],
+                       ["0", "0", "1"]],
+            "inputs": [["1", "0", "0"], ["0", "1", "0"]],
+            "constraint": {"mu": [["1", "0", "0"], ["0", "1", "0"]], "Z": ["0", "0"]},
+        })
+        argv = ["check", path, "--point", "x=1e10", "--point", "x=1", "--point", "x=1e-3"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "q=(1e+10, 0, 0) rank=ok(2/2) transversality=ERROR (P matrix [[nan, nan], "
+            "[nan, nan]] is not finite at q=(10000000000.0, 0.0, 0.0))",
+            "q=(1, 0, 0) rank=ok(2/2) metric=SPD-FAILURE (metric not positive definite at "
+            "q=(1.0, 0.0, 0.0); eigenvalues [-6.1803398874989486e+299, 1.0, "
+            "1.618033988749895e+300])",
+            "q=(0.001, 0, 0) rank=ok(2/2) metric=SPD-FAILURE (metric not positive definite at "
+            "q=(0.001, 0.0, 0.0); eigenvalues [-6.180339887498948e+293, 1.0, "
+            "1.6180339887498947e+294])",
+        ]
+        assert main(["control-at", path, "--q", "1e10,0,0", "--qdot", "0,0,0"]) == 1
+        assert capsys.readouterr() == ("", "error: P matrix [[nan, nan], [nan, nan]] is not "
+                                           "finite at q=(10000000000.0, 0.0, 0.0)\n")
+        record = constraint._p_system(*load_model(path), (1e10, 0.0, 0.0))
+        assert (record.failed, repr(record.ratio), repr(record.cond)) == ("cond", "nan", "nan")
+
     def big_force_plane(self, tmp_path, metric, inputs):
         return write_json(tmp_path, "solve.json", {
             "coordinates": ["x", "y"],

@@ -169,7 +169,7 @@ def test_simulate_output_is_golden(tmp_path):
 # caught.
 CLOSED_LOOP_SHA256 = {
     "vortex": "cbcc5fa30de5d379131ef5a5ddce1df5d607f1f16c10eab2b476263280c27ec5",
-    "gen5": "45e0d4959b95ea4f7e8e7d38e3212dd9e9639a1317666a0f54d211e2efe9a0ed",
+    "gen5": "ce1fb152213f8a89a25ce1ac197841e8f7da6fefea587d6d0227498afe7bfd7a",
 }
 
 
@@ -189,8 +189,12 @@ def test_closed_loop_source_is_unchanged():
 # kept their zero terms (106, 115 and 118 lines).  gen5's sums have none,
 # as its metric depends on q and its constraint rows lead with 1; its 341
 # lines became 342 when each function call got a line of its own, which
-# split -math.sin(_a4) in two.
-STEP_LINES = {"still": 105, "shear": 114, "vortex": 117, "gen5": 342}
+# split -math.sin(_a4) in two, and 379 when its seven max and min calls
+# became comparisons on lines of their own (`linalg._extreme`): an extreme
+# of k items takes a line for its first item, a test of two lines for each
+# other, and a line more for each of those that is not a local.  The
+# boats' extremes are of one item or folded.
+STEP_LINES = {"still": 105, "shear": 114, "vortex": 117, "gen5": 379}
 
 
 def pair_systems() -> dict:
@@ -217,8 +221,9 @@ def test_step_kernels_drop_their_zero_terms():
 # their zero terms, such as the products with L's zeros in a boat's solves
 # (gen5's sums have none, as for its step kernel); then 24, 26, 27 and 224
 # while it kept a statement for each inline root of dV, w, Z and c at rest,
-# whose raising operations are now lines of their own.
-Q_ONLY_LINES = {"still": 23, "shear": 24, "vortex": 27, "gen5": 214}
+# whose raising operations are now lines of their own; gen5's 214 became
+# 251 when its max and min calls became comparisons, as in its step kernel.
+Q_ONLY_LINES = {"still": 23, "shear": 24, "vortex": 27, "gen5": 251}
 
 
 def test_q_only_kernels_drop_their_zero_terms():
@@ -239,9 +244,11 @@ def test_q_only_kernels_drop_their_zero_terms():
 # in the views' order, the metric's gates before P's, which bind S; the
 # q-only kernel the model's lines, then the metric's block, then the
 # constraint's lines; the step kernel's failure returns its math error.
+# Their max and min are comparisons in the builtins' order
+# (`linalg._extreme`), which moved gen4's and gen5's sources alone.
 MODEL_KERNELS_SHA256 = "79d9ec31ff9f4a3048052945f472065227a011c397e5c0b9f410d6fdeaddb113"
-Q_ONLY_KERNELS_SHA256 = "fc90966817a217691dc66266639ea7636da3bbc515daebca936cdbe3be0c3814"
-STEP_KERNELS_SHA256 = "75249f432ec06ab01dd73b6516d8175c383fc2bf3ddf7bd8fe544459e182eed0"
+Q_ONLY_KERNELS_SHA256 = "2fca7de8eaa4b9ced83dd5b00a360d5f273c1b60ddf6be900d0c90bd98271f26"
+STEP_KERNELS_SHA256 = "efd2a027ac57c3ebd34da05e6953e006acf0de3e86bdbf3945485111cb3e04eb"
 
 
 def kernel_sources() -> tuple[list[str], list[str]]:

@@ -3,14 +3,21 @@ loops they unroll, and right against numpy; the Jacobi spectra against
 numpy's LAPACK."""
 
 import math
+import random
+import re
+import struct
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracle import fold
+from test_control import build_gen4, build_gen5
+from test_theorem import systems
 
-from vnhc import AffineConstraint, build_boat, constraint, control, linalg, load_model, save_model
+from vnhc import (AffineConstraint, FIXTURE_CURRENTS, build_boat, constraint, control, linalg,
+                  load_model, save_model)
 from vnhc.constraint import RANK_RTOL
 
 
@@ -371,3 +378,89 @@ def test_dot_adds_left_to_right_on_every_python():
     # here; dot adds as the generated kernels do, which loses the 1.0
     assert linalg.dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
     assert repr(linalg.dot([-0.0, -0.0], [1.0, 1.0])) == "0.0"  # from 0, as sum() starts
+
+
+# max and min as `linalg._extreme` writes them, against the builtins, bit
+# for bit, on 1-6 items drawn from EXTREMES, so the sign of a zero and the
+# choice between NaN and a number show.  A known item is a literal, which
+# a block holds only finite (`linalg._computed`): those come from FINITE.
+EXTREMES = [math.nan, math.inf, -math.inf, 1.5, -1.5, 0.0, -0.0, 5e-324, 1.0]
+FINITE = [x for x in EXTREMES if math.isfinite(x)]
+
+
+def bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+def extremes_kernel(k: int, known: dict, fold: bool):
+    """kernel(locals) -> (max, min) of k items as `_extreme` writes them
+    into a block that folds if fold, the lines and the two values: item i
+    is the literal known[i] where given, else the local x{i}, read as the
+    name where i is even and as the expression (x{i},)[0], which `_extreme`
+    binds to its scratch local, where i is odd."""
+    items = [known[i] if i in known else linalg._Src(f"x{i}" if i % 2 == 0 else f"(x{i},)[0]")
+             for i in range(k)]
+    block = linalg._Block(fold=fold)
+    out = (linalg._extreme(block, "hi", ">", items), linalg._extreme(block, "lo", "<", items))
+    args = ", ".join(f"x{i}" for i in range(k) if i not in known)
+    kernel = linalg._define("\n".join(linalg._kernel_source(args, block.lines, linalg._list(out))))
+    return kernel, block.lines, out
+
+
+def placements(width: int, rng: random.Random) -> list[tuple]:
+    """Every tuple of EXTREMES of this width up to 4; wider, every value at
+    every position, the others drawn."""
+    if width <= 4:
+        return list(product(EXTREMES, repeat=width))
+    return [tuple(v if j == at else rng.choice(EXTREMES) for j in range(width))
+            for at in range(width) for v in EXTREMES for _ in range(8)]
+
+
+def assert_extremes(k: int, known: dict, fold: bool, runs):
+    kernel, lines, out = extremes_kernel(k, known, fold)
+    if k == 1 or fold and len(known) == k:  # the item itself, or computed here
+        assert lines == [] and (k == 1 or not isinstance(out[0], linalg._Src))
+    for i in range(1, k, 2):  # an expression item runs once in each extreme
+        assert i in known or k == 1 or "\n".join(lines).count(f"(x{i},)[0]") == 2
+    for values in runs:
+        it = iter(values)
+        items = [known[i] if i in known else next(it) for i in range(k)]
+        got = kernel(*values)
+        assert (bits(got[0]), bits(got[1])) == (bits(max(items)), bits(min(items))), items
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_extremes_are_the_builtins_bit_for_bit(k):
+    rng = random.Random(k)
+    assert_extremes(k, {}, True, placements(k, rng))  # no literal: every block writes alike
+    for fold in (True, False):
+        for size in range(1, k + 1):  # known literals at every placement
+            for where in combinations(range(k), size):
+                every = len(FINITE)**size * len(EXTREMES)**(k - size) <= 1000
+                literals = (list(product(FINITE, repeat=size)) if every
+                            else [tuple(rng.choice(FINITE) for _ in where) for _ in range(3)])
+                runs = list(product(EXTREMES, repeat=k - size))
+                for chosen in literals:
+                    assert_extremes(k, dict(zip(where, chosen)), fold,
+                                    runs if len(runs) <= 81 else rng.sample(runs, 81))
+
+
+MAX_MIN_CALL = re.compile(r"\b(max|min)\(")
+
+
+def assert_no_max_or_min_call(model, con):
+    for source in ("\n".join(constraint._q_only_source(model, con)),
+                   control._step_source(model, con)):
+        assert not MAX_MIN_CALL.search(source)
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_CURRENTS, "gen4", "gen5"])
+def test_pair_kernels_call_no_max_or_min(name):
+    builds = {"gen4": build_gen4, "gen5": build_gen5}
+    assert_no_max_or_min_call(*builds.get(name, lambda: build_boat(*FIXTURE_CURRENTS[name]))())
+
+
+@settings(max_examples=5, deadline=None)
+@given(systems())
+def test_drawn_pair_kernels_call_no_max_or_min(system):
+    assert_no_max_or_min_call(*system[:2])
