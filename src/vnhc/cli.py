@@ -34,9 +34,9 @@ import time
 from operator import itemgetter
 
 from . import model_io, models
-from .constraint import RankDefectError, _new, _q_only, _QOnly, _verdict, project_onto_A
+from .constraint import RankDefectError, _new, _pair, _q_only, _QOnly, _verdict, project_onto_A
 from .control import TransversalityError, solve_control
-from .expr import EvalError, _named
+from .expr import EvalError
 from .geometry import SPDError, State
 from .model_io import ModelFileError
 from .sim import IntegrationError, integrate
@@ -148,11 +148,11 @@ def cmd_check(args) -> int:
         k = tail = None
         try:  # one q-only kernel call; its error, and the verdict's, come after the rank's
             if kernel is None:
-                kernel, reads = _q_only(model, con), con._reads[model]
+                kernel, reads = _q_only(model, con), _pair(model, con).reads
                 if len(reads) < n:
                     key = itemgetter(*reads) if reads else lambda q: ()
             if key is None or (tail := tails.get(at := key(q))) is None:
-                k = _named(kernel, con._tables["q-only", model].get, q)
+                k = kernel(q)
                 failed, _, _, _, _, cond, det, _, _, full_rank = k
                 if failed is None and full_rank:
                     tail = tails[at] = f"{full} transversality=ok cond={cond:.6g} det={det:.6g}\n"

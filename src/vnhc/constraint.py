@@ -65,12 +65,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
+from functools import partial
 from itertools import chain, combinations, product
 
 from . import expr as ex
 from . import linalg
 from .linalg import _bin, _Block, _call, _chain, _extreme, _if_else, _list, _Src, _unary
-from .expr import EvalError
+from .expr import EvalError, _named
 from .geometry import (MechanicalModel, ModelError, State, _Chart, _compiled, _spd_error,
                        contract)
 
@@ -115,16 +116,8 @@ class AffineConstraint(_Chart):
              for dmu_b, dZ_b in zip(dmu, dZ)]
         self._check_derived({"constraint.mu": dmu, "constraint.Z": dZ})
         self._exprs = [mu, Z, c]
-        # model -> the step kernel (built by `control`) and the q-only kernel
-        # of (model, self), each built on its first use with that model, and
-        # the coordinates that the q-only kernel's record reads (`_reads`).
-        self._step = {}
-        self._q_only = {}
-        self._reads = {}
-        # (what kernel, model) -> the line -> node table of each kernel
-        # (`expr._table`), written with its source, by which it names its
-        # own math errors
-        self._tables = {}
+        # model -> the record of (model, self), made by `_pair` alone
+        self._pairs = {}
 
     # -- evaluation ---------------------------------------------------------
 
@@ -180,6 +173,31 @@ def check_compatible(model: MechanicalModel, con: AffineConstraint, con_first: b
     if con.m != model.m:
         raise ModelError(f"number of constraint rows ({con.m}) must equal number of "
                          f"control inputs ({model.m})")
+
+
+class _Pair:
+    """What a (model, constraint) pair has built, each entry on its first
+    use: q_only, the q-only kernel, which names its own math errors
+    (`_q_only`), with reads, the coordinates its record reads (`_reads`);
+    step, `control`'s step kernel, with table, its line -> node table
+    (`expr._table`).  An entry not yet built is unset, and reading it
+    raises AttributeError."""
+
+    __slots__ = ("q_only", "reads", "step", "table")
+
+
+def _pair(model: MechanicalModel, con: AffineConstraint, con_first: bool = False) -> _Pair:
+    """The pair's record, made right after `check_compatible` passes and
+    kept in con._pairs[model]: both are immutable and models hash by
+    identity, so a kept record proves the check passed, and a warm call
+    checks nothing.  Any failed lookup (con not an AffineConstraint, a
+    model not yet paired, an unhashable argument) takes the check and its
+    typed error, in the order the caller takes them (con_first)."""
+    try:
+        return con._pairs[model]
+    except (AttributeError, KeyError, TypeError):
+        check_compatible(model, con, con_first)
+        return con._pairs.setdefault(model, _Pair())
 
 
 # -- the q-only kernel of a (model, constraint) pair ------------------------
@@ -318,7 +336,6 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
     r, rm = range(n), range(m)
     lines, ((G, coframe, _, _), (S, _, _)), nodes = ex._emit(
         [model._exprs, con._exprs], model.coordinates + model.velocities)
-    con._reads[model] = _reads(model, con, nodes)
     # The lines that no model root reaches are the constraint's alone, after
     # the model's.  From the first of them that can raise, at any q, finite
     # or not, they run after the metric block, whose failing returns then
@@ -361,8 +378,7 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
                        lines[cut:], S)
     source = linalg._kernel_source("q", [f"{linalg._vector('_a', n)}, = q", *block.lines],
                                    fields(None, *ends))
-    con._tables["q-only", model] = ex._table(source, nodes)
-    return source
+    return "\n".join(source), ex._table(source, nodes), _reads(model, con, nodes)
 
 
 def _reads(model: MechanicalModel, con: AffineConstraint, nodes) -> tuple[int, ...]:
@@ -383,30 +399,27 @@ def _reads(model: MechanicalModel, con: AffineConstraint, nodes) -> tuple[int, .
     return tuple(i for i, c in enumerate(model.coordinates) if c in symbols)
 
 
-def _built(kernels: dict, model: MechanicalModel, source, what: str):
-    """The pair kernel that source() defines, compiled (`_compiled`, as
-    what kernel) and kept in kernels, one of the constraint's dicts, under
-    model."""
-    return kernels.setdefault(model, _compiled(f"{what} kernel", lambda: linalg._define(source())))
-
-
 def _q_only(model: MechanicalModel, con: AffineConstraint):
-    """The pair's compiled q-only kernel, built on the first q-only call
-    with this model and kept on con, one per model."""
-    return con._q_only.get(model) or _built(con._q_only, model,
-                                            lambda: "\n".join(_q_only_source(model, con)), "q-only")
+    """The pair's compiled q-only kernel, built on its first use and kept
+    on the pair's record (`_pair`) with the coordinates its record reads.
+    It names its own math errors, as `expr.compile_exprs`'s kernels do:
+    its source's line -> node table is bound into it (`expr._named`)."""
+    pair = _pair(model, con)
+    if not hasattr(pair, "q_only"):
+        source, table, pair.reads = _compiled("q-only kernel", _q_only_source, model, con)
+        pair.q_only = partial(_named, _compiled("q-only kernel", linalg._define, source), table.get)
+    return pair.q_only
 
 
 def _p_system(model: MechanicalModel, con: AffineConstraint, q) -> _QOnly:
     """The pair's q-only kernel at q, its record whichever gate failed, for
     the views, which judge it with `_verdict` (`vnhc check` calls the
     kernel and judges its record in its own loop); where the kernel meets
-    a math error, the EvalError that names it, from the kernel's own line
-    (`expr._named`)."""
+    a math error, the EvalError that names it, from the kernel's own line.
+    The pair is checked (`_pair`) before q, and both before a build."""
+    _pair(model, con)
     con._check_q(q)
-    # the kernel is built, which keeps its table, before the table is read;
-    # its build's errors are not the kernel's math errors
-    return _new(_QOnly, ex._named(_q_only(model, con), con._tables["q-only", model].get, q))
+    return _new(_QOnly, _q_only(model, con)(q))
 
 
 def _verdict(k: _QOnly, q) -> tuple[str | None, float]:
@@ -436,7 +449,7 @@ def transversality_check(
 ) -> TransversalityReport:
     """Invertibility of P(q) with entries mu^b(Y^a); certifies A and the
     input distribution are transversal (given the rank hypothesis)."""
-    check_compatible(model, con, con_first=True)
+    _pair(model, con, con_first=True)
     k = _p_system(model, con, q)
     error, cond = _verdict(k, q)
     return _new(TransversalityReport, (error is None, tuple(chain.from_iterable(k.P)), k.det,
@@ -450,7 +463,7 @@ def project_onto_A(
     onto the affine constraint set at the same base point.  Raises
     RankDefectError where S(q) has lost rank, and EvalError where S G^-1 S^T
     is singular in floating point or the projected velocity is not finite."""
-    check_compatible(model, con, con_first=True)
+    _pair(model, con, con_first=True)
     S, Z, _ = con._at_rest(state.q)
     rank = con._rank(S)[0]
     if rank < con.m:

@@ -48,10 +48,9 @@ from collections import namedtuple
 from . import expr as ex
 from . import linalg
 from .linalg import _bin, _Block, _list, _Src, _text, _unary
-from .constraint import (AffineConstraint, _built, _dot, _gate_lines, _p_system, _QOnly,
-                         _verdict, check_compatible)
+from .constraint import AffineConstraint, _dot, _gate_lines, _p_system, _pair, _QOnly, _verdict
 from .expr import EvalError
-from .geometry import MechanicalModel, State
+from .geometry import MechanicalModel, State, _compiled
 
 
 class TransversalityError(RuntimeError):
@@ -158,12 +157,11 @@ def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
     included (as given where a is None or more is false), and error the
     math error caught, whose traceback holds the kernel's line that raised
     (None for a failed gate or an end that is not finite);
-    `_raise_failure` raises the typed error there.  The kernel's line ->
-    node table (`expr._table`) is kept on con."""
+    `_raise_failure` raises the typed error there.  Returns the source and
+    its line -> node table (`expr._table`), by which that error is named."""
     *body, nodes = _closed_loop_body(model, con)
     source = _step_text(*body)
-    con._tables["closed-loop", model] = ex._table(source.splitlines(), nodes)
-    return source
+    return source, ex._table(source.splitlines(), nodes)
 
 
 def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
@@ -222,22 +220,14 @@ def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
     return "\n".join(["def kernel(q, v, a, h, more):", *(f"    {line}" for line in body)])
 
 
-def _step(model: MechanicalModel, con: AffineConstraint, state: State | None = None):
-    """The pair's compiled step kernel, built on the first closed-loop call
-    with this model and kept on con, one per model.  The pair is checked
-    (`check_compatible`) here, on the cold path alone, right before the
-    build: both are immutable and models hash by identity, so a kernel kept
-    in con._step[model] proves the check passed.  Any failed lookup (con
-    not an AffineConstraint, a model not yet built, an unhashable argument)
-    takes the cold path and its typed error; a given state's q is checked
-    after the pair, so its error too comes before a build."""
-    try:
-        return con._step[model]
-    except (AttributeError, KeyError, TypeError):
-        check_compatible(model, con)
-        if state is not None:
-            model._check_q(state.q)
-        return _built(con._step, model, lambda: _step_source(model, con), "closed-loop")
+def _step(model: MechanicalModel, con: AffineConstraint):
+    """The pair's compiled step kernel, built on its first use and kept on
+    the pair's record (`constraint._pair`) with its line -> node table."""
+    pair = _pair(model, con)
+    if not hasattr(pair, "step"):
+        source, pair.table = _compiled("closed-loop kernel", _step_source, model, con)
+        pair.step = _compiled("closed-loop kernel", linalg._define, source)
+    return pair.step
 
 
 def _raise_failure(model: MechanicalModel, con: AffineConstraint, q, error, state=None):
@@ -253,7 +243,7 @@ def _raise_failure(model: MechanicalModel, con: AffineConstraint, q, error, stat
     line of the q-only kernel (`expr._emit`), as is each line of Z.  So
     the step kernel's error can then only be the force's."""
     _admissible(_p_system(model, con, q), q, state)
-    table = con._tables["closed-loop", model]
+    table = _pair(model, con).table
     raise ex._math_error(error, table.get(error.__traceback__.tb_lineno)) from None
 
 
@@ -264,12 +254,16 @@ def _stage1(model: MechanicalModel, con: AffineConstraint, state: State,
     rows], cond) there, screened finite; given a run's step h, the run's
     start record (q, qdot, acc, tau, phi), which integrate checks on its
     states instead.  The one entry of the views and of `integrate`'s start:
-    warm, one lookup of the kernel (whose build checked the pair, `_step`),
-    one length test and one kernel call, then the views' finite check."""
+    warm, one lookup of the pair's record and one read of its kernel, one
+    length test and one kernel call, then the views' finite check.  Any
+    failed lookup takes the cold branch: the pair's check (`_pair`), then
+    state's q, both before the kernel's build (`_step`)."""
     try:
-        kernel = con._step[model]
+        kernel = con._pairs[model].step
     except (AttributeError, KeyError, TypeError):
-        kernel = _step(model, con, state)
+        _pair(model, con)
+        model._check_q(state.q)
+        kernel = _step(model, con)
     q = state.q
     if len(q) != model.n:
         model._check_q(q)
@@ -286,7 +280,6 @@ def _stage1(model: MechanicalModel, con: AffineConstraint, state: State,
 
 def p_matrix(model: MechanicalModel, con: AffineConstraint, q) -> list[list[float]]:
     """System matrix with entries mu^b(q)(Y^a); velocity-independent."""
-    check_compatible(model, con)
     return _admissible(_p_system(model, con, q), q).P
 
 
@@ -296,7 +289,7 @@ def b_vector(model: MechanicalModel, con: AffineConstraint, state: State) -> lis
     whose per-size solve knows no zeros and keeps every term, so a b that is
     not finite can be NaN here where the step kernel's views report an
     infinity."""
-    check_compatible(model, con)
+    _pair(model, con)
     drift = model.drift_acceleration(state)
     S, _, c = con._kernel(*state.q, *state.qdot)
     b = [-(linalg.dot(row, drift) + cb) for row, cb in zip(S, c)]

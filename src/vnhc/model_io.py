@@ -32,7 +32,7 @@ import functools
 import json
 
 from . import expr as ex
-from .constraint import AffineConstraint, check_compatible
+from .constraint import AffineConstraint, _pair
 from .geometry import MechanicalModel, ModelError
 
 _TOP_KEYS = {
@@ -116,7 +116,7 @@ def load_model_dict(data: dict) -> tuple[MechanicalModel, AffineConstraint]:
         con = AffineConstraint(
             model_coordinates=coords, mu=mu, Z=Z, parameters=params
         )
-        check_compatible(model, con)
+        _pair(model, con)
     except (ModelError, ex.EvalError) as err:  # EvalError: a non-finite number
         raise ModelFileError(str(err)) from err
     except RecursionError:
@@ -152,7 +152,7 @@ def load_model(path) -> tuple[MechanicalModel, AffineConstraint]:
 
 
 def model_to_dict(model: MechanicalModel, con: AffineConstraint) -> dict:
-    check_compatible(model, con)
+    _pair(model, con)
     return {
         "coordinates": list(model.coordinates),
         "parameters": dict(model.parameters),

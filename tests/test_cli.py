@@ -194,7 +194,7 @@ class TestCheckLines:
             written.append(out.getvalue().count("\n"))
             return real(q)
 
-        monkeypatch.setitem(con._q_only, model, q_only)
+        monkeypatch.setattr(constraint._pair(model, con), "q_only", q_only)
         with contextlib.redirect_stdout(out):
             assert main(["check", boat_file, "--point", "x=1", "--grid", "theta=0:1:4"]) == 0
         # the grid's first point, theta = 0, reuses the record of x=1 (the
@@ -211,7 +211,8 @@ class TestCheckLines:
         save_model(path, *build_boat(*vnhc.FIXTURE_CURRENTS["vortex"]))
         model, con = load_model(path)  # the pair check loads: patch its kernel undoably
         real, calls = constraint._q_only(model, con), []
-        monkeypatch.setitem(con._q_only, model, lambda q: calls.append(q) or real(q))
+        monkeypatch.setattr(constraint._pair(model, con), "q_only",
+                            lambda q: calls.append(q) or real(q))
         assert main(["check", str(path), "--point", "theta=0", "--point", "theta=-0",
                      "--grid", "x=-1:1:3", "--grid", "theta=-0:-1:3"]) == 0
         assert calls == [(0.0, 0.0, 0.0), (-1.0, 0.0, -0.5), (-1.0, 0.0, -1.0)]

@@ -112,7 +112,7 @@ def test_rk4_against_an_oracle(name):
     # states with -0.0 entries among others; the step kernel holds the
     # closed-loop statements once, run for each stage in a loop.
     model, con = SYSTEMS[name]()
-    assert control._step_source(model, con).count("try:") == 1
+    assert control._step_source(model, con)[0].count("try:") == 1
     rng = random.Random(name)
     bound = 1.0 if name == "gen5" else 2.0
     for k in range(12):
@@ -134,12 +134,13 @@ def test_rk4_against_an_oracle(name):
 
 def test_built_once_per_model():
     model, con = build_boat("sin(y)", "cos(x)")
-    assert con._step == {}  # nothing compiled at construction
+    assert con._pairs == {}  # nothing compiled at construction
     kernel = control._step(model, con)
     tau_star(model, con, State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6)))
     assert control._step(model, con) is kernel
     other, _ = build_boat("sin(y)", "cos(x)")
-    assert con._step == {model: kernel, other: control._step(other, con)}
+    assert {model: kernel, other: control._step(other, con)} == {
+        m: pair.step for m, pair in con._pairs.items()}
 
 
 def test_one_kernel_per_model_on_a_shared_constraint(monkeypatch):
@@ -220,7 +221,7 @@ def test_parameters_fold_before_compiling():
     lines, roots, _ = ex._emit(model._force, model.coordinates + model.velocities)
     source = "\n".join([*lines, linalg._list(roots)])
     assert "1.0 *" not in source and "* 1.0" not in source
-    assert "1.0 *" not in control._step_source(model, con)
+    assert "1.0 *" not in control._step_source(model, con)[0]
     assert model._exprs[0] == [[ex.ONE, ex.ZERO, ex.ZERO], [ex.ZERO, ex.ONE, ex.ZERO],
                                [ex.ZERO, ex.ZERO, ex.ONE]]
 
@@ -231,7 +232,7 @@ def test_a_constant_metric_block_folds(name):
     # condition gates and its divisions leave the pair's two kernels, which
     # keep gen5's.
     model, con = SYSTEMS[name]()
-    for source in (control._step_source(model, con), "\n".join(constraint._q_only_source(model, con))):
+    for source in (control._step_source(model, con)[0], constraint._q_only_source(model, con)[0]):
         assert (("sqrt(" in source) and ("ratio" in source)) == (name in ("gen4", "gen5"))
 
 
@@ -395,7 +396,8 @@ def unfolded_statements(model, con):
     them: `control._closed_loop_body`'s and `constraint._q_only_source`'s."""
     with mock.patch.object(control, "_Block", Unfolded), mock.patch.object(constraint, "_Block",
                                                                          Unfolded):
-        return control._closed_loop_body(model, con)[:3], constraint._q_only_source(model, con)
+        return (control._closed_loop_body(model, con)[:3],
+                constraint._q_only_source(model, con)[0].splitlines())
 
 
 def unfolded_kernels(model, con):
@@ -564,7 +566,7 @@ def test_q_only_kernel_judges_as_its_statements_do(case):
     # the Cholesky factor's sum drops l2_0 * l1_0: s turns -inf, and the
     # metric fails its gate, where s is NaN, which passes it.
     model, con, states = case
-    q_only = constraint._q_only(model, con)
+    q_only = constraint._q_only(model, con).args[0]  # the kernel, not the naming of its errors
     whole = linalg._define("\n".join(unfolded_statements(model, con)[1]))
     for q, _ in states:
         (record, verdict), (whole_record, whole_verdict) = judged(q_only, q), judged(whole, q)

@@ -447,7 +447,7 @@ class TestSingleAssembly:
             fused.append(args[2:])
             return kernel(*args)
 
-        con._step[model] = counting
+        vnhc.constraint._pair(model, con).step = counting
         calls = self.count_linalg(monkeypatch)
         view(model, con, State(q=(0.3, -0.1, 0.7, 1.2), qdot=(0.5, -0.4, 0.2, 0.9)))
         assert (fused, calls) == ([(None, None, 1)], {})
@@ -465,7 +465,7 @@ class TestSingleAssembly:
             q_only.append(q)
             return kernel(q)
 
-        con._q_only[model] = counting
+        vnhc.constraint._pair(model, con).q_only = counting
         calls = self.count_linalg(monkeypatch)
         with pytest.raises(TransversalityError, match=r"^P condition estimate 1\.000e\+15"):
             view(model, con, State(q=(0.0, 0.0, 0.0), qdot=(1.0, 0.0, 0.0)))
@@ -508,10 +508,21 @@ def test_swapped_pair_is_a_type_error(name, order, call):
 VIEWS = [closed_loop_acceleration, solve_control, tau_star]
 
 
+# The views that need no step kernel: (name, the call), each of whose
+# calls checks the pair where no record of it is kept.
+Q_VIEWS = [
+    ("p_matrix", lambda model, con: p_matrix(model, con, S0.q)),
+    ("transversality_check", lambda model, con: transversality_check(con, model, S0.q)),
+    ("b_vector", lambda model, con: b_vector(model, con, S0)),
+    ("project_onto_A", lambda model, con: vnhc.project_onto_A(con, model, S0)),
+]
+
+
 class TestWarmPath:
-    """A kernel kept on the constraint proves its pair was checked when it
-    was built: a warm view makes one step-kernel call and no pair check,
-    and every error it raised before the pair was warm it still raises."""
+    """A pair's record kept on the constraint proves the pair was checked
+    when it was made (`constraint._pair`): a warm view makes one kernel
+    call and no pair check, and every error it raised before the pair was
+    warm it still raises."""
 
     @staticmethod
     def warm():
@@ -521,26 +532,25 @@ class TestWarmPath:
 
     @staticmethod
     def count(monkeypatch) -> list:
-        # the pair checks and the step-kernel calls, in order
+        # the pair checks and the calls of each kernel compiled from here on, in order
         calls = []
-        real_check, real_built = vnhc.control.check_compatible, vnhc.control._built
+        real_check, real_define = vnhc.constraint.check_compatible, vnhc.linalg._define
 
         def check(*args):
             calls.append("check")
             return real_check(*args)
 
-        def built(kernels, model, source, what):
-            kernel = real_built(kernels, model, source, what)
+        def define(source):
+            kernel = real_define(source)
 
             def counting(*args):
                 calls.append("kernel")
                 return kernel(*args)
 
-            kernels[model] = counting
             return counting
 
-        monkeypatch.setattr(vnhc.control, "check_compatible", check)
-        monkeypatch.setattr(vnhc.control, "_built", built)
+        monkeypatch.setattr(vnhc.constraint, "check_compatible", check)
+        monkeypatch.setattr(vnhc.linalg, "_define", define)
         return calls
 
     @pytest.mark.parametrize("view", VIEWS)
@@ -551,6 +561,30 @@ class TestWarmPath:
         assert calls == ["check", "kernel"]
         calls.clear()
         assert view(model, con, S0) == cold
+        assert calls == ["kernel"]
+
+    @pytest.mark.parametrize("name, view", Q_VIEWS, ids=[case[0] for case in Q_VIEWS])
+    def test_one_check_per_pair(self, monkeypatch, name, view):
+        # The q-only views make one call of the q-only kernel; b_vector and
+        # project_onto_A call the model's and the constraint's own kernels.
+        model, con = build_boat("sin(y)", "cos(x)")
+        calls = self.count(monkeypatch)
+        cold = view(model, con)
+        assert calls[0] == "check" and calls.count("check") == 1
+        if name in ("p_matrix", "transversality_check"):
+            assert calls == ["check", "kernel"]
+        calls.clear()
+        assert view(model, con) == cold
+        assert "check" not in calls
+        if name in ("p_matrix", "transversality_check"):
+            assert calls == ["kernel"]
+
+    def test_p_matrix_on_a_pair_that_tau_star_warmed(self, monkeypatch):
+        # tau_star made the record and built the step kernel; the q-only
+        # kernel is built on p_matrix's call, with no check of the pair.
+        model, con = self.warm()
+        calls = self.count(monkeypatch)
+        p_matrix(model, con, S0.q)
         assert calls == ["kernel"]
 
     @pytest.mark.parametrize("view", VIEWS)
@@ -590,7 +624,7 @@ class TestWarmPath:
         model, con = build_boat("sin(y)", "cos(x)")
         with pytest.raises(ValueError, match="^state dimension 2 does not match n=3$"):
             view(model, con, State(q=(0.1, 0.2), qdot=(0.3, 0.4)))
-        assert model not in con._step
+        assert not hasattr(con._pairs[model], "step")
 
     @pytest.mark.parametrize("view", VIEWS)
     def test_a_plain_tuple_is_refused(self, view):

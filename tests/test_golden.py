@@ -163,7 +163,7 @@ def test_simulate_output_is_golden(tmp_path):
     assert golden_simulate_text(tmp_path) == GOLDEN_SIMULATE.read_text(encoding="utf-8")
 
 
-# SHA-256 of control._step_source(model, con), the pair's closed-loop
+# SHA-256 of control._step_source(model, con)[0], the pair's closed-loop
 # kernel: the RK4 step, whose stage 1 alone the views run and whose start
 # record integrate takes, and whose failure returns the math error it
 # caught.
@@ -177,7 +177,7 @@ def closed_loop_sha256() -> dict:
     out = {}
     for name, (model, con) in (("vortex", build_boat(*FIXTURE_CURRENTS["vortex"])),
                                ("gen5", build_gen5())):
-        out[name] = hashlib.sha256(control._step_source(model, con).encode()).hexdigest()
+        out[name] = hashlib.sha256(control._step_source(model, con)[0].encode()).hexdigest()
     return out
 
 
@@ -210,7 +210,7 @@ def assert_no_zero_terms(source: str, name: str):
 
 def test_step_kernels_drop_their_zero_terms():
     for name, (model, con) in pair_systems().items():
-        source = control._step_source(model, con)
+        source = control._step_source(model, con)[0]
         assert_no_zero_terms(source, name)
         # b's S is finite past P's gate: no product with a known-zero drift
         assert not re.search(r"^ *b\d+ = .*\* 0\.0(?![\d.e])", source, re.MULTILINE), name
@@ -228,7 +228,7 @@ Q_ONLY_LINES = {"still": 23, "shear": 24, "vortex": 27, "gen5": 251}
 
 def test_q_only_kernels_drop_their_zero_terms():
     for name, (model, con) in pair_systems().items():
-        source = "\n".join(constraint._q_only_source(model, con))
+        source = constraint._q_only_source(model, con)[0]
         assert_no_zero_terms(source, name)
         assert len(source.splitlines()) == Q_ONLY_LINES[name], name
 

@@ -449,8 +449,8 @@ MAX_MIN_CALL = re.compile(r"\b(max|min)\(")
 
 
 def assert_no_max_or_min_call(model, con):
-    for source in ("\n".join(constraint._q_only_source(model, con)),
-                   control._step_source(model, con)):
+    for source in (constraint._q_only_source(model, con)[0],
+                   control._step_source(model, con)[0]):
         assert not MAX_MIN_CALL.search(source)
 
 

@@ -111,17 +111,17 @@ def test_two_sources_per_pair(tmp_path, monkeypatch):
     path = tmp_path / "boat.json"
     save_model(path, *build_boat(*FIXTURE_CURRENTS["vortex"], m=1.125, I=0.875))
     model, con = load_model(path)
-    assert (con._step, con._q_only) == ({}, {})
+    assert not any(hasattr(con._pairs[model], kernel) for kernel in ("step", "q_only"))
     s = State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6))
     defined, built = defines(monkeypatch), []
     step_source = control._step_source
     monkeypatch.setattr(control, "_step_source", lambda *a: built.append(a) or step_source(*a))
     tau_star(model, con, s)
-    assert (defined, len(built)) == ([step_source(model, con)], 1)
+    assert (defined, len(built)) == ([step_source(model, con)[0]], 1)
     integrate(model, con, s, t_end=2e-3, h=1e-3)
     assert (len(defined), len(built), "_kernel" in vars(con)) == (1, 1, False)
     constraint.transversality_check(con, model, s.q)
-    assert defined[1:] == ["\n".join(constraint._q_only_source(model, con))]
+    assert defined[1:] == [constraint._q_only_source(model, con)[0]]
     del defined[:], built[:]
     tau_star(model, con, s)
     assert (defined, built) == ([], [])

@@ -376,7 +376,8 @@ def test_one_kernel_call_per_point(tmp_path, monkeypatch):
     def loading(path):  # the pair is kept for a later load of its text: patch it undoably
         model, con = load(path)
         q_only = constraint._q_only(model, con)
-        monkeypatch.setitem(con._q_only, model, lambda q: calls.append(q) or q_only(q))
+        monkeypatch.setattr(constraint._pair(model, con), "q_only",
+                            lambda q: calls.append(q) or q_only(q))
         for chart in (model, con):
             monkeypatch.setattr(chart, "_kernel", lambda *args, kernel=chart._kernel: (
                 other.append(args) or kernel(*args)))
@@ -456,8 +457,9 @@ def test_one_kernel_call_per_key(tmp_path, monkeypatch, name):
     save_model(path, model, con)
     model, con = load_model(path)  # the pair check loads: patch its kernel undoably
     q_only, calls = constraint._q_only(model, con), []
-    assert tuple(model.coordinates[i] for i in con._reads[model]) == names
-    monkeypatch.setitem(con._q_only, model, lambda q: calls.append(q) or q_only(q))
+    assert tuple(model.coordinates[i] for i in constraint._pair(model, con).reads) == names
+    monkeypatch.setattr(constraint._pair(model, con), "q_only",
+                        lambda q: calls.append(q) or q_only(q))
     code, lines = check_lines(path, qs, model.coordinates)
     keys = [tuple(q[model.coordinates.index(c)] for c in names) for q in qs]
     first = [q for i, q in enumerate(qs) if len(names) == model.n or keys[i] not in keys[:i]]
@@ -507,7 +509,8 @@ def test_a_run_prints_what_a_run_per_point_prints(name, data):
                  for q in qs]
         q_only, calls = constraint._q_only(model, con), []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setitem(con._q_only, model, lambda q: calls.append(q) or q_only(q))
+            patch.setattr(constraint._pair(model, con), "q_only",
+                          lambda q: calls.append(q) or q_only(q))
             code, out = check_output(["check", path, *words])
     assert all(code == 0 for code, _ in alone)
     assert (code, out) == (0, "".join(text for _, text in alone))

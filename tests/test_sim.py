@@ -95,7 +95,7 @@ class TestIntegrate:
         # warm: the state's dimension is checked before the kernel runs.
         model, con = build_boat(*FIXTURE_CURRENTS["vortex"])
         integrate(model, con, State(q=(0.1, 0.2, 0.3), qdot=(0.4, 0.5, 0.6)), t_end=1e-3, h=1e-3)
-        assert model in con._step
+        assert hasattr(con._pairs[model], "step")
         s0 = State(q=(0.1,) * size, qdot=(0.2,) * size)
         with pytest.raises(ValueError) as info:
             integrate(model, con, s0, t_end=1e-2, h=1e-3)
@@ -238,7 +238,8 @@ class TestIntegrate:
         model, con = build_boat("sin(y)", "cos(x)")
         kernel = vnhc.control._step(model, con)
         calls, failures = [], []
-        con._step[model] = lambda *args: calls.append(args[2] is None) or kernel(*args)
+        vnhc.constraint._pair(model, con).step = (
+            lambda *args: calls.append(args[2] is None) or kernel(*args))
         monkeypatch.setattr(vnhc.sim, "_raise_failure", lambda *args: failures.append(args))
         s0 = State(q=(0.1, -0.2, 0.5), qdot=(0.4, 0.3, 0.8))
         traj = integrate(model, con, s0, t_end=0.1, h=1e-2, sample_every=1)
@@ -256,7 +257,7 @@ class TestIntegrate:
         con = AffineConstraint(("x", "y"), [["1", "0"]], Z=["0"])
         kernel = vnhc.constraint._q_only(model, con)
         calls, cholesky = [], []
-        con._q_only[model] = lambda q: calls.append(q) or kernel(q)
+        vnhc.constraint._pair(model, con).q_only = lambda q: calls.append(q) or kernel(q)
         monkeypatch.setattr(vnhc.linalg, "cholesky", lambda a: cholesky.append(a))
         message = r"^aborted at step 10: metric condition estimate 7\.206e\+15 "
         with pytest.raises(IntegrationError, match=message) as info:

@@ -188,7 +188,7 @@ def test_a_passing_record_reads_its_key_alone(system, others):
     # +-1e300, where exp overflows and inline sums and products reach inf.
     model, con, states = system
     kernel = constraint._q_only(model, con)
-    reads = con._reads[model]
+    reads = constraint._pair(model, con).reads
     passing = [s.q for s in states if constraint._p_system(model, con, s.q).failed is None]
     assume(passing)
     for q in passing:
