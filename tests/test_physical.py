@@ -38,6 +38,7 @@ from vnhc import (
     TransversalityError,
     closed_loop_acceleration,
     integrate,
+    tau_star,
 )
 
 H = 1e-5  # the central differences' step
@@ -219,3 +220,58 @@ def test_work_of_the_constraint_force_is_not_rk4_error(kind, data):
     drifts = energy_drifts(model, con, *states[0])
     with pytest.raises(AssertionError):
         assert_rk4_order(drifts)
+
+
+# The Chaplygin sleigh: a rigid body on the plane that rests on a knife
+# edge at (x, y), its mass center a distance a ahead along the blade, of
+# mass m and inertia I about it.  Its kinetic energy
+# (m |(x, y)' + a th' (-sin th, cos th)|^2 + I th'^2) / 2 gives the metric,
+# and the blade allows no sideways speed: -sin th xd + cos th yd = 0.  The
+# input force along that row is a sideways force at the blade, the force
+# the physical edge exerts.
+SLEIGH = {"m": 1.3, "I": 0.7, "a": 0.4}
+
+
+def build_sleigh():
+    row = ["-sin(th)", "cos(th)", "0"]
+    model = MechanicalModel(("x", "y", "th"),
+                            [["m", "0", "-m*a*sin(th)"], ["0", "m", "m*a*cos(th)"],
+                             ["-m*a*sin(th)", "m*a*cos(th)", "I + m*a^2"]],
+                            input_coframe=[row], parameters=SLEIGH)
+    return model, AffineConstraint(model.coordinates, [row], Z=["0"], parameters=SLEIGH)
+
+
+def sleigh_state(th, v, w, x=0.0, y=0.0) -> State:
+    """The state on the constraint set at forward speed v and turning rate w."""
+    return State(q=(x, y, th), qdot=(v * np.cos(th), v * np.sin(th), w))
+
+
+def test_sleigh_law_is_lagrange_dalembert():
+    # By hand, in the blade's frame: forward m (v' - a w^2) = 0, sideways
+    # m (a w' + v w) = tau, and I w' = -a tau about the mass center, so
+    # tau* = m I v w / (I + m a^2), with v = xd cos th + yd sin th.
+    model, con = build_sleigh()
+    m, I, a = SLEIGH["m"], SLEIGH["I"], SLEIGH["a"]
+    rng = np.random.default_rng(11)
+    for th, v, w, x, y in rng.uniform(-3.0, 3.0, (200, 5)):
+        s = sleigh_state(th, v, w, x, y)
+        forward = s.qdot[0] * np.cos(th) + s.qdot[1] * np.sin(th)
+        expected = m * I * forward * w / (I + m * a * a)
+        (tau,) = tau_star(model, con, s)
+        assert abs(tau - expected) <= 1e-12 * abs(expected), (s, tau, expected)
+
+
+def test_sleigh_energy_drift_is_rk4_error():
+    # With Z = 0 and no force the edge does no work: the energy and phi
+    # drift only by RK4's error, 16x less per halving of h.
+    model, con = build_sleigh()
+    s = sleigh_state(0.3, 1.1, 0.9, 0.1, -0.2)
+    energies, phis = [], []
+    for h in STEPS:
+        run = integrate(model, con, s, t_end=2.0, h=h, sample_every=round(0.2 / h))
+        E = [energy(model, np.array(x.q), np.array(x.qdot)) for x in run.states]
+        energies.append(max(abs(e - E[0]) for e in E))
+        phis.append(run.drift_report[0])
+    assert energies[0] > STILL
+    assert_rk4_order(energies)
+    assert_rk4_order(phis)
