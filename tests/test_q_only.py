@@ -431,15 +431,18 @@ def test_q_only_too_deep_to_compile(tmp_path, monkeypatch, capsys):
 
 # (system, the coordinates its q-only record reads (`constraint._reads`),
 # points where every gate holds).  `plane`'s S, G and coframe are constant,
-# so only the lines of Z (and of c, its derivative) that can raise at a
-# finite q put x in: exp(x), log(sin(x)) and sin(2*x), as 2*x can overflow
-# to inf; not sin(x), which raises only on inf.  The boat's S, G and
-# coframe read theta, and its current's lines cannot raise.
+# so only the lines of Z (and of c, its derivative) or of dV that can raise
+# at a finite q put x in: exp(x), log(sin(x)) and sin(2*x), as 2*x can
+# overflow to inf; not sin(x), which raises only on inf.  The potential
+# cos(2*x) puts x in through dV's sin(2*x) alone, as the kernel evaluates
+# no line of the potential itself.  The boat's S, G and coframe read
+# theta, and its current's lines cannot raise.
 PLANE_QS = [(0.5, -1.0), (0.5, 1.0), (1.5, -1.0), (1.5, 1.0), (0.5, 2.0)]
 KEYS = {"exp": (plane(Z="exp(x)"), ("x",), PLANE_QS),
         "log_sin": (plane(Z="log(sin(x))"), ("x",), PLANE_QS),
         "sin": (plane(Z="sin(x)"), (), PLANE_QS),
         "sin_2x": (plane(Z="sin(2*x)"), ("x",), PLANE_QS),
+        "potential_cos_2x": (plane(potential="cos(2*x)"), ("x",), PLANE_QS),
         "constant": (plane(), (), PLANE_QS),
         "vortex": (SYSTEMS["vortex"], ("theta",),
                    [(0.0, 0.0, 0.0), (1.0, 2.0, 0.0), (0.0, 0.0, 1.0), (-1.0, 0.0, 1.0)]),

@@ -76,7 +76,7 @@ def tier1(tree: Path) -> tuple[str, str]:
         return "pass", ""
     first = next((line for line in run.stdout.splitlines()
                   if line.startswith(("FAILED ", "ERROR "))), run.stdout.strip()[-200:])
-    return "fail", first
+    return "fail", first.split(" - ")[0]  # the test, without pytest's cut message
 
 
 def mutated_tree(archive: bytes, parent: str, mutant: tuple | None) -> Path:
