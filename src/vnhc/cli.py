@@ -112,22 +112,23 @@ def _points(args, coordinates) -> tuple[list[tuple], list[str]]:
 def cmd_check(args) -> int:
     """One line per point, written before the next point is evaluated.
 
-    A point is one call of the pair's q-only kernel, looked up at the
-    first point (and again at each while it fails to compile, which is
-    that point's error), and its record is judged here.  A record whose
+    A point is one call of the pair's q-only kernel, read from the pair's
+    record (`constraint._pair`, made when the model loaded) at the first
+    point (and again at each while it fails to compile, which is that
+    point's error), and its record is judged here.  A record whose
     every gate held and which certifies rank m gets its line at once; any
     other record goes through `_verdict` and the rank of its S.  A math
-    error of the kernel is named by the kernel's own line (`expr._named`),
+    error of the kernel is named by the kernel itself (`expr._named`),
     and the rank then comes from the constraint's kernel, as it does for a
     record without S, where the metric failed a gate before a line of the
     constraint's that can raise; neither calls the q-only kernel again.
 
     On a system with symmetry the record reads the shape coordinates
-    alone (`constraint._reads`: theta on the boat), so for this call the
-    tail of a line written at once, all of it after the point's label, is
-    formatted once and kept under their values, and every later point
-    with the same values writes its label and that tail, with no kernel
-    call.  A kernel that raised and a record that failed a gate or
+    alone (`constraint._reads`, kept as reads on the pair's record: theta
+    on the boat), so for this call the tail of a line written at once, all
+    of it after the point's label, is formatted once and kept under their
+    values, and every later point with the same values writes its label
+    and that tail, with no kernel call.  A kernel that raised and a record that failed a gate or
     declined the certificate keep nothing, and a record that reads every
     coordinate (gen5's) is not looked up."""
     model, con = model_io.load_model(args.model)

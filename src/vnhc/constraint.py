@@ -24,7 +24,17 @@ input is computed once, as the source is written (a constant metric's
 whole block goes), and the terms of its sums known to be zero drop out,
 so both kernels run the same statements on the same numbers.  A model
 text loaded again gives back the pair built from it, with the kernels it
-has built (`model_io.load_model`), so it generates neither again.  The q-only kernel returns its verdict as data: a failing gate
+has built (`model_io.load_model`), so it generates neither again.
+
+A pair's generated artefacts live in one record, the pair's record
+(`_Pair`), which the constraint keeps for each model and `_pair` alone
+makes, right after the pair's check (`check_compatible`): a kept record
+proves the check passed, so every function that takes a pair checks it
+on its first call alone.  Each artefact is built on its first use: the
+q-only kernel with the coordinates its record reads (`_q_only`), the
+step kernel with its line -> node table (`control._step`).
+
+The q-only kernel returns its verdict as data: a failing gate
 returns what was computed before it, with the gate's name.  One
 evaluation and one judgment serve `transversality_check`,
 `control.p_matrix`, `control._raise_failure` (the typed error of a
@@ -36,19 +46,19 @@ as a `_QOnly` without a constructor call, as each of the kernel's
 returns writes all ten fields, the defaults of those a failing gate
 leaves out as literals.  `vnhc check` calls it in its own loop and
 writes the line of a record whose every gate held and which certifies
-the rank from the tuple itself.  The kernel names its own math error:
-both call it through `expr._named`, which maps the line that raised
-through the kernel's line -> node table, kept on the constraint beside
-the kernel (`_tables`), to the EvalError naming the expression; no other
-kernel runs.  So the first failure in the views' order is named (a math
-error in the model's expressions, a failed metric gate, as a record, a
-math error in the constraint's expressions, then P's gates), as it is
-the first in the kernel's own order.  `_verdict` alone judges the
+the rank from the tuple itself.  The kernel names its own math error,
+as `expr.compile_exprs`'s kernels do: the pair's record keeps it bound
+to `expr._named` and its line -> node table, which map the line that
+raised to the EvalError naming the expression; no other kernel runs.
+So the first failure in the views' order is named (a math error in the
+model's expressions, a failed metric gate, as a record, a math error in
+the constraint's expressions, then P's gates), as it is the first in the
+kernel's own order.  `_verdict` alone judges the
 record: a record whose every gate held is admissible at once; otherwise,
 in one order, the metric's gates (SPDError), a non-finite P (EvalError),
 then the wording of a failed P gate.  The kernel is built on the first
-q-only call with a model and kept on the constraint, so loading a model
-does not pay for it; with it are kept the coordinates that its record reads
+q-only call with a model, so loading a model does not pay for it; with
+it the pair's record keeps the coordinates that the kernel's record reads
 (`_reads`), derived from the same emission.  On a system with symmetry
 the metric, the coframe and the constraint rows are invariant under the
 group and depend on the shape coordinates alone (Bloch, Krishnaprasad,
@@ -295,8 +305,8 @@ def _bind(block: _Block, **roots):
                 block[f"{name}{i}_{j}"] = root
 
 
-def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
-    """Source lines of kernel(q) -> the fields of `_QOnly`, in the views'
+def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> tuple[str, dict, tuple]:
+    """The source of kernel(q) -> the fields of `_QOnly`, in the views'
     order: the lines of every expression the model's kernel evaluates at
     (q, 0), the metric's block, the lines that the constraint's expressions
     at (q, 0) add, then the P block, from one emission, so that common
@@ -313,9 +323,10 @@ def _q_only_source(model: MechanicalModel, con: AffineConstraint) -> list[str]:
     model or the constraint is not differentiable at q, and
     `control._raise_failure` finds a step kernel's math error in w or c
     here.  A failing gate returns the fields computed before it, then the
-    defaults of the others.  The kernel's line -> node table
-    (`expr._table`) is kept on con, by which it names its math errors
-    (`expr._named`).
+    defaults of the others.  Returns the source, its line -> node table
+    (`expr._table`), by which the kernel names its math errors
+    (`expr._named`), and the coordinates its record reads (`_reads`), for
+    `_q_only` to keep on the pair's record.
 
     Where every gate held, full_rank certifies rank S = m, as P = S Y
     invertible does in exact arithmetic, if ||P^-1||_1 scale, the largest
@@ -416,7 +427,9 @@ def _p_system(model: MechanicalModel, con: AffineConstraint, q) -> _QOnly:
     the views, which judge it with `_verdict` (`vnhc check` calls the
     kernel and judges its record in its own loop); where the kernel meets
     a math error, the EvalError that names it, from the kernel's own line.
-    The pair is checked (`_pair`) before q, and both before a build."""
+    The pair's record is looked up first (`_pair`, which checks a pair it
+    does not yet keep), then q is checked, both before a build; warm, the
+    kernel is read from the record."""
     _pair(model, con)
     con._check_q(q)
     return _new(_QOnly, _q_only(model, con)(q))

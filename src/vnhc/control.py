@@ -19,12 +19,12 @@ finite, and no gate.  The metric and P blocks, with every gate, come from
 `constraint._gate_lines`, which the pair's q-only kernel shares and folds
 by the same rules, so both kernels run the same statements there.
 
-The kernel is built on the first closed-loop call with a model and kept
-on the constraint (`_step`), which checks the pair (`check_compatible`)
-right before the build, so a warm call checks nothing about the pair
-again.  `_stage1`, stage 1 at a state or its typed error, is the one
-entry of the views (`solve_control`, `tau_star`,
-`closed_loop_acceleration`) and of `sim`'s start.  The views' stage 1
+The kernel is built on the first closed-loop call with a model and kept,
+with its line -> node table, on the pair's record (`constraint._pair`),
+which is made right after the pair's check, so a warm call checks
+nothing about the pair again.  `_stage1`, stage 1 at a state or its
+typed error, is the one entry of the views (`solve_control`,
+`tau_star`, `closed_loop_acceleration`) and of `sim`'s start.  The views' stage 1
 also runs the lines that Z alone needs, so the views refuse a q where Z
 has no value, as the q-only views and a run's start do; the stages
 between a run's samples do not run them.  Where the kernel fails,
@@ -236,7 +236,8 @@ def _raise_failure(model: MechanicalModel, con: AffineConstraint, q, error, stat
     None: the q-only kernel's at q (`_p_system`, then its judgment,
     `_verdict`), which names the first failure in the views' order, then,
     where its record is admissible, the EvalError that names the step
-    kernel's line that raised error.  The closed loop's gates are the
+    kernel's line that raised error, by the line -> node table on the
+    pair's record.  The closed loop's gates are the
     q-only kernel's, on the same numbers, so error is then a math error;
     one in w or c at any qdot is one at rest, since their velocities only
     multiply: the operations that can raise take q alone, and each is a

@@ -15,7 +15,9 @@ Every generated source in the package, these and the kernels of `expr`,
 namespace, when its owner first calls it, and kept by its owner alone:
 these per-size routines by `_sized`, the model's, force's and Christoffel
 kernels on the model, the constraint's kernel on the constraint, and a
-pair's two kernels on its constraint.  Loading a model compiles none.
+pair's two kernels on the pair's record (`constraint._Pair`), which the
+constraint keeps for each model it is paired with.  Loading a model
+compiles none.
 The process-wide memos are four: `model_io.load_model`'s, of the pairs
 it built, so a model text loaded again compiles nothing; `_sized`'s, of
 every per-size routine; `expr.evaluate`'s, of the kernels of its last 64

@@ -20,8 +20,9 @@ again, from a `functools.lru_cache` of `LOAD_CACHE_SIZE` contents: the
 process-wide memo of the pairs a build makes.  The others keep
 `linalg._sized`'s per-size routines, `expr.evaluate`'s last 64 kernels
 and `cli.build_parser`'s parser.  A load parses,
-folds and differentiates, and compiles no kernel; the memo's pair holds
-the kernels it has compiled since, each on its first use.  A pair built
+folds and differentiates, checks the pair and makes its record
+(`constraint._pair`), and compiles no kernel; the memo's pair holds, on
+that record, the kernels it has compiled since, each on its first use.  A pair built
 otherwise parses, emits and compiles anew; only the derivatives kept on
 live expression nodes are shared.  A model file is UTF-8 JSON text (RFC 8259, section 8.1).
 """
@@ -137,7 +138,7 @@ def load_model(path) -> tuple[MechanicalModel, AffineConstraint]:
     """The pair of the model file at path, read on every call.  The same
     content gives the same pair, which is immutable after construction: the
     pairs of the last `LOAD_CACHE_SIZE` distinct contents are kept, each
-    with the kernels it has built, so loading a content again decodes,
+    with the record of the kernels it has built (`constraint._Pair`), so loading a content again decodes,
     parses, generates and compiles nothing.  A failed load keeps nothing."""
     with open(path, "rb") as f:
         content = f.read()

@@ -8,8 +8,10 @@ diagnostics want uniform, reproducible sampling.
 Inputs are validated once at the API boundary.  Every entry of a
 trajectory comes from the pair's step kernel (`control._step_source`
 states its protocol): the start's record through `control._stage1`, the
-views' one entry, then one call per sample interval, whose record
-`integrate` keeps as it comes.  A failed stage, or phi at a sample, is
+views' one entry, which checks the pair and builds the kernel where the
+pair's record (`constraint._pair`) holds none yet, then one call per
+sample interval of the kernel read from that record (`control._step`),
+whose record `integrate` keeps as it comes.  A failed stage, or phi at a sample, is
 raised by `control._raise_failure`, from the kernel's returned state and
 math error, and chained to an `IntegrationError` naming the step: the
 q-only kernel names the first failure in the views' order, and the step
