@@ -124,13 +124,13 @@ def cmd_check(args) -> int:
     constraint's that can raise; neither calls the q-only kernel again.
 
     On a system with symmetry the record reads the shape coordinates
-    alone (`constraint._reads`, kept as reads on the pair's record: theta
-    on the boat), so for this call the tail of a line written at once, all
-    of it after the point's label, is formatted once and kept under their
+    alone (`constraint._reads`, kept as reads on the pair's record: theta on
+    the boat), so for this call the tail of a line written at once, all of
+    it after the point's label, is formatted once and kept under their
     values, and every later point with the same values writes its label
-    and that tail, with no kernel call.  A kernel that raised and a record that failed a gate or
-    declined the certificate keep nothing, and a record that reads every
-    coordinate (gen5's) is not looked up."""
+    and that tail, with no kernel call.  A kernel that raised and a record
+    that failed a gate or declined the certificate keep nothing, and a
+    record that reads every coordinate (gen5's) is not looked up."""
     model, con = model_io.load_model(args.model)
     points, labels = _points(args, model.coordinates)
     m, n, write = con.m, model.n, sys.stdout.write

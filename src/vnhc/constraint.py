@@ -53,13 +53,13 @@ raised to the EvalError naming the expression; no other kernel runs.
 So the first failure in the views' order is named (a math error in the
 model's expressions, a failed metric gate, as a record, a math error in
 the constraint's expressions, then P's gates), as it is the first in the
-kernel's own order.  `_verdict` alone judges the
-record: a record whose every gate held is admissible at once; otherwise,
-in one order, the metric's gates (SPDError), a non-finite P (EvalError),
-then the wording of a failed P gate.  The kernel is built on the first
+kernel's own order.  `_verdict` alone judges the record: a record whose
+every gate held is admissible at once; otherwise, in one order, the
+metric's gates (SPDError), a non-finite P (EvalError), then the wording
+of a failed P gate.  The kernel is built on the first
 q-only call with a model, so loading a model does not pay for it; with
-it the pair's record keeps the coordinates that the kernel's record reads
-(`_reads`), derived from the same emission.  On a system with symmetry
+it the pair's record keeps the coordinates that the kernel's record
+reads (`_reads`), derived from the same emission.  On a system with symmetry
 the metric, the coframe and the constraint rows are invariant under the
 group and depend on the shape coordinates alone (Bloch, Krishnaprasad,
 Marsden & Murray, "Nonholonomic mechanical systems with symmetry",

@@ -24,13 +24,13 @@ with its line -> node table, on the pair's record (`constraint._pair`),
 which is made right after the pair's check, so a warm call checks
 nothing about the pair again.  `_stage1`, stage 1 at a state or its
 typed error, is the one entry of the views (`solve_control`,
-`tau_star`, `closed_loop_acceleration`) and of `sim`'s start.  The views' stage 1
-also runs the lines that Z alone needs, so the views refuse a q where Z
-has no value, as the q-only views and a run's start do; the stages
-between a run's samples do not run them.  Where the kernel fails,
-`_raise_failure` raises the typed error from the q-only kernel at q
-(`constraint._p_system`, judged by `_verdict`), which names the first
-failure in the views' order, and where that kernel's record is
+`tau_star`, `closed_loop_acceleration`) and of `sim`'s start.  The
+views' stage 1 also runs the lines that Z alone needs, so the views
+refuse a q where Z has no value, as the q-only views and a run's start
+do; the stages between a run's samples do not run them.  Where the
+kernel fails, `_raise_failure` raises the typed error from the q-only
+kernel at q (`constraint._p_system`, judged by `_verdict`), which names
+the first failure in the views' order, and where that kernel's record is
 admissible, from the step kernel's own failure: the math error it
 returns, named by the line that raised, which can then only be the
 force's (`expr._math_error`).  Nothing else is built or run.  The q-only
@@ -125,7 +125,7 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
                          [block[f"b{b}"] for b in rm], P, block["cond"]], (lines[head:], phi), nodes
 
 
-def _step_source(model: MechanicalModel, con: AffineConstraint) -> str:
+def _step_source(model: MechanicalModel, con: AffineConstraint) -> tuple[str, dict]:
     """Source of kernel(q, v, a, h, more), the pair's one closed-loop kernel,
     which every closed-loop result comes from: the pair's closed-loop
     statements (`_closed_loop_body`), folded as they are written, once, in
@@ -237,12 +237,12 @@ def _raise_failure(model: MechanicalModel, con: AffineConstraint, q, error, stat
     `_verdict`), which names the first failure in the views' order, then,
     where its record is admissible, the EvalError that names the step
     kernel's line that raised error, by the line -> node table on the
-    pair's record.  The closed loop's gates are the
-    q-only kernel's, on the same numbers, so error is then a math error;
-    one in w or c at any qdot is one at rest, since their velocities only
-    multiply: the operations that can raise take q alone, and each is a
-    line of the q-only kernel (`expr._emit`), as is each line of Z.  So
-    the step kernel's error can then only be the force's."""
+    pair's record.  The closed loop's gates are the q-only kernel's, on
+    the same numbers, so error is then a math error; one in w or c at any
+    qdot is one at rest, since their velocities only multiply: the
+    operations that can raise take q alone, and each is a line of the
+    q-only kernel (`expr._emit`), as is each line of Z.  So the step
+    kernel's error can then only be the force's."""
     _admissible(_p_system(model, con, q), q, state)
     table = _pair(model, con).table
     raise ex._math_error(error, table.get(error.__traceback__.tb_lineno)) from None
@@ -258,7 +258,7 @@ def _stage1(model: MechanicalModel, con: AffineConstraint, state: State,
     warm, one lookup of the pair's record and one read of its kernel, one
     length test and one kernel call, then the views' finite check.  Any
     failed lookup takes the cold branch: the pair's check (`_pair`), then
-    state's q, both before the kernel's build (`_step`)."""
+    the state's q, both before the kernel's build (`_step`)."""
     try:
         kernel = con._pairs[model].step
     except (AttributeError, KeyError, TypeError):
