@@ -22,7 +22,8 @@ def build_boat(C1="0", C2="0", m: float = 1.0, I: float = 1.0):
     """Boat-in-a-current system; C1, C2 are current components in (x, y)."""
     if m <= 0 or I <= 0:
         raise ValueError("mass and inertia must be positive")
-    c1, c2 = ex.as_expr(C1), ex.as_expr(C2)
+    c1 = ex.as_expr(C1)
+    c2 = ex.as_expr(C2)
     for name, c in (("C1", c1), ("C2", c2)):
         extra = ex.free_symbols(c) - {"x", "y"}
         if extra:
@@ -30,14 +31,16 @@ def build_boat(C1="0", C2="0", m: float = 1.0, I: float = 1.0):
 
     sin_t = ex.parse("sin(theta)")
     cos_t = ex.parse("cos(theta)")
+    mass = ex.Symbol("m")
 
     # force potentials: the current coupling functions of (x, y, theta)
     h1 = sin_t * sin_t * c1 - sin_t * cos_t * c2
     h2 = cos_t * cos_t * c2 - sin_t * cos_t * c1
 
-    def force_row(h):  # m * dh(qdot) = m * sum_j dh/dq^j qd^j
-        dh = [ex.diff(h, c) for c in ("x", "y", "theta")]
-        return ex.Symbol("m") * contract(dh, [ex.Symbol(c + "d") for c in ("x", "y", "theta")])
+    def force_row(h):
+        # m * d(h)(qdot) = m * sum_j dh/dq^j qd^j
+        dh = [ex.diff(h, coord) for coord in ("x", "y", "theta")]
+        return mass * contract(dh, [ex.Symbol(coord + "d") for coord in ("x", "y", "theta")])
 
     model = MechanicalModel(
         coordinates=("x", "y", "theta"),

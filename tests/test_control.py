@@ -532,16 +532,20 @@ class TestWarmPath:
 
     @staticmethod
     def count(monkeypatch) -> list:
-        # the pair checks and the calls of each kernel compiled from here on, in order
+        # the pair checks and the calls of each pair kernel compiled from
+        # here on, in order; only the pair's own builds are wrapped, so no
+        # process-wide cache (such as `linalg._sized`'s) keeps a wrapper
         calls = []
-        real_check, real_define = vnhc.constraint.check_compatible, vnhc.linalg._define
+        real_check, real_compiled = vnhc.constraint.check_compatible, vnhc.geometry._compiled
 
         def check(*args):
             calls.append("check")
             return real_check(*args)
 
-        def define(source):
-            kernel = real_define(source)
+        def compiled(what, build, *args):
+            kernel = real_compiled(what, build, *args)
+            if build is not vnhc.linalg._define:  # a source, not a kernel
+                return kernel
 
             def counting(*args):
                 calls.append("kernel")
@@ -550,7 +554,8 @@ class TestWarmPath:
             return counting
 
         monkeypatch.setattr(vnhc.constraint, "check_compatible", check)
-        monkeypatch.setattr(vnhc.linalg, "_define", define)
+        for module in (vnhc.constraint, vnhc.control):
+            monkeypatch.setattr(module, "_compiled", compiled)
         return calls
 
     @pytest.mark.parametrize("view", VIEWS)
