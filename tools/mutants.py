@@ -82,8 +82,8 @@ def mutated_tree(archive: bytes, parent: str, mutant: tuple | None) -> Path:
     """The archive unpacked under parent, with mutant's replacement made."""
     tree = Path(parent)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        # the archive is this repository's own; extraction filters came in
-        # Python 3.10.12 and 3.11.4, and without one the call extracts as before
+        # extraction filters exist from Python 3.10.12 and 3.11.4 on; the
+        # archive is this repository's own, so it is safe unfiltered
         if hasattr(tarfile, "data_filter"):
             tar.extractall(tree, filter="data")
         else:
