@@ -24,11 +24,12 @@ with its line -> node table, on the pair's record (`constraint._pair`),
 which is made right after the pair's check, so a warm call checks
 nothing about the pair again.  `_stage1`, stage 1 at a state or its
 typed error, is the one entry of the views (`solve_control`,
-`tau_star`, `closed_loop_acceleration`) and of `sim`'s start.  The
-views' stage 1 also runs the lines that Z alone needs, so the views
-refuse a q where Z has no value, as the q-only views and a run's start
-do; the stages between a run's samples do not run them.  Where the
-kernel fails, `_raise_failure` raises the typed error from the q-only
+`tau_star`, `closed_loop_acceleration`) and of `sim`'s start.  Every
+stage runs the lines of every expression, Z's included, so the views,
+a run's start, each RK4 stage and each sample refuse a q where Z has no
+value, as the q-only views do: a run fails at its first stage whose
+state leaves that domain, however it is sampled.  Where the kernel
+fails, `_raise_failure` raises the typed error from the q-only
 kernel at q (`constraint._p_system`, judged by `_verdict`), which names
 the first failure in the views' order, and where that kernel's record is
 admissible, from the step kernel's own failure: the math error it
@@ -80,28 +81,21 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
     force's and constraint's expressions with common subexpressions
     computed once, then the factorizations and solves, from the generators
     of `linalg`, folded as they are written.  Returns them, the values of
-    [acc], [tau], [b], [P rows] and cond after them, and phi = S qd + Z at a
-    sample: the statements that only Z needs, run after stage 1 there and
-    in the views' stage 1, and the values of [phi] after them, each S_b qd
-    added left to right from 0, then Z_b, as `con.phi` adds them.  A
-    failing gate runs `return None`; the gates are those of the q-only
-    kernel, on the same numbers, so the statements fail exactly where that
-    kernel reports a failed gate.
+    [acc], [tau], [b], [P rows] and cond after them, and the values of
+    [phi] = S qd + Z after them, each S_b qd added left to right from 0,
+    then Z_b, as `con.phi` adds them.  A failing gate runs `return None`;
+    the gates are those of the q-only kernel, on the same numbers, so the
+    statements fail exactly where that kernel reports a failed gate.
 
-    One emission gives every expression, Z last, so the lines that the
-    stages need come first.  The lines from the first one whose node no
-    stage root reaches are Z's alone, and no stage between samples runs
-    them."""
+    One emission gives every expression, Z last, and every stage runs all
+    of its lines, so each stage has the q-only kernel's domain."""
     n, m = model.n, con.m
     r, rm = range(n), range(m)
     mu, Z, dphi = con._exprs
-    stage = [model._exprs, model._force, mu, dphi]
     lines, ((G, coframe, dV, w), F, S, c, Z), nodes = ex._emit(
-        [*stage, Z], model.coordinates + model.velocities)
-    reached = ex._leaves(stage)[2]
-    head = next((i for i, node in enumerate(nodes) if id(node) not in reached), len(lines))
+        [model._exprs, model._force, mu, dphi, Z], model.coordinates + model.velocities)
     block = _Block()
-    block.lines += lines[:head]
+    block.lines += lines
     for i in r:  # G^-1 (F - dV - w), the drift
         block[f"d{i}"] = _bin(_bin(F[i], "-", dV[i]), "-", w[i])
     _gate_lines(block, n, m, lambda *_: "return None", G, coframe, (), S)
@@ -122,19 +116,18 @@ def _closed_loop_body(model: MechanicalModel, con: AffineConstraint):
     phi = [_bin(block.sum("+", 0.0, [(block[f"S{b}_{i}"], qd[i]) for i in r]), "+", Z[b])
            for b in rm]
     return block.lines, [[block[f"d{i}"] for i in r], [block[f"t{a}"] for a in rm],
-                         [block[f"b{b}"] for b in rm], P, block["cond"]], (lines[head:], phi), nodes
+                         [block[f"b{b}"] for b in rm], P, block["cond"]], phi, nodes
 
 
 def _step_source(model: MechanicalModel, con: AffineConstraint) -> tuple[str, dict]:
     """Source of kernel(q, v, a, h, more), the pair's one closed-loop kernel,
     which every closed-loop result comes from: the pair's closed-loop
     statements (`_closed_loop_body`), folded as they are written, once, in
-    a loop over the RK4 stages and steps, the stage arithmetic between
-    them, and the statements of phi at a sample.
+    a loop over the RK4 stages and steps, and the stage arithmetic
+    between them.
 
-    - a and h None: stage 1 and the statements that Z alone needs at (q,
-      v), returning ([acc], [tau], [b], [P rows], cond) there, for the
-      views.
+    - a and h None: stage 1 at (q, v), returning ([acc], [tau], [b], [P
+      rows], cond) there, for the views.
     - a None, h given and more 1: a run's start record, stage 1 and phi at
       (q, v), returning (q, v, acc, tau, phi) there; h is not read.
     - a the stage-1 acceleration at (q, v) and more false: stages 2, 3 and
@@ -146,36 +139,33 @@ def _step_source(model: MechanicalModel, con: AffineConstraint) -> tuple[str, di
       there, whose acceleration starts the next step; after the last, phi
       there, returning the record (q1, v1, acc, tau, phi) at the last end.
 
-    phi = S qdot + Z is computed from the S of stage 1 at the record's
-    state and the statements that Z alone needs, which run there and at
-    the views' stage 1, so the views share the q-only kernel's domain; no
-    stage between samples evaluates what only phi needs, so phi between
-    samples never fails a run.  Where a stage's gate fails or it meets a
-    math error (phi's at a record included), the kernel returns (None, k,
-    q_k, qdot_k, more, error) for stage k at (q_k, qdot_k), k = 0 for an
-    end that is not finite, more the count of steps left, the failing one
-    included (as given where a is None or more is false), and error the
-    math error caught, whose traceback holds the kernel's line that raised
-    (None for a failed gate or an end that is not finite);
-    `_raise_failure` raises the typed error there.  Returns the source and
-    its line -> node table (`expr._table`), by which that error is named."""
+    phi = S qdot + Z is read from the values of stage 1 at the record's
+    state.  Every stage runs Z's statements, so each has the q-only
+    kernel's domain, and a run fails at the same stage whatever its
+    sampling.  Where a stage's gate fails or it meets a math error, the
+    kernel returns (None, k, q_k, qdot_k, more, error) for stage k at (q_k,
+    qdot_k), k = 0 for an end that is not finite, more the count of steps
+    left, the failing one included (as given where a is None or more is
+    false), and error the math error caught, whose traceback holds the
+    kernel's line that raised (None for a failed gate or an end that is not
+    finite); `_raise_failure` raises the typed error there.  Returns the
+    source and its line -> node table (`expr._table`), by which that error
+    is named."""
     *body, nodes = _closed_loop_body(model, con)
     source = _step_text(*body)
     return source, ex._table(source.splitlines(), nodes)
 
 
-def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
-    """Source of the step kernel from the closed-loop statements lines, the
-    values outputs of [acc], [tau], [b], [P rows] and cond after them, and
-    sample, the statements of phi and its values (`_closed_loop_body`): one
-    copy of lines, run for each stage k in a loop over the stages and the
-    steps, and two copies of phi's statements, run at stage 1 where the
-    views' outputs are returned (h None) and where the record is (more 1),
-    whose state is the locals _a, which hold (q, v) at the start and a
-    step's end alike.  No other stage runs them."""
+def _step_text(lines: list[str], outputs: list, phi: list) -> str:
+    """Source of the step kernel from the closed-loop statements lines and
+    the values after them (`_closed_loop_body`), outputs of [acc], [tau],
+    [b], [P rows] and cond, and phi of [phi]: one copy of lines, run for
+    each stage k in a loop over the stages and the steps.  Stage 1 returns
+    the views' outputs (h None) or the record with phi (more 1), whose
+    state is the locals _a, which hold (q, v) at the start and a step's
+    end alike."""
     acc = [_text(x) for x in outputs[0]]
     n = len(acc)
-    phi_lines, phi = [f"                {line}" for line in sample[0]], sample[1]
 
     def each(*texts) -> tuple:  # texts at each coordinate i; qdot_i is _a{j}, acc_i is {d}
         return tuple(_Src(text.format(i=i, j=n + i, d=acc[i])) for text in texts for i in range(n))
@@ -196,9 +186,9 @@ def _step_text(lines: list[str], outputs: list, sample: tuple) -> str:
         *(f"    {line}" for line in start),
         "try:", "    while True:",
         *(f"        {line}".replace("return None", "break") for line in lines or ["pass"]),
-        "        if k == 1:", "            if h is None:", *phi_lines,
+        "        if k == 1:", "            if h is None:",
         f"                return {', '.join(map(_list, outputs))}",
-        "            if more == 1:", *phi_lines,
+        "            if more == 1:",
         f"                return {qs}, {qds}, {_list(tuple(outputs[0]))}, "
         f"{_list(tuple(outputs[1]))}, {_list(tuple(phi))}",
         "            more = more - 1", "            k = 2",

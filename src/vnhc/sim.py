@@ -11,9 +11,11 @@ states its protocol): the start's record through `control._stage1`, the
 views' one entry, which checks the pair and builds the kernel where the
 pair's record (`constraint._pair`) holds none yet, then one call per
 sample interval of the kernel read from that record (`control._step`),
-whose record `integrate` keeps as it comes.  A failed stage, or phi at a sample, is
-raised by `control._raise_failure`, from the kernel's returned state and
-math error, and chained to an `IntegrationError` naming the step: the
+whose record `integrate` keeps as it comes.  Every stage runs Z's
+statements too, so the step where a run fails does not depend on
+`sample_every`, which only thins the output.  A failed stage is raised
+by `control._raise_failure`, from the kernel's returned state and math
+error, and chained to an `IntegrationError` naming the step: the
 q-only kernel names the first failure in the views' order, and the step
 kernel's own line the force's math error; nothing else is built or run.
 """
@@ -106,7 +108,7 @@ def integrate(
                                        last_good_index=len(times) - 1)
             try:
                 _raise_failure(model, con, out[2], out[5])
-            except (TransversalityError, SPDError, EvalError) as err:  # a stage's or phi's
+            except (TransversalityError, SPDError, EvalError) as err:  # a stage's
                 raise IntegrationError(f"aborted at step {step}: {err}",
                                        last_good_index=len(times) - 1) from err
         step += count

@@ -403,10 +403,8 @@ def unfolded_statements(model, con):
 def unfolded_kernels(model, con):
     """The step and q-only kernels compiled from the pair's unfolded
     statements, folded by `oracle.fold` with the zero terms of their sums
-    dropped, phi at a sample with them.  The step kernel's statements of Z
-    at a sample are `expr._emit`'s alone, which no block folds, so they are
-    taken as they are."""
-    (lines, outputs, (z_lines, phi)), (_, *q_lines, result) = unfolded_statements(model, con)
+    dropped, phi at a sample with them."""
+    (lines, outputs, phi), (_, *q_lines, result) = unfolded_statements(model, con)
     names = [*outputs[0], *outputs[1], *outputs[2], *sum(outputs[3], []), outputs[4], *phi]
     body, out = fold(lines, names, zeros=True)
     folded = dict(zip(names, map(linalg._Src, out)))
@@ -415,7 +413,7 @@ def unfolded_kernels(model, con):
         return [relabel(y) for y in x] if isinstance(x, list) else folded[x]
 
     define = linalg._define
-    step = define(control._step_text(list(body), relabel(outputs), (z_lines, relabel(phi))))
+    step = define(control._step_text(list(body), relabel(outputs), relabel(phi)))
     body, (out,) = fold([line[4:] for line in q_lines], [result.removeprefix("    return ")],
                         zeros=True)
     return step, define("\n".join(linalg._kernel_source("q", body, out)))
@@ -495,8 +493,8 @@ def test_dropped_zero_terms_move_no_gate(case):
     # d0: b and tau turn -0.0 where they are NaN.
     model, con, states = case
     step = control._step(model, con)
-    (lines, outputs, sample), _ = unfolded_statements(model, con)
-    whole = linalg._define(control._step_text(lines, outputs, sample))
+    (lines, outputs, phi), _ = unfolded_statements(model, con)
+    whole = linalg._define(control._step_text(lines, outputs, phi))
     for q, qd in states:
         stage = step(q, qd, None, None, False)
         assert alike(stage, whole(q, qd, None, None, False))

@@ -168,10 +168,19 @@ def drawn_energy_drifts(model, con, q, qd) -> list[float]:
     return drifts
 
 
-def assert_rk4_order(drifts):
-    """The drift falls 12-20x per halving of h: RK4's 16x."""
+def assert_rk4_order(drifts, fastest=20.0):
+    """The drift falls 12-fastest x per halving of h: RK4's 16x."""
     for coarse, fine in zip(drifts, drifts[1:]):
-        assert 12.0 <= coarse / fine <= 20.0, drifts
+        assert 12.0 <= coarse / fine <= fastest, drifts
+
+
+def assert_no_work(drifts):
+    """The energy drift falls at least 12x per halving of h, as RK4's error
+    does.  A faster fall is no work of the constraint force, which keeps a
+    drift that barely falls (the negative controls below, about 1x), so
+    the lower bound alone is the property; a drawn start may well meet a
+    leading error term that nearly cancels (32x at q = 0, qdot = e_3)."""
+    assert_rk4_order(drifts, fastest=float("inf"))
 
 
 @settings(max_examples=16, deadline=None)
@@ -215,7 +224,7 @@ def test_other_inputs_are_not_gauss(system):
 @given(systems(force=False))
 def test_energy_is_conserved_to_rk4_order(system):
     model, con, states = system
-    assert_rk4_order(drawn_energy_drifts(model, con, *states[0]))
+    assert_no_work(drawn_energy_drifts(model, con, *states[0]))
 
 
 @pytest.mark.parametrize("kind", [{"rows": False}, {"affine": True}], ids=["inputs", "affine"])
@@ -227,7 +236,7 @@ def test_work_of_the_constraint_force_is_not_rk4_error(kind, data):
     model, con, states = data.draw(systems(force=False, **kind))
     drifts = drawn_energy_drifts(model, con, *states[0])
     with pytest.raises(AssertionError):
-        assert_rk4_order(drifts)
+        assert_no_work(drifts)
 
 
 # The Chaplygin sleigh: a rigid body on the plane that rests on a knife

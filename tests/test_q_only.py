@@ -320,7 +320,7 @@ def test_every_view_names_the_ladders_failure(case):
     # of `oracle`), and check prints the ladder's line; where the ladder
     # passes, no view fails but on a result that is not finite.  The views
     # share one domain: where the q-only ladder fails or finds no control,
-    # so does the closed loop's stage 1, at a line that Z alone needs too.
+    # so does the closed loop's stage 1, at a line of Z's expressions too.
     model, con, states = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
