@@ -358,19 +358,30 @@ class TestStageFailures:
             with pytest.raises(getattr(vnhc, kind), match=f"^{message}$"):
                 rk4_step(model, con, s0, h)
 
-    @pytest.mark.parametrize("every", [1, 2, 3, 7, 25])
-    def test_z_failing_in_a_stage(self, every):
+    def assert_z_fails_in_a_stage(self, every, sample_step, last_good):
         # phi = yd + log(x) with x = 0.05 - t: stage 4 of step 5 is at x = 0,
         # where Z has no value.  Every stage evaluates Z, so the run aborts
-        # there whatever sample_every is, and keeps the samples before it.
+        # at step 5 whatever sample_every is, not at sample_step, the first
+        # sample at or past it (the run's last step, 20, where sample_every
+        # passes it), and keeps the samples before step 5.
+        assert sample_step == min(-(-5 // every) * every, 20)
         model = MechanicalModel(("x", "y"), [[1, 0], [0, 1]], input_coframe=[["0", "1"]])
         con = AffineConstraint(("x", "y"), [["0", "1"]], Z=["log(x)"])
         s0 = State(q=(0.05, 0.0), qdot=(-1.0, 0.0))
         with pytest.raises(IntegrationError,
                            match=r"^aborted at step 5: domain error in log\(x\)$") as info:
             integrate(model, con, s0, t_end=0.2, h=1e-2, sample_every=every)
-        assert info.value.last_good_index == 4 // every
+        assert info.value.last_good_index == last_good == 4 // every
         assert type(info.value.__cause__) is vnhc.EvalError
+
+    @pytest.mark.parametrize("every, sample_step, last_good", [(1, 5, 4), (2, 6, 2)])
+    def test_phi_failing_at_a_sample(self, every, sample_step, last_good):
+        self.assert_z_fails_in_a_stage(every, sample_step, last_good)
+
+    @pytest.mark.parametrize("every, sample_step, last_good",
+                             [(3, 6, 1), (7, 7, 0), (25, 20, 0)])
+    def test_phi_failing_at_a_later_sample(self, every, sample_step, last_good):
+        self.assert_z_fails_in_a_stage(every, sample_step, last_good)
 
     def test_non_finite_state_before_the_next_stage_1(self):
         # Every stage of step 1 is finite, but their sum overflows; stage 1
